@@ -42,7 +42,6 @@ from .heights import (
 from .hypersurface import (
     Hypersurface,
     diagonal_surface,
-    dominance_check,
     fiber_solve,
     graph_surface,
     hypersurface_from_json,

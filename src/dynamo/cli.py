@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -47,7 +46,6 @@ class RunConfig:
     max_iter: int = 6
     cap_digits: int = 10**6
     output: str = "csv"
-    threads: int = 1
 
 
 def _config_from_args(args) -> RunConfig:
@@ -60,14 +58,13 @@ def _config_from_args(args) -> RunConfig:
         max_iter=args.max_iter,
         cap_digits=args.cap_digits,
         output="json" if args.json else "csv",
-        threads=int(os.environ.get("DYNAMO_THREADS", "1")),
     )
 
 
 def _emit(payload: dict, config: RunConfig, out) -> None:
     meta = {"version": __version__, **asdict(config)}
     if config.output == "json":
-        json.dump({"config": meta, "result": payload}, out, indent=2, default=_jsonable)
+        json.dump({"config": meta, "result": payload}, out, indent=2, default=str)
         out.write("\n")
         return
     for k, v in meta.items():
@@ -89,16 +86,8 @@ def _csv_cell(v):
     if isinstance(v, float):
         return f"{v:.12g}"
     if isinstance(v, (dict, list, tuple)):
-        return json.dumps(v, default=_jsonable)
+        return json.dumps(v, default=str)
     return v
-
-
-def _jsonable(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    if hasattr(v, "__dict__") or hasattr(v, "_asdict"):
-        return str(v)
-    return str(v)
 
 
 def _sig_str(sig) -> list:
@@ -416,3 +405,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

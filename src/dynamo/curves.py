@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, EliminationFailure
-from .hypersurface import Hypersurface
+from .hypersurface import Hypersurface, _multiply_out
 from .mpoly import MPoly, bivar_squarefree, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
@@ -92,50 +92,29 @@ def _reduce_to_curve(affine: MPoly, formal_u: int, formal_s: int,
 
 
 def _sample_curve_points(C: Curve2, count: int, rng: np.random.Generator):
-    """Numeric points on C: random x1 values, x2 from the fiber roots."""
+    """Numeric points on C: random x1 values, x2 from the fiber roots.
+
+    When the form does not involve block 2 (a union of vertical lines), x1
+    ranges over the roots instead and the random value stands in for x2.
+    """
     pts = []
     guard = 0
     d2 = C.multidegree[1]
+    free = 2 if d2 else 1
     while len(pts) < count and guard < 40 * count:
         guard += 1
         z = complex(rng.normal(), rng.normal())
         p1 = CPoint.from_affine(z)
-        if d2 == 0:
-            # the form does not involve block 2 (union of vertical lines):
-            # x1 ranges over the roots and x2 is free
-            for r in _roots_of_row(_fiber_complex(C, 1, p1)):
-                if len(pts) < count:
-                    pts.append((_chartpoint(r), p1))
+        row = C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
+        scale = np.max(np.abs(row))
+        if d2 and scale < 1e-12:
             continue
-        coeffs = _fiber_complex(C, 2, p1)
-        if max(abs(c) for c in coeffs) < 1e-12:
-            continue
-        for r in _roots_of_row(coeffs):
+        for r in roots_batch(row / scale)[0]:
             if len(pts) < count:
-                pts.append((p1, _chartpoint(r)))
+                pts.append((p1, _chartpoint(r)) if d2 else (_chartpoint(r), p1))
     if len(pts) < count:
         raise EliminationFailure("could not sample enough numeric points on the curve")
     return pts
-
-
-def _fiber_complex(C: Curve2, axis: int, p: CPoint) -> list[complex]:
-    m = C.multidegree[axis - 1]
-    out = [0j] * (m + 1)
-    for e, c in C.terms:
-        if axis == 2:
-            w = c * p.x ** e[0] * p.y ** (C.multidegree[0] - e[0])
-            out[e[1]] += w
-        else:
-            w = c * p.x ** e[1] * p.y ** (C.multidegree[1] - e[1])
-            out[e[0]] += w
-    return out
-
-
-def _roots_of_row(coeffs: list[complex]):
-    row = np.array([coeffs], dtype=complex)
-    scale = np.max(np.abs(row))
-    roots = roots_batch(row / scale)[0]
-    return [r for r in roots]
 
 
 def _chartpoint(r: complex) -> CPoint:
@@ -180,16 +159,14 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
 def _verify_pushforward(C, image, f, g, tol, samples, rng=None) -> None:
     rng = rng or np.random.default_rng(20240808)
     pts = _sample_curve_points(C, samples, rng)
-    scaled = image.scaled_coefficients()
-    d1, d2 = image.multidegree
+    scaled = image.scaled_coefficients().items()
     residuals = []
     for p1, p2 in pts:
         u = evaluate_cpoint(f, p1)
         s = evaluate_cpoint(g, p2)
-        val = 0j
-        for (e1, e2), c in scaled.items():
-            val += c * u.x**e1 * u.y ** (d1 - e1) * s.x**e2 * s.y ** (d2 - e2)
-        residuals.append(abs(val))
+        values = {1: (u.x, u.y), 2: (s.x, s.y)}
+        residuals.append(abs(sum(val for _, val in
+                                 _multiply_out(scaled, image.multidegree, values))))
     worst = max(residuals)
     if worst > tol:
         raise EliminationFailure(

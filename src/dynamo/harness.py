@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve2, CurveOrbitOutcome, curve_orbit
-from .errors import InsufficientPreperiodicSupply
+from .errors import DegenerateFiber, InsufficientPreperiodicSupply
 from .exceptional import classify
 from .heights import decide_preperiodic, rational_preperiodic_points
 from .hypersurface import Hypersurface, fiber_solve
@@ -82,13 +82,9 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
         assignment = {j: rng.choice(pts) for j, pts in supplies.items()}
         try:
             roots = fiber_solve(H, i, assignment)
-        except Exception as exc:  # DegenerateFiber
-            from .errors import DegenerateFiber
-
-            if isinstance(exc, DegenerateFiber):
-                degenerate += 1
-                continue
-            raise
+        except DegenerateFiber:
+            degenerate += 1
+            continue
         for cp, _mult, exact in roots:
             if exact is not None:
                 verdict = decide_preperiodic(maps[i - 1], exact)
@@ -299,7 +295,11 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
                          max_iter=config.max_curve_iter,
                          max_bidegree=config.max_bidegree)
     all_non_exceptional = all(c.verdict == "NonExceptional" for c in classifications)
-    if pair.certificate is not None and pair.certificate.orbit.preperiodic:
+    certified = pair.certificate is not None and pair.certificate.orbit.preperiodic
+    if certified and failed:
+        verdict = ("contradictory evidence: the exact pair-curve certificate says the "
+                   "two-block form is preperiodic, but " + "; ".join(failed))
+    elif certified:
         verdict = ("two-block form certified preperiodic: consistent with the "
                    "pair-curve shape of joint preperiodicity")
     elif failed:

@@ -17,8 +17,31 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import ProjectivePoint
-from .roots import binary_form_roots, poly_gcd_q, poly_trim
+from .projective import ProjectivePoint, content, poly_deriv, poly_gcd_q, poly_trim
+from .roots import binary_form_roots
+
+
+def _multiply_out(terms, multidegree, values):
+    """Yield (exps, c * prod_j x_j^e_j y_j^(m_j - e_j)) for each term (exps, c).
+
+    values maps a 1-based block j to its pair (x_j, y_j): ints, complex
+    scalars or numpy arrays.  Blocks absent from values stay free; callers
+    file each product under the free block's exponent.  Factors are applied
+    block by block, x before y, skipping zero powers: this order fixes the
+    float rounding of the sampled measures and of the curve checks.
+    """
+    blocks = sorted(values)
+    for exps, coeff in terms:
+        val = coeff
+        for j in blocks:
+            x, y = values[j]
+            e = exps[j - 1]
+            if e:
+                val = val * x**e
+            rest = multidegree[j - 1] - e
+            if rest:
+                val = val * y**rest
+        yield exps, val
 
 
 @dataclass(frozen=True)
@@ -53,18 +76,13 @@ class Hypersurface:
         collected = {e: c for e, c in collected.items() if c}
         if not collected:
             raise ValueError("the zero form is not a hypersurface")
-        g = 0
-        for c in collected.values():
-            g = math.gcd(g, abs(c))
+        g = content(collected.values())
         if g > 1:
             collected = {e: c // g for e, c in collected.items()}
         first = min(collected)
         if collected[first] < 0:
             collected = {e: -c for e, c in collected.items()}
         return cls(n, multidegree, tuple(sorted(collected.items())))
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
 
     # -- dominance -----------------------------------------------------------
 
@@ -91,69 +109,27 @@ class Hypersurface:
         values maps axis index (1-based, != i) to a projective point; returns
         integer coefficients [c_0..c_m] of sum c_k X_i^k Y_i^(m-k).
         """
-        m = self.multidegree[i - 1]
-        out = [0] * (m + 1)
-        for exps, coeff in self.terms:
-            val = coeff
-            for j in range(1, self.n + 1):
-                if j == i:
-                    continue
-                p = values[j]
-                e = exps[j - 1]
-                val *= p.x ** e * p.y ** (self.multidegree[j - 1] - e)
+        others = {j: (values[j].x, values[j].y) for j in range(1, self.n + 1) if j != i}
+        out = [0] * (self.multidegree[i - 1] + 1)
+        for exps, val in _multiply_out(self.terms, self.multidegree, others):
             out[exps[i - 1]] += val
         return out
 
     def fiber_coeff_matrix(self, i: int, pairs: dict[int, tuple], n_rows: int) -> np.ndarray:
         """Vectorized complex fiber coefficients for many samples at once.
 
-        pairs maps axis j != i to (x_j, y_j) arrays of length n_rows; returns
-        an (n_rows, multidegree[i]+1) complex matrix.
+        pairs maps axis j != i to (x_j, y_j) arrays of length n_rows (complex
+        scalars broadcast); returns an (n_rows, multidegree[i]+1) complex matrix.
         """
-        m = self.multidegree[i - 1]
-        out = np.zeros((n_rows, m + 1), dtype=complex)
-        for exps, coeff in self.terms:
-            val = np.full(n_rows, float(coeff), dtype=complex)
-            for j in range(1, self.n + 1):
-                if j == i:
-                    continue
-                xj, yj = pairs[j]
-                e = exps[j - 1]
-                if e:
-                    val = val * xj**e
-                rest = self.multidegree[j - 1] - e
-                if rest:
-                    val = val * yj**rest
+        others = {j: pairs[j] for j in range(1, self.n + 1) if j != i}
+        out = np.zeros((n_rows, self.multidegree[i - 1] + 1), dtype=complex)
+        for exps, val in _multiply_out(self.terms, self.multidegree, others):
             out[:, exps[i - 1]] += val
         return out
 
     def evaluate_exact(self, points: dict[int, ProjectivePoint]) -> int:
-        acc = 0
-        for exps, coeff in self.terms:
-            val = coeff
-            for j in range(1, self.n + 1):
-                p = points[j]
-                e = exps[j - 1]
-                val *= p.x ** e * p.y ** (self.multidegree[j - 1] - e)
-            acc += val
-        return acc
-
-    def evaluate_complex(self, pairs: dict[int, tuple]) -> complex:
-        acc = 0j
-        for exps, coeff in self.terms:
-            val = complex(coeff)
-            for j in range(1, self.n + 1):
-                x, y = pairs[j]
-                e = exps[j - 1]
-                val *= x**e * y ** (self.multidegree[j - 1] - e)
-            acc += val
-        return acc
-
-    def coefficient_norm(self) -> float:
-        try:
-            return float(max(abs(c) for _, c in self.terms))
-        except OverflowError:
-            return math.inf
+        values = {j: (points[j].x, points[j].y) for j in range(1, self.n + 1)}
+        return sum(val for _, val in _multiply_out(self.terms, self.multidegree, values))
 
     def scaled_coefficients(self) -> dict:
         """Terms divided exactly by the max |coefficient|; floats in [-1, 1]."""
@@ -184,19 +160,13 @@ class Hypersurface:
                 affine = poly_trim(coeffs)
                 if len(affine) < 2:
                     continue
-                deriv = [k * affine[k] for k in range(1, len(affine))]
-                g = poly_gcd_q(affine, deriv)
+                g = poly_gcd_q(affine, poly_deriv(affine))
                 if len(poly_trim(g)) > 1:
                     warnings.append(
                         f"specialized fiber in block {i} has a repeated factor; "
                         "the form may be non-reduced or non-irreducible")
                     break
         return warnings
-
-
-def dominance_check(H: Hypersurface) -> dict:
-    """Per-axis dominance booleans plus the two-block candidate flag."""
-    return H.dominance()
 
 
 def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint],

@@ -57,10 +57,6 @@ class EmpiricalMeasure:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.size, 1.0 / self.size)
-
     def affine(self, col: int = 0) -> np.ndarray:
         """Affine complex values of one column; inverted entries become 1/w."""
         v = self.values[:, col]

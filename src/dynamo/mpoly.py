@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from itertools import repeat
 
+from .projective import poly_prem, poly_trim
+from .roots import yun_squarefree
+
 
 class MPoly:
     """Integer multivariate polynomial with a fixed number of variables."""
@@ -36,17 +39,14 @@ class MPoly:
     def const(cls, arity: int, c: int) -> "MPoly":
         return cls(arity, {tuple(repeat(0, arity)): int(c)}) if c else cls(arity)
 
-    @classmethod
-    def var(cls, arity: int, idx: int, power: int = 1) -> "MPoly":
-        e = [0] * arity
-        e[idx] = power
-        return cls(arity, {tuple(e): 1})
-
     # -- predicates ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self.arity == other.arity \
@@ -162,16 +162,6 @@ class MPoly:
             out[key] = out.get(key, 0) + val
         return MPoly(self.arity, out)
 
-    def eval_complex(self, point) -> complex:
-        acc = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for idx, p in enumerate(e):
-                if p:
-                    term *= point[idx] ** p
-            acc += term
-        return acc
-
     def _lead(self):
         e = max(self.terms)
         return e, self.terms[e]
@@ -200,30 +190,6 @@ class MPoly:
 # pseudo-Euclidean resultants with formal degrees
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs):
-    d = len(coeffs) - 1
-    while d > 0 and coeffs[d].is_zero:
-        d -= 1
-    return coeffs[: d + 1]
-
-
-def _prem(P, Q):
-    """Pseudo-remainder lc(Q)^(m-n+1) P mod Q for MPoly coefficient lists."""
-    m, n = len(P) - 1, len(Q) - 1
-    lq = Q[n]
-    R = list(P)
-    for k in range(m, n - 1, -1):
-        top = R[k]
-        R = [lq * r for r in R]
-        if not top.is_zero:
-            for i in range(n + 1):
-                R[k - n + i] = R[k - n + i] - top * Q[i]
-        R = R[:k]  # degree strictly below k now
-        if len(R) <= n:
-            break
-    return _trim(R) if R else [MPoly.zero(lq.arity)]
-
-
 def resultant_formal(P, Q, m: int, n: int) -> MPoly:
     """Resultant of coefficient lists with formal degrees m and n.
 
@@ -239,8 +205,8 @@ def resultant_formal(P, Q, m: int, n: int) -> MPoly:
 
 def _res(P, Q, m: int, n: int) -> MPoly:
     arity = P[0].arity
-    Pt = _trim(P)
-    Qt = _trim(Q)
+    Pt = poly_trim(P)
+    Qt = poly_trim(Q)
     p_act = -1 if (len(Pt) == 1 and Pt[0].is_zero) else len(Pt) - 1
     q_act = -1 if (len(Qt) == 1 and Qt[0].is_zero) else len(Qt) - 1
     if p_act < 0 or q_act < 0:
@@ -261,7 +227,7 @@ def _res(P, Q, m: int, n: int) -> MPoly:
         return sign * _res(Q, P, n, m)
     # actual degrees equal the formal ones and m >= n >= 1
     lq = Qt[n]
-    R = _prem(Pt, Qt)
+    R = poly_prem(Pt, Qt)
     if len(R) == 1 and R[0].is_zero:
         return MPoly.zero(arity)
     r = len(R) - 1
@@ -285,20 +251,6 @@ def _res(P, Q, m: int, n: int) -> MPoly:
 # ---------------------------------------------------------------------------
 # gcds and squarefree parts (primitive PRS)
 # ---------------------------------------------------------------------------
-
-def gcd_int_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer coefficient lists (univariate)."""
-    from .roots import poly_gcd_q, primitive_int, poly_trim
-
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if a == [0]:
-        return primitive_int(b)
-    if b == [0]:
-        return primitive_int(a)
-    g = poly_gcd_q(a, b)
-    return primitive_int(g)
-
 
 def _mp_content_in(P: MPoly, idx: int, other_vars: list[int]) -> MPoly:
     """Content of P viewed as univariate in idx: gcd of its coefficients."""
@@ -343,18 +295,18 @@ def mp_gcd(A: MPoly, B: MPoly, vars_order: list[int]) -> MPoly:
     P = Ap.coeff_list(idx)
     Q = Bp.coeff_list(idx)
     while True:
-        Q = _trim(Q)
+        Q = poly_trim(Q)
         if len(Q) == 1 and Q[0].is_zero:
-            g_list = _trim(P)
+            g_list = poly_trim(P)
             G = MPoly.from_coeff_list(g_list, idx)
             Gc = _mp_content_in(G, idx, rest)
             G = _mp_div_all(G, Gc, idx)
             return (G * cont).primitive()
-        P = _trim(P)
+        P = poly_trim(P)
         if len(P) - 1 < len(Q) - 1:
             P, Q = Q, P
             continue
-        R = _prem(P, Q)
+        R = poly_prem(P, Q)
         R_mp = MPoly.from_coeff_list(R, idx)
         if not R_mp.is_zero:
             rc = _mp_content_in(R_mp, idx, rest)
@@ -477,8 +429,6 @@ def _specialized_multiplicities(P: MPoly, keep: int, other: int):
     Returns the sorted multiplicity set, or None if no good specialization
     was found among small integers.
     """
-    from .roots import yun_squarefree
-
     d = P.degree_in(keep)
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         spec = P.substitute({other: s0})

@@ -115,9 +115,9 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
             visited.add(cur)
             cur = succ[cur]
         if cur != path[0]:
-            # start's walk merged into an earlier cycle; points before the
-            # merge are duplicates of existing roots (multiplicity artifacts)
-            continue
+            # two roots share a nearest image, so some root has none
+            raise NotACycle("nearest-root matching is not a permutation of the "
+                            "periodic root set")
         period = len(path)
         cyc_pts = tuple(pts[i] for i in path)
         lam = multiplier(F, cyc_pts, tol=max(tol, 1e-7))

@@ -104,7 +104,11 @@ def point_from_rational(q) -> ProjectivePoint:
         s = q.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return INFINITY
-        q = Fraction(s)
+        try:
+            q = Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"point {q!r} has a zero denominator; "
+                             "write inf for the point at infinity") from None
     q = Fraction(q)
     return ProjectivePoint(q.numerator, q.denominator)
 
@@ -228,6 +232,96 @@ def content(coeffs) -> int:
     for c in coeffs:
         g = math.gcd(g, abs(c))
     return g
+
+
+# The helpers below read a coefficient list as a univariate polynomial,
+# ascending powers; `not c` is the zero test, so the trim and the
+# pseudo-remainder work alike on int, Fraction and MPoly coefficients.
+
+def poly_degree(c) -> int:
+    d = len(c) - 1
+    while d > 0 and not c[d]:
+        d -= 1
+    return d
+
+
+def poly_trim(c):
+    return list(c[: poly_degree(c) + 1])
+
+
+def poly_deriv(c):
+    return [i * c[i] for i in range(1, len(c))] or [0]
+
+
+def poly_prem(a, b):
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b, trimmed (b of actual degree db)."""
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[db]
+    r = list(a)
+    for k in range(da, db - 1, -1):
+        top = r[k]
+        r = [lb * v for v in r]
+        if top:
+            for i in range(db + 1):
+                r[k - db + i] = r[k - db + i] - top * b[i]
+        r = r[:k]  # degree strictly below k now
+        if len(r) <= db:
+            break
+    return poly_trim(r) if r else [lb * 0]
+
+
+def poly_divmod_q(a, b):
+    """Quotient and remainder over Q (b nonzero)."""
+    a = [Fraction(v) for v in poly_trim(a)]
+    b = [Fraction(v) for v in poly_trim(b)]
+    if b == [Fraction(0)]:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    r = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) - 1 >= db and any(v != 0 for v in r):
+        dr = len(r) - 1
+        if r[dr] == 0:
+            r.pop()
+            continue
+        f = r[dr] / lb
+        q[dr - db] = f
+        for i in range(db + 1):
+            r[dr - db + i] -= f * b[i]
+        r.pop()
+    return q, poly_trim(r) or [Fraction(0)]
+
+
+def primitive_int(c):
+    """Clear denominators and divide by content; keeps the leading sign."""
+    fr = [Fraction(v) for v in c]
+    m = 1
+    for v in fr:
+        m = m * v.denominator // math.gcd(m, v.denominator)
+    ints = [int(v * m) for v in fr]
+    g = content(ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+def poly_gcd_q(a, b):
+    """Monic gcd over Q (primitive integer PRS inside to tame growth)."""
+    a = primitive_int(poly_trim(a))
+    b = primitive_int(poly_trim(b))
+    if a == [0]:
+        a, b = b, a
+    while b != [0] and any(b):
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        r = poly_prem(a, b)
+        a, b = b, primitive_int(r) if any(r) else [0]
+    if a == [0] or not any(a):
+        return [Fraction(0)]
+    lead = Fraction(a[len(a) - 1])
+    return [Fraction(v) / lead for v in a]
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +509,6 @@ class RationalMapLift:
 
     def certificate(self) -> BezoutCertificate:
         return _certificate_cached(self.f0, self.f1, self.res)
-
-    def affine_str(self) -> str:
-        def side(cs):
-            terms = []
-            for i, c in enumerate(cs):
-                if c:
-                    terms.append(f"{c}*z^{i}" if i else f"{c}")
-            return " + ".join(reversed(terms)) or "0"
-
-        return f"({side(self.f0)}) / ({side(self.f1)})"
 
 
 @lru_cache(maxsize=256)

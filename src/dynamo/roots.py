@@ -9,122 +9,28 @@ iteration with deflation for the remaining simple complex roots.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import RootFindingFailure
-from .projective import CPoint, ProjectivePoint
+from .projective import (
+    CPoint,
+    ProjectivePoint,
+    poly_deriv,
+    poly_degree,
+    poly_divmod_q,
+    poly_gcd_q,
+    poly_trim,
+    primitive_int,
+)
 
 DEFAULT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# exact univariate helpers (coefficients ascending)
+# exact squarefree decomposition and rational roots (coefficients ascending)
 # ---------------------------------------------------------------------------
-
-def poly_degree(c) -> int:
-    d = len(c) - 1
-    while d > 0 and c[d] == 0:
-        d -= 1
-    return d
-
-
-def poly_trim(c):
-    d = poly_degree(c)
-    return list(c[: d + 1])
-
-
-def poly_deriv(c):
-    return [i * c[i] for i in range(1, len(c))] or [0]
-
-
-def poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def poly_divmod_q(a, b):
-    """Quotient and remainder over Q (b nonzero)."""
-    a = [Fraction(v) for v in poly_trim(a)]
-    b = [Fraction(v) for v in poly_trim(b)]
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(v != 0 for v in r):
-        dr = len(r) - 1
-        if r[dr] == 0:
-            r.pop()
-            continue
-        f = r[dr] / lb
-        q[dr - db] = f
-        for i in range(db + 1):
-            r[dr - db + i] -= f * b[i]
-        r.pop()
-    return q, poly_trim(r) or [Fraction(0)]
-
-
-def _prem_int(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(da-db+1) * a mod b over the integers."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[db]
-    r = list(a)
-    for k in range(da, db - 1, -1):
-        top = r[k]
-        r = [lb * v for v in r]
-        if top:
-            for i in range(db + 1):
-                r[k - db + i] -= top * b[i]
-        r = r[:k]
-        if len(r) <= db:
-            break
-    r = r or [0]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def poly_gcd_q(a, b):
-    """Monic gcd over Q (primitive integer PRS inside to tame growth)."""
-    a = primitive_int(poly_trim(a))
-    b = primitive_int(poly_trim(b))
-    if a == [0]:
-        a, b = b, a
-    while b != [0] and any(b):
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        r = _prem_int(a, b)
-        a, b = b, primitive_int(r) if any(r) else [0]
-    if a == [0] or not any(a):
-        return [Fraction(0)]
-    lead = Fraction(a[len(a) - 1])
-    return [Fraction(v) / lead for v in a]
-
-
-def primitive_int(c):
-    """Clear denominators and divide by content; keeps the leading sign."""
-    fr = [Fraction(v) for v in c]
-    m = 1
-    for v in fr:
-        m = m * v.denominator // math.gcd(m, v.denominator)
-    ints = [int(v * m) for v in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
 
 def yun_squarefree(c):
     """Yun decomposition [(factor, multiplicity), ...] with primitive integer factors."""

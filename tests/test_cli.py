@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynamo
 from dynamo.cli import run
 
 
@@ -182,3 +187,31 @@ def test_sample_measure_n_alias(sq_json):
     assert code == 0
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     assert len(lines) == 61
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(dynamo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "dynamo.cli", "self-test"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "check,ok" in proc.stdout
+    assert "chebyshev_identity_d_le_12,True" in proc.stdout
+
+
+def test_point_with_zero_denominator_is_usage_error(sq_json, capsys):
+    code, _ = _run(["preper", "--map", sq_json, "--point", "1/0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'1/0'" in err
+    code, text = _run(["preper", "--map", sq_json, "--point", "inf", "--json"])
+    assert code == 0
+    assert json.loads(text)["result"]["status"] == "preperiodic"
+
+
+def test_threads_environment_variable_is_ignored(sq_json, monkeypatch):
+    monkeypatch.setenv("DYNAMO_THREADS", "abc")
+    code, text = _run(["orbit", "--map", sq_json, "--point", "1"])
+    assert code == 0
+    assert "threads" not in text

@@ -2,8 +2,10 @@
 
 import pytest
 
+import dynamo.harness
 from dynamo.harness import (
     MMConfig,
+    MeasureCompareResult,
     fiber_preperiodicity_test,
     measure_compare,
     mm_verify,
@@ -170,3 +172,20 @@ def test_insufficient_preperiodic_supply():
     F = RationalMapLift.make([2, 0, 1], [-2, 0, 1])
     with pytest.raises(InsufficientPreperiodicSupply):
         fiber_preperiodicity_test(diagonal_surface(), [F, F], 2, trials=5, seed=1)
+
+
+def test_mm_verify_names_certificate_contradiction(sq, monkeypatch):
+    # the diagonal is invariant under (z^2, z^2), so the pair curve is
+    # certified; a (forced) measure failure must not be hidden behind it
+    def failing_compare(H, maps, i, j, n_samples, depth, seed):
+        return MeasureCompareResult(0.5, 0.1, (0.5, 0.5), n_samples, (0, 0))
+
+    monkeypatch.setattr(dynamo.harness, "measure_compare", failing_compare)
+    cfg = MMConfig(samples=100, depth=5, trials=5, seed=7)
+    rep = mm_verify(diagonal_surface(), [sq, sq], cfg)
+    assert rep.pair_form.certificate.orbit.preperiodic
+    assert rep.failed_conditions == ("measure comparison (1,2): D = 0.5000 "
+                                     "exceeds tau = 0.1000",)
+    assert rep.verdict.startswith("contradictory evidence")
+    assert "pair-curve certificate" in rep.verdict
+    assert rep.failed_conditions[0] in rep.verdict

@@ -1,5 +1,8 @@
 """Hypersurface type: dominance, exact fibers, JSON round trip."""
 
+import random
+
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ from dynamo.hypersurface import (
     hypersurface_from_json,
     hypersurface_to_json,
 )
-from dynamo.projective import ProjectivePoint, point_from_rational
+from dynamo.projective import ProjectivePoint, form_eval, point_from_rational
 
 
 def linear_sum_surface():
@@ -117,3 +120,48 @@ def test_irreducibility_probe_flags_square():
 
 def test_irreducibility_probe_quiet_on_diagonal():
     assert diagonal_surface().irreducibility_warnings() == []
+
+
+def _random_form(rng, n):
+    md = tuple(rng.randint(1, 2) for _ in range(n))
+    terms = []
+    for _ in range(rng.randint(2, 6)):
+        exps = tuple(rng.randint(0, m) for m in md)
+        terms.append((exps, rng.randint(-9, 9) or 1))
+    try:
+        return Hypersurface.make(n, md, terms)
+    except ValueError:  # the terms cancelled
+        return _random_form(rng, n)
+
+
+def _random_point(rng):
+    x, y = rng.randint(-9, 9), rng.randint(0, 9)
+    return ProjectivePoint(x, y) if (x, y) != (0, 0) else ProjectivePoint(1, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fiber_matrix_matches_exact_fiber(n):
+    # small integer coordinates keep every float product exact, so the
+    # complex and the exact fibers must agree to the bit
+    rng = random.Random(20 + n)
+    for _ in range(10):
+        H = _random_form(rng, n)
+        rows = [{j: _random_point(rng) for j in range(1, n + 1)} for _ in range(6)]
+        for i in range(1, n + 1):
+            pairs = {j: (np.array([r[j].x for r in rows], dtype=complex),
+                         np.array([r[j].y for r in rows], dtype=complex))
+                     for j in range(1, n + 1) if j != i}
+            mat = H.fiber_coeff_matrix(i, pairs, len(rows))
+            exact = np.array([H.fiber_form_exact(i, r) for r in rows], dtype=complex)
+            assert np.array_equal(mat, exact)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_exact_matches_fiber_form_eval(n):
+    rng = random.Random(40 + n)
+    for _ in range(10):
+        H = _random_form(rng, n)
+        pts = {j: _random_point(rng) for j in range(1, n + 1)}
+        for i in range(1, n + 1):
+            fiber = H.fiber_form_exact(i, pts)
+            assert H.evaluate_exact(pts) == form_eval(fiber, pts[i].x, pts[i].y)

@@ -178,11 +178,6 @@ def test_green_value_returns_iterations(sq):
     assert g.iterations == 7
 
 
-def test_weights_sum_to_one(sq):
-    m = sample_invariant_measure(sq, 123, 5, seed=0)
-    assert m.weights.sum() == pytest.approx(1.0)
-
-
 def test_green_vanishes_on_julia_samples(sq):
     m = sample_invariant_measure(sq, 300, 30, seed=21)
     vals = [abs(green(sq, z, 25).value) for z in m.affine()[:100]]

@@ -13,7 +13,7 @@ from dynamo.orbits import (
     periodic_points,
     repelling_cycles,
 )
-from dynamo.projective import CPoint, evaluate_cpoint
+from dynamo.projective import CPoint, ProjectivePoint, evaluate_cpoint
 
 
 def _find_cycle(cycles, value, tol=1e-7):
@@ -152,3 +152,19 @@ def poly_lift_q(*coeffs):
 
     d = len(coeffs) - 1
     return RationalMapLift.make(list(coeffs), [4] + [0] * d)
+
+
+def test_non_permutation_matching_raises(sq, monkeypatch):
+    # -1 maps onto the fixed point 1, so two roots share a nearest image and
+    # the walk from -1 merges into 1's cycle instead of closing on itself
+    import dynamo.roots
+
+    real = dynamo.roots.binary_form_roots
+
+    def with_extra_root(coeffs, tol):
+        extra = (CPoint.from_affine(-1.0), 1, ProjectivePoint(-1, 1))
+        return [extra] + real(coeffs, tol=tol)
+
+    monkeypatch.setattr(dynamo.roots, "binary_form_roots", with_extra_root)
+    with pytest.raises(NotACycle, match="not a permutation"):
+        periodic_points(sq, 1)
