@@ -1,12 +1,14 @@
 """Images and orbits of plane curves under split endomorphisms of P^1 x P^1.
 
-The image of a curve C under (f, g) is computed by projective resultant
-elimination against the graph forms V*F0(X1,Y1) - U*F1(X1,Y1) and
-T*G0(X2,Y2) - S*G1(X2,Y2): resultants of binary forms with formal degrees
-vanish exactly on the image (points at infinity included), so the only
-post-processing needed is content/monomial bookkeeping and squarefree
-reduction.  Every pushforward is verified by mapping sampled points of C
-through (f, g) and checking they annihilate the output form.
+The image of a curve C(x1, x2) of bidegree (d1, d2) under (f, g) is the zero
+set of the eliminant Res_x2(Res_x1(C, F0 - u F1), G0 - s G1), taken with
+formal degrees so that points at infinity are kept, not lost.  It has
+bidegree at most (deg g * d1, deg f * d2) and is computed exactly by
+mpoly.resultant_formal (modular evaluation, interpolation and CRT up to a
+proven coefficient bound) from the dense coefficient matrix of C.  The only
+post-processing is content/monomial bookkeeping and squarefree reduction.
+Every pushforward is verified by mapping sampled points of C through (f, g)
+and checking they annihilate the output form.
 """
 
 from __future__ import annotations
@@ -35,38 +37,16 @@ def make_curve(terms, bidegree) -> Curve2:
     return Hypersurface.make(2, bidegree, terms)
 
 
-def _curve_to_mpoly(C: Curve2) -> MPoly:
-    # slots: (0, 1, 2) = (x1, x2, parameter)
-    return MPoly(3, {(e[0], e[1], 0): c for e, c in C.terms})
-
-
-def _graph_mpoly(F: RationalMapLift) -> MPoly:
-    # F0(t) - p * F1(t) in slots (t, unused, p): the dehomogenized graph form
-    terms = {}
-    for i, c in enumerate(F.f0):
-        if c:
-            terms[(i, 0, 0)] = terms.get((i, 0, 0), 0) + c
-    for i, c in enumerate(F.f1):
-        if c:
-            terms[(i, 0, 1)] = terms.get((i, 0, 1), 0) - c
-    return MPoly(3, terms)
-
-
-def _permute(p: MPoly, perm) -> MPoly:
-    return MPoly(3, {tuple(e[perm[k]] for k in range(3)): c for e, c in p.terms.items()})
-
-
-def _reduce_to_curve(affine: MPoly, formal_u: int, formal_s: int,
-                     cap_digits: int) -> Curve2:
+def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve2:
     """Monomial bookkeeping + squarefree reduction + canonical normalization.
 
-    affine holds the eliminated form in slots (u, s, 0) with formal block
-    degrees (formal_u, formal_s); monomial factors (fibers over 0 and
+    r2[k][l] is the coefficient of u^k s^l of the eliminated form, of formal
+    block degrees (formal_u, formal_s); monomial factors (fibers over 0 and
     infinity) are reduced to multiplicity one like every other factor.
     """
-    if affine.is_zero:
+    terms = {(k, l): c for k, row in enumerate(r2) for l, c in enumerate(row) if c}
+    if not terms:
         raise EliminationFailure("resultant vanished identically")
-    terms = {(e[0], e[1]): c for e, c in affine.terms.items()}
     min_u = min(e[0] for e in terms)
     min_s = min(e[1] for e in terms)
     terms = {(e[0] - min_u, e[1] - min_s): c for e, c in terms.items()}
@@ -74,7 +54,7 @@ def _reduce_to_curve(affine: MPoly, formal_u: int, formal_s: int,
     act_s = max(e[1] for e in terms)
     gap_u = formal_u - min_u - act_u  # multiplicity of the Y_U factor
     gap_s = formal_s - min_s - act_s
-    core = MPoly(2, {e: c for e, c in terms.items()})
+    core = MPoly(2, terms)
     biggest = max(abs(c) for c in core.terms.values())
     if digits_of(biggest) > cap_digits:
         raise CapExceeded("curve coefficients exceeded the digit cap")
@@ -133,32 +113,23 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
     the output form to relative tolerance tol (EliminationFailure otherwise).
     """
     d1, d2 = C.multidegree
-    c_mp = _curve_to_mpoly(C)
-    gamma_f = _graph_mpoly(f)
-    r1 = resultant_formal(c_mp.coeff_list(0, formal=d1),
-                          gamma_f.coeff_list(0, formal=f.degree),
-                          d1, f.degree)
-    if r1.is_zero:
-        raise EliminationFailure("first elimination vanished identically")
-    # r1 lives in slots (0, x2, u); move to (x2, u, 0) for the second stage
-    r1 = _permute(r1, (1, 2, 0))
-    formal_x2 = f.degree * d2
-    gamma_g = _graph_mpoly(g)
-    r2 = resultant_formal(r1.coeff_list(0, formal=formal_x2),
-                          gamma_g.coeff_list(0, formal=g.degree),
-                          formal_x2, g.degree)
-    if r2.is_zero:
-        raise EliminationFailure("second elimination vanished identically")
-    # r2 lives in slots (0, u, s); shift down to (u, s, 0)
-    r2 = _permute(r2, (1, 2, 0))
-    image = _reduce_to_curve(r2, f.degree * d1, g.degree * d2, cap_digits)
+    dense = [[0] * (d2 + 1) for _ in range(d1 + 1)]
+    for (i, j), c in C.terms:
+        dense[i][j] = c
+    r2 = resultant_formal(dense, (f.f0, f.f1), (g.f0, g.f1))
+    # r2 has formal degree g.degree * d1 in u and f.degree * d2 in s
+    image = _reduce_to_curve(r2, g.degree * d1, f.degree * d2, cap_digits)
     _verify_pushforward(C, image, f, g, tol, samples, rng)
     return image
 
 
 def _verify_pushforward(C, image, f, g, tol, samples, rng=None) -> None:
     rng = rng or np.random.default_rng(20240808)
-    pts = _sample_curve_points(C, samples, rng)
+    try:
+        pts = _sample_curve_points(C, samples, rng)
+    except OverflowError as exc:  # a coefficient of C beyond the double range
+        raise EliminationFailure("curve coefficients exceed the float range of "
+                                 "the numeric verification") from exc
     scaled = image.scaled_coefficients().items()
     residuals = []
     for p1, p2 in pts:
@@ -198,7 +169,7 @@ def curve_orbit(C: Curve2, f: RationalMapLift, g: RationalMapLift,
     chain = [C]
     cur = C
     for k in range(1, max_iter + 1):
-        worst_next = max(f.degree * cur.multidegree[0], g.degree * cur.multidegree[1])
+        worst_next = max(g.degree * cur.multidegree[0], f.degree * cur.multidegree[1])
         if worst_next > max_bidegree and k > 1:
             break
         cur = curve_pushforward(cur, f, g, tol=tol, cap_digits=cap_digits)

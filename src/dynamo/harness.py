@@ -55,22 +55,28 @@ class FiberTestResult:
 
 
 def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
-                              seed: int = 0, supply_box: int = 100) -> FiberTestResult:
+                              seed: int = 0, supply_box: int = 100,
+                              supply: dict | None = None) -> FiberTestResult:
     """Solve fibers over random preperiodic tuples; decide each rational root.
 
     Constrained coordinates j != i draw uniformly from the rational
     preperiodic set of map j; exact rational roots of the fiber get the exact
     preperiodicity decision, numeric roots an uncertified escape-rate
     estimate.  A certified non-preperiodic rational root is a fail witness.
+    supply memoizes each map's rational preperiodic set (searched in
+    supply_box); callers testing several axes pass one dict to all of them.
     """
     dom = H.dominance()
     if not dom["axis"][i]:
         raise ValueError(f"projection forgetting axis {i} is not dominant")
+    supply = {} if supply is None else supply
     supplies = {}
     for j, F in enumerate(maps, start=1):
         if j == i:
             continue
-        pts = rational_preperiodic_points(F, box=supply_box)
+        if F not in supply:
+            supply[F] = rational_preperiodic_points(F, box=supply_box)
+        pts = supply[F]
         if not pts:
             raise InsufficientPreperiodicSupply(
                 f"map {j} has no rational preperiodic points in the search box")
@@ -270,11 +276,13 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
     classifications = tuple(classify(F) for F in maps)
     failed = []
     fiber_tests = {}
+    supply = {}  # each distinct map's preperiodic points, searched once
     for i in range(1, H.n + 1):
         if not dom["axis"][i]:
             continue
         res = fiber_preperiodicity_test(H, maps, i, trials=config.trials,
-                                        seed=config.seed + i, supply_box=config.supply_box)
+                                        seed=config.seed + i, supply_box=config.supply_box,
+                                        supply=supply)
         fiber_tests[i] = res
         if res.fails:
             failed.append(f"fiber test on axis {i}: {res.fails} certified "

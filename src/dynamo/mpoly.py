@@ -1,15 +1,34 @@
-"""Small exact multivariate polynomial toolkit over the integers.
+"""Exact elimination for curve pushforwards, plus a small multivariate toolkit.
 
-Polynomials are dicts mapping fixed-arity exponent tuples to nonzero int
-coefficients.  This backs the elimination machinery (pseudo-Euclidean
-resultants with formal-degree bookkeeping, primitive-PRS gcds, squarefree
-reduction); it is deliberately minimal rather than a general CAS layer.
+resultant_formal computes the eliminant r2(u, s) of a plane curve under a
+split map (f, g) by dense modular elimination (Collins 1971; Monagan 2005).
+For each 31-bit prime it evaluates r2 mod p on a grid of (deg g * d1 + 1) x
+(deg f * d2 + 1) points, as a product of the curve over pairs of roots
+computed by numpy int64 determinants of companion-matrix Kronecker sums, and
+interpolates.  Reduction mod p commutes with the Sylvester determinants, so
+every prime gives r2 mod p exactly; there are no unlucky primes, only grid
+points where a leading coefficient vanishes, and a prime with one of those is
+skipped.  eliminant_bound_sq bounds every coefficient of r2 by B from the
+input norms (Hadamard's inequality on the torus), so primes are added until
+their product M exceeds 2B: the residues then fix each coefficient in
+(-M/2, M/2), and the symmetric CRT lift is r2 itself.  The prime count is
+about log2(2B) / 31, fixed before any prime is tried; nothing stops early
+because results look stable.
+
+Polynomials for the rest are MPoly dicts mapping fixed-arity exponent tuples
+to nonzero int coefficients.  bivar_squarefree certifies squarefree images
+from one-prime checks of degree-preserving specializations and reduces
+uniform multiplicities by exact roots; primitive-PRS gcds are the exact
+fallback for images with mixed repeated factors.  It is deliberately
+minimal rather than a general CAS layer.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
+
+import numpy as np
 
 from .projective import poly_prem, poly_trim
 from .roots import yun_squarefree
@@ -104,11 +123,9 @@ class MPoly:
             return -1
         return max(e[idx] for e in self.terms)
 
-    def coeff_list(self, idx: int, formal: int | None = None):
+    def coeff_list(self, idx: int):
         """Coefficients of powers of variable idx, as MPolys with that slot zeroed."""
-        d = self.degree_in(idx)
-        top = d if formal is None else formal
-        out = [dict() for _ in range(top + 1)]
+        out = [dict() for _ in range(self.degree_in(idx) + 1)]
         for e, c in self.terms.items():
             k = e[idx]
             e0 = list(e)
@@ -187,65 +204,256 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# pseudo-Euclidean resultants with formal degrees
+# curve eliminants by modular evaluation, interpolation and CRT
 # ---------------------------------------------------------------------------
 
-def resultant_formal(P, Q, m: int, n: int) -> MPoly:
-    """Resultant of coefficient lists with formal degrees m and n.
+# 31-bit primes below 2^31, largest first, found on first use: products of
+# two residues stay below 2^62, inside int64
+_PRIMES: list[int] = []
+# int64 entries per array in one block of grid points (1 MB), which bounds
+# the working set of an elimination whatever the bidegree
+_BLOCK = 1 << 17
 
-    Zero top coefficients are honored through the formal-degree correction
-    Res_{m,n}(P,Q) = (-1)^(n (m - p)) lc(Q)^(m - p) Res_{p,n}(P,Q) for the
-    actual degree p; equivalent to the Sylvester determinant on padded lists.
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The (k+1)-th largest prime below 2^31."""
+    n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
+    while len(_PRIMES) <= k:
+        n -= 2
+        if _is_prime(n):
+            _PRIMES.append(n)
+    return _PRIMES[k]
+
+
+def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.ones_like(x)
+    base = x % p
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _inv_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p of nonzero residues.
+
+    Fermat's x^(p-2) is about 90 numpy calls whatever the size, which is
+    the cost of some 60 scalar inverses by Python's pow: short arrays take
+    the scalar path.
     """
-    arity = (P[0] if P else Q[0]).arity
-    P = list(P) + [MPoly.zero(arity)] * (m + 1 - len(P))
-    Q = list(Q) + [MPoly.zero(arity)] * (n + 1 - len(Q))
-    return _res(P[: m + 1], Q[: n + 1], m, n)
+    if x.size > 64:
+        return _pow_mod(x, p - 2, p)
+    return np.array([pow(v, -1, p) for v in x.ravel().tolist()],
+                    dtype=np.int64).reshape(x.shape)
 
 
-def _res(P, Q, m: int, n: int) -> MPoly:
-    arity = P[0].arity
-    Pt = poly_trim(P)
-    Qt = poly_trim(Q)
-    p_act = -1 if (len(Pt) == 1 and Pt[0].is_zero) else len(Pt) - 1
-    q_act = -1 if (len(Qt) == 1 and Qt[0].is_zero) else len(Qt) - 1
-    if p_act < 0 or q_act < 0:
-        if m == 0 and n == 0:
-            return MPoly.const(arity, 1)
-        return MPoly.zero(arity)
-    if m == 0:
-        return Pt[0] ** n
-    if n == 0:
-        return Qt[0] ** m
-    if p_act < m:
-        if q_act < n:
-            return MPoly.zero(arity)  # both top coefficients vanish: shared root at infinity
-        sign = -1 if (n * (m - p_act)) % 2 else 1
-        return sign * (Qt[n] ** (m - p_act)) * _res(Pt, Qt, p_act, n)
-    if q_act < n or m < n:
-        sign = -1 if (m * n) % 2 else 1
-        return sign * _res(Q, P, n, m)
-    # actual degrees equal the formal ones and m >= n >= 1
-    lq = Qt[n]
-    R = poly_prem(Pt, Qt)
-    if len(R) == 1 and R[0].is_zero:
-        return MPoly.zero(arity)
-    r = len(R) - 1
-    if r == 0:
-        sub = R[0] ** n
-    elif r == 1:
-        # Res(Q, r1 x + r0) = sum q_k (-r0)^k r1^(n-k)
-        acc = MPoly.zero(arity)
-        for k in range(n + 1):
-            acc = acc + Qt[k] * ((-R[0]) ** k) * (R[1] ** (n - k))
-        sub = acc
-    else:
-        sub = _res(Qt, R, n, r)
-    e = m - r - n * (m - n + 1)
-    sign = -1 if (m * n) % 2 else 1
-    if e >= 0:
-        return sign * (lq ** e) * sub
-    return sign * sub.exact_div(lq ** (-e))
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for entries in [0, p): A is split into 16-bit halves so
+    that no int64 sum overflows (inner dimension below 2^15)."""
+    return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B) % p
+
+
+def _det_mod(E: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices (entries in [0, p)).
+
+    Division-free elimination with per-matrix row swaps; the row scalings
+    are divided out by one inverse at the end.
+    """
+    n = E.shape[-1]
+    E = E.copy()
+    rows = np.arange(len(E))
+    num = np.ones(len(E), dtype=np.int64)
+    den = np.ones(len(E), dtype=np.int64)
+    for k in range(n):
+        r = k + (E[:, k:, k] != 0).argmax(axis=1)
+        swap = r != k
+        if swap.any():
+            i, j = rows[swap], r[swap]
+            top = E[i, k].copy()
+            E[i, k] = E[i, j]
+            E[i, j] = top
+            num[i] = (p - num[i]) % p
+        piv = E[:, k, k].copy()
+        num[piv == 0] = 0  # no pivot in this column: singular
+        piv[piv == 0] = 1
+        num = num * piv % p
+        if k + 1 < n:
+            E[:, k + 1:, k:] = (E[:, k + 1:, k:] * piv[:, None, None]
+                                - E[:, k + 1:, k, None] * E[:, None, k, k:]) % p
+            den = den * _pow_mod(piv, n - k - 1, p) % p
+    return num * _inv_mod(den, p) % p
+
+
+def _grid(count: int, lift) -> np.ndarray:
+    """The first `count` integers t >= 0 at which f0 - t f1 keeps its degree."""
+    top0, top1 = lift[0][-1], lift[1][-1]
+    if top0 == 0 and top1 == 0:
+        raise ValueError("f0 and f1 both drop their formal degree")
+    out = []
+    t = 0
+    while len(out) < count:
+        if top0 != t * top1:
+            out.append(t)
+        t += 1
+    return np.array(out, dtype=np.int64)
+
+
+def _companion_powers(lift, ts: np.ndarray, top: int, p: int):
+    """N_t^i (i = 0..top) for the companion matrix N_t of (f0 - t f1) / lc,
+    with the leading coefficients lc; None when some lc vanishes mod p."""
+    f0 = np.array([c % p for c in lift[0]], dtype=np.int64)
+    f1 = np.array([c % p for c in lift[1]], dtype=np.int64)
+    a = len(f0) - 1
+    forms = (f0[None, :] - ts[:, None] * f1[None, :]) % p
+    lc = forms[:, a]
+    if not lc.all():
+        return None
+    monic = forms[:, :a] * _inv_mod(lc, p)[:, None] % p
+    N = np.zeros((len(ts), a, a), dtype=np.int64)
+    N[:, 1:, :-1] = np.eye(a - 1, dtype=np.int64)
+    N[:, :, a - 1] = (p - monic) % p
+    powers = np.empty((len(ts), top + 1, a, a), dtype=np.int64)
+    powers[:, 0] = np.eye(a, dtype=np.int64)
+    for i in range(1, top + 1):
+        powers[:, i] = _matmul_mod(powers[:, i - 1], N, p)
+    return powers, lc
+
+
+def _interpolation_matrix(points: np.ndarray, p: int) -> np.ndarray:
+    """L with L[k, m] the t^m coefficient of the k-th Lagrange basis mod p.
+
+    With w = prod_j (t - x_j), the k-th basis is (w / (t - x_k)) / w'(x_k).
+    """
+    n = len(points)
+    x = points % p
+    w = np.zeros(n + 1, dtype=np.int64)
+    w[0] = 1
+    for xj in x:
+        w = (np.concatenate(([0], w[:-1])) - xj * w) % p
+    num = np.empty((n, n), dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for i in range(n, 0, -1):  # synthetic division by t - x_k, all k at once
+        acc = (w[i] + acc * x) % p
+        num[:, i - 1] = acc
+    dw = np.zeros(n, dtype=np.int64)
+    for i in range(n, 0, -1):  # w'(x_k) by Horner
+        dw = (dw * x + i * w[i]) % p
+    return num * _inv_mod(dw, p)[:, None] % p
+
+
+def eliminant_bound_sq(C, F, G) -> int:
+    """B^2 for a bound B on every coefficient of resultant_formal(C, F, G).
+
+    On |u| = |s| = 1 Hadamard's inequality bounds both Sylvester
+    determinants by their row norms; the coefficient vectors of C in x1
+    (at |x2| = 1), of f0 - u f1 and of g0 - s g1 have squared 2-norms at
+    most nc, nf and ng below, and a coefficient of r2 is at most its
+    maximum on that torus (Cauchy).
+    """
+    d1, d2 = len(C) - 1, len(C[0]) - 1
+    a, b = len(F[0]) - 1, len(G[0]) - 1
+    nc = sum(sum(abs(c) for c in row) ** 2 for row in C)
+    nf = sum((abs(x) + abs(y)) ** 2 for x, y in zip(*F))
+    ng = sum((abs(x) + abs(y)) ** 2 for x, y in zip(*G))
+    return nc ** (a * b) * nf ** (b * d1) * ng ** (a * d2)
+
+
+def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
+    """Coefficients of r2 mod p, or None when a grid point is bad mod p.
+
+    At each grid point r2(u, s) = (-1)^(ab(d1+d2)) lc(F_u)^(b d1)
+    lc(G_s)^(a d2) det C(N_u (x) I, I (x) M_s), N_u and M_s the companion
+    matrices of F_u = f0 - u f1 and G_s = g0 - s g1: the determinant is the
+    product of C over the pairs of their roots.
+    """
+    d1, d2 = len(C) - 1, len(C[0]) - 1
+    a, b = len(F[0]) - 1, len(G[0]) - 1
+    nu = _companion_powers(F, us, d1, p)
+    ms = _companion_powers(G, ss, d2, p)
+    if nu is None or ms is None:
+        return None
+    (Npow, lc_f), (Mpow, lc_g) = nu, ms
+    U, S = len(us), len(ss)
+    cmod = np.array([[c % p for c in row] for row in C], dtype=np.int64)
+    # W[i] = sum_j c_ij M_s^j, laid out (i, (s, l, l'))
+    W = _matmul_mod(cmod, Mpow.transpose(1, 0, 2, 3).reshape(d2 + 1, S * b * b), p)
+    A = Npow.transpose(0, 2, 3, 1).reshape(U * a * a, d1 + 1)
+    det = np.empty((U, S), dtype=np.int64)
+    step = max(1, _BLOCK // (a * a * S * b * b))
+    for u0 in range(0, U, step):
+        u1 = min(U, u0 + step)
+        # sum_i N_u^i (x) W[i], rows and columns ordered (k, l)
+        E = _matmul_mod(A[u0 * a * a:u1 * a * a], W, p)
+        E = E.reshape(u1 - u0, a, a, S, b, b).transpose(0, 3, 1, 4, 2, 5)
+        det[u0:u1] = _det_mod(E.reshape(-1, a * b, a * b), p).reshape(u1 - u0, S)
+    vals = det * _pow_mod(lc_f, b * d1, p)[:, None] % p
+    vals = vals * _pow_mod(lc_g, a * d2, p)[None, :] % p
+    if a * b * (d1 + d2) % 2:
+        vals = (p - vals) % p
+    Lu = _interpolation_matrix(us, p)
+    Ls = _interpolation_matrix(ss, p)
+    return _matmul_mod(_matmul_mod(Lu.T, vals, p), Ls, p)
+
+
+def resultant_formal(C, F, G) -> list:
+    """The eliminant of the curve C(x1, x2) = 0 under (f, g), exactly.
+
+    C[i][j] is the coefficient of x1^i x2^j (formal bidegree (d1, d2)); F =
+    (f0, f1) and G = (g0, g1) are lifts of formal degrees a and b.  Returns
+    R with R[k][l] the coefficient of u^k s^l in
+
+        r2(u, s) = Res_x2^(a d2, b)(Res_x1^(d1, a)(C, f0 - u f1), g0 - s g1),
+
+    the Sylvester determinants taken at those formal degrees, so r2 has
+    bidegree at most (b d1, a d2) and vanishes exactly on the image.
+    Each prime p gives r2 mod p from its values on a grid of
+    (b d1 + 1) x (a d2 + 1) points, interpolated; primes are added until
+    their product exceeds twice the bound of eliminant_bound_sq, and the
+    symmetric CRT lift is then r2 itself.
+    """
+    d1, d2 = len(C) - 1, len(C[0]) - 1
+    a, b = len(F[0]) - 1, len(G[0]) - 1
+    us = _grid(b * d1 + 1, F)
+    ss = _grid(a * d2 + 1, G)
+    need = 4 * eliminant_bound_sq(C, F, G)
+    residues, primes, modulus = [], [], 1
+    k = 0
+    while modulus * modulus <= need:
+        p = _prime(k)
+        k += 1
+        vals = _eliminant_mod(C, F, G, us, ss, p)
+        if vals is not None:
+            residues.append(vals)
+            primes.append(p)
+            modulus *= p
+    acc = 0
+    for vals, p in zip(residues, primes):
+        rest = modulus // p
+        acc = acc + vals.astype(object) * (rest * pow(rest, -1, p))
+    acc = acc % modulus
+    half = modulus // 2
+    return [[v - modulus if v > half else v for v in row] for row in acc.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +565,14 @@ def int_nth_root(n: int, e: int) -> int | None:
         return None if r is None else -r
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / e))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**e == n:
-            return cand
-    # float guess can be off for big integers; bisect
-    lo, hi = 1, 1 << (n.bit_length() // e + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid**e
-        if v == n:
-            return mid
-        if v < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # integer Newton from 2^ceil(bits / e) >= n^(1/e) descends to floor(n^(1/e))
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            break
+        x = y
+    return x if x**e == n else None
 
 
 def mp_nth_root(P: MPoly, e: int, vars_order: list[int]) -> MPoly | None:
@@ -423,11 +623,33 @@ def mp_nth_root(P: MPoly, e: int, vars_order: list[int]) -> MPoly | None:
     return None
 
 
+def _squarefree_mod(c: list, p: int) -> bool:
+    """True when gcd(c, c') is constant mod p (c of degree below p)."""
+    a = [v % p for v in c]
+    b = [i * v % p for i, v in enumerate(a)][1:]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a := a mod b
+            q = a[-1] * inv % p
+            if q:
+                shift = len(a) - len(b)
+                for i, v in enumerate(b):
+                    a[shift + i] = (a[shift + i] - q * v) % p
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _specialized_multiplicities(P: MPoly, keep: int, other: int):
     """Yun multiplicities of P specialized at a degree-preserving point.
 
     Returns the sorted multiplicity set, or None if no good specialization
-    was found among small integers.
+    was found among small integers.  A specialization that keeps its degree
+    and is squarefree mod one prime is squarefree over Q (a square factor
+    over Z would survive the reduction), so Yun over Q runs only when that
+    check fails.
     """
     d = P.degree_in(keep)
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
@@ -437,6 +659,9 @@ def _specialized_multiplicities(P: MPoly, keep: int, other: int):
             coeffs[e_[keep]] += c
         if coeffs[d] == 0:
             continue
+        p = _prime(0)
+        if coeffs[d] % p and _squarefree_mod(coeffs, p):
+            return [1]
         parts = yun_squarefree(coeffs)
         return sorted({mult for _, mult in parts}) or [1]
     return None

@@ -215,3 +215,32 @@ def test_threads_environment_variable_is_ignored(sq_json, monkeypatch):
     code, text = _run(["orbit", "--map", sq_json, "--point", "1"])
     assert code == 0
     assert "threads" not in text
+
+
+@pytest.fixture
+def steep_line_json(tmp_path):
+    # x2 = 10^80 x1: its image under (z^2, z^2) is x2 = 10^160 x1, reached
+    # through the square (s - 10^160 u)^2, whose constant 10^320 is no float
+    p = tmp_path / "steep.json"
+    p.write_text(json.dumps({
+        "n": 2, "multidegree": [1, 1],
+        "terms": [{"exps": [0, 1], "coeff": "1"}, {"exps": [1, 0], "coeff": str(-10**80)}],
+    }))
+    return str(p)
+
+
+def test_curve_orbit_of_steep_line(steep_line_json, sq_json):
+    code, text = _run(["curve-orbit", "--hyp", steep_line_json,
+                       "--map", sq_json, sq_json, "--max-iter", "1", "--json"])
+    assert code == 0
+    res = json.loads(text)["result"]
+    assert res["bidegrees"] == [[1, 1], [1, 1]] and res["preperiodic"] is False
+
+
+def test_curve_orbit_beyond_float_range_is_computation_error(steep_line_json, sq_json,
+                                                             capsys):
+    # the third step samples x2 = 10^320 x1 numerically: a typed failure
+    code, _ = _run(["curve-orbit", "--hyp", steep_line_json,
+                    "--map", sq_json, sq_json, "--max-iter", "3", "--json"])
+    assert code == 2
+    assert "float range" in capsys.readouterr().err

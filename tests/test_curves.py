@@ -1,7 +1,10 @@
 """Curve pushforward by resultant elimination, and curve orbits."""
 
+import hashlib
+import json
+
 from dynamo.curves import curve_orbit, curve_pushforward, make_curve
-from dynamo.hypersurface import diagonal_surface, graph_surface
+from dynamo.hypersurface import diagonal_surface, graph_surface, hypersurface_to_json
 
 def test_diagonal_invariant_under_square(sq):
     D = diagonal_surface()
@@ -81,3 +84,33 @@ def test_basilica_pair_graph(basilica):
     C = graph_surface([-1, 0, 1])
     out = curve_orbit(C, basilica, basilica, max_iter=2)
     assert out.preperiodic and (out.tail, out.period) == (0, 1)
+
+
+def test_diagonal_orbit_golden_image(sq, basilica):
+    # the (32, 32) image of the diagonal under (z^2, z^2 - 1), six steps on;
+    # the digest was recorded from the pseudo-remainder resultant that the
+    # modular elimination replaced
+    C = diagonal_surface()
+    for _ in range(6):
+        C = curve_pushforward(C, sq, basilica)
+    assert C.multidegree == (32, 32)
+    text = json.dumps(hypersurface_to_json(C), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "96deabfba82d1b194fc5db9464ef162d635192147332bde1b4213294dede77c1")
+
+
+def test_pushforward_bidegree_with_unequal_degrees(sq):
+    # (z^2, z^3)(diagonal) = {(x^2, x^3)} = {s^2 = u^3}, of bidegree (3, 2):
+    # u has degree g.degree * d1, s has f.degree * d2, and no line at infinity
+    from dynamo.exceptional import power_map
+
+    image = curve_pushforward(diagonal_surface(), sq, power_map(3))
+    assert image == make_curve({(3, 0): 1, (0, 2): -1}, (3, 2))
+
+
+def test_pushforward_of_line_with_huge_slope(sq):
+    # x2 = 10^80 x1 maps onto x2 = 10^160 x1 through the square (s - c u)^2,
+    # whose root needs 10^320 > the float range
+    line = make_curve({(0, 1): 1, (1, 0): -(10**80)}, (1, 1))
+    image = curve_pushforward(line, sq, sq)
+    assert image == make_curve({(0, 1): 1, (1, 0): -(10**160)}, (1, 1))

@@ -189,3 +189,25 @@ def test_mm_verify_names_certificate_contradiction(sq, monkeypatch):
     assert rep.verdict.startswith("contradictory evidence")
     assert "pair-curve certificate" in rep.verdict
     assert rep.failed_conditions[0] in rep.verdict
+
+
+def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
+    # x1 + x2 + x3 = 0 under (z^2 - 1)^3: three axes need the same map's
+    # preperiodic points, found once; each axis's fiber test is the one it
+    # runs alone
+    calls = []
+    search = dynamo.harness.rational_preperiodic_points
+
+    def counting(F, box):
+        calls.append(F)
+        return search(F, box=box)
+
+    monkeypatch.setattr(dynamo.harness, "rational_preperiodic_points", counting)
+    cfg = MMConfig(samples=500, depth=10, trials=10, seed=7)
+    maps = [basilica] * 3
+    rep = mm_verify(linear_sum_surface(), maps, cfg)
+    assert calls == [basilica]
+    for i in (1, 2, 3):
+        alone = fiber_preperiodicity_test(linear_sum_surface(), maps, i, trials=cfg.trials,
+                                          seed=cfg.seed + i, supply_box=cfg.supply_box)
+        assert rep.fiber_tests[i] == alone

@@ -1,9 +1,24 @@
-"""Exact polynomial toolkit: resultants vs a Sylvester oracle, gcd, squarefree."""
+"""Exact polynomial toolkit: curve eliminants vs a Sylvester oracle, gcd, squarefree."""
 
 import random
+from fractions import Fraction
 
-from dynamo.mpoly import MPoly, mp_gcd, resultant_formal, squarefree_part
-from dynamo.projective import _bareiss_det
+import numpy as np
+import pytest
+
+import dynamo.mpoly
+from dynamo.curves import make_curve
+from dynamo.hypersurface import diagonal_surface, graph_surface
+from dynamo.mpoly import (
+    MPoly,
+    _det_mod,
+    eliminant_bound_sq,
+    int_nth_root,
+    mp_gcd,
+    resultant_formal,
+    squarefree_part,
+)
+from dynamo.projective import RationalMapLift, _bareiss_det, poly_mul
 
 
 def _sylvester_det(p, q, m, n):
@@ -21,11 +36,24 @@ def _sylvester_det(p, q, m, n):
     return _bareiss_det(rows)
 
 
-def _lift_const_list(ints, arity=3):
-    return [MPoly.const(arity, c) for c in ints]
+# Lifts for the ported resultant tests: with g the identity, s stands in for
+# x2 and r2(u, s) = (-1)^(a d2) r1(x2 = s, u); with C free of x2, r2 = r1(u)
+IDENTITY = ((0, 1), (1, 0))
+SQUARE = ((0, 0, 1), (1, 0, 0))
+
+
+def _eval2(R, u, s):
+    return sum(c * u**k * s**l for k, row in enumerate(R) for l, c in enumerate(row))
+
+
+def _column(p):
+    """The curve p(x1) = 0 as a dense coefficient matrix of bidegree (m, 0)."""
+    return [[c] for c in p]
 
 
 def test_resultant_matches_sylvester_exact_degrees():
+    # C = p(x1) under f = (q, Y^n): r2(u, s) = Res_{m,n}(p, q - u), so its
+    # value at u = 0 is Res(p, q)
     rng = random.Random(31)
     for _ in range(60):
         m = rng.randint(1, 5)
@@ -34,14 +62,13 @@ def test_resultant_matches_sylvester_exact_degrees():
         q = [rng.randint(-5, 5) for _ in range(n + 1)]
         p[m] = p[m] or 1
         q[n] = q[n] or 1
-        got = resultant_formal(_lift_const_list(p), _lift_const_list(q), m, n)
-        want = _sylvester_det(p, q, m, n)
-        got_int = got.terms.get((0, 0, 0), 0)
-        assert got_int == want, (p, q, m, n)
+        R = resultant_formal(_column(p), (q, [1] + [0] * n), IDENTITY)
+        assert _eval2(R, 0, 0) == _sylvester_det(p, q, m, n), (p, q, m, n)
 
 
 def test_resultant_matches_sylvester_formal_degrees():
-    # vanishing top coefficients exercise the formal-degree correction
+    # vanishing top coefficients exercise the formal-degree correction; f1 =
+    # X^n makes the top coefficient of q - u X^n vanish exactly at u = 0
     rng = random.Random(77)
     for _ in range(60):
         m = rng.randint(1, 5)
@@ -55,45 +82,149 @@ def test_resultant_matches_sylvester_formal_degrees():
             q[n] = 0
         if all(c == 0 for c in p) or all(c == 0 for c in q):
             continue
-        got = resultant_formal(_lift_const_list(p), _lift_const_list(q), m, n)
-        want = _sylvester_det(p, q, m, n)
-        got_int = got.terms.get((0, 0, 0), 0)
-        assert got_int == want, (p, q, m, n)
+        R = resultant_formal(_column(p), (q, [0] * n + [1]), IDENTITY)
+        assert _eval2(R, 0, 0) == _sylvester_det(p, q, m, n), (p, q, m, n)
 
 
 def test_resultant_with_parameter_specializes():
     # Res_x(c(x,y), x^2 - u) as a polynomial identity in (y, u): check by
     # specializing both sides at integer points (oracle: Sylvester on ints)
     rng = random.Random(5)
-    arity = 3  # slots: x-coeff placeholder unused, y = 0, u = 1 (arity padding)
-    y, u = 0, 1
     for _ in range(20):
         # c(x, y) = sum over i,j <= 2 of random x^i y^j: coefficients in y
         cmat = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         if all(c == 0 for c in cmat[2]):
             cmat[2][0] = 1
-        P = [MPoly(arity, {(j, 0, 0): cmat[i][j] for j in range(3)}) for i in range(3)]
-        Q = [MPoly(arity, {(0, 1, 0): -1}), MPoly.zero(arity), MPoly.const(arity, 1)]
-        R = resultant_formal(P, Q, 2, 2)
+        R = resultant_formal(cmat, SQUARE, IDENTITY)
         for _ in range(6):
             yv = rng.randint(-4, 4)
             uv = rng.randint(-4, 4)
             p_spec = [sum(cmat[i][j] * yv**j for j in range(3)) for i in range(3)]
             q_spec = [-uv, 0, 1]
             want = _sylvester_det(p_spec, q_spec, 2, 2)
-            got = R.substitute({y: yv, u: uv}).terms.get((0, 0, 0), 0)
-            assert got == want
+            assert _eval2(R, uv, yv) == want
 
 
 def test_diagonal_pushforward_core_identity():
     # Res_x(x - y, x^2 - u) = y^2 - u up to sign: the elimination workhorse
-    arity = 3
-    y_slot, u_slot = 1, 2
-    P = [MPoly(arity, {(0, 1, 0): -1}), MPoly.const(arity, 1)]           # x - y
-    Q = [MPoly(arity, {(0, 0, 1): -1}), MPoly.zero(arity), MPoly.const(arity, 1)]  # x^2 - u
-    R = resultant_formal(P, Q, 1, 2)
-    expect = MPoly(arity, {(0, 2, 0): 1, (0, 0, 1): -1})  # y^2 - u
-    assert R == expect or R == -1 * expect
+    R = resultant_formal([[0, -1], [1, 0]], SQUARE, IDENTITY)  # x1 - x2
+    expect = [[0, 0, 1], [-1, 0, 0]]  # s^2 - u
+    assert R == expect or R == [[-c for c in row] for row in expect]
+
+
+# -- the curve eliminant against an exact two-stage Sylvester oracle ----------
+
+def _interpolate(xs, ys):
+    """Integer coefficients of the polynomial through (xs, ys), exactly."""
+    out = [Fraction(0)] * len(xs)
+    for k, xk in enumerate(xs):
+        num, den = [1], 1
+        for xj in xs:
+            if xj != xk:
+                num = poly_mul(num, [-xj, 1])
+                den *= xk - xj
+        for m, c in enumerate(num):
+            out[m] += Fraction(ys[k] * c) / den
+    assert all(v.denominator == 1 for v in out)
+    return [int(v) for v in out]
+
+
+def _oracle(C, F, G, u, s):
+    """r2(u, s) by two Bareiss-evaluated Sylvester determinants."""
+    d1, d2 = len(C) - 1, len(C[0]) - 1
+    a, b = len(F[0]) - 1, len(G[0]) - 1
+    Fu = [x - u * y for x, y in zip(*F)]
+    xs = list(range(a * d2 + 1))
+    r1 = _interpolate(xs, [_sylvester_det([sum(c * x**j for j, c in enumerate(row))
+                                           for row in C], Fu, d1, a) for x in xs])
+    return _sylvester_det(r1, [x - s * y for x, y in zip(*G)], a * d2, b)
+
+
+def _dense(C):
+    d1, d2 = C.multidegree
+    out = [[0] * (d2 + 1) for _ in range(d1 + 1)]
+    for (i, j), c in C.terms:
+        out[i][j] = c
+    return out
+
+
+def _lift(F):
+    return (F.f0, F.f1)
+
+
+MAPS = {
+    "sq": RationalMapLift.make([0, 0, 1], [1, 0, 0]),
+    "basilica": RationalMapLift.make([-1, 0, 1], [1, 0, 0]),
+    "cube": RationalMapLift.make([0, 0, 0, 1], [1, 0, 0, 0]),
+    "inv": RationalMapLift.make([1, 0], [0, 1]),  # 1/z: the top of F_u vanishes at u = 0
+    "lattes": RationalMapLift.make([1, 0, 2, 0, 1], [0, -4, 0, 4, 0]),
+    "half_inv": RationalMapLift.make([1, 0, 1], [0, 0, 2]),  # (z^2 + 1) / (2 z^2)
+    "no_supply": RationalMapLift.make([2, 0, 1], [-2, 0, 1]),  # (z^2 + 2) / (z^2 - 2)
+}
+
+# every curve of tests/test_curves.py and tests/test_harness.py, plus
+# fibers over 0 and infinity and a form whose top coefficients vanish
+NAMED_CURVES = [
+    diagonal_surface(),
+    graph_surface([0, 0, 1]),
+    graph_surface([1, 1]),
+    graph_surface([-1, 0, 1]),
+    make_curve({(1, 0): 1, (0, 0): -2}, (1, 0)),   # x1 = 2
+    make_curve({(1, 0): 1}, (1, 0)),               # x1 = 0
+    make_curve({(0, 0): 1}, (1, 0)),               # x1 = infinity
+    make_curve({(0, 1): 1}, (0, 1)),               # x2 = 0
+    make_curve({(0, 0): 1}, (0, 1)),               # x2 = infinity
+    make_curve({(1, 1): 1, (0, 0): -1}, (1, 1)),   # x1 x2 = 1
+    make_curve({(0, 1): 1, (1, 0): 3}, (2, 2)),    # top coefficients vanish
+]
+
+
+def _random_curve(rng):
+    d1, d2 = rng.randint(0, 2), rng.randint(0, 2)
+    if d1 + d2 == 0:
+        d1 = 1
+    terms = {(i, j): rng.randint(-4, 4) for i in range(d1 + 1) for j in range(d2 + 1)
+             if rng.random() < 0.6}
+    if rng.random() < 0.3:  # vanishing top coefficient in x1
+        terms = {e: c for e, c in terms.items() if e[0] != d1}
+    terms = {e: c for e, c in terms.items() if c} or {(0, 0): 1}
+    return make_curve(terms, (d1, d2))
+
+
+def _check_against_oracle(C, f, g, rng, points=4):
+    F, G = _lift(MAPS[f]), _lift(MAPS[g])
+    R = resultant_formal(_dense(C), F, G)
+    d1, d2 = C.multidegree
+    assert (len(R), len(R[0])) == (MAPS[g].degree * d1 + 1, MAPS[f].degree * d2 + 1)
+    for u, s in [(0, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(points)]:
+        assert _eval2(R, u, s) == _oracle(_dense(C), F, G, u, s), (C, f, g, u, s)
+
+
+@pytest.mark.parametrize("pair", [("sq", "sq"), ("sq", "basilica"), ("basilica", "basilica"),
+                                  ("cube", "cube"), ("inv", "inv"), ("no_supply", "sq"),
+                                  ("sq", "cube")])
+def test_eliminant_matches_oracle_on_named_curves(pair):
+    rng = random.Random("/".join(pair))
+    for C in NAMED_CURVES:
+        _check_against_oracle(C, *pair, rng)
+
+
+def test_eliminant_matches_oracle_on_random_curves():
+    rng = random.Random(17)
+    names = ["inv", "lattes", "half_inv", "sq"]
+    for _ in range(30):
+        _check_against_oracle(_random_curve(rng), rng.choice(names), rng.choice(names),
+                              rng, points=2)
+
+
+def test_eliminant_bound_dominates_coefficients():
+    rng = random.Random(23)
+    names = list(MAPS)
+    for _ in range(60):
+        C = _dense(_random_curve(rng))
+        F, G = _lift(MAPS[rng.choice(names)]), _lift(MAPS[rng.choice(names)])
+        bound_sq = eliminant_bound_sq(C, F, G)
+        assert all(c * c <= bound_sq for row in resultant_formal(C, F, G) for c in row)
 
 
 def test_gcd_bivariate():
@@ -135,3 +266,66 @@ def test_exact_div_round_trip():
         if a.is_zero or b.is_zero:
             continue
         assert (a * b).exact_div(b) == a
+
+
+def test_int_nth_root_beyond_float_range():
+    # 10^320 overflows a float; the root must come from integer arithmetic
+    assert int_nth_root(10**320, 2) == 10**160
+    assert int_nth_root(-(10**400), 5) == -(10**80)
+    assert int_nth_root(10**320 + 1, 2) is None
+    assert int_nth_root(-(10**320), 2) is None
+    rng = random.Random(3)
+    for _ in range(200):
+        e = rng.randint(2, 7)
+        r = rng.randint(2, 10 ** rng.randint(1, 120))
+        assert int_nth_root(r**e, e) == r
+        assert int_nth_root(r**e - 1, e) is None
+
+
+def test_det_mod_matches_bareiss():
+    # zero pivots, row swaps and singular matrices included
+    rng = random.Random(41)
+    p = 2147483647
+    mats = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2 and n > 1:
+            m[-1] = list(m[0])  # singular
+        mats.append(m)
+    for n in range(1, 6):
+        group = [m for m in mats if len(m) == n]
+        got = _det_mod(np.array(group, dtype=np.int64) % p, p)
+        assert [int(v) for v in got] == [_bareiss_det(m) % p for m in group]
+
+
+def test_eliminant_in_blocks_of_grid_rows(monkeypatch):
+    # a tiny block size splits the grid into many row blocks
+    C = _dense(make_curve({(2, 1): 1, (0, 2): -3, (1, 0): 2, (0, 0): 1}, (2, 2)))
+    F, G = _lift(MAPS["lattes"]), _lift(MAPS["half_inv"])
+    whole = resultant_formal(C, F, G)
+    monkeypatch.setattr(dynamo.mpoly, "_BLOCK", 300)
+    assert resultant_formal(C, F, G) == whole
+
+
+def test_eliminant_skips_a_prime_with_a_bad_grid_point(monkeypatch):
+    # the top coefficient of f0 - u f1 is (p + 1) - u, which vanishes mod the
+    # first prime p at the grid point u = 1; that prime must be skipped
+    p = dynamo.mpoly._prime(0)
+    F = ((0, 0, p + 1), (1, 0, 1))
+    G = _lift(MAPS["sq"])
+    C = _dense(diagonal_surface())
+    used = []
+    eliminant_mod = dynamo.mpoly._eliminant_mod
+
+    def recording(*args):
+        out = eliminant_mod(*args)
+        used.append((args[-1], out is not None))
+        return out
+
+    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
+    R = resultant_formal(C, F, G)
+    assert used[0] == (p, False) and all(ok for _, ok in used[1:])
+    rng = random.Random(2)
+    for u, s in [(0, 0), (1, 1)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]:
+        assert _eval2(R, u, s) == _oracle(C, F, G, u, s)
