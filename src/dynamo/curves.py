@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceeded, EliminationFailure
 from .hypersurface import Hypersurface, _multiply_out
-from .mpoly import MPoly, bivar_squarefree, resultant_formal
+from .mpoly import bivar_squarefree, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
     CPoint,
@@ -44,30 +44,26 @@ def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve
     block degrees (formal_u, formal_s); monomial factors (fibers over 0 and
     infinity) are reduced to multiplicity one like every other factor.
     """
-    terms = {(k, l): c for k, row in enumerate(r2) for l, c in enumerate(row) if c}
-    if not terms:
+    rows = [k for k, row in enumerate(r2) if any(row)]
+    if not rows:
         raise EliminationFailure("resultant vanished identically")
-    min_u = min(e[0] for e in terms)
-    min_s = min(e[1] for e in terms)
-    terms = {(e[0] - min_u, e[1] - min_s): c for e, c in terms.items()}
-    act_u = max(e[0] for e in terms)
-    act_s = max(e[1] for e in terms)
-    gap_u = formal_u - min_u - act_u  # multiplicity of the Y_U factor
-    gap_s = formal_s - min_s - act_s
-    core = MPoly(2, terms)
-    biggest = max(abs(c) for c in core.terms.values())
+    cols = [l for l in range(len(r2[0])) if any(row[l] for row in r2)]
+    min_u, min_s = rows[0], cols[0]
+    core = [row[min_s:cols[-1] + 1] for row in r2[min_u:rows[-1] + 1]]
+    gap_u = formal_u - rows[-1]  # multiplicity of the Y_U factor
+    gap_s = formal_s - cols[-1]
+    biggest = max(abs(c) for row in core for c in row)
     if digits_of(biggest) > cap_digits:
         raise CapExceeded("curve coefficients exceeded the digit cap")
-    sf = bivar_squarefree(core, 0, 1)
-    sf_u = max(e[0] for e in sf.terms)
-    sf_s = max(e[1] for e in sf.terms)
+    sf = bivar_squarefree(core)
     # reattach one copy of each monomial-type factor: U (fiber u=0), V (u=inf),
     # S, T likewise; affine exponents shift only for U/S, bidegree for all
-    du = sf_u + (1 if min_u else 0) + (1 if gap_u > 0 else 0)
-    ds = sf_s + (1 if min_s else 0) + (1 if gap_s > 0 else 0)
+    du = len(sf) - 1 + (1 if min_u else 0) + (1 if gap_u > 0 else 0)
+    ds = len(sf[0]) - 1 + (1 if min_s else 0) + (1 if gap_s > 0 else 0)
     shift_u = 1 if min_u else 0
     shift_s = 1 if min_s else 0
-    out = {(e[0] + shift_u, e[1] + shift_s): c for e, c in sf.terms.items()}
+    out = {(k + shift_u, l + shift_s): c
+           for k, row in enumerate(sf) for l, c in enumerate(row) if c}
     return Hypersurface.make(2, (du, ds), out)
 
 

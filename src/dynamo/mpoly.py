@@ -1,4 +1,4 @@
-"""Exact elimination for curve pushforwards, plus a small multivariate toolkit.
+"""Exact elimination and squarefree reduction for curve pushforwards.
 
 resultant_formal computes the eliminant r2(u, s) of a plane curve under a
 split map (f, g) by dense modular elimination (Collins 1971; Monagan 2005).
@@ -15,192 +15,34 @@ their product M exceeds 2B: the residues then fix each coefficient in
 about log2(2B) / 31, fixed before any prime is tried; nothing stops early
 because results look stable.
 
-Polynomials for the rest are MPoly dicts mapping fixed-arity exponent tuples
-to nonzero int coefficients.  bivar_squarefree certifies squarefree images
-from one-prime checks of degree-preserving specializations and reduces
-uniform multiplicities by exact roots; primitive-PRS gcds are the exact
-fallback for images with mixed repeated factors.  It is deliberately
-minimal rather than a general CAS layer.
+bivar_squarefree reduces the eliminant to its squarefree part on the same
+dense integer matrix, in three stages.  A squarefree one-prime check of a
+degree-preserving specialization in each direction certifies that nothing
+is repeated.  A uniform multiplicity e is removed by an exact e-th root,
+taken on the univariate image under u -> t^D, s -> t (D above the
+s-degree) and verified by re-expansion.  Mixed multiplicities fall back to
+P / gcd(P, P_u, P_s) by a primitive PRS over Z[s][u], whose coefficients
+are integer s-polynomials handled by projective's univariate helpers.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import zip_longest
 
 import numpy as np
 
-from .projective import poly_prem, poly_trim
+from .heights import _is_probable_prime
+from .projective import (
+    content,
+    poly_deriv,
+    poly_div_exact,
+    poly_gcd_q,
+    poly_mul,
+    poly_trim,
+    primitive_int,
+)
 from .roots import yun_squarefree
-
-
-class MPoly:
-    """Integer multivariate polynomial with a fixed number of variables."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity: int, terms: dict | None = None):
-        self.arity = arity
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "MPoly":
-        return cls(arity)
-
-    @classmethod
-    def const(cls, arity: int, c: int) -> "MPoly":
-        return cls(arity, {tuple(repeat(0, arity)): int(c)}) if c else cls(arity)
-
-    # -- predicates ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MPoly) and self.arity == other.arity \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return f"MPoly({self.arity}, {dict(sorted(self.terms.items()))})"
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.arity, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return MPoly(self.arity, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "MPoly":
-        if isinstance(other, int):
-            return MPoly(self.arity, {e: c * other for e, c in self.terms.items()})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly(self.arity, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "MPoly":
-        out = MPoly.const(self.arity, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- structure ------------------------------------------------------------
-
-    def degree_in(self, idx: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
-
-    def coeff_list(self, idx: int):
-        """Coefficients of powers of variable idx, as MPolys with that slot zeroed."""
-        out = [dict() for _ in range(self.degree_in(idx) + 1)]
-        for e, c in self.terms.items():
-            k = e[idx]
-            e0 = list(e)
-            e0[idx] = 0
-            out[k][tuple(e0)] = c
-        return [MPoly(self.arity, t) for t in out]
-
-    @classmethod
-    def from_coeff_list(cls, coeffs, idx: int) -> "MPoly":
-        arity = coeffs[0].arity
-        out: dict = {}
-        for k, p in enumerate(coeffs):
-            for e, c in p.terms.items():
-                e2 = list(e)
-                e2[idx] += k
-                key = tuple(e2)
-                out[key] = out.get(key, 0) + c
-        return cls(arity, out)
-
-    def derivative(self, idx: int) -> "MPoly":
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[idx]:
-                e2 = list(e)
-                e2[idx] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[idx]
-        return MPoly(self.arity, out)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, abs(c))
-        return g
-
-    def primitive(self) -> "MPoly":
-        g = self.content()
-        if g <= 1:
-            return self
-        return MPoly(self.arity, {e: c // g for e, c in self.terms.items()})
-
-    def substitute(self, values: dict[int, int]) -> "MPoly":
-        """Substitute integers for some variable slots (exact)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            val = c
-            e2 = list(e)
-            for idx, v in values.items():
-                val *= v ** e[idx]
-                e2[idx] = 0
-            key = tuple(e2)
-            out[key] = out.get(key, 0) + val
-        return MPoly(self.arity, out)
-
-    def _lead(self):
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def exact_div(self, other: "MPoly") -> "MPoly":
-        """Exact quotient self / other; raises ArithmeticError when not divisible."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return MPoly(self.arity)
-        rem = MPoly(self.arity, dict(self.terms))
-        out: dict = {}
-        le, lc = other._lead()
-        while not rem.is_zero:
-            re, rc = rem._lead()
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(v < 0 for v in qe) or rc % lc != 0:
-                raise ArithmeticError("not exactly divisible")
-            qc = rc // lc
-            out[qe] = out.get(qe, 0) + qc
-            rem = rem - MPoly(self.arity, {qe: qc}) * other
-        return MPoly(self.arity, out)
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +57,12 @@ _PRIMES: list[int] = []
 _BLOCK = 1 << 17
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime(k: int) -> int:
     """The (k+1)-th largest prime below 2^31."""
     n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
     while len(_PRIMES) <= k:
         n -= 2
-        if _is_prime(n):
+        if _is_probable_prime(n):
             _PRIMES.append(n)
     return _PRIMES[k]
 
@@ -457,104 +280,39 @@ def resultant_formal(C, F, G) -> list:
 
 
 # ---------------------------------------------------------------------------
-# gcds and squarefree parts (primitive PRS)
+# certified squarefree part of an eliminant, on its dense integer matrix
 # ---------------------------------------------------------------------------
 
-def _mp_content_in(P: MPoly, idx: int, other_vars: list[int]) -> MPoly:
-    """Content of P viewed as univariate in idx: gcd of its coefficients."""
-    unit = MPoly.const(P.arity, 1)
-    g = MPoly.zero(P.arity)
-    for c in P.coeff_list(idx):
-        if c.is_zero:
-            continue
-        g = c.primitive() if g.is_zero else mp_gcd(g, c, other_vars)
-        if g == unit:
-            break
-    return g
+# A bivariate polynomial P is a list of rows: P[k][l] is the coefficient of
+# u^k s^l, so each row is the s-polynomial coefficient of u^k.
+
+def _shape(P) -> list:
+    """P with zero top rows dropped and every row cut or padded to one
+    width, the s-degree + 1: the last row and the last column are nonzero."""
+    rows = [poly_trim(row) for row in P]
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    width = max(len(row) for row in rows)
+    return [row + [0] * (width - len(row)) for row in rows]
 
 
-def mp_gcd(A: MPoly, B: MPoly, vars_order: list[int]) -> MPoly:
-    """Multivariate gcd by primitive PRS along vars_order; primitive output.
-
-    vars_order lists the variable slots that may occur; gcd of integer
-    contents is preserved up to sign only (the result is primitive).
-    """
-    if A.is_zero:
-        return B.primitive()
-    if B.is_zero:
-        return A.primitive()
-    if not vars_order:
-        g = math.gcd(A.content(), B.content())
-        return MPoly.const(A.arity, g)
-    idx = vars_order[0]
-    rest = vars_order[1:]
-    da, db = A.degree_in(idx), B.degree_in(idx)
-    if da == 0 and db == 0:
-        return mp_gcd(A, B, rest)
-    if da < db:
-        A, B = B, A
-        da, db = db, da
-    cont_a = _mp_content_in(A, idx, rest)
-    cont_b = _mp_content_in(B, idx, rest)
-    cont = mp_gcd(cont_a, cont_b, rest)
-    Ap = _mp_div_all(A, cont_a, idx)
-    Bp = _mp_div_all(B, cont_b, idx)
-    # primitive PRS on the primitive parts
-    P = Ap.coeff_list(idx)
-    Q = Bp.coeff_list(idx)
-    while True:
-        Q = poly_trim(Q)
-        if len(Q) == 1 and Q[0].is_zero:
-            g_list = poly_trim(P)
-            G = MPoly.from_coeff_list(g_list, idx)
-            Gc = _mp_content_in(G, idx, rest)
-            G = _mp_div_all(G, Gc, idx)
-            return (G * cont).primitive()
-        P = poly_trim(P)
-        if len(P) - 1 < len(Q) - 1:
-            P, Q = Q, P
-            continue
-        R = poly_prem(P, Q)
-        R_mp = MPoly.from_coeff_list(R, idx)
-        if not R_mp.is_zero:
-            rc = _mp_content_in(R_mp, idx, rest)
-            R_mp = _mp_div_all(R_mp, rc, idx)
-        P, Q = Q, R_mp.coeff_list(idx) if not R_mp.is_zero else [MPoly.zero(A.arity)]
+def _int_primitive(P) -> list:
+    g = content([c for row in P for c in row])
+    return [[c // g for c in row] for row in P] if g > 1 else P
 
 
-def _mp_div_all(P: MPoly, D: MPoly, idx: int) -> MPoly:
-    if D.is_zero or D == MPoly.const(P.arity, 1):
-        return P
-    try:
-        return P.exact_div(D)
-    except ArithmeticError:
-        # contents computed up to sign; try the negation before giving up
-        return P.exact_div(-D)
+def _kronecker(P, D: int) -> list:
+    """P(t^D, t) for rows of length at most D, trimmed."""
+    out = []
+    for row in P:
+        out += row + [0] * (D - len(row))
+    return poly_trim(out)
 
 
-def squarefree_part(P: MPoly, vars_order: list[int]) -> MPoly:
-    """P divided by gcd(P, dP/dx_i over all i): repeated factors reduced to one."""
-    if P.is_zero:
-        return P
-    g = P
-    for idx in vars_order:
-        d = P.derivative(idx)
-        if d.is_zero:
-            continue
-        g = mp_gcd(g, d, vars_order)
-        if all(g.degree_in(i) <= 0 for i in vars_order):
-            return P.primitive()
-    if g == P:  # every partial vanished: P is constant in vars_order
-        return P.primitive()
-    try:
-        return P.exact_div(g).primitive()
-    except ArithmeticError:
-        return P.exact_div(-g).primitive()
+def _unkronecker(c, D: int) -> list:
+    """The bivariate polynomial of s-degree below D that maps to c."""
+    return _shape([list(c[i:i + D]) for i in range(0, len(c), D)])
 
-
-# ---------------------------------------------------------------------------
-# fast certified squarefree for bivariate forms (elimination post-processing)
-# ---------------------------------------------------------------------------
 
 def int_nth_root(n: int, e: int) -> int | None:
     """Exact integer e-th root of n, or None; negative n allowed for odd e."""
@@ -575,52 +333,105 @@ def int_nth_root(n: int, e: int) -> int | None:
     return x if x**e == n else None
 
 
-def mp_nth_root(P: MPoly, e: int, vars_order: list[int]) -> MPoly | None:
-    """Exact e-th root of P over Z, or None; verified by re-expansion."""
-    if e == 1:
-        return P
-    if P.is_zero:
-        return P
-    if not vars_order or all(P.degree_in(i) <= 0 for i in vars_order):
-        c = P.terms.get(tuple([0] * P.arity), None)
-        if c is None:
-            return None
-        r = int_nth_root(c, e)
-        return None if r is None else MPoly.const(P.arity, r)
-    idx = next(i for i in vars_order if P.degree_in(i) > 0)
-    rest = [i for i in vars_order if i != idx]
-    m = P.degree_in(idx)
-    if m % e:
+def _nth_root(P, e: int) -> list | None:
+    """An exact e-th root of P over Z (of P or of -P for even e), or None.
+
+    With D = deg_s P + 1, u -> t^D, s -> t maps P to a univariate f.  Its
+    root is found from the top coefficient down: with g and h the reversed
+    f and root, g = h^e as power series, and e g h' = g' h fixes each next
+    coefficient of h by one exact division.  The map is injective on
+    s-degrees below D, so a root R with e deg_s R < D and R(t^D, t)^e = f
+    has R^e = P; the re-expansion checks both.
+    """
+    D = len(P[0])
+    f = _kronecker(P, D)
+    if e % 2 == 0 and f[-1] < 0:
+        f = [-c for c in f]
+    n = len(f) - 1
+    if n % e:
         return None
-    big_m = m // e
-    coeffs = P.coeff_list(idx)
-    lead = mp_nth_root(coeffs[m], e, rest)
-    if lead is None:
+    g = f[::-1]
+    h = [int_nth_root(g[0], e)]
+    if h[0] is None:
         return None
-    root = [MPoly.zero(P.arity) for _ in range(big_m + 1)]
-    root[big_m] = lead
-    denom = e * lead ** (e - 1)
-    R = MPoly.from_coeff_list(root, idx)
-    for k in range(1, big_m + 1):
-        diff = P - R**e
-        if diff.is_zero:
-            break
-        want = e * big_m - k
-        dcoeffs = diff.coeff_list(idx)
-        if len(dcoeffs) - 1 > want and any(not c.is_zero for c in dcoeffs[want + 1:]):
+    for k in range(1, n // e + 1):
+        q, rem = divmod(sum((k - j - e * j) * g[k - j] * h[j] for j in range(k)),
+                        e * k * g[0])
+        if rem:
             return None
-        num = dcoeffs[want] if want < len(dcoeffs) else MPoly.zero(P.arity)
-        if num.is_zero:
-            continue
-        try:
-            r_k = num.exact_div(denom)
-        except ArithmeticError:
-            return None
-        root[big_m - k] = r_k
-        R = MPoly.from_coeff_list(root, idx)
-    if R**e == P:
-        return R
-    return None
+        h.append(q)
+    root = h[::-1]
+    power = root
+    for _ in range(e - 1):
+        power = poly_mul(power, root)
+    R = _unkronecker(root, D)
+    if power != f or e * (len(R[0]) - 1) >= D:
+        return None
+    return R
+
+
+def _row_content(P) -> list:
+    """The primitive integer gcd of the rows of a nonzero P."""
+    g = [0]
+    for row in P:
+        if any(row):
+            g = primitive_int(poly_gcd_q(g, row))
+            if len(g) == 1:
+                break
+    return g
+
+
+def _primitive(P):
+    """(content, primitive part) of P over Z[s][u], trimmed."""
+    P = [poly_trim(row) for row in P]
+    while P and not any(P[-1]):
+        P.pop()
+    if not P:
+        return [0], P
+    c = _row_content(P)
+    if c != [1]:
+        P = [poly_div_exact(row, c) for row in P]
+    return c, _int_primitive(P)
+
+
+def _prem(A, B) -> list:
+    """A scalar multiple in Z[s] of A mod B in u (top row of B nonzero)."""
+    lb = B[-1]
+    R = A
+    while len(R) >= len(B):
+        top, shift = R[-1], len(R) - len(B)
+        R = [poly_mul(lb, row) if k < shift else
+             [x - y for x, y in zip_longest(poly_mul(lb, row), poly_mul(top, B[k - shift]),
+                                            fillvalue=0)]
+             for k, row in enumerate(R[:-1])]
+        while R and not any(R[-1]):
+            R.pop()
+    return R
+
+
+def _gcd(A, B) -> list:
+    """gcd of nonzero A and B in Z[s][u] by the primitive PRS, up to a unit."""
+    (ca, A), (cb, B) = _primitive(A), _primitive(B)
+    if len(A) < len(B):
+        A, B = B, A
+    while len(B) > 1:
+        A, B = B, _primitive(_prem(A, B))[1]
+    if B:  # a nonzero remainder free of u: the primitive parts are coprime
+        A = [[1]]
+    c = primitive_int(poly_gcd_q(ca, cb))
+    return [poly_mul(c, row) for row in A]
+
+
+def _squarefree_by_gcd(P) -> list:
+    """P / gcd(P, P_u, P_s), primitive: the fallback for mixed multiplicities."""
+    g = P
+    for d in ([[k * c for c in row] for k, row in enumerate(P)][1:],
+              [poly_deriv(row) for row in P]):
+        if any(map(any, d)):
+            g = _gcd(g, d)
+    D = len(P[0])
+    quotient = poly_div_exact(_kronecker(P, D), _kronecker(g, D))
+    return _int_primitive(_unkronecker(quotient, D))
 
 
 def _squarefree_mod(c: list, p: int) -> bool:
@@ -642,8 +453,8 @@ def _squarefree_mod(c: list, p: int) -> bool:
     return len(a) == 1
 
 
-def _specialized_multiplicities(P: MPoly, keep: int, other: int):
-    """Yun multiplicities of P specialized at a degree-preserving point.
+def _specialized_multiplicities(P):
+    """Yun multiplicities in u of P(u, s0) at a degree-preserving s0.
 
     Returns the sorted multiplicity set, or None if no good specialization
     was found among small integers.  A specialization that keeps its degree
@@ -651,51 +462,46 @@ def _specialized_multiplicities(P: MPoly, keep: int, other: int):
     over Z would survive the reduction), so Yun over Q runs only when that
     check fails.
     """
-    d = P.degree_in(keep)
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
-        spec = P.substitute({other: s0})
-        coeffs = [0] * (d + 1)
-        for e_, c in spec.terms.items():
-            coeffs[e_[keep]] += c
-        if coeffs[d] == 0:
+        coeffs = []
+        for row in P:  # each row at s0 by Horner
+            acc = 0
+            for c in reversed(row):
+                acc = acc * s0 + c
+            coeffs.append(acc)
+        if coeffs[-1] == 0:
             continue
         p = _prime(0)
-        if coeffs[d] % p and _squarefree_mod(coeffs, p):
+        if coeffs[-1] % p and _squarefree_mod(coeffs, p):
             return [1]
         parts = yun_squarefree(coeffs)
         return sorted({mult for _, mult in parts}) or [1]
     return None
 
 
-def bivar_squarefree(P: MPoly, vu: int, vs: int) -> MPoly:
-    """Squarefree part of a bivariate polynomial, certified cheaply.
+def bivar_squarefree(P) -> list:
+    """Squarefree part of the integer bivariate P (P[k][l] of u^k s^l).
 
-    A squarefree degree-preserving specialization in each direction proves
-    gcd(P, P_u, P_s) is constant (specialization cannot raise degrees).
-    Uniform multiplicity e reduces to a verified exact e-th root.  Mixed
-    patterns fall back to the primitive-PRS gcd.
+    Returns it primitive, in the same layout, with a nonzero last row and
+    last column.  A squarefree degree-preserving specialization in each
+    direction proves gcd(P, P_u, P_s) is constant (specialization cannot
+    raise degrees).  Uniform multiplicity e reduces to a verified exact e-th
+    root.  Mixed patterns fall back to the primitive-PRS gcd over Z[s][u].
     """
-    P = P.primitive()
-    if P.degree_in(vu) <= 0 and P.degree_in(vs) <= 0:
-        return P
+    P = _int_primitive(_shape(P))
     for _ in range(8):
-        mults_u = _specialized_multiplicities(P, vu, vs) if P.degree_in(vu) > 0 else [1]
-        mults_s = _specialized_multiplicities(P, vs, vu) if P.degree_in(vs) > 0 else [1]
+        if len(P) == 1 and len(P[0]) == 1:
+            return P
+        mults_u = _specialized_multiplicities(P) if len(P) > 1 else [1]
+        mults_s = (_specialized_multiplicities([list(col) for col in zip(*P)])
+                   if len(P[0]) > 1 else [1])
         if mults_u is None or mults_s is None:
             break
         if mults_u == [1] and mults_s == [1]:
             return P
-        e = 0
-        for m in mults_u + mults_s:
-            e = math.gcd(e, m)
-        if e <= 1:
-            break
-        root = mp_nth_root(P, e, [vu, vs])
-        if root is None and e % 2 == 0:
-            root = mp_nth_root(-1 * P, e, [vu, vs])
+        e = math.gcd(*mults_u, *mults_s)
+        root = _nth_root(P, e) if e > 1 else None
         if root is None:
             break
-        P = root.primitive()
-        if P.degree_in(vu) <= 0 and P.degree_in(vs) <= 0:
-            return P
-    return squarefree_part(P, [vu, vs])
+        P = _int_primitive(root)
+    return _squarefree_by_gcd(P)

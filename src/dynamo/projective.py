@@ -236,7 +236,7 @@ def content(coeffs) -> int:
 
 # The helpers below read a coefficient list as a univariate polynomial,
 # ascending powers; `not c` is the zero test, so the trim and the
-# pseudo-remainder work alike on int, Fraction and MPoly coefficients.
+# pseudo-remainder work alike on int and Fraction coefficients.
 
 def poly_degree(c) -> int:
     d = len(c) - 1
@@ -267,7 +267,7 @@ def poly_prem(a, b):
         r = r[:k]  # degree strictly below k now
         if len(r) <= db:
             break
-    return poly_trim(r) if r else [lb * 0]
+    return poly_trim(r) if r else [0]
 
 
 def poly_divmod_q(a, b):
@@ -293,13 +293,23 @@ def poly_divmod_q(a, b):
     return q, poly_trim(r) or [Fraction(0)]
 
 
+def poly_div_exact(a, b):
+    """a / b over Z for integer a and b (ArithmeticError unless b divides a)."""
+    a, b = list(a), poly_trim(b)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        q[k] = a[k + len(b) - 1] // b[-1]
+        for i, v in enumerate(b):
+            a[k + i] -= q[k] * v
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def primitive_int(c):
     """Clear denominators and divide by content; keeps the leading sign."""
-    fr = [Fraction(v) for v in c]
-    m = 1
-    for v in fr:
-        m = m * v.denominator // math.gcd(m, v.denominator)
-    ints = [int(v * m) for v in fr]
+    m = math.lcm(*(v.denominator for v in c))
+    ints = [int(v * m) for v in c]
     g = content(ints)
     if g > 1:
         ints = [v // g for v in ints]

@@ -44,6 +44,18 @@ def test_pushforward_squarefree_collapse(sq):
     assert image.multidegree == (1, 1)
 
 
+def test_pushforward_with_mixed_repeated_factors(sq):
+    # the eliminants of (x2 - x1)(x2 - x1 - 1) under (z^2, z^2) have factors
+    # of different multiplicities, so the squarefree reduction takes the
+    # primitive-PRS fallback; each image must also pass the numeric check
+    C = make_curve({(0, 2): 1, (1, 1): -2, (2, 0): 1, (0, 1): -1, (1, 0): 1}, (2, 2))
+    bidegrees = []
+    for _ in range(3):
+        C = curve_pushforward(C, sq, sq)
+        bidegrees.append(C.multidegree)
+    assert bidegrees == [(3, 3), (5, 5), (9, 9)]
+
+
 def test_curve_orbit_diagonal_fixed(sq):
     out = curve_orbit(diagonal_surface(), sq, sq, max_iter=2)
     assert out.preperiodic and (out.tail, out.period) == (0, 1)

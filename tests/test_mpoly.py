@@ -1,5 +1,6 @@
 """Exact polynomial toolkit: curve eliminants vs a Sylvester oracle, gcd, squarefree."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,15 +11,18 @@ import dynamo.mpoly
 from dynamo.curves import make_curve
 from dynamo.hypersurface import diagonal_surface, graph_surface
 from dynamo.mpoly import (
-    MPoly,
     _det_mod,
+    _gcd,
+    _kronecker,
+    _prime,
+    _shape,
+    _unkronecker,
+    bivar_squarefree,
     eliminant_bound_sq,
     int_nth_root,
-    mp_gcd,
     resultant_formal,
-    squarefree_part,
 )
-from dynamo.projective import RationalMapLift, _bareiss_det, poly_mul
+from dynamo.projective import RationalMapLift, _bareiss_det, poly_div_exact, poly_mul
 
 
 def _sylvester_det(p, q, m, n):
@@ -227,45 +231,125 @@ def test_eliminant_bound_dominates_coefficients():
         assert all(c * c <= bound_sq for row in resultant_formal(C, F, G) for c in row)
 
 
+# -- squarefree parts on dense matrices: P[k][l] is the coefficient of u^k s^l --
+
+def _mul2(A, B):
+    out = [[0] * (len(A[0]) + len(B[0]) - 1) for _ in range(len(A) + len(B) - 1)]
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            for k, brow in enumerate(B):
+                for l, b in enumerate(brow):
+                    out[i + k][j + l] += a * b
+    return out
+
+
+def _power2(A, m):
+    out = [[1]]
+    for _ in range(m):
+        out = _mul2(out, A)
+    return out
+
+
+def _up_to_sign(got, want):
+    got, want = _shape(got), _shape(want)
+    return got == want or got == [[-c for c in row] for row in want]
+
+
+U_MINUS_S = [[0, -1], [1, 0]]  # u - s
+U_PLUS_S = [[0, 1], [1, 0]]   # u + s
+
+
 def test_gcd_bivariate():
-    arity = 2
-    x, y = 0, 1
-    a = MPoly(arity, {(1, 0): 1, (0, 1): -1})          # x - y
-    b = MPoly(arity, {(1, 0): 1, (0, 1): 1})           # x + y
-    p = a * a * b
-    q = a * b * b
-    g = mp_gcd(p, q, [x, y])
-    assert g == a * b or g == -1 * (a * b)
+    p = _mul2(_mul2(U_MINUS_S, U_MINUS_S), U_PLUS_S)
+    q = _mul2(_mul2(U_MINUS_S, U_PLUS_S), U_PLUS_S)
+    assert _up_to_sign(_gcd(p, q), _mul2(U_MINUS_S, U_PLUS_S))
 
 
 def test_gcd_coprime_is_constant():
-    arity = 2
-    a = MPoly(arity, {(1, 0): 1, (0, 1): -1})
-    b = MPoly(arity, {(1, 0): 1, (0, 1): 1})
-    g = mp_gcd(a, b, [0, 1])
-    assert all(g.degree_in(i) == 0 for i in (0, 1))
+    g = _shape(_gcd(U_MINUS_S, U_PLUS_S))
+    assert len(g) == 1 and len(g[0]) == 1
 
 
 def test_squarefree_part_bivariate():
-    arity = 2
-    a = MPoly(arity, {(1, 0): 1, (0, 1): -1})      # x - y
-    b = MPoly(arity, {(1, 0): 2, (0, 1): 3})       # 2x + 3y
-    p = a * a * a * b
-    sf = squarefree_part(p, [0, 1])
-    assert sf == (a * b).primitive() or sf == (-1 * (a * b)).primitive()
+    a = U_MINUS_S
+    b = [[0, 3], [2, 0]]  # 2u + 3s
+    p = _mul2(_power2(a, 3), b)
+    assert _up_to_sign(bivar_squarefree(p), _mul2(a, b))
 
 
 def test_exact_div_round_trip():
+    # exact bivariate division through the Kronecker map u -> t^D, s -> t
     rng = random.Random(13)
-    arity = 2
     for _ in range(30):
-        a = MPoly(arity, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
-                          for _ in range(3)})
-        b = MPoly(arity, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
-                          for _ in range(3)})
-        if a.is_zero or b.is_zero:
+        a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        if not any(map(any, a)) or not any(map(any, b)):
             continue
-        assert (a * b).exact_div(b) == a
+        ab = _shape(_mul2(a, b))
+        D = len(ab[0])
+        q = poly_div_exact(_kronecker(ab, D), _kronecker(_shape(b), D))
+        assert _unkronecker(q, D) == _shape(a)
+
+
+def _primitive_linear_forms(rng, count):
+    """Distinct primitive a u + b s + c, some free of u and some free of s."""
+    forms = set()
+    while len(forms) < count:
+        kind = rng.choice(["u", "s", "both"])
+        a = 0 if kind == "s" else rng.choice([1, 2, 3, -1, -2])
+        b = 0 if kind == "u" else rng.choice([1, 2, 3, -1, -2])
+        c = rng.randint(-4, 4)
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        if (a, b, c) < (0, 0, 0):
+            a, b, c = -a, -b, -c
+        forms.add((a, b, c))
+    return [[[c, b], [a, 0]] for a, b, c in sorted(forms)]
+
+
+def test_bivar_squarefree_of_products_of_linear_forms(monkeypatch):
+    # oracle by construction: the squarefree part of c * prod L_i^m_i for
+    # distinct primitive linear forms L_i is their product, up to sign
+    stages = {"root": 0, "fallback": 0}
+    nth_root, by_gcd = dynamo.mpoly._nth_root, dynamo.mpoly._squarefree_by_gcd
+
+    def root(*args):
+        out = nth_root(*args)
+        stages["root"] += out is not None
+        return out
+
+    def fallback(*args):
+        stages["fallback"] += 1
+        return by_gcd(*args)
+
+    monkeypatch.setattr(dynamo.mpoly, "_nth_root", root)
+    monkeypatch.setattr(dynamo.mpoly, "_squarefree_by_gcd", fallback)
+    rng = random.Random(2024)
+    certified = 0
+    for case in range(90):
+        forms = _primitive_linear_forms(rng, rng.randint(1, 4))
+        pattern = ("one", "uniform", "mixed")[case % 3]
+        if pattern == "mixed":
+            mults = [rng.randint(1, 3) for _ in forms]
+        else:
+            mults = [1 if pattern == "one" else rng.randint(2, 3)] * len(forms)
+        P, want = [[rng.choice([1, -2, 3, 6])]], [[1]]
+        for L, m in zip(forms, mults):
+            P = _mul2(P, _power2(L, m))
+            want = _mul2(want, L)
+        before = stages["fallback"]
+        assert _up_to_sign(bivar_squarefree(P), want), (forms, mults)
+        certified += stages["fallback"] == before
+    assert certified and stages["root"] and stages["fallback"]
+
+
+def test_prime_matches_trial_division():
+    def is_prime(n):  # n odd and below 2^31 < 46341^2
+        return all(n % d for d in range(3, 46342, 2))
+
+    want = [n for n in range((1 << 31) - 1, (1 << 31) - 2000, -2) if is_prime(n)][:30]
+    assert len(want) == 30
+    assert [_prime(k) for k in range(30)] == want
 
 
 def test_int_nth_root_beyond_float_range():
