@@ -73,8 +73,7 @@ def _emit(payload: dict, config: RunConfig, out) -> None:
     if rows is not None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(payload["columns"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     else:
         writer = csv.writer(out, lineterminator="\n")
         keys = [k for k in payload if k != "rows"]
@@ -160,16 +159,12 @@ def _cmd_classify(args, config, out):
 def _cmd_sample_measure(args, config, out):
     F = load_map(args.map)
     m = sample_invariant_measure(F, config.samples, config.depth, seed=config.seed)
-    rows = []
     if args.chart == "sphere":
-        xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0])
-        for x, y, z in xyz:
-            rows.append([f"{x:.12g}", f"{y:.12g}", f"{z:.12g}"])
+        xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0]).tolist()
+        rows = [[f"{x:.12g}", f"{y:.12g}", f"{z:.12g}"] for x, y, z in xyz]
         cols = ["x", "y", "z"]
     else:
-        aff = m.affine(0)
-        for z in aff:
-            rows.append([f"{z.real:.12g}", f"{z.imag:.12g}"])
+        rows = [[f"{z.real:.12g}", f"{z.imag:.12g}"] for z in m.affine(0).tolist()]
         cols = ["re", "im"]
     _emit({"columns": cols, "rows": rows}, config, out)
 

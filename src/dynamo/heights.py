@@ -2,11 +2,40 @@
 
 The canonical height of x under a degree-d map f is the limit of
 h(f^n(x))/d^n, where h is the Weil height log max(|p|,|q|) on coprime
-integer representatives.  Working on coprime representatives accounts for
-every non-archimedean place at once, so a single exact orbit computation
-yields a certified two-sided interval: one orbit step changes the height by
-at most a constant C computed from the lift's coefficients and its Bezout
-certificate, giving |canonical - h(f^N x)/d^N| <= C/(d^N (d-1)).
+integer representatives.  One orbit step changes the height by at most a
+constant C computed from the lift's coefficients and its Bezout certificate,
+so V_N = h(P_N)/d^N satisfies |canonical - V_N| <= C/(d^N (d-1)).
+
+`canonical_height` computes V_N without building the giant iterate P_N.
+With P_{k+1} = F(P_k)/g_k and g_k = gcd(F0(P_k), F1(P_k)) the sum telescopes:
+
+    V_N = h(P_0) + sum_{k<N} d^-(k+1) (a(P_k) - log g_k),
+    a(Q) = log ||F(Q)|| - d log ||Q||,
+
+and the two parts of each term are computed apart.
+
+* a(Q) depends only on the direction of Q, and it is stable because
+  Res != 0: a relative perturbation delta of Q moves F(Q) by at most
+  kappa ((1+delta)^d - 1) relative, kappa = L B'/|Res|, since
+  ||F(X)|| <= L ||X||^d (L the larger coefficient L1 norm) and
+  ||F(X)|| >= |Res| ||X||^d / B' (B' from the Bezout certificate).  So the
+  direction is carried as an integer pair of B bits: F is evaluated exactly
+  on it and the result is truncated back to B bits.  The relative error
+  grows by a factor of about d kappa per step, and B is chosen from N and
+  these constants so that the whole archimedean sum is off by no more than
+  the double rounding of the result.
+* g_k divides Res (Bezout), so it is gcd(F0(P_k), F1(P_k), |Res|), which the
+  orbit modulo |Res|^(steps left) determines exactly; the modulus loses one
+  factor |Res| per step.  No factorization is needed.
+
+The first steps stay exact while max(|x|,|y|)^(d-1) <= K = exp(C), the
+`decide_preperiodic` threshold, so an orbit collision still returns the
+exact height 0; past it the point has positive canonical height and no
+collision can follow.  The certified radius is C/(d^N (d-1)) plus a bound on
+the truncation and float rounding (logs included), and it never exceeds the
+target.  N and B both grow linearly in log(1/target), so a run costs N
+products of B-bit integers, where the exact orbit's digit count grew like
+d^N.  Orbits that decide anything (`decide_preperiodic`) stay exact.
 """
 
 from __future__ import annotations
@@ -162,18 +191,26 @@ def _l1(coeffs) -> int:
     return sum(abs(c) for c in coeffs)
 
 
-def step_bound_int(F: RationalMapLift) -> int:
-    """Integer K with |h(f(x)) - d h(x)| <= log K for all rational x.
+def _step_constants(F: RationalMapLift) -> tuple[int, int]:
+    """(L, B'): L || X ||^d >= ||F(X)|| >= |Res| ||X||^d / B' for every real X.
 
-    Upper side: max of the coefficient L1 norms of F0, F1.  Lower side: the
-    Bezout identities give |Res| M^(2d-1) <= B' M^(d-1) ||F(x,y)|| with B' the
-    worst identity's summed cofactor L1 norms, and gcd(F0,F1)(x,y) divides Res,
-    so h(f(x)) >= d h(x) - log B'.
+    L is the larger coefficient L1 norm of F0, F1.  The Bezout identities give
+    |Res| M^(2d-1) <= B' M^(d-1) ||F(x,y)|| with M = ||(x,y)|| and B' the
+    worst identity's summed cofactor L1 norms.
     """
     cert = F.certificate()
     upper = max(_l1(F.f0), _l1(F.f1))
     lower = max(_l1(cert.g0x) + _l1(cert.g1x), _l1(cert.g0y) + _l1(cert.g1y))
-    return max(upper, lower, 1)
+    return upper, lower
+
+
+def step_bound_int(F: RationalMapLift) -> int:
+    """Integer K with |h(f(x)) - d h(x)| <= log K for all rational x.
+
+    Upper side: L from `_step_constants`.  Lower side: gcd(F0,F1)(x,y)
+    divides Res on coprime (x, y), so h(f(x)) >= d h(x) - log B'.
+    """
+    return max(*_step_constants(F), 1)
 
 
 def height_step_bound(F: RationalMapLift) -> float:
@@ -208,42 +245,167 @@ def _orbit_step(F: RationalMapLift, p: ProjectivePoint, cap_digits: int):
     return ProjectivePoint(x0, x1), g
 
 
+#: unit roundoff of a double
+_U = 2.0 ** -53
+_LN2 = math.log(2.0)
+
+
+def _rounding_bound(n: int, d: int, h0: float, c_const: float, log_res: float) -> float:
+    """Bound on the float error of the value assembled from n steps.
+
+    Every partial sum is at most S = h(P_0) + (2C + log|Res|)/(d-1) + 1 in
+    size, so the additions and the first term h(P_k0)/d^k0 cost at most
+    (n + 3) u S.  Term k, a(P_k) - log g_k from two 60-bit mantissas, two
+    logs and a power of two, divided by d^(k+1), costs at most
+    u (9d + 12 + 6C + 5 log|Res|) d^-(k+1).  The factor 2 covers
+    second-order terms.
+    """
+    s = h0 + (2 * c_const + log_res) / (d - 1) + 1
+    terms = (9 * d + 12 + 6 * c_const + 5 * log_res) / (d - 1)
+    return 2 * _U * ((n + 3) * s + terms)
+
+
+def _truncation_error(kappa: float, d: int, n: int, bits: int) -> float:
+    """Bound on the archimedean sum's error when P_k is carried on `bits` bits.
+
+    The pair Q_k approximates t P_k (some t > 0) with relative sup-norm error
+    delta_k.  F(Q_k) then approximates F(t P_k) with relative error
+    kappa ((1+delta_k)^d - 1), kappa = L B' / |Res|, and truncating back to
+    `bits` bits adds (1 + that) 2^(1-bits).  The term a(P_k) is then off by
+    at most -log(1 - that) - d log(1 - delta_k); terms weigh d^-(k+1), and the
+    first step (from the exact P_k0, itself truncated) is the heaviest.
+    """
+    ulp = 2.0 ** (1 - bits)
+    delta = ulp
+    weight = 1.0
+    total = 0.0
+    for _ in range(n):
+        grown = kappa * math.expm1(d * math.log1p(delta))
+        if grown >= 0.5:
+            return math.inf
+        weight /= d
+        total += weight * (-math.log1p(-grown) - d * math.log1p(-delta))
+        delta = grown + (1 + grown) * ulp
+    return total * 1.001
+
+
+def _precision_bits(kappa: float, d: int, n: int, budget: float) -> tuple[int, float]:
+    """A width B, in bits, whose truncation error over n steps is <= budget,
+    and that error; B grows like n log2(kappa) + log2(1/budget)."""
+    bits = 8 + math.ceil(n * math.log2(kappa) - math.log2(budget))
+    while True:
+        err = _truncation_error(kappa, d, n, bits)
+        if err <= budget:
+            return bits, err
+        bits += 8 + (math.ceil(math.log2(err / budget)) if err < math.inf
+                     else math.ceil(n * math.log2(kappa * d)))
+
+
+def _log_ratio(num: int, den: int, d: int) -> float:
+    """log(num / den^d) for positive ints, to a few ulps of its own size."""
+    bn, bd = num.bit_length(), den.bit_length()
+    return (math.log(_mantissa(num, bn)) - d * math.log(_mantissa(den, bd))
+            + (bn - d * bd) * _LN2)
+
+
+def _mantissa(n: int, bits: int) -> float:
+    """n / 2^bits, in [1/2, 1), from the top 60 bits of n."""
+    drop = max(0, bits - 60)
+    return math.ldexp(n >> drop, drop - bits)
+
+
+def _orbit_tail(F: RationalMapLift, p: ProjectivePoint, first: int, last: int,
+                bits: int, gcds: list[int]) -> float:
+    """sum_{first <= k < last} (a(P_k) - log g_k) / d^(k+1), from P_first = p.
+
+    The direction of P_k rides on a `bits`-bit integer pair; g_k comes
+    exactly from (x, y) mod |Res|^(last - k).  Appends each g_k to gcds.
+    """
+    d, res = F.degree, F.res
+    shift = max(0, max(abs(p.x), abs(p.y)).bit_length() - bits)
+    qx, qy = p.x >> shift, p.y >> shift
+    mod = res ** (last - first)
+    rx, ry = p.x % mod, p.y % mod
+    total = 0.0
+    for k in range(first, last):
+        fx, fy = form_eval(F.f0, qx, qy), form_eval(F.f1, qx, qy)
+        norm = max(abs(fx), abs(fy))
+        a = _log_ratio(norm, max(abs(qx), abs(qy)), d)
+        shift = max(0, norm.bit_length() - bits)
+        qx, qy = fx >> shift, fy >> shift
+        g = 1
+        if res > 1:
+            r0 = form_eval(F.f0, rx, ry) % mod
+            r1 = form_eval(F.f1, rx, ry) % mod
+            g = math.gcd(r0, r1, res)
+            mod //= res
+            rx, ry = r0 // g % mod, r1 // g % mod
+        gcds.append(g)
+        total += (a - log_int(g)) / d ** (k + 1)
+    return total
+
+
 def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
                      cap_digits: int = DEFAULT_DIGIT_CAP,
                      diagnostics: bool = False) -> CanonicalHeightResult:
     """Certified canonical height: value within target_error of the true height.
 
     The point may be a ProjectivePoint, Fraction, int, or 'p/q' string.  An
-    exact orbit collision short-circuits to height 0 with radius 0.  When
-    diagnostics is requested, the result carries a per-place breakdown
+    exact orbit collision short-circuits to height 0 with radius 0.  N is the
+    least n with C/(d^n (d-1)) <= target_error, or one more when the rounding
+    bound does not fit beside it; a target below double resolution of the
+    result is a ValueError.  cap_digits bounds the working integers (the
+    B-bit products and the modulus |Res|^N), checked before the first step.
+    When diagnostics is requested, the result carries a per-place breakdown
     (archimedean escape-rate part plus one entry per prime absorbed by the
     gcd normalization); the parts sum to the value.
     """
-    if target_error <= 0:
+    if not target_error > 0:
         raise ValueError("target_error must be positive")
     if F.degree < 2:
         raise ValueError("canonical heights need degree >= 2")
     p = point_from_rational(p)
     d = F.degree
-    bound_k = step_bound_int(F)
+    lip, bez = _step_constants(F)
+    bound_k = max(lip, bez, 1)
     c_const = log_int(bound_k)
+    h0, log_res = weil_height(p), log_int(F.res)
+
+    def rounding(n):
+        return _rounding_bound(n, d, h0, c_const, log_res)
+
+    def fits(n):
+        return c_const / (d ** n * (d - 1)) + rounding(n) + rounding(n) <= target_error
+
     n_steps = 0
-    while c_const / (d ** n_steps * (d - 1)) > target_error:
-        n_steps += 1
+    if target_error >= 2 * rounding(0):  # else no N fits; this keeps the search finite
+        while c_const / (d ** n_steps * (d - 1)) > target_error:
+            n_steps += 1
+        if not fits(n_steps):  # near a tie the rounding bound needs one more step
+            n_steps += 1
+    if not fits(n_steps):
+        raise ValueError(f"target_error {target_error:g} is below the double resolution "
+                         f"of this height (rounding bound {2 * rounding(n_steps):.2g})")
+    bits, trunc_err = 0, 0.0
+    if n_steps:
+        bits, trunc_err = _precision_bits(lip * bez / F.res, d, n_steps, rounding(n_steps))
+        check_cap(lip << (d * bits), cap_digits, "height working precision")
+        check_cap(F.res ** n_steps, cap_digits, "height modulus")
     seen = {p: 0}
     cur = p
-    gcd_log_sum = 0.0
     gcds: list[int] = []
-    for k in range(n_steps):
+    k = 0
+    while k < n_steps and max(abs(cur.x), abs(cur.y)) ** (d - 1) <= bound_k:
         cur, g = _orbit_step(F, cur, cap_digits)
         gcds.append(g)
-        gcd_log_sum += log_int(g) / d ** (k + 1) if g > 1 else 0.0
+        k += 1
         if cur in seen:
-            return CanonicalHeightResult(0.0, 0.0, k + 1, c_const,
+            return CanonicalHeightResult(0.0, 0.0, k, c_const,
                                          {"collision": True} if diagnostics else {})
-        seen[cur] = k + 1
-    value = weil_height(cur) / d ** n_steps
-    radius = c_const / (d ** n_steps * (d - 1))
+        seen[cur] = k
+    # past the threshold cur has positive canonical height: no collision follows
+    value = weil_height(cur) / d ** k + _orbit_tail(F, cur, k, n_steps, bits, gcds)
+    radius = c_const / (d ** n_steps * (d - 1)) + rounding(n_steps) + trunc_err
     breakdown: dict = {}
     if diagnostics:
         breakdown = _place_breakdown(F, value, gcds, d)

@@ -52,6 +52,24 @@ def test_height_power_map(sq_json):
     assert float(res["error_radius"]) <= 1e-9
 
 
+def test_height_nan_target_is_usage_error(basilica_json, capsys):
+    code, text = _run(["height", "--map", basilica_json, "--point", "2",
+                       "--err", "nan", "--json"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_height_inf_target_is_the_zero_step_interval(basilica_json):
+    code, text = _run(["height", "--map", basilica_json, "--point", "2",
+                       "--err", "inf", "--json"])
+    assert code == 0
+    res = json.loads(text)["result"]
+    assert res["iterations"] == 0
+    assert abs(res["value"] - 0.6931471805599453) <= 1e-15
+    assert res["error_radius"] >= res["height_step_bound"]
+
+
 def test_preper_verdict_json(basilica_json):
     code, text = _run(["preper", "--map", basilica_json, "--point", "1", "--json"])
     assert code == 0

@@ -6,17 +6,27 @@ from fractions import Fraction
 
 import pytest
 
+from dynamo.errors import DegenerateMap, OverflowPolicy
+from dynamo.exceptional import chebyshev, lattes_doubling, power_map
 from dynamo.heights import (
     canonical_height,
     canonical_height_functoriality_check,
     decide_preperiodic,
+    factorize,
     height_step_bound,
     product_formula_check,
     rational_preperiodic_points,
     step_bound_int,
     weil_height,
 )
-from dynamo.projective import ProjectivePoint, evaluate, normalize, point_from_rational
+from dynamo.projective import (
+    ProjectivePoint,
+    RationalMapLift,
+    evaluate,
+    form_eval,
+    normalize,
+    point_from_rational,
+)
 
 
 def test_weil_height_basics():
@@ -205,8 +215,6 @@ def test_place_logs_sum_to_zero():
 
 
 def test_canonical_height_overflow_policy(basilica):
-    from dynamo.errors import OverflowPolicy
-
     with pytest.raises(OverflowPolicy):
         canonical_height(basilica, Fraction(3, 5), target_error=1e-9, cap_digits=40)
 
@@ -218,3 +226,141 @@ def test_interval_contains_zero_for_preperiodics_coarse_target(basilica, sq):
         for pt in rational_preperiodic_points(F, box=50):
             r = canonical_height(F, pt, target_error=0.75)
             assert r.value - r.error_radius <= 0.0 <= r.value + r.error_radius
+
+
+def _exact_telescope(F, p, n):
+    """Oracle: V_n = h(P_n)/d^n and the gcds g_k from the exact orbit."""
+    cur = point_from_rational(p)
+    gcds = []
+    for _ in range(n):
+        x0, x1 = form_eval(F.f0, cur.x, cur.y), form_eval(F.f1, cur.x, cur.y)
+        gcds.append(math.gcd(x0, x1))
+        cur = ProjectivePoint(x0, x1)
+    return weil_height(cur) / F.degree ** n, gcds
+
+
+def _prime_parts(gcds, d):
+    """Oracle: the per-prime parts -sum v_p(g_k) log p / d^(k+1)."""
+    out = {}
+    for k, g in enumerate(gcds):
+        for prime, e in factorize(g).items():
+            out[f"p={prime}"] = out.get(f"p={prime}", 0.0) - e * math.log(prime) / d ** (k + 1)
+    return out
+
+
+def _rational_poly_lift(*coeffs):
+    """Lift of the polynomial with ascending rational coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    d = len(coeffs) - 1
+    return RationalMapLift.make([int(Fraction(c) * den) for c in coeffs], [den] + [0] * d)
+
+
+def _random_maps(rng, count):
+    maps = []
+    while len(maps) < count:
+        d = rng.choice((2, 3))
+        f0 = [rng.randint(-6, 6) for _ in range(d + 1)]
+        f1 = [rng.randint(-6, 6) for _ in range(d + 1)]
+        try:
+            maps.append(RationalMapLift.make(f0, f1))
+        except DegenerateMap:
+            continue
+    return maps
+
+
+# the oracle builds P_N exactly: skip cases whose log ||P_N|| exceeds this
+ORACLE_LOG_BUDGET = 1.5e5
+
+
+def test_canonical_height_matches_exact_orbit():
+    # oracle: the exact orbit's V_N; the value must agree within the rounding
+    # part of the radius, N must be the least n with C/(d^n (d-1)) <= target
+    # (or one more), and the gcds must give the same per-prime parts
+    rng = random.Random(41)
+    maps = [power_map(2), _rational_poly_lift(-1, 0, 1), _rational_poly_lift(Fraction(1, 4), 0, 1),
+            _rational_poly_lift(1, 0, 0, 1), chebyshev(3), lattes_doubling(-1, 0),
+            RationalMapLift.make([1, 0, 1], [0, 0, 2])] + _random_maps(rng, 6)
+    checked = 0
+    for F in maps:
+        d = F.degree
+        for _ in range(4):
+            q = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            target = 10.0 ** -rng.randint(2, 6 if d == 2 else 4)
+            r = canonical_height(F, q, target_error=target, diagnostics=True)
+            assert r.error_radius <= target
+            if r.local_breakdown.get("collision"):
+                assert r.value == r.error_radius == 0.0
+                continue
+            n_min = 0
+            while r.height_step_bound / (d ** n_min * (d - 1)) > target:
+                n_min += 1
+            assert r.iterations in (n_min, n_min + 1)
+            if r.value * d ** r.iterations > ORACLE_LOG_BUDGET:
+                continue  # the exact orbit would be too long to build here
+            exact, gcds = _exact_telescope(F, q, r.iterations)
+            rounding = r.error_radius - r.height_step_bound / (d ** r.iterations * (d - 1))
+            assert 0.0 < rounding < 1e-12
+            assert abs(r.value - exact) <= rounding + 1e-15 * max(1.0, abs(exact))
+            parts = {k: v for k, v in r.local_breakdown.items() if k.startswith("p=")}
+            want = _prime_parts(gcds, d)
+            assert parts.keys() == want.keys()
+            for key, v in want.items():
+                assert parts[key] == pytest.approx(v, abs=1e-15)
+            checked += 1
+    assert checked >= 35
+
+
+@pytest.mark.parametrize("map_coeffs, point, target", [
+    ((1, 0, 0, 1), "3/7", 1e-9),
+    ((-1, 0, 1), "2", 1e-12),
+])
+def test_canonical_height_tight_targets(map_coeffs, point, target):
+    # their exact orbits would run to 10^8-10^11 digits; the intervals must
+    # overlap the coarser ones
+    F = _rational_poly_lift(*map_coeffs)
+    r = canonical_height(F, point, target_error=target)
+    assert r.error_radius <= target
+    for coarse in (1e-5, 1e-6):
+        c = canonical_height(F, point, target_error=coarse)
+        assert abs(r.value - c.value) <= r.error_radius + c.error_radius
+
+
+def test_canonical_height_rejects_nan_and_keeps_inf(basilica):
+    with pytest.raises(ValueError):
+        canonical_height(basilica, 2, target_error=float("nan"))
+    with pytest.raises(ValueError):
+        canonical_height(basilica, 2, target_error=0.0)
+    r = canonical_height(basilica, 2, target_error=float("inf"))
+    assert r.iterations == 0
+    assert r.value == pytest.approx(math.log(2))
+    assert r.error_radius >= r.height_step_bound
+
+
+def test_canonical_height_takes_one_more_step_at_a_tie(basilica):
+    # C/(d^20 (d-1)) equals the target: no room for the rounding bound at N = 20
+    target = math.log(2) / 2**20
+    r = canonical_height(basilica, 2, target_error=target)
+    assert r.iterations == 21
+    assert r.error_radius <= target
+
+
+def test_canonical_height_below_double_resolution_is_rejected(sq):
+    with pytest.raises(ValueError, match="double resolution"):
+        canonical_height(sq, 2, target_error=1e-20)
+
+
+def test_canonical_height_cap_fails_before_any_orbit_step(basilica, monkeypatch):
+    import dynamo.heights as heights
+
+    calls = []
+
+    def counting_form_eval(coeffs, x, y):
+        calls.append(1)
+        return form_eval(coeffs, x, y)
+
+    monkeypatch.setattr(heights, "form_eval", counting_form_eval)
+    with pytest.raises(OverflowPolicy):
+        canonical_height(basilica, Fraction(3, 5), target_error=1e-9, cap_digits=40)
+    assert calls == []
+    canonical_height(basilica, Fraction(3, 5), target_error=1e-3)
+    assert calls
