@@ -112,11 +112,12 @@ def _preimages(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
     for i in range(d + 1):
         coeffs[:, i] = F.f0[i] * ty - F.f1[i] * tx
     roots = roots_batch(coeffs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(np.abs(roots) > 1.0, 1.0 / roots, roots)
     invs = np.abs(roots) > 1.0
-    vals = np.where(np.isfinite(roots), vals, 0.0)
-    invs = np.where(np.isfinite(roots), invs, True)
+    finite = np.isfinite(roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(invs, 1.0 / roots, roots)
+    vals = np.where(finite, vals, 0.0)
+    invs = np.where(finite, invs, True)
     # canonical in-row order so branch indices are reproducible
     order = np.lexsort((vals.imag.round(9), vals.real.round(9), invs), axis=1)
     rows = np.arange(n)[:, None]

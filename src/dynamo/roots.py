@@ -3,8 +3,11 @@
 Strategy: exact Yun squarefree decomposition first (multiplicities become
 exact), rational roots recovered by continued-fraction reconstruction from
 numeric approximations plus exact verification (no coefficient factoring,
-so huge iterate coefficients are fine), Aberth-Ehrlich simultaneous
-iteration with deflation for the remaining simple complex roots.
+so huge iterate coefficients are fine).  Each verified rational root is
+divided out exactly, and Aberth-Ehrlich simultaneous iteration solves what
+is left for the remaining simple complex roots; that exact division is the
+only deflation.  Monte-Carlo fibers are solved many rows at a time by
+`roots_batch`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .projective import (
 )
 
 DEFAULT_TOL = 1e-12
+_BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +98,11 @@ def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
     k = np.arange(d)
     z = radius * np.exp(2j * np.pi * (k / d + 0.25 / d))
     for _ in range(max_iter):
-        pz = np.polyval(c[::-1], z)
-        dpz = np.polyval(dc[::-1], z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the evaluation overflows on far-off iterates; the fallback step
+        # below replaces every non-finite correction
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pz = np.polyval(c[::-1], z)
+            dpz = np.polyval(dc[::-1], z)
             newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0j)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
@@ -183,9 +189,17 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL):
 def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120) -> np.ndarray:
     """Roots of many polynomials of one degree; huge values stand in for infinity.
 
-    Degree-1 and degree-2 rows use closed forms; higher degrees run a
-    vectorized Aberth sweep.  Root order within a row is unspecified here;
-    callers needing determinism must sort.
+    coeff_rows has shape (N, d+1), ascending coefficients per row; the result
+    has shape (N, d).  Degree-1 and degree-2 rows use closed forms.  Higher
+    degrees run Aberth sweeps (Bini, Numer. Algorithms 13 (1996)) on blocks
+    of at most _BLOCK rows, transposed so that coefficients are (d+1, rows)
+    and iterates (d, rows); the block bounds the (d, d, rows) temporary of
+    the Aberth sum.  A row leaves the sweep as soon as all d of its
+    corrections pass the tolerance test, so its roots depend on that row
+    alone: solving rows one at a time gives the same bits as one batch.
+    RootFindingFailure is raised when any row is still moving after
+    max_iter sweeps.  Root order within a row is unspecified here; callers
+    needing determinism must sort.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
     n, w = rows.shape
@@ -212,34 +226,66 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r2 = np.where(lin & (c1 != 0), -c0 / np.where(c1 == 0, 1, c1), r2)
         return np.stack([r1, r2], axis=1)
-    # vectorized Aberth across rows
+    out = np.empty((n, d), dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        out[lo:lo + _BLOCK] = _aberth_block(rows[lo:lo + _BLOCK], tol, max_iter).T
+    return out
+
+
+def _aberth_block(rows: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Aberth sweeps on at most _BLOCK rows of degree d >= 3; returns (d, m).
+
+    The Aberth sum reduces R[j, i] = 1/(z_i - z_j) over axis 0.  numpy adds
+    along an outer axis in index order whatever m is, so a column's bits do
+    not depend on the columns sharing its sweep; a reduction over an inner
+    axis would switch to pairwise summation once a single column is left.
+    """
+    m, w = rows.shape
+    d = w - 1
     lead = rows[:, -1].copy()
-    small = np.abs(lead) < 1e-300
-    lead[small] = 1.0
-    cn = rows / lead[:, None]
-    radius = 1.0 + np.max(np.abs(cn[:, :-1]), axis=1)
+    lead[np.abs(lead) < 1e-300] = 1.0
+    cn = np.ascontiguousarray((rows / lead[:, None]).T)
+    dc = cn[1:] * np.arange(1, d + 1)[:, None]
+    radius = 1.0 + np.max(np.abs(cn[:-1]), axis=0)
     angles = 2j * np.pi * (np.arange(d) / d + 0.3 / d)
-    z = radius[:, None] * np.exp(angles)[None, :]
-    dc = cn[:, 1:] * np.arange(1, d + 1)
+    z = np.exp(angles)[:, None] * radius[None, :]
+    out = np.empty_like(z)
+    live = np.arange(m)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            pz = np.zeros_like(z)
-            for k in range(d, -1, -1):
-                pz = pz * z + cn[:, k][:, None]
-            dpz = np.zeros_like(z)
-            for k in range(d - 1, -1, -1):
-                dpz = dpz * z + dc[:, k][:, None]
-            newton = pz / np.where(dpz == 0, 1e-300, dpz)
-            newton = np.where(np.isfinite(newton), newton, 0.5)
-            diff = z[:, :, None] - z[:, None, :]
-            idx = np.arange(d)
-            diff[:, idx, idx] = np.inf
-            s = np.sum(1.0 / diff, axis=2)
-            corr = newton / (1.0 - newton * s)
-            corr = np.where(np.isfinite(corr), corr, 0.0)
-            z = z - corr
-            if np.all(np.abs(corr) <= tol * (1.0 + np.abs(z))):
-                break
-        else:
-            raise RootFindingFailure("batched Aberth did not converge")
-    return z
+            pz = cn[d] * z
+            for k in range(d - 1, 0, -1):
+                pz += cn[k]
+                pz *= z
+            pz += cn[0]
+            dpz = dc[d - 1] * z
+            for k in range(d - 2, 0, -1):
+                dpz += dc[k]
+                dpz *= z
+            dpz += dc[0]
+            np.copyto(dpz, 1e-300, where=dpz == 0)
+            newton = np.divide(pz, dpz, out=pz)
+            np.copyto(newton, 0.5, where=~np.isfinite(newton))
+            # s_i = sum_j R[j, i]; the diagonal 1/0 is overwritten by zero
+            r = z[None, :, :] - z[:, None, :]
+            np.reciprocal(r, out=r)
+            r.reshape(d * d, -1)[::d + 1] = 0.0
+            s = r.sum(axis=0)
+            s *= newton
+            np.subtract(1.0, s, out=s)
+            corr = np.divide(newton, s, out=newton)
+            np.copyto(corr, 0.0, where=~np.isfinite(corr))
+            z -= corr
+            bound = np.abs(z)
+            bound += 1.0
+            bound *= tol
+            done = np.all(np.abs(corr) <= bound, axis=0)
+            if done.all():
+                out[:, live] = z
+                return out
+            if done.any():
+                out[:, live[done]] = z[:, done]
+                keep = ~done
+                live, z = live[keep], z[:, keep]
+                cn, dc = cn[:, keep], dc[:, keep]
+    raise RootFindingFailure("batched Aberth did not converge")

@@ -1,11 +1,15 @@
 """Root finding: squarefree structure, rational extraction, Aberth iteration."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from dynamo.errors import RootFindingFailure
 from dynamo.roots import (
+    _BLOCK,
     aberth,
     binary_form_roots,
     poly_roots_exact,
@@ -69,6 +73,16 @@ def test_aberth_high_degree_cyclotomic_like():
         assert abs(z**32 - 1.0) < 1e-7
 
 
+def test_aberth_overflowing_evaluation_is_silent():
+    # the start circle has radius 1e200, so z^3 overflows on the first sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            aberth([1e200, 0, 0, 1])
+        except RootFindingFailure:
+            pass
+
+
 def test_binary_form_roots_counts_infinity():
     # X Y (X - Y)^2: formal degree 4, roots 0, inf, and 1 (double)
     # expand (x)(x-1)^2 -> affine part; coefficient of X^4 is 0 so inf once
@@ -124,3 +138,65 @@ def test_roots_batch_linear_degenerate_quadratic():
     finite0 = roots[0][np.isfinite(roots[0])]
     assert np.allclose(finite0, [-2.0])
     assert np.allclose(np.sort_complex(roots[1]), [-1j, 1j])
+
+
+def _random_rows(rng, n, d):
+    rows = rng.normal(size=(n, d + 1)) + 1j * rng.normal(size=(n, d + 1))
+    rows[::7, -1] *= 1e-12  # a tiny leading coefficient puts one root near infinity
+    return rows
+
+
+def _assert_matches_numpy(rows, roots):
+    for row, got in zip(rows, roots):
+        ref = np.sort_complex(np.roots(row[::-1]))
+        assert np.all(np.abs(np.sort_complex(got) - ref) <= 1e-8 * np.abs(ref))
+
+
+def test_roots_batch_matches_numpy_for_degrees_3_to_8():
+    rng = np.random.default_rng(21)
+    for d in range(3, 9):
+        rows = _random_rows(rng, 50, d)
+        _assert_matches_numpy(rows, roots_batch(rows))
+
+
+def test_roots_batch_across_block_boundaries():
+    rng = np.random.default_rng(22)
+    n = 2 * _BLOCK + 17
+    rows = _random_rows(rng, n, 3)
+    roots = roots_batch(rows)
+    assert roots.shape == (n, 3)
+    _assert_matches_numpy(rows, roots)
+    for lo in (_BLOCK - 2, 2 * _BLOCK - 2):
+        assert roots_batch(rows[lo:lo + 4]).tobytes() == roots[lo:lo + 4].tobytes()
+
+
+def test_roots_batch_rows_are_independent():
+    # a converged row stops moving, so batch-mates cannot change its bits
+    rng = np.random.default_rng(23)
+    for d in (3, 4, 8):
+        rows = _random_rows(rng, 30, d)
+        single = np.concatenate([roots_batch(rows[i:i + 1]) for i in range(len(rows))])
+        assert roots_batch(rows).tobytes() == single.tobytes()
+
+
+# the fiber row of x2 = x1^2 + 1 that the curve sampler meets under (z^2, z^2)
+_STUCK_ROW = [
+    -2.931389459699747e-15 + 7.630463301935006e-15j,
+    -7.996034943499936e-06 - 5.00962945126077e-05j,
+    0.3721944333177387 - 0.7904722657368621j,
+    0.9322482772707695 + 0.3618192221616791j,
+    0.005456319251236135 + 0.028739010107794657j,
+    -1.9091279203903938e-05 + 9.506366014867832e-06j,
+    -2.0735749491772603e-09 - 1.8025497378580797e-09j,
+    2.871593506098031e-14 - 7.627042701555743e-14j,
+    6.67215831978077e-19 + 0j,
+]
+
+
+def test_roots_batch_one_stuck_row_fails_the_batch():
+    rng = np.random.default_rng(24)
+    good = rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9))
+    roots_batch(good)
+    rows = np.vstack([good[:20], [_STUCK_ROW], good[20:]])
+    with pytest.raises(RootFindingFailure, match="^batched Aberth did not converge$"):
+        roots_batch(rows)
