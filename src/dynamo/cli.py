@@ -15,6 +15,7 @@ import math
 import random
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import __version__
 from .errors import DynamoError
@@ -295,7 +296,14 @@ def _cmd_self_test(args, config, out):
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building it costs more than a small job (about a hundred add_argument
+    calls, each formatting help text); parsing leaves it unchanged, so every
+    `run` shares it.
+    """
     p = argparse.ArgumentParser(
         prog="dynamo",
         description="Exact and numerical dynamics of rational self-maps of P^1 over Q")

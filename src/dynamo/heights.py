@@ -49,6 +49,7 @@ from .projective import (
     DEFAULT_DIGIT_CAP,
     ProjectivePoint,
     RationalMapLift,
+    _is_probable_prime,
     check_cap,
     evaluate,
     form_eval,
@@ -152,30 +153,6 @@ def _rho_step(n: int, c: int) -> int:
         y = (y * y + c) % n
         d = math.gcd(abs(x - y), n)
     return d
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .heights import _is_probable_prime
 from .projective import (
+    _prime,
     content,
     poly_deriv,
     poly_div_exact,
@@ -41,6 +41,7 @@ from .projective import (
     poly_mul,
     poly_trim,
     primitive_int,
+    squarefree_by_one_prime,
 )
 from .roots import yun_squarefree
 
@@ -49,22 +50,9 @@ from .roots import yun_squarefree
 # curve eliminants by modular evaluation, interpolation and CRT
 # ---------------------------------------------------------------------------
 
-# 31-bit primes below 2^31, largest first, found on first use: products of
-# two residues stay below 2^62, inside int64
-_PRIMES: list[int] = []
 # int64 entries per array in one block of grid points (1 MB), which bounds
 # the working set of an elimination whatever the bidegree
 _BLOCK = 1 << 17
-
-
-def _prime(k: int) -> int:
-    """The (k+1)-th largest prime below 2^31."""
-    n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
-    while len(_PRIMES) <= k:
-        n -= 2
-        if _is_probable_prime(n):
-            _PRIMES.append(n)
-    return _PRIMES[k]
 
 
 def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -434,25 +422,6 @@ def _squarefree_by_gcd(P) -> list:
     return _int_primitive(_unkronecker(quotient, D))
 
 
-def _squarefree_mod(c: list, p: int) -> bool:
-    """True when gcd(c, c') is constant mod p (c of degree below p)."""
-    a = [v % p for v in c]
-    b = [i * v % p for i, v in enumerate(a)][1:]
-    while any(b):
-        while not b[-1]:
-            b.pop()
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):  # a := a mod b
-            q = a[-1] * inv % p
-            if q:
-                shift = len(a) - len(b)
-                for i, v in enumerate(b):
-                    a[shift + i] = (a[shift + i] - q * v) % p
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _specialized_multiplicities(P):
     """Yun multiplicities in u of P(u, s0) at a degree-preserving s0.
 
@@ -471,8 +440,7 @@ def _specialized_multiplicities(P):
             coeffs.append(acc)
         if coeffs[-1] == 0:
             continue
-        p = _prime(0)
-        if coeffs[-1] % p and _squarefree_mod(coeffs, p):
+        if squarefree_by_one_prime(coeffs):
             return [1]
         parts = yun_squarefree(coeffs)
         return sorted({mult for _, mult in parts}) or [1]

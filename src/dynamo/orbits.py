@@ -1,19 +1,42 @@
 """Periodic points, multipliers, and repelling-cycle location.
 
-Periodic points of period dividing n are the projective roots of the
-degree-(d^n + 1) fixed-point form Y*F0^(n) - X*F1^(n); grouping the root set
-into orbits of the map recovers the exact period of each cycle, and the
-multiplier is the chain-rule product of local derivatives computed in charts
-that avoid infinity.
+The points of period dividing n are the d^n + 1 roots on P^1 of the
+fixed-point form Y*F0^(n) - X*F1^(n).  Their affine part is
+P(z) = F0^(n)(z, 1) - z*F1^(n)(z, 1), and P is never evaluated from its
+coefficients: those grow like a power of the orbit, so double precision
+loses the roots from degree ~30 on.  Aberth's iteration takes the Newton
+ratio P/P' from the orbit instead, carrying the jet (F^(m), dF^(m)/dz)
+through the n steps and rescaling it by one common factor per step, which
+the ratio does not see (Randig-Schleicher-Stoll, J. Comput. Appl. Math.
+2024, do this for iterated quadratics).  Evaluated this way a periodic
+point is as well conditioned as its multiplier allows, whatever n is.
+
+The exact form, from `iterate_lift`, is only a certificate:
+- its zero coefficients at either end give the multiplicities at infinity
+  and at 0, and its Newton polygon gives the starting circles;
+- gcd(P, P') = 1 modulo one prime that keeps the degree proves P
+  squarefree over Q.  Only when that fails (a parabolic coincidence) does
+  Yun's decomposition over Q run; its repeated factors are solved on their
+  own, and every exactly known factor (z^k for a root at 0 included) is
+  divided out of the log-derivative of the orbit solve;
+- near-real roots are reconstructed as rationals and verified exactly.
+
+Matching each root to the root nearest its image groups the roots into
+cycles with exact periods (Morton-Silverman, IMRN 1994, count them) and
+checks that F permutes them.  The multiplier is the chain-rule product of
+local derivatives in charts that avoid infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceeded, NotACycle
 from .heights import decide_preperiodic
 from .projective import (
+    INFINITY,
     CPoint,
     ProjectivePoint,
     RationalMapLift,
@@ -23,10 +46,13 @@ from .projective import (
     form_eval,
     iterate_lift,
     point_from_rational,
+    squarefree_by_one_prime,
 )
+from .roots import aberth, aberth_sweeps, polygon_starts, rational_root, yun_squarefree
 
 DEFAULT_PERIOD_CAP = 4096
 DEFAULT_TOL = 1e-9
+_MATCH_ROWS = 512  # images per block of the nearest-root distance matrix
 
 
 @dataclass(frozen=True)
@@ -70,6 +96,110 @@ def fixed_point_form(F: RationalMapLift) -> tuple:
     return tuple(out)
 
 
+def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
+    """The d^n + 1 roots of the fixed-point form of F^n, with multiplicity.
+
+    Returns [(CPoint, multiplicity, ProjectivePoint or None), ...]; the exact
+    point is set for verified rational roots, 0 and infinity included.
+    """
+    form = fixed_point_form(iterate_lift(F, n))
+    nonzero = [i for i, c in enumerate(form) if c]
+    low, top = nonzero[0], nonzero[-1]
+    out = []
+    if top < len(form) - 1:
+        out.append((CPoint.at_infinity(), len(form) - 1 - top, INFINITY))
+    known = []  # (root, multiplicity) divided out of the orbit solve
+    if low:
+        out.append((CPoint.from_affine(0.0), low, ProjectivePoint(0, 1)))
+        known.append((0.0, low))
+    c = list(form[low:top + 1])
+    simple = c
+    if not squarefree_by_one_prime(c):
+        simple = [1]
+        for fac, mult in yun_squarefree(c):
+            if mult == 1:
+                simple = fac
+                continue
+            for z in aberth([complex(v) for v in fac], tol=tol):
+                out.append((CPoint.from_affine(z), mult, _exact(rational_root(fac, z))))
+                known.append((z, mult))
+    if len(simple) > 1:
+        ratio = _orbit_ratio(F, n, known)
+        for z in aberth_sweeps(ratio, polygon_starts(simple), tol).tolist():
+            out.append((CPoint.from_affine(z), 1, _exact(rational_root(simple, z))))
+    return out
+
+
+def _exact(q) -> ProjectivePoint | None:
+    return None if q is None else ProjectivePoint(q.numerator, q.denominator)
+
+
+def _float_forms(F: RationalMapLift) -> tuple:
+    """(F0, F1) as complex coefficients scaled by the largest |c|: the same map."""
+    scale = max(abs(v) for v in F.f0 + F.f1)
+    return tuple(tuple(complex(v / scale) for v in f) for f in (F.f0, F.f1))
+
+
+def _orbit_ratio(F: RationalMapLift, n: int, known):
+    """Newton ratio of P(z) / prod (z - r)^m over the known roots (r, m), by the orbit.
+
+    The jet (X, Y, dX/dz, dY/dz) of F^m(z, 1) is scaled by 1/max(|X|, |Y|)
+    after each step; F and its partial derivatives are homogeneous, so every
+    entry carries the same product of factors and the ratio
+    P/P' = (X - zY) / (X' - Y - zY') is unchanged.  A step evaluates the
+    four partial derivatives as one product of a (4, d) coefficient matrix
+    with the degree-(d-1) monomials, and F itself by Euler's identity
+    d*F = X*F_X + Y*F_Y.
+    """
+    d = F.degree
+    jac = np.array([row for f in _float_forms(F) for row in
+                    ([(i + 1) * f[i + 1] for i in range(d)],
+                     [(d - i) * f[i] for i in range(d)])])
+
+    def ratio(z):
+        s = np.maximum(np.abs(z), 1.0)
+        x, y, dx, dy = z / s, 1.0 / s, 1.0 / s, np.zeros_like(z)
+        for _ in range(n):
+            xs, ys = [x], [y]  # powers 1 .. d-1
+            for _ in range(d - 2):
+                xs.append(xs[-1] * x)
+                ys.append(ys[-1] * y)
+            mono = [ys[-1]] + [xs[i - 1] * ys[d - 2 - i] for i in range(1, d - 1)] + [xs[-1]]
+            f0x, f0y, f1x, f1y = jac @ np.array(mono)
+            x, y, dx, dy = ((x * f0x + y * f0y) / d, (x * f1x + y * f1y) / d,
+                            f0x * dx + f0y * dy, f1x * dx + f1y * dy)
+            s = np.maximum(np.abs(x), np.abs(y))
+            x, y, dx, dy = x / s, y / s, dx / s, dy / s
+        p = x - z * y
+        dp = dx - y - z * dy
+        for r, m in known:  # (p / prod) / (p / prod)' = p / (p' - p * sum m / (z - r))
+            dp -= p * m / (z - r)
+        return p / dp
+
+    return ratio
+
+
+def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the root nearest, in chordal distance, to the image of each root [x : y].
+
+    Raises NotACycle when an image is farther than tol from every root.  The
+    distance matrix is built _MATCH_ROWS images at a time.
+    """
+    f0, f1 = _float_forms(F)
+    ix, iy = form_eval(f0, x, y), form_eval(f1, x, y)
+    norm = np.hypot(np.abs(x), np.abs(y))
+    inorm = np.hypot(np.abs(ix), np.abs(iy))
+    succ = np.empty(len(x), dtype=int)
+    for lo in range(0, len(x), _MATCH_ROWS):
+        rows = slice(lo, lo + _MATCH_ROWS)
+        dist = np.abs(ix[rows, None] * y[None, :] - x[None, :] * iy[rows, None])
+        dist /= inorm[rows, None] * norm[None, :]
+        succ[rows] = np.argmin(dist, axis=1)
+        if np.any(dist[np.arange(len(dist)), succ[rows]] > tol):
+            raise NotACycle("periodic root set is not closed under the map within tol")
+    return succ
+
+
 def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
                     cap: int = DEFAULT_PERIOD_CAP) -> list[Cycle]:
     """All cycles of period dividing n, exact periods attached, with multipliers.
@@ -77,33 +207,19 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
     Root multiplicities above 1 in the fixed-point form (parabolic
     coincidences) are flagged on the affected cycles rather than merged away.
     """
-    from .roots import binary_form_roots
-
     if F.degree < 2:
         raise ValueError("periodic points need degree >= 2")
     if F.degree ** n > cap:
         raise CapExceeded(f"d^n = {F.degree ** n} exceeds the configured cap {cap}")
-    Fn = iterate_lift(F, n)
-    roots = binary_form_roots(fixed_point_form(Fn), tol=max(tol * 1e-3, 1e-14))
-    pts: list[CPoint] = []
-    exacts: list[ProjectivePoint | None] = []
-    mults: list[int] = []
-    for cp, mult, exact in roots:
-        pts.append(cp)
-        exacts.append(exact)
-        mults.append(mult)
-    # nearest-root matching of the map on the root set
-    succ = []
-    for p in pts:
-        img = evaluate_cpoint(F, p)
-        dists = [img.chordal(q) for q in pts]
-        j = min(range(len(pts)), key=dists.__getitem__)
-        if dists[j] > max(tol, 1e-7):
-            raise NotACycle("periodic root set is not closed under the map within tol")
-        succ.append(j)
+    roots = fixed_point_roots(F, n, tol=max(tol * 1e-3, 1e-14))
+    pts = [cp for cp, _, _ in roots]
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    succ = _successors(F, x, y, max(tol, 1e-7))
+    deriv = _chart_derivatives(F, x, y, (np.abs(x) > np.abs(y))[succ]).tolist()
+    succ = succ.tolist()
     cycles: list[Cycle] = []
     visited = set()
-    has_multiple = any(m > 1 for m in mults)
     for start in range(len(pts)):
         if start in visited:
             continue
@@ -118,12 +234,12 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
             # two roots share a nearest image, so some root has none
             raise NotACycle("nearest-root matching is not a permutation of the "
                             "periodic root set")
-        period = len(path)
-        cyc_pts = tuple(pts[i] for i in path)
-        lam = multiplier(F, cyc_pts, tol=max(tol, 1e-7))
-        warn = has_multiple and any(mults[i] > 1 for i in path)
-        cycles.append(Cycle(cyc_pts, period, lam,
-                            tuple(exacts[i] for i in path), warn))
+        lam = 1.0 + 0.0j
+        for i in path:
+            lam *= deriv[i]
+        warn = any(roots[i][1] > 1 for i in path)
+        cycles.append(Cycle(tuple(pts[i] for i in path), len(path), lam,
+                            tuple(roots[i][2] for i in path), warn))
     return cycles
 
 
@@ -134,35 +250,27 @@ def repelling_cycles(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
             if abs(c.multiplier) > 1.0 + tol]
 
 
-def _chart_derivative(F: RationalMapLift, src: CPoint, dst_chart_w: bool) -> complex:
-    """Derivative of the map between affine charts at src.
+def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,
+                       dst_w: np.ndarray) -> np.ndarray:
+    """Derivatives of the map between affine charts at the points [x : y].
 
-    Charts: z (affine coordinate x/y, used when |x/y| <= 1ish) and w = 1/z.
-    The source chart is chosen from src itself; dst_chart_w picks the chart
-    of the image point.  All four combinations reduce to a rational-derivative
-    evaluation of P/Q with (P, Q) in {F0, F1} composed with the chart embedding.
+    Charts: z = x/y where |x| <= |y| and w = 1/z elsewhere; the source chart
+    is chosen from each point, and dst_w picks the chart of its image.  In
+    the w chart the point is (1, t) and d/dt picks the Y-derivatives; in the
+    z chart it is (t, 1) and d/dt picks the X-derivatives.  All four
+    combinations are the derivative of a quotient of F0 and F1.
     """
-    src_w = abs(src.x) > abs(src.y)  # |z| > 1: use w = 1/z chart
-    t = (src.y / src.x) if src_w else (src.x / src.y)
-
-    f0x = form_derivative_x(F.f0)
-    f0y = form_derivative_y(F.f0)
-    f1x = form_derivative_x(F.f1)
-    f1y = form_derivative_y(F.f1)
-
-    if src_w:
-        # embedding t -> (1, t): d/dt picks the Y-derivatives
-        p0, p1 = form_eval(F.f0, 1.0, t), form_eval(F.f1, 1.0, t)
-        dp0, dp1 = form_eval(f0y, 1.0, t), form_eval(f1y, 1.0, t)
-    else:
-        # embedding t -> (t, 1): d/dt picks the X-derivatives
-        p0, p1 = form_eval(F.f0, t, 1.0), form_eval(F.f1, t, 1.0)
-        dp0, dp1 = form_eval(f0x, t, 1.0), form_eval(f1x, t, 1.0)
-
-    if dst_chart_w:
-        num, dnum, den, dden = p1, dp1, p0, dp0
-    else:
-        num, dnum, den, dden = p0, dp0, p1, dp1
+    src_w = np.abs(x) > np.abs(y)
+    t = np.where(src_w, y, x) / np.where(src_w, x, y)
+    one = np.ones_like(t)
+    X, Y = np.where(src_w, one, t), np.where(src_w, t, one)
+    vals, ders = [], []
+    for f in _float_forms(F):
+        vals.append(form_eval(f, X, Y))
+        ders.append(np.where(src_w, form_eval(form_derivative_y(f), X, Y),
+                             form_eval(form_derivative_x(f), X, Y)))
+    num, dnum = np.where(dst_w, vals[1], vals[0]), np.where(dst_w, ders[1], ders[0])
+    den, dden = np.where(dst_w, vals[0], vals[1]), np.where(dst_w, ders[0], ders[1])
     return (dnum * den - num * dden) / (den * den)
 
 
@@ -174,11 +282,11 @@ def multiplier(F: RationalMapLift, points, tol: float = 1e-7) -> complex:
         img = evaluate_cpoint(F, p)
         if img.chordal(pts[(i + 1) % k]) > tol:
             raise NotACycle("points are not cyclically permuted within tolerance")
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
     lam = 1.0 + 0.0j
-    for i, p in enumerate(pts):
-        nxt = pts[(i + 1) % k]
-        dst_w = abs(nxt.x) > abs(nxt.y)
-        lam *= _chart_derivative(F, p, dst_w)
+    for v in _chart_derivatives(F, x, y, np.roll(np.abs(x) > np.abs(y), -1)).tolist():
+        lam *= v
     return lam
 
 

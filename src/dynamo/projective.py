@@ -335,6 +335,77 @@ def poly_gcd_q(a, b):
 
 
 # ---------------------------------------------------------------------------
+# word-size primes and the one-prime squarefree test
+# ---------------------------------------------------------------------------
+
+# 31-bit primes below 2^31, largest first, found on first use: products of
+# two residues stay below 2^62, inside int64
+_PRIMES: list[int] = []
+
+
+def _is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The (k+1)-th largest prime below 2^31."""
+    n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
+    while len(_PRIMES) <= k:
+        n -= 2
+        if _is_probable_prime(n):
+            _PRIMES.append(n)
+    return _PRIMES[k]
+
+
+def squarefree_by_one_prime(c) -> bool:
+    """True when one prime proves the integer polynomial c squarefree over Q.
+
+    When p does not divide the leading coefficient, a square factor over Z
+    survives the reduction mod p, so gcd(c, c') = 1 mod p rules it out (c
+    of degree below p).  False means a repeated factor or, rarely, a prime
+    dividing the leading coefficient or the discriminant.
+    """
+    p = _prime(0)
+    if not c[-1] % p:
+        return False
+    a = [v % p for v in c]
+    b = [i * v % p for i, v in enumerate(a)][1:]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a := a mod b
+            q = a[-1] * inv % p
+            if q:
+                shift = len(a) - len(b)
+                for i, v in enumerate(b):
+                    a[shift + i] = (a[shift + i] - q * v) % p
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+# ---------------------------------------------------------------------------
 # Sylvester resultants and Bezout certificates
 # ---------------------------------------------------------------------------
 

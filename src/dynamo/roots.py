@@ -6,12 +6,15 @@ numeric approximations plus exact verification (no coefficient factoring,
 so huge iterate coefficients are fine).  Each verified rational root is
 divided out exactly, and Aberth-Ehrlich simultaneous iteration solves what
 is left for the remaining simple complex roots; that exact division is the
-only deflation.  Monte-Carlo fibers are solved many rows at a time by
-`roots_batch`.
+only deflation.  The Aberth sweep, `aberth_sweeps`, takes the Newton ratio
+as a function: `aberth` evaluates it in coefficient form, and the periodic
+points of `orbits` evaluate it along the orbit.  Monte-Carlo fibers are
+solved many rows at a time by `roots_batch`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,7 @@ from .errors import RootFindingFailure
 from .projective import (
     CPoint,
     ProjectivePoint,
+    form_eval,
     poly_deriv,
     poly_degree,
     poly_divmod_q,
@@ -30,6 +34,7 @@ from .projective import (
 
 DEFAULT_TOL = 1e-12
 _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
+_SUM_ROWS = 256  # rows per block of the scalar Aberth sum; bounds its (rows, d) temporary
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +66,6 @@ def yun_squarefree(c):
     return out
 
 
-def poly_eval_fraction(c, q: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * q + v
-    return acc
-
-
 def _rational_reconstruct(z: complex, max_den: int = 10**12) -> Fraction | None:
     """Nearest small-denominator rational to a (near-real) numeric root."""
     if abs(z.imag) > 1e-7 * (1 + abs(z.real)):
@@ -79,12 +77,64 @@ def _rational_reconstruct(z: complex, max_den: int = 10**12) -> Fraction | None:
         return None
 
 
+def rational_root(c, z: complex) -> Fraction | None:
+    """The rational root of the integer polynomial c near z, verified exactly.
+
+    A root a/b in lowest terms has b | c[-1] and a | c[0], so most wrong
+    candidates fail on two integer remainders before the exact evaluation.
+    """
+    q = _rational_reconstruct(z)
+    if q is None:
+        return None
+    a, b = q.numerator, q.denominator
+    if c[-1] % b or (a and c[0] % a):
+        return None
+    return q if form_eval(c, a, b) == 0 else None
+
+
 # ---------------------------------------------------------------------------
 # Aberth-Ehrlich iteration
 # ---------------------------------------------------------------------------
 
+def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
+    """Aberth-Ehrlich sweeps on all roots at once, from the starts z.
+
+    ratio(z) returns the Newton ratio p(z)/p'(z) at every entry of z; it runs
+    with numpy's overflow and invalid-value warnings off, and the sweep
+    replaces every non-finite correction by a fixed outward step.  Every
+    root moves in every sweep until all corrections pass the tolerance test.
+    The Aberth sum over pairs is taken _SUM_ROWS rows at a time, which
+    bounds its temporary and leaves each row's sum as it is.
+    """
+    z = np.array(z, dtype=complex)
+    d = len(z)
+    s = np.empty_like(z)
+    for _ in range(max_iter):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            newton = ratio(z)
+            for lo in range(0, d, _SUM_ROWS):
+                diff = z[lo:lo + _SUM_ROWS, None] - z[None, :]
+                # the diagonal z_i - z_i adds 1/inf = 0
+                diff.reshape(-1)[lo::d + 1] = np.inf
+                s[lo:lo + _SUM_ROWS] = np.sum(1.0 / diff, axis=1)
+            corr = newton / (1.0 - newton * s)
+        bad = ~np.isfinite(corr)
+        if bad.any():
+            corr = np.where(bad, 0.05 * (1 + np.abs(z)) * np.exp(1j), corr)
+        z = z - corr
+        if np.all(np.abs(corr) <= tol * (1.0 + np.abs(z))):
+            return z
+    raise RootFindingFailure(f"Aberth iteration did not reach tol={tol} in {max_iter} steps")
+
+
 def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
-    """All roots of a squarefree complex polynomial (ascending coefficients)."""
+    """All roots of a squarefree complex polynomial (ascending coefficients).
+
+    The polynomial is scaled to be monic and evaluated in coefficient form
+    by Horner's rule, so it suits small degrees and moderate coefficients;
+    the sweeps of `aberth_sweeps` start on the circle of radius 1 + max|c_i|,
+    which holds every root.
+    """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
     if d < 1:
@@ -94,33 +144,53 @@ def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
     # scale to unit leading coefficient for conditioning
     c = c / c[-1]
     dc = c[1:] * np.arange(1, d + 1)
+
+    def ratio(z):
+        pz = np.polyval(c[::-1], z)
+        dpz = np.polyval(dc[::-1], z)
+        return np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0j)
+
     radius = 1.0 + float(np.max(np.abs(c[:-1])))
     k = np.arange(d)
     z = radius * np.exp(2j * np.pi * (k / d + 0.25 / d))
-    for _ in range(max_iter):
-        # the evaluation overflows on far-off iterates; the fallback step
-        # below replaces every non-finite correction
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            pz = np.polyval(c[::-1], z)
-            dpz = np.polyval(dc[::-1], z)
-            newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            corr = newton / (1.0 - newton * s)
-        bad = ~np.isfinite(corr)
-        if bad.any():
-            corr = np.where(bad, 0.05 * (1 + np.abs(z)) * np.exp(1j), corr)
-        z = z - corr
-        if np.all(np.abs(corr) <= tol * (1.0 + np.abs(z))):
-            return [complex(v) for v in z]
-    raise RootFindingFailure(f"Aberth iteration did not reach tol={tol} in {max_iter} steps")
+    return [complex(v) for v in aberth_sweeps(ratio, z, tol, max_iter)]
+
+
+def polygon_starts(c) -> np.ndarray:
+    """Aberth starts on the circles of the Newton polygon of c (Bini 1996).
+
+    c is an integer polynomial (ascending) with c[0] and c[-1] nonzero.  An
+    edge of the upper convex hull of the points (i, log|c_i|) from i to j
+    puts j - i starts on the circle of radius (|c_i| / |c_j|)^(1/(j - i)),
+    where that many roots lie when the polygon has sharp corners.  Logs of
+    the exact integers keep coefficients beyond the float range usable.
+    """
+    d = len(c) - 1
+    hull: list[tuple[int, float]] = []
+    for i, v in enumerate(c):
+        if not v:
+            continue
+        x, y = i, math.log(abs(v))
+        # drop the last corner while it lies on or below the chord to (x, y)
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    starts = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        k = j - i
+        angles = 2 * np.pi * (np.arange(k) / k + i / d) + 0.7
+        starts.append(math.exp((li - lj) / k) * np.exp(1j * angles))
+    return np.concatenate(starts)
 
 
 def poly_roots_exact(coeffs, tol: float = DEFAULT_TOL):
     """Roots with exact multiplicities: list of (complex, mult, Fraction|None).
 
-    The Fraction is set when the root was verified exactly rational.
+    Each Yun factor is solved by `aberth`, and its near-real roots are tried
+    as rationals and verified exactly.  Verified rational roots are divided
+    out exactly and the cofactor is solved again; a factor with no rational
+    root keeps its first solve.
     """
     c = poly_trim(coeffs)
     d = poly_degree(c)
@@ -129,26 +199,21 @@ def poly_roots_exact(coeffs, tol: float = DEFAULT_TOL):
     out = []
     for factor, mult in yun_squarefree(c):
         fac = list(factor)
-        # peel off exactly-verified rational roots before the numeric solve
-        rational_roots = []
         approx = aberth([complex(v) for v in fac], tol=tol)
+        rational_roots = []
         for z in approx:
-            cand = _rational_reconstruct(z)
-            if cand is not None and poly_eval_fraction(fac, cand) == 0:
-                rational_roots.append(cand)
-        seen = set()
+            q = rational_root(fac, z)
+            if q is not None and q not in rational_roots:
+                rational_roots.append(q)
         for q in rational_roots:
-            if q in seen:
-                continue
-            seen.add(q)
             out.append((complex(q), mult, q))
-            den = [-q.numerator, q.denominator]
-            qq, rr = poly_divmod_q(fac, den)
+            qq, rr = poly_divmod_q(fac, [-q.numerator, q.denominator])
             assert all(v == 0 for v in rr)
             fac = primitive_int(qq)
         if poly_degree(fac) > 0:
-            for z in aberth([complex(v) for v in fac], tol=tol):
-                out.append((z, mult, None))
+            if rational_roots:
+                approx = aberth([complex(v) for v in fac], tol=tol)
+            out.extend((z, mult, None) for z in approx)
     return out
 
 

@@ -107,6 +107,37 @@ def test_periodic_repelling_only(sq_json):
     assert len(lines) == 2
 
 
+def test_parser_built_once_per_process(sq_json):
+    import dynamo.cli
+
+    dynamo.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert _run(["periodic", "--map", sq_json, "--period", "1"])[0] == 0
+    info = dynamo.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
+                                            basilica_json):
+    # --map uses action="extend" on the shared parser: each run must see only
+    # its own list
+    import types
+
+    import dynamo.cli
+
+    seen = []
+
+    def fake_compare(H, maps, i, j, **kwargs):
+        seen.append([F.f0 for F in maps])
+        return types.SimpleNamespace(statistic=0.0, threshold=1.0, equal_within_noise=True,
+                                     per_chart=(), discarded=())
+
+    monkeypatch.setattr(dynamo.cli, "measure_compare", fake_compare)
+    for maps in ([sq_json, sq_json], [basilica_json, sq_json]):
+        assert _run(["compare-measures", "--hyp", diagonal_json, "--map", *maps])[0] == 0
+    assert seen == [[(0, 0, 1), (0, 0, 1)], [(-1, 0, 1), (0, 0, 1)]]
+
+
 def test_classify_json(basilica_json, sq_json):
     _, text = _run(["classify", "--map", sq_json, "--json"])
     assert json.loads(text)["result"]["verdict"] == "PowerConjugate"

@@ -157,14 +157,139 @@ def poly_lift_q(*coeffs):
 def test_non_permutation_matching_raises(sq, monkeypatch):
     # -1 maps onto the fixed point 1, so two roots share a nearest image and
     # the walk from -1 merges into 1's cycle instead of closing on itself
-    import dynamo.roots
+    import dynamo.orbits
 
-    real = dynamo.roots.binary_form_roots
+    real = dynamo.orbits.fixed_point_roots
 
-    def with_extra_root(coeffs, tol):
+    def with_extra_root(F, n, tol):
         extra = (CPoint.from_affine(-1.0), 1, ProjectivePoint(-1, 1))
-        return [extra] + real(coeffs, tol=tol)
+        return [extra] + real(F, n, tol=tol)
 
-    monkeypatch.setattr(dynamo.roots, "binary_form_roots", with_extra_root)
+    monkeypatch.setattr(dynamo.orbits, "fixed_point_roots", with_extra_root)
     with pytest.raises(NotACycle, match="not a permutation"):
         periodic_points(sq, 1)
+
+
+def test_root_set_not_closed_raises(sq, monkeypatch):
+    # 1/2 maps to 1/4, which is not in the root set
+    import dynamo.orbits
+
+    real = dynamo.orbits.fixed_point_roots
+
+    def with_stray_root(F, n, tol):
+        return real(F, n, tol=tol) + [(CPoint.from_affine(0.5), 1, None)]
+
+    monkeypatch.setattr(dynamo.orbits, "fixed_point_roots", with_stray_root)
+    with pytest.raises(NotACycle, match="not closed"):
+        periodic_points(sq, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the orbit-evaluated solve
+# ---------------------------------------------------------------------------
+
+def _mobius(k):
+    mu, m, p = 1, k, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def _exact_period_count(d, m):
+    """Points of exact period m when every fixed point of every F^k is simple.
+
+    Moebius inversion of #Fix(F^k) = d^k + 1 over k | m: the dynatomic count
+    nu_d(m) = sum mu(m/k) d^k, plus the one extra fixed point when m = 1.
+    """
+    return sum(_mobius(m // k) * (d**k + 1) for k in range(1, m + 1) if m % k == 0)
+
+
+def _holomorphic_index_sum(cycles, n):
+    """Sum of 1/(1 - lambda) over the fixed points of F^n (Milnor, Thm 12.4: 1)."""
+    return sum(c.period / (1 - c.multiplier ** (n // c.period)) for c in cycles)
+
+
+def _map(name):
+    from dynamo.projective import map_from_json
+
+    return map_from_json(_RECORDED["maps"][name])
+
+
+def _load_recorded():
+    import json
+    from pathlib import Path
+
+    return json.loads((Path(__file__).parent / "data" / "periodic_multipliers.json").read_text())
+
+
+_RECORDED = _load_recorded()
+
+# no parabolic cycle at any level: every fixed point of every F^n is simple
+_NO_PARABOLIC = [("sq", 6), ("basilica", 6), ("cubic", 4), ("cheb2", 6), ("cheb3", 4),
+               ("lattes", 4)]
+
+
+@pytest.mark.parametrize("name,top", _NO_PARABOLIC)
+def test_exact_period_counts_and_holomorphic_index(name, top):
+    F = _map(name)
+    d = F.degree
+    for n in range(1, top + 1):
+        cycles = periodic_points(F, n)
+        assert not any(c.parabolic_warning for c in cycles)
+        for m in range(1, n + 1):
+            if n % m == 0:
+                got = sum(c.period for c in cycles if c.period == m)
+                assert got == _exact_period_count(d, m), (name, n, m)
+        assert sum(c.period for c in cycles) == d**n + 1
+        assert abs(_holomorphic_index_sum(cycles, n) - 1) < 1e-9, (name, n)
+
+
+@pytest.mark.parametrize("key", sorted(_RECORDED["multipliers"]))
+def test_multipliers_match_the_coefficient_form_solver(key):
+    # multipliers for n <= 4 recorded with the previous solver, which
+    # expanded the fixed-point form and solved it in coefficient form
+    name, n = key.split()
+    cycles = periodic_points(_map(name), int(n))
+    unused = [(p, complex(re_, im)) for p, re_, im in _RECORDED["multipliers"][key]]
+    for c in cycles:
+        k = min(range(len(unused)),
+                key=lambda k: (unused[k][0] != c.period, abs(unused[k][1] - c.multiplier)))
+        assert unused[k][0] == c.period
+        assert abs(unused[k][1] - c.multiplier) <= 1e-9, (key, c.multiplier, unused[k])
+        del unused[k]
+    assert unused == []
+
+
+@pytest.mark.parametrize("name,n", [("basilica", 5), ("basilica", 6), ("basilica", 7),
+                                    ("basilica", 8), ("cubic", 4), ("cubic", 5)])
+def test_periods_past_the_coefficient_form_limit(name, n):
+    # each of these ended in RootFindingFailure when the expanded form was
+    # solved in double precision
+    F = _map(name)
+    cycles = periodic_points(F, n)
+    assert sum(c.period for c in cycles) == F.degree**n + 1
+    assert all(n % c.period == 0 for c in cycles)
+    for m in range(1, n + 1):
+        if n % m == 0:
+            assert sum(c.period for c in cycles if c.period == m) == \
+                _exact_period_count(F.degree, m)
+    assert abs(_holomorphic_index_sum(cycles, n) - 1) < 1e-9
+    for c in cycles:
+        for i, p in enumerate(c.points):
+            assert evaluate_cpoint(F, p).chordal(c.points[(i + 1) % c.period]) < 1e-9
+
+
+def test_squarefree_form_skips_yun(basilica, monkeypatch):
+    # the one-prime certificate settles a squarefree fixed-point form
+    import dynamo.orbits
+
+    def no_yun(c):
+        raise AssertionError("Yun's decomposition ran on a squarefree form")
+
+    monkeypatch.setattr(dynamo.orbits, "yun_squarefree", no_yun)
+    assert sum(c.period for c in periodic_points(basilica, 6)) == 65

@@ -200,3 +200,65 @@ def test_roots_batch_one_stuck_row_fails_the_batch():
     rows = np.vstack([good[:20], [_STUCK_ROW], good[20:]])
     with pytest.raises(RootFindingFailure, match="^batched Aberth did not converge$"):
         roots_batch(rows)
+
+
+def test_poly_roots_exact_solves_each_factor_once(monkeypatch):
+    import dynamo.roots
+
+    calls = []
+    real = dynamo.roots.aberth
+
+    def counting(coeffs, tol=1e-12, max_iter=400):
+        calls.append(len(coeffs) - 1)
+        return real(coeffs, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(dynamo.roots, "aberth", counting)
+    # x^4 + x + 1: squarefree, no rational root, so the first solve is kept
+    found = poly_roots_exact([1, 1, 0, 0, 1])
+    assert calls == [4]
+    assert [z for z, _, _ in found] == real([1, 1, 0, 0, 1])
+    # (x^2 + 1)(x - 2)^2: each Yun factor solved once, and the factor with a
+    # rational root solved again on its cofactor (a constant here: no solve)
+    calls.clear()
+    found = poly_roots_exact([4, -4, 5, -4, 1])
+    assert sorted(calls) == [1, 2]
+    assert {(str(ex), m) for _, m, ex in found if ex is not None} == {("2", 2)}
+    # (x^2 - 2)(x - 3): one factor, one rational root, the quadratic re-solved
+    calls.clear()
+    found = poly_roots_exact([6, -2, -3, 1])
+    assert calls == [3, 2]
+    assert sorted(z.real for z, _, ex in found if ex is None) == pytest.approx(
+        [-2**0.5, 2**0.5])
+
+
+def test_rational_root_verifies_exactly():
+    from dynamo.roots import rational_root
+
+    c = [-3, 2]  # 2x - 3
+    assert rational_root(c, 1.5 + 1e-13j) == Fraction(3, 2)
+    assert rational_root(c, 1.5 + 1e-3j) is None  # not near the real axis
+    assert rational_root([-2, 0, 1], 2**0.5) is None  # irrational
+    assert rational_root([0, 1, 1], 0.0) == 0
+    assert rational_root([1, 1, 1], 0.0) is None
+
+
+def test_aberth_sweeps_takes_any_newton_ratio():
+    from dynamo.roots import aberth_sweeps
+
+    # p(z) = z^5 - 1 through its ratio alone, from starts off the unit circle
+    z = aberth_sweeps(lambda z: (z**5 - 1) / (5 * z**4),
+                      1.5 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5))
+    assert np.allclose(np.sort_complex(z ** 5), np.ones(5), atol=1e-12)
+    assert min(abs(a - b) for i, a in enumerate(z) for b in z[i + 1:]) > 0.5
+
+
+def test_polygon_starts_follow_the_root_moduli():
+    from dynamo.roots import polygon_starts
+
+    # (x - 10^-3)(x - 1)(x - 10^3) expanded: one start on each of three circles
+    c = [-1, 1001001 * 10**-3, -1001001 * 10**-3, 1]
+    c = [round(v * 1000) for v in c]
+    radii = sorted(abs(polygon_starts(c)))
+    assert radii == pytest.approx([1e-3, 1.0, 1e3], rel=0.01)
+    # coefficients beyond the float range still give finite starts
+    assert np.all(np.isfinite(polygon_starts([10**400, 0, 1])))
