@@ -161,13 +161,26 @@ def _cmd_sample_measure(args, config, out):
     F = load_map(args.map)
     m = sample_invariant_measure(F, config.samples, config.depth, seed=config.seed)
     if args.chart == "sphere":
-        xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0]).tolist()
-        rows = [[f"{x:.12g}", f"{y:.12g}", f"{z:.12g}"] for x, y, z in xyz]
-        cols = ["x", "y", "z"]
+        xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0])
+        _emit_floats(["x", "y", "z"], [c.tolist() for c in xyz.T], config, out)
     else:
-        rows = [[f"{z.real:.12g}", f"{z.imag:.12g}"] for z in m.affine(0).tolist()]
-        cols = ["re", "im"]
-    _emit({"columns": cols, "rows": rows}, config, out)
+        z = m.affine(0)
+        _emit_floats(["re", "im"], [z.real.tolist(), z.imag.tolist()], config, out)
+
+
+def _emit_floats(columns: list, data: list, config: RunConfig, out) -> None:
+    """Emit a table of floats, one list per column, each value formatted %.12g.
+
+    A CSV row is written by one format string: these cells hold no comma,
+    quote or newline, so the bytes are those csv.writer would write.
+    """
+    if config.output != "csv":
+        rows = [[f"{v:.12g}" for v in row] for row in zip(*data)]
+        _emit({"columns": columns, "rows": rows}, config, out)
+        return
+    _emit({"columns": columns, "rows": []}, config, out)
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    out.writelines(map(fmt.__mod__, zip(*data)))
 
 
 def _cmd_compare_measures(args, config, out):

@@ -2,7 +2,10 @@
 
 The maximal-entropy measure of a degree-d rational map is approximated by
 backward iteration: repeatedly pull a start point back through uniformly
-chosen preimage branches and keep the endpoints.  Product measures sample
+chosen preimage branches and keep the endpoints.  A branch index is a rank:
+branch k of a fiber is its root of rank k in a canonical order of the
+roots, so the index does not depend on the order in which the solver
+returns them.  Product measures sample
 factors independently; hypersurface pullbacks solve the fiber equation per
 sample and pick one of the deg roots uniformly, realizing the normalized
 pullback measure.
@@ -10,7 +13,7 @@ pullback measure.
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
 degrades near infinity.  The fixed comparison family for discrepancy tests
 is 64 spherical caps of aperture cos(rho) = 0.5 centered on a Fibonacci
-sphere net, plus 64 equal arcs for angular statistics on the circle.
+sphere net.
 """
 
 from __future__ import annotations
@@ -98,10 +101,11 @@ def green(F: RationalMapLift, z: complex, n: int) -> GreenValue:
 # backward-orbit sampling
 # ---------------------------------------------------------------------------
 
-def _preimages(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
-    """All d preimages (with multiplicity) of each point; rows sorted canonically.
+def _fiber(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
+    """All d preimages (with multiplicity) of each point, in no particular order.
 
-    Returns (vals, invs) of shape (N, d): the fiber form is
+    Returns (vals, invs) of shape (N, d) in chart form; a non-finite root is
+    the point at infinity, w = 0 in the inverted chart.  The fiber form is
     F0(X, Y) * ty - F1(X, Y) * tx with (tx, ty) the target pair.
     """
     n = values.shape[0]
@@ -111,34 +115,55 @@ def _preimages(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
     coeffs = np.empty((n, d + 1), dtype=complex)
     for i in range(d + 1):
         coeffs[:, i] = F.f0[i] * ty - F.f1[i] * tx
-    roots = roots_batch(coeffs)
-    invs = np.abs(roots) > 1.0
-    finite = np.isfinite(roots)
+    return _to_chart(roots_batch(coeffs))
+
+
+def _to_chart(z: np.ndarray):
+    """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity."""
+    invs = np.abs(z) > 1.0
+    finite = np.isfinite(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(invs, 1.0 / roots, roots)
-    vals = np.where(finite, vals, 0.0)
-    invs = np.where(finite, invs, True)
-    # canonical in-row order so branch indices are reproducible
-    order = np.lexsort((vals.imag.round(9), vals.real.round(9), invs), axis=1)
-    rows = np.arange(n)[:, None]
-    return vals[rows, order], invs[rows, order]
+        vals = np.where(invs, 1.0 / z, z)
+    return np.where(finite, vals, 0.0), np.where(finite, invs, True)
+
+
+def _rank_select(keys, picks: np.ndarray, arrays):
+    """Per row, the entries of arrays in the column whose rank is picks.
+
+    keys and arrays are (N, d).  The keys come most significant first and
+    hold no NaN; the canonical order of a row sorts its d columns by them
+    with ties kept in column order, as a stable np.lexsort would.  The rank
+    of column i counts the columns j before it: key_j < key_i, or
+    key_j == key_i with j < i.  It comes from d(d-1)/2 vectorized key
+    comparisons, with no sort, and only the picked entries are gathered.
+    """
+    n, d = keys[0].shape
+    ranks = [np.zeros(n, dtype=np.intp) for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            # first: column i sorts before column j
+            first = keys[-1][:, i] <= keys[-1][:, j]
+            for key in keys[-2::-1]:
+                a, b = key[:, i], key[:, j]
+                first = (a < b) | ((a == b) & first)
+            ranks[i] += ~first
+            ranks[j] += first
+    out = [arr[:, 0].copy() for arr in arrays]
+    for i in range(1, d):
+        hit = ranks[i] == picks
+        for o, arr in zip(out, arrays):
+            np.copyto(o, arr[:, i], where=hit)
+    return out
 
 
 def _start_point(F: RationalMapLift, rng: np.random.Generator) -> complex:
     """A start point whose two-step preimage set is provably non-degenerate."""
     for _ in range(16):
         z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
-        vals = np.array([[z0]], dtype=complex)
-        invs = np.array([[False]])
-        v1, i1 = _preimages(F, vals[:, 0], invs[:, 0])
-        v2list = []
-        for k in range(v1.shape[1]):
-            v2, i2 = _preimages(F, v1[:, k], i1[:, k])
-            for j in range(v2.shape[1]):
-                v2list.append((complex(v2[0, j]), bool(i2[0, j])))
-        distinct = set()
-        for v, inv in v2list:
-            distinct.add((round(v.real, 6), round(v.imag, 6), inv))
+        v1, i1 = _fiber(F, np.array([z0]), np.array([False]))
+        v2, i2 = _fiber(F, v1[0], i1[0])
+        distinct = {(round(v.real, 6), round(v.imag, 6), inv)
+                    for v, inv in zip(v2.ravel().tolist(), i2.ravel().tolist())}
         if len(distinct) >= 2:
             return z0
     raise RootFindingFailure("could not find a non-exceptional backward start point")
@@ -146,7 +171,12 @@ def _start_point(F: RationalMapLift, rng: np.random.Generator) -> complex:
 
 def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
                              seed: int = 0) -> EmpiricalMeasure:
-    """Endpoints of n_samples independent uniform backward orbits of length depth."""
+    """Endpoints of n_samples independent uniform backward orbits of length depth.
+
+    Each step draws a branch index uniformly from 0..d-1 per sample and
+    moves to the preimage of that rank in the order
+    (inverted, round(re, 9), round(im, 9)) of the chart-form fiber.
+    """
     if F.degree < 2:
         raise ValueError("invariant measures need degree >= 2")
     if n_samples < 1 or depth < 1:
@@ -156,12 +186,10 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     branches = rng.integers(0, F.degree, size=(depth, n_samples))
     vals = np.full(n_samples, z0, dtype=complex)
     invs = np.zeros(n_samples, dtype=bool)
-    rows = np.arange(n_samples)
     for step in range(depth):
-        pv, pi = _preimages(F, vals, invs)
-        pick = branches[step]
-        vals = pv[rows, pick]
-        invs = pi[rows, pick]
+        pv, pi = _fiber(F, vals, invs)
+        keys = (pi, pv.real.round(9), pv.imag.round(9))
+        vals, invs = _rank_select(keys, branches[step], (pv, pi))
     return EmpiricalMeasure(vals[:, None], invs[:, None], seed, depth)
 
 
@@ -206,7 +234,9 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
 
     For each product-measure sample of the coordinates != i, the fiber binary
     form in block i is solved and one of its multidegree[i] roots is chosen
-    uniformly; identically-vanishing fibers are discarded and counted.
+    uniformly, as the root of a uniform rank in the order
+    (round(re, 9), round(im, 9)) of the affine roots; identically-vanishing
+    fibers are discarded and counted.
     """
     if H.multidegree[i - 1] <= 0:
         raise ValueError(f"H does not project dominantly when forgetting axis {i}")
@@ -227,15 +257,9 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     rng = np.random.default_rng(np.random.SeedSequence([_substream(seed, 971 + i)]))
     picks = rng.integers(0, deg, size=coeffs.shape[0])
     roots = roots_batch(coeffs / scale[good, None])
-    order = np.lexsort((roots.imag.round(9), roots.real.round(9)), axis=1)
-    rows = np.arange(coeffs.shape[0])[:, None]
-    roots = roots[rows, order]
-    chosen = roots[np.arange(coeffs.shape[0]), picks]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals_i = np.where(np.abs(chosen) > 1.0, 1.0 / chosen, chosen)
-    invs_i = np.abs(chosen) > 1.0
-    vals_i = np.where(np.isfinite(chosen), vals_i, 0.0)
-    invs_i = np.where(np.isfinite(chosen), invs_i, True)
+    # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
+    chosen, = _rank_select((roots.real.round(9), roots.imag.round(9)), picks, (roots,))
+    vals_i, invs_i = _to_chart(chosen)
     width = H.n
     out_v = np.empty((coeffs.shape[0], width), dtype=complex)
     out_i = np.empty((coeffs.shape[0], width), dtype=bool)
@@ -290,25 +314,6 @@ def cap_discrepancy(a_xyz: np.ndarray, b_xyz: np.ndarray) -> float:
     return float(np.max(np.abs(cap_fractions(a_xyz) - cap_fractions(b_xyz))))
 
 
-def arc_fractions(angles: np.ndarray, bins: int = CAP_COUNT) -> np.ndarray:
-    """Fraction of angles in each of `bins` equal arcs of the circle."""
-    idx = np.floor((np.mod(angles, 2.0 * math.pi)) / (2.0 * math.pi) * bins).astype(int)
-    idx = np.clip(idx, 0, bins - 1)
-    return np.bincount(idx, minlength=bins) / len(angles)
-
-
-def arc_discrepancy_uniform(angles: np.ndarray, bins: int = CAP_COUNT) -> float:
-    """Max deviation of arc masses from the uniform 1/bins."""
-    return float(np.max(np.abs(arc_fractions(angles, bins) - 1.0 / bins)))
-
-
 def clt_threshold(n_samples: int, caps: int = CAP_COUNT) -> float:
     """The documented heuristic threshold tau = 3 sqrt(ln(caps) / N)."""
     return 3.0 * math.sqrt(math.log(caps) / n_samples)
-
-
-def segment_distance(values: np.ndarray, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
-    """Euclidean distance from complex samples to the real segment [lo, hi]."""
-    v = np.asarray(values)
-    dx = np.maximum(np.maximum(lo - v.real, v.real - hi), 0.0)
-    return np.hypot(dx, v.imag)

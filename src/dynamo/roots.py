@@ -35,6 +35,8 @@ from .projective import (
 DEFAULT_TOL = 1e-12
 _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
 _SUM_ROWS = 256  # rows per block of the scalar Aberth sum; bounds its (rows, d) temporary
+_SEPARATION = 1e3  # closed-form starts closer than this many tolerances fall back
+_OMEGA = complex(-0.5, math.sqrt(3) / 2)  # primitive cube root of unity
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +261,16 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     degrees run Aberth sweeps (Bini, Numer. Algorithms 13 (1996)) on blocks
     of at most _BLOCK rows, transposed so that coefficients are (d+1, rows)
     and iterates (d, rows); the block bounds the (d, d, rows) temporary of
-    the Aberth sum.  A row leaves the sweep as soon as all d of its
+    the Aberth sum.  Degree-3 and degree-4 rows start from their Cardano and
+    Ferrari roots, so a well-conditioned row passes in one sweep; other
+    degrees, and rows whose closed-form starts are non-finite or nearly
+    coincident, start on the circle of radius 1 + max|c_i| (`_block_starts`).
+    A row leaves the sweep as soon as all d of its
     corrections pass the tolerance test, so its roots depend on that row
     alone: solving rows one at a time gives the same bits as one batch.
     RootFindingFailure is raised when any row is still moving after
     max_iter sweeps.  Root order within a row is unspecified here; callers
-    needing determinism must sort.
+    needing a deterministic order must order the roots by value.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
     n, w = rows.shape
@@ -297,9 +303,104 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     return out
 
 
+def _cbrt(x: np.ndarray) -> np.ndarray:
+    """Principal cube root of complex x, in polar form: faster than x ** (1/3)."""
+    r = np.cbrt(np.abs(x))
+    theta = np.angle(x) / 3
+    out = np.empty_like(x)
+    out.real = r * np.cos(theta)
+    out.imag = r * np.sin(theta)
+    return out
+
+
+def _cubic_roots(a, b, c):
+    """Roots (3, m) of the monic cubics z^3 + a z^2 + b z + c, by Cardano.
+
+    With z = t - a/3 the cubic is t^3 + p t + q, whose roots are u + v over
+    the three cube roots u of -q/2 + sqrt(q^2/4 + p^3/27), with v = -p/(3u).
+    The sign of the square root is the one that keeps |u^3| large.  A triple
+    root gives u = 0 and non-finite roots.
+    """
+    s = a * (1 / 3)
+    p = b - a * s
+    q = c - s * (b - 2 * s * s)
+    h = q * -0.5
+    disc = np.sqrt(h * h + p * p * p * (1 / 27))
+    u = _cbrt(np.where((np.conj(h) * disc).real >= 0, h + disc, h - disc))
+    v = p / u * (-1 / 3)
+    wu, wv = _OMEGA * u, _OMEGA * v
+    return np.stack([u + v - s, wu + _OMEGA * wv - s, _OMEGA * wu + wv - s])
+
+
+def _quartic_roots(a, b, c, e):
+    """Roots (4, m) of the monic quartics z^4 + a z^3 + b z^2 + c z + e, by Ferrari.
+
+    With z = y - a/4 the quartic is y^4 + p y^2 + q y + r.  For a root m of
+    the resolvent cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8, the one of
+    largest modulus, it splits into y^2 -+ sqrt(2m) y + p/2 + m +- q/(2 sqrt(2m)).
+    Each quadratic is solved without cancellation, as `roots_batch` does.
+    """
+    s = a * 0.25
+    ss = s * s
+    p = b - 6 * ss
+    q = c - 2 * s * (b - 4 * ss)
+    r = e - s * (c - s * (b - 3 * ss))
+    m0, m1, m2 = _cubic_roots(p, p * p * 0.25 - r, q * q * -0.125)
+    m = np.where(np.abs(m1) > np.abs(m0), m1, m0)
+    m = np.where(np.abs(m2) > np.abs(m), m2, m)
+    k = np.sqrt(2 * m)
+    half = p * 0.5 + m
+    shift = q / (2 * k)
+    pairs = []
+    for lin, const in ((-k, half + shift), (k, half - shift)):
+        # y^2 + lin y + const: the root t of larger modulus, then const / t
+        disc = np.sqrt(lin * lin - 4 * const)
+        disc = np.where((np.conj(lin) * disc).real < 0, -disc, disc)
+        t = (lin + disc) * -0.5
+        pairs += [t - s, const / t - s]
+    return np.stack(pairs)
+
+
+def _block_starts(cn: np.ndarray, tiny: np.ndarray, tol: float) -> np.ndarray:
+    """Aberth starts (d, m) for the monic coefficient columns cn (d+1, m).
+
+    Cubic and quartic columns start from their closed-form roots, which are
+    accurate enough that most columns pass the tolerance test in the first
+    sweep.  Every other degree starts on the circle of radius 1 + max|c_i|,
+    and so does any column whose closed-form starts are not finite, or not
+    farther apart than _SEPARATION * tol * (1 + |z|): a pair of starts that
+    close and off a root gets a correction of about their distance, which
+    the tolerance test could accept.  Columns whose leading coefficient was
+    too small to divide by (tiny) are not monic and also take the circle.
+    """
+    d = cn.shape[0] - 1
+    if d not in (3, 4):
+        return _circle_starts(cn)
+    with np.errstate(all="ignore"):
+        z = _cubic_roots(*cn[2::-1]) if d == 3 else _quartic_roots(*cn[3::-1])
+        bad = tiny | ~np.all(np.isfinite(z), axis=0)
+        bound = _SEPARATION * tol * (1.0 + np.abs(z))
+        for i in range(d):
+            for j in range(i + 1, d):
+                bad |= np.abs(z[i] - z[j]) <= bound[i]
+    if bad.any():
+        z[:, bad] = _circle_starts(cn[:, bad])
+    return z
+
+
+def _circle_starts(cn: np.ndarray) -> np.ndarray:
+    """d starts per column on the circle of radius 1 + max|c_i|, which holds every root."""
+    d = cn.shape[0] - 1
+    radius = 1.0 + np.max(np.abs(cn[:-1]), axis=0)
+    angles = 2j * np.pi * (np.arange(d) / d + 0.3 / d)
+    return np.exp(angles)[:, None] * radius[None, :]
+
+
 def _aberth_block(rows: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Aberth sweeps on at most _BLOCK rows of degree d >= 3; returns (d, m).
 
+    The sweeps start from `_block_starts`: closed-form roots for d = 3 and
+    d = 4, the circle of radius 1 + max|c_i| otherwise and as the fallback.
     The Aberth sum reduces R[j, i] = 1/(z_i - z_j) over axis 0.  numpy adds
     along an outer axis in index order whatever m is, so a column's bits do
     not depend on the columns sharing its sweep; a reduction over an inner
@@ -308,12 +409,11 @@ def _aberth_block(rows: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     m, w = rows.shape
     d = w - 1
     lead = rows[:, -1].copy()
-    lead[np.abs(lead) < 1e-300] = 1.0
+    tiny = np.abs(lead) < 1e-300
+    lead[tiny] = 1.0
     cn = np.ascontiguousarray((rows / lead[:, None]).T)
     dc = cn[1:] * np.arange(1, d + 1)[:, None]
-    radius = 1.0 + np.max(np.abs(cn[:-1]), axis=0)
-    angles = 2j * np.pi * (np.arange(d) / d + 0.3 / d)
-    z = np.exp(angles)[:, None] * radius[None, :]
+    z = _block_starts(cn, tiny, tol)
     out = np.empty_like(z)
     live = np.arange(m)
     with np.errstate(all="ignore"):

@@ -30,14 +30,11 @@ from dynamo.heights import (
     step_bound_int,
 )
 from dynamo.hypersurface import Hypersurface, diagonal_surface, graph_surface
-from dynamo.measure import (
-    arc_discrepancy_uniform,
-    sample_invariant_measure,
-    segment_distance,
-)
+from dynamo.measure import sample_invariant_measure
 from dynamo.projective import RationalMapLift, evaluate, normalize, point_from_rational
 
 from conftest import poly_lift
+from sample_stats import arc_discrepancy_uniform, segment_distance
 
 
 def _report(num, ok, detail=""):

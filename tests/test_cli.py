@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,28 @@ def test_sample_measure_sphere_chart(sq_json):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "x,y,z"
     assert len(lines) == 51
+
+
+def test_float_table_csv_matches_csv_writer():
+    # rows written by one format string are the bytes csv.writer writes
+    import csv
+
+    from dynamo.cli import RunConfig, _emit_floats
+
+    cols = [[float("inf"), float("nan"), -0.0, 1e-300, -2.5e17, 0.1],
+            [float("-inf"), 1 / 3, 0.0, -1e-300, 123456789012345.0, 7.0],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+    for width in (2, 3):
+        config = RunConfig()
+        got = io.StringIO()
+        _emit_floats(["a", "b", "c"][:width], cols[:width], config, got)
+        want = io.StringIO()
+        for k, v in {"version": dynamo.__version__, **asdict(config)}.items():
+            want.write(f"# {k}={v}\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["a", "b", "c"][:width])
+        writer.writerows([f"{v:.12g}" for v in row] for row in zip(*cols[:width]))
+        assert got.getvalue() == want.getvalue()
 
 
 def test_compare_measures(diagonal_json, sq_json, basilica_json):

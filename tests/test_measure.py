@@ -7,7 +7,6 @@ import pytest
 
 from dynamo.hypersurface import diagonal_surface, graph_surface
 from dynamo.measure import (
-    arc_discrepancy_uniform,
     cap_discrepancy,
     cap_fractions,
     clt_threshold,
@@ -16,11 +15,12 @@ from dynamo.measure import (
     pullback_to_hypersurface,
     sample_invariant_measure,
     sample_product_measure,
-    segment_distance,
     sphere_embed,
 )
 from dynamo.heights import height_step_bound
 from dynamo.projective import evaluate_cpoint, CPoint
+
+from sample_stats import arc_discrepancy_uniform, segment_distance
 
 
 def test_green_power_map_is_log_plus(sq):
@@ -198,3 +198,23 @@ def test_lattes_measure_charges_whole_sphere(sq):
     circle = sample_invariant_measure(sq, 4000, 20, seed=3)
     fr_circle = cap_fractions(circle.sphere(0))
     assert fr_circle.min() == 0.0  # polar caps never meet the unit circle
+
+
+def test_rank_select_matches_stable_lexsort():
+    # keys from small value sets, so rows hold partial and complete ties
+    from dynamo.measure import _rank_select
+
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4, 6):
+        n = 3000
+        keys = (rng.random((n, d)) < 0.5,
+                rng.integers(-2, 3, size=(n, d)) * 0.25,
+                np.round(rng.normal(size=(n, d)), 1))
+        order = np.lexsort(keys[::-1], axis=1)
+        cols = np.broadcast_to(np.arange(d), (n, d))
+        for k in range(d):
+            picked, = _rank_select(keys, np.full(n, k), (cols,))
+            assert np.array_equal(picked, order[:, k])
+        picks = rng.integers(0, d, size=n)
+        picked, = _rank_select(keys, picks, (cols,))
+        assert np.array_equal(picked, order[np.arange(n), picks])

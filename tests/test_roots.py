@@ -10,6 +10,7 @@ import pytest
 from dynamo.errors import RootFindingFailure
 from dynamo.roots import (
     _BLOCK,
+    _aberth_block,
     aberth,
     binary_form_roots,
     poly_roots_exact,
@@ -262,3 +263,102 @@ def test_polygon_starts_follow_the_root_moduli():
     assert radii == pytest.approx([1e-3, 1.0, 1e3], rel=0.01)
     # coefficients beyond the float range still give finite starts
     assert np.all(np.isfinite(polygon_starts([10**400, 0, 1])))
+
+
+# -- closed-form Aberth starts for degrees 3 and 4 ----------------------------
+
+def _monic_columns(rows):
+    rows = np.asarray(rows, dtype=complex)
+    return np.ascontiguousarray((rows / rows[:, -1:]).T)
+
+
+def _starts(rows, tol=1e-10):
+    from dynamo.roots import _block_starts
+
+    cn = _monic_columns(rows)
+    return _block_starts(cn, np.zeros(cn.shape[1], dtype=bool), tol).T
+
+
+def _assert_same_roots(got, want, tol):
+    """Each wanted root has a computed one within tol * (1 + |root|), one to one."""
+    assert len(got) == len(want)
+    dist = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
+    assert np.all(np.min(dist, axis=0) <= tol * (1 + np.abs(want)))
+    assert len(set(np.argmin(dist, axis=0).tolist())) == len(want)
+
+
+def _on_circle(rows):
+    from dynamo.roots import _circle_starts
+
+    return _circle_starts(_monic_columns(rows)).T
+
+
+def test_closed_form_starts_match_numpy_for_cubics_and_quartics():
+    rng = np.random.default_rng(31)
+    for d in (3, 4):
+        rows = rng.normal(size=(200, d + 1)) + 1j * rng.normal(size=(200, d + 1))
+        _assert_matches_numpy(rows, _starts(rows))
+
+
+def test_closed_form_starts_for_pure_powers():
+    # z^3 - w and z^4 - w: the starts are the d-th roots of w
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=50) + 1j * rng.normal(size=50)
+    for d in (3, 4):
+        rows = np.zeros((50, d + 1), dtype=complex)
+        rows[:, 0], rows[:, d] = -w, 1.0
+        starts = _starts(rows)
+        assert np.max(np.abs(starts**d - w[:, None])) <= 1e-12 * np.max(np.abs(w))
+        _assert_matches_numpy(rows, starts)
+        swept = _aberth_block(rows, 1e-10, max_iter=1).T
+        assert np.max(np.abs(swept - starts)) <= 1e-12
+
+
+def test_multiple_roots_fall_back_to_the_circle():
+    # (z - 1)^3 has no finite Cardano starts, and (z^2 + 1)^2 gives the
+    # double roots twice; both rows start on the circle and still converge
+    rows = np.array([[-1, 3, -3, 1]], dtype=complex)
+    assert np.array_equal(_starts(rows), _on_circle(rows))
+    assert np.max(np.abs(roots_batch(rows) - 1.0)) < 1e-4
+    rows = np.array([[1, 0, 2, 0, 1]], dtype=complex)
+    assert np.array_equal(_starts(rows), _on_circle(rows))
+    roots = np.sort_complex(roots_batch(rows)[0])
+    assert np.allclose(roots, [-1j, -1j, 1j, 1j], atol=1e-6)
+
+
+def test_overflowing_starts_fall_back_to_the_circle():
+    from dynamo.roots import _quartic_roots
+
+    # z^4 + 1e25 z^3 + 1: the Ferrari resolvent overflows
+    rows = np.array([[1, 0, 0, 1e25, 1]], dtype=complex)
+    with np.errstate(all="ignore"):
+        raw = _quartic_roots(*_monic_columns(rows)[3::-1])
+    assert not np.all(np.isfinite(raw))
+    assert np.array_equal(_starts(rows), _on_circle(rows))
+    small = (1e-25) ** (1 / 3) * np.exp(1j * np.pi * np.array([-1, 1, 3]) / 3)
+    _assert_same_roots(roots_batch(rows)[0], np.concatenate([[-1e25], small]), 1e-12)
+
+
+def test_coincident_starts_off_a_root_fall_back_to_the_circle():
+    from dynamo.roots import _cubic_roots
+
+    # z^3 - 3e8 z^2 - z - 3: the shift by 1e8 rounds both small roots of
+    # Cardano to 0, while the true ones are about +-1e-4 i.  From those
+    # starts the Aberth sum is infinite and the sweep would stop at once.
+    rows = np.array([[-3, -1, -3e8, 1]], dtype=complex)
+    raw = _cubic_roots(*_monic_columns(rows)[2::-1])[:, 0]
+    assert raw[1] == raw[2] == 0
+    assert np.array_equal(_starts(rows), _on_circle(rows))
+    _assert_same_roots(roots_batch(rows)[0], np.roots(rows[0, ::-1]), 1e-12)
+
+
+def test_fiber_rows_converge_in_one_sweep():
+    # fibers z^3 + 1 - w and Lattes (z^2 + 1)^2 - 4 w (z^3 - z) over targets
+    # w in the unit disk: the closed-form starts already pass the test
+    rng = np.random.default_rng(33)
+    w = 0.7 * (rng.random(300) * np.exp(2j * np.pi * rng.random(300)))
+    cubic = np.stack([1 - w, 0 * w, 0 * w, 1 + 0 * w], axis=1)
+    lattes = np.stack([1 + 0 * w, 4 * w, 2 + 0 * w, -4 * w, 1 + 0 * w], axis=1)
+    for rows in (cubic, lattes):
+        roots = _aberth_block(rows, 1e-10, max_iter=1).T
+        _assert_matches_numpy(rows, roots)
