@@ -132,7 +132,8 @@ class MeasureCompareResult:
 def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_000,
                     depth: int = 30, seed: int = 0,
                     slice_axis: int | None = None, slice_center: complex = 0.0,
-                    slice_width: float = 0.5) -> MeasureCompareResult:
+                    slice_width: float = 0.5,
+                    columns: dict | None = None) -> MeasureCompareResult:
     """Cap discrepancy between the pullback measures through axes i and j.
 
     D is the maximum over coordinate charts and the fixed 64-cap family of
@@ -142,9 +143,15 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
 
     Slice mode (optional): restrict both samples to a tube |x_a - c| < width
     around a value of one coordinate and compare the remaining 1-D caps.
+
+    columns memoizes the product-measure columns (`sample_product_measure`);
+    callers comparing several pairs pass one dict to all of them.
     """
-    out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed)
-    out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed)
+    columns = {} if columns is None else columns
+    out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
+                                     columns=columns)
+    out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,
+                                     columns=columns)
     per_chart = []
     stat = 0.0
     for axis in range(H.n):
@@ -288,12 +295,13 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
             failed.append(f"fiber test on axis {i}: {res.fails} certified "
                           f"non-preperiodic witnesses")
     measure_tests = {}
+    columns = {}  # each axis's invariant-measure sample, drawn once
     axes = [i for i in range(1, H.n + 1) if dom["axis"][i]]
     for a in range(len(axes)):
         for b in range(a + 1, len(axes)):
             i, j = axes[a], axes[b]
             res = measure_compare(H, maps, i, j, n_samples=config.samples,
-                                  depth=config.depth, seed=config.seed)
+                                  depth=config.depth, seed=config.seed, columns=columns)
             measure_tests[(i, j)] = res
             if not res.equal_within_noise:
                 failed.append(

@@ -453,10 +453,13 @@ def decide_preperiodic(F: RationalMapLift, p,
     """
     if F.degree < 2:
         raise ValueError("preperiodicity needs degree >= 2")
-    p = point_from_rational(p)
+    return _decide(F, point_from_rational(p), step_bound_int(F), cap_digits)
+
+
+def _decide(F: RationalMapLift, p: ProjectivePoint, bound_k: int,
+            cap_digits: int) -> PreperiodicityVerdict:
+    """`decide_preperiodic` with the step bound K = step_bound_int(F) given."""
     d = F.degree
-    bound_k = step_bound_int(F)
-    c_const = log_int(bound_k)
     orbit = {p: 0}
     cur = p
     n = 0
@@ -464,7 +467,7 @@ def decide_preperiodic(F: RationalMapLift, p,
         m = max(abs(cur.x), abs(cur.y))
         if m ** (d - 1) > bound_k:
             # canonical height of cur exceeds h(cur) - C/(d-1) > 0
-            lower = (log_int(m) - c_const / (d - 1)) / d ** n
+            lower = (log_int(m) - log_int(bound_k) / (d - 1)) / d ** n
             return PreperiodicityVerdict(False, height_lower_bound=lower,
                                          certificate_index=n)
         cur, _ = _orbit_step(F, cur, cap_digits)
@@ -481,23 +484,29 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100,
 
     Preperiodic points satisfy max(|p|,|q|)^(d-1) <= K exactly, which prunes
     the search box to the provably possible region before deciding each
-    candidate.
+    candidate; K is computed once for the whole search.
     """
+    if F.degree < 2:
+        raise ValueError("preperiodicity needs degree >= 2")
     bound_k = step_bound_int(F)
     d = F.degree
     m_max = 1
     while (m_max + 1) ** (d - 1) <= bound_k:
         m_max += 1
     m_max = min(m_max, box)
+
+    def preperiodic(pt):
+        return _decide(F, pt, bound_k, DEFAULT_DIGIT_CAP).preperiodic
+
     out = []
-    if include_infinity and decide_preperiodic(F, ProjectivePoint(1, 0)).preperiodic:
+    if include_infinity and preperiodic(ProjectivePoint(1, 0)):
         out.append(ProjectivePoint(1, 0))
     for q in range(1, m_max + 1):
         for pnum in range(-m_max, m_max + 1):
             if math.gcd(abs(pnum), q) != 1:
                 continue
             pt = ProjectivePoint(pnum, q)
-            if decide_preperiodic(F, pt).preperiodic:
+            if preperiodic(pt):
                 out.append(pt)
     return out
 

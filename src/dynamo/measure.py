@@ -2,7 +2,9 @@
 
 The maximal-entropy measure of a degree-d rational map is approximated by
 backward iteration: repeatedly pull a start point back through uniformly
-chosen preimage branches and keep the endpoints.  A branch index is a rank:
+chosen preimage branches and keep the endpoints.  The orbits walk the
+preimage tree of the start point, so a step solves each distinct node's
+fiber once, not one fiber per sample.  A branch index is a rank:
 branch k of a fiber is its root of rank k in a canonical order of the
 roots, so the index does not depend on the order in which the solver
 returns them.  Product measures sample
@@ -127,15 +129,14 @@ def _to_chart(z: np.ndarray):
     return np.where(finite, vals, 0.0), np.where(finite, invs, True)
 
 
-def _rank_select(keys, picks: np.ndarray, arrays):
-    """Per row, the entries of arrays in the column whose rank is picks.
+def _rank_order(keys) -> np.ndarray:
+    """Per row, the column of each rank: out[r, k] is row r's column of rank k.
 
-    keys and arrays are (N, d).  The keys come most significant first and
-    hold no NaN; the canonical order of a row sorts its d columns by them
-    with ties kept in column order, as a stable np.lexsort would.  The rank
-    of column i counts the columns j before it: key_j < key_i, or
-    key_j == key_i with j < i.  It comes from d(d-1)/2 vectorized key
-    comparisons, with no sort, and only the picked entries are gathered.
+    keys are (N, d) arrays, most significant first, holding no NaN; the
+    canonical order of a row sorts its d columns by them with ties kept in
+    column order, as a stable np.lexsort would.  The rank of column i counts
+    the columns j before it: key_j < key_i, or key_j == key_i with j < i.  It
+    comes from d(d-1)/2 vectorized key comparisons, with no sort.
     """
     n, d = keys[0].shape
     ranks = [np.zeros(n, dtype=np.intp) for _ in range(d)]
@@ -148,12 +149,11 @@ def _rank_select(keys, picks: np.ndarray, arrays):
                 first = (a < b) | ((a == b) & first)
             ranks[i] += ~first
             ranks[j] += first
-    out = [arr[:, 0].copy() for arr in arrays]
-    for i in range(1, d):
-        hit = ranks[i] == picks
-        for o, arr in zip(out, arrays):
-            np.copyto(o, arr[:, i], where=hit)
-    return out
+    order = np.empty(n * d, dtype=np.intp)
+    row_start = np.arange(0, n * d, d)
+    for i in range(d):
+        order[row_start + ranks[i]] = i
+    return order.reshape(n, d)
 
 
 def _start_point(F: RationalMapLift, rng: np.random.Generator) -> complex:
@@ -176,36 +176,59 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     Each step draws a branch index uniformly from 0..d-1 per sample and
     moves to the preimage of that rank in the order
     (inverted, round(re, 9), round(im, 9)) of the chart-form fiber.
+
+    The orbits walk the preimage tree of the start point, whose level k has
+    at most d^k nodes, so the loop keeps the distinct nodes of a level and
+    each sample's node index.  A step solves and ranks each node's fiber
+    once; the children some sample draws become the next level's nodes.
+    Fiber rows are solved independently, so every sample has the bits it
+    would get from solving its own fiber at each step.
     """
     if F.degree < 2:
         raise ValueError("invariant measures need degree >= 2")
     if n_samples < 1 or depth < 1:
         raise ValueError("n_samples and depth must be >= 1")
+    d = F.degree
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
     z0 = _start_point(F, rng)
-    branches = rng.integers(0, F.degree, size=(depth, n_samples))
-    vals = np.full(n_samples, z0, dtype=complex)
-    invs = np.zeros(n_samples, dtype=bool)
+    branches = rng.integers(0, d, size=(depth, n_samples))
+    vals = np.array([z0])
+    invs = np.zeros(1, dtype=bool)
+    node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into vals
     for step in range(depth):
         pv, pi = _fiber(F, vals, invs)
-        keys = (pi, pv.real.round(9), pv.imag.round(9))
-        vals, invs = _rank_select(keys, branches[step], (pv, pi))
-    return EmpiricalMeasure(vals[:, None], invs[:, None], seed, depth)
+        order = _rank_order((pi, pv.real.round(9), pv.imag.round(9)))
+        # child (node, branch), renumbered densely among the drawn children
+        child = node * d + branches[step]
+        drawn = np.zeros(pv.size, dtype=bool)
+        drawn[child] = True
+        node = (np.cumsum(drawn) - 1)[child]
+        kids = np.flatnonzero(drawn)
+        # the kid (node, branch) is the node's root in the column of that rank
+        roots = kids - kids % d + order.ravel()[kids]
+        vals, invs = pv.ravel()[roots], pi.ravel()[roots]
+    return EmpiricalMeasure(vals[node, None], invs[node, None], seed, depth)
 
 
 def sample_product_measure(maps, skip: int, n_samples: int, depth: int,
-                           seed: int = 0) -> EmpiricalMeasure:
+                           seed: int = 0, columns: dict | None = None) -> EmpiricalMeasure:
     """Independent coordinatewise samples of the product measure skipping index `skip`.
 
     `skip` is 1-based to match coordinate-axis numbering; columns keep the
-    order of the remaining maps.
+    order of the remaining maps.  Column j depends on (map j, n_samples,
+    depth, seed, j) alone; columns memoizes each column's sample under that
+    key, so callers sampling several products pass one dict to all of them.
     """
+    columns = {} if columns is None else columns
     cols_v = []
     cols_i = []
     for j, F in enumerate(maps, start=1):
         if j == skip:
             continue
-        sub = sample_invariant_measure(F, n_samples, depth, seed=_substream(seed, j))
+        key = (F, n_samples, depth, _substream(seed, j))
+        if key not in columns:
+            columns[key] = sample_invariant_measure(F, n_samples, depth, seed=key[-1])
+        sub = columns[key]
         cols_v.append(sub.values[:, 0])
         cols_i.append(sub.inverted[:, 0])
     if not cols_v:
@@ -229,18 +252,19 @@ class PullbackSample:
 
 
 def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
-                             seed: int = 0) -> PullbackSample:
+                             seed: int = 0, columns: dict | None = None) -> PullbackSample:
     """Sample the normalized pullback of the product measure through axis i.
 
     For each product-measure sample of the coordinates != i, the fiber binary
     form in block i is solved and one of its multidegree[i] roots is chosen
     uniformly, as the root of a uniform rank in the order
     (round(re, 9), round(im, 9)) of the affine roots; identically-vanishing
-    fibers are discarded and counted.
+    fibers are discarded and counted.  columns is passed to
+    `sample_product_measure`.
     """
     if H.multidegree[i - 1] <= 0:
         raise ValueError(f"H does not project dominantly when forgetting axis {i}")
-    base = sample_product_measure(maps, i, n_samples, depth, seed=seed)
+    base = sample_product_measure(maps, i, n_samples, depth, seed=seed, columns=columns)
     others = [j for j in range(1, H.n + 1) if j != i]
     deg = H.multidegree[i - 1]
     n = base.size
@@ -258,7 +282,9 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     picks = rng.integers(0, deg, size=coeffs.shape[0])
     roots = roots_batch(coeffs / scale[good, None])
     # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
-    chosen, = _rank_select((roots.real.round(9), roots.imag.round(9)), picks, (roots,))
+    order = _rank_order((roots.real.round(9), roots.imag.round(9)))
+    rows = np.arange(roots.shape[0])
+    chosen = roots[rows, order[rows, picks]]
     vals_i, invs_i = _to_chart(chosen)
     width = H.n
     out_v = np.empty((coeffs.shape[0], width), dtype=complex)

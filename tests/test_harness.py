@@ -177,7 +177,7 @@ def test_insufficient_preperiodic_supply():
 def test_mm_verify_names_certificate_contradiction(sq, monkeypatch):
     # the diagonal is invariant under (z^2, z^2), so the pair curve is
     # certified; a (forced) measure failure must not be hidden behind it
-    def failing_compare(H, maps, i, j, n_samples, depth, seed):
+    def failing_compare(H, maps, i, j, n_samples, depth, seed, columns=None):
         return MeasureCompareResult(0.5, 0.1, (0.5, 0.5), n_samples, (0, 0))
 
     monkeypatch.setattr(dynamo.harness, "measure_compare", failing_compare)
@@ -211,3 +211,36 @@ def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
         alone = fiber_preperiodicity_test(linear_sum_surface(), maps, i, trials=cfg.trials,
                                           seed=cfg.seed + i, supply_box=cfg.supply_box)
         assert rep.fiber_tests[i] == alone
+
+
+def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
+    # x1 + x2 + x3 = 0: three pairs, two pullbacks each, two product columns
+    # per pullback; the columns depend on the axis alone, so three are drawn
+    import dynamo.measure
+
+    cfg = MMConfig(samples=500, depth=10, trials=5, seed=7)
+    maps = [basilica] * 3
+    pullback = dynamo.harness.pullback_to_hypersurface
+
+    def unshared(*args, **kwargs):
+        return pullback(*args, **{**kwargs, "columns": None})
+
+    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", unshared)
+    alone = mm_verify(linear_sum_surface(), maps, cfg)
+    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", pullback)
+
+    seeds = []
+    sample = dynamo.measure.sample_invariant_measure
+
+    def counting(F, n_samples, depth, seed=0):
+        seeds.append(seed)
+        return sample(F, n_samples, depth, seed=seed)
+
+    monkeypatch.setattr(dynamo.measure, "sample_invariant_measure", counting)
+    rep = mm_verify(linear_sum_surface(), maps, cfg)
+    assert len(seeds) == len(set(seeds)) == 3
+    # classifications hold numeric points without value equality
+    assert rep.measure_tests == alone.measure_tests
+    assert rep.fiber_tests == alone.fiber_tests
+    assert rep.failed_conditions == alone.failed_conditions
+    assert rep.verdict == alone.verdict

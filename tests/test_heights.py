@@ -201,6 +201,42 @@ def test_rational_preperiodic_points_power(sq):
     assert affine == ["-1", "0", "1"]
 
 
+def test_rational_preperiodic_points_needs_degree_two():
+    # at degree 1 the pruning bound max(|p|, |q|)^(d-1) <= K holds for every
+    # point, so the search for the pruned box would never stop
+    with pytest.raises(ValueError):
+        rational_preperiodic_points(RationalMapLift.make([1, 2], [1, 0]), box=5)
+
+
+# the eight benchmark maps: z^2, z^2 - 1, z^3 + 1, z^2 + 1/4, T_2, T_3, the
+# Lattes doubling on y^2 = x^3 - x and (z^2 + 1) / (2 z^2)
+BENCH_MAPS = [{"num": ["0", "0", "1"]}, {"num": ["-1", "0", "1"]},
+              {"num": ["1", "0", "0", "1"]}, {"num": ["1/4", "0", "1"]},
+              {"num": ["-2", "0", "1"]}, {"num": ["0", "-3", "0", "1"]},
+              {"num": ["1", "0", "2", "0", "1"], "den": ["0", "-4", "0", "4"]},
+              {"num": ["1", "0", "1"], "den": ["0", "0", "2"]}]
+
+
+@pytest.mark.parametrize("spec", BENCH_MAPS)
+def test_rational_preperiodic_points_one_decision_per_candidate(spec):
+    # the search shares one step bound among its candidates; its output is
+    # that of deciding every candidate of the pruned box on its own
+    from dynamo.projective import map_from_json
+
+    F = map_from_json(spec)
+    box = 100
+    k = step_bound_int(F)
+    m_max = 1
+    while (m_max + 1) ** (F.degree - 1) <= k:
+        m_max += 1
+    m_max = min(m_max, box)
+    candidates = [ProjectivePoint(1, 0)] + [
+        ProjectivePoint(p, q) for q in range(1, m_max + 1) for p in range(-m_max, m_max + 1)
+        if math.gcd(abs(p), q) == 1]
+    want = [pt for pt in candidates if decide_preperiodic(F, pt).preperiodic]
+    assert rational_preperiodic_points(F, box=box) == want
+
+
 def test_place_logs_sum_to_zero():
     from dynamo.heights import Place, factorize
 

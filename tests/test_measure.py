@@ -20,6 +20,7 @@ from dynamo.measure import (
 from dynamo.heights import height_step_bound
 from dynamo.projective import evaluate_cpoint, CPoint
 
+from conftest import poly_lift
 from sample_stats import arc_discrepancy_uniform, segment_distance
 
 
@@ -200,9 +201,9 @@ def test_lattes_measure_charges_whole_sphere(sq):
     assert fr_circle.min() == 0.0  # polar caps never meet the unit circle
 
 
-def test_rank_select_matches_stable_lexsort():
+def test_rank_order_matches_stable_lexsort():
     # keys from small value sets, so rows hold partial and complete ties
-    from dynamo.measure import _rank_select
+    from dynamo.measure import _rank_order
 
     rng = np.random.default_rng(41)
     for d in (2, 3, 4, 6):
@@ -210,11 +211,77 @@ def test_rank_select_matches_stable_lexsort():
         keys = (rng.random((n, d)) < 0.5,
                 rng.integers(-2, 3, size=(n, d)) * 0.25,
                 np.round(rng.normal(size=(n, d)), 1))
-        order = np.lexsort(keys[::-1], axis=1)
-        cols = np.broadcast_to(np.arange(d), (n, d))
-        for k in range(d):
-            picked, = _rank_select(keys, np.full(n, k), (cols,))
-            assert np.array_equal(picked, order[:, k])
-        picks = rng.integers(0, d, size=n)
-        picked, = _rank_select(keys, picks, (cols,))
-        assert np.array_equal(picked, order[np.arange(n), picks])
+        assert np.array_equal(_rank_order(keys), np.lexsort(keys[::-1], axis=1))
+
+
+# -- the preimage-tree loop against a row-by-row oracle ---------------------------
+
+def _row_by_row(F, n_samples, depth, seed):
+    """The backward orbits with one fiber row per sample at every step.
+
+    Draws exactly what `sample_invariant_measure` draws from the same stream,
+    then solves all N fibers each step and takes the root of the drawn rank
+    in a stable np.lexsort on (inverted, round(re, 9), round(im, 9)).
+    """
+    from dynamo.measure import _fiber, _start_point
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
+    z0 = _start_point(F, rng)
+    branches = rng.integers(0, F.degree, size=(depth, n_samples))
+    vals = np.full(n_samples, z0, dtype=complex)
+    invs = np.zeros(n_samples, dtype=bool)
+    rows = np.arange(n_samples)
+    for step in range(depth):
+        pv, pi = _fiber(F, vals, invs)
+        order = np.lexsort((pv.imag.round(9), pv.real.round(9), pi), axis=1)
+        cols = order[rows, branches[step]]
+        vals, invs = pv[rows, cols], pi[rows, cols]
+    return vals, invs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n_samples, depth", [(3000, 5), (200, 30)])
+def test_tree_sampler_matches_row_by_row_oracle(d, n_samples, depth):
+    # (3000, 5): more samples than leaves (4^5 = 1024), so nodes are shared.
+    # z^2 - 1, z^3 + 1 and the Lattes map, whose poles put roots in both charts
+    from dynamo.exceptional import lattes_doubling
+
+    F = {2: poly_lift(-1, 0, 1), 3: poly_lift(1, 0, 0, 1), 4: lattes_doubling(0, 1)}[d]
+    for seed in (0, 9):
+        m = sample_invariant_measure(F, n_samples, depth, seed=seed)
+        vals, invs = _row_by_row(F, n_samples, depth, seed)
+        assert m.values[:, 0].tobytes() == vals.tobytes()
+        assert np.array_equal(m.inverted[:, 0], invs)
+
+
+@pytest.mark.parametrize("coeffs, n_samples, depth, bound", [
+    ((1, 0, 0, 1), 30_000, 6, 364),     # z^3 + 1: 364 nodes for 180 000 orbit steps
+    ((-1, 0, 1), 4_000, 30, 76_095),    # z^2 - 1: from level 12 on, 2^k > N
+])
+def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples, depth,
+                                                  bound):
+    import dynamo.measure as measure
+
+    F = poly_lift(*coeffs)
+    rows = []
+    searching = []
+    solve, start = measure.roots_batch, measure._start_point
+
+    def counting_solve(coeff_rows, *args, **kwargs):
+        if not searching:
+            rows.append(coeff_rows.shape[0])
+        return solve(coeff_rows, *args, **kwargs)
+
+    def uncounted_start(*args):
+        searching.append(True)
+        try:
+            return start(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(measure, "roots_batch", counting_solve)
+    monkeypatch.setattr(measure, "_start_point", uncounted_start)
+    measure.sample_invariant_measure(F, n_samples, depth, seed=3)
+    assert bound == sum(min(n_samples, F.degree**k) for k in range(depth))
+    assert len(rows) == depth
+    assert sum(rows) <= bound
