@@ -8,7 +8,9 @@ mpoly.resultant_formal (modular evaluation, interpolation and CRT up to a
 proven coefficient bound) from the dense coefficient matrix of C.  The only
 post-processing is content/monomial bookkeeping and squarefree reduction.
 Every pushforward is verified by mapping sampled points of C through (f, g)
-and checking they annihilate the output form.
+and checking they annihilate the output form: the fiber rows of the sample
+are solved in one `roots_batch` call, and the form is evaluated at all the
+image points in one dense product.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, EliminationFailure
-from .hypersurface import Hypersurface, _multiply_out
+from .hypersurface import Hypersurface
 from .mpoly import bivar_squarefree, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
     CPoint,
     RationalMapLift,
     digits_of,
-    evaluate_cpoint,
+    form_eval,
 )
 from .roots import roots_batch
 
@@ -67,30 +69,47 @@ def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve
     return Hypersurface.make(2, (du, ds), out)
 
 
-def _sample_curve_points(C: Curve2, count: int, rng: np.random.Generator):
+def _sample_curve_points(C: Curve2, count: int, rng: np.random.Generator) -> np.ndarray:
     """Numeric points on C: random x1 values, x2 from the fiber roots.
 
     When the form does not involve block 2 (a union of vertical lines), x1
     ranges over the roots instead and the random value stands in for x2.
+    The k = ceil(count / roots per row) fiber rows are solved by one
+    `roots_batch` call.  Their random values come from one normal draw of
+    2k numbers, the stream of k scalar pairs; rows of scale below 1e-12 are
+    skipped and replaced from the same stream, and no row past the k-th
+    usable one is drawn.  Each row is built on Python complex scalars, and
+    roots_batch solves each row on its own, so the points are those of
+    drawing and solving one row at a time.  Returns the (4, count) complex
+    array of sup-normalized pairs x1, y1, x2, y2.
     """
-    pts = []
-    guard = 0
     d2 = C.multidegree[1]
     free = 2 if d2 else 1
-    while len(pts) < count and guard < 40 * count:
-        guard += 1
-        z = complex(rng.normal(), rng.normal())
-        p1 = CPoint.from_affine(z)
-        row = C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
-        scale = np.max(np.abs(row))
-        if d2 and scale < 1e-12:
-            continue
-        for r in roots_batch(row / scale)[0]:
-            if len(pts) < count:
-                pts.append((p1, _chartpoint(r)) if d2 else (_chartpoint(r), p1))
-    if len(pts) < count:
+    per_row = C.multidegree[free - 1]
+    if not per_row:
+        raise EliminationFailure("a constant form has no points to sample")
+    need = -(-count // per_row)
+    budget = 40 * count
+    fixed, rows = [], []
+    while len(fixed) < need and budget:
+        take = min(need - len(fixed), budget)
+        budget -= take
+        draws = rng.normal(size=2 * take).tolist()
+        drawn = [CPoint.from_affine(complex(re, im))
+                 for re, im in zip(draws[0::2], draws[1::2])]
+        block = np.concatenate([C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
+                                for p1 in drawn])
+        scale = np.abs(block).max(axis=1)
+        keep = ~(scale < 1e-12) if d2 else np.ones(take, dtype=bool)
+        fixed += [p1 for p1, k in zip(drawn, keep) if k]
+        rows.append(block[keep] / scale[keep, None])
+    if len(fixed) < need:
         raise EliminationFailure("could not sample enough numeric points on the curve")
-    return pts
+    roots = roots_batch(np.concatenate(rows)).ravel()[:count]
+    pts = [(fixed[k // per_row], _chartpoint(r)) for k, r in enumerate(roots)]
+    if not d2:
+        pts = [(p1, p2) for p2, p1 in pts]
+    return np.array([[p1.x, p1.y, p2.x, p2.y] for p1, p2 in pts]).T
 
 
 def _chartpoint(r: complex) -> CPoint:
@@ -126,19 +145,37 @@ def _verify_pushforward(C, image, f, g, tol, samples, rng=None) -> None:
     except OverflowError as exc:  # a coefficient of C beyond the double range
         raise EliminationFailure("curve coefficients exceed the float range of "
                                  "the numeric verification") from exc
-    scaled = image.scaled_coefficients().items()
-    residuals = []
-    for p1, p2 in pts:
-        u = evaluate_cpoint(f, p1)
-        s = evaluate_cpoint(g, p2)
-        values = {1: (u.x, u.y), 2: (s.x, s.y)}
-        residuals.append(abs(sum(val for _, val in
-                                 _multiply_out(scaled, image.multidegree, values))))
-    worst = max(residuals)
-    if worst > tol:
+    residuals = _residuals(image, f, g, pts)
+    worst = residuals.max()
+    if not worst <= tol:  # a NaN residual verifies nothing: it fails too
         raise EliminationFailure(
             f"pushforward verification failed: worst residual {worst:.3e} over "
             f"{len(residuals)} sampled points (tol {tol:.0e})")
+
+
+def _residuals(image, f, g, pts) -> np.ndarray:
+    """|image form| at (f, g) of each point, coefficients scaled to max 1."""
+    x1, y1, x2, y2 = pts
+    du, ds = image.multidegree
+    coef = np.zeros((du + 1, ds + 1))
+    for (i, j), c in image.scaled_coefficients().items():
+        coef[i, j] = c
+    return np.abs(np.einsum("ki,ij,kj->k", _image_powers(f, x1, y1, du), coef,
+                            _image_powers(g, x2, y2, ds)))
+
+
+def _image_powers(F: RationalMapLift, x, y, deg: int) -> np.ndarray:
+    """Rows (u^k v^(deg-k))_k, (u : v) the sup-normalized image of each (x : y)."""
+    u, v = form_eval(F.f0, x, y), form_eval(F.f1, x, y)
+    m = np.maximum(np.abs(u), np.abs(v))
+    return _powers(u / m, deg) * _powers(v / m, deg)[:, ::-1]
+
+
+def _powers(z: np.ndarray, deg: int) -> np.ndarray:
+    """Rows (z^0, ..., z^deg) by repeated products."""
+    out = np.ones((len(z), deg + 1), dtype=complex)
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1)
 
 
 @dataclass(frozen=True)

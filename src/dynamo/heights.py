@@ -45,6 +45,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .projective import (
     DEFAULT_DIGIT_CAP,
     ProjectivePoint,
@@ -53,6 +55,7 @@ from .projective import (
     check_cap,
     evaluate,
     form_eval,
+    int_root_floor,
     point_from_rational,
 )
 
@@ -478,22 +481,33 @@ def _decide(F: RationalMapLift, p: ProjectivePoint, bound_k: int,
         orbit[cur] = n
 
 
+#: candidates per int64 block of the preperiodic-point search
+_SEARCH_BLOCK = 1 << 16
+
+
 def rational_preperiodic_points(F: RationalMapLift, box: int = 100,
                                 include_infinity: bool = True) -> list[ProjectivePoint]:
     """All rational preperiodic points with max(|p|,|q|) <= box.
 
-    Preperiodic points satisfy max(|p|,|q|)^(d-1) <= K exactly, which prunes
-    the search box to the provably possible region before deciding each
-    candidate; K is computed once for the whole search.
+    A preperiodic point has max(|p|,|q|) <= t = floor(K^(1/(d-1))), K from
+    `step_bound_int` and t by integer Newton, which prunes the search box.
+    One exact step then runs on the whole coprime box at once in int64: a
+    candidate whose reduced image leaves the t-box is certified wandering,
+    the verdict `_decide` reaches at its first step (the image is larger
+    than the start, so it cannot close a cycle).  Only the other candidates
+    are decided one by one, in box order.  When L m^d >= 2^62 (L the larger
+    coefficient L1 norm, m the pruned box) int64 could overflow, and every
+    candidate is decided one by one.
     """
     if F.degree < 2:
         raise ValueError("preperiodicity needs degree >= 2")
-    bound_k = step_bound_int(F)
+    lip, bez = _step_constants(F)
+    bound_k = max(lip, bez, 1)
     d = F.degree
-    m_max = 1
-    while (m_max + 1) ** (d - 1) <= bound_k:
-        m_max += 1
-    m_max = min(m_max, box)
+    t = int_root_floor(bound_k, d - 1)
+    m_max = min(t, box)
+    one_step = lip * m_max ** d < 2 ** 62
+    threshold = min(t, 2 ** 62)  # images are below 2^62 whenever one_step holds
 
     def preperiodic(pt):
         return _decide(F, pt, bound_k, DEFAULT_DIGIT_CAP).preperiodic
@@ -501,11 +515,19 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100,
     out = []
     if include_infinity and preperiodic(ProjectivePoint(1, 0)):
         out.append(ProjectivePoint(1, 0))
-    for q in range(1, m_max + 1):
-        for pnum in range(-m_max, m_max + 1):
-            if math.gcd(abs(pnum), q) != 1:
-                continue
-            pt = ProjectivePoint(pnum, q)
+    side = np.arange(-m_max, m_max + 1, dtype=np.int64)
+    per_block = max(1, _SEARCH_BLOCK // (2 * m_max + 1))
+    for q0 in range(1, m_max + 1, per_block):
+        qs = np.arange(q0, min(q0 + per_block, m_max + 1), dtype=np.int64)
+        q, p = np.repeat(qs, side.size), np.tile(side, qs.size)
+        coprime = np.gcd(p, q) == 1
+        p, q = p[coprime], q[coprime]
+        if one_step:
+            x0, x1 = form_eval(F.f0, p, q), form_eval(F.f1, p, q)
+            near = np.maximum(np.abs(x0), np.abs(x1)) // np.gcd(x0, x1) <= threshold
+            p, q = p[near], q[near]
+        for pnum, qden in zip(p.tolist(), q.tolist()):
+            pt = ProjectivePoint(pnum, qden)
             if preperiodic(pt):
                 out.append(pt)
     return out

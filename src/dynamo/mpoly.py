@@ -35,6 +35,7 @@ import numpy as np
 from .projective import (
     _prime,
     content,
+    int_root_floor,
     poly_deriv,
     poly_div_exact,
     poly_gcd_q,
@@ -309,15 +310,7 @@ def int_nth_root(n: int, e: int) -> int | None:
             return None
         r = int_nth_root(-n, e)
         return None if r is None else -r
-    if n in (0, 1):
-        return n
-    # integer Newton from 2^ceil(bits / e) >= n^(1/e) descends to floor(n^(1/e))
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            break
-        x = y
+    x = int_root_floor(n, e)
     return x if x**e == n else None
 
 

@@ -234,6 +234,19 @@ def content(coeffs) -> int:
     return g
 
 
+def int_root_floor(n: int, e: int) -> int:
+    """floor(n^(1/e)) for an int n >= 0 and e >= 1, by integer Newton."""
+    if n < 2:
+        return n
+    # from 2^ceil(bits / e) >= n^(1/e) the iteration descends to the floor
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 # The helpers below read a coefficient list as a univariate polynomial,
 # ascending powers; `not c` is the zero test, so the trim and the
 # pseudo-remainder work alike on int and Fraction coefficients.

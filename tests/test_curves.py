@@ -1,10 +1,29 @@
 """Curve pushforward by resultant elimination, and curve orbits."""
 
+import copy
 import hashlib
 import json
 
-from dynamo.curves import curve_orbit, curve_pushforward, make_curve
-from dynamo.hypersurface import diagonal_surface, graph_surface, hypersurface_to_json
+import numpy as np
+import pytest
+
+from dynamo.curves import (
+    _chartpoint,
+    _residuals,
+    _sample_curve_points,
+    curve_orbit,
+    curve_pushforward,
+    make_curve,
+)
+from dynamo.errors import EliminationFailure, RootFindingFailure
+from dynamo.hypersurface import (
+    _multiply_out,
+    diagonal_surface,
+    graph_surface,
+    hypersurface_to_json,
+)
+from dynamo.projective import CPoint, evaluate_cpoint
+from dynamo.roots import roots_batch
 
 def test_diagonal_invariant_under_square(sq):
     D = diagonal_surface()
@@ -126,3 +145,133 @@ def test_pushforward_of_line_with_huge_slope(sq):
     line = make_curve({(0, 1): 1, (1, 0): -(10**80)}, (1, 1))
     image = curve_pushforward(line, sq, sq)
     assert image == make_curve({(0, 1): 1, (1, 0): -(10**160)}, (1, 1))
+
+
+def _sample_one_row_at_a_time(C, count, rng):
+    """The verification sampler as a per-point loop: one draw and one solve per row."""
+    pts = []
+    guard = 0
+    d2 = C.multidegree[1]
+    free = 2 if d2 else 1
+    while len(pts) < count and guard < 40 * count:
+        guard += 1
+        z = complex(rng.normal(), rng.normal())
+        p1 = CPoint.from_affine(z)
+        row = C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
+        scale = np.max(np.abs(row))
+        if d2 and scale < 1e-12:
+            continue
+        for r in roots_batch(row / scale)[0]:
+            if len(pts) < count:
+                pts.append((p1, _chartpoint(r)) if d2 else (_chartpoint(r), p1))
+    if len(pts) < count:
+        raise EliminationFailure("could not sample enough numeric points on the curve")
+    return np.array([[p1.x, p1.y, p2.x, p2.y] for p1, p2 in pts]).T
+
+
+class _Stream:
+    """A fixed list of normal deviates, served one at a time or as an array."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def normal(self, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        return out[0] if size is None else np.array(out)
+
+
+# (x1 - 1)(x2 - 2): the fiber over x1 = 1 vanishes identically
+_DEGENERATE_AT_ONE = make_curve({(1, 1): 1, (1, 0): -2, (0, 1): -1, (0, 0): 2}, (1, 1))
+
+# rows of degree 1, 2 and 8 in x2, then forms without x2 (vertical lines)
+_SAMPLED_CURVES = [
+    diagonal_surface(),
+    graph_surface([1, 1]),
+    make_curve({(2, 0): 1, (1, 1): -2, (0, 2): 1, (1, 0): -2, (0, 1): -2, (0, 0): 1}, (2, 2)),
+    make_curve({(0, 8): 1, (1, 5): -1, (1, 3): 3, (2, 0): -2, (0, 0): 1}, (2, 8)),
+    make_curve({(1, 0): 1, (0, 0): -2}, (1, 0)),
+    make_curve({(3, 0): 1, (1, 0): -2, (0, 0): 5}, (3, 0)),
+    _DEGENERATE_AT_ONE,
+]
+
+
+@pytest.mark.parametrize("C", _SAMPLED_CURVES, ids=lambda C: str(C.multidegree))
+@pytest.mark.parametrize("count", [1, 7, 20])
+@pytest.mark.parametrize("seed", [0, 20240808])
+def test_batched_sampler_matches_row_by_row_loop(C, count, seed):
+    # one normal draw and one roots_batch call must give the points, bit for
+    # bit, and leave the generator where the per-row loop leaves it
+    rng = np.random.default_rng(seed)
+    ref_rng = copy.deepcopy(rng)
+    got = _sample_curve_points(C, count, rng)
+    want = _sample_one_row_at_a_time(C, count, ref_rng)
+    assert got.shape == (4, count)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_batched_sampler_tops_up_degenerate_rows():
+    # rows 2 and 3 sit on x1 = 1 and are skipped; the batch must replace them
+    # from the same stream and draw no row past the last one it needs
+    values = [0.3, -0.7, 1.0, 0.0, 1.0, 0.0, 0.5, 0.2, -1.1, 0.4, 2.0, 2.0]
+    new, ref = _Stream(values), _Stream(values)
+    got = _sample_curve_points(_DEGENERATE_AT_ONE, 3, new)
+    want = _sample_one_row_at_a_time(_DEGENERATE_AT_ONE, 3, ref)
+    assert got.tobytes() == want.tobytes()
+    assert new.used == ref.used == 10
+
+
+def test_batched_sampler_gives_up_where_the_loop_does():
+    # every row degenerate: both stop after 40 * count draws
+    new, ref = _Stream([1.0, 0.0] * 400), _Stream([1.0, 0.0] * 400)
+    with pytest.raises(EliminationFailure):
+        _sample_curve_points(_DEGENERATE_AT_ONE, 5, new)
+    with pytest.raises(EliminationFailure):
+        _sample_one_row_at_a_time(_DEGENERATE_AT_ONE, 5, ref)
+    assert new.used == ref.used == 400
+
+
+def test_shift_square_graph_fails_at_the_sixteen_eight_check(sq):
+    # the recorded root-solver defect: x2 = x1^2 + 1 under (z^2, z^2) passes
+    # four checks, and a degree-8 fiber row of the (16, 8) curve does not
+    # converge; one unconverged row still fails the whole check
+    C = graph_surface([1, 0, 1])
+    bidegrees = []
+    for _ in range(4):
+        C = curve_pushforward(C, sq, sq)
+        bidegrees.append(C.multidegree)
+    assert bidegrees == [(2, 1), (4, 2), (8, 4), (16, 8)]
+    with pytest.raises(RootFindingFailure):
+        curve_pushforward(C, sq, sq)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_residuals_match_the_term_loop(sq, basilica, k):
+    # the dense product sums the image form's terms in another order than the
+    # per-point term loop; on true images (residuals near 0) and on a form
+    # that is not the image (residuals near 1) they agree to float rounding
+    from dynamo.exceptional import power_map
+
+    C, f, g = [(graph_surface([1, 1]), sq, sq),
+               (diagonal_surface(), sq, power_map(3)),
+               (graph_surface([-1, 0, 1]), basilica, basilica),
+               (make_curve({(0, 8): 1, (1, 5): -1, (1, 3): 3, (2, 0): -2, (0, 0): 1},
+                           (2, 8)), sq, basilica)][k]
+    image = curve_pushforward(C, f, g)
+    wrong = make_curve({(e, image.multidegree[1] - e % 2): e + 2 for e in range(3)},
+                       (2, image.multidegree[1]))
+    pts = _sample_curve_points(C, 20, np.random.default_rng(k))
+    for form in (image, wrong):
+        scaled = form.scaled_coefficients().items()
+        want = []
+        for x1, y1, x2, y2 in pts.T:
+            u, s = evaluate_cpoint(f, CPoint(x1, y1)), evaluate_cpoint(g, CPoint(x2, y2))
+            values = {1: (u.x, u.y), 2: (s.x, s.y)}
+            want.append(abs(sum(val for _, val in
+                                _multiply_out(scaled, form.multidegree, values))))
+        got = _residuals(form, f, g, pts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * len(form.terms))
+        assert (max(got) > 0.01) == (form is wrong)

@@ -24,6 +24,7 @@ from dynamo.projective import (
     RationalMapLift,
     evaluate,
     form_eval,
+    int_root_floor,
     normalize,
     point_from_rational,
 )
@@ -217,24 +218,53 @@ BENCH_MAPS = [{"num": ["0", "0", "1"]}, {"num": ["-1", "0", "1"]},
               {"num": ["1", "0", "1"], "den": ["0", "0", "2"]}]
 
 
-@pytest.mark.parametrize("spec", BENCH_MAPS)
+# z^2 + 10^8 takes the int64 first step.  (M z^2 + z - 1) / (z^2 - z + M),
+# M = 10^19, fixes 1 and is past the guard L m^d < 2^62: its coefficients do
+# not fit in int64, so every candidate is decided one by one
+SEARCH_MAPS = BENCH_MAPS + [{"num": [str(10**8), "0", "1"]},
+                            {"num": ["-1", "1", str(10**19)], "den": [str(10**19), "-1", "1"]}]
+
+
+@pytest.mark.parametrize("spec", SEARCH_MAPS)
 def test_rational_preperiodic_points_one_decision_per_candidate(spec):
-    # the search shares one step bound among its candidates; its output is
-    # that of deciding every candidate of the pruned box on its own
+    # the search shares one step bound and one vectorized first step among
+    # its candidates; its output is that of deciding every candidate of the
+    # pruned box on its own
     from dynamo.projective import map_from_json
 
     F = map_from_json(spec)
     box = 100
     k = step_bound_int(F)
     m_max = 1
-    while (m_max + 1) ** (F.degree - 1) <= k:
+    while m_max < box and (m_max + 1) ** (F.degree - 1) <= k:
         m_max += 1
-    m_max = min(m_max, box)
     candidates = [ProjectivePoint(1, 0)] + [
         ProjectivePoint(p, q) for q in range(1, m_max + 1) for p in range(-m_max, m_max + 1)
         if math.gcd(abs(p), q) == 1]
     want = [pt for pt in candidates if decide_preperiodic(F, pt).preperiodic]
     assert rational_preperiodic_points(F, box=box) == want
+
+
+@pytest.mark.parametrize("box", [100, 5])
+def test_rational_preperiodic_points_huge_step_bound(box):
+    # K is about 10^12 for z^2 + 10^12; a pruning bound counted up one by one
+    # to K^(1/(d-1)) did not finish in 60 s
+    from dynamo.projective import map_from_json
+
+    F = map_from_json({"num": [str(10**12), "0", "1"]})
+    assert rational_preperiodic_points(F, box=box) == [ProjectivePoint(1, 0)]
+
+
+def test_int_root_floor():
+    for e in range(1, 5):
+        for n in range(300):
+            r = int_root_floor(n, e)
+            assert r**e <= n < (r + 1) ** e
+    big = 10**40 + 7
+    for e in (2, 3, 7):
+        r = int_root_floor(big**e, e)
+        assert r == big
+        assert int_root_floor(big**e - 1, e) == big - 1
 
 
 def test_place_logs_sum_to_zero():
