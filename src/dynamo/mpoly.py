@@ -16,13 +16,14 @@ about log2(2B) / 31, fixed before any prime is tried; nothing stops early
 because results look stable.
 
 bivar_squarefree reduces the eliminant to its squarefree part on the same
-dense integer matrix, in three stages.  A squarefree one-prime check of a
-degree-preserving specialization in each direction certifies that nothing
-is repeated.  A uniform multiplicity e is removed by an exact e-th root,
-taken on the univariate image under u -> t^D, s -> t (D above the
-s-degree) and verified by re-expansion.  Mixed multiplicities fall back to
-P / gcd(P, P_u, P_s) by a primitive PRS over Z[s][u], whose coefficients
-are integer s-polynomials handled by projective's univariate helpers.
+dense integer matrix, in three stages.  A squarefree check, modulo up to
+three primes, of a degree-preserving specialization in each direction
+certifies that nothing is repeated.  A uniform multiplicity e is removed
+by an exact e-th root, taken on the univariate image under u -> t^D,
+s -> t (D above the s-degree) and verified by re-expansion.  Mixed
+multiplicities fall back to P / gcd(P, P_u, P_s) by a primitive PRS over
+Z[s][u], whose coefficients are integer s-polynomials handled by
+projective's univariate helpers.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .projective import (
     poly_mul,
     poly_trim,
     primitive_int,
-    squarefree_by_one_prime,
+    squarefree_by_primes,
 )
 from .roots import yun_squarefree
 
@@ -420,9 +421,9 @@ def _specialized_multiplicities(P):
 
     Returns the sorted multiplicity set, or None if no good specialization
     was found among small integers.  A specialization that keeps its degree
-    and is squarefree mod one prime is squarefree over Q (a square factor
-    over Z would survive the reduction), so Yun over Q runs only when that
-    check fails.
+    and is squarefree mod a prime is squarefree over Q (a square factor
+    over Z would survive the reduction), so Yun over Q runs only when three
+    primes fail.
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         coeffs = []
@@ -433,7 +434,7 @@ def _specialized_multiplicities(P):
             coeffs.append(acc)
         if coeffs[-1] == 0:
             continue
-        if squarefree_by_one_prime(coeffs):
+        if squarefree_by_primes(coeffs):
             return [1]
         parts = yun_squarefree(coeffs)
         return sorted({mult for _, mult in parts}) or [1]

@@ -4,8 +4,9 @@ The points of period dividing n are the d^n + 1 roots on P^1 of the
 fixed-point form Y*F0^(n) - X*F1^(n).  Their affine part is
 P(z) = F0^(n)(z, 1) - z*F1^(n)(z, 1), and P is never evaluated from its
 coefficients: those grow like a power of the orbit, so double precision
-loses the roots from degree ~30 on.  Aberth's iteration takes the Newton
-ratio P/P' from the orbit instead, carrying the jet (F^(m), dF^(m)/dz)
+loses the roots from degree ~30 on.  Aberth's iteration, one column of
+`roots.aberth_sweeps`, takes the Newton ratio P/P' from the orbit instead
+(a non-finite ratio is replaced by 0.5), carrying the jet (F^(m), dF^(m)/dz)
 through the n steps and rescaling it by one common factor per step, which
 the ratio does not see (Randig-Schleicher-Stoll, J. Comput. Appl. Math.
 2024, do this for iterated quadratics).  Evaluated this way a periodic
@@ -14,8 +15,8 @@ point is as well conditioned as its multiplier allows, whatever n is.
 The exact form, from `iterate_lift`, is only a certificate:
 - its zero coefficients at either end give the multiplicities at infinity
   and at 0, and its Newton polygon gives the starting circles;
-- gcd(P, P') = 1 modulo one prime that keeps the degree proves P
-  squarefree over Q.  Only when that fails (a parabolic coincidence) does
+- gcd(P, P') = 1 modulo one of three primes that keep the degree proves
+  P squarefree over Q.  Only when that fails (a parabolic coincidence) does
   Yun's decomposition over Q run; its repeated factors are solved on their
   own, and every exactly known factor (z^k for a root at 0 included) is
   divided out of the log-derivative of the orbit solve;
@@ -46,7 +47,7 @@ from .projective import (
     form_eval,
     iterate_lift,
     point_from_rational,
-    squarefree_by_one_prime,
+    squarefree_by_primes,
 )
 from .roots import aberth, aberth_sweeps, polygon_starts, rational_root, yun_squarefree
 
@@ -114,7 +115,7 @@ def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
         known.append((0.0, low))
     c = list(form[low:top + 1])
     simple = c
-    if not squarefree_by_one_prime(c):
+    if not squarefree_by_primes(c):
         simple = [1]
         for fac, mult in yun_squarefree(c):
             if mult == 1:
@@ -124,8 +125,8 @@ def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
                 out.append((CPoint.from_affine(z), mult, _exact(rational_root(fac, z))))
                 known.append((z, mult))
     if len(simple) > 1:
-        ratio = _orbit_ratio(F, n, known)
-        for z in aberth_sweeps(ratio, polygon_starts(simple), tol).tolist():
+        roots = aberth_sweeps(_orbit_ratio(F, n, known), polygon_starts(simple)[:, None], tol)
+        for z in roots[:, 0].tolist():
             out.append((CPoint.from_affine(z), 1, _exact(rational_root(simple, z))))
     return out
 
@@ -156,7 +157,8 @@ def _orbit_ratio(F: RationalMapLift, n: int, known):
                     ([(i + 1) * f[i + 1] for i in range(d)],
                      [(d - i) * f[i] for i in range(d)])])
 
-    def ratio(z):
+    def ratio(z, live):  # z: one column of D roots
+        z = z[:, 0]
         s = np.maximum(np.abs(z), 1.0)
         x, y, dx, dy = z / s, 1.0 / s, 1.0 / s, np.zeros_like(z)
         for _ in range(n):
@@ -174,7 +176,7 @@ def _orbit_ratio(F: RationalMapLift, n: int, known):
         dp = dx - y - z * dy
         for r, m in known:  # (p / prod) / (p / prod)' = p / (p' - p * sum m / (z - r))
             dp -= p * m / (z - r)
-        return p / dp
+        return (p / dp)[:, None]
 
     return ratio
 

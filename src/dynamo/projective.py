@@ -348,7 +348,7 @@ def poly_gcd_q(a, b):
 
 
 # ---------------------------------------------------------------------------
-# word-size primes and the one-prime squarefree test
+# word-size primes and the modular squarefree test
 # ---------------------------------------------------------------------------
 
 # 31-bit primes below 2^31, largest first, found on first use: products of
@@ -390,32 +390,36 @@ def _prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def squarefree_by_one_prime(c) -> bool:
-    """True when one prime proves the integer polynomial c squarefree over Q.
+def squarefree_by_primes(c) -> bool:
+    """True when one of three primes proves the integer polynomial c squarefree over Q.
 
     When p does not divide the leading coefficient, a square factor over Z
     survives the reduction mod p, so gcd(c, c') = 1 mod p rules it out (c
-    of degree below p).  False means a repeated factor or, rarely, a prime
-    dividing the leading coefficient or the discriminant.
+    of degree below p).  A prime that divides the leading coefficient or
+    the discriminant proves nothing, so the next prime is tried.  False
+    means a repeated factor or, rarely, three such primes.
     """
-    p = _prime(0)
-    if not c[-1] % p:
-        return False
-    a = [v % p for v in c]
-    b = [i * v % p for i, v in enumerate(a)][1:]
-    while any(b):
-        while not b[-1]:
-            b.pop()
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):  # a := a mod b
-            q = a[-1] * inv % p
-            if q:
-                shift = len(a) - len(b)
-                for i, v in enumerate(b):
-                    a[shift + i] = (a[shift + i] - q * v) % p
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
+    for k in range(3):
+        p = _prime(k)
+        if not c[-1] % p:
+            continue
+        a = [v % p for v in c]
+        b = [i * v % p for i, v in enumerate(a)][1:]
+        while any(b):
+            while not b[-1]:
+                b.pop()
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):  # a := a mod b
+                q = a[-1] * inv % p
+                if q:
+                    shift = len(a) - len(b)
+                    for i, v in enumerate(b):
+                        a[shift + i] = (a[shift + i] - q * v) % p
+                a.pop()
+            a, b = b, a
+        if len(a) == 1:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

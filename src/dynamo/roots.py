@@ -5,11 +5,13 @@ exact), rational roots recovered by continued-fraction reconstruction from
 numeric approximations plus exact verification (no coefficient factoring,
 so huge iterate coefficients are fine).  Each verified rational root is
 divided out exactly, and Aberth-Ehrlich simultaneous iteration solves what
-is left for the remaining simple complex roots; that exact division is the
-only deflation.  The Aberth sweep, `aberth_sweeps`, takes the Newton ratio
-as a function: `aberth` evaluates it in coefficient form, and the periodic
-points of `orbits` evaluate it along the orbit.  Monte-Carlo fibers are
-solved many rows at a time by `roots_batch`.
+is left; that exact division is the only deflation.  Every numeric solve
+runs one sweep loop, `aberth_sweeps`, on a (d, m) layout with one
+polynomial per column and the Newton ratio as a function: `aberth` (one
+column) and `roots_batch` (many) evaluate it by Horner's rule, and the
+periodic points of `orbits` along the orbit.  A single polynomial starts
+on its Newton polygon, so its evaluation does not overflow far outside its
+roots; batched rows start from closed forms or a circle.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .projective import (
 
 DEFAULT_TOL = 1e-12
 _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
-_SUM_ROWS = 256  # rows per block of the scalar Aberth sum; bounds its (rows, d) temporary
+_SUM_ROWS = 256  # roots per block of the Aberth sum; bounds its (d, rows, m) temporary
 _SEPARATION = 1e3  # closed-form starts closer than this many tolerances fall back
 _OMEGA = complex(-0.5, math.sqrt(3) / 2)  # primitive cube root of unity
 
@@ -99,43 +101,90 @@ def rational_root(c, z: complex) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich sweeps on all roots at once, from the starts z.
+    """Aberth-Ehrlich sweeps from the starts z, shape (d, m): one polynomial per column.
 
-    ratio(z) returns the Newton ratio p(z)/p'(z) at every entry of z; it runs
-    with numpy's overflow and invalid-value warnings off, and the sweep
-    replaces every non-finite correction by a fixed outward step.  Every
-    root moves in every sweep until all corrections pass the tolerance test.
-    The Aberth sum over pairs is taken _SUM_ROWS rows at a time, which
-    bounds its temporary and leaves each row's sum as it is.
+    ratio(z, live) returns the Newton ratios p/p' at the live columns z,
+    whose indices among the m columns are live.  A non-finite ratio becomes
+    0.5 and a non-finite correction 0, with numpy's warnings off.  A column
+    retires once all d corrections pass |c| <= tol * (1 + |z|).  The sum
+    s_i = sum_j 1/(z_i - z_j) runs over the outer axis of R[j, i], which
+    numpy adds in index order for any number of columns, so a column's bits
+    do not depend on the columns sharing its sweep.  It is taken in equal
+    blocks of at most _SUM_ROWS roots i, which bounds the temporary and
+    leaves at least two roots per block.  RootFindingFailure is raised when
+    any column is still moving after max_iter sweeps.
     """
     z = np.array(z, dtype=complex)
-    d = len(z)
-    s = np.empty_like(z)
-    for _ in range(max_iter):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            newton = ratio(z)
-            for lo in range(0, d, _SUM_ROWS):
-                diff = z[lo:lo + _SUM_ROWS, None] - z[None, :]
-                # the diagonal z_i - z_i adds 1/inf = 0
-                diff.reshape(-1)[lo::d + 1] = np.inf
-                s[lo:lo + _SUM_ROWS] = np.sum(1.0 / diff, axis=1)
-            corr = newton / (1.0 - newton * s)
-        bad = ~np.isfinite(corr)
-        if bad.any():
-            corr = np.where(bad, 0.05 * (1 + np.abs(z)) * np.exp(1j), corr)
-        z = z - corr
-        if np.all(np.abs(corr) <= tol * (1.0 + np.abs(z))):
-            return z
-    raise RootFindingFailure(f"Aberth iteration did not reach tol={tol} in {max_iter} steps")
+    d, m = z.shape
+    step = math.ceil(d / math.ceil(d / _SUM_ROWS))
+    out = np.empty_like(z)
+    live = np.arange(m)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            newton = ratio(z, live)
+            np.copyto(newton, 0.5, where=~np.isfinite(newton))
+            s = np.empty_like(z)
+            for lo in range(0, d, step):
+                # R[j, i] = 1/(z_i - z_j); the diagonal 1/0 is overwritten by zero
+                r = z[None, lo:lo + step] - z[:, None]
+                np.reciprocal(r, out=r)
+                w = r.shape[1]
+                r.reshape(d * w, -1)[lo * w:(lo + w) * w:w + 1] = 0.0
+                r.sum(axis=0, out=s[lo:lo + step])
+            s *= newton
+            np.subtract(1.0, s, out=s)
+            corr = np.divide(newton, s, out=newton)
+            np.copyto(corr, 0.0, where=~np.isfinite(corr))
+            z -= corr
+            done = np.all(np.abs(corr) <= tol * (1.0 + np.abs(z)), axis=0)
+            if done.all():
+                out[:, live] = z
+                return out
+            if done.any():
+                out[:, live[done]] = z[:, done]
+                keep = ~done
+                live, z = live[keep], z[:, keep]
+    raise RootFindingFailure("batched Aberth did not converge")
+
+
+def _horner_ratio(cn: np.ndarray):
+    """ratio(z, live) for the coefficient columns cn (d+1, m), by Horner's rule.
+
+    A zero derivative becomes 1e-300; cn is re-gathered only after a retirement.
+    """
+    d = cn.shape[0] - 1
+    dc = cn[1:] * np.arange(1, d + 1)[:, None]
+    cols = [cn, dc]
+
+    def ratio(z, live):
+        c, dcl = cols
+        if c.shape[1] != len(live):
+            cols[:] = c, dcl = cn[:, live], dc[:, live]
+        pz = c[d] * z
+        for k in range(d - 1, 0, -1):
+            pz += c[k]
+            pz *= z
+        pz += c[0]
+        dpz = dcl[d - 1] * z
+        for k in range(d - 2, 0, -1):
+            dpz += dcl[k]
+            dpz *= z
+        dpz += dcl[0]
+        np.copyto(dpz, 1e-300, where=dpz == 0)
+        return np.divide(pz, dpz, out=pz)
+
+    return ratio
 
 
 def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
     """All roots of a squarefree complex polynomial (ascending coefficients).
 
-    The polynomial is scaled to be monic and evaluated in coefficient form
-    by Horner's rule, so it suits small degrees and moderate coefficients;
-    the sweeps of `aberth_sweeps` start on the circle of radius 1 + max|c_i|,
-    which holds every root.
+    One column of `aberth_sweeps`, with the monic polynomial evaluated by
+    Horner's rule, so it suits small degrees and moderate coefficients.  The
+    sweeps start on the circles of the Newton polygon, near the roots.  The
+    circle of radius 1 + max|c_i| can lie so far outside them that the
+    evaluation overflows, and the 0.5 step that replaces the ratio then
+    passes the tolerance test at |z| ~ 1e159.  A root at 0 is divided out.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -143,29 +192,21 @@ def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
         return []
     if d == 1:
         return [complex(-c[0] / c[1])]
-    # scale to unit leading coefficient for conditioning
-    c = c / c[-1]
-    dc = c[1:] * np.arange(1, d + 1)
-
-    def ratio(z):
-        pz = np.polyval(c[::-1], z)
-        dpz = np.polyval(dc[::-1], z)
-        return np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0j)
-
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    k = np.arange(d)
-    z = radius * np.exp(2j * np.pi * (k / d + 0.25 / d))
-    return [complex(v) for v in aberth_sweeps(ratio, z, tol, max_iter)]
+    if c[0] == 0:
+        return [0j] + aberth(c[1:], tol, max_iter)
+    z = polygon_starts(c)[:, None]
+    return aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol, max_iter)[:, 0].tolist()
 
 
 def polygon_starts(c) -> np.ndarray:
     """Aberth starts on the circles of the Newton polygon of c (Bini 1996).
 
-    c is an integer polynomial (ascending) with c[0] and c[-1] nonzero.  An
-    edge of the upper convex hull of the points (i, log|c_i|) from i to j
-    puts j - i starts on the circle of radius (|c_i| / |c_j|)^(1/(j - i)),
-    where that many roots lie when the polygon has sharp corners.  Logs of
-    the exact integers keep coefficients beyond the float range usable.
+    c is an integer or complex polynomial (ascending) with c[0] and c[-1]
+    nonzero.  An edge of the upper convex hull of the points (i, log|c_i|)
+    from i to j puts j - i starts on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)), where that many roots lie when the polygon
+    has sharp corners.  Logs of exact integers keep coefficients beyond the
+    float range usable.
     """
     d = len(c) - 1
     hull: list[tuple[int, float]] = []
@@ -258,19 +299,17 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
 
     coeff_rows has shape (N, d+1), ascending coefficients per row; the result
     has shape (N, d).  Degree-1 and degree-2 rows use closed forms.  Higher
-    degrees run Aberth sweeps (Bini, Numer. Algorithms 13 (1996)) on blocks
-    of at most _BLOCK rows, transposed so that coefficients are (d+1, rows)
-    and iterates (d, rows); the block bounds the (d, d, rows) temporary of
-    the Aberth sum.  Degree-3 and degree-4 rows start from their Cardano and
-    Ferrari roots, so a well-conditioned row passes in one sweep; other
-    degrees, and rows whose closed-form starts are non-finite or nearly
-    coincident, start on the circle of radius 1 + max|c_i| (`_block_starts`).
-    A row leaves the sweep as soon as all d of its
-    corrections pass the tolerance test, so its roots depend on that row
-    alone: solving rows one at a time gives the same bits as one batch.
-    RootFindingFailure is raised when any row is still moving after
-    max_iter sweeps.  Root order within a row is unspecified here; callers
-    needing a deterministic order must order the roots by value.
+    degrees run `aberth_sweeps` (Bini, Numer. Algorithms 13 (1996)) on blocks
+    of at most _BLOCK rows, transposed to (d, rows), which bounds the
+    (d, d, rows) temporary of the Aberth sum.  Degree-3 and degree-4 rows
+    start from their Cardano and Ferrari roots, so a well-conditioned row
+    passes in one sweep; the others start on the circle of radius
+    1 + max|c_i| (`_block_starts`), where a row whose evaluation overflows
+    takes 0.5 steps that can pass the tolerance test far from its roots.
+    Each row retires on its own, so solving rows one at a time gives the
+    same bits as one batch.  RootFindingFailure is raised when any row is
+    still moving after max_iter sweeps.  Root order within a row is
+    unspecified; callers needing a deterministic order must sort by value.
     """
     rows = np.asarray(coeff_rows, dtype=complex)
     n, w = rows.shape
@@ -397,60 +436,13 @@ def _circle_starts(cn: np.ndarray) -> np.ndarray:
 
 
 def _aberth_block(rows: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Aberth sweeps on at most _BLOCK rows of degree d >= 3; returns (d, m).
+    """Roots (d, m) of at most _BLOCK rows of degree d >= 3, by `aberth_sweeps`.
 
-    The sweeps start from `_block_starts`: closed-form roots for d = 3 and
-    d = 4, the circle of radius 1 + max|c_i| otherwise and as the fallback.
-    The Aberth sum reduces R[j, i] = 1/(z_i - z_j) over axis 0.  numpy adds
-    along an outer axis in index order whatever m is, so a column's bits do
-    not depend on the columns sharing its sweep; a reduction over an inner
-    axis would switch to pairwise summation once a single column is left.
+    The rows are made monic, except those whose leading coefficient is too
+    small to divide by, and evaluated by Horner's rule from `_block_starts`.
     """
-    m, w = rows.shape
-    d = w - 1
     lead = rows[:, -1].copy()
     tiny = np.abs(lead) < 1e-300
     lead[tiny] = 1.0
     cn = np.ascontiguousarray((rows / lead[:, None]).T)
-    dc = cn[1:] * np.arange(1, d + 1)[:, None]
-    z = _block_starts(cn, tiny, tol)
-    out = np.empty_like(z)
-    live = np.arange(m)
-    with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            pz = cn[d] * z
-            for k in range(d - 1, 0, -1):
-                pz += cn[k]
-                pz *= z
-            pz += cn[0]
-            dpz = dc[d - 1] * z
-            for k in range(d - 2, 0, -1):
-                dpz += dc[k]
-                dpz *= z
-            dpz += dc[0]
-            np.copyto(dpz, 1e-300, where=dpz == 0)
-            newton = np.divide(pz, dpz, out=pz)
-            np.copyto(newton, 0.5, where=~np.isfinite(newton))
-            # s_i = sum_j R[j, i]; the diagonal 1/0 is overwritten by zero
-            r = z[None, :, :] - z[:, None, :]
-            np.reciprocal(r, out=r)
-            r.reshape(d * d, -1)[::d + 1] = 0.0
-            s = r.sum(axis=0)
-            s *= newton
-            np.subtract(1.0, s, out=s)
-            corr = np.divide(newton, s, out=newton)
-            np.copyto(corr, 0.0, where=~np.isfinite(corr))
-            z -= corr
-            bound = np.abs(z)
-            bound += 1.0
-            bound *= tol
-            done = np.all(np.abs(corr) <= bound, axis=0)
-            if done.all():
-                out[:, live] = z
-                return out
-            if done.any():
-                out[:, live[done]] = z[:, done]
-                keep = ~done
-                live, z = live[keep], z[:, keep]
-                cn, dc = cn[:, keep], dc[:, keep]
-    raise RootFindingFailure("batched Aberth did not converge")
+    return aberth_sweeps(_horner_ratio(cn), _block_starts(cn, tiny, tol), tol, max_iter)

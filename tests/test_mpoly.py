@@ -343,6 +343,33 @@ def test_bivar_squarefree_of_products_of_linear_forms(monkeypatch):
     assert certified and stages["root"] and stages["fallback"]
 
 
+def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
+    # The 6th pushforward of x2 = x1^2 + 1 under (z^2, z^2) has bidegree
+    # (64, 32).  Its first degree-preserving specialization, of degree 64
+    # with 966-bit coefficients, is squarefree over Q but not mod _prime(0);
+    # Yun over Q took seconds on it, and the next primes decide at once.
+    import dynamo.projective
+    from dynamo.curves import _reduce_to_curve
+
+    sq = _lift(MAPS["sq"])
+    C = graph_surface([1, 0, 1])
+    for _ in range(5):
+        d1, d2 = C.multidegree
+        C = _reduce_to_curve(resultant_formal(_dense(C), sq, sq), 2 * d1, 2 * d2, 10**6)
+    assert C.multidegree == (32, 16)
+    r2 = resultant_formal(_dense(C), sq, sq)
+
+    def no_yun(c):
+        raise AssertionError(f"Yun over Q on degree {len(c) - 1}")
+
+    monkeypatch.setattr(dynamo.mpoly, "yun_squarefree", no_yun)
+    assert _reduce_to_curve(r2, 64, 32, 10**6).multidegree == (64, 32)
+    first = dynamo.projective._prime(0)
+    monkeypatch.setattr(dynamo.projective, "_prime", lambda k: first)
+    with pytest.raises(AssertionError, match="^Yun over Q on degree 64$"):
+        _reduce_to_curve(r2, 64, 32, 10**6)
+
+
 def test_prime_matches_trial_division():
     def is_prime(n):  # n odd and below 2^31 < 46341^2
         return all(n % d for d in range(3, 46342, 2))

@@ -276,12 +276,13 @@ def test_compose_overflow_policy(basilica):
         iterate_lift(basilica, 12, cap_digits=2)
 
 
-def test_squarefree_by_one_prime():
-    from dynamo.projective import _prime, squarefree_by_one_prime
+def test_squarefree_by_primes():
+    from dynamo.projective import _prime, squarefree_by_primes
 
-    assert squarefree_by_one_prime([-2, 0, 1])  # x^2 - 2
-    assert not squarefree_by_one_prime([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
-    # a leading coefficient divisible by the prime drops the degree mod p,
-    # so the test proves nothing and says no
-    assert not squarefree_by_one_prime([-2, 0, _prime(0)])
-    assert squarefree_by_one_prime([7])
+    assert squarefree_by_primes([-2, 0, 1])  # x^2 - 2
+    assert not squarefree_by_primes([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
+    # a leading coefficient divisible by every prime tried drops the degree
+    # mod each of them, so the test proves nothing and says no
+    assert not squarefree_by_primes([-2, 0, _prime(0) * _prime(1) * _prime(2)])
+    assert squarefree_by_primes([-2, 0, _prime(0)])  # the next prime decides
+    assert squarefree_by_primes([7])

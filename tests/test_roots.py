@@ -246,11 +246,36 @@ def test_rational_root_verifies_exactly():
 def test_aberth_sweeps_takes_any_newton_ratio():
     from dynamo.roots import aberth_sweeps
 
-    # p(z) = z^5 - 1 through its ratio alone, from starts off the unit circle
-    z = aberth_sweeps(lambda z: (z**5 - 1) / (5 * z**4),
-                      1.5 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5))
-    assert np.allclose(np.sort_complex(z ** 5), np.ones(5), atol=1e-12)
-    assert min(abs(a - b) for i, a in enumerate(z) for b in z[i + 1:]) > 0.5
+    # z^5 - 1 and z^5 - 2 through their ratios alone, from starts off their
+    # circles; the columns retire at different sweeps
+    t = np.array([1.0, 2.0])
+    widths = []
+
+    def ratio(z, live):
+        widths.append(len(live))
+        return (z**5 - t[live]) / (5 * z**4)
+
+    starts = np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5)[:, None] * np.array([1.5, 40.0])
+    z = aberth_sweeps(ratio, starts)
+    assert widths[0] == 2 and widths[-1] == 1
+    for k in range(2):
+        assert np.allclose(np.sort_complex(z[:, k] ** 5), np.full(5, t[k]), atol=1e-12)
+        assert min(abs(a - b) for i, a in enumerate(z[:, k]) for b in z[i + 1:, k]) > 0.5
+        alone = aberth_sweeps(lambda w, live: ratio(w, live + k), starts[:, k:k + 1])
+        assert np.array_equal(alone[:, 0], z[:, k])
+
+
+def test_aberth_starts_on_the_newton_polygon():
+    # 1e-5 + 1e160 z + z^3: the circle of radius 1 + 1e160 overflowed the
+    # evaluation, and the sweeps stopped after max_iter; the polygon starts
+    # lie on the circles of the roots -1e-165 and +-1e80 i
+    want = np.array([-1e-165, 1e80j, -1e80j])
+    got = np.array(aberth([1e-5, 1e160, 0, 1]))
+    dist = np.abs(got[:, None] - want[None, :])
+    assert np.all(np.min(dist, axis=0) <= 1e-12 * (1 + np.abs(want)))
+    assert sorted(np.argmin(dist, axis=0).tolist()) == [0, 1, 2]
+    # z^3 - z: the root at 0, which has no polygon edge, is divided out first
+    assert np.allclose(np.sort_complex(aberth([0, -1, 0, 1])), [-1, 0, 1], atol=1e-12)
 
 
 def test_polygon_starts_follow_the_root_moduli():
