@@ -273,17 +273,13 @@ def _assign_weights(nodes) -> None:
                 continue
             if img.weight == INF_WEIGHT:
                 continue
-            new = _lcm(int(img.weight), int(node.weight) * node.local_degree)
+            new = math.lcm(int(img.weight), int(node.weight) * node.local_degree)
             if new != img.weight:
                 img.weight = new
                 changed = True
         if not changed:
             return
     raise AmbiguousCollision("orbifold weights failed to stabilize")
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

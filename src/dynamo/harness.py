@@ -21,7 +21,7 @@ from .exceptional import classify
 from .heights import decide_preperiodic, rational_preperiodic_points
 from .hypersurface import Hypersurface, fiber_solve
 from .measure import (
-    cap_fractions,
+    cap_discrepancy,
     clt_threshold,
     green,
     pullback_to_hypersurface,
@@ -155,9 +155,7 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
     per_chart = []
     stat = 0.0
     for axis in range(H.n):
-        fr_i = cap_fractions(out_i.measure.sphere(axis))
-        fr_j = cap_fractions(out_j.measure.sphere(axis))
-        d_axis = float(np.max(np.abs(fr_i - fr_j)))
+        d_axis = cap_discrepancy(out_i.measure.sphere(axis), out_j.measure.sphere(axis))
         per_chart.append(d_axis)
         stat = max(stat, d_axis)
     slice_stat = None
@@ -170,9 +168,8 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
                 continue
             if keep_i.sum() < 50 or keep_j.sum() < 50:
                 continue
-            fr_i = cap_fractions(out_i.measure.sphere(axis)[keep_i])
-            fr_j = cap_fractions(out_j.measure.sphere(axis)[keep_j])
-            slice_stat = max(slice_stat, float(np.max(np.abs(fr_i - fr_j))))
+            slice_stat = max(slice_stat, cap_discrepancy(out_i.measure.sphere(axis)[keep_i],
+                                                         out_j.measure.sphere(axis)[keep_j]))
     return MeasureCompareResult(stat, clt_threshold(n_samples), tuple(per_chart),
                                 n_samples, (out_i.discarded, out_j.discarded),
                                 slice_stat)

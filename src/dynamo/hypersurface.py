@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import ProjectivePoint, content, poly_deriv, poly_gcd_q, poly_trim
-from .roots import binary_form_roots
+from .projective import ProjectivePoint, content
+from .roots import binary_form_roots, yun_squarefree
 
 
 def _multiply_out(terms, multidegree, values):
@@ -157,11 +157,7 @@ class Hypersurface:
                     if j != i:
                         values[j] = ProjectivePoint(rng.randint(-20, 20), rng.randint(1, 20))
                 coeffs = self.fiber_form_exact(i, values)
-                affine = poly_trim(coeffs)
-                if len(affine) < 2:
-                    continue
-                g = poly_gcd_q(affine, poly_deriv(affine))
-                if len(poly_trim(g)) > 1:
+                if any(m > 1 for _, m in yun_squarefree(coeffs)):
                     warnings.append(
                         f"specialized fiber in block {i} has a repeated factor; "
                         "the form may be non-reduced or non-irreducible")

@@ -43,7 +43,6 @@ from .projective import (
     poly_mul,
     poly_trim,
     primitive_int,
-    squarefree_by_primes,
 )
 from .roots import yun_squarefree
 
@@ -420,10 +419,8 @@ def _specialized_multiplicities(P):
     """Yun multiplicities in u of P(u, s0) at a degree-preserving s0.
 
     Returns the sorted multiplicity set, or None if no good specialization
-    was found among small integers.  A specialization that keeps its degree
-    and is squarefree mod a prime is squarefree over Q (a square factor
-    over Z would survive the reduction), so Yun over Q runs only when three
-    primes fail.
+    was found among small integers.  `yun_squarefree` proves most
+    specializations squarefree modulo a prime, without a gcd over Q.
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         coeffs = []
@@ -434,10 +431,7 @@ def _specialized_multiplicities(P):
             coeffs.append(acc)
         if coeffs[-1] == 0:
             continue
-        if squarefree_by_primes(coeffs):
-            return [1]
-        parts = yun_squarefree(coeffs)
-        return sorted({mult for _, mult in parts}) or [1]
+        return sorted({m for _, m in yun_squarefree(coeffs)}) or [1]
     return None
 
 

@@ -12,15 +12,18 @@ the ratio does not see (Randig-Schleicher-Stoll, J. Comput. Appl. Math.
 2024, do this for iterated quadratics).  Evaluated this way a periodic
 point is as well conditioned as its multiplier allows, whatever n is.
 
-The exact form, from `iterate_lift`, is only a certificate:
+The exact form, from `iterate_lift`, is only a certificate, read by
+`roots.binary_form_roots`, the exact root path that fibers and critical
+points also run:
 - its zero coefficients at either end give the multiplicities at infinity
   and at 0, and its Newton polygon gives the starting circles;
 - gcd(P, P') = 1 modulo one of three primes that keep the degree proves
   P squarefree over Q.  Only when that fails (a parabolic coincidence) does
-  Yun's decomposition over Q run; its repeated factors are solved on their
-  own, and every exactly known factor (z^k for a root at 0 included) is
-  divided out of the log-derivative of the orbit solve;
-- near-real roots are reconstructed as rationals and verified exactly.
+  Yun's decomposition over Q run; its repeated factors are solved first, by
+  Horner's rule, and every exactly known factor (z^k for a root at 0
+  included) is divided out of the log-derivative of the orbit solve;
+- near-real roots are reconstructed as rationals and verified exactly, and
+  a verified rational point takes its exact value.
 
 Matching each root to the root nearest its image groups the roots into
 cycles with exact periods (Morton-Silverman, IMRN 1994, count them) and
@@ -37,9 +40,7 @@ import numpy as np
 from .errors import CapExceeded, NotACycle
 from .heights import decide_preperiodic
 from .projective import (
-    INFINITY,
     CPoint,
-    ProjectivePoint,
     RationalMapLift,
     evaluate_cpoint,
     form_derivative_x,
@@ -47,9 +48,8 @@ from .projective import (
     form_eval,
     iterate_lift,
     point_from_rational,
-    squarefree_by_primes,
 )
-from .roots import aberth, aberth_sweeps, polygon_starts, rational_root, yun_squarefree
+from .roots import binary_form_roots
 
 DEFAULT_PERIOD_CAP = 4096
 DEFAULT_TOL = 1e-9
@@ -100,39 +100,13 @@ def fixed_point_form(F: RationalMapLift) -> tuple:
 def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
     """The d^n + 1 roots of the fixed-point form of F^n, with multiplicity.
 
-    Returns [(CPoint, multiplicity, ProjectivePoint or None), ...]; the exact
-    point is set for verified rational roots, 0 and infinity included.
+    Returns [(CPoint, multiplicity, ProjectivePoint or None), ...] from
+    `binary_form_roots`, whose simple factor is solved by the orbit ratio;
+    the exact point is set for verified rational roots, 0 and infinity
+    included.
     """
-    form = fixed_point_form(iterate_lift(F, n))
-    nonzero = [i for i, c in enumerate(form) if c]
-    low, top = nonzero[0], nonzero[-1]
-    out = []
-    if top < len(form) - 1:
-        out.append((CPoint.at_infinity(), len(form) - 1 - top, INFINITY))
-    known = []  # (root, multiplicity) divided out of the orbit solve
-    if low:
-        out.append((CPoint.from_affine(0.0), low, ProjectivePoint(0, 1)))
-        known.append((0.0, low))
-    c = list(form[low:top + 1])
-    simple = c
-    if not squarefree_by_primes(c):
-        simple = [1]
-        for fac, mult in yun_squarefree(c):
-            if mult == 1:
-                simple = fac
-                continue
-            for z in aberth([complex(v) for v in fac], tol=tol):
-                out.append((CPoint.from_affine(z), mult, _exact(rational_root(fac, z))))
-                known.append((z, mult))
-    if len(simple) > 1:
-        roots = aberth_sweeps(_orbit_ratio(F, n, known), polygon_starts(simple)[:, None], tol)
-        for z in roots[:, 0].tolist():
-            out.append((CPoint.from_affine(z), 1, _exact(rational_root(simple, z))))
-    return out
-
-
-def _exact(q) -> ProjectivePoint | None:
-    return None if q is None else ProjectivePoint(q.numerator, q.denominator)
+    return binary_form_roots(fixed_point_form(iterate_lift(F, n)), tol,
+                             lambda known: _orbit_ratio(F, n, known))
 
 
 def _float_forms(F: RationalMapLift) -> tuple:

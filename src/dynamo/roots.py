@@ -1,17 +1,17 @@
 """Complex and exact root finding for integer polynomials and binary forms.
 
-Strategy: exact Yun squarefree decomposition first (multiplicities become
+Strategy: exact squarefree decomposition first (multiplicities become
 exact), rational roots recovered by continued-fraction reconstruction from
 numeric approximations plus exact verification (no coefficient factoring,
-so huge iterate coefficients are fine).  Each verified rational root is
-divided out exactly, and Aberth-Ehrlich simultaneous iteration solves what
-is left; that exact division is the only deflation.  Every numeric solve
-runs one sweep loop, `aberth_sweeps`, on a (d, m) layout with one
-polynomial per column and the Newton ratio as a function: `aberth` (one
-column) and `roots_batch` (many) evaluate it by Horner's rule, and the
-periodic points of `orbits` along the orbit.  A single polynomial starts
-on its Newton polygon, so its evaluation does not overflow far outside its
-roots; batched rows start from closed forms or a circle.
+so huge iterate coefficients are fine).  `binary_form_roots` is the one
+exact root path: fibers, critical points and periodic points all run it,
+and it solves each squarefree factor once.  Every numeric solve runs one
+sweep loop, `aberth_sweeps`, on a (d, m) layout with one polynomial per
+column and the Newton ratio as a function: `aberth` (one column) and
+`roots_batch` (many) evaluate it by Horner's rule, and the periodic points
+of `orbits` along the orbit.  A single polynomial starts on its Newton
+polygon, so its evaluation does not overflow far outside its roots;
+batched rows start from closed forms or a circle.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import RootFindingFailure
 from .projective import (
+    INFINITY,
     CPoint,
     ProjectivePoint,
     form_eval,
@@ -32,6 +33,7 @@ from .projective import (
     poly_gcd_q,
     poly_trim,
     primitive_int,
+    squarefree_by_primes,
 )
 
 DEFAULT_TOL = 1e-12
@@ -46,13 +48,23 @@ _OMEGA = complex(-0.5, math.sqrt(3) / 2)  # primitive cube root of unity
 # ---------------------------------------------------------------------------
 
 def yun_squarefree(c):
-    """Yun decomposition [(factor, multiplicity), ...] with primitive integer factors."""
+    """Yun decomposition [(factor, multiplicity), ...] with primitive integer factors.
+
+    c has integer or integral Fraction coefficients.  When one of three
+    primes proves its primitive part squarefree (`squarefree_by_primes`),
+    that part is the whole answer; only the inputs left over, repeated
+    factors or an unlucky prime, pay for gcds over Q.  Factors come in
+    increasing multiplicity.
+    """
     c = poly_trim(c)
     if poly_degree(c) == 0:
         return []
+    prim = primitive_int(c)
+    if squarefree_by_primes(prim):
+        return [(prim, 1)]
     g = poly_gcd_q(c, poly_deriv(c))
     if poly_degree(g) == 0:
-        return [(primitive_int(c), 1)]
+        return [(prim, 1)]
     out = []
     w, _ = poly_divmod_q(c, g)
     y, _ = poly_divmod_q(poly_deriv(c), g)
@@ -181,10 +193,8 @@ def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
 
     One column of `aberth_sweeps`, with the monic polynomial evaluated by
     Horner's rule, so it suits small degrees and moderate coefficients.  The
-    sweeps start on the circles of the Newton polygon, near the roots.  The
-    circle of radius 1 + max|c_i| can lie so far outside them that the
-    evaluation overflows, and the 0.5 step that replaces the ratio then
-    passes the tolerance test at |z| ~ 1e159.  A root at 0 is divided out.
+    sweeps start on the circles of the Newton polygon, near the roots.  A
+    root at 0 is divided out.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -227,66 +237,50 @@ def polygon_starts(c) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def poly_roots_exact(coeffs, tol: float = DEFAULT_TOL):
-    """Roots with exact multiplicities: list of (complex, mult, Fraction|None).
-
-    Each Yun factor is solved by `aberth`, and its near-real roots are tried
-    as rationals and verified exactly.  Verified rational roots are divided
-    out exactly and the cofactor is solved again; a factor with no rational
-    root keeps its first solve.
-    """
-    c = poly_trim(coeffs)
-    d = poly_degree(c)
-    if d == 0:
-        return []
-    out = []
-    for factor, mult in yun_squarefree(c):
-        fac = list(factor)
-        approx = aberth([complex(v) for v in fac], tol=tol)
-        rational_roots = []
-        for z in approx:
-            q = rational_root(fac, z)
-            if q is not None and q not in rational_roots:
-                rational_roots.append(q)
-        for q in rational_roots:
-            out.append((complex(q), mult, q))
-            qq, rr = poly_divmod_q(fac, [-q.numerator, q.denominator])
-            assert all(v == 0 for v in rr)
-            fac = primitive_int(qq)
-        if poly_degree(fac) > 0:
-            if rational_roots:
-                approx = aberth([complex(v) for v in fac], tol=tol)
-            out.extend((z, mult, None) for z in approx)
-    return out
-
-
-def binary_form_roots(coeffs, tol: float = DEFAULT_TOL):
+def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     """Projective roots of an integer binary form, with multiplicity.
 
     coeffs[i] multiplies X^i Y^(d-i); the formal degree is len(coeffs)-1.
-    Returns [(CPoint, mult, ProjectivePoint|None), ...]; the exact point is
-    present for verified rational roots (including 0 and infinity).
+    Returns [(CPoint, mult, ProjectivePoint|None), ...]: infinity and 0
+    first, from the zero coefficients at either end, then the roots of each
+    `yun_squarefree` factor, each factor solved once.  The repeated factors
+    are solved by `aberth`, and their roots join `known`, the (root,
+    multiplicity) pairs already found, with the root at 0.  The simple
+    factor comes last: by `aberth` too, or, when ratio_of is given, by
+    `aberth_sweeps` from its Newton polygon with ratio_of(known) as the
+    Newton ratio of the whole form with the known roots divided out (the
+    orbit ratio of `orbits`); without them it can converge onto a repeated
+    root.  A root that `rational_root` verifies carries its exact point and
+    that point's CPoint; only the first root near each rational is labelled.
     """
-    d = len(coeffs) - 1
     c = list(coeffs)
-    out = []
-    top = d
-    while top >= 0 and c[top] == 0:
-        top -= 1
-    if top < 0:
+    nonzero = [i for i, v in enumerate(c) if v]
+    if not nonzero:
         raise ValueError("zero form has no well-defined roots")
-    inf_mult = d - top
-    if inf_mult:
-        out.append((CPoint.at_infinity(), inf_mult, ProjectivePoint(1, 0)))
-    low = 0
-    while c[low] == 0:
-        low += 1
+    low, top = nonzero[0], nonzero[-1]
+    out = []
+    if top < len(c) - 1:
+        out.append((CPoint.at_infinity(), len(c) - 1 - top, INFINITY))
+    known = []
     if low:
         out.append((CPoint.from_affine(0.0), low, ProjectivePoint(0, 1)))
-    affine = c[low: top + 1]
-    for z, mult, exact in poly_roots_exact(affine, tol=tol):
-        ex = ProjectivePoint(exact.numerator, exact.denominator) if exact is not None else None
-        out.append((CPoint.from_affine(z), mult, ex))
+        known.append((0.0, low))
+    labelled = set()
+    for fac, mult in reversed(yun_squarefree(c[low:top + 1])):
+        if mult == 1 and ratio_of is not None:
+            roots = aberth_sweeps(ratio_of(known), polygon_starts(fac)[:, None], tol)
+            roots = roots[:, 0].tolist()
+        else:
+            roots = aberth([complex(v) for v in fac], tol=tol)
+        for z in roots:
+            q = rational_root(fac, z)
+            if q is None or q in labelled:
+                out.append((CPoint.from_affine(z), mult, None))
+                continue
+            labelled.add(q)
+            ex = ProjectivePoint(q.numerator, q.denominator)
+            out.append((CPoint.from_exact(ex), mult, ex))
+        known += [(z, mult) for z in roots]
     return out
 
 

@@ -349,6 +349,7 @@ def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
     # with 966-bit coefficients, is squarefree over Q but not mod _prime(0);
     # Yun over Q took seconds on it, and the next primes decide at once.
     import dynamo.projective
+    import dynamo.roots
     from dynamo.curves import _reduce_to_curve
 
     sq = _lift(MAPS["sq"])
@@ -359,10 +360,10 @@ def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
     assert C.multidegree == (32, 16)
     r2 = resultant_formal(_dense(C), sq, sq)
 
-    def no_yun(c):
-        raise AssertionError(f"Yun over Q on degree {len(c) - 1}")
+    def no_gcd(a, b):
+        raise AssertionError(f"Yun over Q on degree {len(a) - 1}")
 
-    monkeypatch.setattr(dynamo.mpoly, "yun_squarefree", no_yun)
+    monkeypatch.setattr(dynamo.roots, "poly_gcd_q", no_gcd)
     assert _reduce_to_curve(r2, 64, 32, 10**6).multidegree == (64, 32)
     first = dynamo.projective._prime(0)
     monkeypatch.setattr(dynamo.projective, "_prime", lambda k: first)

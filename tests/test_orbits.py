@@ -59,6 +59,23 @@ def test_exact_rational_periodic_points_attached(cheb2):
     assert tagged == {"2", "-1", "inf"}
 
 
+def test_rational_cycles_take_their_exact_values(cheb2):
+    # z^2 - 2 at n = 2: the fixed points 2, -1 and infinity and the cycle
+    # {(-1 + sqrt 5)/2, (-1 - sqrt 5)/2}; a rational cycle's multiplier is
+    # the product of derivatives at exact points, so it is exactly real
+    cycles = periodic_points(cheb2, 2)
+    labelled = 0
+    for c in cycles:
+        for p, ex in zip(c.points, c.exact_points):
+            if ex is not None:
+                want = CPoint.from_exact(ex)
+                assert (p.x, p.y) == (want.x, want.y)
+                labelled += 1
+        if c.exact_points and all(ex is not None for ex in c.exact_points):
+            assert c.multiplier.imag == 0.0
+    assert labelled == 3
+
+
 def test_root_count_matches_degree(sq, basilica, cheb2):
     for F in (sq, basilica, cheb2):
         for n in (1, 2, 3):
@@ -286,10 +303,10 @@ def test_periods_past_the_coefficient_form_limit(name, n):
 
 def test_squarefree_form_skips_yun(basilica, monkeypatch):
     # the one-prime certificate settles a squarefree fixed-point form
-    import dynamo.orbits
+    import dynamo.roots
 
-    def no_yun(c):
+    def no_gcd(a, b):
         raise AssertionError("Yun's decomposition ran on a squarefree form")
 
-    monkeypatch.setattr(dynamo.orbits, "yun_squarefree", no_yun)
+    monkeypatch.setattr(dynamo.roots, "poly_gcd_q", no_gcd)
     assert sum(c.period for c in periodic_points(basilica, 6)) == 65

@@ -13,7 +13,6 @@ from dynamo.roots import (
     _aberth_block,
     aberth,
     binary_form_roots,
-    poly_roots_exact,
     roots_batch,
     yun_squarefree,
 )
@@ -43,10 +42,10 @@ def test_yun_squarefree_structure():
     assert parts[3] in ([2, 1],)
 
 
-def test_poly_roots_exact_rational_and_multiplicity():
+def test_binary_form_roots_rational_and_multiplicity():
     # (2x - 3)^2 (x + 1) = expand
     coeffs = _expand([(Fraction(3, 2), 2), (Fraction(-1), 1)])
-    found = poly_roots_exact([int(c * 4) for c in coeffs])
+    found = binary_form_roots([int(c * 4) for c in coeffs])
     as_set = {(str(ex), m) for _, m, ex in found if ex is not None}
     assert as_set == {("3/2", 2), ("-1", 1)}
 
@@ -75,11 +74,12 @@ def test_aberth_high_degree_cyclotomic_like():
 
 
 def test_aberth_overflowing_evaluation_is_silent():
-    # the start circle has radius 1e200, so z^3 overflows on the first sweep
+    # the quintic row starts on the circle of radius 1e200, where z^5
+    # overflows on the first sweep; only the silence is pinned here
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            aberth([1e200, 0, 0, 1])
+            roots_batch([[1e200, 0, 0, 0, 0, 1]])
         except RootFindingFailure:
             pass
 
@@ -203,8 +203,9 @@ def test_roots_batch_one_stuck_row_fails_the_batch():
         roots_batch(rows)
 
 
-def test_poly_roots_exact_solves_each_factor_once(monkeypatch):
+def test_binary_form_roots_solves_each_factor_once(monkeypatch):
     import dynamo.roots
+    from dynamo.projective import CPoint
 
     calls = []
     real = dynamo.roots.aberth
@@ -214,21 +215,22 @@ def test_poly_roots_exact_solves_each_factor_once(monkeypatch):
         return real(coeffs, tol=tol, max_iter=max_iter)
 
     monkeypatch.setattr(dynamo.roots, "aberth", counting)
-    # x^4 + x + 1: squarefree, no rational root, so the first solve is kept
-    found = poly_roots_exact([1, 1, 0, 0, 1])
+    # x^4 + x + 1: squarefree, no rational root
+    found = binary_form_roots([1, 1, 0, 0, 1])
     assert calls == [4]
-    assert [z for z, _, _ in found] == real([1, 1, 0, 0, 1])
-    # (x^2 + 1)(x - 2)^2: each Yun factor solved once, and the factor with a
-    # rational root solved again on its cofactor (a constant here: no solve)
+    want = [CPoint.from_affine(z) for z in real([1, 1, 0, 0, 1])]
+    assert [(p.x, p.y) for p, _, _ in found] == [(p.x, p.y) for p in want]
+    # (x^2 + 1)(x - 2)^2: each Yun factor solved once
     calls.clear()
-    found = poly_roots_exact([4, -4, 5, -4, 1])
+    found = binary_form_roots([4, -4, 5, -4, 1])
     assert sorted(calls) == [1, 2]
     assert {(str(ex), m) for _, m, ex in found if ex is not None} == {("2", 2)}
-    # (x^2 - 2)(x - 3): one factor, one rational root, the quadratic re-solved
+    # (x^2 - 2)(x - 3): one factor, one solve, the rational root labelled in place
     calls.clear()
-    found = poly_roots_exact([6, -2, -3, 1])
-    assert calls == [3, 2]
-    assert sorted(z.real for z, _, ex in found if ex is None) == pytest.approx(
+    found = binary_form_roots([6, -2, -3, 1])
+    assert calls == [3]
+    assert [str(ex) for _, _, ex in found if ex is not None] == ["3"]
+    assert sorted(p.affine().real for p, _, ex in found if ex is None) == pytest.approx(
         [-2**0.5, 2**0.5])
 
 
