@@ -119,13 +119,15 @@ class Hypersurface:
         """Vectorized complex fiber coefficients for many samples at once.
 
         pairs maps axis j != i to (x_j, y_j) arrays of length n_rows (complex
-        scalars broadcast); returns an (n_rows, multidegree[i]+1) complex matrix.
+        scalars broadcast); returns an (n_rows, multidegree[i]+1) complex
+        matrix, the transposed view of a (multidegree[i]+1, n_rows) array, as
+        `roots_batch` reads it.
         """
         others = {j: pairs[j] for j in range(1, self.n + 1) if j != i}
-        out = np.zeros((n_rows, self.multidegree[i - 1] + 1), dtype=complex)
+        out = np.zeros((self.multidegree[i - 1] + 1, n_rows), dtype=complex)
         for exps, val in _multiply_out(self.terms, self.multidegree, others):
-            out[:, exps[i - 1]] += val
-        return out
+            out[exps[i - 1]] += val
+        return out.T
 
     def evaluate_exact(self, points: dict[int, ProjectivePoint]) -> int:
         values = {j: (points[j].x, points[j].y) for j in range(1, self.n + 1)}

@@ -4,11 +4,15 @@ The maximal-entropy measure of a degree-d rational map is approximated by
 backward iteration: repeatedly pull a start point back through uniformly
 chosen preimage branches and keep the endpoints.  The orbits walk the
 preimage tree of the start point, so a step solves each distinct node's
-fiber once, not one fiber per sample.  A branch index is a rank:
-branch k of a fiber is its root of rank k in a canonical order of the
-roots, so the index does not depend on the order in which the solver
-returns them.  Product measures sample
-factors independently; hypersurface pullbacks solve the fiber equation per
+fiber once, not one fiber per sample.  A step keeps its M nodes in one
+contiguous (d, M) layout, the one `roots_batch` solves in: the fiber
+coefficients are built as (d+1, M), and the roots, chart flags and rank
+keys are (M, d) views of (d, M) arrays, whose column k, the k-th root of
+every node, is contiguous; the next level is gathered by flat index.  A
+branch index is a rank: branch k of a fiber is its root of rank k in a
+canonical order of the roots, so the index does not depend on the order
+in which the solver returns them.  Product measures sample factors
+independently; hypersurface pullbacks solve the fiber equation per
 sample and pick one of the deg roots uniformly, realizing the normalized
 pullback measure.
 
@@ -108,25 +112,31 @@ def _fiber(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
 
     Returns (vals, invs) of shape (N, d) in chart form; a non-finite root is
     the point at infinity, w = 0 in the inverted chart.  The fiber form is
-    F0(X, Y) * ty - F1(X, Y) * tx with (tx, ty) the target pair.
+    F0(X, Y) * ty - F1(X, Y) * tx with (tx, ty) the target pair.  Its
+    coefficients are built as a (d+1, N) array and solved through its
+    transposed view, so vals and invs are transposed views of (d, N)
+    arrays: column k of the fiber is contiguous.
     """
-    n = values.shape[0]
-    d = F.degree
     tx = np.where(inverted, 1.0 + 0j, values)
     ty = np.where(inverted, values, 1.0 + 0j)
-    coeffs = np.empty((n, d + 1), dtype=complex)
-    for i in range(d + 1):
-        coeffs[:, i] = F.f0[i] * ty - F.f1[i] * tx
-    return _to_chart(roots_batch(coeffs))
+    coeffs = np.array(F.f0, dtype=complex)[:, None] * ty
+    coeffs -= np.array(F.f1, dtype=complex)[:, None] * tx
+    return _to_chart(roots_batch(coeffs.T))
 
 
 def _to_chart(z: np.ndarray):
-    """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity."""
+    """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity.
+
+    z is overwritten with w and returned with the chart flags, which keep
+    the memory order of z.
+    """
+    infinite = ~np.isfinite(z)
     invs = np.abs(z) > 1.0
-    finite = np.isfinite(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(invs, 1.0 / z, z)
-    return np.where(finite, vals, 0.0), np.where(finite, invs, True)
+        np.divide(1.0, z, out=z, where=invs)
+    np.copyto(z, 0.0, where=infinite)
+    invs |= infinite
+    return z, invs
 
 
 def _rank_order(keys) -> np.ndarray:
@@ -197,16 +207,20 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into vals
     for step in range(depth):
         pv, pi = _fiber(F, vals, invs)
-        order = _rank_order((pi, pv.real.round(9), pv.imag.round(9)))
+        pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
+        order = _rank_order((pi, pt.real.round(9).T, pt.imag.round(9).T))
         # child (node, branch), renumbered densely among the drawn children
         child = node * d + branches[step]
         drawn = np.zeros(pv.size, dtype=bool)
         drawn[child] = True
-        node = (np.cumsum(drawn) - 1)[child]
         kids = np.flatnonzero(drawn)
-        # the kid (node, branch) is the node's root in the column of that rank
-        roots = kids - kids % d + order.ravel()[kids]
-        vals, invs = pv.ravel()[roots], pi.ravel()[roots]
+        dense = np.empty(pv.size, dtype=np.intp)
+        dense[kids] = np.arange(kids.size)
+        node = dense[child]
+        # the kid (node, branch) is the node's root in the column of that
+        # rank, at column * M + node of the (d, M) arrays
+        at = order.ravel()[kids] * len(vals) + kids // d
+        vals, invs = pt.ravel()[at], it.ravel()[at]
     return EmpiricalMeasure(vals[node, None], invs[node, None], seed, depth)
 
 
@@ -273,22 +287,24 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
         v = base.values[:, col]
         inv = base.inverted[:, col]
         pairs[j] = (np.where(inv, 1.0 + 0j, v), np.where(inv, v, 1.0 + 0j))
-    coeffs = H.fiber_coeff_matrix(i, pairs, n)
-    scale = np.max(np.abs(coeffs), axis=1)
+    cols = H.fiber_coeff_matrix(i, pairs, n).T
+    scale = np.max(np.abs(cols), axis=0)
     good = scale > 1e-13
     discarded = int(np.sum(~good))
-    coeffs = coeffs[good]
+    cols = cols.compress(good, axis=1)
+    cols /= scale[good]
     rng = np.random.default_rng(np.random.SeedSequence([_substream(seed, 971 + i)]))
-    picks = rng.integers(0, deg, size=coeffs.shape[0])
-    roots = roots_batch(coeffs / scale[good, None])
+    picks = rng.integers(0, deg, size=cols.shape[1])
+    roots = roots_batch(cols.T)
     # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
-    order = _rank_order((roots.real.round(9), roots.imag.round(9)))
+    rt = roots.T
+    order = _rank_order((rt.real.round(9).T, rt.imag.round(9).T))
     rows = np.arange(roots.shape[0])
     chosen = roots[rows, order[rows, picks]]
     vals_i, invs_i = _to_chart(chosen)
     width = H.n
-    out_v = np.empty((coeffs.shape[0], width), dtype=complex)
-    out_i = np.empty((coeffs.shape[0], width), dtype=bool)
+    out_v = np.empty((len(rows), width), dtype=complex)
+    out_i = np.empty((len(rows), width), dtype=bool)
     for col, j in enumerate(others):
         out_v[:, j - 1] = base.values[good, col]
         out_i[:, j - 1] = base.inverted[good, col]

@@ -224,7 +224,7 @@ def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
     if a * b * (d1 + d2) % 2:
         vals = (p - vals) % p
     Lu = _interpolation_matrix(us, p)
-    Ls = _interpolation_matrix(ss, p)
+    Ls = Lu if np.array_equal(us, ss) else _interpolation_matrix(ss, p)
     return _matmul_mod(_matmul_mod(Lu.T, vals, p), Ls, p)
 
 

@@ -17,6 +17,7 @@ batched rows start from closed forms or a circle.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,16 @@ def polygon_starts(c) -> np.ndarray:
     return np.concatenate(starts)
 
 
+def _to_complex(fac) -> list[complex]:
+    """The integer coefficients of fac as complex floats, or RootFindingFailure."""
+    try:
+        return [complex(v) for v in fac]
+    except OverflowError:
+        raise RootFindingFailure(
+            "a squarefree factor has a coefficient beyond the float range "
+            f"(|c| > {sys.float_info.max:.3g})") from None
+
+
 def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     """Projective roots of an integer binary form, with multiplicity.
 
@@ -271,7 +282,7 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
             roots = aberth_sweeps(ratio_of(known), polygon_starts(fac)[:, None], tol)
             roots = roots[:, 0].tolist()
         else:
-            roots = aberth([complex(v) for v in fac], tol=tol)
+            roots = aberth(_to_complex(fac), tol=tol)
         for z in roots:
             q = rational_root(fac, z)
             if q is None or q in labelled:
@@ -292,10 +303,15 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     """Roots of many polynomials of one degree; huge values stand in for infinity.
 
     coeff_rows has shape (N, d+1), ascending coefficients per row; the result
-    has shape (N, d).  Degree-1 and degree-2 rows use closed forms.  Higher
-    degrees run `aberth_sweeps` (Bini, Numer. Algorithms 13 (1996)) on blocks
-    of at most _BLOCK rows, transposed to (d, rows), which bounds the
-    (d, d, rows) temporary of the Aberth sum.  Degree-3 and degree-4 rows
+    has shape (N, d).  The work runs on columns: coefficient k of every row
+    is coeff_rows.T[k], which is contiguous when the caller builds a
+    (d+1, N) array and passes its transposed view, and the result is the
+    transposed view of a (d, N) array, so result.T[k] holds the k-th root of
+    every row.  Either input order gives the same bits, and result.ravel()
+    is in row order.  Degree-1 and degree-2 rows use closed forms
+    (`_quadratic_roots`).  Higher degrees run `aberth_sweeps` (Bini, Numer.
+    Algorithms 13 (1996)) on blocks of at most _BLOCK columns, which bounds
+    the (d, d, rows) temporary of the Aberth sum.  Degree-3 and degree-4 rows
     start from their Cardano and Ferrari roots, so a well-conditioned row
     passes in one sweep; the others start on the circle of radius
     1 + max|c_i| (`_block_starts`), where a row whose evaluation overflows
@@ -305,35 +321,53 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     still moving after max_iter sweeps.  Root order within a row is
     unspecified; callers needing a deterministic order must sort by value.
     """
-    rows = np.asarray(coeff_rows, dtype=complex)
-    n, w = rows.shape
-    d = w - 1
+    cols = np.asarray(coeff_rows, dtype=complex).T
+    d, n = cols.shape[0] - 1, cols.shape[1]
+    out = np.empty((d, n), dtype=complex)
     if d == 1:
-        a, b = rows[:, 0], rows[:, 1]
+        out[0] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(b != 0, -a / np.where(b == 0, 1, b), np.inf)
-        return r[:, None]
-    if d == 2:
-        c0, c1, c2 = rows[:, 0], rows[:, 1], rows[:, 2]
-        disc = c1 * c1 - 4 * c2 * c0
-        s = np.sqrt(disc)
-        flip = (np.conj(c1) * s).real < 0
-        s = np.where(flip, -s, s)
-        t = -(c1 + s) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(c2 != 0, t / np.where(c2 == 0, 1, c2), np.inf)
-            r2 = np.where(t != 0, c0 / np.where(t == 0, 1, t),
-                          np.where(c2 != 0, 0.0, np.inf))
-        # degenerate linear rows: c2 == 0 leaves one finite root -c0/c1
-        lin = c2 == 0
-        if lin.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r2 = np.where(lin & (c1 != 0), -c0 / np.where(c1 == 0, 1, c1), r2)
-        return np.stack([r1, r2], axis=1)
-    out = np.empty((n, d), dtype=complex)
-    for lo in range(0, n, _BLOCK):
-        out[lo:lo + _BLOCK] = _aberth_block(rows[lo:lo + _BLOCK], tol, max_iter).T
-    return out
+            np.divide(-cols[0], cols[1], out=out[0], where=cols[1] != 0)
+    elif d == 2:
+        _quadratic_roots(*cols, out)
+    else:
+        for lo in range(0, n, _BLOCK):
+            out[:, lo:lo + _BLOCK] = _aberth_block(cols[:, lo:lo + _BLOCK], tol, max_iter)
+    return out.T
+
+
+def _quadratic_roots(c0, c1, c2, out) -> None:
+    """Roots of the columns c0 + c1 z + c2 z^2 into out, shape (2, m).
+
+    t = -(c1 + s)/2, with s the square root of the discriminant whose sign
+    keeps t large, is c2 times a root: out[0] = t/c2 and out[1] = c0/t,
+    without cancellation.  A row with c2 = 0 has the root at infinity in
+    out[0] and its finite root -c0/c1 in out[1], or infinity again when c1
+    is zero too; t = 0 leaves out[1] at 0 (or infinity when c2 = 0).
+    """
+    r1, r2 = out
+    s = c1 * c1
+    t = 4 * c2
+    t *= c0
+    s -= t
+    np.sqrt(s, out=s)
+    np.conjugate(c1, out=t)
+    t *= s
+    np.negative(s, out=s, where=t.real < 0)
+    np.add(c1, s, out=t)
+    np.negative(t, out=t)
+    t /= 2.0
+    quad = c2 != 0
+    r1.fill(np.inf)
+    r2.fill(np.inf)
+    np.copyto(r2, 0.0, where=quad)
+    lin = c1 != 0
+    lin &= ~quad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(t, c2, out=r1, where=quad)
+        np.divide(c0, t, out=r2, where=t != 0)
+        np.negative(c0, out=s, where=lin)
+        np.divide(s, c1, out=r2, where=lin)
 
 
 def _cbrt(x: np.ndarray) -> np.ndarray:
@@ -429,14 +463,15 @@ def _circle_starts(cn: np.ndarray) -> np.ndarray:
     return np.exp(angles)[:, None] * radius[None, :]
 
 
-def _aberth_block(rows: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Roots (d, m) of at most _BLOCK rows of degree d >= 3, by `aberth_sweeps`.
+def _aberth_block(cols: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Roots (d, m) of at most _BLOCK coefficient columns (d+1, m) of degree d >= 3.
 
-    The rows are made monic, except those whose leading coefficient is too
-    small to divide by, and evaluated by Horner's rule from `_block_starts`.
+    The columns are made monic, except those whose leading coefficient is
+    too small to divide by, into a C-ordered array whatever the input order,
+    and evaluated by Horner's rule from `_block_starts`, by `aberth_sweeps`.
     """
-    lead = rows[:, -1].copy()
+    lead = cols[-1].copy()
     tiny = np.abs(lead) < 1e-300
     lead[tiny] = 1.0
-    cn = np.ascontiguousarray((rows / lead[:, None]).T)
+    cn = np.divide(cols, lead, order="C")
     return aberth_sweeps(_horner_ratio(cn), _block_starts(cn, tiny, tol), tol, max_iter)

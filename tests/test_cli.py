@@ -244,6 +244,16 @@ def test_computation_error_exit_code(tmp_path, sq_json):
     assert code == 2
 
 
+def test_classify_beyond_float_range_is_computation_error(tmp_path, capsys):
+    # z^2 + (10^400 + 1) z + 1: its critical points have no float coefficients
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"num": ["1", str(10**400 + 1), "1"]}))
+    code, text = _run(["classify", "--map", str(p), "--json"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("computation error:") and "float range" in err
+
+
 def test_mm_verify_repeatable_map_flag(diagonal_json, sq_json):
     code, text = _run(["mm-verify", "--hyp", diagonal_json,
                        "--map", sq_json, "--map", sq_json,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from dynamo.errors import DegenerateFiber
+from dynamo.errors import DegenerateFiber, RootFindingFailure
 from dynamo.hypersurface import (
     Hypersurface,
     diagonal_surface,
@@ -79,6 +79,12 @@ def test_fiber_solve_squarefree_fiber_needs_no_gcd(monkeypatch):
     assert sorted(str(ex) for _, _, ex in roots) == ["-2", "2"]
     assert sorted((cp.affine().real, cp.affine().imag, m) for cp, m, _ in roots) == [
         (-2.0, 0.0, 1), (2.0, 0.0, 1)]
+
+
+def test_fiber_solve_beyond_float_range_is_typed():
+    # x1^2 = 10^400: the fiber's constant term is no float
+    with pytest.raises(RootFindingFailure, match="float range"):
+        fiber_solve(graph_surface([0, 0, 1]), 1, {2: point_from_rational(10**400)})
 
 
 def test_fiber_solve_at_infinity():

@@ -211,7 +211,12 @@ def test_rank_order_matches_stable_lexsort():
         keys = (rng.random((n, d)) < 0.5,
                 rng.integers(-2, 3, size=(n, d)) * 0.25,
                 np.round(rng.normal(size=(n, d)), 1))
-        assert np.array_equal(_rank_order(keys), np.lexsort(keys[::-1], axis=1))
+        want = np.lexsort(keys[::-1], axis=1)
+        assert np.array_equal(_rank_order(keys), want)
+        # the sampler's keys are F-ordered views of (d, N) arrays
+        columns = tuple(np.ascontiguousarray(key.T).T for key in keys)
+        assert not columns[1].flags.c_contiguous
+        assert np.array_equal(_rank_order(columns), want)
 
 
 # -- the preimage-tree loop against a row-by-row oracle ---------------------------

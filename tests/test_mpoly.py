@@ -441,3 +441,34 @@ def test_eliminant_skips_a_prime_with_a_bad_grid_point(monkeypatch):
     rng = random.Random(2)
     for u, s in [(0, 0), (1, 1)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]:
         assert _eval2(R, u, s) == _oracle(C, F, G, u, s)
+
+
+def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
+    # the (16, 16) image of the diagonal under (z^2, z^2 - 1): both grids are
+    # 0..32, so each prime builds one Lagrange matrix for u and s alike
+    from dynamo.curves import curve_pushforward
+
+    f, g = MAPS["sq"], MAPS["basilica"]
+    C = diagonal_surface()
+    while C.multidegree[0] < 16:
+        C = curve_pushforward(C, f, g)
+    assert C.multidegree == (16, 16)
+    C = _dense(C)
+    built, primes = [], []
+    interpolation_matrix = dynamo.mpoly._interpolation_matrix
+    eliminant_mod = dynamo.mpoly._eliminant_mod
+
+    def counting_matrix(points, p):
+        built.append(p)
+        return interpolation_matrix(points, p)
+
+    def recording(*args):
+        primes.append(args[-1])
+        return eliminant_mod(*args)
+
+    monkeypatch.setattr(dynamo.mpoly, "_interpolation_matrix", counting_matrix)
+    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
+    R = resultant_formal(C, _lift(f), _lift(g))
+    assert len(primes) > 1 and built == primes
+    for u, s in [(0, 0), (2, -3), (-1, 5)]:
+        assert _eval2(R, u, s) == _oracle(C, _lift(f), _lift(g), u, s)

@@ -106,6 +106,12 @@ def test_binary_form_roots_huge_coefficients():
     assert "3/2" in exacts
 
 
+def test_binary_form_roots_beyond_float_range_is_typed():
+    # (2x - 3)(x + 10^400): the squarefree factor has no float coefficients
+    with pytest.raises(RootFindingFailure, match="float range"):
+        binary_form_roots([-3 * 10**400, 2 * 10**400 - 3, 2])
+
+
 def test_binary_form_roots_large_integer_root_within_float_precision():
     big = 2**40 + 5
     coeffs = [-big, big - 1, 1]  # (x + big)(x - 1) has roots 1 and -big
@@ -139,6 +145,33 @@ def test_roots_batch_linear_degenerate_quadratic():
     finite0 = roots[0][np.isfinite(roots[0])]
     assert np.allclose(finite0, [-2.0])
     assert np.allclose(np.sort_complex(roots[1]), [-1j, 1j])
+
+
+# quadratic rows for every branch of the closed form: c2 = 0 with c1 != 0 and
+# with c1 = 0, t = 0 (a double root at 0), all zeros, and signed zeros
+DEGENERATE_QUADRATICS = [[2, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, -0.0],
+                         [-0.0, -0.0, 1], [complex(0, -0.0), -0.0, -0.0], [-0.0, 3, -0.0],
+                         [1, complex(-0.0, 2), 0], [4, 4, 1]]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_roots_batch_reads_rows_and_columns_alike(d):
+    # a C-ordered (N, d+1) input and the transposed view of a (d+1, N) array
+    # give the same bytes; the result is (N, d), and ravel() is in row order
+    rng = np.random.default_rng(60 + d)
+    rows = _random_rows(rng, 300, d)
+    if d == 2:
+        rows[:len(DEGENERATE_QUADRATICS)] = DEGENERATE_QUADRATICS
+    if d == 1:
+        rows[:4] = [[1, 0], [0, 0], [-0.0, 1], [2, -0.0]]
+    cols = np.ascontiguousarray(rows.T)
+    assert rows.flags.c_contiguous and not cols.T.flags.c_contiguous
+    by_rows, by_cols = roots_batch(rows), roots_batch(cols.T)
+    assert by_rows.shape == by_cols.shape == (300, d)
+    assert by_rows.tobytes() == by_cols.tobytes()
+    flat = by_cols.ravel()
+    for r in (0, 1, 150, 299):
+        assert flat[r * d:(r + 1) * d].tobytes() == by_cols[r].tobytes()
 
 
 def _random_rows(rng, n, d):
@@ -337,7 +370,7 @@ def test_closed_form_starts_for_pure_powers():
         starts = _starts(rows)
         assert np.max(np.abs(starts**d - w[:, None])) <= 1e-12 * np.max(np.abs(w))
         _assert_matches_numpy(rows, starts)
-        swept = _aberth_block(rows, 1e-10, max_iter=1).T
+        swept = _aberth_block(rows.T, 1e-10, max_iter=1).T
         assert np.max(np.abs(swept - starts)) <= 1e-12
 
 
@@ -387,5 +420,5 @@ def test_fiber_rows_converge_in_one_sweep():
     cubic = np.stack([1 - w, 0 * w, 0 * w, 1 + 0 * w], axis=1)
     lattes = np.stack([1 + 0 * w, 4 * w, 2 + 0 * w, -4 * w, 1 + 0 * w], axis=1)
     for rows in (cubic, lattes):
-        roots = _aberth_block(rows, 1e-10, max_iter=1).T
+        roots = _aberth_block(rows.T, 1e-10, max_iter=1).T
         _assert_matches_numpy(rows, roots)
