@@ -323,14 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
+
     def common(sp, maps=0, hyp=False, point=False):
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--samples", "--n", dest="samples", type=int, default=10_000)
-        sp.add_argument("--depth", type=int, default=30)
-        sp.add_argument("--err", type=float, default=1e-6)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=6)
-        sp.add_argument("--cap-digits", dest="cap_digits", type=int, default=10**6)
+        sp.add_argument("--seed", type=int, default=defaults.seed)
+        sp.add_argument("--samples", "--n", dest="samples", type=int, default=defaults.samples)
+        sp.add_argument("--depth", type=int, default=defaults.depth)
+        sp.add_argument("--err", type=float, default=defaults.err)
+        sp.add_argument("--tol", type=float, default=defaults.tol)
+        sp.add_argument("--max-iter", dest="max_iter", type=int, default=defaults.max_iter)
+        sp.add_argument("--cap-digits", dest="cap_digits", type=int,
+                        default=defaults.cap_digits)
         sp.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
         if maps == 1:
             sp.add_argument("--map", required=True, help="rational map JSON file")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import ProjectivePoint, content
+from .projective import ProjectivePoint, coefficient_from_json, content
 from .roots import binary_form_roots, yun_squarefree
 
 
@@ -187,12 +187,24 @@ def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint],
 # JSON interface: {"n":3, "multidegree":[...], "terms":[{"exps":[...],"coeff":"p/q"}]}
 # ---------------------------------------------------------------------------
 
+def _json_ints(v, message: str) -> list:
+    """The JSON list v of integers as ints; ValueError(message) for any other shape."""
+    if not (isinstance(v, list) and all(isinstance(x, (int, str)) for x in v)):
+        raise ValueError(message)
+    return [int(x) for x in v]
+
+
 def hypersurface_from_json(obj) -> Hypersurface:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    multidegree = obj["multidegree"]
-    terms = [(t["exps"], Fraction(str(t["coeff"]))) for t in obj["terms"]]
+    if not (isinstance(obj, dict) and isinstance(obj.get("terms"), list)
+            and all(isinstance(t, dict) for t in obj["terms"])):
+        raise ValueError('a hypersurface is a JSON object {"n": ..., "multidegree": [...], '
+                         '"terms": [{"exps": [...], "coeff": ...}, ...]}')
+    n, = _json_ints([obj["n"]], "n must be an integer")
+    multidegree = _json_ints(obj["multidegree"], "multidegree must be a list of integers")
+    terms = [(_json_ints(t["exps"], "exps must be a list of integers"),
+              coefficient_from_json(t["coeff"])) for t in obj["terms"]]
     return Hypersurface.make(n, multidegree, terms)
 
 

@@ -39,10 +39,9 @@ from .projective import (
     int_root_floor,
     poly_deriv,
     poly_div_exact,
-    poly_gcd_q,
+    poly_gcd,
     poly_mul,
     poly_trim,
-    primitive_int,
 )
 from .roots import yun_squarefree
 
@@ -356,7 +355,7 @@ def _row_content(P) -> list:
     g = [0]
     for row in P:
         if any(row):
-            g = primitive_int(poly_gcd_q(g, row))
+            g = poly_gcd(g, row)
             if len(g) == 1:
                 break
     return g
@@ -399,7 +398,7 @@ def _gcd(A, B) -> list:
         A, B = B, _primitive(_prem(A, B))[1]
     if B:  # a nonzero remainder free of u: the primitive parts are coprime
         A = [[1]]
-    c = primitive_int(poly_gcd_q(ca, cb))
+    c = poly_gcd(ca, cb)
     return [poly_mul(c, row) for row in A]
 
 
@@ -420,7 +419,7 @@ def _specialized_multiplicities(P):
 
     Returns the sorted multiplicity set, or None if no good specialization
     was found among small integers.  `yun_squarefree` proves most
-    specializations squarefree modulo a prime, without a gcd over Q.
+    specializations squarefree modulo a prime, without a gcd.
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         coeffs = []

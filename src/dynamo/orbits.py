@@ -19,7 +19,7 @@ points also run:
   and at 0, and its Newton polygon gives the starting circles;
 - gcd(P, P') = 1 modulo one of three primes that keep the degree proves
   P squarefree over Q.  Only when that fails (a parabolic coincidence) does
-  Yun's decomposition over Q run; its repeated factors are solved first, by
+  Yun's decomposition over Z run; its repeated factors are solved first, by
   Horner's rule, and every exactly known factor (z^k for a root at 0
   included) is divided out of the log-derivative of the orbit solve;
 - near-real roots are reconstructed as rationals and verified exactly, and

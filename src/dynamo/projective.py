@@ -247,9 +247,9 @@ def int_root_floor(n: int, e: int) -> int:
         x = y
 
 
-# The helpers below read a coefficient list as a univariate polynomial,
-# ascending powers; `not c` is the zero test, so the trim and the
-# pseudo-remainder work alike on int and Fraction coefficients.
+# The helpers below read a coefficient list as a univariate polynomial over
+# Z, ascending powers; `primitive_int` is where integral Fractions from
+# input parsing become integers.
 
 def poly_degree(c) -> int:
     d = len(c) - 1
@@ -283,29 +283,6 @@ def poly_prem(a, b):
     return poly_trim(r) if r else [0]
 
 
-def poly_divmod_q(a, b):
-    """Quotient and remainder over Q (b nonzero)."""
-    a = [Fraction(v) for v in poly_trim(a)]
-    b = [Fraction(v) for v in poly_trim(b)]
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(v != 0 for v in r):
-        dr = len(r) - 1
-        if r[dr] == 0:
-            r.pop()
-            continue
-        f = r[dr] / lb
-        q[dr - db] = f
-        for i in range(db + 1):
-            r[dr - db + i] -= f * b[i]
-        r.pop()
-    return q, poly_trim(r) or [Fraction(0)]
-
-
 def poly_div_exact(a, b):
     """a / b over Z for integer a and b (ArithmeticError unless b divides a)."""
     a, b = list(a), poly_trim(b)
@@ -329,22 +306,22 @@ def primitive_int(c):
     return ints
 
 
-def poly_gcd_q(a, b):
-    """Monic gcd over Q (primitive integer PRS inside to tame growth)."""
+def poly_gcd(a, b):
+    """Primitive gcd over Z with a positive leading coefficient, or [0], by the primitive PRS.
+
+    By Gauss's lemma it is also the gcd over Q, and it divides a and b
+    exactly over Z once they are primitive.
+    """
     a = primitive_int(poly_trim(a))
     b = primitive_int(poly_trim(b))
-    if a == [0]:
-        a, b = b, a
-    while b != [0] and any(b):
+    while any(b):
         if len(a) < len(b):
             a, b = b, a
             continue
-        r = poly_prem(a, b)
-        a, b = b, primitive_int(r) if any(r) else [0]
-    if a == [0] or not any(a):
-        return [Fraction(0)]
-    lead = Fraction(a[len(a) - 1])
-    return [Fraction(v) / lead for v in a]
+        a, b = b, primitive_int(poly_prem(a, b))
+    if not any(a):
+        return [0]
+    return a if a[-1] > 0 else [-v for v in a]
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +403,15 @@ def squarefree_by_primes(c) -> bool:
 # Sylvester resultants and Bezout certificates
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(rows) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    m = [list(r) for r in rows]
+def _bareiss(m) -> int:
+    """Fraction-free elimination of the n x (n + k) integer rows m, in place.
+
+    Bareiss (Math. Comp. 22, 1968): below the diagonal of the leading n x n
+    block everything becomes zero, every division is exact, and m[i][i] is
+    the leading (i+1) x (i+1) minor of the row-permuted matrix, so
+    m[n-1][n-1] is its determinant.  Returns the sign of the row permutation, or 0 when the
+    determinant vanishes.
+    """
     n = len(m)
     sign = 1
     prev = 1
@@ -442,29 +425,39 @@ def _bareiss_det(rows) -> int:
             else:
                 return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign if m[n - 1][n - 1] else 0
 
 
-def sylvester_matrix(f0, f1):
-    """Sylvester matrix of two binary forms of equal formal degree d (size 2d)."""
+def _bareiss_det(rows) -> int:
+    """Exact integer determinant (fraction-free Gaussian elimination)."""
+    m = [list(r) for r in rows]
+    return _bareiss(m) * m[-1][-1]
+
+
+def _bezout_system(f0, f1, extra: int = 0):
+    """The 2d x 2d matrix M of the map (u, v) -> u f0 + v f1, plus `extra` zero columns.
+
+    u and v run over the forms of degree d-1 (ascending, y = 1): column j
+    holds x^j f0 and column d + j holds x^j f1.  M is the Sylvester matrix
+    of two forms of formal degree d, transposed with the order of its rows
+    and columns reversed, so det M = (-1)^d Res(f0, f1).
+    """
     d = len(f0) - 1
-    n = 2 * d
-    rows = []
-    rev0 = list(reversed(f0))
-    rev1 = list(reversed(f1))
-    for s in range(d):
-        rows.append([0] * s + rev0 + [0] * (n - d - 1 - s))
-    for s in range(d):
-        rows.append([0] * s + rev1 + [0] * (n - d - 1 - s))
-    return rows
+    m = [[0] * (2 * d + extra) for _ in range(2 * d)]
+    for j in range(d):
+        for i, c in enumerate(f0):
+            m[i + j][j] = c
+        for i, c in enumerate(f1):
+            m[i + j][d + j] = c
+    return m
 
 
 def sylvester_resultant(f0, f1) -> int:
-    return _bareiss_det(sylvester_matrix(f0, f1))
+    return (-1) ** (len(f0) - 1) * _bareiss_det(_bezout_system(f0, f1))
 
 
 @dataclass(frozen=True)
@@ -482,53 +475,30 @@ class BezoutCertificate:
     res: int
 
 
-def _solve_fraction_system(mat, rhs):
-    """Solve an integer linear system exactly over Fraction; None if singular."""
-    n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def bezout_certificate(f0, f1, res: int) -> BezoutCertificate:
-    """Compute and verify cofactor forms for the two Bezout identities."""
+    """Compute and verify cofactor forms for the two Bezout identities.
+
+    The cofactors solve M (u, v) = res e_t for t = 2d-1 and t = 0 (M from
+    `_bezout_system`).  One Bareiss elimination of M with both e_t appended
+    gives det M, which must be +-res; back substitution then gives
+    res M^-1 e_t = +-adj(M) e_t in exact integer division.
+    """
     d = len(f0) - 1
-    e = 2 * d - 1
-    # columns of the transposed Sylvester system: unknown cofactor coefficients
-    # (u has degree d-1, paired with f0; v has degree d-1, paired with f1)
-    # equation: sum_j u_j x^j f0 + sum_j v_j x^j f1 = res * x^target (affine, y = 1)
-    a0 = list(f0)
-    a1 = list(f1)
-    mat = [[0] * (2 * d) for _ in range(2 * d)]
-    for j in range(d):
-        for i, c in enumerate(a0):
-            mat[i + j][j] += c
-        for i, c in enumerate(a1):
-            mat[i + j][d + j] += c
+    n = 2 * d
+    m = _bezout_system(f0, f1, 2)
+    m[n - 1][n] = m[0][n + 1] = 1
+    det = _bareiss(m) * m[n - 1][n - 1]
+    if det == 0:
+        raise DegenerateMap("resultant vanished while solving for Bezout cofactors")
+    if abs(det) != res:
+        raise DegenerateMap("Bezout determinant differs from the resultant")
     out = []
-    for target in (e, 0):
-        rhs = [0] * (2 * d)
-        rhs[target] = res
-        sol = _solve_fraction_system(mat, rhs)
-        if sol is None:
-            raise DegenerateMap("resultant vanished while solving for Bezout cofactors")
-        ints = []
-        for v in sol:
-            if v.denominator != 1:
-                # adjugate entries are integers; a non-integer means res was wrong
-                raise DegenerateMap("non-integral Bezout cofactor; inconsistent resultant")
-            ints.append(int(v))
-        out.append((tuple(ints[:d]), tuple(ints[d:])))
+    for col in (n, n + 1):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = res * m[i][col] - sum(m[i][j] * x[j] for j in range(i + 1, n))
+            x[i] = acc // m[i][i]
+        out.append((tuple(x[:d]), tuple(x[d:])))
     (g0x, g1x), (g0y, g1y) = out
     cert = BezoutCertificate(g0x, g1x, g0y, g1y, res)
     _verify_certificate(f0, f1, cert)
@@ -705,12 +675,24 @@ def mobius_conjugate(F: RationalMapLift, m) -> RationalMapLift:
 # JSON interface: {"num": [...], "den": [...]} with rationals as "p/q" strings
 # ---------------------------------------------------------------------------
 
+def coefficient_from_json(c) -> Fraction:
+    """A JSON coefficient (number or "p/q" string) as a Fraction, else ValueError."""
+    try:
+        return Fraction(str(c))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+
+
 def map_from_json(obj) -> RationalMapLift:
     """Build a lift from the affine numerator/denominator JSON description."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    num = [Fraction(str(c)) for c in obj["num"]]
-    den = [Fraction(str(c)) for c in obj.get("den", [1])]
+    if not (isinstance(obj, dict) and isinstance(obj.get("num"), list)
+            and isinstance(obj.get("den", []), list)):
+        raise ValueError('a map is a JSON object {"num": [...], "den": [...]} '
+                         "of coefficient lists")
+    num = [coefficient_from_json(c) for c in obj["num"]]
+    den = [coefficient_from_json(c) for c in obj.get("den", [1])]
     scale = 1
     for c in num + den:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)

@@ -1,9 +1,9 @@
 """Complex and exact root finding for integer polynomials and binary forms.
 
-Strategy: exact squarefree decomposition first (multiplicities become
-exact), rational roots recovered by continued-fraction reconstruction from
-numeric approximations plus exact verification (no coefficient factoring,
-so huge iterate coefficients are fine).  `binary_form_roots` is the one
+Strategy: exact squarefree decomposition over Z first (multiplicities
+become exact), rational roots recovered by continued-fraction
+reconstruction from numeric approximations plus exact verification (no
+coefficient factoring, so huge iterate coefficients are fine).  `binary_form_roots` is the one
 exact root path: fibers, critical points and periodic points all run it,
 and it solves each squarefree factor once.  Every numeric solve runs one
 sweep loop, `aberth_sweeps`, on a (d, m) layout with one polynomial per
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .projective import (
     form_eval,
     poly_deriv,
     poly_degree,
-    poly_divmod_q,
-    poly_gcd_q,
+    poly_div_exact,
+    poly_gcd,
     poly_trim,
     primitive_int,
     squarefree_by_primes,
@@ -54,8 +55,9 @@ def yun_squarefree(c):
     c has integer or integral Fraction coefficients.  When one of three
     primes proves its primitive part squarefree (`squarefree_by_primes`),
     that part is the whole answer; only the inputs left over, repeated
-    factors or an unlucky prime, pay for gcds over Q.  Factors come in
-    increasing multiplicity.
+    factors or an unlucky prime, pay for gcds.  Those run over Z: each gcd
+    is primitive with a positive leading coefficient, so by Gauss's lemma
+    every quotient by it is exact.  Factors come in increasing multiplicity.
     """
     c = poly_trim(c)
     if poly_degree(c) == 0:
@@ -63,22 +65,19 @@ def yun_squarefree(c):
     prim = primitive_int(c)
     if squarefree_by_primes(prim):
         return [(prim, 1)]
-    g = poly_gcd_q(c, poly_deriv(c))
+    dc = poly_deriv(prim)
+    g = poly_gcd(prim, dc)
     if poly_degree(g) == 0:
         return [(prim, 1)]
     out = []
-    w, _ = poly_divmod_q(c, g)
-    y, _ = poly_divmod_q(poly_deriv(c), g)
+    w, y = poly_div_exact(prim, g), poly_div_exact(dc, g)
     k = 1
     while poly_degree(w) > 0:
-        z = [yv - dv for yv, dv in
-             zip(y + [Fraction(0)] * len(w), poly_deriv(w) + [Fraction(0)] * len(y))]
-        z = poly_trim(z)
-        h = poly_gcd_q(w, z)
+        z = poly_trim([a - b for a, b in zip_longest(y, poly_deriv(w), fillvalue=0)])
+        h = poly_gcd(w, z)
         if poly_degree(h) > 0:
-            out.append((primitive_int(h), k))
-        w, _ = poly_divmod_q(w, h)
-        y, _ = poly_divmod_q(z, h)
+            out.append((h, k))
+        w, y = poly_div_exact(w, h), poly_div_exact(z, h)
         k += 1
     return out
 

@@ -326,3 +326,33 @@ def test_curve_orbit_beyond_float_range_is_computation_error(steep_line_json, sq
                     "--map", sq_json, sq_json, "--max-iter", "3", "--json"])
     assert code == 2
     assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"num": 5}', '[1, 2]', '{"num": ["1", "0", "1"], "den": 3}',
+                                  '{"num": ["1/0", "1"]}'])
+def test_malformed_map_json_is_usage_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out = _run(["preper", "--map", str(p), "--point", "2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [{"multidegree": 5}, {"terms": 7},
+                                 {"terms": [{"exps": 3, "coeff": "1"}]},
+                                 {"terms": [{"exps": [1, 0], "coeff": "1/0"}]}])
+def test_malformed_hypersurface_json_is_usage_error(tmp_path, sq_json, capsys, bad):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"n": 2, "multidegree": [1, 1],
+                             "terms": [{"exps": [1, 0], "coeff": "1"}], **bad}))
+    code, out = _run(["curve-orbit", "--hyp", str(p), "--map", sq_json])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parser_defaults_are_the_run_config_defaults():
+    from dynamo.cli import RunConfig, _config_from_args, build_parser
+
+    assert _config_from_args(build_parser().parse_args(["self-test"])) == RunConfig()

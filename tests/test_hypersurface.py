@@ -74,7 +74,7 @@ def test_fiber_solve_squarefree_fiber_needs_no_gcd(monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("gcd over Q on a squarefree fiber")
 
-    monkeypatch.setattr(dynamo.roots, "poly_gcd_q", no_gcd)
+    monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     roots = fiber_solve(graph_surface([-2, 0, 1]), 1, {2: point_from_rational(2)})
     assert sorted(str(ex) for _, _, ex in roots) == ["-2", "2"]
     assert sorted((cp.affine().real, cp.affine().imag, m) for cp, m, _ in roots) == [

@@ -363,7 +363,7 @@ def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
     def no_gcd(a, b):
         raise AssertionError(f"Yun over Q on degree {len(a) - 1}")
 
-    monkeypatch.setattr(dynamo.roots, "poly_gcd_q", no_gcd)
+    monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     assert _reduce_to_curve(r2, 64, 32, 10**6).multidegree == (64, 32)
     first = dynamo.projective._prime(0)
     monkeypatch.setattr(dynamo.projective, "_prime", lambda k: first)

@@ -308,5 +308,5 @@ def test_squarefree_form_skips_yun(basilica, monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("Yun's decomposition ran on a squarefree form")
 
-    monkeypatch.setattr(dynamo.roots, "poly_gcd_q", no_gcd)
+    monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     assert sum(c.period for c in periodic_points(basilica, 6)) == 65

@@ -12,6 +12,7 @@ from dynamo.projective import (
     CPoint,
     ProjectivePoint,
     RationalMapLift,
+    bezout_certificate,
     compose,
     critical_points,
     evaluate,
@@ -168,7 +169,16 @@ def test_resultant_rejects_degenerate():
 
 
 def test_bezout_identities_reexpand(sq, basilica, cheb2):
-    for F in (sq, basilica, cheb2):
+    rng = random.Random(11)
+    maps = [sq, basilica, cheb2]
+    for d in range(1, 11):
+        while len(maps) < 3 + 2 * d:  # two random maps of each degree
+            try:
+                maps.append(RationalMapLift.make([rng.randint(-9, 9) for _ in range(d + 1)],
+                                                 [rng.randint(-9, 9) for _ in range(d + 1)]))
+            except DegenerateMap:
+                pass
+    for F in maps:
         d = F.degree
         cert = F.certificate()
         e = 2 * d - 1
@@ -180,6 +190,9 @@ def test_bezout_identities_reexpand(sq, basilica, cheb2):
             expect = [0] * (e + 1)
             expect[target] = F.res
             assert total == expect
+        # a wrong resultant is refused, even a multiple with integral cofactors
+        with pytest.raises(DegenerateMap):
+            bezout_certificate(F.f0, F.f1, 2 * F.res)
 
 
 def test_sylvester_against_numeric_product():

@@ -1,5 +1,6 @@
 """Root finding: squarefree structure, rational extraction, Aberth iteration."""
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from dynamo.errors import RootFindingFailure
+from dynamo.projective import poly_mul
 from dynamo.roots import (
     _BLOCK,
     _aberth_block,
@@ -40,6 +42,31 @@ def test_yun_squarefree_structure():
     assert set(parts) == {2, 3}
     assert parts[2] in ([-1, 1], [1, -1]) or parts[2] == [-1, 1]
     assert parts[3] in ([2, 1],)
+    # random products with mixed multiplicities, as ints and integral Fractions
+    rng = random.Random(4)
+    for trial in range(60):
+        facs = [([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+                 + [rng.choice([-3, -1, 1, 2])], rng.randint(1, 4)) for _ in range(3)]
+        facs.append(([rng.randint(-6, 6), rng.choice([-2, 1, 3])], 2))
+        c = [1]
+        for f, m in facs:
+            for _ in range(m):
+                c = poly_mul(c, f)
+        scale = rng.choice([-6, 1, 5])
+        c = [scale * v for v in c]
+        if trial % 2:
+            c = [Fraction(v) for v in c]
+        out = yun_squarefree(c)
+        mults = [m for _, m in out]
+        assert mults == sorted(set(mults))
+        assert all(type(v) is int for fac, _ in out for v in fac)
+        assert all(fac[-1] > 0 and math.gcd(*fac) == 1 for fac, _ in out)
+        prod = [1]
+        for fac, m in out:
+            for _ in range(m):
+                prod = poly_mul(prod, fac)
+        prim = [int(v) // math.gcd(*map(int, c)) for v in c]
+        assert prod in (prim, [-v for v in prim])
 
 
 def test_binary_form_roots_rational_and_multiplicity():
