@@ -29,7 +29,6 @@ from .harness import (
 )
 from .heights import (
     CanonicalHeightResult,
-    Place,
     PreperiodicityVerdict,
     canonical_height,
     canonical_height_functoriality_check,
@@ -55,14 +54,7 @@ from .measure import (
     sample_invariant_measure,
     sample_product_measure,
 )
-from .orbits import (
-    Cycle,
-    OrbitRecord,
-    multiplier,
-    orbit_record,
-    periodic_points,
-    repelling_cycles,
-)
+from .orbits import Cycle, multiplier, periodic_points
 from .projective import (
     INFINITY,
     CPoint,
@@ -76,5 +68,4 @@ from .projective import (
     mobius_conjugate,
     normalize,
     point_from_rational,
-    resultant,
 )

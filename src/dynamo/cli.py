@@ -31,7 +31,7 @@ from .heights import (
 from .hypersurface import load_hypersurface
 from .curves import curve_orbit
 from .measure import sample_invariant_measure, sphere_embed
-from .orbits import orbit_record, periodic_points
+from .orbits import periodic_points
 from .projective import load_map, point_from_rational
 
 
@@ -127,11 +127,11 @@ def _cmd_preper(args, config, out):
 
 def _cmd_orbit(args, config, out):
     F = load_map(args.map)
-    o = orbit_record(F, point_from_rational(args.point))
-    if o.record is not None:
-        payload = {"status": "preperiodic", "tail": o.record.tail, "period": o.record.period}
+    v = decide_preperiodic(F, point_from_rational(args.point), cap_digits=config.cap_digits)
+    if v.preperiodic:
+        payload = {"status": "preperiodic", "tail": v.tail, "period": v.period}
     else:
-        payload = {"status": "divergent", "height_lower_bound": o.height_lower_bound}
+        payload = {"status": "divergent", "height_lower_bound": v.height_lower_bound}
     _emit(payload, config, out)
 
 

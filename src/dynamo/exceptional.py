@@ -12,7 +12,7 @@ parabolic signatures for Lattès.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousCollision, Inconclusive, SingularCurve
@@ -112,10 +112,6 @@ class RamificationPortrait:
     nodes: list
     exact: bool
     signature: tuple = ()
-    postcritical: list = field(default_factory=list)
-
-    def weights(self) -> dict[int, float]:
-        return {i: n.weight for i, n in enumerate(self.nodes) if n.weight > 1}
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,10 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
     Rational critical points are certified through the exact preperiodicity
     decision (divergence is then a proof, not a budget timeout); other orbits
     accept collisions at chordal distance < tol and mark the portrait inexact.
+    A negative max_orbit is a ValueError.
     """
+    if max_orbit < 0:
+        raise ValueError(f"max_orbit must be >= 0, got {max_orbit}")
     crits, _ = critical_points(F)
     store = _NodeStore(tol)
     crit_ids = []
@@ -226,11 +225,8 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
 
     _assign_weights(store.nodes)
     signature = tuple(sorted(n.weight for n in store.nodes if n.weight > 1))
-    imaged = sorted({n.image for n in store.nodes if n.image is not None})
     all_exact = store.all_collisions_exact and all(n.exact is not None for n in store.nodes)
-    return RamificationPortrait(nodes=store.nodes, exact=all_exact,
-                                signature=signature,
-                                postcritical=[store.nodes[i] for i in imaged])
+    return RamificationPortrait(nodes=store.nodes, exact=all_exact, signature=signature)
 
 
 def _assign_weights(nodes) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import Curve2, CurveOrbitOutcome, curve_orbit
 from .errors import DegenerateFiber, InsufficientPreperiodicSupply
 from .exceptional import classify
@@ -27,6 +25,9 @@ from .measure import (
     pullback_to_hypersurface,
 )
 from .projective import iterate_lift
+
+#: search box of each map's rational preperiodic points (the fiber-test supply)
+SUPPLY_BOX = 100
 
 
 # ---------------------------------------------------------------------------
@@ -49,22 +50,29 @@ class FiberTestResult:
     degenerate: int
     witnesses: tuple
 
-    @property
-    def all_certified_pass(self) -> bool:
-        return self.fails == 0
+
+def _check_axes(H: Hypersurface, maps, *axes: int) -> None:
+    """ValueError unless there is one map per axis and every axis is in 1..n."""
+    if len(maps) != H.n:
+        raise ValueError(f"one map per coordinate axis is required: {H.n} axes, "
+                         f"{len(maps)} maps")
+    for a in axes:
+        if not 1 <= a <= H.n:
+            raise ValueError(f"axis {a} is outside 1..{H.n}")
 
 
 def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
-                              seed: int = 0, supply_box: int = 100,
+                              seed: int = 0,
                               supply: dict | None = None) -> FiberTestResult:
     """Solve fibers over random preperiodic tuples; decide each rational root.
 
     Constrained coordinates j != i draw uniformly from the rational
-    preperiodic set of map j; exact rational roots of the fiber get the exact
-    preperiodicity decision, numeric roots an uncertified escape-rate
+    preperiodic set of map j, searched in the box max(|p|, |q|) <= SUPPLY_BOX;
+    exact rational roots of the fiber get the exact preperiodicity decision
+    (`decide_preperiodic`), numeric roots an uncertified escape-rate
     estimate.  A certified non-preperiodic rational root is a fail witness.
-    supply memoizes each map's rational preperiodic set (searched in
-    supply_box); callers testing several axes pass one dict to all of them.
+    supply memoizes each map's rational preperiodic set; callers testing
+    several axes pass one dict to all of them.
     """
     dom = H.dominance()
     if not dom["axis"][i]:
@@ -75,7 +83,7 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
         if j == i:
             continue
         if F not in supply:
-            supply[F] = rational_preperiodic_points(F, box=supply_box)
+            supply[F] = rational_preperiodic_points(F, box=SUPPLY_BOX)
         pts = supply[F]
         if not pts:
             raise InsufficientPreperiodicSupply(
@@ -122,7 +130,6 @@ class MeasureCompareResult:
     per_chart: tuple
     n_samples: int
     discarded: tuple
-    slice_statistic: float | None = None
 
     @property
     def equal_within_noise(self) -> bool:
@@ -131,8 +138,6 @@ class MeasureCompareResult:
 
 def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_000,
                     depth: int = 30, seed: int = 0,
-                    slice_axis: int | None = None, slice_center: complex = 0.0,
-                    slice_width: float = 0.5,
                     columns: dict | None = None) -> MeasureCompareResult:
     """Cap discrepancy between the pullback measures through axes i and j.
 
@@ -140,13 +145,12 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
     the empirical mass difference; tau = 3 sqrt(ln 64 / N) is the documented
     CLT heuristic.  D and tau are reported, never upgraded to a proof.
     Sampling seeds depend on (seed, axis) only, so D_ij = D_ji exactly.
-
-    Slice mode (optional): restrict both samples to a tube |x_a - c| < width
-    around a value of one coordinate and compare the remaining 1-D caps.
+    maps holds one map per axis and i, j lie in 1..n, else ValueError.
 
     columns memoizes the product-measure columns (`sample_product_measure`);
     callers comparing several pairs pass one dict to all of them.
     """
+    _check_axes(H, maps, i, j)
     columns = {} if columns is None else columns
     out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
                                      columns=columns)
@@ -158,21 +162,8 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
         d_axis = cap_discrepancy(out_i.measure.sphere(axis), out_j.measure.sphere(axis))
         per_chart.append(d_axis)
         stat = max(stat, d_axis)
-    slice_stat = None
-    if slice_axis is not None:
-        keep_i = np.abs(out_i.measure.affine(slice_axis - 1) - slice_center) < slice_width
-        keep_j = np.abs(out_j.measure.affine(slice_axis - 1) - slice_center) < slice_width
-        slice_stat = 0.0
-        for axis in range(H.n):
-            if axis == slice_axis - 1:
-                continue
-            if keep_i.sum() < 50 or keep_j.sum() < 50:
-                continue
-            slice_stat = max(slice_stat, cap_discrepancy(out_i.measure.sphere(axis)[keep_i],
-                                                         out_j.measure.sphere(axis)[keep_j]))
     return MeasureCompareResult(stat, clt_threshold(n_samples), tuple(per_chart),
-                                n_samples, (out_i.discarded, out_j.discarded),
-                                slice_stat)
+                                n_samples, (out_i.discarded, out_j.discarded))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +190,10 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
 
     Searches the lexicographically minimal (l_i, l_j) with
     deg(f_i)^l_i = deg(f_j)^l_j up to the bound, extracts the plane curve,
-    and runs its orbit under the matching iterates.
+    and runs its orbit under the matching iterates.  maps holds one map per
+    axis, else ValueError.
     """
+    _check_axes(H, maps)
     dom = H.dominance()
     active = dom["active_blocks"]
     if len(active) != 2:
@@ -249,7 +242,6 @@ class MMConfig:
     exponent_bound: int = 6
     max_curve_iter: int = 6
     max_bidegree: int = 40
-    supply_box: int = 100
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,6 @@ class MMReport:
     fiber_tests: dict
     measure_tests: dict
     pair_form: PairFormReport
-    threshold: float
     failed_conditions: tuple
     verdict: str
     warnings: tuple = ()
@@ -273,8 +264,7 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
     forms) contradict the classification theory, so some failure is expected
     on any other input; the report names the failures with witnesses.
     """
-    if len(maps) != H.n:
-        raise ValueError("one map per coordinate axis is required")
+    _check_axes(H, maps)
     dom = H.dominance()
     warnings = tuple(H.irreducibility_warnings())
     classifications = tuple(classify(F) for F in maps)
@@ -285,8 +275,7 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
         if not dom["axis"][i]:
             continue
         res = fiber_preperiodicity_test(H, maps, i, trials=config.trials,
-                                        seed=config.seed + i, supply_box=config.supply_box,
-                                        supply=supply)
+                                        seed=config.seed + i, supply=supply)
         fiber_tests[i] = res
         if res.fails:
             failed.append(f"fiber test on axis {i}: {res.fails} certified "
@@ -326,6 +315,5 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
         verdict = "no necessary condition failed at the tested resolution"
     return MMReport(dominance=dom, classifications=classifications,
                     fiber_tests=fiber_tests, measure_tests=measure_tests,
-                    pair_form=pair, threshold=clt_threshold(config.samples),
-                    failed_conditions=tuple(failed), verdict=verdict,
+                    pair_form=pair, failed_conditions=tuple(failed), verdict=verdict,
                     warnings=warnings)

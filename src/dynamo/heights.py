@@ -71,26 +71,6 @@ def log_int(n: int) -> float:
     return math.log(top) + (bits - 64) * math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Place:
-    """An absolute value class on Q: the archimedean place or a prime p."""
-
-    p: int | None = None  # None marks the archimedean place
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.p is None
-
-    def abs_log(self, q: Fraction) -> float:
-        """log |q|_v for nonzero q."""
-        if q == 0:
-            raise ValueError("|0|_v is not defined here")
-        if self.p is None:
-            return log_int(abs(q.numerator)) - log_int(q.denominator)
-        vp = _padic_valuation(q, self.p)
-        return -vp * math.log(self.p)
-
-
 def _padic_valuation(q: Fraction, p: int) -> int:
     v = 0
     n = q.numerator
@@ -485,9 +465,8 @@ def _decide(F: RationalMapLift, p: ProjectivePoint, bound_k: int,
 _SEARCH_BLOCK = 1 << 16
 
 
-def rational_preperiodic_points(F: RationalMapLift, box: int = 100,
-                                include_infinity: bool = True) -> list[ProjectivePoint]:
-    """All rational preperiodic points with max(|p|,|q|) <= box.
+def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[ProjectivePoint]:
+    """All rational preperiodic points with max(|p|,|q|) <= box, infinity first.
 
     A preperiodic point has max(|p|,|q|) <= t = floor(K^(1/(d-1))), K from
     `step_bound_int` and t by integer Newton, which prunes the search box.
@@ -513,7 +492,7 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100,
         return _decide(F, pt, bound_k, DEFAULT_DIGIT_CAP).preperiodic
 
     out = []
-    if include_infinity and preperiodic(ProjectivePoint(1, 0)):
+    if preperiodic(ProjectivePoint(1, 0)):
         out.append(ProjectivePoint(1, 0))
     side = np.arange(-m_max, m_max + 1, dtype=np.int64)
     per_block = max(1, _SEARCH_BLOCK // (2 * m_max + 1))

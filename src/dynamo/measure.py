@@ -274,8 +274,10 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     uniformly, as the root of a uniform rank in the order
     (round(re, 9), round(im, 9)) of the affine roots; identically-vanishing
     fibers are discarded and counted.  columns is passed to
-    `sample_product_measure`.
+    `sample_product_measure`.  An axis i outside 1..n is a ValueError.
     """
+    if not 1 <= i <= H.n:
+        raise ValueError(f"axis {i} is outside 1..{H.n}")
     if H.multidegree[i - 1] <= 0:
         raise ValueError(f"H does not project dominantly when forgetting axis {i}")
     base = sample_product_measure(maps, i, n_samples, depth, seed=seed, columns=columns)

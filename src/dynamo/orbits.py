@@ -1,4 +1,4 @@
-"""Periodic points, multipliers, and repelling-cycle location.
+"""Periodic points and their multipliers.
 
 The points of period dividing n are the d^n + 1 roots on P^1 of the
 fixed-point form Y*F0^(n) - X*F1^(n).  Their affine part is
@@ -28,7 +28,9 @@ points also run:
 Matching each root to the root nearest its image groups the roots into
 cycles with exact periods (Morton-Silverman, IMRN 1994, count them) and
 checks that F permutes them.  The multiplier is the chain-rule product of
-local derivatives in charts that avoid infinity.
+local derivatives in charts that avoid infinity; `Cycle.repelling` reads
+|lambda| > 1 from it.  Exact orbits of rational points (tail and period, or
+certified divergence) are `heights.decide_preperiodic`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, NotACycle
-from .heights import decide_preperiodic
 from .projective import (
     CPoint,
     RationalMapLift,
@@ -47,7 +48,6 @@ from .projective import (
     form_derivative_y,
     form_eval,
     iterate_lift,
-    point_from_rational,
 )
 from .roots import binary_form_roots
 
@@ -69,21 +69,6 @@ class Cycle:
     @property
     def repelling(self) -> bool:
         return abs(self.multiplier) > 1.0
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    tail: int
-    period: int
-
-
-@dataclass(frozen=True)
-class OrbitOutcome:
-    """Either an exact (tail, period) record or certified divergence."""
-
-    record: OrbitRecord | None = None
-    divergent: bool = False
-    height_lower_bound: float | None = None
 
 
 def fixed_point_form(F: RationalMapLift) -> tuple:
@@ -176,17 +161,18 @@ def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, tol: float) ->
     return succ
 
 
-def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
-                    cap: int = DEFAULT_PERIOD_CAP) -> list[Cycle]:
+def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> list[Cycle]:
     """All cycles of period dividing n, exact periods attached, with multipliers.
 
     Root multiplicities above 1 in the fixed-point form (parabolic
     coincidences) are flagged on the affected cycles rather than merged away.
+    d^n above DEFAULT_PERIOD_CAP raises CapExceeded.
     """
     if F.degree < 2:
         raise ValueError("periodic points need degree >= 2")
-    if F.degree ** n > cap:
-        raise CapExceeded(f"d^n = {F.degree ** n} exceeds the configured cap {cap}")
+    if F.degree ** n > DEFAULT_PERIOD_CAP:
+        raise CapExceeded(f"d^n = {F.degree ** n} exceeds the configured cap "
+                          f"{DEFAULT_PERIOD_CAP}")
     roots = fixed_point_roots(F, n, tol=max(tol * 1e-3, 1e-14))
     pts = [cp for cp, _, _ in roots]
     x = np.array([p.x for p in pts])
@@ -217,13 +203,6 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
         cycles.append(Cycle(tuple(pts[i] for i in path), len(path), lam,
                             tuple(roots[i][2] for i in path), warn))
     return cycles
-
-
-def repelling_cycles(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL,
-                     cap: int = DEFAULT_PERIOD_CAP) -> list[Cycle]:
-    """Cycles of period dividing n whose multiplier satisfies |lambda| > 1 + tol."""
-    return [c for c in periodic_points(F, n, tol=tol, cap=cap)
-            if abs(c.multiplier) > 1.0 + tol]
 
 
 def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,
@@ -265,11 +244,3 @@ def multiplier(F: RationalMapLift, points, tol: float = 1e-7) -> complex:
         lam *= v
     return lam
 
-
-def orbit_record(F: RationalMapLift, p) -> OrbitOutcome:
-    """Exact orbit bookkeeping: minimal (tail, period) or certified divergence."""
-    p = point_from_rational(p)
-    verdict = decide_preperiodic(F, p)
-    if verdict.preperiodic:
-        return OrbitOutcome(record=OrbitRecord(verdict.tail, verdict.period))
-    return OrbitOutcome(divergent=True, height_lower_bound=verdict.height_lower_bound)

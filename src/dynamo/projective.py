@@ -570,11 +570,6 @@ class RationalMapLift:
             raise DegenerateMap("resultant is zero: F0 and F1 share a projective root")
         return cls(f0, f1, d, res)
 
-    @property
-    def is_polynomial(self) -> bool:
-        """True when F1 is a multiple of Y^d (the map fixes infinity as a polynomial)."""
-        return all(c == 0 for c in self.f1[1:])
-
     def certificate(self) -> BezoutCertificate:
         return _certificate_cached(self.f0, self.f1, self.res)
 
@@ -618,11 +613,6 @@ def iterate_lift(F: RationalMapLift, n: int, cap_digits: int = DEFAULT_DIGIT_CAP
     for _ in range(n - 1):
         out = compose(F, out, cap_digits=cap_digits)
     return out
-
-
-def resultant(F: RationalMapLift) -> tuple[int, BezoutCertificate]:
-    """Cached resultant together with its verified Bezout certificate."""
-    return F.res, F.certificate()
 
 
 def wronskian(F: RationalMapLift) -> tuple:

@@ -352,6 +352,29 @@ def test_malformed_hypersurface_json_is_usage_error(tmp_path, sq_json, capsys, b
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # axes outside 1..n: 5 indexed past the maps, 0 read axis n as index -1
+    "compare-measures --hyp {diag} --map {sq} {sq} --i 5",
+    "compare-measures --hyp {diag} --map {sq} {sq} --i 0",
+    "ms-check --hyp {diag} --map {sq}",  # one map for two axes
+    "classify --map {sq} --max-orbit -1",  # would follow no critical orbit
+])
+def test_bad_axis_map_count_or_budget_is_usage_error(diagonal_json, sq_json, capsys, argv):
+    argv = argv.format(diag=diagonal_json, sq=sq_json).split()
+    code, out = _run(argv + ["--samples", "200", "--depth", "5"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_orbit_divergent_json(sq_json):
+    code, text = _run(["orbit", "--map", sq_json, "--point", "2", "--json"])
+    assert code == 0
+    res = json.loads(text)["result"]
+    assert res["status"] == "divergent"
+    assert res["height_lower_bound"] > 0
+
+
 def test_parser_defaults_are_the_run_config_defaults():
     from dynamo.cli import RunConfig, _config_from_args, build_parser
 

@@ -85,13 +85,6 @@ def test_measure_compare_invariant_graph(sq):
     assert res.equal_within_noise, (res.statistic, res.threshold)
 
 
-def test_measure_compare_slice_mode(sq):
-    res = measure_compare(diagonal_surface(), [sq, sq], 1, 2,
-                          n_samples=4000, depth=25, seed=13,
-                          slice_axis=1, slice_center=1.0, slice_width=0.7)
-    assert res.slice_statistic is not None
-
-
 # -- pair-form check --------------------------------------------------------------
 
 def test_ms_form_pulled_back_diagonal(sq, basilica):
@@ -209,7 +202,7 @@ def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
     assert calls == [basilica]
     for i in (1, 2, 3):
         alone = fiber_preperiodicity_test(linear_sum_surface(), maps, i, trials=cfg.trials,
-                                          seed=cfg.seed + i, supply_box=cfg.supply_box)
+                                          seed=cfg.seed + i)
         assert rep.fiber_tests[i] == alone
 
 

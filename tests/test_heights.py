@@ -267,19 +267,6 @@ def test_int_root_floor():
         assert int_root_floor(big**e - 1, e) == big - 1
 
 
-def test_place_logs_sum_to_zero():
-    from dynamo.heights import Place, factorize
-
-    rng = random.Random(5)
-    for _ in range(50):
-        q = Fraction(rng.randint(-9999, 9999), rng.randint(1, 9999))
-        if q == 0:
-            continue
-        primes = set(factorize(q.numerator)) | set(factorize(q.denominator))
-        total = Place().abs_log(q) + sum(Place(p).abs_log(q) for p in primes)
-        assert abs(total) < 1e-9
-
-
 def test_canonical_height_overflow_policy(basilica):
     with pytest.raises(OverflowPolicy):
         canonical_height(basilica, Fraction(3, 5), target_error=1e-9, cap_digits=40)

@@ -1,4 +1,4 @@
-"""Periodic points, multipliers, orbit records."""
+"""Periodic points, multipliers, exact orbits."""
 
 import cmath
 import math
@@ -6,13 +6,8 @@ import math
 import pytest
 
 from dynamo.errors import CapExceeded, NotACycle
-from dynamo.orbits import (
-    Cycle,
-    multiplier,
-    orbit_record,
-    periodic_points,
-    repelling_cycles,
-)
+from dynamo.heights import decide_preperiodic
+from dynamo.orbits import multiplier, periodic_points
 from dynamo.projective import CPoint, ProjectivePoint, evaluate_cpoint
 
 
@@ -86,16 +81,20 @@ def test_root_count_matches_degree(sq, basilica, cheb2):
             assert total == F.degree ** n + 1
 
 
+def _repelling(F, n):
+    return [c for c in periodic_points(F, n) if c.repelling]
+
+
 def test_repelling_cycles_power(sq):
-    rep = repelling_cycles(sq, 1)
+    rep = _repelling(sq, 1)
     assert len(rep) == 1
     assert rep[0].multiplier == pytest.approx(2.0)
-    rep2 = repelling_cycles(sq, 2)
+    rep2 = _repelling(sq, 2)
     assert sorted(round(abs(c.multiplier)) for c in rep2) == [2, 4]
 
 
 def test_repelling_cycles_cheb2(cheb2):
-    rep = repelling_cycles(cheb2, 1)
+    rep = _repelling(cheb2, 1)
     assert sorted(round(abs(c.multiplier)) for c in rep) == [2, 4]
 
 
@@ -126,17 +125,17 @@ def test_cycle_closure_within_tol(sq, basilica):
 
 
 def test_orbit_record_examples(sq, basilica):
-    r = orbit_record(basilica, 1)
-    assert r.record == (r.record.__class__(1, 2))
-    r = orbit_record(sq, 1)
-    assert (r.record.tail, r.record.period) == (0, 1)
-    r = orbit_record(basilica, 2)
-    assert r.divergent and r.height_lower_bound > 0
+    v = decide_preperiodic(basilica, 1)
+    assert v.preperiodic and (v.tail, v.period) == (1, 2)
+    v = decide_preperiodic(sq, 1)
+    assert v.preperiodic and (v.tail, v.period) == (0, 1)
+    v = decide_preperiodic(basilica, 2)
+    assert not v.preperiodic and v.height_lower_bound > 0
 
 
 def test_orbit_record_tail_zero_iff_periodic(basilica):
-    assert orbit_record(basilica, 0).record.tail == 0  # 0 -> -1 -> 0 periodic
-    assert orbit_record(basilica, 1).record.tail == 1
+    assert decide_preperiodic(basilica, 0).tail == 0  # 0 -> -1 -> 0 periodic
+    assert decide_preperiodic(basilica, 1).tail == 1
 
 
 def test_period_cap(sq):

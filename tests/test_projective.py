@@ -23,7 +23,6 @@ from dynamo.projective import (
     normalize,
     point_from_rational,
     poly_mul,
-    resultant,
     sylvester_resultant,
 )
 
@@ -153,14 +152,12 @@ def test_compose_resultant_multiplicativity_matches_sylvester():
 
 
 def test_resultant_power_map(sq):
-    res, cert = resultant(sq)
-    assert res == 1
-    assert isinstance(cert, BezoutCertificate)
+    assert sq.res == 1
+    assert isinstance(sq.certificate(), BezoutCertificate)
 
 
 def test_resultant_basilica(basilica):
-    res, _ = resultant(basilica)
-    assert res == 1
+    assert basilica.res == 1
 
 
 def test_resultant_rejects_degenerate():
