@@ -197,7 +197,10 @@ def curve_orbit(C: Curve2, f: RationalMapLift, g: RationalMapLift,
 
     Preperiodic orbits have bounded bidegree, so growth past max_bidegree ends
     the iteration early with the growth log (the not-detected outcome).
+    A max_iter below 1 is a ValueError.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     seen = {C: 0}
     chain = [C]
     cur = C

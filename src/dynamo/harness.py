@@ -191,9 +191,12 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
     Searches the lexicographically minimal (l_i, l_j) with
     deg(f_i)^l_i = deg(f_j)^l_j up to the bound, extracts the plane curve,
     and runs its orbit under the matching iterates.  maps holds one map per
-    axis, else ValueError.
+    axis and the bounds are >= 1, else ValueError.
     """
     _check_axes(H, maps)
+    for name, bound in (("exponent_bound", exponent_bound), ("max_iter", max_iter)):
+        if bound < 1:
+            raise ValueError(f"{name} must be >= 1, got {bound}")
     dom = H.dominance()
     active = dom["active_blocks"]
     if len(active) != 2:
@@ -242,6 +245,11 @@ class MMConfig:
     exponent_bound: int = 6
     max_curve_iter: int = 6
     max_bidegree: int = 40
+
+    def __post_init__(self):
+        for name in ("trials", "exponent_bound", "max_curve_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -208,14 +208,6 @@ def hypersurface_from_json(obj) -> Hypersurface:
     return Hypersurface.make(n, multidegree, terms)
 
 
-def hypersurface_to_json(H: Hypersurface) -> dict:
-    return {
-        "n": H.n,
-        "multidegree": list(H.multidegree),
-        "terms": [{"exps": list(e), "coeff": str(c)} for e, c in H.terms],
-    }
-
-
 def load_hypersurface(path) -> Hypersurface:
     with open(path, "r", encoding="utf-8") as fh:
         return hypersurface_from_json(json.load(fh))

@@ -8,13 +8,14 @@ fiber once, not one fiber per sample.  A step keeps its M nodes in one
 contiguous (d, M) layout, the one `roots_batch` solves in: the fiber
 coefficients are built as (d+1, M), and the roots, chart flags and rank
 keys are (M, d) views of (d, M) arrays, whose column k, the k-th root of
-every node, is contiguous; the next level is gathered by flat index.  A
-branch index is a rank: branch k of a fiber is its root of rank k in a
-canonical order of the roots, so the index does not depend on the order
-in which the solver returns them.  Product measures sample factors
-independently; hypersurface pullbacks solve the fiber equation per
-sample and pick one of the deg roots uniformly, realizing the normalized
-pullback measure.
+every node, is contiguous; the next level is gathered by flat index.  The
+first two levels, the start's fiber and its preimages' fibers, are the
+ones the start-point search has already solved.  A branch index is a
+rank: branch k of a fiber is its root of rank k in a canonical order of
+the roots, so the index does not depend on the order in which the solver
+returns them.  Product measures sample factors independently;
+hypersurface pullbacks solve the fiber equation per sample and pick one
+of the deg roots uniformly, realizing the normalized pullback measure.
 
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
 degrades near infinity.  The fixed comparison family for discrepancy tests
@@ -127,13 +128,17 @@ def _fiber(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
 def _to_chart(z: np.ndarray):
     """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity.
 
-    z is overwritten with w and returned with the chart flags, which keep
-    the memory order of z.
+    z, C- or F-contiguous, is overwritten with w and returned with the
+    chart flags, which keep the memory order of z: both flatten in that
+    order without a copy, and the reciprocals are taken on the gathered
+    entries where the flag is set.
     """
     infinite = ~np.isfinite(z)
     invs = np.abs(z) > 1.0
+    flat = z.ravel(order="K")
+    at = np.flatnonzero(invs.ravel(order="K"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, z, out=z, where=invs)
+        flat[at] = 1.0 / flat[at]
     np.copyto(z, 0.0, where=infinite)
     invs |= infinite
     return z, invs
@@ -166,8 +171,13 @@ def _rank_order(keys) -> np.ndarray:
     return order.reshape(n, d)
 
 
-def _start_point(F: RationalMapLift, rng: np.random.Generator) -> complex:
-    """A start point whose two-step preimage set is provably non-degenerate."""
+def _start_point(F: RationalMapLift, rng: np.random.Generator):
+    """A start point whose two-step preimage set is provably non-degenerate.
+
+    Returns (z0, level0, level1): the chart-form fiber (vals, invs) of z0,
+    shape (1, d), and the fibers of its d preimages, shape (d, d), whose
+    row k is the fiber of column k of level0, as `_fiber` returns them.
+    """
     for _ in range(16):
         z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
         v1, i1 = _fiber(F, np.array([z0]), np.array([False]))
@@ -175,7 +185,7 @@ def _start_point(F: RationalMapLift, rng: np.random.Generator) -> complex:
         distinct = {(round(v.real, 6), round(v.imag, 6), inv)
                     for v, inv in zip(v2.ravel().tolist(), i2.ravel().tolist())}
         if len(distinct) >= 2:
-            return z0
+            return z0, (v1, i1), (v2, i2)
     raise RootFindingFailure("could not find a non-exceptional backward start point")
 
 
@@ -191,6 +201,8 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     at most d^k nodes, so the loop keeps the distinct nodes of a level and
     each sample's node index.  A step solves and ranks each node's fiber
     once; the children some sample draws become the next level's nodes.
+    Levels 0 and 1 are the fibers `_start_point` solved: the start's fiber,
+    and the rows of its preimages' fibers that belong to the drawn children.
     Fiber rows are solved independently, so every sample has the bits it
     would get from solving its own fiber at each step.
     """
@@ -200,13 +212,14 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
         raise ValueError("n_samples and depth must be >= 1")
     d = F.degree
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    z0 = _start_point(F, rng)
+    _, (pv, pi), level1 = _start_point(F, rng)
     branches = rng.integers(0, d, size=(depth, n_samples))
-    vals = np.array([z0])
-    invs = np.zeros(1, dtype=bool)
-    node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into vals
+    node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into the level
     for step in range(depth):
-        pv, pi = _fiber(F, vals, invs)
+        if step == 1:
+            pv, pi = level1[0][at], level1[1][at]  # the fibers of the drawn preimages
+        elif step:
+            pv, pi = _fiber(F, vals, invs)
         pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
         order = _rank_order((pi, pt.real.round(9).T, pt.imag.round(9).T))
         # child (node, branch), renumbered densely among the drawn children
@@ -219,7 +232,7 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
         node = dense[child]
         # the kid (node, branch) is the node's root in the column of that
         # rank, at column * M + node of the (d, M) arrays
-        at = order.ravel()[kids] * len(vals) + kids // d
+        at = order.ravel()[kids] * pt.shape[1] + kids // d
         vals, invs = pt.ravel()[at], it.ravel()[at]
     return EmpiricalMeasure(vals[node, None], invs[node, None], seed, depth)
 

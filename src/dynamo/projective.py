@@ -694,10 +694,6 @@ def map_from_json(obj) -> RationalMapLift:
     return RationalMapLift.make(f0, f1)
 
 
-def map_to_json(F: RationalMapLift) -> dict:
-    return {"num": [str(c) for c in F.f0], "den": [str(c) for c in F.f1]}
-
-
 def load_map(path) -> RationalMapLift:
     with open(path, "r", encoding="utf-8") as fh:
         return map_from_json(json.load(fh))

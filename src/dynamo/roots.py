@@ -11,7 +11,9 @@ column and the Newton ratio as a function: `aberth` (one column) and
 `roots_batch` (many) evaluate it by Horner's rule, and the periodic points
 of `orbits` along the orbit.  A single polynomial starts on its Newton
 polygon, so its evaluation does not overflow far outside its roots;
-batched rows start from closed forms or a circle.
+batched rows start from closed forms or a circle.  A cubic or quartic row
+whose closed-form starts pass the sweep's tolerance test on one Newton
+correction is accepted without a sweep; only the others run the loop.
 """
 
 from __future__ import annotations
@@ -312,9 +314,10 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     Algorithms 13 (1996)) on blocks of at most _BLOCK columns, which bounds
     the (d, d, rows) temporary of the Aberth sum.  Degree-3 and degree-4 rows
     start from their Cardano and Ferrari roots, so a well-conditioned row
-    passes in one sweep; the others start on the circle of radius
-    1 + max|c_i| (`_block_starts`), where a row whose evaluation overflows
-    takes 0.5 steps that can pass the tolerance test far from its roots.
+    is accepted on one Newton correction, without a sweep (`_aberth_block`);
+    the others start on the circle of radius 1 + max|c_i| (`_block_starts`),
+    where a row whose evaluation overflows takes 0.5 steps that can pass the
+    tolerance test far from its roots.
     Each row retires on its own, so solving rows one at a time gives the
     same bits as one batch.  RootFindingFailure is raised when any row is
     still moving after max_iter sweeps.  Root order within a row is
@@ -340,9 +343,10 @@ def _quadratic_roots(c0, c1, c2, out) -> None:
 
     t = -(c1 + s)/2, with s the square root of the discriminant whose sign
     keeps t large, is c2 times a root: out[0] = t/c2 and out[1] = c0/t,
-    without cancellation.  A row with c2 = 0 has the root at infinity in
-    out[0] and its finite root -c0/c1 in out[1], or infinity again when c1
-    is zero too; t = 0 leaves out[1] at 0 (or infinity when c2 = 0).
+    without cancellation, by plain divisions.  A row with c2 = 0 or t = 0
+    gets a non-finite root that way, so only the rows with a non-finite
+    root, found when the sum of all roots is not finite, are solved again
+    by `_degenerate_quadratics`, which gives the other rows the same bits.
     """
     r1, r2 = out
     s = c1 * c1
@@ -356,12 +360,34 @@ def _quadratic_roots(c0, c1, c2, out) -> None:
     np.add(c1, s, out=t)
     np.negative(t, out=t)
     t /= 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(t, c2, out=r1)
+        np.divide(c0, t, out=r2)
+        if np.isfinite(out.sum()):
+            return
+    k = np.flatnonzero(~np.all(np.isfinite(out), axis=0))
+    if k.size:
+        sub = np.empty((2, k.size), dtype=complex)
+        _degenerate_quadratics(c0[k], c1[k], c2[k], t[k], sub)
+        out[:, k] = sub
+
+
+def _degenerate_quadratics(c0, c1, c2, t, out) -> None:
+    """`_quadratic_roots` by masked divisions, for the rows given a non-finite root.
+
+    A row with c2 != 0 and t != 0 gets the bits of the plain divisions.  A
+    row with c2 = 0 has the root at infinity in out[0] and its finite
+    root -c0/c1 in out[1], or infinity again when c1 is zero too; t = 0
+    leaves out[1] at 0 (or infinity when c2 = 0).
+    """
+    r1, r2 = out
     quad = c2 != 0
     r1.fill(np.inf)
     r2.fill(np.inf)
     np.copyto(r2, 0.0, where=quad)
     lin = c1 != 0
     lin &= ~quad
+    s = np.empty_like(c0)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(t, c2, out=r1, where=quad)
         np.divide(c0, t, out=r2, where=t != 0)
@@ -427,21 +453,23 @@ def _quartic_roots(a, b, c, e):
     return np.stack(pairs)
 
 
-def _block_starts(cn: np.ndarray, tiny: np.ndarray, tol: float) -> np.ndarray:
-    """Aberth starts (d, m) for the monic coefficient columns cn (d+1, m).
+def _block_starts(cn: np.ndarray, tiny: np.ndarray, tol: float):
+    """Aberth starts (d, m) for the monic coefficient columns cn (d+1, m), and
+    the mask (m,) of the columns that start from closed-form roots.
 
-    Cubic and quartic columns start from their closed-form roots, which are
-    accurate enough that most columns pass the tolerance test in the first
-    sweep.  Every other degree starts on the circle of radius 1 + max|c_i|,
-    and so does any column whose closed-form starts are not finite, or not
-    farther apart than _SEPARATION * tol * (1 + |z|): a pair of starts that
-    close and off a root gets a correction of about their distance, which
-    the tolerance test could accept.  Columns whose leading coefficient was
-    too small to divide by (tiny) are not monic and also take the circle.
+    Cubic and quartic columns start from their Cardano and Ferrari roots,
+    which are accurate enough that most columns pass the tolerance test on
+    one Newton correction (`_aberth_block`).  Every other degree starts on
+    the circle of radius 1 + max|c_i|, and so does any column whose
+    closed-form starts are not finite, or not farther apart than
+    _SEPARATION * tol * (1 + |z|): a pair of starts that close and off a
+    root gets a correction of about their distance, which the tolerance
+    test could accept.  Columns whose leading coefficient was too small to
+    divide by (tiny) are not monic and also take the circle.
     """
-    d = cn.shape[0] - 1
+    d, m = cn.shape[0] - 1, cn.shape[1]
     if d not in (3, 4):
-        return _circle_starts(cn)
+        return _circle_starts(cn), np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
         z = _cubic_roots(*cn[2::-1]) if d == 3 else _quartic_roots(*cn[3::-1])
         bad = tiny | ~np.all(np.isfinite(z), axis=0)
@@ -451,7 +479,7 @@ def _block_starts(cn: np.ndarray, tiny: np.ndarray, tol: float) -> np.ndarray:
                 bad |= np.abs(z[i] - z[j]) <= bound[i]
     if bad.any():
         z[:, bad] = _circle_starts(cn[:, bad])
-    return z
+    return z, ~bad
 
 
 def _circle_starts(cn: np.ndarray) -> np.ndarray:
@@ -467,10 +495,31 @@ def _aberth_block(cols: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
 
     The columns are made monic, except those whose leading coefficient is
     too small to divide by, into a C-ordered array whatever the input order,
-    and evaluated by Horner's rule from `_block_starts`, by `aberth_sweeps`.
+    and evaluated by Horner's rule from `_block_starts`.  A column with
+    closed-form starts z is accepted as z - c when every Newton correction
+    c = p(z)/p'(z) is finite and passes the sweep's test
+    |c| <= tol * (1 + |z - c|).  Its starts are more than _SEPARATION
+    tolerances apart, so the Aberth term c * sum_j 1/(z_i - z_j) is at most
+    about (d - 1) / _SEPARATION, and one sweep would move the column by c to
+    within that factor.  The other columns run `aberth_sweeps` from the
+    same starts.
     """
     lead = cols[-1].copy()
     tiny = np.abs(lead) < 1e-300
     lead[tiny] = 1.0
     cn = np.divide(cols, lead, order="C")
-    return aberth_sweeps(_horner_ratio(cn), _block_starts(cn, tiny, tol), tol, max_iter)
+    ratio = _horner_ratio(cn)
+    z, closed = _block_starts(cn, tiny, tol)
+    if not closed.any():
+        return aberth_sweeps(ratio, z, tol, max_iter)
+    with np.errstate(all="ignore"):
+        newton = ratio(z, np.arange(z.shape[1]))
+        out = z - newton
+        passed = np.abs(newton) <= tol * (1.0 + np.abs(out))
+        passed &= np.isfinite(newton)
+        closed &= passed.all(axis=0)
+    if not closed.all():
+        redo = np.flatnonzero(~closed)
+        out[:, redo] = aberth_sweeps(lambda w, live: ratio(w, redo[live]), z[:, redo],
+                                     tol, max_iter)
+    return out

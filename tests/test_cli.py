@@ -358,6 +358,12 @@ def test_malformed_hypersurface_json_is_usage_error(tmp_path, sq_json, capsys, b
     "compare-measures --hyp {diag} --map {sq} {sq} --i 0",
     "ms-check --hyp {diag} --map {sq}",  # one map for two axes
     "classify --map {sq} --max-orbit -1",  # would follow no critical orbit
+    # budgets below 1 ran nothing and exited 0
+    "mm-verify --hyp {diag} --map {sq} {sq} --trials 0",
+    "mm-verify --hyp {diag} --map {sq} {sq} --trials -3",
+    "curve-orbit --hyp {diag} --map {sq} {sq} --max-iter 0",
+    "curve-orbit --hyp {diag} --map {sq} {sq} --max-iter -1",
+    "ms-check --hyp {diag} --map {sq} {sq} --exponent-bound -2",
 ])
 def test_bad_axis_map_count_or_budget_is_usage_error(diagonal_json, sq_json, capsys, argv):
     argv = argv.format(diag=diagonal_json, sq=sq_json).split()

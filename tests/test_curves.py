@@ -20,10 +20,12 @@ from dynamo.hypersurface import (
     _multiply_out,
     diagonal_surface,
     graph_surface,
-    hypersurface_to_json,
 )
 from dynamo.projective import CPoint, evaluate_cpoint
 from dynamo.roots import roots_batch
+
+from json_forms import hypersurface_to_json
+
 
 def test_diagonal_invariant_under_square(sq):
     D = diagonal_surface()

@@ -13,9 +13,10 @@ from dynamo.hypersurface import (
     fiber_solve,
     graph_surface,
     hypersurface_from_json,
-    hypersurface_to_json,
 )
 from dynamo.projective import ProjectivePoint, form_eval, point_from_rational
+
+from json_forms import hypersurface_to_json
 
 
 def linear_sum_surface():

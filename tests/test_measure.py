@@ -231,7 +231,7 @@ def _row_by_row(F, n_samples, depth, seed):
     from dynamo.measure import _fiber, _start_point
 
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    z0 = _start_point(F, rng)
+    z0 = _start_point(F, rng)[0]
     branches = rng.integers(0, F.degree, size=(depth, n_samples))
     vals = np.full(n_samples, z0, dtype=complex)
     invs = np.zeros(n_samples, dtype=bool)
@@ -269,15 +269,15 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
 
     F = poly_lift(*coeffs)
     rows = []
+    start_rows = []
     searching = []
     solve, start = measure.roots_batch, measure._start_point
 
     def counting_solve(coeff_rows, *args, **kwargs):
-        if not searching:
-            rows.append(coeff_rows.shape[0])
+        (start_rows if searching else rows).append(coeff_rows.shape[0])
         return solve(coeff_rows, *args, **kwargs)
 
-    def uncounted_start(*args):
+    def searching_start(*args):
         searching.append(True)
         try:
             return start(*args)
@@ -285,8 +285,12 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
             searching.pop()
 
     monkeypatch.setattr(measure, "roots_batch", counting_solve)
-    monkeypatch.setattr(measure, "_start_point", uncounted_start)
+    monkeypatch.setattr(measure, "_start_point", searching_start)
     measure.sample_invariant_measure(F, n_samples, depth, seed=3)
+    # the start point's two solves, its fiber and its d preimages' fibers,
+    # are tree levels 0 and 1; the walk solves the other depth - 2 levels
+    assert start_rows == [1, F.degree]
+    rows = start_rows + rows
     assert bound == sum(min(n_samples, F.degree**k) for k in range(depth))
     assert len(rows) == depth
     assert sum(rows) <= bound

@@ -18,7 +18,6 @@ from dynamo.projective import (
     evaluate,
     form_eval,
     map_from_json,
-    map_to_json,
     mobius_conjugate,
     normalize,
     point_from_rational,
@@ -27,6 +26,7 @@ from dynamo.projective import (
 )
 
 from conftest import poly_lift
+from json_forms import map_to_json
 
 
 def test_normalize_divides_by_gcd():

@@ -360,10 +360,12 @@ def _monic_columns(rows):
 
 
 def _starts(rows, tol=1e-10):
+    """The starts (N, d) of each row, and whether they are its closed-form roots."""
     from dynamo.roots import _block_starts
 
     cn = _monic_columns(rows)
-    return _block_starts(cn, np.zeros(cn.shape[1], dtype=bool), tol).T
+    z, closed = _block_starts(cn, np.zeros(cn.shape[1], dtype=bool), tol)
+    return z.T, closed
 
 
 def _assert_same_roots(got, want, tol):
@@ -384,7 +386,9 @@ def test_closed_form_starts_match_numpy_for_cubics_and_quartics():
     rng = np.random.default_rng(31)
     for d in (3, 4):
         rows = rng.normal(size=(200, d + 1)) + 1j * rng.normal(size=(200, d + 1))
-        _assert_matches_numpy(rows, _starts(rows))
+        starts, closed = _starts(rows)
+        assert closed.all()
+        _assert_matches_numpy(rows, starts)
 
 
 def test_closed_form_starts_for_pure_powers():
@@ -394,7 +398,8 @@ def test_closed_form_starts_for_pure_powers():
     for d in (3, 4):
         rows = np.zeros((50, d + 1), dtype=complex)
         rows[:, 0], rows[:, d] = -w, 1.0
-        starts = _starts(rows)
+        starts, closed = _starts(rows)
+        assert closed.all()
         assert np.max(np.abs(starts**d - w[:, None])) <= 1e-12 * np.max(np.abs(w))
         _assert_matches_numpy(rows, starts)
         swept = _aberth_block(rows.T, 1e-10, max_iter=1).T
@@ -405,10 +410,12 @@ def test_multiple_roots_fall_back_to_the_circle():
     # (z - 1)^3 has no finite Cardano starts, and (z^2 + 1)^2 gives the
     # double roots twice; both rows start on the circle and still converge
     rows = np.array([[-1, 3, -3, 1]], dtype=complex)
-    assert np.array_equal(_starts(rows), _on_circle(rows))
+    starts, closed = _starts(rows)
+    assert np.array_equal(starts, _on_circle(rows)) and not closed.any()
     assert np.max(np.abs(roots_batch(rows) - 1.0)) < 1e-4
     rows = np.array([[1, 0, 2, 0, 1]], dtype=complex)
-    assert np.array_equal(_starts(rows), _on_circle(rows))
+    starts, closed = _starts(rows)
+    assert np.array_equal(starts, _on_circle(rows)) and not closed.any()
     roots = np.sort_complex(roots_batch(rows)[0])
     assert np.allclose(roots, [-1j, -1j, 1j, 1j], atol=1e-6)
 
@@ -421,7 +428,8 @@ def test_overflowing_starts_fall_back_to_the_circle():
     with np.errstate(all="ignore"):
         raw = _quartic_roots(*_monic_columns(rows)[3::-1])
     assert not np.all(np.isfinite(raw))
-    assert np.array_equal(_starts(rows), _on_circle(rows))
+    starts, closed = _starts(rows)
+    assert np.array_equal(starts, _on_circle(rows)) and not closed.any()
     small = (1e-25) ** (1 / 3) * np.exp(1j * np.pi * np.array([-1, 1, 3]) / 3)
     _assert_same_roots(roots_batch(rows)[0], np.concatenate([[-1e25], small]), 1e-12)
 
@@ -435,7 +443,8 @@ def test_coincident_starts_off_a_root_fall_back_to_the_circle():
     rows = np.array([[-3, -1, -3e8, 1]], dtype=complex)
     raw = _cubic_roots(*_monic_columns(rows)[2::-1])[:, 0]
     assert raw[1] == raw[2] == 0
-    assert np.array_equal(_starts(rows), _on_circle(rows))
+    starts, closed = _starts(rows)
+    assert np.array_equal(starts, _on_circle(rows)) and not closed.any()
     _assert_same_roots(roots_batch(rows)[0], np.roots(rows[0, ::-1]), 1e-12)
 
 
@@ -449,3 +458,72 @@ def test_fiber_rows_converge_in_one_sweep():
     for rows in (cubic, lattes):
         roots = _aberth_block(rows.T, 1e-10, max_iter=1).T
         _assert_matches_numpy(rows, roots)
+
+
+# -- closed-form columns accepted on one Newton correction ----------------------
+
+def _recording_sweeps(monkeypatch):
+    """Patch `aberth_sweeps` to record the starts (d, m) of every call."""
+    import dynamo.roots
+
+    calls = []
+    real = dynamo.roots.aberth_sweeps
+
+    def recording(ratio, z, *args):
+        calls.append(np.array(z))
+        return real(ratio, z, *args)
+
+    monkeypatch.setattr(dynamo.roots, "aberth_sweeps", recording)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_newton_acceptance_matches_the_sweeps_from_the_same_starts(monkeypatch, d):
+    from dynamo.roots import _block_starts, _horner_ratio, aberth_sweeps
+
+    rng = np.random.default_rng(36 + d)
+    rows = _random_rows(rng, 400, d)
+    cn = _monic_columns(rows)
+    z, closed = _block_starts(cn, np.zeros(cn.shape[1], dtype=bool), 1e-10)
+    want = aberth_sweeps(_horner_ratio(cn), z, 1e-10, 120).T
+    calls = _recording_sweeps(monkeypatch)
+    got = roots_batch(rows)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want)))
+    # both paths run: every row starts from its closed form, the rows with a
+    # root near infinity (every seventh) fail the Newton test and are swept,
+    # and the others are accepted
+    assert closed.all()
+    assert len(calls) == 1 and calls[0].tobytes() == z[:, ::7].tobytes()
+
+
+def test_failed_newton_tests_reach_the_sweeps(monkeypatch):
+    # row 2 has coincident closed-form starts (see above); rows 4 and 5 get an
+    # infinite and a NaN first Newton ratio, which are failures, not passes
+    import dynamo.roots
+
+    rng = np.random.default_rng(38)
+    rows = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+    rows[2] = [-3, -1, -3e8, 1]
+    real_ratio = dynamo.roots._horner_ratio
+
+    def poisoned(cn):
+        ratio = real_ratio(cn)
+        first = [True]
+
+        def first_poisoned(z, live):
+            out = ratio(z, live)
+            if first:
+                first.clear()
+                out[1, 4], out[0, 5] = complex(np.inf, 0.0), complex(np.nan, 0.0)
+            return out
+
+        return first_poisoned
+
+    monkeypatch.setattr(dynamo.roots, "_horner_ratio", poisoned)
+    calls = _recording_sweeps(monkeypatch)
+    got = roots_batch(rows)
+    starts, closed = _starts(rows)
+    assert closed.tolist() == [True, True, False, True, True, True, True]
+    assert len(calls) == 1
+    assert calls[0].T.tobytes() == starts[[2, 4, 5]].tobytes()
+    _assert_matches_numpy(rows, got)
