@@ -1,9 +1,12 @@
 """Command-line front end: every library operation behind one dispatcher.
 
-Output is CSV by default (plot-friendly) or JSON with --json; every output
-embeds the run configuration and library version so results are
-reproducible from the header alone.  Exit codes: 0 success, 1 usage error,
-2 computation error.
+Each subcommand takes only the options its handler reads: `_COMMANDS` names
+them, and `_OPTIONS` declares each option (flags, type, default) once for
+every subcommand that takes it.  Output is CSV by default (plot-friendly) or
+JSON with --json.  Its header (`# key=value` lines, or the JSON "config"
+object) holds the library version and every parsed option of the run,
+defaults included, so the header alone reproduces the result.  Exit codes:
+0 success, 1 usage error (an unknown option included), 2 computation error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache
 
 from . import __version__
@@ -35,36 +37,11 @@ from .orbits import periodic_points
 from .projective import load_map, point_from_rational
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that influences a run; echoed verbatim into each output."""
-
-    seed: int = 7
-    samples: int = 10_000
-    depth: int = 30
-    err: float = 1e-6
-    tol: float = 1e-9
-    max_iter: int = 6
-    cap_digits: int = 10**6
-    output: str = "csv"
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        depth=args.depth,
-        err=args.err,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        cap_digits=args.cap_digits,
-        output="json" if args.json else "csv",
-    )
-
-
-def _emit(payload: dict, config: RunConfig, out) -> None:
-    meta = {"version": __version__, **asdict(config)}
-    if config.output == "json":
+def _emit(payload: dict, args, out) -> None:
+    # every parsed option; `command` and `func` only pick the handler
+    meta = {"version": __version__}
+    meta.update((k, v) for k, v in vars(args).items() if k not in ("command", "func"))
+    if args.json:
         json.dump({"config": meta, "result": payload}, out, indent=2, default=str)
         out.write("\n")
         return
@@ -98,10 +75,10 @@ def _sig_str(sig) -> list:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_height(args, config, out):
+def _cmd_height(args, out):
     F = load_map(args.map)
     res = canonical_height(F, point_from_rational(args.point), target_error=args.err,
-                           cap_digits=config.cap_digits, diagnostics=args.diagnostics)
+                           cap_digits=args.cap_digits, diagnostics=args.diagnostics)
     payload = {
         "value": res.value,
         "error_radius": res.error_radius,
@@ -110,34 +87,27 @@ def _cmd_height(args, config, out):
     }
     if args.diagnostics:
         payload["local_breakdown"] = {k: f"{v:.12g}" for k, v in res.local_breakdown.items()}
-    _emit(payload, config, out)
+    _emit(payload, args, out)
 
 
-def _cmd_preper(args, config, out):
+def _cmd_preper(args, out):
+    """`preper` and `orbit`: the same decision, reported in their own words."""
     F = load_map(args.map)
-    v = decide_preperiodic(F, point_from_rational(args.point), cap_digits=config.cap_digits)
+    v = decide_preperiodic(F, point_from_rational(args.point), cap_digits=args.cap_digits)
     if v.preperiodic:
         payload = {"status": "preperiodic", "tail": v.tail, "period": v.period}
+    elif args.command == "orbit":
+        payload = {"status": "divergent", "height_lower_bound": v.height_lower_bound}
     else:
         payload = {"status": "not_preperiodic",
                    "height_lower_bound": v.height_lower_bound,
                    "certificate_index": v.certificate_index}
-    _emit(payload, config, out)
+    _emit(payload, args, out)
 
 
-def _cmd_orbit(args, config, out):
+def _cmd_periodic(args, out):
     F = load_map(args.map)
-    v = decide_preperiodic(F, point_from_rational(args.point), cap_digits=config.cap_digits)
-    if v.preperiodic:
-        payload = {"status": "preperiodic", "tail": v.tail, "period": v.period}
-    else:
-        payload = {"status": "divergent", "height_lower_bound": v.height_lower_bound}
-    _emit(payload, config, out)
-
-
-def _cmd_periodic(args, config, out):
-    F = load_map(args.map)
-    cycles = periodic_points(F, args.period, tol=config.tol)
+    cycles = periodic_points(F, args.period, tol=args.tol)
     if args.repelling_only:
         cycles = [c for c in cycles if c.repelling]
     rows = []
@@ -147,72 +117,72 @@ def _cmd_periodic(args, config, out):
             rows.append([c.period, z, f"{c.multiplier.real:.12g}{c.multiplier.imag:+.12g}j",
                          f"{abs(c.multiplier):.12g}"])
     _emit({"columns": ["period", "point", "multiplier", "abs_multiplier"], "rows": rows},
-          config, out)
+          args, out)
 
 
-def _cmd_classify(args, config, out):
+def _cmd_classify(args, out):
     F = load_map(args.map)
-    c = classify(F, max_orbit=args.max_orbit, tol=config.tol)
+    c = classify(F, max_orbit=args.max_orbit, tol=args.tol)
     _emit({"verdict": c.verdict, "signature": _sig_str(c.signature),
-           "pcf": c.pcf, "exact": c.exact}, config, out)
+           "pcf": c.pcf, "exact": c.exact}, args, out)
 
 
-def _cmd_sample_measure(args, config, out):
+def _cmd_sample_measure(args, out):
     F = load_map(args.map)
-    m = sample_invariant_measure(F, config.samples, config.depth, seed=config.seed)
+    m = sample_invariant_measure(F, args.samples, args.depth, seed=args.seed)
     if args.chart == "sphere":
         xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0])
-        _emit_floats(["x", "y", "z"], [c.tolist() for c in xyz.T], config, out)
+        _emit_floats(["x", "y", "z"], [c.tolist() for c in xyz.T], args, out)
     else:
         z = m.affine(0)
-        _emit_floats(["re", "im"], [z.real.tolist(), z.imag.tolist()], config, out)
+        _emit_floats(["re", "im"], [z.real.tolist(), z.imag.tolist()], args, out)
 
 
-def _emit_floats(columns: list, data: list, config: RunConfig, out) -> None:
+def _emit_floats(columns: list, data: list, args, out) -> None:
     """Emit a table of floats, one list per column, each value formatted %.12g.
 
     A CSV row is written by one format string: these cells hold no comma,
     quote or newline, so the bytes are those csv.writer would write.
     """
-    if config.output != "csv":
+    if args.json:
         rows = [[f"{v:.12g}" for v in row] for row in zip(*data)]
-        _emit({"columns": columns, "rows": rows}, config, out)
+        _emit({"columns": columns, "rows": rows}, args, out)
         return
-    _emit({"columns": columns, "rows": []}, config, out)
+    _emit({"columns": columns, "rows": []}, args, out)
     fmt = ",".join(["%.12g"] * len(columns)) + "\n"
     out.writelines(map(fmt.__mod__, zip(*data)))
 
 
-def _cmd_compare_measures(args, config, out):
+def _cmd_compare_measures(args, out):
     H = load_hypersurface(args.hyp)
     maps = [load_map(p) for p in args.map]
-    res = measure_compare(H, maps, args.i, args.j, n_samples=config.samples,
-                          depth=config.depth, seed=config.seed)
+    res = measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
+                          depth=args.depth, seed=args.seed)
     _emit({"statistic": res.statistic, "threshold": res.threshold,
            "equal_within_noise": res.equal_within_noise,
            "per_chart": list(res.per_chart), "discarded": list(res.discarded)},
-          config, out)
+          args, out)
 
 
-def _cmd_curve_orbit(args, config, out):
+def _cmd_curve_orbit(args, out):
     C = load_hypersurface(args.hyp)
     if C.n != 2:
         raise DynamoError("curve-orbit expects a two-block form (n = 2)")
     f = load_map(args.map[0])
     g = load_map(args.map[1] if len(args.map) > 1 else args.map[0])
-    res = curve_orbit(C, f, g, max_iter=config.max_iter, cap_digits=config.cap_digits)
+    res = curve_orbit(C, f, g, max_iter=args.max_iter, cap_digits=args.cap_digits)
     payload = {"preperiodic": res.preperiodic,
                "bidegrees": [list(b) for b in res.bidegrees]}
     if res.preperiodic:
         payload.update({"tail": res.tail, "period": res.period})
-    _emit(payload, config, out)
+    _emit(payload, args, out)
 
 
-def _cmd_ms_check(args, config, out):
+def _cmd_ms_check(args, out):
     H = load_hypersurface(args.hyp)
     maps = [load_map(p) for p in args.map]
     rep = ms_form_check(H, maps, exponent_bound=args.exponent_bound,
-                        max_iter=config.max_iter)
+                        max_iter=args.max_iter)
     payload = {"reason": rep.reason, "certified": False}
     if rep.certificate is not None:
         cert = rep.certificate
@@ -225,15 +195,15 @@ def _cmd_ms_check(args, config, out):
             "orbit_period": cert.orbit.period,
             "certified": bool(cert.orbit.preperiodic),
         })
-    _emit(payload, config, out)
+    _emit(payload, args, out)
 
 
-def _cmd_mm_verify(args, config, out):
+def _cmd_mm_verify(args, out):
     H = load_hypersurface(args.hyp)
     maps = [load_map(p) for p in args.map]
-    cfg = MMConfig(samples=config.samples, depth=config.depth, trials=args.trials,
-                   seed=config.seed, exponent_bound=args.exponent_bound,
-                   max_curve_iter=config.max_iter)
+    cfg = MMConfig(samples=args.samples, depth=args.depth, trials=args.trials,
+                   seed=args.seed, exponent_bound=args.exponent_bound,
+                   max_curve_iter=args.max_iter)
     rep = mm_verify(H, maps, cfg)
     payload = {
         "dominance": {str(k): v for k, v in rep.dominance["axis"].items()},
@@ -257,11 +227,11 @@ def _cmd_mm_verify(args, config, out):
                                      "exponents": list(cert.exponents),
                                      "tail": cert.orbit.tail,
                                      "period": cert.orbit.period}
-    _emit(payload, config, out)
+    _emit(payload, args, out)
 
 
-def _cmd_self_test(args, config, out):
-    rng = random.Random(config.seed)
+def _cmd_self_test(args, out):
+    rng = random.Random(args.seed)
     checks = []
     ok = True
     for _ in range(1000):
@@ -300,7 +270,7 @@ def _cmd_self_test(args, config, out):
             cheb_ok = False
     checks.append(("chebyshev_identity_d_le_12", cheb_ok))
     all_ok = all(flag for _, flag in checks)
-    _emit({"columns": ["check", "ok"], "rows": [[n, f] for n, f in checks]}, config, out)
+    _emit({"columns": ["check", "ok"], "rows": [[n, f] for n, f in checks]}, args, out)
     if not all_ok:
         raise DynamoError("self-test failed")
 
@@ -309,97 +279,78 @@ def _cmd_self_test(args, config, out):
 # parser
 # ---------------------------------------------------------------------------
 
+# Every option of every subcommand: its flags, then its add_argument keywords.
+_OPTIONS = {
+    "map": (["--map"], dict(required=True, help="rational map JSON file")),
+    "maps": (["--map", "--maps"], dict(
+        required=True, nargs="+", action="extend",
+        help="rational map JSON files, one per axis (repeatable or space-separated)")),
+    "hyp": (["--hyp"], dict(required=True, help="hypersurface JSON file")),
+    "point": (["--point"], dict(required=True, help='rational point: "p/q" or "inf"')),
+    "period": (["--period"], dict(type=int, required=True)),
+    "seed": (["--seed"], dict(type=int, default=7)),
+    "samples": (["--samples", "--n"], dict(type=int, default=10_000)),
+    "depth": (["--depth"], dict(type=int, default=30)),
+    "err": (["--err"], dict(type=float, default=1e-6)),
+    "tol": (["--tol"], dict(type=float, default=1e-9)),
+    "max_iter": (["--max-iter"], dict(type=int, default=6)),
+    "cap_digits": (["--cap-digits"], dict(type=int, default=10**6)),
+    "max_orbit": (["--max-orbit"], dict(type=int, default=64)),
+    "trials": (["--trials"], dict(type=int, default=100)),
+    "exponent_bound": (["--exponent-bound"], dict(type=int, default=6)),
+    "chart": (["--chart"], dict(choices=["affine", "sphere"], default="affine")),
+    "i": (["--i"], dict(type=int, default=1)),
+    "j": (["--j"], dict(type=int, default=2)),
+    "diagnostics": (["--diagnostics"], dict(action="store_true")),
+    "repelling_only": (["--repelling-only"], dict(action="store_true")),
+    "json": (["--json"], dict(action="store_true", help="emit JSON instead of CSV")),
+}
+
+# subcommand: (handler, help, the _OPTIONS it takes besides --json)
+_COMMANDS = {
+    "height": (_cmd_height, "certified canonical height",
+               ("map", "point", "err", "cap_digits", "diagnostics")),
+    "preper": (_cmd_preper, "decide preperiodicity exactly", ("map", "point", "cap_digits")),
+    "orbit": (_cmd_preper, "exact orbit record (tail, period) or divergence",
+              ("map", "point", "cap_digits")),
+    "periodic": (_cmd_periodic, "periodic points and multipliers",
+                 ("map", "period", "tol", "repelling_only")),
+    "classify": (_cmd_classify, "exceptional-map classification", ("map", "tol", "max_orbit")),
+    "sample-measure": (_cmd_sample_measure, "backward-orbit invariant measure sample",
+                       ("map", "samples", "depth", "seed", "chart")),
+    "compare-measures": (_cmd_compare_measures, "pullback-measure cap discrepancy",
+                         ("hyp", "maps", "samples", "depth", "seed", "i", "j")),
+    "curve-orbit": (_cmd_curve_orbit, "pushforward orbit of a plane curve",
+                    ("hyp", "maps", "max_iter", "cap_digits")),
+    "ms-check": (_cmd_ms_check, "two-block pair-curve certificate",
+                 ("hyp", "maps", "max_iter", "exponent_bound")),
+    "mm-verify": (_cmd_mm_verify, "full joint-preperiodicity evidence report",
+                  ("hyp", "maps", "samples", "depth", "seed", "trials", "exponent_bound",
+                   "max_iter")),
+    "self-test": (_cmd_self_test, "product formula, functoriality, Chebyshev identity",
+                  ("seed",)),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
-    Building it costs more than a small job (about a hundred add_argument
-    calls, each formatting help text); parsing leaves it unchanged, so every
-    `run` shares it.
+    Building it costs more than a small job (dozens of add_argument calls,
+    each formatting help text); parsing leaves it unchanged, so every `run`
+    shares it.
     """
     p = argparse.ArgumentParser(
         prog="dynamo",
         description="Exact and numerical dynamics of rational self-maps of P^1 over Q")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    defaults = RunConfig()
-
-    def common(sp, maps=0, hyp=False, point=False):
-        sp.add_argument("--seed", type=int, default=defaults.seed)
-        sp.add_argument("--samples", "--n", dest="samples", type=int, default=defaults.samples)
-        sp.add_argument("--depth", type=int, default=defaults.depth)
-        sp.add_argument("--err", type=float, default=defaults.err)
-        sp.add_argument("--tol", type=float, default=defaults.tol)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=defaults.max_iter)
-        sp.add_argument("--cap-digits", dest="cap_digits", type=int,
-                        default=defaults.cap_digits)
-        sp.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-        if maps == 1:
-            sp.add_argument("--map", required=True, help="rational map JSON file")
-        elif maps > 1:
-            sp.add_argument("--map", "--maps", dest="map", required=True, nargs="+",
-                            action="extend", help="rational map JSON files, one per axis "
-                            "(repeatable or space-separated)")
-        if hyp:
-            sp.add_argument("--hyp", required=True, help="hypersurface JSON file")
-        if point:
-            sp.add_argument("--point", required=True, help='rational point: "p/q" or "inf"')
-
-    sp = sub.add_parser("height", help="certified canonical height")
-    common(sp, maps=1, point=True)
-    sp.add_argument("--diagnostics", action="store_true")
-    sp.set_defaults(func=_cmd_height)
-
-    sp = sub.add_parser("preper", help="decide preperiodicity exactly")
-    common(sp, maps=1, point=True)
-    sp.set_defaults(func=_cmd_preper)
-
-    sp = sub.add_parser("orbit", help="exact orbit record (tail, period) or divergence")
-    common(sp, maps=1, point=True)
-    sp.set_defaults(func=_cmd_orbit)
-
-    sp = sub.add_parser("periodic", help="periodic points and multipliers")
-    common(sp, maps=1)
-    sp.add_argument("--period", type=int, required=True)
-    sp.add_argument("--repelling-only", action="store_true")
-    sp.set_defaults(func=_cmd_periodic)
-
-    sp = sub.add_parser("classify", help="exceptional-map classification")
-    common(sp, maps=1)
-    sp.add_argument("--max-orbit", dest="max_orbit", type=int, default=64)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("sample-measure", help="backward-orbit invariant measure sample")
-    common(sp, maps=1)
-    sp.add_argument("--chart", choices=["affine", "sphere"], default="affine")
-    sp.set_defaults(func=_cmd_sample_measure)
-
-    sp = sub.add_parser("compare-measures", help="pullback-measure cap discrepancy")
-    common(sp, maps=2, hyp=True)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--j", type=int, default=2)
-    sp.set_defaults(func=_cmd_compare_measures)
-
-    sp = sub.add_parser("curve-orbit", help="pushforward orbit of a plane curve")
-    common(sp, maps=2, hyp=True)
-    sp.set_defaults(func=_cmd_curve_orbit)
-
-    sp = sub.add_parser("ms-check", help="two-block pair-curve certificate")
-    common(sp, maps=2, hyp=True)
-    sp.add_argument("--exponent-bound", dest="exponent_bound", type=int, default=6)
-    sp.set_defaults(func=_cmd_ms_check)
-
-    sp = sub.add_parser("mm-verify", help="full joint-preperiodicity evidence report")
-    common(sp, maps=2, hyp=True)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--exponent-bound", dest="exponent_bound", type=int, default=6)
-    sp.set_defaults(func=_cmd_mm_verify)
-
-    sp = sub.add_parser("self-test", help="product formula, functoriality, Chebyshev identity")
-    common(sp)
-    sp.set_defaults(func=_cmd_self_test)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for key in (*options, "json"):
+            flags, kwargs = _OPTIONS[key]
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -410,9 +361,8 @@ def run(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config = _config_from_args(args)
     try:
-        args.func(args, config, out)
+        args.func(args, out)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

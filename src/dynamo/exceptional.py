@@ -24,6 +24,7 @@ from .projective import (
     critical_points,
     evaluate,
     evaluate_cpoint,
+    primitive_int,
 )
 
 INF_WEIGHT = math.inf
@@ -81,11 +82,8 @@ def lattes_doubling(a, b) -> RationalMapLift:
         raise SingularCurve("4a^3 + 27b^2 = 0: the Weierstrass curve is singular")
     f0 = [a * a, -8 * b, -2 * a, Fraction(0), Fraction(1)]
     f1 = [4 * b, 4 * a, Fraction(0), Fraction(4), Fraction(0)]
-    scale = 1
-    for c in f0 + f1:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return RationalMapLift.make([int(c * scale) for c in f0],
-                                [int(c * scale) for c in f1])
+    coeffs = primitive_int(f0 + f1)
+    return RationalMapLift.make(coeffs[:5], coeffs[5:])
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,12 @@ def _assign_weights(nodes) -> None:
 # ---------------------------------------------------------------------------
 
 def classify(F: RationalMapLift, max_orbit: int = 64, tol: float = 1e-9) -> Classification:
-    """Trichotomy by orbifold signature; non-PCF maps carry their witness."""
+    """Trichotomy by orbifold signature; non-PCF maps carry their witness.
+
+    tol (the collision distance) must lie in (0, 1), else ValueError.
+    """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("classification needs degree >= 2")
     try:

@@ -28,6 +28,9 @@ from .projective import iterate_lift
 
 #: search box of each map's rational preperiodic points (the fiber-test supply)
 SUPPLY_BOX = 100
+#: curve bidegree that ends mm-verify's pair-curve orbit; below ms_form_check's
+#: default of 64, so the check inside the full report stays cheaper
+MM_MAX_BIDEGREE = 40
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,6 @@ class MMConfig:
     seed: int = 7
     exponent_bound: int = 6
     max_curve_iter: int = 6
-    max_bidegree: int = 40
 
     def __post_init__(self):
         for name in ("trials", "exponent_bound", "max_curve_iter"):
@@ -303,7 +305,7 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
                     f"exceeds tau = {res.threshold:.4f}")
     pair = ms_form_check(H, maps, exponent_bound=config.exponent_bound,
                          max_iter=config.max_curve_iter,
-                         max_bidegree=config.max_bidegree)
+                         max_bidegree=MM_MAX_BIDEGREE)
     all_non_exceptional = all(c.verdict == "NonExceptional" for c in classifications)
     certified = pair.certificate is not None and pair.certificate.orbit.preperiodic
     if certified and failed:

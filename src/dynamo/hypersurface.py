@@ -10,14 +10,13 @@ when multidegree[i] > 0, and its generic fiber has that many points.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import ProjectivePoint, coefficient_from_json, content
+from .projective import ProjectivePoint, coefficient_from_json, content, primitive_int
 from .roots import binary_form_roots, yun_squarefree
 
 
@@ -57,10 +56,8 @@ class Hypersurface:
         multidegree = tuple(int(m) for m in multidegree)
         if len(multidegree) != n:
             raise ValueError("multidegree length must match n")
-        collected: dict = {}
-        denom = 1
         items = terms.items() if isinstance(terms, dict) else terms
-        frs = []
+        keys, coeffs = [], []
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != n:
@@ -68,11 +65,11 @@ class Hypersurface:
             for k, e in enumerate(exps):
                 if e < 0 or e > multidegree[k]:
                     raise ValueError(f"exponent {e} outside multidegree {multidegree[k]}")
-            c = Fraction(coeff)
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            frs.append((exps, c))
-        for exps, c in frs:
-            collected[exps] = collected.get(exps, 0) + int(c * denom)
+            keys.append(exps)
+            coeffs.append(Fraction(coeff))
+        collected: dict = {}
+        for exps, c in zip(keys, primitive_int(coeffs)):
+            collected[exps] = collected.get(exps, 0) + c
         collected = {e: c for e, c in collected.items() if c}
         if not collected:
             raise ValueError("the zero form is not a hypersurface")

@@ -166,8 +166,11 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> lis
 
     Root multiplicities above 1 in the fixed-point form (parabolic
     coincidences) are flagged on the affected cycles rather than merged away.
-    d^n above DEFAULT_PERIOD_CAP raises CapExceeded.
+    d^n above DEFAULT_PERIOD_CAP raises CapExceeded; a tol outside (0, 1) is a
+    ValueError.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("periodic points need degree >= 2")
     if F.degree ** n > DEFAULT_PERIOD_CAP:

@@ -683,11 +683,8 @@ def map_from_json(obj) -> RationalMapLift:
                          "of coefficient lists")
     num = [coefficient_from_json(c) for c in obj["num"]]
     den = [coefficient_from_json(c) for c in obj.get("den", [1])]
-    scale = 1
-    for c in num + den:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    inum = [int(c * scale) for c in num]
-    iden = [int(c * scale) for c in den]
+    coeffs = primitive_int(num + den)
+    inum, iden = coeffs[:len(num)], coeffs[len(num):]
     d = max(len(inum), len(iden)) - 1
     f0 = inum + [0] * (d + 1 - len(inum))
     f1 = iden + [0] * (d + 1 - len(iden))

@@ -1,11 +1,11 @@
 """CLI: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -87,9 +87,9 @@ def test_preper_divergent(sq_json):
 
 
 def test_orbit_csv_header_embeds_config(sq_json):
-    code, text = _run(["orbit", "--map", sq_json, "--point", "1", "--seed", "99"])
+    code, text = _run(["orbit", "--map", sq_json, "--point", "1", "--cap-digits", "99"])
     assert code == 0
-    assert "# seed=99" in text
+    assert "# cap_digits=99" in text
     assert "# version=" in text
 
 
@@ -171,17 +171,18 @@ def test_float_table_csv_matches_csv_writer():
     # rows written by one format string are the bytes csv.writer writes
     import csv
 
-    from dynamo.cli import RunConfig, _emit_floats
+    from dynamo.cli import _emit_floats, build_parser
 
     cols = [[float("inf"), float("nan"), -0.0, 1e-300, -2.5e17, 0.1],
             [float("-inf"), 1 / 3, 0.0, -1e-300, 123456789012345.0, 7.0],
             [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+    args = build_parser().parse_args(["sample-measure", "--map", "m.json"])
     for width in (2, 3):
-        config = RunConfig()
         got = io.StringIO()
-        _emit_floats(["a", "b", "c"][:width], cols[:width], config, got)
+        _emit_floats(["a", "b", "c"][:width], cols[:width], args, got)
         want = io.StringIO()
-        for k, v in {"version": dynamo.__version__, **asdict(config)}.items():
+        for k, v in [("version", dynamo.__version__), ("map", "m.json"), ("samples", 10_000),
+                     ("depth", 30), ("seed", 7), ("chart", "affine"), ("json", False)]:
             want.write(f"# {k}={v}\n")
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["a", "b", "c"][:width])
@@ -296,7 +297,11 @@ def test_threads_environment_variable_is_ignored(sq_json, monkeypatch):
     monkeypatch.setenv("DYNAMO_THREADS", "abc")
     code, text = _run(["orbit", "--map", sq_json, "--point", "1"])
     assert code == 0
-    assert "threads" not in text
+    # the header echoes the map path, whose temporary directory carries this
+    # test's name: look for the setting among the header keys
+    keys = [l[2:].split("=", 1)[0] for l in text.splitlines() if l.startswith("# ")]
+    assert keys == ["version", "map", "point", "cap_digits", "json"]
+    assert "abc" not in text
 
 
 @pytest.fixture
@@ -367,7 +372,9 @@ def test_malformed_hypersurface_json_is_usage_error(tmp_path, sq_json, capsys, b
 ])
 def test_bad_axis_map_count_or_budget_is_usage_error(diagonal_json, sq_json, capsys, argv):
     argv = argv.format(diag=diagonal_json, sq=sq_json).split()
-    code, out = _run(argv + ["--samples", "200", "--depth", "5"])
+    if argv[0] in ("compare-measures", "mm-verify"):  # keep the sampling small
+        argv += ["--samples", "200", "--depth", "5"]
+    code, out = _run(argv)
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -381,7 +388,108 @@ def test_orbit_divergent_json(sq_json):
     assert res["height_lower_bound"] > 0
 
 
-def test_parser_defaults_are_the_run_config_defaults():
-    from dynamo.cli import RunConfig, _config_from_args, build_parser
+# each subcommand's options besides --json, as in the README's CLI table
+SUBCOMMAND_OPTIONS = {
+    "height": ["map", "point", "err", "cap_digits", "diagnostics"],
+    "preper": ["map", "point", "cap_digits"],
+    "orbit": ["map", "point", "cap_digits"],
+    "periodic": ["map", "period", "tol", "repelling_only"],
+    "classify": ["map", "tol", "max_orbit"],
+    "sample-measure": ["map", "samples", "depth", "seed", "chart"],
+    "compare-measures": ["hyp", "map", "samples", "depth", "seed", "i", "j"],
+    "curve-orbit": ["hyp", "map", "max_iter", "cap_digits"],
+    "ms-check": ["hyp", "map", "max_iter", "exponent_bound"],
+    "mm-verify": ["hyp", "map", "samples", "depth", "seed", "trials", "exponent_bound",
+                  "max_iter"],
+    "self-test": ["seed"],
+}
 
-    assert _config_from_args(build_parser().parse_args(["self-test"])) == RunConfig()
+
+def _subparsers():
+    from dynamo.cli import build_parser
+
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    parsers = _subparsers()
+    assert sorted(parsers) == sorted(SUBCOMMAND_OPTIONS)
+    for name, sp in parsers.items():
+        dests = [a.dest for a in sp._actions if a.dest != "help"]
+        assert dests == SUBCOMMAND_OPTIONS[name] + ["json"], name
+
+
+def test_shared_option_has_one_default_across_subcommands():
+    seen = {}
+    for name, sp in _subparsers().items():
+        for a in sp._actions:
+            if a.dest != "help":
+                seen.setdefault(a.dest, {})[name] = (a.default, a.type, a.required)
+    for dest, by_command in seen.items():
+        assert len(set(by_command.values())) == 1, (dest, by_command)
+    assert seen["seed"]["self-test"] == (7, int, False)
+    assert seen["samples"]["mm-verify"] == (10_000, int, False)
+
+
+@pytest.mark.parametrize("argv", [
+    "height --map {sq} --point 3/2",
+    "preper --map {sq} --point 1",
+    "orbit --map {sq} --point 2",
+    "periodic --map {sq} --period 2",
+    "classify --map {sq} --max-orbit 9",
+    "sample-measure --map {sq} --samples 20 --depth 3 --chart sphere",
+    "compare-measures --hyp {diag} --map {sq} {sq} --samples 200 --depth 5 --j 1",
+    "curve-orbit --hyp {diag} --map {sq} {sq} --max-iter 2",
+    "ms-check --hyp {diag} --map {sq} {sq} --max-iter 2",
+    "mm-verify --hyp {diag} --map {sq} {sq} --samples 200 --depth 5 --trials 3",
+    "self-test --seed 3",
+])
+def test_header_echoes_exactly_the_parsed_options(diagonal_json, sq_json, argv):
+    argv = argv.format(diag=diagonal_json, sq=sq_json).split()
+    code, text = _run(argv)
+    assert code == 0
+    header = [l[2:].split("=", 1) for l in text.splitlines() if l.startswith("# ")]
+    assert [k for k, _ in header] == ["version", *SUBCOMMAND_OPTIONS[argv[0]], "json"]
+    code, text = _run(argv + ["--json"])
+    config = json.loads(text)["config"]
+    assert list(config) == [k for k, _ in header]
+    assert config["json"] is True and dict(header)["json"] == "False"
+
+
+def test_header_records_the_options_that_ran(sq_json):
+    _, text = _run(["periodic", "--map", sq_json, "--period", "2"])
+    assert "# period=2\n" in text and "# tol=1e-09\n" in text and "seed" not in text
+    _, text = _run(["height", "--map", sq_json, "--point", "3/2", "--err", "1e-7"])
+    assert "# point=3/2\n" in text and "# err=1e-07\n" in text
+    assert "samples" not in text and "max_iter" not in text
+    _, text = _run(["mm-verify", "--hyp", sq_json, "--map", sq_json, sq_json, "--trials", "0",
+                    "--json"])  # a usage error writes no header
+    assert text == ""
+
+
+@pytest.mark.parametrize("argv", ["height --map {sq} --point 2 --samples 5",
+                                  "preper --map {sq} --point 2 --tol 1e-3",
+                                  "orbit --map {sq} --point 2 --seed 3",
+                                  "periodic --map {sq} --period 1 --max-iter 3",
+                                  "self-test --depth 4"])
+def test_option_outside_the_subcommand_is_usage_error(sq_json, capsys, argv):
+    code, out = _run(argv.format(sq=sq_json).split())
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", ["classify --map {sq} --tol -1",
+                                  "classify --map {sq} --tol 0",
+                                  "classify --map {sq} --tol nan",
+                                  "periodic --map {sq} --period 2 --tol nan",
+                                  "periodic --map {sq} --period 2 --tol -1",
+                                  "periodic --map {sq} --period 2 --tol inf"])
+def test_tol_outside_unit_interval_is_usage_error(sq_json, capsys, argv):
+    code, out = _run(argv.format(sq=sq_json).split())
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be") and "(0, 1)" in err
+    assert "Traceback" not in err

@@ -275,3 +275,10 @@ def test_collision_zones():
     ia, _ = store2.find_or_add(CPoint.from_exact(a), a)
     ib, existed = store2.find_or_add(CPoint.from_exact(b), b)
     assert not existed and ia != ib
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, math.nan, math.inf])
+def test_classify_rejects_tol_outside_unit_interval(tol):
+    # -1 used to fail inside math.sqrt, 0 and nan to run
+    with pytest.raises(ValueError, match=r"tol must be .*\(0, 1\)"):
+        classify(power_map(2), tol=tol)

@@ -309,3 +309,10 @@ def test_squarefree_form_skips_yun(basilica, monkeypatch):
 
     monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     assert sum(c.period for c in periodic_points(basilica, 6)) == 65
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, math.nan, math.inf])
+def test_periodic_points_rejects_tol_outside_unit_interval(sq, tol):
+    # nan used to end in a root-finding failure and -1 to run silently
+    with pytest.raises(ValueError, match=r"tol must be .*\(0, 1\)"):
+        periodic_points(sq, 2, tol=tol)
