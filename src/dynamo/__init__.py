@@ -15,12 +15,12 @@ from .exceptional import (
     Classification,
     chebyshev,
     classify,
+    critical_points,
     lattes_doubling,
     power_map,
     ramification_portrait,
 )
 from .harness import (
-    MMConfig,
     MMReport,
     fiber_preperiodicity_test,
     measure_compare,
@@ -48,7 +48,6 @@ from .hypersurface import (
 )
 from .measure import (
     EmpiricalMeasure,
-    GreenValue,
     green,
     pullback_to_hypersurface,
     sample_invariant_measure,
@@ -61,7 +60,6 @@ from .projective import (
     ProjectivePoint,
     RationalMapLift,
     compose,
-    critical_points,
     evaluate,
     iterate_lift,
     map_from_json,

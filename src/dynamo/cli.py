@@ -22,7 +22,7 @@ from functools import cache
 from . import __version__
 from .errors import DynamoError
 from .exceptional import INF_WEIGHT, chebyshev_coeffs, classify
-from .harness import MMConfig, measure_compare, mm_verify, ms_form_check
+from .harness import measure_compare, mm_verify, ms_form_check
 from .heights import (
     canonical_height,
     canonical_height_functoriality_check,
@@ -201,10 +201,9 @@ def _cmd_ms_check(args, out):
 def _cmd_mm_verify(args, out):
     H = load_hypersurface(args.hyp)
     maps = [load_map(p) for p in args.map]
-    cfg = MMConfig(samples=args.samples, depth=args.depth, trials=args.trials,
-                   seed=args.seed, exponent_bound=args.exponent_bound,
-                   max_curve_iter=args.max_iter)
-    rep = mm_verify(H, maps, cfg)
+    rep = mm_verify(H, maps, samples=args.samples, depth=args.depth, trials=args.trials,
+                    seed=args.seed, exponent_bound=args.exponent_bound,
+                    max_curve_iter=args.max_iter)
     payload = {
         "dominance": {str(k): v for k, v in rep.dominance["axis"].items()},
         "pair_form_candidate": rep.dominance["pair_form_candidate"],

@@ -7,10 +7,10 @@ bidegree at most (deg g * d1, deg f * d2) and is computed exactly by
 mpoly.resultant_formal (modular evaluation, interpolation and CRT up to a
 proven coefficient bound) from the dense coefficient matrix of C.  The only
 post-processing is content/monomial bookkeeping and squarefree reduction.
-Every pushforward is verified by mapping sampled points of C through (f, g)
-and checking they annihilate the output form: the fiber rows of the sample
-are solved in one `roots_batch` call, and the form is evaluated at all the
-image points in one dense product.
+Every pushforward is verified by mapping VERIFY_SAMPLES seeded points of C
+through (f, g) and checking they annihilate the output form: the fiber rows
+of the sample are solved in one `roots_batch` call, and the form is
+evaluated at all the image points in one dense product.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .roots import roots_batch
 
 #: a curve in P^1 x P^1 is a two-block hypersurface with canonical normalization
 Curve2 = Hypersurface
+VERIFY_SAMPLES = 20  # points of C whose images must annihilate a pushforward
+VERIFY_TOL = 1e-8  # largest residual of the scaled image form at those points
 
 
 def make_curve(terms, bidegree) -> Curve2:
@@ -119,13 +121,11 @@ def _chartpoint(r: complex) -> CPoint:
 
 
 def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
-                      tol: float = 1e-8, samples: int = 20,
-                      cap_digits: int = DEFAULT_DIGIT_CAP,
-                      rng: np.random.Generator | None = None) -> Curve2:
+                      cap_digits: int = DEFAULT_DIGIT_CAP) -> Curve2:
     """The image curve (f, g)(C), squarefree and canonically normalized.
 
-    Verified on `samples` numeric points of C: their images must annihilate
-    the output form to relative tolerance tol (EliminationFailure otherwise).
+    Verified on VERIFY_SAMPLES numeric points of C: their images must annihilate
+    the output form to relative tolerance VERIFY_TOL (EliminationFailure otherwise).
     """
     d1, d2 = C.multidegree
     dense = [[0] * (d2 + 1) for _ in range(d1 + 1)]
@@ -134,23 +134,22 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
     r2 = resultant_formal(dense, (f.f0, f.f1), (g.f0, g.f1))
     # r2 has formal degree g.degree * d1 in u and f.degree * d2 in s
     image = _reduce_to_curve(r2, g.degree * d1, f.degree * d2, cap_digits)
-    _verify_pushforward(C, image, f, g, tol, samples, rng)
+    _verify_pushforward(C, image, f, g)
     return image
 
 
-def _verify_pushforward(C, image, f, g, tol, samples, rng=None) -> None:
-    rng = rng or np.random.default_rng(20240808)
+def _verify_pushforward(C, image, f, g) -> None:
     try:
-        pts = _sample_curve_points(C, samples, rng)
+        pts = _sample_curve_points(C, VERIFY_SAMPLES, np.random.default_rng(20240808))
     except OverflowError as exc:  # a coefficient of C beyond the double range
         raise EliminationFailure("curve coefficients exceed the float range of "
                                  "the numeric verification") from exc
     residuals = _residuals(image, f, g, pts)
     worst = residuals.max()
-    if not worst <= tol:  # a NaN residual verifies nothing: it fails too
+    if not worst <= VERIFY_TOL:  # a NaN residual verifies nothing: it fails too
         raise EliminationFailure(
             f"pushforward verification failed: worst residual {worst:.3e} over "
-            f"{len(residuals)} sampled points (tol {tol:.0e})")
+            f"{len(residuals)} sampled points (tol {VERIFY_TOL:.0e})")
 
 
 def _residuals(image, f, g, pts) -> np.ndarray:
@@ -190,17 +189,18 @@ class CurveOrbitOutcome:
 
 
 def curve_orbit(C: Curve2, f: RationalMapLift, g: RationalMapLift,
-                max_iter: int = 8, tol: float = 1e-8,
-                cap_digits: int = DEFAULT_DIGIT_CAP,
+                max_iter: int = 8, cap_digits: int = DEFAULT_DIGIT_CAP,
                 max_bidegree: int = 64) -> CurveOrbitOutcome:
     """Iterate curve_pushforward with canonical normalization and detect repeats.
 
     Preperiodic orbits have bounded bidegree, so growth past max_bidegree ends
     the iteration early with the growth log (the not-detected outcome).
-    A max_iter below 1 is a ValueError.
+    A max_iter or cap_digits below 1 is a ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if cap_digits < 1:
+        raise ValueError(f"cap_digits must be >= 1, got {cap_digits}")
     seen = {C: 0}
     chain = [C]
     cur = C
@@ -208,7 +208,7 @@ def curve_orbit(C: Curve2, f: RationalMapLift, g: RationalMapLift,
         worst_next = max(g.degree * cur.multidegree[0], f.degree * cur.multidegree[1])
         if worst_next > max_bidegree and k > 1:
             break
-        cur = curve_pushforward(cur, f, g, tol=tol, cap_digits=cap_digits)
+        cur = curve_pushforward(cur, f, g, cap_digits)
         if cur in seen:
             tail = seen[cur]
             return CurveOrbitOutcome(True, tail=tail, period=k - tail,

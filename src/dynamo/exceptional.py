@@ -15,17 +15,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousCollision, Inconclusive, SingularCurve
+from .errors import AmbiguousCollision, DegenerateMap, Inconclusive, SingularCurve
 from .heights import decide_preperiodic
 from .projective import (
     CPoint,
     ProjectivePoint,
     RationalMapLift,
-    critical_points,
     evaluate,
     evaluate_cpoint,
+    form_derivative_x,
+    form_derivative_y,
+    poly_mul,
     primitive_int,
 )
+from .roots import binary_form_roots
 
 INF_WEIGHT = math.inf
 
@@ -89,6 +92,35 @@ def lattes_doubling(a, b) -> RationalMapLift:
 # ---------------------------------------------------------------------------
 # ramification portraits
 # ---------------------------------------------------------------------------
+
+def wronskian(F: RationalMapLift) -> tuple:
+    """The degree 2d-2 critical form F0_X F1_Y - F0_Y F1_X."""
+    ax = form_derivative_x(F.f0)
+    ay = form_derivative_y(F.f0)
+    bx = form_derivative_x(F.f1)
+    by = form_derivative_y(F.f1)
+    w = [0] * (2 * F.degree - 1)
+    for i, c in enumerate(poly_mul(list(ax), list(by))):
+        w[i] += c
+    for i, c in enumerate(poly_mul(list(ay), list(bx))):
+        w[i] -= c
+    return tuple(w)
+
+
+def critical_points(F: RationalMapLift):
+    """All 2d-2 critical points with multiplicity, plus the exact rational ones.
+
+    Returns (points, rational) where points is a list of (CPoint, multiplicity,
+    exact ProjectivePoint or None) and rational collects the exact sublist.
+    """
+    if F.degree < 2:
+        raise DegenerateMap("critical points need degree >= 2")
+    pts = binary_form_roots(wronskian(F))
+    total = sum(m for _, m, _ in pts)
+    assert total == 2 * F.degree - 2, "critical form root count must be 2d-2"
+    rational = [ex for _, _, ex in pts if ex is not None]
+    return pts, rational
+
 
 @dataclass
 class PortraitNode:

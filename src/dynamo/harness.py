@@ -114,7 +114,7 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
                         f"certified canonical height >= {verdict.height_lower_bound:.6g}"))
             else:
                 uncertified += 1
-                est = green(maps[i - 1], cp.affine(), 30).value if not cp.is_infinity else 0.0
+                est = green(maps[i - 1], cp.affine(), 30) if not cp.is_infinity else 0.0
                 witnesses.append(FiberWitness(
                     {k: str(v) for k, v in assignment.items()},
                     repr(cp.affine()), None,
@@ -240,21 +240,6 @@ def _restrict_to_pair(H: Hypersurface, i: int, j: int) -> Curve2:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MMConfig:
-    samples: int = 10_000
-    depth: int = 30
-    trials: int = 100
-    seed: int = 7
-    exponent_bound: int = 6
-    max_curve_iter: int = 6
-
-    def __post_init__(self):
-        for name in ("trials", "exponent_bound", "max_curve_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class MMReport:
     dominance: dict
     classifications: tuple
@@ -266,14 +251,22 @@ class MMReport:
     warnings: tuple = ()
 
 
-def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
+def mm_verify(H: Hypersurface, maps, *, samples: int = 10_000, depth: int = 30,
+              trials: int = 100, seed: int = 7, exponent_bound: int = 6,
+              max_curve_iter: int = 6) -> MMReport:
     """Run every necessary-condition test and assemble the evidence report.
 
     For a hypersurface genuinely carrying dense joint preperiodicity under
     non-exceptional maps, all sub-tests would pass and (for n > 2 dominant
     forms) contradict the classification theory, so some failure is expected
     on any other input; the report names the failures with witnesses.
+    trials, exponent_bound or max_curve_iter below 1 is a ValueError, raised
+    before any work.
     """
+    for name, value in (("trials", trials), ("exponent_bound", exponent_bound),
+                        ("max_curve_iter", max_curve_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     _check_axes(H, maps)
     dom = H.dominance()
     warnings = tuple(H.irreducibility_warnings())
@@ -284,8 +277,8 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
     for i in range(1, H.n + 1):
         if not dom["axis"][i]:
             continue
-        res = fiber_preperiodicity_test(H, maps, i, trials=config.trials,
-                                        seed=config.seed + i, supply=supply)
+        res = fiber_preperiodicity_test(H, maps, i, trials=trials, seed=seed + i,
+                                        supply=supply)
         fiber_tests[i] = res
         if res.fails:
             failed.append(f"fiber test on axis {i}: {res.fails} certified "
@@ -296,15 +289,14 @@ def mm_verify(H: Hypersurface, maps, config: MMConfig = MMConfig()) -> MMReport:
     for a in range(len(axes)):
         for b in range(a + 1, len(axes)):
             i, j = axes[a], axes[b]
-            res = measure_compare(H, maps, i, j, n_samples=config.samples,
-                                  depth=config.depth, seed=config.seed, columns=columns)
+            res = measure_compare(H, maps, i, j, n_samples=samples, depth=depth,
+                                  seed=seed, columns=columns)
             measure_tests[(i, j)] = res
             if not res.equal_within_noise:
                 failed.append(
                     f"measure comparison ({i},{j}): D = {res.statistic:.4f} "
                     f"exceeds tau = {res.threshold:.4f}")
-    pair = ms_form_check(H, maps, exponent_bound=config.exponent_bound,
-                         max_iter=config.max_curve_iter,
+    pair = ms_form_check(H, maps, exponent_bound=exponent_bound, max_iter=max_curve_iter,
                          max_bidegree=MM_MAX_BIDEGREE)
     all_non_exceptional = all(c.verdict == "NonExceptional" for c in classifications)
     certified = pair.certificate is not None and pair.certificate.orbit.preperiodic

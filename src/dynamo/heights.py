@@ -315,13 +315,16 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
     least n with C/(d^n (d-1)) <= target_error, or one more when the rounding
     bound does not fit beside it; a target below double resolution of the
     result is a ValueError.  cap_digits bounds the working integers (the
-    B-bit products and the modulus |Res|^N), checked before the first step.
+    B-bit products and the modulus |Res|^N), checked before the first step;
+    a cap_digits below 1 is a ValueError.
     When diagnostics is requested, the result carries a per-place breakdown
     (archimedean escape-rate part plus one entry per prime absorbed by the
     gcd normalization); the parts sum to the value.
     """
     if not target_error > 0:
         raise ValueError("target_error must be positive")
+    if cap_digits < 1:
+        raise ValueError(f"cap_digits must be >= 1, got {cap_digits}")
     if F.degree < 2:
         raise ValueError("canonical heights need degree >= 2")
     p = point_from_rational(p)
@@ -394,12 +397,12 @@ def _place_breakdown(F, value, gcds, d):
     return out
 
 
-def canonical_height_functoriality_check(F: RationalMapLift, p,
-                                         target_error: float = 1e-3) -> bool:
-    """Check |h(f(x)) - d h(x)| <= combined certified radii (plus float slack)."""
+def canonical_height_functoriality_check(F: RationalMapLift, p) -> bool:
+    """Check |h(f(x)) - d h(x)| <= combined certified radii (plus float slack),
+    both heights to 1e-3."""
     p = point_from_rational(p)
-    h_x = canonical_height(F, p, target_error)
-    h_fx = canonical_height(F, evaluate(F, p), target_error)
+    h_x = canonical_height(F, p, 1e-3)
+    h_fx = canonical_height(F, evaluate(F, p), 1e-3)
     lhs = abs(h_fx.value - F.degree * h_x.value)
     rhs = h_fx.error_radius + F.degree * h_x.error_radius
     slack = 1e-12 * max(1.0, abs(h_fx.value), F.degree * abs(h_x.value))
@@ -432,8 +435,11 @@ def decide_preperiodic(F: RationalMapLift, p,
     height exceeds C/(d-1) (checked as the integer comparison
     max(|p|,|q|)^(d-1) > K), the canonical height is certifiably positive and
     the orbit diverges; otherwise the orbit lives among the finitely many
-    rationals of bounded height and must revisit a point.
+    rationals of bounded height and must revisit a point.  The exact orbit's
+    coordinates are capped at cap_digits digits, which must be >= 1.
     """
+    if cap_digits < 1:
+        raise ValueError(f"cap_digits must be >= 1, got {cap_digits}")
     if F.degree < 2:
         raise ValueError("preperiodicity needs degree >= 2")
     return _decide(F, point_from_rational(p), step_bound_int(F), cap_digits)

@@ -137,8 +137,8 @@ class Hypersurface:
 
     # -- heuristic irreducibility probes --------------------------------------
 
-    def irreducibility_warnings(self, trials: int = 3) -> list[str]:
-        """Cheap soundness probes: repeated factors along random specializations.
+    def irreducibility_warnings(self) -> list[str]:
+        """Cheap soundness probes: repeated factors in 3 random specializations per block.
 
         These cannot prove irreducibility (the caller asserts it); they catch
         obvious squares and content issues and return human-readable warnings.
@@ -150,7 +150,7 @@ class Hypersurface:
         for i in range(1, self.n + 1):
             if self.multidegree[i - 1] < 2:
                 continue
-            for _ in range(trials):
+            for _ in range(3):
                 values = {}
                 for j in range(1, self.n + 1):
                     if j != i:
@@ -164,8 +164,7 @@ class Hypersurface:
         return warnings
 
 
-def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint],
-                tol: float = 1e-12):
+def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint]):
     """All projective roots of the fiber through exact constrained values.
 
     Returns [(CPoint, mult, exact-or-None), ...]; DegenerateFiber if the
@@ -177,7 +176,7 @@ def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint],
     coeffs = H.fiber_form_exact(i, values)
     if all(c == 0 for c in coeffs):
         raise DegenerateFiber(f"fiber over {values} vanishes identically")
-    return binary_form_roots(coeffs, tol=tol)
+    return binary_form_roots(coeffs)
 
 
 # ---------------------------------------------------------------------------

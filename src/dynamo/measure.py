@@ -39,14 +39,6 @@ CAP_COS = 0.5  # aperture: points within 60 degrees of the center
 
 
 @dataclass(frozen=True)
-class GreenValue:
-    """Truncated escape-rate potential log||F^n(z,1)|| / d^n."""
-
-    value: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class EmpiricalMeasure:
     """Equal-weight point cloud; column k is the k-th coordinate of each sample.
 
@@ -80,8 +72,9 @@ class EmpiricalMeasure:
         return sphere_embed(self.values[:, col], self.inverted[:, col])
 
 
-def green(F: RationalMapLift, z: complex, n: int) -> GreenValue:
-    """log max(|F0^n(z,1)|, |F1^n(z,1)|) / d^n with per-step renormalization.
+def green(F: RationalMapLift, z: complex, n: int) -> float:
+    """The truncated escape-rate potential log max(|F0^n(z,1)|, |F1^n(z,1)|) / d^n,
+    with per-step renormalization.
 
     The discarded scale factor is carried exactly in the accumulator:
     acc_(k+1) = d * acc_k + log||F(x_k, y_k)|| with (x_k, y_k) renormalized
@@ -101,7 +94,7 @@ def green(F: RationalMapLift, z: complex, n: int) -> GreenValue:
             raise RootFindingFailure("lift evaluated to the zero pair numerically")
         x, y = x / m, y / m
         acc = d * acc + math.log(m)
-    return GreenValue(acc / d**n, n)
+    return acc / d**n
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +341,22 @@ def sphere_embed(values: np.ndarray, inverted: np.ndarray) -> np.ndarray:
     return out
 
 
-def fibonacci_caps(count: int = CAP_COUNT) -> np.ndarray:
-    """Fixed cap centers: the Fibonacci sphere net (documented comparison family)."""
-    k = np.arange(count)
-    z = 1.0 - (2.0 * k + 1.0) / count
+def fibonacci_caps() -> np.ndarray:
+    """The CAP_COUNT cap centers: the Fibonacci sphere net (documented comparison family)."""
+    k = np.arange(CAP_COUNT)
+    z = 1.0 - (2.0 * k + 1.0) / CAP_COUNT
     phi = k * math.pi * (3.0 - math.sqrt(5.0))
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def cap_fractions(points_xyz: np.ndarray, centers: np.ndarray | None = None,
-                  cos_aperture: float = CAP_COS) -> np.ndarray:
-    """Fraction of points inside each cap {p : <p, c> >= cos_aperture}."""
-    if centers is None:
-        centers = fibonacci_caps()
-    dots = points_xyz @ centers.T
-    return np.mean(dots >= cos_aperture, axis=0)
+_CAP_CENTERS_T = fibonacci_caps().T  # (3, CAP_COUNT), built once
+
+
+def cap_fractions(points_xyz: np.ndarray) -> np.ndarray:
+    """Fraction of points inside each fixed cap {p : <p, c> >= CAP_COS}."""
+    dots = points_xyz @ _CAP_CENTERS_T
+    return np.mean(dots >= CAP_COS, axis=0)
 
 
 def cap_discrepancy(a_xyz: np.ndarray, b_xyz: np.ndarray) -> float:
@@ -371,6 +364,6 @@ def cap_discrepancy(a_xyz: np.ndarray, b_xyz: np.ndarray) -> float:
     return float(np.max(np.abs(cap_fractions(a_xyz) - cap_fractions(b_xyz))))
 
 
-def clt_threshold(n_samples: int, caps: int = CAP_COUNT) -> float:
-    """The documented heuristic threshold tau = 3 sqrt(ln(caps) / N)."""
-    return 3.0 * math.sqrt(math.log(caps) / n_samples)
+def clt_threshold(n_samples: int) -> float:
+    """The documented heuristic threshold tau = 3 sqrt(ln(CAP_COUNT) / N)."""
+    return 3.0 * math.sqrt(math.log(CAP_COUNT) / n_samples)

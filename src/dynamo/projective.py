@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import DegenerateMap, OverflowPolicy, ZeroPoint
 
-#: default cap on exact coefficient/coordinate size, in decimal digits
+#: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
 
 _LOG10_2 = math.log10(2.0)
@@ -590,60 +590,28 @@ def evaluate_cpoint(F: RationalMapLift, p: CPoint) -> CPoint:
     return CPoint(form_eval(F.f0, p.x, p.y), form_eval(F.f1, p.x, p.y))
 
 
-def compose(F: RationalMapLift, G: RationalMapLift,
-            cap_digits: int = DEFAULT_DIGIT_CAP) -> RationalMapLift:
+def compose(F: RationalMapLift, G: RationalMapLift) -> RationalMapLift:
     """Lift of f∘g; degree multiplies, content renormalized, resultant by multiplicativity."""
     a = list(G.f0)
     b = list(G.f1)
     h0 = form_compose(F.f0, a, b)
     h1 = form_compose(F.f1, a, b)
     biggest = max(abs(c) for c in h0 + h1)
-    check_cap(biggest, cap_digits)
+    check_cap(biggest, DEFAULT_DIGIT_CAP)
     # Res(F∘G) = Res(F)^deg(G) * Res(G)^(deg(F)^2); make() divides out the
     # content power when the composed pair is not primitive.
     res = F.res ** G.degree * G.res ** (F.degree ** 2)
     return RationalMapLift.make(h0, h1, res=res)
 
 
-def iterate_lift(F: RationalMapLift, n: int, cap_digits: int = DEFAULT_DIGIT_CAP) -> RationalMapLift:
+def iterate_lift(F: RationalMapLift, n: int) -> RationalMapLift:
     """Lift of the n-th iterate (n >= 1)."""
     if n < 1:
         raise ValueError("iterate count must be >= 1")
     out = F
     for _ in range(n - 1):
-        out = compose(F, out, cap_digits=cap_digits)
+        out = compose(F, out)
     return out
-
-
-def wronskian(F: RationalMapLift) -> tuple:
-    """The degree 2d-2 critical form F0_X F1_Y - F0_Y F1_X."""
-    ax = form_derivative_x(F.f0)
-    ay = form_derivative_y(F.f0)
-    bx = form_derivative_x(F.f1)
-    by = form_derivative_y(F.f1)
-    w = [0] * (2 * F.degree - 1)
-    for i, c in enumerate(poly_mul(list(ax), list(by))):
-        w[i] += c
-    for i, c in enumerate(poly_mul(list(ay), list(bx))):
-        w[i] -= c
-    return tuple(w)
-
-
-def critical_points(F: RationalMapLift, tol: float = 1e-12):
-    """All 2d-2 critical points with multiplicity, plus the exact rational ones.
-
-    Returns (points, rational) where points is a list of (CPoint, multiplicity,
-    exact ProjectivePoint or None) and rational collects the exact sublist.
-    """
-    from .roots import binary_form_roots  # local import to avoid a cycle
-
-    if F.degree < 2:
-        raise DegenerateMap("critical points need degree >= 2")
-    pts = binary_form_roots(wronskian(F), tol=tol)
-    total = sum(m for _, m, _ in pts)
-    assert total == 2 * F.degree - 2, "critical form root count must be 2d-2"
-    rational = [ex for _, _, ex in pts if ex is not None]
-    return pts, rational
 
 
 def mobius_conjugate(F: RationalMapLift, m) -> RationalMapLift:

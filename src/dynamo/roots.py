@@ -41,6 +41,8 @@ from .projective import (
 )
 
 DEFAULT_TOL = 1e-12
+_BATCH_TOL = 1e-10  # relative correction at which a `roots_batch` row retires
+_BATCH_MAX_ITER = 120  # Aberth sweeps before `roots_batch` gives up
 _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
 _SUM_ROWS = 256  # roots per block of the Aberth sum; bounds its (d, rows, m) temporary
 _SEPARATION = 1e3  # closed-form starts closer than this many tolerances fall back
@@ -84,13 +86,13 @@ def yun_squarefree(c):
     return out
 
 
-def _rational_reconstruct(z: complex, max_den: int = 10**12) -> Fraction | None:
-    """Nearest small-denominator rational to a (near-real) numeric root."""
+def _rational_reconstruct(z: complex) -> Fraction | None:
+    """Nearest rational of denominator <= 10^12 to a (near-real) numeric root."""
     if abs(z.imag) > 1e-7 * (1 + abs(z.real)):
         return None
     x = z.real
     try:
-        return Fraction(x).limit_denominator(max_den)
+        return Fraction(x).limit_denominator(10**12)
     except (OverflowError, ValueError):
         return None
 
@@ -190,7 +192,7 @@ def _horner_ratio(cn: np.ndarray):
     return ratio
 
 
-def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
+def aberth(coeffs, tol: float = DEFAULT_TOL):
     """All roots of a squarefree complex polynomial (ascending coefficients).
 
     One column of `aberth_sweeps`, with the monic polynomial evaluated by
@@ -205,9 +207,9 @@ def aberth(coeffs, tol: float = DEFAULT_TOL, max_iter: int = 400):
     if d == 1:
         return [complex(-c[0] / c[1])]
     if c[0] == 0:
-        return [0j] + aberth(c[1:], tol, max_iter)
+        return [0j] + aberth(c[1:], tol)
     z = polygon_starts(c)[:, None]
-    return aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol, max_iter)[:, 0].tolist()
+    return aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol)[:, 0].tolist()
 
 
 def polygon_starts(c) -> np.ndarray:
@@ -300,7 +302,7 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
 # batched solving for Monte-Carlo fibers (shape (N, d+1) -> (N, d))
 # ---------------------------------------------------------------------------
 
-def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120) -> np.ndarray:
+def roots_batch(coeff_rows: np.ndarray) -> np.ndarray:
     """Roots of many polynomials of one degree; huge values stand in for infinity.
 
     coeff_rows has shape (N, d+1), ascending coefficients per row; the result
@@ -318,9 +320,10 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
     the others start on the circle of radius 1 + max|c_i| (`_block_starts`),
     where a row whose evaluation overflows takes 0.5 steps that can pass the
     tolerance test far from its roots.
-    Each row retires on its own, so solving rows one at a time gives the
-    same bits as one batch.  RootFindingFailure is raised when any row is
-    still moving after max_iter sweeps.  Root order within a row is
+    Each row retires on its own, at relative corrections of _BATCH_TOL, so
+    solving rows one at a time gives the same bits as one batch.
+    RootFindingFailure is raised when any row is still moving after
+    _BATCH_MAX_ITER sweeps.  Root order within a row is
     unspecified; callers needing a deterministic order must sort by value.
     """
     cols = np.asarray(coeff_rows, dtype=complex).T
@@ -334,7 +337,8 @@ def roots_batch(coeff_rows: np.ndarray, tol: float = 1e-10, max_iter: int = 120)
         _quadratic_roots(*cols, out)
     else:
         for lo in range(0, n, _BLOCK):
-            out[:, lo:lo + _BLOCK] = _aberth_block(cols[:, lo:lo + _BLOCK], tol, max_iter)
+            out[:, lo:lo + _BLOCK] = _aberth_block(cols[:, lo:lo + _BLOCK], _BATCH_TOL,
+                                                   _BATCH_MAX_ITER)
     return out.T
 
 

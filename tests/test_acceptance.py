@@ -21,7 +21,7 @@ from dynamo.exceptional import (
     lattes_doubling,
     power_map,
 )
-from dynamo.harness import MMConfig, fiber_preperiodicity_test, measure_compare, mm_verify
+from dynamo.harness import fiber_preperiodicity_test, measure_compare, mm_verify
 from dynamo.heights import (
     canonical_height,
     canonical_height_functoriality_check,
@@ -111,7 +111,7 @@ def test_criterion_03_functoriality():
     for F in maps:
         for _ in range(100):
             q = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-            if not canonical_height_functoriality_check(F, q, target_error=1e-3):
+            if not canonical_height_functoriality_check(F, q):
                 violations += 1
     _report(3, violations == 0, f"0/{100 * len(maps)} violations across 5 maps")
 
@@ -275,8 +275,8 @@ def test_criterion_12_ms_pipeline():
     pulled_back = Hypersurface.make(3, (1, 1, 0),
                                     [((1, 0, 0), 1), ((0, 1, 0), -1)])
     maps = [SQ, SQ, BASILICA]
-    cfg = MMConfig(samples=4000, depth=25, trials=50, seed=7)
-    rep = mm_verify(pulled_back, maps, cfg)
+    cfg = dict(samples=4000, depth=25, trials=50, seed=7)
+    rep = mm_verify(pulled_back, maps, **cfg)
     cert = rep.pair_form.certificate
     full_cert = (cert is not None and cert.pair == (1, 2)
                  and cert.exponents == (1, 1) and cert.orbit.preperiodic
@@ -285,7 +285,7 @@ def test_criterion_12_ms_pipeline():
     linear = Hypersurface.make(3, (1, 1, 1),
                                [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
     maps3 = [BASILICA, BASILICA, BASILICA]
-    rep3 = mm_verify(linear, maps3, cfg)
+    rep3 = mm_verify(linear, maps3, **cfg)
     three_block = (rep3.pair_form.certificate is None
                    and rep3.pair_form.reason == "depends on 3 blocks"
                    and len(rep3.failed_conditions) >= 1)

@@ -380,6 +380,24 @@ def test_bad_axis_map_count_or_budget_is_usage_error(diagonal_json, sq_json, cap
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    # preper and orbit gave a verdict and exited 0; height and curve-orbit
+    # exited 2 on a cap violation
+    "preper --map {basilica} --point 5/3",
+    "orbit --map {basilica} --point 5/3",
+    "height --map {basilica} --point 5/3",
+    "curve-orbit --hyp {diag} --map {sq} {sq}",
+])
+def test_cap_digits_below_one_is_usage_error(diagonal_json, sq_json, basilica_json, capsys,
+                                             argv, cap):
+    argv = argv.format(diag=diagonal_json, sq=sq_json, basilica=basilica_json).split()
+    code, out = _run(argv + ["--cap-digits", cap])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: cap_digits must be >= 1, got {cap}\n"
+
+
 def test_orbit_divergent_json(sq_json):
     code, text = _run(["orbit", "--map", sq_json, "--point", "2", "--json"])
     assert code == 0

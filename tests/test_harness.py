@@ -4,7 +4,6 @@ import pytest
 
 import dynamo.harness
 from dynamo.harness import (
-    MMConfig,
     MeasureCompareResult,
     fiber_preperiodicity_test,
     measure_compare,
@@ -123,8 +122,7 @@ def test_ms_form_no_matching_degrees(sq):
 # -- the full pipeline -------------------------------------------------------------
 
 def test_mm_verify_diagonal_same_maps(sq):
-    cfg = MMConfig(samples=4000, depth=25, trials=40, seed=7)
-    rep = mm_verify(diagonal_surface(), [sq, sq], cfg)
+    rep = mm_verify(diagonal_surface(), [sq, sq], samples=4000, depth=25, trials=40, seed=7)
     assert rep.failed_conditions == ()
     assert rep.pair_form.certificate is not None
     assert rep.pair_form.certificate.orbit.preperiodic
@@ -132,20 +130,20 @@ def test_mm_verify_diagonal_same_maps(sq):
 
 
 def test_mm_verify_diagonal_different_maps(sq, basilica):
-    cfg = MMConfig(samples=10_000, depth=30, trials=30, seed=7)
-    rep = mm_verify(diagonal_surface(), [sq, basilica], cfg)
+    rep = mm_verify(diagonal_surface(), [sq, basilica], samples=10_000, depth=30, trials=30,
+                    seed=7)
     assert any("measure comparison" in f for f in rep.failed_conditions)
 
 
 def test_mm_verify_shift_graph(sq):
-    cfg = MMConfig(samples=3000, depth=20, trials=60, seed=7)
-    rep = mm_verify(graph_surface([1, 1]), [sq, sq], cfg)
+    rep = mm_verify(graph_surface([1, 1]), [sq, sq], samples=3000, depth=20, trials=60,
+                    seed=7)
     assert any("fiber test" in f for f in rep.failed_conditions)
 
 
 def test_mm_verify_linear_sum_nonexceptional(basilica):
-    cfg = MMConfig(samples=3000, depth=20, trials=60, seed=7)
-    rep = mm_verify(linear_sum_surface(), [basilica, basilica, basilica], cfg)
+    rep = mm_verify(linear_sum_surface(), [basilica, basilica, basilica], samples=3000,
+                    depth=20, trials=60, seed=7)
     assert rep.pair_form.certificate is None
     assert rep.pair_form.reason == "depends on 3 blocks"
     assert rep.failed_conditions  # fiber witnesses force at least one failure
@@ -153,7 +151,16 @@ def test_mm_verify_linear_sum_nonexceptional(basilica):
 
 def test_mm_verify_requires_matching_maps(sq):
     with pytest.raises(ValueError):
-        mm_verify(diagonal_surface(), [sq], MMConfig())
+        mm_verify(diagonal_surface(), [sq])
+
+
+@pytest.mark.parametrize("bad", [{"trials": 0}, {"exponent_bound": -1},
+                                 {"max_curve_iter": 0}])
+def test_mm_verify_budget_below_one_raises_before_any_work(sq, bad):
+    # checked before the axes, whose fault (one map for two axes) would raise another message
+    name, value = next(iter(bad.items()))
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        mm_verify(diagonal_surface(), [sq], **bad)
 
 
 def test_insufficient_preperiodic_supply():
@@ -174,8 +181,7 @@ def test_mm_verify_names_certificate_contradiction(sq, monkeypatch):
         return MeasureCompareResult(0.5, 0.1, (0.5, 0.5), n_samples, (0, 0))
 
     monkeypatch.setattr(dynamo.harness, "measure_compare", failing_compare)
-    cfg = MMConfig(samples=100, depth=5, trials=5, seed=7)
-    rep = mm_verify(diagonal_surface(), [sq, sq], cfg)
+    rep = mm_verify(diagonal_surface(), [sq, sq], samples=100, depth=5, trials=5, seed=7)
     assert rep.pair_form.certificate.orbit.preperiodic
     assert rep.failed_conditions == ("measure comparison (1,2): D = 0.5000 "
                                      "exceeds tau = 0.1000",)
@@ -196,13 +202,13 @@ def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
         return search(F, box=box)
 
     monkeypatch.setattr(dynamo.harness, "rational_preperiodic_points", counting)
-    cfg = MMConfig(samples=500, depth=10, trials=10, seed=7)
+    cfg = dict(samples=500, depth=10, trials=10, seed=7)
     maps = [basilica] * 3
-    rep = mm_verify(linear_sum_surface(), maps, cfg)
+    rep = mm_verify(linear_sum_surface(), maps, **cfg)
     assert calls == [basilica]
     for i in (1, 2, 3):
-        alone = fiber_preperiodicity_test(linear_sum_surface(), maps, i, trials=cfg.trials,
-                                          seed=cfg.seed + i)
+        alone = fiber_preperiodicity_test(linear_sum_surface(), maps, i, trials=cfg["trials"],
+                                          seed=cfg["seed"] + i)
         assert rep.fiber_tests[i] == alone
 
 
@@ -211,7 +217,7 @@ def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
     # per pullback; the columns depend on the axis alone, so three are drawn
     import dynamo.measure
 
-    cfg = MMConfig(samples=500, depth=10, trials=5, seed=7)
+    cfg = dict(samples=500, depth=10, trials=5, seed=7)
     maps = [basilica] * 3
     pullback = dynamo.harness.pullback_to_hypersurface
 
@@ -219,7 +225,7 @@ def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
         return pullback(*args, **{**kwargs, "columns": None})
 
     monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", unshared)
-    alone = mm_verify(linear_sum_surface(), maps, cfg)
+    alone = mm_verify(linear_sum_surface(), maps, **cfg)
     monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", pullback)
 
     seeds = []
@@ -230,7 +236,7 @@ def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
         return sample(F, n_samples, depth, seed=seed)
 
     monkeypatch.setattr(dynamo.measure, "sample_invariant_measure", counting)
-    rep = mm_verify(linear_sum_surface(), maps, cfg)
+    rep = mm_verify(linear_sum_surface(), maps, **cfg)
     assert len(seeds) == len(set(seeds)) == 3
     # classifications hold numeric points without value equality
     assert rep.measure_tests == alone.measure_tests

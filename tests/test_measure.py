@@ -26,14 +26,13 @@ from sample_stats import arc_discrepancy_uniform, segment_distance
 
 def test_green_power_map_is_log_plus(sq):
     for z, want in ((2.0, math.log(2)), (3.0 + 0j, math.log(3)), (0.5, 0.0)):
-        g = green(sq, z, 12)
-        assert g.value == pytest.approx(want, abs=1e-9)
+        assert green(sq, z, 12) == pytest.approx(want, abs=1e-9)
 
 
 def test_green_unit_circle_zero(sq):
     for k in range(8):
         z = complex(math.cos(k), math.sin(k))
-        assert abs(green(sq, z, 10).value) < 1e-12
+        assert abs(green(sq, z, 10)) < 1e-12
 
 
 def test_green_scaling_exact_identity_polynomial(sq, basilica):
@@ -41,8 +40,8 @@ def test_green_scaling_exact_identity_polynomial(sq, basilica):
     for F in (sq, basilica):
         for z in (0.3 + 0.4j, 2.0 - 1.0j, -1.5):
             fz = evaluate_cpoint(F, CPoint.from_affine(z)).affine()
-            lhs = green(F, fz, 9).value
-            rhs = F.degree * green(F, z, 10).value
+            lhs = green(F, fz, 9)
+            rhs = F.degree * green(F, z, 10)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -54,7 +53,7 @@ def test_green_step_bound_invariant(basilica, cheb2):
         for _ in range(40):
             z = complex(rng.normal(), rng.normal())
             fz = evaluate_cpoint(F, CPoint.from_affine(z)).affine()
-            gap = abs(green(F, fz, n).value - F.degree * green(F, z, n).value)
+            gap = abs(green(F, fz, n) - F.degree * green(F, z, n))
             assert gap <= c / F.degree**n + 1e-9
 
 
@@ -174,14 +173,9 @@ def test_sphere_embed_charts_agree():
     assert np.allclose(a, b)
 
 
-def test_green_value_returns_iterations(sq):
-    g = green(sq, 5.0, 7)
-    assert g.iterations == 7
-
-
 def test_green_vanishes_on_julia_samples(sq):
     m = sample_invariant_measure(sq, 300, 30, seed=21)
-    vals = [abs(green(sq, z, 25).value) for z in m.affine()[:100]]
+    vals = [abs(green(sq, z, 25)) for z in m.affine()[:100]]
     assert max(vals) < 1e-6
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dynamo.errors import DegenerateMap, ZeroPoint
+from dynamo.exceptional import critical_points
 from dynamo.projective import (
     BezoutCertificate,
     CPoint,
@@ -14,7 +15,6 @@ from dynamo.projective import (
     RationalMapLift,
     bezout_certificate,
     compose,
-    critical_points,
     evaluate,
     form_eval,
     map_from_json,
@@ -278,12 +278,14 @@ def test_form_eval_matches_affine():
     assert form_eval(F.f0, 3, 2) == 9 - 2 * 4  # X^2 - 2 Y^2 at (3, 2)
 
 
-def test_compose_overflow_policy(basilica):
+def test_compose_overflow_policy(basilica, monkeypatch):
+    import dynamo.projective
     from dynamo.errors import OverflowPolicy
     from dynamo.projective import iterate_lift
 
+    monkeypatch.setattr(dynamo.projective, "DEFAULT_DIGIT_CAP", 2)
     with pytest.raises(OverflowPolicy):
-        iterate_lift(basilica, 12, cap_digits=2)
+        iterate_lift(basilica, 12)
 
 
 def test_squarefree_by_primes():

@@ -270,9 +270,9 @@ def test_binary_form_roots_solves_each_factor_once(monkeypatch):
     calls = []
     real = dynamo.roots.aberth
 
-    def counting(coeffs, tol=1e-12, max_iter=400):
+    def counting(coeffs, tol=1e-12):
         calls.append(len(coeffs) - 1)
-        return real(coeffs, tol=tol, max_iter=max_iter)
+        return real(coeffs, tol=tol)
 
     monkeypatch.setattr(dynamo.roots, "aberth", counting)
     # x^4 + x + 1: squarefree, no rational root
