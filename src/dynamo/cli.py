@@ -34,7 +34,7 @@ from .hypersurface import load_hypersurface
 from .curves import curve_orbit
 from .measure import sample_invariant_measure, sphere_embed
 from .orbits import periodic_points
-from .projective import load_map, point_from_rational
+from .projective import DEFAULT_DIGIT_CAP, load_map, point_from_rational
 
 
 def _emit(payload: dict, args, out) -> None:
@@ -293,7 +293,7 @@ _OPTIONS = {
     "err": (["--err"], dict(type=float, default=1e-6)),
     "tol": (["--tol"], dict(type=float, default=1e-9)),
     "max_iter": (["--max-iter"], dict(type=int, default=6)),
-    "cap_digits": (["--cap-digits"], dict(type=int, default=10**6)),
+    "cap_digits": (["--cap-digits"], dict(type=int, default=DEFAULT_DIGIT_CAP)),
     "max_orbit": (["--max-orbit"], dict(type=int, default=64)),
     "trials": (["--trials"], dict(type=int, default=100)),
     "exponent_bound": (["--exponent-bound"], dict(type=int, default=6)),

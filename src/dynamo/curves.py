@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, EliminationFailure
+from .errors import EliminationFailure
 from .hypersurface import Hypersurface
 from .mpoly import bivar_squarefree, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
     CPoint,
     RationalMapLift,
-    digits_of,
+    check_cap,
     form_eval,
 )
 from .roots import roots_batch
@@ -56,9 +56,7 @@ def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve
     core = [row[min_s:cols[-1] + 1] for row in r2[min_u:rows[-1] + 1]]
     gap_u = formal_u - rows[-1]  # multiplicity of the Y_U factor
     gap_s = formal_s - cols[-1]
-    biggest = max(abs(c) for row in core for c in row)
-    if digits_of(biggest) > cap_digits:
-        raise CapExceeded("curve coefficients exceeded the digit cap")
+    check_cap(max(abs(c) for row in core for c in row), cap_digits, "curve coefficient")
     sf = bivar_squarefree(core)
     # reattach one copy of each monomial-type factor: U (fiber u=0), V (u=inf),
     # S, T likewise; affine exponents shift only for U/S, bidegree for all

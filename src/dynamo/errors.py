@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each stop rule has one error: a digit or work cap is `CapExceeded` (the
+digit cap raised by `projective.check_cap` alone), and an ambiguous
+portrait collision is `Inconclusive`.  The CLI exits 2 on any DynamoError.
+"""
 
 
 class DynamoError(Exception):
@@ -13,16 +18,13 @@ class DegenerateMap(DynamoError):
     """The homogeneous lift has resultant 0 and does not define a morphism."""
 
 
-class OverflowPolicy(DynamoError):
-    """Exact coefficient or coordinate size exceeded the configured cap."""
-
-
 class RootFindingFailure(DynamoError):
     """Complex root iteration failed to converge to the requested tolerance."""
 
 
 class CapExceeded(DynamoError):
-    """A configured work cap (period degree, iteration count) was exceeded."""
+    """A configured cap was exceeded: the decimal digits of an exact coefficient,
+    coordinate or working integer, or a work cap such as the period degree."""
 
 
 class NotACycle(DynamoError):
@@ -33,12 +35,9 @@ class SingularCurve(DynamoError):
     """The Weierstrass curve is singular (discriminant zero)."""
 
 
-class AmbiguousCollision(DynamoError):
-    """Two orbit points are suspiciously close but not certifiably equal."""
-
-
 class Inconclusive(DynamoError):
-    """Classification could not be decided because the portrait was ambiguous."""
+    """The portrait was ambiguous: two orbit points close but not certifiably
+    equal, or orbifold weights that did not stabilize."""
 
 
 class DegenerateFiber(DynamoError):

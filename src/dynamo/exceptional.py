@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousCollision, DegenerateMap, Inconclusive, SingularCurve
+from .errors import DegenerateMap, Inconclusive, SingularCurve
 from .heights import decide_preperiodic
 from .projective import (
     CPoint,
@@ -168,7 +168,7 @@ class _NodeStore:
 
     Collision rule: chordal distance < tol merges (certified only when both
     sides are exact and equal); distance in [tol, sqrt(tol)) between points
-    that are not certifiably distinct raises AmbiguousCollision; two unequal
+    that are not certifiably distinct raises Inconclusive; two unequal
     exact rationals are always distinct, however close.
     """
 
@@ -199,7 +199,7 @@ class _NodeStore:
                 self.all_collisions_exact = False
                 return best, True
             else:
-                raise AmbiguousCollision(
+                raise Inconclusive(
                     f"orbit points at chordal distance {best_d:.3e} fall in the "
                     f"ambiguous zone [{self.tol:.0e}, {self.ambiguous:.0e})")
         self.nodes.append(PortraitNode(approx=approx, exact=exact))
@@ -213,7 +213,8 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
     Rational critical points are certified through the exact preperiodicity
     decision (divergence is then a proof, not a budget timeout); other orbits
     accept collisions at chordal distance < tol and mark the portrait inexact.
-    A negative max_orbit is a ValueError.
+    A collision in the ambiguous zone, or weights that do not stabilize,
+    raises Inconclusive.  A negative max_orbit is a ValueError.
     """
     if max_orbit < 0:
         raise ValueError(f"max_orbit must be >= 0, got {max_orbit}")
@@ -305,7 +306,7 @@ def _assign_weights(nodes) -> None:
                 changed = True
         if not changed:
             return
-    raise AmbiguousCollision("orbifold weights failed to stabilize")
+    raise Inconclusive("orbifold weights failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +316,14 @@ def _assign_weights(nodes) -> None:
 def classify(F: RationalMapLift, max_orbit: int = 64, tol: float = 1e-9) -> Classification:
     """Trichotomy by orbifold signature; non-PCF maps carry their witness.
 
-    tol (the collision distance) must lie in (0, 1), else ValueError.
+    tol (the collision distance) must lie in (0, 1), else ValueError.  An
+    ambiguous portrait raises Inconclusive (from `ramification_portrait`).
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("classification needs degree >= 2")
-    try:
-        portrait = ramification_portrait(F, max_orbit=max_orbit, tol=tol)
-    except AmbiguousCollision as exc:
-        raise Inconclusive(str(exc)) from exc
+    portrait = ramification_portrait(F, max_orbit=max_orbit, tol=tol)
     if isinstance(portrait, NotPCF):
         return Classification("NonExceptional", None, False, portrait.certified, portrait)
     sig = portrait.signature

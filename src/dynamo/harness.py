@@ -75,8 +75,12 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
     (`decide_preperiodic`), numeric roots an uncertified escape-rate
     estimate.  A certified non-preperiodic rational root is a fail witness.
     supply memoizes each map's rational preperiodic set; callers testing
-    several axes pass one dict to all of them.
+    several axes pass one dict to all of them.  trials below 1, an axis i
+    outside 1..n or a map count other than n is a ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_axes(H, maps, i)
     dom = H.dominance()
     if not dom["axis"][i]:
         raise ValueError(f"projection forgetting axis {i} is not dominant")

@@ -28,9 +28,9 @@ and the two parts of each term are computed apart.
   orbit modulo |Res|^(steps left) determines exactly; the modulus loses one
   factor |Res| per step.  No factorization is needed.
 
-The first steps stay exact while max(|x|,|y|)^(d-1) <= K = exp(C), the
-`decide_preperiodic` threshold, so an orbit collision still returns the
-exact height 0; past it the point has positive canonical height and no
+The first steps run `_walk`, the exact orbit of `decide_preperiodic`, while
+max(|x|,|y|)^(d-1) <= K = exp(C), so an orbit collision still returns the
+exact height 0; past that box the point has positive canonical height and no
 collision can follow.  The certified radius is C/(d^N (d-1)) plus a bound on
 the truncation and float rounding (logs included), and it never exceeds the
 target.  N and B both grow linearly in log(1/target), so a run costs N
@@ -84,29 +84,23 @@ def _padic_valuation(q: Fraction, p: int) -> int:
     return v
 
 
+#: primes below 1000, divided out by `factorize` before Pollard rho
+_SMALL_PRIMES = [q for q in range(2, 1000) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division with a Pollard rho fallback."""
+    """Prime factorization: trial division by the primes below 1000, then
+    Pollard rho, which tests each cofactor for primality first."""
     n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 10**7:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += steps[i % 8]
-        i += 1
-    if n > 1:
-        if f * f > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            for p, e in _rho_factor(n).items():
-                out[p] = out.get(p, 0) + e
+    for p, e in _rho_factor(n).items():
+        out[p] = out.get(p, 0) + e
     return out
 
 
@@ -151,26 +145,26 @@ def _l1(coeffs) -> int:
     return sum(abs(c) for c in coeffs)
 
 
-def _step_constants(F: RationalMapLift) -> tuple[int, int]:
-    """(L, B'): L || X ||^d >= ||F(X)|| >= |Res| ||X||^d / B' for every real X.
+def _step_constants(F: RationalMapLift) -> tuple[int, int, int]:
+    """(L, B', K): L || X ||^d >= ||F(X)|| >= |Res| ||X||^d / B' for every
+    real X, and the step bound K = max(L, B', 1).
 
     L is the larger coefficient L1 norm of F0, F1.  The Bezout identities give
     |Res| M^(2d-1) <= B' M^(d-1) ||F(x,y)|| with M = ||(x,y)|| and B' the
-    worst identity's summed cofactor L1 norms.
+    worst identity's summed cofactor L1 norms.  Then |h(f(x)) - d h(x)| <=
+    log K for all rational x: the upper side from L, and the lower side
+    because gcd(F0,F1)(x,y) divides Res on coprime (x, y), so
+    h(f(x)) >= d h(x) - log B'.
     """
     cert = F.certificate()
     upper = max(_l1(F.f0), _l1(F.f1))
     lower = max(_l1(cert.g0x) + _l1(cert.g1x), _l1(cert.g0y) + _l1(cert.g1y))
-    return upper, lower
+    return upper, lower, max(upper, lower, 1)
 
 
 def step_bound_int(F: RationalMapLift) -> int:
-    """Integer K with |h(f(x)) - d h(x)| <= log K for all rational x.
-
-    Upper side: L from `_step_constants`.  Lower side: gcd(F0,F1)(x,y)
-    divides Res on coprime (x, y), so h(f(x)) >= d h(x) - log B'.
-    """
-    return max(*_step_constants(F), 1)
+    """Integer K with |h(f(x)) - d h(x)| <= log K for all rational x."""
+    return _step_constants(F)[2]
 
 
 def height_step_bound(F: RationalMapLift) -> float:
@@ -196,13 +190,36 @@ class PreperiodicityVerdict:
     certificate_index: int | None = None  # orbit index witnessing h > C/(d-1)
 
 
-def _orbit_step(F: RationalMapLift, p: ProjectivePoint, cap_digits: int):
-    """One exact orbit step, returning (next point, discarded gcd)."""
-    check_cap(max(abs(p.x), abs(p.y)), cap_digits, "orbit coordinate")
-    x0 = form_eval(F.f0, p.x, p.y)
-    x1 = form_eval(F.f1, p.x, p.y)
-    g = math.gcd(abs(x0), abs(x1))
-    return ProjectivePoint(x0, x1), g
+def _walk(F: RationalMapLift, p: ProjectivePoint, bound_k: int, cap_digits: int,
+          limit: int | None = None, gcds: list[int] | None = None):
+    """The exact orbit of p until it collides, leaves the box or takes `limit`
+    steps (None: no limit).
+
+    The one exact-orbit loop of `decide_preperiodic` and `canonical_height`.
+    Each step stops at a point outside the box max(|x|,|y|)^(d-1) <= K (its
+    canonical height is positive), checks the point against cap_digits,
+    applies F and normalizes, and stops when the image revisits the orbit.
+    Returns (last point, steps taken, first-visit index of the last point if
+    the orbit collided, else None).  When gcds is given, each step appends
+    gcd(F0(P), F1(P)), read off the normalization.
+    """
+    d = F.degree
+    seen = {p: 0}
+    cur, n = p, 0
+    while n != limit:
+        m = max(abs(cur.x), abs(cur.y))
+        if m ** (d - 1) > bound_k:
+            break
+        check_cap(m, cap_digits, "orbit coordinate")
+        x0, x1 = form_eval(F.f0, cur.x, cur.y), form_eval(F.f1, cur.x, cur.y)
+        cur = ProjectivePoint(x0, x1)
+        n += 1
+        if gcds is not None:
+            gcds.append(abs(x0) // abs(cur.x) if cur.x else abs(x1))
+        if cur in seen:
+            return cur, n, seen[cur]
+        seen[cur] = n
+    return cur, n, None
 
 
 #: unit roundoff of a double
@@ -315,8 +332,9 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
     least n with C/(d^n (d-1)) <= target_error, or one more when the rounding
     bound does not fit beside it; a target below double resolution of the
     result is a ValueError.  cap_digits bounds the working integers (the
-    B-bit products and the modulus |Res|^N), checked before the first step;
-    a cap_digits below 1 is a ValueError.
+    B-bit products and the modulus |Res|^N), checked before the first step,
+    and the exact orbit's coordinates; CapExceeded beyond it, and a
+    cap_digits below 1 is a ValueError.
     When diagnostics is requested, the result carries a per-place breakdown
     (archimedean escape-rate part plus one entry per prime absorbed by the
     gcd normalization); the parts sum to the value.
@@ -329,8 +347,7 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
         raise ValueError("canonical heights need degree >= 2")
     p = point_from_rational(p)
     d = F.degree
-    lip, bez = _step_constants(F)
-    bound_k = max(lip, bez, 1)
+    lip, bez, bound_k = _step_constants(F)
     c_const = log_int(bound_k)
     h0, log_res = weil_height(p), log_int(F.res)
 
@@ -354,18 +371,11 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
         bits, trunc_err = _precision_bits(lip * bez / F.res, d, n_steps, rounding(n_steps))
         check_cap(lip << (d * bits), cap_digits, "height working precision")
         check_cap(F.res ** n_steps, cap_digits, "height modulus")
-    seen = {p: 0}
-    cur = p
     gcds: list[int] = []
-    k = 0
-    while k < n_steps and max(abs(cur.x), abs(cur.y)) ** (d - 1) <= bound_k:
-        cur, g = _orbit_step(F, cur, cap_digits)
-        gcds.append(g)
-        k += 1
-        if cur in seen:
-            return CanonicalHeightResult(0.0, 0.0, k, c_const,
-                                         {"collision": True} if diagnostics else {})
-        seen[cur] = k
+    cur, k, tail = _walk(F, p, bound_k, cap_digits, n_steps, gcds)
+    if tail is not None:
+        return CanonicalHeightResult(0.0, 0.0, k, c_const,
+                                     {"collision": True} if diagnostics else {})
     # past the threshold cur has positive canonical height: no collision follows
     value = weil_height(cur) / d ** k + _orbit_tail(F, cur, k, n_steps, bits, gcds)
     radius = c_const / (d ** n_steps * (d - 1)) + rounding(n_steps) + trunc_err
@@ -436,7 +446,8 @@ def decide_preperiodic(F: RationalMapLift, p,
     max(|p|,|q|)^(d-1) > K), the canonical height is certifiably positive and
     the orbit diverges; otherwise the orbit lives among the finitely many
     rationals of bounded height and must revisit a point.  The exact orbit's
-    coordinates are capped at cap_digits digits, which must be >= 1.
+    coordinates are capped at cap_digits digits (CapExceeded beyond), which
+    must be >= 1.
     """
     if cap_digits < 1:
         raise ValueError(f"cap_digits must be >= 1, got {cap_digits}")
@@ -448,23 +459,13 @@ def decide_preperiodic(F: RationalMapLift, p,
 def _decide(F: RationalMapLift, p: ProjectivePoint, bound_k: int,
             cap_digits: int) -> PreperiodicityVerdict:
     """`decide_preperiodic` with the step bound K = step_bound_int(F) given."""
+    cur, n, tail = _walk(F, p, bound_k, cap_digits)
+    if tail is not None:
+        return PreperiodicityVerdict(True, tail=tail, period=n - tail)
+    # canonical height of cur exceeds h(cur) - C/(d-1) > 0
     d = F.degree
-    orbit = {p: 0}
-    cur = p
-    n = 0
-    while True:
-        m = max(abs(cur.x), abs(cur.y))
-        if m ** (d - 1) > bound_k:
-            # canonical height of cur exceeds h(cur) - C/(d-1) > 0
-            lower = (log_int(m) - log_int(bound_k) / (d - 1)) / d ** n
-            return PreperiodicityVerdict(False, height_lower_bound=lower,
-                                         certificate_index=n)
-        cur, _ = _orbit_step(F, cur, cap_digits)
-        n += 1
-        if cur in orbit:
-            tail = orbit[cur]
-            return PreperiodicityVerdict(True, tail=tail, period=n - tail)
-        orbit[cur] = n
+    lower = (weil_height(cur) - log_int(bound_k) / (d - 1)) / d ** n
+    return PreperiodicityVerdict(False, height_lower_bound=lower, certificate_index=n)
 
 
 #: candidates per int64 block of the preperiodic-point search
@@ -486,8 +487,7 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[Proj
     """
     if F.degree < 2:
         raise ValueError("preperiodicity needs degree >= 2")
-    lip, bez = _step_constants(F)
-    bound_k = max(lip, bez, 1)
+    lip, _, bound_k = _step_constants(F)
     d = F.degree
     t = int_root_floor(bound_k, d - 1)
     m_max = min(t, box)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegenerateMap, OverflowPolicy, ZeroPoint
+from .errors import CapExceeded, DegenerateMap, ZeroPoint
 
 #: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
@@ -23,14 +23,11 @@ DEFAULT_DIGIT_CAP = 10**6
 _LOG10_2 = math.log10(2.0)
 
 
-def digits_of(n: int) -> int:
-    """Approximate decimal digit count of |n| (exact enough for cap checks)."""
-    return int(n.bit_length() * _LOG10_2) + 1
-
-
 def check_cap(n: int, cap_digits: int, what: str = "coefficient") -> None:
-    if digits_of(n) > cap_digits:
-        raise OverflowPolicy(
+    """CapExceeded when |n| has more than cap_digits decimal digits (counted
+    from its bit length): the one digit-cap check of the exact layer."""
+    if int(n.bit_length() * _LOG10_2) + 1 > cap_digits:
+        raise CapExceeded(
             f"{what} exceeds {cap_digits} decimal digits; raise the cap or relax the target"
         )
 

@@ -15,13 +15,13 @@ from dynamo.curves import (
     curve_pushforward,
     make_curve,
 )
-from dynamo.errors import EliminationFailure, RootFindingFailure
+from dynamo.errors import CapExceeded, EliminationFailure, RootFindingFailure
 from dynamo.hypersurface import (
     _multiply_out,
     diagonal_surface,
     graph_surface,
 )
-from dynamo.projective import CPoint, evaluate_cpoint
+from dynamo.projective import CPoint, RationalMapLift, evaluate_cpoint
 from dynamo.roots import roots_batch
 
 from json_forms import hypersurface_to_json
@@ -277,3 +277,13 @@ def test_residuals_match_the_term_loop(sq, basilica, k):
         got = _residuals(form, f, g, pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * len(form.terms))
         assert (max(got) > 0.01) == (form is wrong)
+
+
+def test_curve_orbit_digit_cap_raises_cap_exceeded():
+    # the image of x1 x2 = 1 under (z^2 + 10^12, z^2 + 10^12) has 25-digit
+    # coefficients; the cap is the same check, and message, as the orbit cap
+    F = RationalMapLift.make([10**12, 0, 1], [0, 0, 1])
+    C = make_curve({(1, 1): 1, (0, 0): -1}, (1, 1))
+    with pytest.raises(CapExceeded, match="^curve coefficient exceeds 5 decimal digits"):
+        curve_orbit(C, F, F, cap_digits=5)
+    assert curve_orbit(C, F, F, max_iter=1).bidegrees

@@ -255,7 +255,7 @@ def test_classify_conjugation_stable(sq, cheb2, basilica):
 
 
 def test_collision_zones():
-    from dynamo.errors import AmbiguousCollision
+    from dynamo.errors import Inconclusive
     from dynamo.exceptional import _NodeStore
     from dynamo.projective import CPoint, ProjectivePoint
 
@@ -266,7 +266,7 @@ def test_collision_zones():
     idx1, existed = store.find_or_add(CPoint.from_affine(1.0 + 1e-11), None)
     assert existed and idx1 == idx0
     # gray zone [tol, sqrt(tol)): ambiguous for numeric points
-    with pytest.raises(AmbiguousCollision):
+    with pytest.raises(Inconclusive):
         store.find_or_add(CPoint.from_affine(1.0 + 1e-6), None)
     # two unequal exact rationals are certifiably distinct even when close
     store2 = _NodeStore(tol=1e-9)
@@ -275,6 +275,19 @@ def test_collision_zones():
     ia, _ = store2.find_or_add(CPoint.from_exact(a), a)
     ib, existed = store2.find_or_add(CPoint.from_exact(b), b)
     assert not existed and ia != ib
+
+
+def test_classify_ambiguous_portrait_raises_inconclusive():
+    # z^3 - 6z: the critical point sqrt(2) lies at chordal distance 0.577 from
+    # the exact critical point infinity, inside the ambiguous zone [0.5, 0.707)
+    from dynamo.errors import Inconclusive
+
+    F = poly_lift(0, -6, 0, 1)
+    with pytest.raises(Inconclusive, match="ambiguous zone") as info:
+        classify(F, tol=0.5)
+    # raised by the portrait itself, not converted from another error
+    assert info.value.__context__ is None
+    assert classify(F, tol=0.3).verdict == "NonExceptional"
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, math.nan, math.inf])

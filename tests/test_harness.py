@@ -163,6 +163,24 @@ def test_mm_verify_budget_below_one_raises_before_any_work(sq, bad):
         mm_verify(diagonal_surface(), [sq], **bad)
 
 
+@pytest.mark.parametrize("trials", [0, -4])
+def test_fiber_test_budget_below_one_raises(sq, trials):
+    # an all-zero result would be a silent empty run
+    with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+        fiber_preperiodicity_test(diagonal_surface(), [sq, sq], 2, trials=trials)
+
+
+@pytest.mark.parametrize("axis, nmaps, message", [
+    (3, 2, "axis 3 is outside 1..2"),
+    (0, 2, "axis 0 is outside 1..2"),
+    (2, 1, "one map per coordinate axis is required: 2 axes, 1 maps"),
+])
+def test_fiber_test_bad_axis_or_map_count_raises(sq, axis, nmaps, message):
+    # checked before the dominance lookup, which would raise KeyError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fiber_preperiodicity_test(diagonal_surface(), [sq] * nmaps, axis, trials=5)
+
+
 def test_insufficient_preperiodic_supply():
     from dynamo.errors import InsufficientPreperiodicSupply
     from dynamo.projective import RationalMapLift

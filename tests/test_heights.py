@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dynamo.errors import DegenerateMap, OverflowPolicy
+from dynamo.errors import CapExceeded, DegenerateMap
 from dynamo.exceptional import chebyshev, lattes_doubling, power_map
 from dynamo.heights import (
     canonical_height,
@@ -28,6 +29,8 @@ from dynamo.projective import (
     normalize,
     point_from_rational,
 )
+
+from conftest import poly_lift
 
 
 def test_weil_height_basics():
@@ -268,7 +271,7 @@ def test_int_root_floor():
 
 
 def test_canonical_height_overflow_policy(basilica):
-    with pytest.raises(OverflowPolicy):
+    with pytest.raises(CapExceeded):
         canonical_height(basilica, Fraction(3, 5), target_error=1e-9, cap_digits=40)
 
 
@@ -402,6 +405,30 @@ def test_canonical_height_below_double_resolution_is_rejected(sq):
         canonical_height(sq, 2, target_error=1e-20)
 
 
+def test_decide_preperiodic_cap_raises_cap_exceeded():
+    # 0 -> 10^12 under z^2 + 10^12 stays inside the box (K > 10^12), so the
+    # 13-digit coordinate reaches the digit cap before the next step
+    F = poly_lift(10**12, 0, 1)
+    with pytest.raises(CapExceeded, match="^orbit coordinate exceeds 5 decimal digits"):
+        decide_preperiodic(F, 0, cap_digits=5)
+    assert not decide_preperiodic(F, 0).preperiodic
+
+
+def test_factorize_large_prime_cofactor_is_fast():
+    # the cofactor goes to Pollard rho, which tests it for primality first;
+    # trial division to 10^7 before that test takes about 0.5 s on each
+    big = 10**20 + 39
+    t0 = time.perf_counter()
+    assert factorize(big) == {big: 1}
+    assert factorize((10**9 + 7) * big) == {10**9 + 7: 1, big: 1}
+    assert factorize(2**10 * 3**5 * 997 * (10**9 + 7) ** 2) == {
+        2: 10, 3: 5, 997: 1, 10**9 + 7: 2}
+    assert time.perf_counter() - t0 < 0.3
+    assert factorize(-1) == {}
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
 def test_canonical_height_cap_fails_before_any_orbit_step(basilica, monkeypatch):
     import dynamo.heights as heights
 
@@ -412,7 +439,7 @@ def test_canonical_height_cap_fails_before_any_orbit_step(basilica, monkeypatch)
         return form_eval(coeffs, x, y)
 
     monkeypatch.setattr(heights, "form_eval", counting_form_eval)
-    with pytest.raises(OverflowPolicy):
+    with pytest.raises(CapExceeded):
         canonical_height(basilica, Fraction(3, 5), target_error=1e-9, cap_digits=40)
     assert calls == []
     canonical_height(basilica, Fraction(3, 5), target_error=1e-3)

@@ -280,11 +280,11 @@ def test_form_eval_matches_affine():
 
 def test_compose_overflow_policy(basilica, monkeypatch):
     import dynamo.projective
-    from dynamo.errors import OverflowPolicy
+    from dynamo.errors import CapExceeded
     from dynamo.projective import iterate_lift
 
     monkeypatch.setattr(dynamo.projective, "DEFAULT_DIGIT_CAP", 2)
-    with pytest.raises(OverflowPolicy):
+    with pytest.raises(CapExceeded):
         iterate_lift(basilica, 12)
 
 
