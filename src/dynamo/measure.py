@@ -26,6 +26,7 @@ sphere net.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,20 +102,30 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 # backward-orbit sampling
 # ---------------------------------------------------------------------------
 
-def _fiber(F: RationalMapLift, values: np.ndarray, inverted: np.ndarray):
+def _complex_forms(F: RationalMapLift):
+    """(F0, F1) as complex coefficient arrays, or RootFindingFailure beyond the float range."""
+    try:
+        return np.array(F.f0, dtype=complex), np.array(F.f1, dtype=complex)
+    except OverflowError:
+        raise RootFindingFailure("a map coefficient is beyond the float range "
+                                 f"(|c| > {sys.float_info.max:.3g})") from None
+
+
+def _fiber(f0: np.ndarray, f1: np.ndarray, values: np.ndarray, inverted: np.ndarray):
     """All d preimages (with multiplicity) of each point, in no particular order.
 
-    Returns (vals, invs) of shape (N, d) in chart form; a non-finite root is
-    the point at infinity, w = 0 in the inverted chart.  The fiber form is
-    F0(X, Y) * ty - F1(X, Y) * tx with (tx, ty) the target pair.  Its
-    coefficients are built as a (d+1, N) array and solved through its
-    transposed view, so vals and invs are transposed views of (d, N)
-    arrays: column k of the fiber is contiguous.
+    f0 and f1 are the complex coefficient arrays of the map's forms F0 and
+    F1, X^i Y^(d-i) at index i.  Returns (vals, invs) of shape (N, d) in
+    chart form; a non-finite root is the point at infinity, w = 0 in the
+    inverted chart.  The fiber form is F0(X, Y) * ty - F1(X, Y) * tx with
+    (tx, ty) the target pair.  Its coefficients are built as a (d+1, N)
+    array and solved through its transposed view, so vals and invs are
+    transposed views of (d, N) arrays: column k of the fiber is contiguous.
     """
     tx = np.where(inverted, 1.0 + 0j, values)
     ty = np.where(inverted, values, 1.0 + 0j)
-    coeffs = np.array(F.f0, dtype=complex)[:, None] * ty
-    coeffs -= np.array(F.f1, dtype=complex)[:, None] * tx
+    coeffs = f0[:, None] * ty
+    coeffs -= f1[:, None] * tx
     return _to_chart(roots_batch(coeffs.T))
 
 
@@ -164,17 +175,18 @@ def _rank_order(keys) -> np.ndarray:
     return order.reshape(n, d)
 
 
-def _start_point(F: RationalMapLift, rng: np.random.Generator):
+def _start_point(f0: np.ndarray, f1: np.ndarray, rng: np.random.Generator):
     """A start point whose two-step preimage set is provably non-degenerate.
 
-    Returns (z0, level0, level1): the chart-form fiber (vals, invs) of z0,
-    shape (1, d), and the fibers of its d preimages, shape (d, d), whose
-    row k is the fiber of column k of level0, as `_fiber` returns them.
+    f0 and f1 are the map's forms as `_fiber` takes them.  Returns
+    (z0, level0, level1): the chart-form fiber (vals, invs) of z0, shape
+    (1, d), and the fibers of its d preimages, shape (d, d), whose row k is
+    the fiber of column k of level0, as `_fiber` returns them.
     """
     for _ in range(16):
         z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
-        v1, i1 = _fiber(F, np.array([z0]), np.array([False]))
-        v2, i2 = _fiber(F, v1[0], i1[0])
+        v1, i1 = _fiber(f0, f1, np.array([z0]), np.array([False]))
+        v2, i2 = _fiber(f0, f1, v1[0], i1[0])
         distinct = {(round(v.real, 6), round(v.imag, 6), inv)
                     for v, inv in zip(v2.ravel().tolist(), i2.ravel().tolist())}
         if len(distinct) >= 2:
@@ -197,7 +209,9 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     Levels 0 and 1 are the fibers `_start_point` solved: the start's fiber,
     and the rows of its preimages' fibers that belong to the drawn children.
     Fiber rows are solved independently, so every sample has the bits it
-    would get from solving its own fiber at each step.
+    would get from solving its own fiber at each step.  The map's
+    coefficients are converted to complex once per walk; one beyond the
+    float range raises RootFindingFailure.
     """
     if F.degree < 2:
         raise ValueError("invariant measures need degree >= 2")
@@ -205,14 +219,15 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
         raise ValueError("n_samples and depth must be >= 1")
     d = F.degree
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    _, (pv, pi), level1 = _start_point(F, rng)
+    f0, f1 = _complex_forms(F)
+    _, (pv, pi), level1 = _start_point(f0, f1, rng)
     branches = rng.integers(0, d, size=(depth, n_samples))
     node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into the level
     for step in range(depth):
         if step == 1:
             pv, pi = level1[0][at], level1[1][at]  # the fibers of the drawn preimages
         elif step:
-            pv, pi = _fiber(F, vals, invs)
+            pv, pi = _fiber(f0, f1, vals, invs)
         pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
         order = _rank_order((pi, pt.real.round(9).T, pt.imag.round(9).T))
         # child (node, branch), renumbered densely among the drawn children

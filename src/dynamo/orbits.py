@@ -12,11 +12,20 @@ the ratio does not see (Randig-Schleicher-Stoll, J. Comput. Appl. Math.
 2024, do this for iterated quadratics).  Evaluated this way a periodic
 point is as well conditioned as its multiplier allows, whatever n is.
 
+The sweeps start from the preimage tree of one fixed point a = _TREE_BASE:
+its d^n leaves under F^n and the points of period n equidistribute to the
+same measure (Lyubich, Ergodic Theory Dynam. Systems 3, 1983;
+Freire-Lopes-Mane, Bol. Soc. Brasil. Mat. 14, 1983), so a start lies near
+almost every root and a few sweeps suffice, where starts on the circles of
+the Newton polygon need about D/3.5.  `_tree_starts` matches the leaves to
+the roots still unknown; the polygon fills a shortfall and starts the
+factors of low degree and the binomial factors of power maps.
+
 The exact form, from `iterate_lift`, is only a certificate, read by
 `roots.binary_form_roots`, the exact root path that fibers and critical
 points also run:
 - its zero coefficients at either end give the multiplicities at infinity
-  and at 0, and its Newton polygon gives the starting circles;
+  and at 0;
 - gcd(P, P') = 1 modulo one of three primes that keep the degree proves
   P squarefree over Q.  Only when that fails (a parabolic coincidence) does
   Yun's decomposition over Z run; its repeated factors are solved first, by
@@ -35,11 +44,13 @@ certified divergence) are `heights.decide_preperiodic`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NotACycle
+from .errors import CapExceeded, NotACycle, RootFindingFailure
+from .measure import _fiber
 from .projective import (
     CPoint,
     RationalMapLift,
@@ -49,11 +60,17 @@ from .projective import (
     form_eval,
     iterate_lift,
 )
-from .roots import binary_form_roots
+from .roots import _SEPARATION, binary_form_roots, polygon_starts
 
 DEFAULT_PERIOD_CAP = 4096
 DEFAULT_TOL = 1e-9
-_MATCH_ROWS = 512  # images per block of the nearest-root distance matrix
+_MATCH_ROWS = 512  # rows per block of the nearest-root and start distance matrices
+_TREE_BASE = complex(0.31, 0.47)  # the point a whose preimages under F^n are the starts
+# A simple factor of lower degree starts on its Newton polygon: there the n
+# fiber solves of the tree cost more than the sweeps they save (medians of 25
+# alternating in-process runs on a 2-core VM: z^2 - 1 at D = 17, 3.58 ms from
+# the tree against 3.22 ms; z^3 + 1 at D = 28, 3.42 against 3.78 ms).
+_TREE_MIN_DEGREE = 24
 
 
 @dataclass(frozen=True)
@@ -86,33 +103,104 @@ def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
     """The d^n + 1 roots of the fixed-point form of F^n, with multiplicity.
 
     Returns [(CPoint, multiplicity, ProjectivePoint or None), ...] from
-    `binary_form_roots`, whose simple factor is solved by the orbit ratio;
-    the exact point is set for verified rational roots, 0 and infinity
-    included.
+    `binary_form_roots`, whose simple factor is solved by the orbit ratio
+    from the preimage-tree starts; the exact point is set for verified
+    rational roots, 0 and infinity included.  The float forms are checked
+    before the exact form is built.
     """
-    return binary_form_roots(fixed_point_form(iterate_lift(F, n)), tol,
-                             lambda known: _orbit_ratio(F, n, known))
+    forms = _float_forms(F)
+    return binary_form_roots(
+        fixed_point_form(iterate_lift(F, n)), tol,
+        lambda fac, known: (_orbit_ratio(forms, n, known),
+                            _tree_starts(forms, n, fac, known, tol)))
 
 
 def _float_forms(F: RationalMapLift) -> tuple:
-    """(F0, F1) as complex coefficients scaled by the largest |c|: the same map."""
+    """(F0, F1) as complex coefficients scaled by the largest |c|: the same map.
+
+    A form that the scaling takes to zero, its coefficients all below the
+    float range relative to the largest, raises RootFindingFailure.
+    """
     scale = max(abs(v) for v in F.f0 + F.f1)
-    return tuple(tuple(complex(v / scale) for v in f) for f in (F.f0, F.f1))
+    forms = tuple(tuple(complex(v / scale) for v in f) for f in (F.f0, F.f1))
+    for k, f in enumerate(forms):
+        if not any(f):
+            raise RootFindingFailure(
+                f"F{k} vanishes when scaled by the largest coefficient: the map's "
+                f"coefficients span more than the float range "
+                f"({sys.float_info.min:.3g} to {sys.float_info.max:.3g})")
+    return forms
 
 
-def _orbit_ratio(F: RationalMapLift, n: int, known):
+def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
+    """Aberth starts for the simple factor fac: the preimages of _TREE_BASE under F^n.
+
+    The tree is built level by level by the sampler's fiber step, in chart
+    form, from the forms of `_float_forms`.  Its d^n leaves are matched to
+    the D' = deg fac roots of the factor:
+    - non-finite leaves are dropped;
+    - for each known root (r, m), 0 and the roots of the repeated factors,
+      the m leaves nearest r are dropped;
+    - a leaf within _SEPARATION * tol * (1 + |z|) of an earlier leaf or of
+      a known root is dropped: Aberth's term 1/(z_i - z_j) is not finite
+      for coinciding starts, so their correction is 0 and they never move,
+      and starts that close off a root pass the tolerance test;
+    - beyond D' leaves, those of largest modulus go (infinity took more than
+      the one root the form has beyond the d^n leaves);
+    - a shortfall is filled from the front of `polygon_starts(fac)`.
+    A factor of degree below _TREE_MIN_DEGREE starts on its Newton polygon,
+    and so does a binomial c0 + c z^D' (a power map's), whose roots are
+    equally spaced on the polygon's one circle, as its starts are.
+    """
+    fill = polygon_starts(fac)
+    if len(fill) < _TREE_MIN_DEGREE or sum(1 for c in fac if c) == 2:
+        return fill
+    f0, f1 = (np.array(f) for f in forms)
+    vals, invs = np.array([_TREE_BASE]), np.array([False])
+    for _ in range(n):
+        vals, invs = _fiber(f0, f1, vals, invs)
+        vals, invs = vals.T.ravel(), invs.T.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(invs, 1.0 / vals, vals)
+    z = z[np.isfinite(z)]
+    for r, m in known:
+        z = np.delete(z, np.argsort(np.abs(z - r), kind="stable")[:m])
+    z = z[~_crowded(z, [r for r, _ in known], _SEPARATION * tol)]
+    if len(z) > len(fill):
+        z = z[np.argsort(np.abs(z), kind="stable")[:len(fill)]]
+    return np.concatenate([z, fill[:len(fill) - len(z)]])
+
+
+def _crowded(z: np.ndarray, known: list, sep: float) -> np.ndarray:
+    """Mask of the starts within sep * (1 + |z|) of an earlier start or a known root.
+
+    The distances to earlier starts are taken _MATCH_ROWS starts at a time.
+    """
+    bound = sep * (1.0 + np.abs(z))
+    out = np.zeros(len(z), dtype=bool)
+    for r in known:
+        out |= np.abs(z - r) <= bound
+    for lo in range(0, len(z), _MATCH_ROWS):
+        hi = min(lo + _MATCH_ROWS, len(z))
+        near = np.abs(z[lo:hi, None] - z[None, :hi]) <= bound[lo:hi, None]
+        near &= np.arange(hi)[None, :] < np.arange(lo, hi)[:, None]
+        out[lo:hi] |= near.any(axis=1)
+    return out
+
+
+def _orbit_ratio(forms, n: int, known):
     """Newton ratio of P(z) / prod (z - r)^m over the known roots (r, m), by the orbit.
 
-    The jet (X, Y, dX/dz, dY/dz) of F^m(z, 1) is scaled by 1/max(|X|, |Y|)
-    after each step; F and its partial derivatives are homogeneous, so every
-    entry carries the same product of factors and the ratio
-    P/P' = (X - zY) / (X' - Y - zY') is unchanged.  A step evaluates the
-    four partial derivatives as one product of a (4, d) coefficient matrix
-    with the degree-(d-1) monomials, and F itself by Euler's identity
-    d*F = X*F_X + Y*F_Y.
+    forms are the map's `_float_forms`.  The jet (X, Y, dX/dz, dY/dz) of
+    F^m(z, 1) is scaled by 1/max(|X|, |Y|) after each step; F and its
+    partial derivatives are homogeneous, so every entry carries the same
+    product of factors and the ratio P/P' = (X - zY) / (X' - Y - zY') is
+    unchanged.  A step evaluates the four partial derivatives as one
+    product of a (4, d) coefficient matrix with the degree-(d-1) monomials,
+    and F itself by Euler's identity d*F = X*F_X + Y*F_Y.
     """
-    d = F.degree
-    jac = np.array([row for f in _float_forms(F) for row in
+    d = len(forms[0]) - 1
+    jac = np.array([row for f in forms for row in
                     ([(i + 1) * f[i + 1] for i in range(d)],
                      [(d - i) * f[i] for i in range(d)])])
 
@@ -166,9 +254,11 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> lis
 
     Root multiplicities above 1 in the fixed-point form (parabolic
     coincidences) are flagged on the affected cycles rather than merged away.
-    d^n above DEFAULT_PERIOD_CAP raises CapExceeded; a tol outside (0, 1) is a
-    ValueError.
+    d^n above DEFAULT_PERIOD_CAP raises CapExceeded; a period n below 1 or a
+    tol outside (0, 1) is a ValueError.
     """
+    if n < 1:
+        raise ValueError(f"period must be >= 1, got {n}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:

@@ -10,10 +10,11 @@ sweep loop, `aberth_sweeps`, on a (d, m) layout with one polynomial per
 column and the Newton ratio as a function: `aberth` (one column) and
 `roots_batch` (many) evaluate it by Horner's rule, and the periodic points
 of `orbits` along the orbit.  A single polynomial starts on its Newton
-polygon, so its evaluation does not overflow far outside its roots;
-batched rows start from closed forms or a circle.  A cubic or quartic row
-whose closed-form starts pass the sweep's tolerance test on one Newton
-correction is accepted without a sweep; only the others run the loop.
+polygon, so its evaluation does not overflow far outside its roots; the
+periodic points start from a preimage tree, and batched rows from closed
+forms or a circle.  A cubic or quartic row whose closed-form starts pass
+the sweep's tolerance test on one Newton correction is accepted without a
+sweep; only the others run the loop.
 """
 
 from __future__ import annotations
@@ -261,10 +262,11 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     are solved by `aberth`, and their roots join `known`, the (root,
     multiplicity) pairs already found, with the root at 0.  The simple
     factor comes last: by `aberth` too, or, when ratio_of is given, by
-    `aberth_sweeps` from its Newton polygon with ratio_of(known) as the
-    Newton ratio of the whole form with the known roots divided out (the
-    orbit ratio of `orbits`); without them it can converge onto a repeated
-    root.  A root that `rational_root` verifies carries its exact point and
+    `aberth_sweeps` from the (ratio, starts) that ratio_of(fac, known)
+    returns: the Newton ratio of the whole form with the known roots
+    divided out, without which it can converge onto a repeated root, and
+    deg fac starts (the orbit ratio and preimage-tree starts of `orbits`).
+    A root that `rational_root` verifies carries its exact point and
     that point's CPoint; only the first root near each rational is labelled.
     """
     c = list(coeffs)
@@ -282,8 +284,8 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     labelled = set()
     for fac, mult in reversed(yun_squarefree(c[low:top + 1])):
         if mult == 1 and ratio_of is not None:
-            roots = aberth_sweeps(ratio_of(known), polygon_starts(fac)[:, None], tol)
-            roots = roots[:, 0].tolist()
+            ratio, starts = ratio_of(fac, known)
+            roots = aberth_sweeps(ratio, starts[:, None], tol)[:, 0].tolist()
         else:
             roots = aberth(_to_complex(fac), tol=tol)
         for z in roots:

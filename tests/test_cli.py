@@ -255,6 +255,26 @@ def test_classify_beyond_float_range_is_computation_error(tmp_path, capsys):
     assert err.startswith("computation error:") and "float range" in err
 
 
+@pytest.mark.parametrize("argv", [["sample-measure", "--samples", "10", "--depth", "3"],
+                                  ["periodic", "--period", "2"]])
+def test_coefficients_beyond_float_range_are_computation_errors(tmp_path, argv):
+    # z^2 + 10^384: sample-measure ended in an OverflowError traceback, and
+    # periodic, whose scaled F1 underflows to zero, in NotACycle after two
+    # RuntimeWarnings
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"num": [str(10**384), "0", "1"]}))
+    src = str(Path(dynamo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "dynamo.cli", *argv,
+                           "--map", str(huge)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("computation error:") and "float range" in lines[0]
+
+
 def test_mm_verify_repeatable_map_flag(diagonal_json, sq_json):
     code, text = _run(["mm-verify", "--hyp", diagonal_json,
                        "--map", sq_json, "--map", sq_json,
@@ -510,4 +530,13 @@ def test_tol_outside_unit_interval_is_usage_error(sq_json, capsys, argv):
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: tol must be") and "(0, 1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_period_below_one_is_usage_error(sq_json, capsys, period):
+    code, out = _run(["periodic", "--map", sq_json, "--period", period])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: period must be >= 1, got {period}")
     assert "Traceback" not in err

@@ -222,16 +222,17 @@ def _row_by_row(F, n_samples, depth, seed):
     then solves all N fibers each step and takes the root of the drawn rank
     in a stable np.lexsort on (inverted, round(re, 9), round(im, 9)).
     """
-    from dynamo.measure import _fiber, _start_point
+    from dynamo.measure import _complex_forms, _fiber, _start_point
 
+    f0, f1 = _complex_forms(F)
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    z0 = _start_point(F, rng)[0]
+    z0 = _start_point(f0, f1, rng)[0]
     branches = rng.integers(0, F.degree, size=(depth, n_samples))
     vals = np.full(n_samples, z0, dtype=complex)
     invs = np.zeros(n_samples, dtype=bool)
     rows = np.arange(n_samples)
     for step in range(depth):
-        pv, pi = _fiber(F, vals, invs)
+        pv, pi = _fiber(f0, f1, vals, invs)
         order = np.lexsort((pv.imag.round(9), pv.real.round(9), pi), axis=1)
         cols = order[rows, branches[step]]
         vals, invs = pv[rows, cols], pi[rows, cols]

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from dynamo.errors import CapExceeded, NotACycle
@@ -316,3 +317,168 @@ def test_periodic_points_rejects_tol_outside_unit_interval(sq, tol):
     # nan used to end in a root-finding failure and -1 to run silently
     with pytest.raises(ValueError, match=r"tol must be .*\(0, 1\)"):
         periodic_points(sq, 2, tol=tol)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_periodic_points_rejects_period_below_one(sq, n):
+    # these used to fail inside iterate_lift, naming neither the period nor
+    # periodic_points
+    with pytest.raises(ValueError, match=rf"period must be >= 1, got {n}"):
+        periodic_points(sq, n)
+
+
+def test_float_forms_underflow_is_typed(monkeypatch):
+    # z^2 + 10^384: scaled by 10^384, F1 = Y^2 underflows to the zero form;
+    # it ended in NotACycle after two RuntimeWarnings, and now fails before
+    # the exact certificate is built
+    import dynamo.orbits
+    from dynamo.errors import RootFindingFailure
+    from dynamo.projective import RationalMapLift
+
+    def no_certificate(F, n):
+        raise AssertionError("the exact form was built")
+
+    monkeypatch.setattr(dynamo.orbits, "iterate_lift", no_certificate)
+    F = RationalMapLift.make([10**384, 0, 1], [1, 0, 0])
+    with pytest.raises(RootFindingFailure, match="float range"):
+        periodic_points(F, 2)
+
+
+# ---------------------------------------------------------------------------
+# preimage-tree starts
+# ---------------------------------------------------------------------------
+
+def _counting_ratio(monkeypatch):
+    """Count the orbit-ratio evaluations, one per Aberth sweep."""
+    import dynamo.orbits
+
+    real = dynamo.orbits._orbit_ratio
+    calls = []
+
+    def counted(*args):
+        ratio = real(*args)
+
+        def wrapper(z, live):
+            calls.append(1)
+            return ratio(z, live)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamo.orbits, "_orbit_ratio", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,n,most", [("basilica", 8, 20), ("cubic", 5, 15)])
+def test_tree_starts_take_few_sweeps(monkeypatch, name, n, most):
+    # from Newton-polygon circles these took 78 and 43 sweeps
+    calls = _counting_ratio(monkeypatch)
+    F = _map(name)
+    cycles = periodic_points(F, n)
+    assert sum(c.period for c in cycles) == F.degree**n + 1
+    assert 0 < len(calls) <= most
+
+
+def _tree_at_every_degree(monkeypatch):
+    """Force the tree starts on every simple factor; record (fac, known, starts)."""
+    import dynamo.orbits
+
+    monkeypatch.setattr(dynamo.orbits, "_TREE_MIN_DEGREE", 0)
+    real = dynamo.orbits._tree_starts
+    seen = []
+
+    def recorded(forms, n, fac, known, tol):
+        starts = real(forms, n, fac, known, tol)
+        seen.append((fac, list(known), starts))
+        return starts
+
+    monkeypatch.setattr(dynamo.orbits, "_tree_starts", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["inv", "lattes"])
+def test_tree_starts_fill_to_the_factor_degree(monkeypatch, name):
+    # infinity is not periodic under (z^2 + 1)/(2 z^2), so the form has one
+    # root more than the d^n leaves and one start comes from the polygon
+    # (the fixed point 1 has multiplier -1, so n = 2 is parabolic); the
+    # Lattes map fixes infinity and its leaves lie in both charts
+    from dynamo.orbits import fixed_point_roots
+    from dynamo.roots import polygon_starts
+
+    seen = _tree_at_every_degree(monkeypatch)
+    F = _map(name)
+    d = F.degree
+    for n in (1, 2, 3):
+        seen.clear()
+        assert sum(m for _, m, _ in fixed_point_roots(F, n)) == d**n + 1
+        (fac, _, starts), = seen
+        assert len(starts) == len(fac) - 1
+        filled = np.isin(starts, polygon_starts(fac)).sum()
+        assert filled == (name == "inv"), (name, n)
+        cycles = periodic_points(F, n)
+        if any(c.parabolic_warning for c in cycles):
+            assert (name, n) == ("inv", 2)
+            continue
+        assert sum(c.period for c in cycles) == d**n + 1
+        for m in range(1, n + 1):
+            if n % m == 0:
+                assert sum(c.period for c in cycles if c.period == m) == \
+                    _exact_period_count(d, m), (name, n, m)
+
+
+def test_power_maps_keep_the_polygon_starts(monkeypatch):
+    # the factor z^(2^n - 1) - 1 of z^2 is a binomial: its roots are equally
+    # spaced on the polygon's one circle, where the tree starts took 11 sweeps
+    # at n = 6 against 3
+    from dynamo.roots import polygon_starts
+
+    seen = _tree_at_every_degree(monkeypatch)
+    periodic_points(_map("sq"), 6)
+    (fac, _, starts), = seen
+    assert np.array_equal(starts, polygon_starts(fac))
+
+
+def test_tree_starts_drop_the_repeated_roots(monkeypatch):
+    # z^2 + 1/4: the parabolic fixed point 1/2 is a repeated root of every
+    # fixed-point form, and the leaves nearest it are dropped
+    seen = _tree_at_every_degree(monkeypatch)
+    F = _map("quarter")
+    for n in (2, 3, 4):
+        seen.clear()
+        cycles = periodic_points(F, n)
+        (fac, known, starts), = seen
+        assert len(starts) == len(fac) - 1
+        assert any(abs(r - 0.5) < 1e-6 and m >= 2 for r, m in known)
+        para = [c for c in cycles if c.parabolic_warning]
+        assert len(para) == 1 and para[0].period == 1
+        assert para[0].points[0].chordal(CPoint.from_affine(0.5)) < 1e-6
+        assert abs(para[0].multiplier - 1.0) < 1e-6
+        for c in cycles:
+            for i, p in enumerate(c.points):
+                assert evaluate_cpoint(F, p).chordal(c.points[(i + 1) % c.period]) < 1e-9
+
+
+@pytest.mark.parametrize("name,base,top", [("cubic", 1.0, 4), ("basilica", -1.0, 6)])
+def test_tree_starts_from_a_critical_value(monkeypatch, name, base, top):
+    # 1 is the critical value of z^3 + 1 and -1 that of z^2 - 1: the leaves
+    # coincide in triples or pairs, and Aberth would never separate them
+    import dynamo.orbits
+    from dynamo.roots import polygon_starts
+
+    seen = _tree_at_every_degree(monkeypatch)
+    monkeypatch.setattr(dynamo.orbits, "_TREE_BASE", complex(base))
+    F = _map(name)
+    d = F.degree
+    for n in range(1, top + 1):
+        seen.clear()
+        cycles = periodic_points(F, n)
+        (fac, _, starts), = seen
+        assert not np.isin(starts, polygon_starts(fac)).all()
+        gaps = np.abs(starts[:, None] - starts[None, :]) + np.eye(len(starts))
+        assert gaps.min() > 1e-9
+        assert not any(c.parabolic_warning for c in cycles)
+        assert sum(c.period for c in cycles) == d**n + 1
+        for m in range(1, n + 1):
+            if n % m == 0:
+                assert sum(c.period for c in cycles if c.period == m) == \
+                    _exact_period_count(d, m), (name, n, m)
+        assert abs(_holomorphic_index_sum(cycles, n) - 1) < 1e-9
