@@ -63,7 +63,6 @@ from .projective import (
     evaluate,
     iterate_lift,
     map_from_json,
-    mobius_conjugate,
     normalize,
     point_from_rational,
 )

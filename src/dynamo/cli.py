@@ -165,6 +165,9 @@ def _cmd_compare_measures(args, out):
 
 
 def _cmd_curve_orbit(args, out):
+    if len(args.map) > 2:
+        raise ValueError("curve-orbit takes one map, used on both axes, or two; "
+                         f"got {len(args.map)}")
     C = load_hypersurface(args.hyp)
     if C.n != 2:
         raise DynamoError("curve-orbit expects a two-block form (n = 2)")

@@ -264,10 +264,11 @@ def mm_verify(H: Hypersurface, maps, *, samples: int = 10_000, depth: int = 30,
     non-exceptional maps, all sub-tests would pass and (for n > 2 dominant
     forms) contradict the classification theory, so some failure is expected
     on any other input; the report names the failures with witnesses.
-    trials, exponent_bound or max_curve_iter below 1 is a ValueError, raised
-    before any work.
+    samples, depth, trials, exponent_bound or max_curve_iter below 1 is a
+    ValueError, raised before any work.
     """
-    for name, value in (("trials", trials), ("exponent_bound", exponent_bound),
+    for name, value in (("samples", samples), ("depth", depth), ("trials", trials),
+                        ("exponent_bound", exponent_bound),
                         ("max_curve_iter", max_curve_iter)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

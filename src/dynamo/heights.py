@@ -47,11 +47,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .modp import is_probable_prime
 from .projective import (
     DEFAULT_DIGIT_CAP,
     ProjectivePoint,
     RationalMapLift,
-    _is_probable_prime,
     check_cap,
     evaluate,
     form_eval,
@@ -107,7 +107,7 @@ def factorize(n: int) -> dict[int, int]:
 def _rho_factor(n: int) -> dict[int, int]:
     if n == 1:
         return {}
-    if _is_probable_prime(n):
+    if is_probable_prime(n):
         return {n: 1}
     d = n
     c = 1

@@ -126,10 +126,6 @@ class Hypersurface:
             out[exps[i - 1]] += val
         return out.T
 
-    def evaluate_exact(self, points: dict[int, ProjectivePoint]) -> int:
-        values = {j: (points[j].x, points[j].y) for j in range(1, self.n + 1)}
-        return sum(val for _, val in _multiply_out(self.terms, self.multidegree, values))
-
     def scaled_coefficients(self) -> dict:
         """Terms divided exactly by the max |coefficient|; floats in [-1, 1]."""
         m = max(abs(c) for _, c in self.terms)

@@ -1,0 +1,163 @@
+"""Arithmetic modulo word-size primes, on numpy int64 arrays: the prime
+stream, the squarefree test of `roots.yun_squarefree` and the residue
+helpers of `mpoly.resultant_formal` (Collins 1971; von zur Gathen-Gerhard,
+Modern Computer Algebra, ch. 6).  `prime` finds the primes below 2^31 on
+first use, largest first; a product of two residues stays below 2^62,
+inside int64.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_PRIMES: list[int] = []
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the twelve prime bases up to 37, which is exact below 3e23."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime(k: int) -> int:
+    """The (k+1)-th largest prime below 2^31."""
+    n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
+    while len(_PRIMES) <= k:
+        n -= 2
+        if is_probable_prime(n):
+            _PRIMES.append(n)
+    return _PRIMES[k]
+
+
+def squarefree_by_primes(c) -> bool:
+    """True when one of three primes proves the integer polynomial c squarefree over Q.
+
+    When p does not divide the leading coefficient, a square factor over Z
+    survives the reduction mod p, so gcd(c, c') = 1 mod p rules it out (c
+    of degree below p).  A prime that divides the leading coefficient or
+    the discriminant proves nothing, so the next prime is tried.  False
+    means a repeated factor or, rarely, three such primes.  The Euclid
+    runs on int64 rows, one row update per division step.
+    """
+    for k in range(3):
+        p = prime(k)
+        if not c[-1] % p:
+            continue
+        a = np.array([v % p for v in c], dtype=np.int64)
+        b = a[1:] * np.arange(1, len(a), dtype=np.int64) % p
+        while b.any():
+            b = b[:np.flatnonzero(b)[-1] + 1]
+            n = len(b)
+            if n == 1:  # a nonzero constant remainder: gcd(c, c') = 1
+                return True
+            inv = pow(int(b[-1]), -1, p)
+            for top in range(len(a) - 1, n - 2, -1):  # a := a mod b, top term first
+                q = int(a[top]) * inv % p
+                if q:
+                    a[top - n + 1:top + 1] = (a[top - n + 1:top + 1] - q * b) % p
+            a, b = b, a[:n - 1]
+        if len(a) == 1:
+            return True
+    return False
+
+
+def pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.ones_like(x)
+    base = x % p
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def inv_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p of nonzero residues.
+
+    Fermat's x^(p-2) is about 90 numpy calls whatever the size, which is
+    the cost of some 60 scalar inverses by Python's pow: short arrays take
+    the scalar path.
+    """
+    if x.size > 64:
+        return pow_mod(x, p - 2, p)
+    return np.array([pow(v, -1, p) for v in x.ravel().tolist()],
+                    dtype=np.int64).reshape(x.shape)
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for entries in [0, p): A is split into 16-bit halves so
+    that no int64 sum overflows (inner dimension below 2^15)."""
+    return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B) % p
+
+
+def det_mod(E: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices (entries in [0, p)).
+
+    Division-free elimination with per-matrix row swaps; the row scalings
+    are divided out by one inverse at the end.
+    """
+    n = E.shape[-1]
+    E = E.copy()
+    rows = np.arange(len(E))
+    num = np.ones(len(E), dtype=np.int64)
+    den = np.ones(len(E), dtype=np.int64)
+    for k in range(n):
+        r = k + (E[:, k:, k] != 0).argmax(axis=1)
+        swap = r != k
+        if swap.any():
+            i, j = rows[swap], r[swap]
+            top = E[i, k].copy()
+            E[i, k] = E[i, j]
+            E[i, j] = top
+            num[i] = (p - num[i]) % p
+        piv = E[:, k, k].copy()
+        num[piv == 0] = 0  # no pivot in this column: singular
+        piv[piv == 0] = 1
+        num = num * piv % p
+        if k + 1 < n:
+            E[:, k + 1:, k:] = (E[:, k + 1:, k:] * piv[:, None, None]
+                                - E[:, k + 1:, k, None] * E[:, None, k, k:]) % p
+            den = den * pow_mod(piv, n - k - 1, p) % p
+    return num * inv_mod(den, p) % p
+
+
+def interpolation_matrix(points: np.ndarray, p: int) -> np.ndarray:
+    """L with L[k, m] the t^m coefficient of the k-th Lagrange basis mod p.
+
+    With w = prod_j (t - x_j), the k-th basis is (w / (t - x_k)) / w'(x_k).
+    """
+    n = len(points)
+    x = points % p
+    w = np.zeros(n + 1, dtype=np.int64)
+    w[0] = 1
+    for xj in x:
+        w = (np.concatenate(([0], w[:-1])) - xj * w) % p
+    num = np.empty((n, n), dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for i in range(n, 0, -1):  # synthetic division by t - x_k, all k at once
+        acc = (w[i] + acc * x) % p
+        num[:, i - 1] = acc
+    dw = np.zeros(n, dtype=np.int64)
+    for i in range(n, 0, -1):  # w'(x_k) by Horner
+        dw = (dw * x + i * w[i]) % p
+    return num * inv_mod(dw, p)[:, None] % p

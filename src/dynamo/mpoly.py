@@ -5,25 +5,26 @@ split map (f, g) by dense modular elimination (Collins 1971; Monagan 2005).
 For each 31-bit prime it evaluates r2 mod p on a grid of (deg g * d1 + 1) x
 (deg f * d2 + 1) points, as a product of the curve over pairs of roots
 computed by numpy int64 determinants of companion-matrix Kronecker sums, and
-interpolates.  Reduction mod p commutes with the Sylvester determinants, so
-every prime gives r2 mod p exactly; there are no unlucky primes, only grid
-points where a leading coefficient vanishes, and a prime with one of those is
-skipped.  eliminant_bound_sq bounds every coefficient of r2 by B from the
-input norms (Hadamard's inequality on the torus), so primes are added until
-their product M exceeds 2B: the residues then fix each coefficient in
+interpolates; the residue helpers and the prime stream are `modp`'s.
+Reduction mod p commutes with the Sylvester determinants, so every prime
+gives r2 mod p exactly; there are no unlucky primes, only grid points where
+a leading coefficient vanishes, and a prime with one of those is skipped.
+eliminant_bound_sq bounds every coefficient of r2 by B from the input norms
+(Hadamard's inequality on the torus), so primes are added until their
+product M exceeds 2B: the residues then fix each coefficient in
 (-M/2, M/2), and the symmetric CRT lift is r2 itself.  The prime count is
 about log2(2B) / 31, fixed before any prime is tried; nothing stops early
 because results look stable.
 
 bivar_squarefree reduces the eliminant to its squarefree part on the same
 dense integer matrix, in three stages.  A squarefree check, modulo up to
-three primes, of a degree-preserving specialization in each direction
-certifies that nothing is repeated.  A uniform multiplicity e is removed
-by an exact e-th root, taken on the univariate image under u -> t^D,
-s -> t (D above the s-degree) and verified by re-expansion.  Mixed
-multiplicities fall back to P / gcd(P, P_u, P_s) by a primitive PRS over
-Z[s][u], whose coefficients are integer s-polynomials handled by
-projective's univariate helpers.
+three primes (`modp.squarefree_by_primes`), of a degree-preserving
+specialization in each direction certifies that nothing is repeated.  A
+uniform multiplicity e is removed by an exact e-th root, taken on the
+univariate image under u -> t^D, s -> t (D above the s-degree) and
+verified by re-expansion.  Mixed multiplicities fall back to
+P / gcd(P, P_u, P_s) by a primitive PRS over Z[s][u], whose coefficients
+are integer s-polynomials handled by projective's univariate helpers.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .modp import det_mod, interpolation_matrix, inv_mod, matmul_mod, pow_mod, prime
 from .projective import (
-    _prime,
     content,
     int_root_floor,
     poly_deriv,
@@ -53,67 +54,6 @@ from .roots import yun_squarefree
 # int64 entries per array in one block of grid points (1 MB), which bounds
 # the working set of an elimination whatever the bidegree
 _BLOCK = 1 << 17
-
-
-def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(x)
-    base = x % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
-def _inv_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses mod p of nonzero residues.
-
-    Fermat's x^(p-2) is about 90 numpy calls whatever the size, which is
-    the cost of some 60 scalar inverses by Python's pow: short arrays take
-    the scalar path.
-    """
-    if x.size > 64:
-        return _pow_mod(x, p - 2, p)
-    return np.array([pow(v, -1, p) for v in x.ravel().tolist()],
-                    dtype=np.int64).reshape(x.shape)
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for entries in [0, p): A is split into 16-bit halves so
-    that no int64 sum overflows (inner dimension below 2^15)."""
-    return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B) % p
-
-
-def _det_mod(E: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a stack of square matrices (entries in [0, p)).
-
-    Division-free elimination with per-matrix row swaps; the row scalings
-    are divided out by one inverse at the end.
-    """
-    n = E.shape[-1]
-    E = E.copy()
-    rows = np.arange(len(E))
-    num = np.ones(len(E), dtype=np.int64)
-    den = np.ones(len(E), dtype=np.int64)
-    for k in range(n):
-        r = k + (E[:, k:, k] != 0).argmax(axis=1)
-        swap = r != k
-        if swap.any():
-            i, j = rows[swap], r[swap]
-            top = E[i, k].copy()
-            E[i, k] = E[i, j]
-            E[i, j] = top
-            num[i] = (p - num[i]) % p
-        piv = E[:, k, k].copy()
-        num[piv == 0] = 0  # no pivot in this column: singular
-        piv[piv == 0] = 1
-        num = num * piv % p
-        if k + 1 < n:
-            E[:, k + 1:, k:] = (E[:, k + 1:, k:] * piv[:, None, None]
-                                - E[:, k + 1:, k, None] * E[:, None, k, k:]) % p
-            den = den * _pow_mod(piv, n - k - 1, p) % p
-    return num * _inv_mod(den, p) % p
 
 
 def _grid(count: int, lift) -> np.ndarray:
@@ -140,37 +80,15 @@ def _companion_powers(lift, ts: np.ndarray, top: int, p: int):
     lc = forms[:, a]
     if not lc.all():
         return None
-    monic = forms[:, :a] * _inv_mod(lc, p)[:, None] % p
+    monic = forms[:, :a] * inv_mod(lc, p)[:, None] % p
     N = np.zeros((len(ts), a, a), dtype=np.int64)
     N[:, 1:, :-1] = np.eye(a - 1, dtype=np.int64)
     N[:, :, a - 1] = (p - monic) % p
     powers = np.empty((len(ts), top + 1, a, a), dtype=np.int64)
     powers[:, 0] = np.eye(a, dtype=np.int64)
     for i in range(1, top + 1):
-        powers[:, i] = _matmul_mod(powers[:, i - 1], N, p)
+        powers[:, i] = matmul_mod(powers[:, i - 1], N, p)
     return powers, lc
-
-
-def _interpolation_matrix(points: np.ndarray, p: int) -> np.ndarray:
-    """L with L[k, m] the t^m coefficient of the k-th Lagrange basis mod p.
-
-    With w = prod_j (t - x_j), the k-th basis is (w / (t - x_k)) / w'(x_k).
-    """
-    n = len(points)
-    x = points % p
-    w = np.zeros(n + 1, dtype=np.int64)
-    w[0] = 1
-    for xj in x:
-        w = (np.concatenate(([0], w[:-1])) - xj * w) % p
-    num = np.empty((n, n), dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for i in range(n, 0, -1):  # synthetic division by t - x_k, all k at once
-        acc = (w[i] + acc * x) % p
-        num[:, i - 1] = acc
-    dw = np.zeros(n, dtype=np.int64)
-    for i in range(n, 0, -1):  # w'(x_k) by Horner
-        dw = (dw * x + i * w[i]) % p
-    return num * _inv_mod(dw, p)[:, None] % p
 
 
 def eliminant_bound_sq(C, F, G) -> int:
@@ -208,23 +126,23 @@ def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
     U, S = len(us), len(ss)
     cmod = np.array([[c % p for c in row] for row in C], dtype=np.int64)
     # W[i] = sum_j c_ij M_s^j, laid out (i, (s, l, l'))
-    W = _matmul_mod(cmod, Mpow.transpose(1, 0, 2, 3).reshape(d2 + 1, S * b * b), p)
+    W = matmul_mod(cmod, Mpow.transpose(1, 0, 2, 3).reshape(d2 + 1, S * b * b), p)
     A = Npow.transpose(0, 2, 3, 1).reshape(U * a * a, d1 + 1)
     det = np.empty((U, S), dtype=np.int64)
     step = max(1, _BLOCK // (a * a * S * b * b))
     for u0 in range(0, U, step):
         u1 = min(U, u0 + step)
         # sum_i N_u^i (x) W[i], rows and columns ordered (k, l)
-        E = _matmul_mod(A[u0 * a * a:u1 * a * a], W, p)
+        E = matmul_mod(A[u0 * a * a:u1 * a * a], W, p)
         E = E.reshape(u1 - u0, a, a, S, b, b).transpose(0, 3, 1, 4, 2, 5)
-        det[u0:u1] = _det_mod(E.reshape(-1, a * b, a * b), p).reshape(u1 - u0, S)
-    vals = det * _pow_mod(lc_f, b * d1, p)[:, None] % p
-    vals = vals * _pow_mod(lc_g, a * d2, p)[None, :] % p
+        det[u0:u1] = det_mod(E.reshape(-1, a * b, a * b), p).reshape(u1 - u0, S)
+    vals = det * pow_mod(lc_f, b * d1, p)[:, None] % p
+    vals = vals * pow_mod(lc_g, a * d2, p)[None, :] % p
     if a * b * (d1 + d2) % 2:
         vals = (p - vals) % p
-    Lu = _interpolation_matrix(us, p)
-    Ls = Lu if np.array_equal(us, ss) else _interpolation_matrix(ss, p)
-    return _matmul_mod(_matmul_mod(Lu.T, vals, p), Ls, p)
+    Lu = interpolation_matrix(us, p)
+    Ls = Lu if np.array_equal(us, ss) else interpolation_matrix(ss, p)
+    return matmul_mod(matmul_mod(Lu.T, vals, p), Ls, p)
 
 
 def resultant_formal(C, F, G) -> list:
@@ -251,7 +169,7 @@ def resultant_formal(C, F, G) -> list:
     residues, primes, modulus = [], [], 1
     k = 0
     while modulus * modulus <= need:
-        p = _prime(k)
+        p = prime(k)
         k += 1
         vals = _eliminant_mod(C, F, G, us, ss, p)
         if vals is not None:

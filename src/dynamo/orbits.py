@@ -27,8 +27,9 @@ points also run:
 - its zero coefficients at either end give the multiplicities at infinity
   and at 0;
 - gcd(P, P') = 1 modulo one of three primes that keep the degree proves
-  P squarefree over Q.  Only when that fails (a parabolic coincidence) does
-  Yun's decomposition over Z run; its repeated factors are solved first, by
+  P squarefree over Q (`modp.squarefree_by_primes`, a Euclid on int64
+  rows).  Only when that fails (a parabolic coincidence) does Yun's
+  decomposition over Z run; its repeated factors are solved first, by
   Horner's rule, and every exactly known factor (z^k for a root at 0
   included) is divided out of the log-derivative of the orbit solve;
 - near-real roots are reconstructed as rationals and verified exactly, and

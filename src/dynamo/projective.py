@@ -64,12 +64,6 @@ class ProjectivePoint:
     def is_infinity(self) -> bool:
         return self.y == 0
 
-    def as_fraction(self) -> Fraction | None:
-        """Affine value x/y, or None for the point at infinity."""
-        if self.y == 0:
-            return None
-        return Fraction(self.x, self.y)
-
     def __str__(self) -> str:
         if self.y == 0:
             return "inf"
@@ -246,7 +240,8 @@ def int_root_floor(n: int, e: int) -> int:
 
 # The helpers below read a coefficient list as a univariate polynomial over
 # Z, ascending powers; `primitive_int` is where integral Fractions from
-# input parsing become integers.
+# input parsing become integers.  Arithmetic modulo word-size primes,
+# the squarefree test included, is in `modp`.
 
 def poly_degree(c) -> int:
     d = len(c) - 1
@@ -319,81 +314,6 @@ def poly_gcd(a, b):
     if not any(a):
         return [0]
     return a if a[-1] > 0 else [-v for v in a]
-
-
-# ---------------------------------------------------------------------------
-# word-size primes and the modular squarefree test
-# ---------------------------------------------------------------------------
-
-# 31-bit primes below 2^31, largest first, found on first use: products of
-# two residues stay below 2^62, inside int64
-_PRIMES: list[int] = []
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(k: int) -> int:
-    """The (k+1)-th largest prime below 2^31."""
-    n = _PRIMES[-1] if _PRIMES else (1 << 31) + 1
-    while len(_PRIMES) <= k:
-        n -= 2
-        if _is_probable_prime(n):
-            _PRIMES.append(n)
-    return _PRIMES[k]
-
-
-def squarefree_by_primes(c) -> bool:
-    """True when one of three primes proves the integer polynomial c squarefree over Q.
-
-    When p does not divide the leading coefficient, a square factor over Z
-    survives the reduction mod p, so gcd(c, c') = 1 mod p rules it out (c
-    of degree below p).  A prime that divides the leading coefficient or
-    the discriminant proves nothing, so the next prime is tried.  False
-    means a repeated factor or, rarely, three such primes.
-    """
-    for k in range(3):
-        p = _prime(k)
-        if not c[-1] % p:
-            continue
-        a = [v % p for v in c]
-        b = [i * v % p for i, v in enumerate(a)][1:]
-        while any(b):
-            while not b[-1]:
-                b.pop()
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b):  # a := a mod b
-                q = a[-1] * inv % p
-                if q:
-                    shift = len(a) - len(b)
-                    for i, v in enumerate(b):
-                        a[shift + i] = (a[shift + i] - q * v) % p
-                a.pop()
-            a, b = b, a
-        if len(a) == 1:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -609,21 +529,6 @@ def iterate_lift(F: RationalMapLift, n: int) -> RationalMapLift:
     for _ in range(n - 1):
         out = compose(F, out)
     return out
-
-
-def mobius_conjugate(F: RationalMapLift, m) -> RationalMapLift:
-    """Conjugate the lift by an invertible integer Möbius map (a b / c d)."""
-    a, b, c, d = (int(v) for v in m)
-    det = a * d - b * c
-    if det == 0:
-        raise DegenerateMap("Möbius matrix must be invertible")
-    fwd0, fwd1 = (b, a), (d, c)       # (X, Y) -> (aX + bY, cX + dY), ascending X-power
-    t0 = form_compose(F.f0, list(fwd0), list(fwd1))
-    t1 = form_compose(F.f1, list(fwd0), list(fwd1))
-    # the inverse acts on the value side through the adjugate matrix
-    g0 = [d * u - b * v for u, v in zip(t0, t1)]
-    g1 = [-c * u + a * v for u, v in zip(t0, t1)]
-    return RationalMapLift.make(g0, g1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Complex and exact root finding for integer polynomials and binary forms.
 
 Strategy: exact squarefree decomposition over Z first (multiplicities
-become exact), rational roots recovered by continued-fraction
+become exact; `modp.squarefree_by_primes` proves most inputs squarefree
+without a gcd), rational roots recovered by continued-fraction
 reconstruction from numeric approximations plus exact verification (no
 coefficient factoring, so huge iterate coefficients are fine).  `binary_form_roots` is the one
 exact root path: fibers, critical points and periodic points all run it,
@@ -27,6 +28,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import RootFindingFailure
+from .modp import squarefree_by_primes
 from .projective import (
     INFINITY,
     CPoint,
@@ -38,7 +40,6 @@ from .projective import (
     poly_gcd,
     poly_trim,
     primitive_int,
-    squarefree_by_primes,
 )
 
 DEFAULT_TOL = 1e-12

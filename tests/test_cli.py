@@ -400,6 +400,28 @@ def test_bad_axis_map_count_or_budget_is_usage_error(diagonal_json, sq_json, cap
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_mm_verify_sampling_budget_below_one_is_usage_error(tmp_path, sq_json, capsys):
+    # x2 = 3 has one dominant axis, so no measure comparison ran to reject
+    # the budget: mm-verify exited 0
+    hyp = tmp_path / "x2_is_3.json"
+    hyp.write_text(json.dumps({
+        "n": 2, "multidegree": [0, 1],
+        "terms": [{"exps": [0, 1], "coeff": "1"}, {"exps": [0, 0], "coeff": "-3"}],
+    }))
+    code, out = _run(["mm-verify", "--hyp", str(hyp), "--map", sq_json, sq_json,
+                      "--samples", "0", "--depth", "-4"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: samples must be >= 1, got 0\n"
+
+
+def test_curve_orbit_takes_at_most_two_maps(diagonal_json, sq_json, capsys):
+    # a third map was silently ignored
+    code, out = _run(["curve-orbit", "--hyp", diagonal_json, "--map", sq_json, sq_json, sq_json])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == ("error: curve-orbit takes one map, used on both "
+                                       "axes, or two; got 3\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     # preper and orbit gave a verdict and exited 0; height and curve-orbit

@@ -154,8 +154,8 @@ def test_mm_verify_requires_matching_maps(sq):
         mm_verify(diagonal_surface(), [sq])
 
 
-@pytest.mark.parametrize("bad", [{"trials": 0}, {"exponent_bound": -1},
-                                 {"max_curve_iter": 0}])
+@pytest.mark.parametrize("bad", [{"samples": 0}, {"depth": -4}, {"trials": 0},
+                                 {"exponent_bound": -1}, {"max_curve_iter": 0}])
 def test_mm_verify_budget_below_one_raises_before_any_work(sq, bad):
     # checked before the axes, whose fault (one map for two axes) would raise another message
     name, value = next(iter(bad.items()))

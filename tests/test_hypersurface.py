@@ -9,6 +9,7 @@ from fractions import Fraction
 from dynamo.errors import DegenerateFiber, RootFindingFailure
 from dynamo.hypersurface import (
     Hypersurface,
+    _multiply_out,
     diagonal_surface,
     fiber_solve,
     graph_surface,
@@ -17,6 +18,12 @@ from dynamo.hypersurface import (
 from dynamo.projective import ProjectivePoint, form_eval, point_from_rational
 
 from json_forms import hypersurface_to_json
+
+
+def evaluate_exact(H, points):
+    """H at one rational point of each axis, exactly."""
+    values = {j: (points[j].x, points[j].y) for j in range(1, H.n + 1)}
+    return sum(val for _, val in _multiply_out(H.terms, H.multidegree, values))
 
 
 def linear_sum_surface():
@@ -124,8 +131,8 @@ def test_evaluate_exact_on_surface_points():
     H = graph_surface([1, 1])
     on = {1: point_from_rational(4), 2: point_from_rational(5)}
     off = {1: point_from_rational(4), 2: point_from_rational(6)}
-    assert H.evaluate_exact(on) == 0
-    assert H.evaluate_exact(off) != 0
+    assert evaluate_exact(H, on) == 0
+    assert evaluate_exact(H, off) != 0
 
 
 def test_irreducibility_probe_flags_square():
@@ -186,4 +193,4 @@ def test_evaluate_exact_matches_fiber_form_eval(n):
         pts = {j: _random_point(rng) for j in range(1, n + 1)}
         for i in range(1, n + 1):
             fiber = H.fiber_form_exact(i, pts)
-            assert H.evaluate_exact(pts) == form_eval(fiber, pts[i].x, pts[i].y)
+            assert evaluate_exact(H, pts) == form_eval(fiber, pts[i].x, pts[i].y)

@@ -10,11 +10,10 @@ import pytest
 import dynamo.mpoly
 from dynamo.curves import make_curve
 from dynamo.hypersurface import diagonal_surface, graph_surface
+from dynamo.modp import det_mod, prime
 from dynamo.mpoly import (
-    _det_mod,
     _gcd,
     _kronecker,
-    _prime,
     _shape,
     _unkronecker,
     bivar_squarefree,
@@ -346,9 +345,9 @@ def test_bivar_squarefree_of_products_of_linear_forms(monkeypatch):
 def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
     # The 6th pushforward of x2 = x1^2 + 1 under (z^2, z^2) has bidegree
     # (64, 32).  Its first degree-preserving specialization, of degree 64
-    # with 966-bit coefficients, is squarefree over Q but not mod _prime(0);
+    # with 966-bit coefficients, is squarefree over Q but not mod prime(0);
     # Yun over Q took seconds on it, and the next primes decide at once.
-    import dynamo.projective
+    import dynamo.modp
     import dynamo.roots
     from dynamo.curves import _reduce_to_curve
 
@@ -365,8 +364,8 @@ def test_graph_orbit_specialization_needs_no_yun(monkeypatch):
 
     monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     assert _reduce_to_curve(r2, 64, 32, 10**6).multidegree == (64, 32)
-    first = dynamo.projective._prime(0)
-    monkeypatch.setattr(dynamo.projective, "_prime", lambda k: first)
+    first = dynamo.modp.prime(0)
+    monkeypatch.setattr(dynamo.modp, "prime", lambda k: first)
     with pytest.raises(AssertionError, match="^Yun over Q on degree 64$"):
         _reduce_to_curve(r2, 64, 32, 10**6)
 
@@ -377,7 +376,7 @@ def test_prime_matches_trial_division():
 
     want = [n for n in range((1 << 31) - 1, (1 << 31) - 2000, -2) if is_prime(n)][:30]
     assert len(want) == 30
-    assert [_prime(k) for k in range(30)] == want
+    assert [prime(k) for k in range(30)] == want
 
 
 def test_int_nth_root_beyond_float_range():
@@ -407,7 +406,7 @@ def test_det_mod_matches_bareiss():
         mats.append(m)
     for n in range(1, 6):
         group = [m for m in mats if len(m) == n]
-        got = _det_mod(np.array(group, dtype=np.int64) % p, p)
+        got = det_mod(np.array(group, dtype=np.int64) % p, p)
         assert [int(v) for v in got] == [_bareiss_det(m) % p for m in group]
 
 
@@ -423,7 +422,7 @@ def test_eliminant_in_blocks_of_grid_rows(monkeypatch):
 def test_eliminant_skips_a_prime_with_a_bad_grid_point(monkeypatch):
     # the top coefficient of f0 - u f1 is (p + 1) - u, which vanishes mod the
     # first prime p at the grid point u = 1; that prime must be skipped
-    p = dynamo.mpoly._prime(0)
+    p = prime(0)
     F = ((0, 0, p + 1), (1, 0, 1))
     G = _lift(MAPS["sq"])
     C = _dense(diagonal_surface())
@@ -455,7 +454,7 @@ def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
     assert C.multidegree == (16, 16)
     C = _dense(C)
     built, primes = [], []
-    interpolation_matrix = dynamo.mpoly._interpolation_matrix
+    interpolation_matrix = dynamo.mpoly.interpolation_matrix
     eliminant_mod = dynamo.mpoly._eliminant_mod
 
     def counting_matrix(points, p):
@@ -466,7 +465,7 @@ def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
         primes.append(args[-1])
         return eliminant_mod(*args)
 
-    monkeypatch.setattr(dynamo.mpoly, "_interpolation_matrix", counting_matrix)
+    monkeypatch.setattr(dynamo.mpoly, "interpolation_matrix", counting_matrix)
     monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
     R = resultant_formal(C, _lift(f), _lift(g))
     assert len(primes) > 1 and built == primes

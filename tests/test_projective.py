@@ -18,14 +18,13 @@ from dynamo.projective import (
     evaluate,
     form_eval,
     map_from_json,
-    mobius_conjugate,
     normalize,
     point_from_rational,
     poly_mul,
     sylvester_resultant,
 )
 
-from conftest import poly_lift
+from conftest import mobius_conjugate, poly_lift
 from json_forms import map_to_json
 
 
@@ -289,12 +288,12 @@ def test_compose_overflow_policy(basilica, monkeypatch):
 
 
 def test_squarefree_by_primes():
-    from dynamo.projective import _prime, squarefree_by_primes
+    from dynamo.modp import prime, squarefree_by_primes
 
     assert squarefree_by_primes([-2, 0, 1])  # x^2 - 2
     assert not squarefree_by_primes([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
     # a leading coefficient divisible by every prime tried drops the degree
     # mod each of them, so the test proves nothing and says no
-    assert not squarefree_by_primes([-2, 0, _prime(0) * _prime(1) * _prime(2)])
-    assert squarefree_by_primes([-2, 0, _prime(0)])  # the next prime decides
+    assert not squarefree_by_primes([-2, 0, prime(0) * prime(1) * prime(2)])
+    assert squarefree_by_primes([-2, 0, prime(0)])  # the next prime decides
     assert squarefree_by_primes([7])
