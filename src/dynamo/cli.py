@@ -7,6 +7,11 @@ JSON with --json.  Its header (`# key=value` lines, or the JSON "config"
 object) holds the library version and every parsed option of the run,
 defaults included, so the header alone reproduces the result.  Exit codes:
 0 success, 1 usage error (an unknown option included), 2 computation error.
+
+The library layers are bound as modules and their functions looked up at
+call time (`harness.mm_verify(...)`): a layer executes on first use, so a
+process runs only the layers of the subcommands it calls (`height` never
+executes `harness`, `curves`, `hypersurface`, `mpoly` or `measure`).
 """
 
 from __future__ import annotations
@@ -19,22 +24,18 @@ import random
 import sys
 from functools import cache
 
-from . import __version__
-from .errors import DynamoError
-from .exceptional import INF_WEIGHT, chebyshev_coeffs, classify
-from .harness import measure_compare, mm_verify, ms_form_check
-from .heights import (
-    canonical_height,
-    canonical_height_functoriality_check,
-    decide_preperiodic,
-    product_formula_check,
-    random_rational,
+from . import (
+    __version__,
+    curves,
+    exceptional,
+    harness,
+    heights,
+    hypersurface,
+    measure,
+    orbits,
+    projective,
 )
-from .hypersurface import load_hypersurface
-from .curves import curve_orbit
-from .measure import sample_invariant_measure, sphere_embed
-from .orbits import periodic_points
-from .projective import DEFAULT_DIGIT_CAP, load_map, point_from_rational
+from .errors import DynamoError
 
 
 def _emit(payload: dict, args, out) -> None:
@@ -68,7 +69,7 @@ def _csv_cell(v):
 
 
 def _sig_str(sig) -> list:
-    return ["inf" if w == INF_WEIGHT else int(w) for w in (sig or ())]
+    return ["inf" if w == exceptional.INF_WEIGHT else int(w) for w in (sig or ())]
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +77,10 @@ def _sig_str(sig) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_height(args, out):
-    F = load_map(args.map)
-    res = canonical_height(F, point_from_rational(args.point), target_error=args.err,
-                           cap_digits=args.cap_digits, diagnostics=args.diagnostics)
+    F = projective.load_map(args.map)
+    res = heights.canonical_height(F, projective.point_from_rational(args.point),
+                                   target_error=args.err, cap_digits=args.cap_digits,
+                                   diagnostics=args.diagnostics)
     payload = {
         "value": res.value,
         "error_radius": res.error_radius,
@@ -92,8 +94,9 @@ def _cmd_height(args, out):
 
 def _cmd_preper(args, out):
     """`preper` and `orbit`: the same decision, reported in their own words."""
-    F = load_map(args.map)
-    v = decide_preperiodic(F, point_from_rational(args.point), cap_digits=args.cap_digits)
+    F = projective.load_map(args.map)
+    v = heights.decide_preperiodic(F, projective.point_from_rational(args.point),
+                                   cap_digits=args.cap_digits)
     if v.preperiodic:
         payload = {"status": "preperiodic", "tail": v.tail, "period": v.period}
     elif args.command == "orbit":
@@ -106,8 +109,8 @@ def _cmd_preper(args, out):
 
 
 def _cmd_periodic(args, out):
-    F = load_map(args.map)
-    cycles = periodic_points(F, args.period, tol=args.tol)
+    F = projective.load_map(args.map)
+    cycles = orbits.periodic_points(F, args.period, tol=args.tol)
     if args.repelling_only:
         cycles = [c for c in cycles if c.repelling]
     rows = []
@@ -121,17 +124,17 @@ def _cmd_periodic(args, out):
 
 
 def _cmd_classify(args, out):
-    F = load_map(args.map)
-    c = classify(F, max_orbit=args.max_orbit, tol=args.tol)
+    F = projective.load_map(args.map)
+    c = exceptional.classify(F, max_orbit=args.max_orbit, tol=args.tol)
     _emit({"verdict": c.verdict, "signature": _sig_str(c.signature),
            "pcf": c.pcf, "exact": c.exact}, args, out)
 
 
 def _cmd_sample_measure(args, out):
-    F = load_map(args.map)
-    m = sample_invariant_measure(F, args.samples, args.depth, seed=args.seed)
+    F = projective.load_map(args.map)
+    m = measure.sample_invariant_measure(F, args.samples, args.depth, seed=args.seed)
     if args.chart == "sphere":
-        xyz = sphere_embed(m.values[:, 0], m.inverted[:, 0])
+        xyz = measure.sphere_embed(m.values[:, 0], m.inverted[:, 0])
         _emit_floats(["x", "y", "z"], [c.tolist() for c in xyz.T], args, out)
     else:
         z = m.affine(0)
@@ -154,10 +157,10 @@ def _emit_floats(columns: list, data: list, args, out) -> None:
 
 
 def _cmd_compare_measures(args, out):
-    H = load_hypersurface(args.hyp)
-    maps = [load_map(p) for p in args.map]
-    res = measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
-                          depth=args.depth, seed=args.seed)
+    H = hypersurface.load_hypersurface(args.hyp)
+    maps = [projective.load_map(p) for p in args.map]
+    res = harness.measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
+                                  depth=args.depth, seed=args.seed)
     _emit({"statistic": res.statistic, "threshold": res.threshold,
            "equal_within_noise": res.equal_within_noise,
            "per_chart": list(res.per_chart), "discarded": list(res.discarded)},
@@ -168,12 +171,12 @@ def _cmd_curve_orbit(args, out):
     if len(args.map) > 2:
         raise ValueError("curve-orbit takes one map, used on both axes, or two; "
                          f"got {len(args.map)}")
-    C = load_hypersurface(args.hyp)
+    C = hypersurface.load_hypersurface(args.hyp)
     if C.n != 2:
         raise DynamoError("curve-orbit expects a two-block form (n = 2)")
-    f = load_map(args.map[0])
-    g = load_map(args.map[1] if len(args.map) > 1 else args.map[0])
-    res = curve_orbit(C, f, g, max_iter=args.max_iter, cap_digits=args.cap_digits)
+    f = projective.load_map(args.map[0])
+    g = projective.load_map(args.map[1] if len(args.map) > 1 else args.map[0])
+    res = curves.curve_orbit(C, f, g, max_iter=args.max_iter, cap_digits=args.cap_digits)
     payload = {"preperiodic": res.preperiodic,
                "bidegrees": [list(b) for b in res.bidegrees]}
     if res.preperiodic:
@@ -182,10 +185,10 @@ def _cmd_curve_orbit(args, out):
 
 
 def _cmd_ms_check(args, out):
-    H = load_hypersurface(args.hyp)
-    maps = [load_map(p) for p in args.map]
-    rep = ms_form_check(H, maps, exponent_bound=args.exponent_bound,
-                        max_iter=args.max_iter)
+    H = hypersurface.load_hypersurface(args.hyp)
+    maps = [projective.load_map(p) for p in args.map]
+    rep = harness.ms_form_check(H, maps, exponent_bound=args.exponent_bound,
+                                max_iter=args.max_iter)
     payload = {"reason": rep.reason, "certified": False}
     if rep.certificate is not None:
         cert = rep.certificate
@@ -202,11 +205,11 @@ def _cmd_ms_check(args, out):
 
 
 def _cmd_mm_verify(args, out):
-    H = load_hypersurface(args.hyp)
-    maps = [load_map(p) for p in args.map]
-    rep = mm_verify(H, maps, samples=args.samples, depth=args.depth, trials=args.trials,
-                    seed=args.seed, exponent_bound=args.exponent_bound,
-                    max_curve_iter=args.max_iter)
+    H = hypersurface.load_hypersurface(args.hyp)
+    maps = [projective.load_map(p) for p in args.map]
+    rep = harness.mm_verify(H, maps, samples=args.samples, depth=args.depth,
+                            trials=args.trials, seed=args.seed,
+                            exponent_bound=args.exponent_bound, max_curve_iter=args.max_iter)
     payload = {
         "dominance": {str(k): v for k, v in rep.dominance["axis"].items()},
         "pair_form_candidate": rep.dominance["pair_form_candidate"],
@@ -237,28 +240,26 @@ def _cmd_self_test(args, out):
     checks = []
     ok = True
     for _ in range(1000):
-        q = random_rational(rng, 10**6)
+        q = heights.random_rational(rng, 10**6)
         if q == 0:
             continue
-        if product_formula_check(q) != 0.0:
+        if heights.product_formula_check(q) != 0.0:
             ok = False
             break
     checks.append(("product_formula_1000_rationals", ok))
-    from .projective import RationalMapLift
-
-    maps = [RationalMapLift.make([0, 0, 1], [1, 0, 0]),
-            RationalMapLift.make([-1, 0, 1], [1, 0, 0]),
-            RationalMapLift.make([-2, 0, 1], [1, 0, 0])]
+    maps = [projective.RationalMapLift.make([0, 0, 1], [1, 0, 0]),
+            projective.RationalMapLift.make([-1, 0, 1], [1, 0, 0]),
+            projective.RationalMapLift.make([-2, 0, 1], [1, 0, 0])]
     func_ok = True
     for F in maps:
         for _ in range(20):
-            q = random_rational(rng, 50)
-            if not canonical_height_functoriality_check(F, q):
+            q = heights.random_rational(rng, 50)
+            if not heights.canonical_height_functoriality_check(F, q):
                 func_ok = False
     checks.append(("height_functoriality", func_ok))
     cheb_ok = True
     for d in range(1, 13):
-        coeffs = chebyshev_coeffs(d)
+        coeffs = exceptional.chebyshev_coeffs(d)
         defect: dict[int, int] = {}
         for k, c in enumerate(coeffs):
             if not c:
@@ -296,7 +297,7 @@ _OPTIONS = {
     "err": (["--err"], dict(type=float, default=1e-6)),
     "tol": (["--tol"], dict(type=float, default=1e-9)),
     "max_iter": (["--max-iter"], dict(type=int, default=6)),
-    "cap_digits": (["--cap-digits"], dict(type=int, default=DEFAULT_DIGIT_CAP)),
+    "cap_digits": (["--cap-digits"], dict(type=int, default=projective.DEFAULT_DIGIT_CAP)),
     "max_orbit": (["--max-orbit"], dict(type=int, default=64)),
     "trials": (["--trials"], dict(type=int, default=100)),
     "exponent_bound": (["--exponent-bound"], dict(type=int, default=6)),

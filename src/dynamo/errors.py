@@ -24,7 +24,8 @@ class RootFindingFailure(DynamoError):
 
 class CapExceeded(DynamoError):
     """A configured cap was exceeded: the decimal digits of an exact coefficient,
-    coordinate or working integer, or a work cap such as the period degree."""
+    coordinate or working integer, or a work cap such as the period degree or
+    the memory of the sampler's branch table."""
 
 
 class NotACycle(DynamoError):

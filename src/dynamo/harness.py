@@ -10,6 +10,7 @@ runs all of these and reports which (if any) fail, with concrete witnesses.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .measure import (
     green,
     pullback_to_hypersurface,
 )
-from .projective import iterate_lift
+from .projective import int_root_floor, iterate_lift
 
 #: search box of each map's rational preperiodic points (the fiber-test supply)
 SUPPLY_BOX = 100
@@ -152,12 +153,15 @@ def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_0
     the empirical mass difference; tau = 3 sqrt(ln 64 / N) is the documented
     CLT heuristic.  D and tau are reported, never upgraded to a proof.
     Sampling seeds depend on (seed, axis) only, so D_ij = D_ji exactly.
-    maps holds one map per axis and i, j lie in 1..n, else ValueError.
+    maps holds one map per axis and i, j are two distinct axes in 1..n, else
+    ValueError, raised before any sampling.
 
     columns memoizes the product-measure columns (`sample_product_measure`);
     callers comparing several pairs pass one dict to all of them.
     """
     _check_axes(H, maps, i, j)
+    if i == j:
+        raise ValueError(f"compare two distinct axes, got i = j = {i}")
     columns = {} if columns is None else columns
     out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
                                      columns=columns)
@@ -195,8 +199,8 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
                   max_iter: int = 8, max_bidegree: int = 64) -> PairFormReport:
     """If H depends on exactly two blocks, certify the pair-curve structure.
 
-    Searches the lexicographically minimal (l_i, l_j) with
-    deg(f_i)^l_i = deg(f_j)^l_j up to the bound, extracts the plane curve,
+    Takes the least (l_i, l_j) with deg(f_i)^l_i = deg(f_j)^l_j within the
+    bound (`_matching_exponents`), extracts the plane curve,
     and runs its orbit under the matching iterates.  maps holds one map per
     axis and the bounds are >= 1, else ValueError.
     """
@@ -209,15 +213,7 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
     if len(active) != 2:
         return PairFormReport(None, f"depends on {len(active)} blocks")
     i, j = active
-    di, dj = maps[i - 1].degree, maps[j - 1].degree
-    found = None
-    for li in range(1, exponent_bound + 1):
-        for lj in range(1, exponent_bound + 1):
-            if di**li == dj**lj:
-                found = (li, lj)
-                break
-        if found:
-            break
+    found = _matching_exponents(maps[i - 1].degree, maps[j - 1].degree, exponent_bound)
     if found is None:
         return PairFormReport(None,
                               f"no iterate degrees match up to exponent bound {exponent_bound}")
@@ -230,6 +226,34 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
     if orbit.preperiodic:
         return PairFormReport(cert, "pair curve is preperiodic under the matched iterates")
     return PairFormReport(cert, "pair curve not detected preperiodic within the budget")
+
+
+def _matching_exponents(di: int, dj: int, bound: int) -> tuple | None:
+    """The least (l_i, l_j) with di^l_i = dj^l_j and both within bound, or None.
+
+    For di, dj >= 2 the equation holds iff di = c^p and dj = c^q for one
+    integer c, with p, q >= 1.  Taking for c the root of di that is no
+    perfect power, every solution is a multiple of (q, p) / gcd(p, q), so
+    the least one is that pair.  No power of di or dj is formed.
+    """
+    if di == dj:
+        return (1, 1)
+    if min(di, dj) < 2:
+        return None
+    b, p = di, 1
+    for e in range(di.bit_length(), 1, -1):
+        r = int_root_floor(di, e)
+        if r**e == di:
+            b, p = r, e
+            break
+    q, rest = 0, dj
+    while rest % b == 0:
+        q, rest = q + 1, rest // b
+    if rest != 1:
+        return None
+    g = math.gcd(p, q)
+    li, lj = q // g, p // g
+    return (li, lj) if max(li, lj) <= bound else None
 
 
 def _restrict_to_pair(H: Hypersurface, i: int, j: int) -> Curve2:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootFindingFailure
+from .errors import CapExceeded, RootFindingFailure
 from .projective import RationalMapLift, form_eval
-from .roots import roots_batch
+from .roots import preimage_fiber, roots_batch, to_chart
 
 CAP_COUNT = 64
 CAP_COS = 0.5  # aperture: points within 60 degrees of the center
@@ -111,43 +111,6 @@ def _complex_forms(F: RationalMapLift):
                                  f"(|c| > {sys.float_info.max:.3g})") from None
 
 
-def _fiber(f0: np.ndarray, f1: np.ndarray, values: np.ndarray, inverted: np.ndarray):
-    """All d preimages (with multiplicity) of each point, in no particular order.
-
-    f0 and f1 are the complex coefficient arrays of the map's forms F0 and
-    F1, X^i Y^(d-i) at index i.  Returns (vals, invs) of shape (N, d) in
-    chart form; a non-finite root is the point at infinity, w = 0 in the
-    inverted chart.  The fiber form is F0(X, Y) * ty - F1(X, Y) * tx with
-    (tx, ty) the target pair.  Its coefficients are built as a (d+1, N)
-    array and solved through its transposed view, so vals and invs are
-    transposed views of (d, N) arrays: column k of the fiber is contiguous.
-    """
-    tx = np.where(inverted, 1.0 + 0j, values)
-    ty = np.where(inverted, values, 1.0 + 0j)
-    coeffs = f0[:, None] * ty
-    coeffs -= f1[:, None] * tx
-    return _to_chart(roots_batch(coeffs.T))
-
-
-def _to_chart(z: np.ndarray):
-    """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity.
-
-    z, C- or F-contiguous, is overwritten with w and returned with the
-    chart flags, which keep the memory order of z: both flatten in that
-    order without a copy, and the reciprocals are taken on the gathered
-    entries where the flag is set.
-    """
-    infinite = ~np.isfinite(z)
-    invs = np.abs(z) > 1.0
-    flat = z.ravel(order="K")
-    at = np.flatnonzero(invs.ravel(order="K"))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flat[at] = 1.0 / flat[at]
-    np.copyto(z, 0.0, where=infinite)
-    invs |= infinite
-    return z, invs
-
-
 def _rank_order(keys) -> np.ndarray:
     """Per row, the column of each rank: out[r, k] is row r's column of rank k.
 
@@ -178,15 +141,15 @@ def _rank_order(keys) -> np.ndarray:
 def _start_point(f0: np.ndarray, f1: np.ndarray, rng: np.random.Generator):
     """A start point whose two-step preimage set is provably non-degenerate.
 
-    f0 and f1 are the map's forms as `_fiber` takes them.  Returns
+    f0 and f1 are the map's forms as `preimage_fiber` takes them.  Returns
     (z0, level0, level1): the chart-form fiber (vals, invs) of z0, shape
     (1, d), and the fibers of its d preimages, shape (d, d), whose row k is
-    the fiber of column k of level0, as `_fiber` returns them.
+    the fiber of column k of level0, as `preimage_fiber` returns them.
     """
     for _ in range(16):
         z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
-        v1, i1 = _fiber(f0, f1, np.array([z0]), np.array([False]))
-        v2, i2 = _fiber(f0, f1, v1[0], i1[0])
+        v1, i1 = preimage_fiber(f0, f1, np.array([z0]), np.array([False]))
+        v2, i2 = preimage_fiber(f0, f1, v1[0], i1[0])
         distinct = {(round(v.real, 6), round(v.imag, 6), inv)
                     for v, inv in zip(v2.ravel().tolist(), i2.ravel().tolist())}
         if len(distinct) >= 2:
@@ -211,7 +174,8 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     Fiber rows are solved independently, so every sample has the bits it
     would get from solving its own fiber at each step.  The map's
     coefficients are converted to complex once per walk; one beyond the
-    float range raises RootFindingFailure.
+    float range raises RootFindingFailure.  A (depth, n_samples) branch
+    table that cannot be allocated raises CapExceeded.
     """
     if F.degree < 2:
         raise ValueError("invariant measures need degree >= 2")
@@ -221,13 +185,17 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
     f0, f1 = _complex_forms(F)
     _, (pv, pi), level1 = _start_point(f0, f1, rng)
-    branches = rng.integers(0, d, size=(depth, n_samples))
+    try:
+        branches = rng.integers(0, d, size=(depth, n_samples))
+    except MemoryError:
+        raise CapExceeded(f"the branch table of depth x samples = {depth} x {n_samples} "
+                          "draws does not fit in memory") from None
     node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into the level
     for step in range(depth):
         if step == 1:
             pv, pi = level1[0][at], level1[1][at]  # the fibers of the drawn preimages
         elif step:
-            pv, pi = _fiber(f0, f1, vals, invs)
+            pv, pi = preimage_fiber(f0, f1, vals, invs)
         pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
         order = _rank_order((pi, pt.real.round(9).T, pt.imag.round(9).T))
         # child (node, branch), renumbered densely among the drawn children
@@ -324,7 +292,7 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     order = _rank_order((rt.real.round(9).T, rt.imag.round(9).T))
     rows = np.arange(roots.shape[0])
     chosen = roots[rows, order[rows, picks]]
-    vals_i, invs_i = _to_chart(chosen)
+    vals_i, invs_i = to_chart(chosen)
     width = H.n
     out_v = np.empty((len(rows), width), dtype=complex)
     out_i = np.empty((len(rows), width), dtype=bool)

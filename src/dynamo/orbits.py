@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, NotACycle, RootFindingFailure
-from .measure import _fiber
 from .projective import (
     CPoint,
     RationalMapLift,
@@ -61,7 +60,7 @@ from .projective import (
     form_eval,
     iterate_lift,
 )
-from .roots import _SEPARATION, binary_form_roots, polygon_starts
+from .roots import _SEPARATION, binary_form_roots, polygon_starts, preimage_fiber
 
 DEFAULT_PERIOD_CAP = 4096
 DEFAULT_TOL = 1e-9
@@ -159,7 +158,7 @@ def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
     f0, f1 = (np.array(f) for f in forms)
     vals, invs = np.array([_TREE_BASE]), np.array([False])
     for _ in range(n):
-        vals, invs = _fiber(f0, f1, vals, invs)
+        vals, invs = preimage_fiber(f0, f1, vals, invs)
         vals, invs = vals.T.ravel(), invs.T.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(invs, 1.0 / vals, vals)
@@ -250,6 +249,15 @@ def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, tol: float) ->
     return succ
 
 
+def _max_period(d: int) -> int:
+    """The largest n with d^n <= DEFAULT_PERIOD_CAP, for d >= 2; d^n itself is
+    never formed, so the check costs nothing however large n is."""
+    n, power = 0, d
+    while power <= DEFAULT_PERIOD_CAP:
+        n, power = n + 1, power * d
+    return n
+
+
 def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> list[Cycle]:
     """All cycles of period dividing n, exact periods attached, with multipliers.
 
@@ -264,8 +272,8 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> lis
         raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("periodic points need degree >= 2")
-    if F.degree ** n > DEFAULT_PERIOD_CAP:
-        raise CapExceeded(f"d^n = {F.degree ** n} exceeds the configured cap "
+    if n > _max_period(F.degree):
+        raise CapExceeded(f"d^n with d = {F.degree}, n = {n} exceeds the configured cap "
                           f"{DEFAULT_PERIOD_CAP}")
     roots = fixed_point_roots(F, n, tol=max(tol * 1e-3, 1e-14))
     pts = [cp for cp, _, _ in roots]

@@ -15,7 +15,9 @@ polygon, so its evaluation does not overflow far outside its roots; the
 periodic points start from a preimage tree, and batched rows from closed
 forms or a circle.  A cubic or quartic row whose closed-form starts pass
 the sweep's tolerance test on one Newton correction is accepted without a
-sweep; only the others run the loop.
+sweep; only the others run the loop.  `preimage_fiber` solves the fibers
+of many points in one `roots_batch`: it is the backward step of the
+measure sampler and of the periodic-point starts.
 """
 
 from __future__ import annotations
@@ -343,6 +345,45 @@ def roots_batch(coeff_rows: np.ndarray) -> np.ndarray:
             out[:, lo:lo + _BLOCK] = _aberth_block(cols[:, lo:lo + _BLOCK], _BATCH_TOL,
                                                    _BATCH_MAX_ITER)
     return out.T
+
+
+def preimage_fiber(f0: np.ndarray, f1: np.ndarray, values: np.ndarray,
+                   inverted: np.ndarray):
+    """All d preimages (with multiplicity) of each point, in no particular order.
+
+    f0 and f1 are the complex coefficient arrays of the map's forms F0 and
+    F1, X^i Y^(d-i) at index i.  values and inverted are points in chart
+    form (`to_chart`).  Returns (vals, invs) of shape (N, d) in chart form;
+    a non-finite root is the point at infinity, w = 0 in the inverted
+    chart.  The fiber form is F0(X, Y) * ty - F1(X, Y) * tx with (tx, ty)
+    the target pair.  Its coefficients are built as a (d+1, N) array and
+    solved through its transposed view, so vals and invs are transposed
+    views of (d, N) arrays: column k of the fiber is contiguous.
+    """
+    tx = np.where(inverted, 1.0 + 0j, values)
+    ty = np.where(inverted, values, 1.0 + 0j)
+    coeffs = f0[:, None] * ty
+    coeffs -= f1[:, None] * tx
+    return to_chart(roots_batch(coeffs.T))
+
+
+def to_chart(z: np.ndarray):
+    """Chart form of affine values: w = 1/z where |z| > 1, and w = 0 for infinity.
+
+    z, C- or F-contiguous, is overwritten with w and returned with the
+    chart flags, which keep the memory order of z: both flatten in that
+    order without a copy, and the reciprocals are taken on the gathered
+    entries where the flag is set.
+    """
+    infinite = ~np.isfinite(z)
+    invs = np.abs(z) > 1.0
+    flat = z.ravel(order="K")
+    at = np.flatnonzero(invs.ravel(order="K"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat[at] = 1.0 / flat[at]
+    np.copyto(z, 0.0, where=infinite)
+    invs |= infinite
+    return z, invs
 
 
 def _quadratic_roots(c0, c1, c2, out) -> None:

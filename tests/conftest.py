@@ -1,11 +1,25 @@
 """Shared fixtures: the small menagerie of maps the suite exercises, and
 the exact helpers that only tests need."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dynamo
 from dynamo.projective import RationalMapLift, form_compose
+
+
+def run_python(*args, timeout=120):
+    """A fresh interpreter with this checkout's dynamo first on its path."""
+    src = str(Path(dynamo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def poly_lift(*affine_coeffs):

@@ -3,14 +3,11 @@
 import argparse
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import dynamo
+from conftest import run_python
 from dynamo.cli import run
 
 
@@ -124,7 +121,7 @@ def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
     # its own list
     import types
 
-    import dynamo.cli
+    import dynamo.harness
 
     seen = []
 
@@ -133,7 +130,7 @@ def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
         return types.SimpleNamespace(statistic=0.0, threshold=1.0, equal_within_noise=True,
                                      per_chart=(), discarded=())
 
-    monkeypatch.setattr(dynamo.cli, "measure_compare", fake_compare)
+    monkeypatch.setattr(dynamo.harness, "measure_compare", fake_compare)
     for maps in ([sq_json, sq_json], [basilica_json, sq_json]):
         assert _run(["compare-measures", "--hyp", diagonal_json, "--map", *maps])[0] == 0
     assert seen == [[(0, 0, 1), (0, 0, 1)], [(-1, 0, 1), (0, 0, 1)]]
@@ -263,16 +260,37 @@ def test_coefficients_beyond_float_range_are_computation_errors(tmp_path, argv):
     # RuntimeWarnings
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"num": [str(10**384), "0", "1"]}))
-    src = str(Path(dynamo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-W", "default", "-m", "dynamo.cli", *argv,
-                           "--map", str(huge)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-W", "default", "-m", "dynamo.cli", *argv, "--map", str(huge))
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("computation error:") and "float range" in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the (depth, N) branch table ended in a numpy _ArrayMemoryError traceback
+    (["sample-measure", "--depth", "1000000000", "--samples", "10000"],
+     "the branch table of depth x samples = 1000000000 x 10000 draws does not fit "
+     "in memory"),
+    # forming 3^n to check the period cap took 1.8 s, and printing it failed
+    (["periodic", "--period", "3000000"],
+     "d^n with d = 3, n = 3000000 exceeds the configured cap 4096"),
+])
+def test_work_beyond_memory_or_cap_is_computation_error(tmp_path, argv, message):
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text('{"num": ["1", "0", "0", "1"]}')
+    proc = run_python("-W", "default", "-m", "dynamo.cli", *argv, "--map", str(cubic),
+                      timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"computation error: {message}\n"
+
+
+def test_compare_measures_same_axis_is_usage_error(diagonal_json, sq_json, capsys):
+    # i == j sampled one pullback twice and exited 0 with statistic 0
+    code, text = _run(["compare-measures", "--hyp", diagonal_json, "--map", sq_json,
+                       sq_json, "--i", "1", "--j", "1"])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == "error: compare two distinct axes, got i = j = 1\n"
 
 
 def test_mm_verify_repeatable_map_flag(diagonal_json, sq_json):
@@ -293,12 +311,10 @@ def test_sample_measure_n_alias(sq_json):
 
 
 def test_python_m_runs_the_cli():
-    src = str(Path(dynamo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "dynamo.cli", "self-test"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    # -W error: runpy warns when dynamo.cli is in sys.modules before it runs
+    # as __main__
+    proc = run_python("-W", "error", "-m", "dynamo.cli", "self-test")
+    assert proc.returncode == 0 and proc.stderr == ""
     assert "check,ok" in proc.stdout
     assert "chebyshev_identity_d_le_12,True" in proc.stdout
 
@@ -500,7 +516,7 @@ def test_shared_option_has_one_default_across_subcommands():
     "periodic --map {sq} --period 2",
     "classify --map {sq} --max-orbit 9",
     "sample-measure --map {sq} --samples 20 --depth 3 --chart sphere",
-    "compare-measures --hyp {diag} --map {sq} {sq} --samples 200 --depth 5 --j 1",
+    "compare-measures --hyp {diag} --map {sq} {sq} --samples 200 --depth 5 --i 2 --j 1",
     "curve-orbit --hyp {diag} --map {sq} {sq} --max-iter 2",
     "ms-check --hyp {diag} --map {sq} {sq} --max-iter 2",
     "mm-verify --hyp {diag} --map {sq} {sq} --samples 200 --depth 5 --trials 3",

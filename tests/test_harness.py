@@ -1,10 +1,13 @@
 """Verifier pipeline: fiber tests, measure comparison, pair-form certificates."""
 
+import time
+
 import pytest
 
 import dynamo.harness
 from dynamo.harness import (
     MeasureCompareResult,
+    _matching_exponents,
     fiber_preperiodicity_test,
     measure_compare,
     mm_verify,
@@ -84,7 +87,43 @@ def test_measure_compare_invariant_graph(sq):
     assert res.equal_within_noise, (res.statistic, res.threshold)
 
 
+def test_measure_compare_same_axis_raises_before_sampling(sq, monkeypatch):
+    # i == j sampled one pullback twice and reported D = 0
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", no_sampling)
+    with pytest.raises(ValueError, match="^compare two distinct axes, got i = j = 1$"):
+        measure_compare(diagonal_surface(), [sq, sq], 1, 1, n_samples=100, depth=5)
+
+
 # -- pair-form check --------------------------------------------------------------
+
+def _least_exponents_by_search(di, dj, bound):
+    for li in range(1, bound + 1):
+        for lj in range(1, bound + 1):
+            if di**li == dj**lj:
+                return (li, lj)
+    return None
+
+
+def test_matching_exponents_match_the_search():
+    for di in range(2, 65):
+        for dj in range(2, 65):
+            for bound in range(1, 9):
+                assert (_matching_exponents(di, dj, bound)
+                        == _least_exponents_by_search(di, dj, bound)), (di, dj, bound)
+
+
+def test_matching_exponents_under_a_large_bound():
+    # the search formed O(bound^2) big-integer powers: bound 10^5 did not end in 60 s
+    t0 = time.perf_counter()
+    assert _matching_exponents(2, 3, 10**5) is None
+    assert _matching_exponents(8, 32, 10**5) == (5, 3)
+    assert _matching_exponents(2**40, 2**60, 10**5) == (3, 2)
+    assert _matching_exponents(2**40, 2**60, 2) is None
+    assert time.perf_counter() - t0 < 1.0
+
 
 def test_ms_form_pulled_back_diagonal(sq, basilica):
     rep = ms_form_check(pulled_back_diagonal(), [sq, sq, basilica])

@@ -222,7 +222,8 @@ def _row_by_row(F, n_samples, depth, seed):
     then solves all N fibers each step and takes the root of the drawn rank
     in a stable np.lexsort on (inverted, round(re, 9), round(im, 9)).
     """
-    from dynamo.measure import _complex_forms, _fiber, _start_point
+    from dynamo.measure import _complex_forms, _start_point
+    from dynamo.roots import preimage_fiber
 
     f0, f1 = _complex_forms(F)
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
@@ -232,7 +233,7 @@ def _row_by_row(F, n_samples, depth, seed):
     invs = np.zeros(n_samples, dtype=bool)
     rows = np.arange(n_samples)
     for step in range(depth):
-        pv, pi = _fiber(f0, f1, vals, invs)
+        pv, pi = preimage_fiber(f0, f1, vals, invs)
         order = np.lexsort((pv.imag.round(9), pv.real.round(9), pi), axis=1)
         cols = order[rows, branches[step]]
         vals, invs = pv[rows, cols], pi[rows, cols]
@@ -261,12 +262,13 @@ def test_tree_sampler_matches_row_by_row_oracle(d, n_samples, depth):
 def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples, depth,
                                                   bound):
     import dynamo.measure as measure
+    import dynamo.roots as roots
 
     F = poly_lift(*coeffs)
     rows = []
     start_rows = []
     searching = []
-    solve, start = measure.roots_batch, measure._start_point
+    solve, start = roots.roots_batch, measure._start_point
 
     def counting_solve(coeff_rows, *args, **kwargs):
         (start_rows if searching else rows).append(coeff_rows.shape[0])
@@ -279,7 +281,7 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
         finally:
             searching.pop()
 
-    monkeypatch.setattr(measure, "roots_batch", counting_solve)
+    monkeypatch.setattr(roots, "roots_batch", counting_solve)
     monkeypatch.setattr(measure, "_start_point", searching_start)
     measure.sample_invariant_measure(F, n_samples, depth, seed=3)
     # the start point's two solves, its fiber and its d preimages' fibers,

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
+from conftest import poly_lift
 from dynamo.errors import CapExceeded, NotACycle
 from dynamo.heights import decide_preperiodic
 from dynamo.orbits import multiplier, periodic_points
@@ -142,6 +144,17 @@ def test_orbit_record_tail_zero_iff_periodic(basilica):
 def test_period_cap(sq):
     with pytest.raises(CapExceeded):
         periodic_points(sq, 13)  # 2^13 > 4096
+
+
+def test_period_cap_forms_no_power():
+    # z^3 + 1 at n = 10^9: forming 3^n to check the cap took seconds, and its
+    # message needed more than 4 300 digits
+    F = poly_lift(1, 0, 0, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^d\\^n with d = 3, n = 1000000000 exceeds "
+                                          "the configured cap 4096$"):
+        periodic_points(F, 10**9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_multiplier_mixed_chart_cycle():
