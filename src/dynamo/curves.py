@@ -10,7 +10,8 @@ post-processing is content/monomial bookkeeping and squarefree reduction.
 Every pushforward is verified by mapping VERIFY_SAMPLES seeded points of C
 through (f, g) and checking they annihilate the output form: the fiber rows
 of the sample are solved in one `roots_batch` call, and the form is
-evaluated at all the image points in one dense product.
+evaluated at all the image points in one dense product.  Curve and maps
+reach the floats through `projective.float_coefficients`.
 """
 
 from __future__ import annotations
@@ -137,11 +138,7 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
 
 
 def _verify_pushforward(C, image, f, g) -> None:
-    try:
-        pts = _sample_curve_points(C, VERIFY_SAMPLES, np.random.default_rng(20240808))
-    except OverflowError as exc:  # a coefficient of C beyond the double range
-        raise EliminationFailure("curve coefficients exceed the float range of "
-                                 "the numeric verification") from exc
+    pts = _sample_curve_points(C, VERIFY_SAMPLES, np.random.default_rng(20240808))
     residuals = _residuals(image, f, g, pts)
     worst = residuals.max()
     if not worst <= VERIFY_TOL:  # a NaN residual verifies nothing: it fails too
@@ -163,7 +160,7 @@ def _residuals(image, f, g, pts) -> np.ndarray:
 
 def _image_powers(F: RationalMapLift, x, y, deg: int) -> np.ndarray:
     """Rows (u^k v^(deg-k))_k, (u : v) the sup-normalized image of each (x : y)."""
-    u, v = form_eval(F.f0, x, y), form_eval(F.f1, x, y)
+    u, v = (form_eval(f, x, y) for f in F.float_forms[:2])
     m = np.maximum(np.abs(u), np.abs(v))
     return _powers(u / m, deg) * _powers(v / m, deg)[:, ::-1]
 

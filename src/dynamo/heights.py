@@ -84,8 +84,11 @@ def _padic_valuation(q: Fraction, p: int) -> int:
     return v
 
 
+_SIEVE = bytearray([0, 0]) + bytearray([1]) * 998  # the sieve of Eratosthenes
+for _q in range(2, 32):
+    _SIEVE[_q * _q::_q] = bytes(len(range(_q * _q, 1000, _q)))
 #: primes below 1000, divided out by `factorize` before Pollard rho
-_SMALL_PRIMES = [q for q in range(2, 1000) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+_SMALL_PRIMES = [q for q, prime in enumerate(_SIEVE) if prime]
 
 
 def factorize(n: int) -> dict[int, int]:

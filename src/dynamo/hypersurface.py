@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import ProjectivePoint, coefficient_from_json, content, primitive_int
+from .projective import (ProjectivePoint, coefficient_from_json, content, float_coefficients,
+                         primitive_int)
 from .roots import binary_form_roots, yun_squarefree
 
 
@@ -118,13 +120,18 @@ class Hypersurface:
         pairs maps axis j != i to (x_j, y_j) arrays of length n_rows (complex
         scalars broadcast); returns an (n_rows, multidegree[i]+1) complex
         matrix, the transposed view of a (multidegree[i]+1, n_rows) array, as
-        `roots_batch` reads it.
+        `roots_batch` reads it, from the cached `float_coefficients` of the form.
         """
         others = {j: pairs[j] for j in range(1, self.n + 1) if j != i}
         out = np.zeros((self.multidegree[i - 1] + 1, n_rows), dtype=complex)
-        for exps, val in _multiply_out(self.terms, self.multidegree, others):
+        for exps, val in _multiply_out(self._float_terms, self.multidegree, others):
             out[exps[i - 1]] += val
         return out.T
+
+    @cached_property
+    def _float_terms(self) -> tuple:
+        floats, _ = float_coefficients([c for _, c in self.terms])
+        return tuple((exps, c) for (exps, _), c in zip(self.terms, floats))
 
     def scaled_coefficients(self) -> dict:
         """Terms divided exactly by the max |coefficient|; floats in [-1, 1]."""

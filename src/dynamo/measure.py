@@ -17,6 +17,7 @@ returns them.  Product measures sample factors independently;
 hypersurface pullbacks solve the fiber equation per sample and pick one
 of the deg roots uniformly, realizing the normalized pullback measure.
 
+Maps and hypersurfaces reach the floats through `projective.float_coefficients`.
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
 degrades near infinity.  The fixed comparison family for discrepancy tests
 is 64 spherical caps of aperture cos(rho) = 0.5 centered on a Fibonacci
@@ -26,7 +27,6 @@ sphere net.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,37 +79,29 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 
     The discarded scale factor is carried exactly in the accumulator:
     acc_(k+1) = d * acc_k + log||F(x_k, y_k)|| with (x_k, y_k) renormalized
-    to sup-norm 1 after every step.
+    to sup-norm 1 after every step.  F enters as `float_forms`, F / 2^e, plus e log 2.
     """
     if n < 1:
         raise ValueError("green needs n >= 1")
     d = F.degree
+    f0, f1, e = F.float_forms
     x, y = complex(z), 1.0 + 0j
     m = max(abs(x), abs(y))
     x, y = x / m, y / m
     acc = math.log(m)
     for _ in range(n):
-        x, y = form_eval(F.f0, x, y), form_eval(F.f1, x, y)
+        x, y = form_eval(f0, x, y), form_eval(f1, x, y)
         m = max(abs(x), abs(y))
         if m == 0.0:
             raise RootFindingFailure("lift evaluated to the zero pair numerically")
         x, y = x / m, y / m
-        acc = d * acc + math.log(m)
+        acc = d * acc + math.log(m) + e * math.log(2.0)
     return acc / d**n
 
 
 # ---------------------------------------------------------------------------
 # backward-orbit sampling
 # ---------------------------------------------------------------------------
-
-def _complex_forms(F: RationalMapLift):
-    """(F0, F1) as complex coefficient arrays, or RootFindingFailure beyond the float range."""
-    try:
-        return np.array(F.f0, dtype=complex), np.array(F.f1, dtype=complex)
-    except OverflowError:
-        raise RootFindingFailure("a map coefficient is beyond the float range "
-                                 f"(|c| > {sys.float_info.max:.3g})") from None
-
 
 def _rank_order(keys) -> np.ndarray:
     """Per row, the column of each rank: out[r, k] is row r's column of rank k.
@@ -173,8 +165,8 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     and the rows of its preimages' fibers that belong to the drawn children.
     Fiber rows are solved independently, so every sample has the bits it
     would get from solving its own fiber at each step.  The map's
-    coefficients are converted to complex once per walk; one beyond the
-    float range raises RootFindingFailure.  A (depth, n_samples) branch
+    coefficients are its `float_forms`; coefficients spanning more than the
+    float range raise RootFindingFailure.  A (depth, n_samples) branch
     table that cannot be allocated raises CapExceeded.
     """
     if F.degree < 2:
@@ -183,7 +175,7 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
         raise ValueError("n_samples and depth must be >= 1")
     d = F.degree
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    f0, f1 = _complex_forms(F)
+    f0, f1 = (np.array(f) for f in F.float_forms[:2])
     _, (pv, pi), level1 = _start_point(f0, f1, rng)
     try:
         branches = rng.integers(0, d, size=(depth, n_samples))

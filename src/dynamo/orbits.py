@@ -19,7 +19,8 @@ Freire-Lopes-Mane, Bol. Soc. Brasil. Mat. 14, 1983), so a start lies near
 almost every root and a few sweeps suffice, where starts on the circles of
 the Newton polygon need about D/3.5.  `_tree_starts` matches the leaves to
 the roots still unknown; the polygon fills a shortfall and starts the
-factors of low degree and the binomial factors of power maps.
+factors of low degree and the binomial factors of power maps.  All of them
+read the map as its `float_forms`, from `projective`'s one conversion.
 
 The exact form, from `iterate_lift`, is only a certificate, read by
 `roots.binary_form_roots`, the exact root path that fibers and critical
@@ -45,12 +46,11 @@ certified divergence) are `heights.decide_preperiodic`.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NotACycle, RootFindingFailure
+from .errors import CapExceeded, NotACycle
 from .projective import (
     CPoint,
     RationalMapLift,
@@ -105,38 +105,21 @@ def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
     Returns [(CPoint, multiplicity, ProjectivePoint or None), ...] from
     `binary_form_roots`, whose simple factor is solved by the orbit ratio
     from the preimage-tree starts; the exact point is set for verified
-    rational roots, 0 and infinity included.  The float forms are checked
+    rational roots, 0 and infinity included.  The float forms are converted
     before the exact form is built.
     """
-    forms = _float_forms(F)
+    forms = F.float_forms[:2]
     return binary_form_roots(
         fixed_point_form(iterate_lift(F, n)), tol,
         lambda fac, known: (_orbit_ratio(forms, n, known),
                             _tree_starts(forms, n, fac, known, tol)))
 
 
-def _float_forms(F: RationalMapLift) -> tuple:
-    """(F0, F1) as complex coefficients scaled by the largest |c|: the same map.
-
-    A form that the scaling takes to zero, its coefficients all below the
-    float range relative to the largest, raises RootFindingFailure.
-    """
-    scale = max(abs(v) for v in F.f0 + F.f1)
-    forms = tuple(tuple(complex(v / scale) for v in f) for f in (F.f0, F.f1))
-    for k, f in enumerate(forms):
-        if not any(f):
-            raise RootFindingFailure(
-                f"F{k} vanishes when scaled by the largest coefficient: the map's "
-                f"coefficients span more than the float range "
-                f"({sys.float_info.min:.3g} to {sys.float_info.max:.3g})")
-    return forms
-
-
 def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
     """Aberth starts for the simple factor fac: the preimages of _TREE_BASE under F^n.
 
     The tree is built level by level by the sampler's fiber step, in chart
-    form, from the forms of `_float_forms`.  Its d^n leaves are matched to
+    form, from the map's `float_forms`.  Its d^n leaves are matched to
     the D' = deg fac roots of the factor:
     - non-finite leaves are dropped;
     - for each known root (r, m), 0 and the roots of the repeated factors,
@@ -191,7 +174,7 @@ def _crowded(z: np.ndarray, known: list, sep: float) -> np.ndarray:
 def _orbit_ratio(forms, n: int, known):
     """Newton ratio of P(z) / prod (z - r)^m over the known roots (r, m), by the orbit.
 
-    forms are the map's `_float_forms`.  The jet (X, Y, dX/dz, dY/dz) of
+    forms are the map's `float_forms`.  The jet (X, Y, dX/dz, dY/dz) of
     F^m(z, 1) is scaled by 1/max(|X|, |Y|) after each step; F and its
     partial derivatives are homogeneous, so every entry carries the same
     product of factors and the ratio P/P' = (X - zY) / (X' - Y - zY') is
@@ -234,8 +217,7 @@ def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, tol: float) ->
     Raises NotACycle when an image is farther than tol from every root.  The
     distance matrix is built _MATCH_ROWS images at a time.
     """
-    f0, f1 = _float_forms(F)
-    ix, iy = form_eval(f0, x, y), form_eval(f1, x, y)
+    ix, iy = (form_eval(f, x, y) for f in F.float_forms[:2])
     norm = np.hypot(np.abs(x), np.abs(y))
     inorm = np.hypot(np.abs(ix), np.abs(iy))
     succ = np.empty(len(x), dtype=int)
@@ -322,7 +304,7 @@ def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,
     one = np.ones_like(t)
     X, Y = np.where(src_w, one, t), np.where(src_w, t, one)
     vals, ders = [], []
-    for f in _float_forms(F):
+    for f in F.float_forms[:2]:
         vals.append(form_eval(f, X, Y))
         ders.append(np.where(src_w, form_eval(form_derivative_y(f), X, Y),
                              form_eval(form_derivative_x(f), X, Y)))

@@ -4,18 +4,21 @@ Points are coprime integer pairs [x : y] with a fixed sign convention, and
 rational self-maps are homogeneous lifts F = (F0, F1): a pair of integer
 binary forms of the same degree with nonzero resultant.  Binary forms are
 stored as coefficient tuples in ascending X-power, i.e. coeffs[i] is the
-coefficient of X^i Y^(d-i).
+coefficient of X^i Y^(d-i).  `float_coefficients` is the one exact-to-float
+conversion: the numeric layers read maps (`RationalMapLift.float_forms`),
+squarefree factors, hypersurfaces and exact points through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, DegenerateMap, ZeroPoint
+from .errors import CapExceeded, DegenerateMap, RootFindingFailure, ZeroPoint
 
 #: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
@@ -130,15 +133,14 @@ class CPoint:
 
     @classmethod
     def from_exact(cls, p: ProjectivePoint) -> "CPoint":
-        # huge integer coordinates overflow float(); scale through the gcd-free pair
-        b = max(abs(p.x), abs(p.y)).bit_length()
-        shift = max(0, b - 500)
-        return cls(float(p.x >> shift) if shift else float(p.x),
-                   float(p.y >> shift) if shift else float(p.y))
+        try:
+            return cls(*float_coefficients((p.x, p.y))[0])
+        except RootFindingFailure:  # the point is within 2^-1022 of infinity or of 0
+            return cls.at_infinity() if abs(p.x) > abs(p.y) else cls(0.0, 1.0)
 
     @property
     def is_infinity(self) -> bool:
-        return abs(self.y) < 1e-14
+        return self.y == 0
 
     def affine(self) -> complex:
         """Affine value x/y; infinite points map to a huge float, use charts instead."""
@@ -160,6 +162,24 @@ class CPoint:
 
     def __repr__(self) -> str:
         return f"CPoint({self.x!r}, {self.y!r})"
+
+
+def float_coefficients(coeffs) -> tuple[list, int]:
+    """([complex(c / 2^e), ...], e): the integers coeffs over one power of two.
+
+    Each entry is correctly rounded.  e = 0, so entries are complex(c), while
+    every |c| has at most 500 bits; beyond, 2^e brings the largest |c| into
+    [1, 2).  That scaling is exact away from underflow and overflow (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.1), so it
+    keeps the roots of a form and the map of a pair.  A nonzero c / 2^e
+    below the normal float range raises RootFindingFailure.
+    """
+    top = max(abs(c) for c in coeffs).bit_length()
+    e = top - 1 if top > 500 else 0
+    if e and min(abs(c) for c in coeffs if c).bit_length() - e < sys.float_info.min_exp:
+        raise RootFindingFailure("the coefficients span more than the float range "
+                                 f"({sys.float_info.min:.3g} to {sys.float_info.max:.3g})")
+    return [complex(c / (1 << e)) for c in coeffs], e
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +510,12 @@ class RationalMapLift:
     def certificate(self) -> BezoutCertificate:
         return _certificate_cached(self.f0, self.f1, self.res)
 
+    @cached_property
+    def float_forms(self) -> tuple:
+        """(F0, F1, e): the forms over one 2^e (`float_coefficients`), kept after first use."""
+        floats, e = float_coefficients(self.f0 + self.f1)
+        return tuple(floats[:self.degree + 1]), tuple(floats[self.degree + 1:]), e
+
 
 @lru_cache(maxsize=256)
 def _certificate_cached(f0, f1, res):
@@ -504,7 +530,7 @@ def evaluate(F: RationalMapLift, p: ProjectivePoint) -> ProjectivePoint:
 
 
 def evaluate_cpoint(F: RationalMapLift, p: CPoint) -> CPoint:
-    return CPoint(form_eval(F.f0, p.x, p.y), form_eval(F.f1, p.x, p.y))
+    return CPoint(*(form_eval(f, p.x, p.y) for f in F.float_forms[:2]))
 
 
 def compose(F: RationalMapLift, G: RationalMapLift) -> RationalMapLift:

@@ -4,26 +4,27 @@ Strategy: exact squarefree decomposition over Z first (multiplicities
 become exact; `modp.squarefree_by_primes` proves most inputs squarefree
 without a gcd), rational roots recovered by continued-fraction
 reconstruction from numeric approximations plus exact verification (no
-coefficient factoring, so huge iterate coefficients are fine).  `binary_form_roots` is the one
-exact root path: fibers, critical points and periodic points all run it,
-and it solves each squarefree factor once.  Every numeric solve runs one
-sweep loop, `aberth_sweeps`, on a (d, m) layout with one polynomial per
-column and the Newton ratio as a function: `aberth` (one column) and
-`roots_batch` (many) evaluate it by Horner's rule, and the periodic points
-of `orbits` along the orbit.  A single polynomial starts on its Newton
-polygon, so its evaluation does not overflow far outside its roots; the
-periodic points start from a preimage tree, and batched rows from closed
-forms or a circle.  A cubic or quartic row whose closed-form starts pass
-the sweep's tolerance test on one Newton correction is accepted without a
-sweep; only the others run the loop.  `preimage_fiber` solves the fibers
-of many points in one `roots_batch`: it is the backward step of the
-measure sampler and of the periodic-point starts.
+coefficient factoring, so huge iterate coefficients are fine).
+`binary_form_roots` is the one exact root path: fibers, critical points and
+periodic points all run it, and it solves each squarefree factor once, from
+`projective.float_coefficients`, or exactly when the factor is linear.
+Every numeric solve runs one sweep loop, `aberth_sweeps`, on a (d, m)
+layout with one polynomial per column and the Newton ratio as a function:
+`aberth` (one column) and `roots_batch` (many) evaluate it by Horner's
+rule, and the periodic points of `orbits` along the orbit.  A single
+polynomial starts on its Newton polygon, so its evaluation does not
+overflow far outside its roots; the periodic points start from a preimage
+tree, and batched rows from closed forms or a circle.  A cubic or quartic
+row whose closed-form starts pass the sweep's tolerance test on one Newton
+correction is accepted without a sweep; only the others run the loop.
+`preimage_fiber` solves the fibers of many points in one `roots_batch`: it
+is the backward step of the measure sampler and of the periodic-point
+starts.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -35,6 +36,7 @@ from .projective import (
     INFINITY,
     CPoint,
     ProjectivePoint,
+    float_coefficients,
     form_eval,
     poly_deriv,
     poly_degree,
@@ -60,18 +62,18 @@ _OMEGA = complex(-0.5, math.sqrt(3) / 2)  # primitive cube root of unity
 def yun_squarefree(c):
     """Yun decomposition [(factor, multiplicity), ...] with primitive integer factors.
 
-    c has integer or integral Fraction coefficients.  When one of three
-    primes proves its primitive part squarefree (`squarefree_by_primes`),
-    that part is the whole answer; only the inputs left over, repeated
-    factors or an unlucky prime, pay for gcds.  Those run over Z: each gcd
-    is primitive with a positive leading coefficient, so by Gauss's lemma
-    every quotient by it is exact.  Factors come in increasing multiplicity.
+    c has integer or integral Fraction coefficients.  Its primitive part is
+    the whole answer when linear or proved squarefree by one of three primes
+    (`squarefree_by_primes`); only the inputs left over, repeated factors or
+    an unlucky prime, pay for gcds.  Those run over Z: each gcd is primitive
+    with a positive leading coefficient, so by Gauss's lemma every quotient
+    by it is exact.  Factors come in increasing multiplicity.
     """
     c = poly_trim(c)
     if poly_degree(c) == 0:
         return []
     prim = primitive_int(c)
-    if squarefree_by_primes(prim):
+    if len(prim) == 2 or squarefree_by_primes(prim):
         return [(prim, 1)]
     dc = poly_deriv(prim)
     g = poly_gcd(prim, dc)
@@ -90,25 +92,18 @@ def yun_squarefree(c):
     return out
 
 
-def _rational_reconstruct(z: complex) -> Fraction | None:
-    """Nearest rational of denominator <= 10^12 to a (near-real) numeric root."""
-    if abs(z.imag) > 1e-7 * (1 + abs(z.real)):
-        return None
-    x = z.real
-    try:
-        return Fraction(x).limit_denominator(10**12)
-    except (OverflowError, ValueError):
-        return None
-
-
 def rational_root(c, z: complex) -> Fraction | None:
     """The rational root of the integer polynomial c near z, verified exactly.
 
-    A root a/b in lowest terms has b | c[-1] and a | c[0], so most wrong
+    The candidate is the rational of denominator <= 10^12 nearest a near-real
+    z.  A root a/b in lowest terms has b | c[-1] and a | c[0], so most wrong
     candidates fail on two integer remainders before the exact evaluation.
     """
-    q = _rational_reconstruct(z)
-    if q is None:
+    if abs(z.imag) > 1e-7 * (1 + abs(z.real)):
+        return None
+    try:
+        q = Fraction(z.real).limit_denominator(10**12)
+    except (OverflowError, ValueError):
         return None
     a, b = q.numerator, q.denominator
     if c[-1] % b or (a and c[0] % a):
@@ -245,16 +240,6 @@ def polygon_starts(c) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _to_complex(fac) -> list[complex]:
-    """The integer coefficients of fac as complex floats, or RootFindingFailure."""
-    try:
-        return [complex(v) for v in fac]
-    except OverflowError:
-        raise RootFindingFailure(
-            "a squarefree factor has a coefficient beyond the float range "
-            f"(|c| > {sys.float_info.max:.3g})") from None
-
-
 def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     """Projective roots of an integer binary form, with multiplicity.
 
@@ -269,8 +254,10 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     returns: the Newton ratio of the whole form with the known roots
     divided out, without which it can converge onto a repeated root, and
     deg fac starts (the orbit ratio and preimage-tree starts of `orbits`).
-    A root that `rational_root` verifies carries its exact point and
-    that point's CPoint; only the first root near each rational is labelled.
+    A linear factor c0 + c1 z that `aberth` would solve gives its exact root
+    -c0/c1 instead, and a numeric root that `rational_root` verifies carries
+    its exact point and that point's CPoint; only the first root near each
+    rational is labelled.
     """
     c = list(coeffs)
     nonzero = [i for i, v in enumerate(c) if v]
@@ -289,8 +276,13 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
         if mult == 1 and ratio_of is not None:
             ratio, starts = ratio_of(fac, known)
             roots = aberth_sweeps(ratio, starts[:, None], tol)[:, 0].tolist()
+        elif len(fac) == 2:
+            ex = ProjectivePoint(-fac[0], fac[1])
+            out.append((CPoint.from_exact(ex), mult, ex))
+            known.append((out[-1][0].affine(), mult))
+            continue
         else:
-            roots = aberth(_to_complex(fac), tol=tol)
+            roots = aberth(float_coefficients(fac)[0], tol=tol)
         for z in roots:
             q = rational_root(fac, z)
             if q is None or q in labelled:

@@ -242,10 +242,23 @@ def test_computation_error_exit_code(tmp_path, sq_json):
     assert code == 2
 
 
-def test_classify_beyond_float_range_is_computation_error(tmp_path, capsys):
-    # z^2 + (10^400 + 1) z + 1: its critical points have no float coefficients
+def test_classify_linear_critical_factor_beyond_float_range(tmp_path):
+    # z^2 + (10^400 + 1) z + 1: the critical factor (10^400 + 1) + 2z is
+    # linear, so its root -(10^400 + 1)/2 is exact and its orbit certified
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"num": ["1", str(10**400 + 1), "1"]}))
+    code, text = _run(["classify", "--map", str(p), "--json"])
+    assert code == 0
+    assert json.loads(text)["result"] == {"verdict": "NonExceptional", "signature": [],
+                                          "pcf": False, "exact": True}
+
+
+def test_classify_critical_quadratic_beyond_float_range_is_computation_error(tmp_path,
+                                                                             capsys):
+    # z^3 + (10^400 + 1) z^2 + z: the critical factor 1 + 2(10^400 + 1) z + 3z^2
+    # has degree 2 and coefficients spanning past the float range
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"num": ["0", "1", str(10**400 + 1), "1"]}))
     code, text = _run(["classify", "--map", str(p), "--json"])
     assert code == 2 and text == ""
     err = capsys.readouterr().err
@@ -578,3 +591,80 @@ def test_period_below_one_is_usage_error(sq_json, capsys, period):
     err = capsys.readouterr().err
     assert err.startswith(f"error: period must be >= 1, got {period}")
     assert "Traceback" not in err
+
+
+# -- coefficients beyond the float range: a result or exit 2, never a traceback ------
+
+_B = 10**400
+
+
+@pytest.fixture
+def near_basilica_json(tmp_path):
+    # ((B+1) z^2 - (B+3)) / (B+2) with B = 10^400: z^2 - 1 up to float
+    # rounding, though no coefficient is a float
+    p = tmp_path / "near_basilica.json"
+    p.write_text(json.dumps({"num": [str(-(_B + 3)), "0", str(_B + 1)], "den": [str(_B + 2)]}))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--period", "3", "--map", "M"],
+    ["classify", "--map", "M"],
+    ["sample-measure", "--samples", "200", "--depth", "5", "--map", "M"],
+    ["compare-measures", "--hyp", "D", "--samples", "200", "--depth", "5", "--map", "M", "M"],
+    ["curve-orbit", "--hyp", "D", "--map", "M", "M"],
+    ["ms-check", "--hyp", "D", "--map", "M", "M"],
+])
+def test_map_beyond_float_range_runs_every_command(near_basilica_json, basilica_json,
+                                                   diagonal_json, argv):
+    files = {"M": near_basilica_json, "D": diagonal_json}
+    code, text = _run([files.get(a, a) for a in argv] + ["--json"])
+    assert code == 0
+    want_code, want = _run([{"M": basilica_json, "D": diagonal_json}.get(a, a)
+                            for a in argv] + ["--json"])
+    assert want_code == 0
+    got, want = json.loads(text)["result"], json.loads(want)["result"]
+    if argv[0] == "periodic":  # the same cycles, to the rounding of the map
+        assert len(got["rows"]) == len(want["rows"]) == 9
+    elif argv[0] == "classify":
+        # M(0) = -(B+3)/(B+2) is not -1: the critical orbit of 0 is certified
+        # to escape, where z^2 - 1 is post-critically finite
+        assert got["verdict"] == "NonExceptional" and got["exact"] is True
+    elif argv[0] == "compare-measures":
+        assert got["equal_within_noise"] is True and got["discarded"] == [0, 0]
+    elif argv[0] != "sample-measure":
+        assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-orbit", "--hyp", "D", "--map", "S", "S"],
+    ["ms-check", "--hyp", "D", "--map", "S", "S"],
+    ["compare-measures", "--hyp", "H", "--map", "B", "B", "--samples", "200", "--depth", "5"],
+])
+def test_former_overflow_tracebacks_are_computation_errors(tmp_path, diagonal_json,
+                                                           basilica_json, argv):
+    # curve-orbit and ms-check on z^2 + 10^400, and compare-measures on
+    # 10^400 X1 Y2 - X2 Y1, ended in a bare OverflowError traceback (exit 1)
+    huge_map = tmp_path / "huge.json"
+    huge_map.write_text(json.dumps({"num": [str(_B), "0", "1"]}))
+    huge_hyp = tmp_path / "huge_hyp.json"
+    huge_hyp.write_text(json.dumps({"n": 2, "multidegree": [1, 1], "terms": [
+        {"exps": [1, 0], "coeff": str(_B)}, {"exps": [0, 1], "coeff": "-1"}]}))
+    files = {"D": diagonal_json, "S": str(huge_map), "H": str(huge_hyp), "B": basilica_json}
+    proc = run_python("-m", "dynamo.cli", *[files.get(a, a) for a in argv])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("computation error:") and "float range" in lines[0]
+
+
+def test_periodic_prints_a_large_finite_point_as_finite(tmp_path):
+    # z^2 - 10^16 z fixes 10^16 + 1, whose y is 1e-16 after normalization:
+    # it printed as inf
+    p = tmp_path / "pole.json"
+    p.write_text(json.dumps({"num": ["0", str(-10**16), "1"]}))
+    code, text = _run(["periodic", "--period", "1", "--map", str(p), "--json"])
+    assert code == 0
+    points = sorted(row[1] for row in json.loads(text)["result"]["rows"])
+    assert len(points) == 3 and points.count("inf") == 1
+    assert complex(max(points, key=len)).real == pytest.approx(1e16)

@@ -194,3 +194,10 @@ def test_evaluate_exact_matches_fiber_form_eval(n):
         for i in range(1, n + 1):
             fiber = H.fiber_form_exact(i, pts)
             assert evaluate_exact(H, pts) == form_eval(fiber, pts[i].x, pts[i].y)
+
+
+def test_fiber_of_steep_line_is_exact():
+    # x2 = 10^13 x1 over x2 = 1: the root 1/10^13 was uncertified before
+    H = Hypersurface.make(2, (1, 1), [((0, 1), 1), ((1, 0), -(10**13))])
+    (_, mult, ex), = fiber_solve(H, 1, {2: point_from_rational(1)})
+    assert str(ex) == "1/10000000000000" and mult == 1

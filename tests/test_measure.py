@@ -222,10 +222,12 @@ def _row_by_row(F, n_samples, depth, seed):
     then solves all N fibers each step and takes the root of the drawn rank
     in a stable np.lexsort on (inverted, round(re, 9), round(im, 9)).
     """
-    from dynamo.measure import _complex_forms, _start_point
+    from dynamo.measure import _start_point
+    from dynamo.projective import float_coefficients
     from dynamo.roots import preimage_fiber
 
-    f0, f1 = _complex_forms(F)
+    floats, _ = float_coefficients(F.f0 + F.f1)
+    f0, f1 = np.array(floats[:F.degree + 1]), np.array(floats[F.degree + 1:])
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
     z0 = _start_point(f0, f1, rng)[0]
     branches = rng.integers(0, F.degree, size=(depth, n_samples))
@@ -291,3 +293,32 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
     assert bound == sum(min(n_samples, F.degree**k) for k in range(depth))
     assert len(rows) == depth
     assert sum(rows) <= bound
+
+
+# -- maps whose coefficients are beyond the float range ------------------------------
+
+_B = 10**400
+# ((B+1) z^2 - (B+3)) / (B+2): z^2 - 1 up to float rounding
+_NEAR_BASILICA = ([-(_B + 3), 0, _B + 1], [_B + 2, 0, 0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_samples_beyond_float_range_match_the_rounded_map(basilica, seed):
+    from dynamo.projective import RationalMapLift
+
+    near = RationalMapLift.make(*_NEAR_BASILICA)
+    got = sample_invariant_measure(near, 500, 20, seed=seed)
+    want = sample_invariant_measure(basilica, 500, 20, seed=seed)
+    assert np.array_equal(got.inverted, want.inverted)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+def test_green_adds_the_scale_of_the_float_forms_back(basilica):
+    from dynamo.projective import RationalMapLift
+
+    near = RationalMapLift.make(*_NEAR_BASILICA)
+    assert near.float_forms[2] == _B.bit_length() - 1
+    # the lift is about B (z^2 - 1, 1): log B enters with weight 1 - 2^-n
+    for z, n in ((0.3 + 0.2j, 12), (2.5, 20)):
+        shift = math.log(_B) * (1 - 2.0**-n)
+        assert green(near, z, n) == pytest.approx(green(basilica, z, n) + shift, abs=1e-9)

@@ -297,3 +297,71 @@ def test_squarefree_by_primes():
     assert not squarefree_by_primes([-2, 0, prime(0) * prime(1) * prime(2)])
     assert squarefree_by_primes([-2, 0, prime(0)])  # the next prime decides
     assert squarefree_by_primes([7])
+
+
+# -- the one exact-to-float conversion ---------------------------------------------
+
+def test_float_coefficients_up_to_500_bits_are_complex_of_each():
+    from dynamo.projective import float_coefficients
+
+    coeffs = [0, 1, -3, 2**53 + 1, -(3**315), 2**500 - 1, 10**150 + 7]
+    floats, e = float_coefficients(coeffs)
+    assert e == 0
+    for got, c in zip(floats, coeffs):
+        want = complex(c)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_float_coefficients_beyond_500_bits_are_correctly_rounded_over_one_power_of_two():
+    from dynamo.projective import float_coefficients
+
+    big = 10**400 + 12345
+    coeffs = [-(big + 3), 0, big + 1, 7 * 10**250 + 1, 10**100 + 1]
+    floats, e = float_coefficients(coeffs)
+    assert e == big.bit_length() - 1 and 1 <= abs(floats[0]) < 2
+    assert [z.imag for z in floats] == [0.0] * len(coeffs)
+    assert [z.real for z in floats] == [float(Fraction(c, 2**e)) for c in coeffs]
+
+
+@pytest.mark.parametrize("coeffs", [[10**400, 0, 1], [1, -(2**1100)], [3, 2**1050, 0]])
+def test_float_coefficients_past_the_normal_range_raise(coeffs):
+    from dynamo.errors import RootFindingFailure
+    from dynamo.projective import float_coefficients
+
+    with pytest.raises(RootFindingFailure, match="float range"):
+        float_coefficients(coeffs)
+
+
+def test_float_coefficients_at_the_edge_of_the_normal_range():
+    from dynamo.projective import float_coefficients
+
+    # the largest scales to 1 and the smallest to 2^-1022, the least normal float
+    floats, e = float_coefficients([1, 0, 2**1022])
+    assert e == 1022 and floats == [complex(2.0**-1022), 0j, 1 + 0j]
+
+
+def test_float_forms_stay_out_of_equality_hash_and_repr():
+    F = RationalMapLift.make([-1, 0, 1], [1, 0, 0])
+    G = RationalMapLift.make([-1, 0, 1], [1, 0, 0])
+    before = repr(F)
+    assert F.float_forms == ((-1 + 0j, 0j, 1 + 0j), (1 + 0j, 0j, 0j), 0)
+    assert F.float_forms is F.float_forms  # converted once
+    assert F == G and hash(F) == hash(G) and repr(F) == before == repr(G)
+
+
+def test_cpoint_from_exact_beyond_the_float_range():
+    big = 10**400 + 1
+    p = CPoint.from_exact(ProjectivePoint(-big, 2))  # y / x is below the float range
+    assert (p.x, p.y) == (1, 0) and p.is_infinity
+    q = CPoint.from_exact(ProjectivePoint(2, big))
+    assert (q.x, q.y) == (0, 1)
+    r = CPoint.from_exact(ProjectivePoint(3 * big, big + 2))
+    assert r.affine() == pytest.approx(3.0, rel=1e-15)
+
+
+def test_cpoint_is_infinity_means_y_is_zero():
+    # 10^16 + 1 has y = 1e-16 after normalization: a finite point, not infinity
+    p = CPoint.from_exact(ProjectivePoint(10**16 + 1, 1))
+    assert not p.is_infinity and p.affine().real == pytest.approx(1e16)
+    assert CPoint.from_exact(ProjectivePoint(1, 0)).is_infinity
+    assert not CPoint(1.0, 1e-300).is_infinity

@@ -280,10 +280,10 @@ def test_binary_form_roots_solves_each_factor_once(monkeypatch):
     assert calls == [4]
     want = [CPoint.from_affine(z) for z in real([1, 1, 0, 0, 1])]
     assert [(p.x, p.y) for p, _, _ in found] == [(p.x, p.y) for p in want]
-    # (x^2 + 1)(x - 2)^2: each Yun factor solved once
+    # (x^2 + 1)(x - 2)^2: each Yun factor solved once, the linear one exactly
     calls.clear()
     found = binary_form_roots([4, -4, 5, -4, 1])
-    assert sorted(calls) == [1, 2]
+    assert calls == [2]
     assert {(str(ex), m) for _, m, ex in found if ex is not None} == {("2", 2)}
     # (x^2 - 2)(x - 3): one factor, one solve, the rational root labelled in place
     calls.clear()
@@ -527,3 +527,27 @@ def test_failed_newton_tests_reach_the_sweeps(monkeypatch):
     assert len(calls) == 1
     assert calls[0].T.tobytes() == starts[[2, 4, 5]].tobytes()
     _assert_matches_numpy(rows, got)
+
+
+def test_linear_factor_root_is_exact():
+    # 10^13 z - 1: its root 1/10^13 has a denominator beyond the rational
+    # reconstruction's 10^12, yet it is exact
+    (cp, mult, ex), = binary_form_roots([-1, 10**13])
+    assert str(ex) == "1/10000000000000" and mult == 1
+    assert cp.affine() == pytest.approx(1e-13, rel=1e-15)
+    # a repeated linear factor with coefficients past the float range
+    big = 10**400 + 1
+    out = binary_form_roots([big * big, 4 * big, 4])  # (big + 2z)^2
+    assert [(str(ex), m) for _, m, ex in out] == [(f"-{big}/2", 2)]
+
+
+def test_linear_factor_needs_no_solver(monkeypatch):
+    import dynamo.roots
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a linear factor reached a solver")
+
+    for name in ("aberth", "squarefree_by_primes", "rational_root"):
+        monkeypatch.setattr(dynamo.roots, name, fail)
+    assert dynamo.roots.yun_squarefree([6, -4]) == [([3, -2], 1)]
+    assert [str(ex) for _, _, ex in binary_form_roots([0, 6, -4, 0])] == ["inf", "0", "3/2"]
