@@ -27,15 +27,14 @@ _EXPORTS = {
     "errors": ("DynamoError",),
     "exceptional": ("Classification", "chebyshev", "classify", "critical_points",
                     "lattes_doubling", "power_map", "ramification_portrait"),
-    "harness": ("MMReport", "fiber_preperiodicity_test", "measure_compare", "mm_verify",
-                "ms_form_check"),
+    "harness": ("MMReport", "fiber_preperiodicity_test", "mm_verify", "ms_form_check"),
     "heights": ("CanonicalHeightResult", "PreperiodicityVerdict", "canonical_height",
                 "canonical_height_functoriality_check", "decide_preperiodic",
                 "height_step_bound", "product_formula_check", "rational_preperiodic_points",
                 "weil_height"),
     "hypersurface": ("Hypersurface", "diagonal_surface", "fiber_solve", "graph_surface",
                      "hypersurface_from_json", "load_hypersurface"),
-    "measure": ("EmpiricalMeasure", "green", "pullback_to_hypersurface",
+    "measure": ("EmpiricalMeasure", "green", "measure_compare", "pullback_to_hypersurface",
                 "sample_invariant_measure", "sample_product_measure"),
     "orbits": ("Cycle", "multiplier", "periodic_points"),
     "projective": ("INFINITY", "CPoint", "ProjectivePoint", "RationalMapLift", "compose",

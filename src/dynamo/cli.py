@@ -11,7 +11,9 @@ defaults included, so the header alone reproduces the result.  Exit codes:
 The library layers are bound as modules and their functions looked up at
 call time (`harness.mm_verify(...)`): a layer executes on first use, so a
 process runs only the layers of the subcommands it calls (`height` never
-executes `harness`, `curves`, `hypersurface`, `mpoly` or `measure`).
+executes `harness`, `curves`, `hypersurface`, `mpoly` or `measure`, and
+`compare-measures` runs `measure.measure_compare` without executing
+`harness`, `curves`, `mpoly`, `exceptional`, `heights` or `orbits`).
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _emit_floats(columns: list, data: list, args, out) -> None:
 def _cmd_compare_measures(args, out):
     H = hypersurface.load_hypersurface(args.hyp)
     maps = [projective.load_map(p) for p in args.map]
-    res = harness.measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
+    res = measure.measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
                                   depth=args.depth, seed=args.seed)
     _emit({"statistic": res.statistic, "threshold": res.threshold,
            "equal_within_noise": res.equal_within_noise,

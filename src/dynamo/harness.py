@@ -6,6 +6,11 @@ over preperiodic tuples consist of preperiodic points, the pulled-back
 measures through every coordinate projection agree, and two-block forms come
 from a preperiodic plane curve under iterates of matching degree.  mm_verify
 runs all of these and reports which (if any) fail, with concrete witnesses.
+
+The measure condition is `measure.measure_compare`, which lives with the
+sampler, so `compare-measures` runs without this module.  mm_verify calls it
+through this module's own binding, so a patch of `harness.measure_compare`
+(a test double, or the benchmark's tracer) reaches it.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from .errors import DegenerateFiber, InsufficientPreperiodicSupply
 from .exceptional import classify
 from .heights import decide_preperiodic, rational_preperiodic_points
 from .hypersurface import Hypersurface, fiber_solve
-from .measure import (
-    cap_discrepancy,
-    clt_threshold,
-    green,
-    pullback_to_hypersurface,
-)
+from .measure import green, measure_compare
 from .projective import int_root_floor, iterate_lift
 
 #: search box of each map's rational preperiodic points (the fiber-test supply)
@@ -55,16 +55,6 @@ class FiberTestResult:
     witnesses: tuple
 
 
-def _check_axes(H: Hypersurface, maps, *axes: int) -> None:
-    """ValueError unless there is one map per axis and every axis is in 1..n."""
-    if len(maps) != H.n:
-        raise ValueError(f"one map per coordinate axis is required: {H.n} axes, "
-                         f"{len(maps)} maps")
-    for a in axes:
-        if not 1 <= a <= H.n:
-            raise ValueError(f"axis {a} is outside 1..{H.n}")
-
-
 def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
                               seed: int = 0,
                               supply: dict | None = None) -> FiberTestResult:
@@ -81,7 +71,7 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_axes(H, maps, i)
+    H.check_axes(maps, i)
     dom = H.dominance()
     if not dom["axis"][i]:
         raise ValueError(f"projection forgetting axis {i} is not dominant")
@@ -128,56 +118,6 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# equal-measure diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeasureCompareResult:
-    statistic: float
-    threshold: float
-    per_chart: tuple
-    n_samples: int
-    discarded: tuple
-
-    @property
-    def equal_within_noise(self) -> bool:
-        return self.statistic < self.threshold
-
-
-def measure_compare(H: Hypersurface, maps, i: int, j: int, n_samples: int = 10_000,
-                    depth: int = 30, seed: int = 0,
-                    columns: dict | None = None) -> MeasureCompareResult:
-    """Cap discrepancy between the pullback measures through axes i and j.
-
-    D is the maximum over coordinate charts and the fixed 64-cap family of
-    the empirical mass difference; tau = 3 sqrt(ln 64 / N) is the documented
-    CLT heuristic.  D and tau are reported, never upgraded to a proof.
-    Sampling seeds depend on (seed, axis) only, so D_ij = D_ji exactly.
-    maps holds one map per axis and i, j are two distinct axes in 1..n, else
-    ValueError, raised before any sampling.
-
-    columns memoizes the product-measure columns (`sample_product_measure`);
-    callers comparing several pairs pass one dict to all of them.
-    """
-    _check_axes(H, maps, i, j)
-    if i == j:
-        raise ValueError(f"compare two distinct axes, got i = j = {i}")
-    columns = {} if columns is None else columns
-    out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
-                                     columns=columns)
-    out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,
-                                     columns=columns)
-    per_chart = []
-    stat = 0.0
-    for axis in range(H.n):
-        d_axis = cap_discrepancy(out_i.measure.sphere(axis), out_j.measure.sphere(axis))
-        per_chart.append(d_axis)
-        stat = max(stat, d_axis)
-    return MeasureCompareResult(stat, clt_threshold(n_samples), tuple(per_chart),
-                                n_samples, (out_i.discarded, out_j.discarded))
-
-
-# ---------------------------------------------------------------------------
 # two-block (pair-curve) form check
 # ---------------------------------------------------------------------------
 
@@ -204,7 +144,7 @@ def ms_form_check(H: Hypersurface, maps, exponent_bound: int = 6,
     and runs its orbit under the matching iterates.  maps holds one map per
     axis and the bounds are >= 1, else ValueError.
     """
-    _check_axes(H, maps)
+    H.check_axes(maps)
     for name, bound in (("exponent_bound", exponent_bound), ("max_iter", max_iter)):
         if bound < 1:
             raise ValueError(f"{name} must be >= 1, got {bound}")
@@ -289,15 +229,20 @@ def mm_verify(H: Hypersurface, maps, *, samples: int = 10_000, depth: int = 30,
     forms) contradict the classification theory, so some failure is expected
     on any other input; the report names the failures with witnesses.
     samples, depth, trials, exponent_bound or max_curve_iter below 1 is a
-    ValueError, raised before any work.
+    ValueError, and so is a form with no dominant axis: a constant, which
+    defines the empty set and leaves no test to run.  Both are raised before
+    any work.
     """
     for name, value in (("samples", samples), ("depth", depth), ("trials", trials),
                         ("exponent_bound", exponent_bound),
                         ("max_curve_iter", max_curve_iter)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    _check_axes(H, maps)
+    H.check_axes(maps)
     dom = H.dominance()
+    if not dom["active_blocks"]:
+        raise ValueError("no projection is dominant: a form of multidegree "
+                         f"{H.multidegree} is a constant and defines the empty set")
     warnings = tuple(H.irreducibility_warnings())
     classifications = tuple(classify(F) for F in maps)
     failed = []

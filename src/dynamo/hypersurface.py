@@ -100,6 +100,15 @@ class Hypersurface:
             "pair_form_candidate": len(active) == 2,
         }
 
+    def check_axes(self, maps, *axes: int) -> None:
+        """ValueError unless there is one map per axis and every axis is in 1..n."""
+        if len(maps) != self.n:
+            raise ValueError(f"one map per coordinate axis is required: {self.n} axes, "
+                             f"{len(maps)} maps")
+        for a in axes:
+            if not 1 <= a <= self.n:
+                raise ValueError(f"axis {a} is outside 1..{self.n}")
+
     # -- fibers ---------------------------------------------------------------
 
     def fiber_form_exact(self, i: int, values: dict[int, ProjectivePoint]) -> list:

@@ -21,7 +21,10 @@ Maps and hypersurfaces reach the floats through `projective.float_coefficients`.
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
 degrades near infinity.  The fixed comparison family for discrepancy tests
 is 64 spherical caps of aperture cos(rho) = 0.5 centered on a Fibonacci
-sphere net.
+sphere net.  `measure_compare` owns the comparison of two pullbacks: their
+cap discrepancy D against the CLT threshold tau.  Hypersurfaces arrive as
+arguments and are never imported, so sampling a map executes only
+`errors`, `modp`, `projective`, `roots` and this module.
 """
 
 from __future__ import annotations
@@ -255,10 +258,10 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     uniformly, as the root of a uniform rank in the order
     (round(re, 9), round(im, 9)) of the affine roots; identically-vanishing
     fibers are discarded and counted.  columns is passed to
-    `sample_product_measure`.  An axis i outside 1..n is a ValueError.
+    `sample_product_measure`.  An axis i outside 1..n or a map count other
+    than n is a ValueError.
     """
-    if not 1 <= i <= H.n:
-        raise ValueError(f"axis {i} is outside 1..{H.n}")
+    H.check_axes(maps, i)
     if H.multidegree[i - 1] <= 0:
         raise ValueError(f"H does not project dominantly when forgetting axis {i}")
     base = sample_product_measure(maps, i, n_samples, depth, seed=seed, columns=columns)
@@ -342,3 +345,52 @@ def cap_discrepancy(a_xyz: np.ndarray, b_xyz: np.ndarray) -> float:
 def clt_threshold(n_samples: int) -> float:
     """The documented heuristic threshold tau = 3 sqrt(ln(CAP_COUNT) / N)."""
     return 3.0 * math.sqrt(math.log(CAP_COUNT) / n_samples)
+
+
+# ---------------------------------------------------------------------------
+# equal-measure diagnostic
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MeasureCompareResult:
+    statistic: float
+    threshold: float
+    per_chart: tuple
+    n_samples: int
+    discarded: tuple
+
+    @property
+    def equal_within_noise(self) -> bool:
+        return self.statistic < self.threshold
+
+
+def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int = 30,
+                    seed: int = 0, columns: dict | None = None) -> MeasureCompareResult:
+    """Cap discrepancy between the pullback measures through axes i and j.
+
+    D is the maximum over coordinate charts and the fixed 64-cap family of
+    the empirical mass difference; tau = 3 sqrt(ln 64 / N) is the documented
+    CLT heuristic.  D and tau are reported, never upgraded to a proof.
+    Sampling seeds depend on (seed, axis) only, so D_ij = D_ji exactly.
+    maps holds one map per axis and i, j are two distinct axes in 1..n, else
+    ValueError, raised before any sampling.
+
+    columns memoizes the product-measure columns (`sample_product_measure`);
+    callers comparing several pairs pass one dict to all of them.
+    """
+    H.check_axes(maps, i, j)
+    if i == j:
+        raise ValueError(f"compare two distinct axes, got i = j = {i}")
+    columns = {} if columns is None else columns
+    out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
+                                     columns=columns)
+    out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,
+                                     columns=columns)
+    per_chart = []
+    stat = 0.0
+    for axis in range(H.n):
+        d_axis = cap_discrepancy(out_i.measure.sphere(axis), out_j.measure.sphere(axis))
+        per_chart.append(d_axis)
+        stat = max(stat, d_axis)
+    return MeasureCompareResult(stat, clt_threshold(n_samples), tuple(per_chart),
+                                n_samples, (out_i.discarded, out_j.discarded))

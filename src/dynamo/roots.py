@@ -16,7 +16,9 @@ polynomial starts on its Newton polygon, so its evaluation does not
 overflow far outside its roots; the periodic points start from a preimage
 tree, and batched rows from closed forms or a circle.  A cubic or quartic
 row whose closed-form starts pass the sweep's tolerance test on one Newton
-correction is accepted without a sweep; only the others run the loop.
+correction is accepted without a sweep; only the others run the loop.  A
+batched row the loop leaves moving is accepted when its roots pass a
+backward-error test; a single polynomial left moving is a failure.
 `preimage_fiber` solves the fibers of many points in one `roots_batch`: it
 is the backward step of the measure sampler and of the periodic-point
 starts.
@@ -49,6 +51,7 @@ from .projective import (
 DEFAULT_TOL = 1e-12
 _BATCH_TOL = 1e-10  # relative correction at which a `roots_batch` row retires
 _BATCH_MAX_ITER = 120  # Aberth sweeps before `roots_batch` gives up
+_BACKWARD = 4  # the c of the backward-error test |p(z)| <= c d eps sum |c_k| |z|^k
 _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporary
 _SUM_ROWS = 256  # roots per block of the Aberth sum; bounds its (d, rows, m) temporary
 _SEPARATION = 1e3  # closed-form starts closer than this many tolerances fall back
@@ -115,7 +118,7 @@ def rational_root(c, z: complex) -> Fraction | None:
 # Aberth-Ehrlich iteration
 # ---------------------------------------------------------------------------
 
-def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
+def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> tuple:
     """Aberth-Ehrlich sweeps from the starts z, shape (d, m): one polynomial per column.
 
     ratio(z, live) returns the Newton ratios p/p' at the live columns z,
@@ -126,8 +129,9 @@ def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> np
     numpy adds in index order for any number of columns, so a column's bits
     do not depend on the columns sharing its sweep.  It is taken in equal
     blocks of at most _SUM_ROWS roots i, which bounds the temporary and
-    leaves at least two roots per block.  RootFindingFailure is raised when
-    any column is still moving after max_iter sweeps.
+    leaves at least two roots per block.  Returns the roots (d, m) and the
+    indices of the columns still moving after max_iter sweeps, which hold
+    their last iterates; `_converged` makes any of them a RootFindingFailure.
     """
     z = np.array(z, dtype=complex)
     d, m = z.shape
@@ -154,12 +158,21 @@ def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> np
             done = np.all(np.abs(corr) <= tol * (1.0 + np.abs(z)), axis=0)
             if done.all():
                 out[:, live] = z
-                return out
+                return out, live[:0]
             if done.any():
                 out[:, live[done]] = z[:, done]
                 keep = ~done
                 live, z = live[keep], z[:, keep]
-    raise RootFindingFailure("batched Aberth did not converge")
+    out[:, live] = z
+    return out, live
+
+
+def _converged(sweeps) -> np.ndarray:
+    """The roots of `aberth_sweeps`; RootFindingFailure if a column is still moving."""
+    z, stuck = sweeps
+    if stuck.size:
+        raise RootFindingFailure("batched Aberth did not converge")
+    return z
 
 
 def _horner_ratio(cn: np.ndarray):
@@ -208,7 +221,8 @@ def aberth(coeffs, tol: float = DEFAULT_TOL):
     if c[0] == 0:
         return [0j] + aberth(c[1:], tol)
     z = polygon_starts(c)[:, None]
-    return aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol)[:, 0].tolist()
+    roots = _converged(aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol))
+    return roots[:, 0].tolist()
 
 
 def polygon_starts(c) -> np.ndarray:
@@ -275,7 +289,7 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     for fac, mult in reversed(yun_squarefree(c[low:top + 1])):
         if mult == 1 and ratio_of is not None:
             ratio, starts = ratio_of(fac, known)
-            roots = aberth_sweeps(ratio, starts[:, None], tol)[:, 0].tolist()
+            roots = _converged(aberth_sweeps(ratio, starts[:, None], tol))[:, 0].tolist()
         elif len(fac) == 2:
             ex = ProjectivePoint(-fac[0], fac[1])
             out.append((CPoint.from_exact(ex), mult, ex))
@@ -318,10 +332,13 @@ def roots_batch(coeff_rows: np.ndarray) -> np.ndarray:
     where a row whose evaluation overflows takes 0.5 steps that can pass the
     tolerance test far from its roots.
     Each row retires on its own, at relative corrections of _BATCH_TOL, so
-    solving rows one at a time gives the same bits as one batch.
-    RootFindingFailure is raised when any row is still moving after
-    _BATCH_MAX_ITER sweeps.  Root order within a row is
-    unspecified; callers needing a deterministic order must sort by value.
+    solving rows one at a time gives the same bits as one batch.  A row
+    still moving after _BATCH_MAX_ITER sweeps, as near a double root, where
+    the corrections stay above the tolerance at double resolution, is
+    accepted when its roots pass a backward-error test (`_backward_stable`);
+    RootFindingFailure is raised when any such row fails it.  Root order
+    within a row is unspecified; callers needing a deterministic order must
+    sort by value.
     """
     cols = np.asarray(coeff_rows, dtype=complex).T
     d, n = cols.shape[0] - 1, cols.shape[1]
@@ -551,7 +568,7 @@ def _aberth_block(cols: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     ratio = _horner_ratio(cn)
     z, closed = _block_starts(cn, tiny, tol)
     if not closed.any():
-        return aberth_sweeps(ratio, z, tol, max_iter)
+        return _backward_stable(cn, *aberth_sweeps(ratio, z, tol, max_iter))
     with np.errstate(all="ignore"):
         newton = ratio(z, np.arange(z.shape[1]))
         out = z - newton
@@ -560,6 +577,32 @@ def _aberth_block(cols: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         closed &= passed.all(axis=0)
     if not closed.all():
         redo = np.flatnonzero(~closed)
-        out[:, redo] = aberth_sweeps(lambda w, live: ratio(w, redo[live]), z[:, redo],
-                                     tol, max_iter)
+        out[:, redo] = _backward_stable(cn[:, redo], *aberth_sweeps(
+            lambda w, live: ratio(w, redo[live]), z[:, redo], tol, max_iter))
     return out
+
+
+def _backward_stable(cn: np.ndarray, z: np.ndarray, stuck: np.ndarray) -> np.ndarray:
+    """The roots z (d, m) of the columns cn (d+1, m), its stuck columns checked.
+
+    A stuck column, one `aberth_sweeps` left moving, is accepted when every
+    root passes |p(z)| <= _BACKWARD * d * eps * sum |c_k| |z|^k, both sides
+    by Horner's rule: z is then an exact root of a polynomial whose
+    coefficients are within a few roundings of the column's, which is all
+    double precision can tell (MPSolve's stop; Bini and Robol, J. Comput.
+    Appl. Math. 272, 2014).  Any column that fails the test, or whose sums
+    are not finite, is a RootFindingFailure.
+    """
+    if stuck.size:
+        c, w = cn[:, stuck], z[:, stuck]
+        d = c.shape[0] - 1
+        ac, aw = np.abs(c), np.abs(w)
+        p, bound = np.zeros_like(w), np.zeros_like(aw)
+        with np.errstate(all="ignore"):
+            for k in range(d, -1, -1):
+                p = p * w + c[k]
+                bound = bound * aw + ac[k]
+            ok = np.abs(p) <= _BACKWARD * d * np.finfo(float).eps * bound
+        if not (ok.all() and np.isfinite(bound).all()):
+            raise RootFindingFailure("batched Aberth did not converge")
+    return z

@@ -121,7 +121,7 @@ def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
     # its own list
     import types
 
-    import dynamo.harness
+    import dynamo.measure
 
     seen = []
 
@@ -130,7 +130,7 @@ def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
         return types.SimpleNamespace(statistic=0.0, threshold=1.0, equal_within_noise=True,
                                      per_chart=(), discarded=())
 
-    monkeypatch.setattr(dynamo.harness, "measure_compare", fake_compare)
+    monkeypatch.setattr(dynamo.measure, "measure_compare", fake_compare)
     for maps in ([sq_json, sq_json], [basilica_json, sq_json]):
         assert _run(["compare-measures", "--hyp", diagonal_json, "--map", *maps])[0] == 0
     assert seen == [[(0, 0, 1), (0, 0, 1)], [(-1, 0, 1), (0, 0, 1)]]
@@ -441,6 +441,19 @@ def test_mm_verify_sampling_budget_below_one_is_usage_error(tmp_path, sq_json, c
                       "--samples", "0", "--depth", "-4"])
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: samples must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["mm-verify", "compare-measures"])
+def test_constant_form_is_usage_error(tmp_path, sq_json, capsys, command):
+    # the constant 1 defines the empty set: mm-verify ran no test and exited 0
+    hyp = tmp_path / "one.json"
+    hyp.write_text(json.dumps({"n": 2, "multidegree": [0, 0],
+                               "terms": [{"exps": [0, 0], "coeff": "1"}]}))
+    code, out = _run([command, "--hyp", str(hyp), "--map", sq_json, sq_json,
+                      "--samples", "200", "--depth", "5"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_curve_orbit_takes_at_most_two_maps(diagonal_json, sq_json, capsys):

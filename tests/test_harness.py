@@ -5,15 +5,15 @@ import time
 import pytest
 
 import dynamo.harness
+import dynamo.measure
 from dynamo.harness import (
-    MeasureCompareResult,
     _matching_exponents,
     fiber_preperiodicity_test,
-    measure_compare,
     mm_verify,
     ms_form_check,
 )
 from dynamo.hypersurface import Hypersurface, diagonal_surface, graph_surface
+from dynamo.measure import MeasureCompareResult, measure_compare
 
 
 def linear_sum_surface():
@@ -92,7 +92,7 @@ def test_measure_compare_same_axis_raises_before_sampling(sq, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
-    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", no_sampling)
+    monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", no_sampling)
     with pytest.raises(ValueError, match="^compare two distinct axes, got i = j = 1$"):
         measure_compare(diagonal_surface(), [sq, sq], 1, 1, n_samples=100, depth=5)
 
@@ -202,6 +202,19 @@ def test_mm_verify_budget_below_one_raises_before_any_work(sq, bad):
         mm_verify(diagonal_surface(), [sq], **bad)
 
 
+def test_mm_verify_constant_form_raises_before_any_work(sq, monkeypatch):
+    # a constant defines the empty set: no axis is dominant, no fiber or
+    # measure test ran, and the verdict said that none failed
+    def no_work(*args, **kwargs):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(dynamo.harness, "classify", no_work)
+    one = Hypersurface.make(2, (0, 0), [((0, 0), 1)])
+    with pytest.raises(ValueError, match=r"^no projection is dominant: a form of "
+                       r"multidegree \(0, 0\) is a constant and defines the empty set$"):
+        mm_verify(one, [sq, sq], samples=100, depth=5, trials=5)
+
+
 @pytest.mark.parametrize("trials", [0, -4])
 def test_fiber_test_budget_below_one_raises(sq, trials):
     # an all-zero result would be a silent empty run
@@ -272,18 +285,16 @@ def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
 def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
     # x1 + x2 + x3 = 0: three pairs, two pullbacks each, two product columns
     # per pullback; the columns depend on the axis alone, so three are drawn
-    import dynamo.measure
-
     cfg = dict(samples=500, depth=10, trials=5, seed=7)
     maps = [basilica] * 3
-    pullback = dynamo.harness.pullback_to_hypersurface
+    pullback = dynamo.measure.pullback_to_hypersurface
 
     def unshared(*args, **kwargs):
         return pullback(*args, **{**kwargs, "columns": None})
 
-    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", unshared)
+    monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", unshared)
     alone = mm_verify(linear_sum_surface(), maps, **cfg)
-    monkeypatch.setattr(dynamo.harness, "pullback_to_hypersurface", pullback)
+    monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", pullback)
 
     seeds = []
     sample = dynamo.measure.sample_invariant_measure

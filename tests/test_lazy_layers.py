@@ -48,6 +48,39 @@ def test_exact_commands_leave_the_other_layers_unexecuted(tmp_path):
     assert proc.stdout.splitlines() == ["", "measure"]
 
 
+_SAMPLING_COMMANDS = """
+import io, sys, types
+import dynamo
+from dynamo.cli import run
+
+def executed():
+    return " ".join(n for n in dynamo._LAYERS
+                    if type(sys.modules["dynamo." + n]) is types.ModuleType)
+
+m, diag = sys.argv[1:]
+assert run(["sample-measure", "--map", m, "--samples", "5", "--depth", "3"],
+           out=io.StringIO()) == 0
+print(executed())
+assert run(["compare-measures", "--hyp", diag, "--map", m, m, "--samples", "20",
+            "--depth", "3"], out=io.StringIO()) == 0
+print(executed())
+"""
+
+
+def test_sampling_commands_execute_the_sampling_layers_alone(tmp_path):
+    # compare-measures executed harness and, through its imports, curves,
+    # mpoly, exceptional and heights
+    basilica = tmp_path / "basilica.json"
+    basilica.write_text('{"num": ["-1", "0", "1"]}')
+    diag = tmp_path / "diag.json"
+    diag.write_text('{"n": 2, "multidegree": [1, 1], "terms": [{"exps": [1, 0], '
+                    '"coeff": "1"}, {"exps": [0, 1], "coeff": "-1"}]}')
+    proc = run_python("-c", _SAMPLING_COMMANDS, str(basilica), str(diag))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["errors modp projective roots measure",
+                                        "errors modp projective roots hypersurface measure"]
+
+
 def test_exported_names_are_the_defining_layers_objects():
     assert sorted(dynamo.__all__) == sorted(dynamo._HOME)
     for name in dynamo.__all__:

@@ -322,3 +322,12 @@ def test_green_adds_the_scale_of_the_float_forms_back(basilica):
     for z, n in ((0.3 + 0.2j, 12), (2.5, 20)):
         shift = math.log(_B) * (1 - 2.0**-n)
         assert green(near, z, n) == pytest.approx(green(basilica, z, n) + shift, abs=1e-9)
+
+
+def test_t3_sample_through_a_near_double_root():
+    # seed 0 meets the T3 fiber over t ~ 2, whose roots are 2 and -1 +- 9e-8;
+    # its batch used to fail after 120 sweeps.  The samples lie on [-2, 2].
+    m = sample_invariant_measure(poly_lift(0, -3, 0, 1), 20_000, 30, seed=0)
+    z = m.affine()
+    assert m.size == 20_000
+    assert np.all(np.abs(z.real) <= 2 + 1e-12) and np.all(np.abs(z.imag) <= 1e-12)

@@ -263,6 +263,37 @@ def test_roots_batch_one_stuck_row_fails_the_batch():
         roots_batch(rows)
 
 
+# the fiber row of T3 = z^3 - 3z over t ~ 2 that the sampler meets at N = 20 000,
+# seed 0: its roots are 2 and -1 +- 9e-8, where a 1e-10 relative correction is
+# below double resolution
+_NEAR_DOUBLE_ROW = [-1.9999999999999742 + 2.649063320484152e-16j, -3, 0, 1]
+
+
+def test_roots_batch_accepts_a_stuck_row_by_its_backward_error():
+    from dynamo.roots import (_BATCH_MAX_ITER, _BATCH_TOL, _block_starts, _horner_ratio,
+                              aberth_sweeps)
+
+    cn = np.array(_NEAR_DOUBLE_ROW, dtype=complex)[:, None]
+    z, _ = _block_starts(cn, np.zeros(1, dtype=bool), _BATCH_TOL)
+    _, stuck = aberth_sweeps(_horner_ratio(cn), z, _BATCH_TOL, _BATCH_MAX_ITER)
+    assert stuck.tolist() == [0]
+    rng = np.random.default_rng(11)
+    good = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
+    roots = roots_batch(np.vstack([good[:10], [_NEAR_DOUBLE_ROW], good[10:]]))
+    # the rows that retire keep their bits
+    assert roots[np.arange(31) != 10].tobytes() == roots_batch(good).tobytes()
+    # against the roots to 40 digits: a near-double pair keeps about half its
+    # digits, still enough to split it by 1.9e-7
+    want = [-1.0000000926604095 - 4.764824e-10j, -0.9999999073395876 + 4.764824e-10j, 2]
+    got = np.sort_complex(roots[10])
+    assert np.allclose(got, want, rtol=0, atol=1e-9)
+    # every root is exact for coefficients within a few roundings of the row's
+    c = np.array(_NEAR_DOUBLE_ROW)
+    for r in got:
+        residual = abs(np.polyval(c[::-1], r))
+        assert residual <= 12 * np.finfo(float).eps * np.polyval(np.abs(c[::-1]), abs(r))
+
+
 def test_binary_form_roots_solves_each_factor_once(monkeypatch):
     import dynamo.roots
     from dynamo.projective import CPoint
@@ -318,12 +349,12 @@ def test_aberth_sweeps_takes_any_newton_ratio():
         return (z**5 - t[live]) / (5 * z**4)
 
     starts = np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5)[:, None] * np.array([1.5, 40.0])
-    z = aberth_sweeps(ratio, starts)
-    assert widths[0] == 2 and widths[-1] == 1
+    z, stuck = aberth_sweeps(ratio, starts)
+    assert widths[0] == 2 and widths[-1] == 1 and stuck.size == 0
     for k in range(2):
         assert np.allclose(np.sort_complex(z[:, k] ** 5), np.full(5, t[k]), atol=1e-12)
         assert min(abs(a - b) for i, a in enumerate(z[:, k]) for b in z[i + 1:, k]) > 0.5
-        alone = aberth_sweeps(lambda w, live: ratio(w, live + k), starts[:, k:k + 1])
+        alone, _ = aberth_sweeps(lambda w, live: ratio(w, live + k), starts[:, k:k + 1])
         assert np.array_equal(alone[:, 0], z[:, k])
 
 
@@ -485,7 +516,7 @@ def test_newton_acceptance_matches_the_sweeps_from_the_same_starts(monkeypatch, 
     rows = _random_rows(rng, 400, d)
     cn = _monic_columns(rows)
     z, closed = _block_starts(cn, np.zeros(cn.shape[1], dtype=bool), 1e-10)
-    want = aberth_sweeps(_horner_ratio(cn), z, 1e-10, 120).T
+    want = aberth_sweeps(_horner_ratio(cn), z, 1e-10, 120)[0].T
     calls = _recording_sweeps(monkeypatch)
     got = roots_batch(rows)
     assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want)))
