@@ -175,7 +175,7 @@ def _cmd_curve_orbit(args, out):
                          f"got {len(args.map)}")
     C = hypersurface.load_hypersurface(args.hyp)
     if C.n != 2:
-        raise DynamoError("curve-orbit expects a two-block form (n = 2)")
+        raise ValueError("curve-orbit expects a two-block form (n = 2)")
     f = projective.load_map(args.map[0])
     g = projective.load_map(args.map[1] if len(args.map) > 1 else args.map[0])
     res = curves.curve_orbit(C, f, g, max_iter=args.max_iter, cap_digits=args.cap_digits)

@@ -389,21 +389,14 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
 
 
 def _place_breakdown(F, value, gcds, d):
-    """Split value into archimedean and per-prime parts (diagnostics only)."""
-    res_primes = sorted(factorize(F.res)) if F.res > 1 else []
+    """Split value into archimedean and per-prime parts (diagnostics only),
+    factoring the recorded g_k > 1, never Res, whose primes may be far beyond
+    Pollard rho's reach."""
     per_prime: dict[int, float] = {}
     for k, g in enumerate(gcds):
-        if g <= 1:
-            continue
-        for prime in res_primes:
-            e = 0
-            while g % prime == 0:
-                g //= prime
-                e += 1
-            if e:
+        if g > 1:
+            for prime, e in sorted(factorize(g).items()):
                 per_prime[prime] = per_prime.get(prime, 0.0) - e * math.log(prime) / d ** (k + 1)
-        if g > 1:  # gcd prime outside Res cannot happen; keep the sum honest anyway
-            per_prime[-1] = per_prime.get(-1, 0.0) - log_int(g) / d ** (k + 1)
     arch = value - sum(per_prime.values())
     out = {"archimedean": arch}
     out.update({f"p={p}": v for p, v in sorted(per_prime.items())})

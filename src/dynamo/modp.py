@@ -1,12 +1,14 @@
 """Arithmetic modulo word-size primes, on numpy int64 arrays: the prime
-stream, the squarefree test of `roots.yun_squarefree` and the residue
-helpers of `mpoly.resultant_formal` (Collins 1971; von zur Gathen-Gerhard,
-Modern Computer Algebra, ch. 6).  `prime` finds the primes below 2^31 on
-first use, largest first; a product of two residues stays below 2^62,
-inside int64.
+stream, the Euclid of `projective.poly_gcd`, the CRT lift it shares with
+`mpoly.resultant_formal`, and that function's residue helpers (Brown 1971;
+Collins 1971; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).
+`prime` finds the primes below 2^31 on first use, largest first; a product
+of two residues stays below 2^62, inside int64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,36 +50,36 @@ def prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def squarefree_by_primes(c) -> bool:
-    """True when one of three primes proves the integer polynomial c squarefree over Q.
+def gcd_mod(a, b, p: int) -> np.ndarray:
+    """The monic gcd mod p, as an int64 row, of the integer polynomials a and
+    b (ascending powers, not both zero mod p): a Euclid on int64 rows, one
+    row update per division step."""
+    a, b = (np.array([v % p for v in c], dtype=np.int64) for c in (a, b))
+    while b.any():
+        b = b[:np.flatnonzero(b)[-1] + 1]
+        n = len(b)
+        if n == 1:  # a nonzero constant remainder
+            return np.ones(1, dtype=np.int64)
+        inv = pow(int(b[-1]), -1, p)
+        for top in range(len(a) - 1, n - 2, -1):  # a := a mod b, top term first
+            q = int(a[top]) * inv % p
+            if q:
+                a[top - n + 1:top + 1] = (a[top - n + 1:top + 1] - q * b) % p
+        a, b = b, a[:n - 1]
+    a = a[:np.flatnonzero(a)[-1] + 1]
+    return a * pow(int(a[-1]), -1, p) % p
 
-    When p does not divide the leading coefficient, a square factor over Z
-    survives the reduction mod p, so gcd(c, c') = 1 mod p rules it out (c
-    of degree below p).  A prime that divides the leading coefficient or
-    the discriminant proves nothing, so the next prime is tried.  False
-    means a repeated factor or, rarely, three such primes.  The Euclid
-    runs on int64 rows, one row update per division step.
-    """
-    for k in range(3):
-        p = prime(k)
-        if not c[-1] % p:
-            continue
-        a = np.array([v % p for v in c], dtype=np.int64)
-        b = a[1:] * np.arange(1, len(a), dtype=np.int64) % p
-        while b.any():
-            b = b[:np.flatnonzero(b)[-1] + 1]
-            n = len(b)
-            if n == 1:  # a nonzero constant remainder: gcd(c, c') = 1
-                return True
-            inv = pow(int(b[-1]), -1, p)
-            for top in range(len(a) - 1, n - 2, -1):  # a := a mod b, top term first
-                q = int(a[top]) * inv % p
-                if q:
-                    a[top - n + 1:top + 1] = (a[top - n + 1:top + 1] - q * b) % p
-            a, b = b, a[:n - 1]
-        if len(a) == 1:
-            return True
-    return False
+
+def crt(residues, primes) -> list:
+    """The symmetric lift, in (-M/2, M/2) with M the product of the primes,
+    of equal-shape residue arrays, one per prime; nested lists of ints."""
+    modulus = math.prod(primes)
+    acc = 0
+    for vals, p in zip(residues, primes):
+        rest = modulus // p
+        acc = acc + np.asarray(vals).astype(object) * (rest * pow(rest, -1, p))
+    acc = acc % modulus
+    return np.where(acc > modulus // 2, acc - modulus, acc).tolist()
 
 
 def pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:

@@ -17,14 +17,14 @@ about log2(2B) / 31, fixed before any prime is tried; nothing stops early
 because results look stable.
 
 bivar_squarefree reduces the eliminant to its squarefree part on the same
-dense integer matrix, in three stages.  A squarefree check, modulo up to
-three primes (`modp.squarefree_by_primes`), of a degree-preserving
-specialization in each direction certifies that nothing is repeated.  A
+dense integer matrix, in three stages.  A squarefree degree-preserving
+specialization in each direction, which the modular gcd of `yun_squarefree`
+mostly proves at one prime, certifies that nothing is repeated.  A
 uniform multiplicity e is removed by an exact e-th root, taken on the
 univariate image under u -> t^D, s -> t (D above the s-degree) and
 verified by re-expansion.  Mixed multiplicities fall back to
 P / gcd(P, P_u, P_s) by a primitive PRS over Z[s][u], whose coefficients
-are integer s-polynomials handled by projective's univariate helpers.
+are integer s-polynomials with contents from the modular `poly_gcd`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .modp import det_mod, interpolation_matrix, inv_mod, matmul_mod, pow_mod, prime
+from .modp import crt, det_mod, interpolation_matrix, inv_mod, matmul_mod, pow_mod, prime
 from .projective import (
     content,
     int_root_floor,
@@ -176,13 +176,7 @@ def resultant_formal(C, F, G) -> list:
             residues.append(vals)
             primes.append(p)
             modulus *= p
-    acc = 0
-    for vals, p in zip(residues, primes):
-        rest = modulus // p
-        acc = acc + vals.astype(object) * (rest * pow(rest, -1, p))
-    acc = acc % modulus
-    half = modulus // 2
-    return [[v - modulus if v > half else v for v in row] for row in acc.tolist()]
+    return crt(residues, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +331,7 @@ def _specialized_multiplicities(P):
 
     Returns the sorted multiplicity set, or None if no good specialization
     was found among small integers.  `yun_squarefree` proves most
-    specializations squarefree modulo a prime, without a gcd.
+    specializations squarefree at the first prime of its modular gcd.
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         coeffs = []

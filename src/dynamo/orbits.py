@@ -27,10 +27,10 @@ The exact form, from `iterate_lift`, is only a certificate, read by
 points also run:
 - its zero coefficients at either end give the multiplicities at infinity
   and at 0;
-- gcd(P, P') = 1 modulo one of three primes that keep the degree proves
-  P squarefree over Q (`modp.squarefree_by_primes`, a Euclid on int64
-  rows).  Only when that fails (a parabolic coincidence) does Yun's
-  decomposition over Z run; its repeated factors are solved first, by
+- gcd(P, P') = 1 modulo the first prime that keeps the degree proves P
+  squarefree over Q (`projective.poly_gcd`, Brown's modular gcd).  Only
+  when that fails (a parabolic coincidence, or rarely an unlucky prime)
+  does Yun's decomposition over Z go on; its repeated factors come first, by
   Horner's rule, and every exactly known factor (z^k for a root at 0
   included) is divided out of the log-derivative of the orbit solve;
 - near-real roots are reconstructed as rationals and verified exactly, and

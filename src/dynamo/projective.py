@@ -17,8 +17,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import count
 
 from .errors import CapExceeded, DegenerateMap, RootFindingFailure, ZeroPoint
+from .modp import crt, gcd_mod, prime
 
 #: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
@@ -260,8 +262,8 @@ def int_root_floor(n: int, e: int) -> int:
 
 # The helpers below read a coefficient list as a univariate polynomial over
 # Z, ascending powers; `primitive_int` is where integral Fractions from
-# input parsing become integers.  Arithmetic modulo word-size primes,
-# the squarefree test included, is in `modp`.
+# input parsing become integers.  Arithmetic modulo word-size primes is in
+# `modp`.
 
 def poly_degree(c) -> int:
     d = len(c) - 1
@@ -276,23 +278,6 @@ def poly_trim(c):
 
 def poly_deriv(c):
     return [i * c[i] for i in range(1, len(c))] or [0]
-
-
-def poly_prem(a, b):
-    """Pseudo-remainder lc(b)^(da-db+1) * a mod b, trimmed (b of actual degree db)."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[db]
-    r = list(a)
-    for k in range(da, db - 1, -1):
-        top = r[k]
-        r = [lb * v for v in r]
-        if top:
-            for i in range(db + 1):
-                r[k - db + i] = r[k - db + i] - top * b[i]
-        r = r[:k]  # degree strictly below k now
-        if len(r) <= db:
-            break
-    return poly_trim(r) if r else [0]
 
 
 def poly_div_exact(a, b):
@@ -319,21 +304,46 @@ def primitive_int(c):
 
 
 def poly_gcd(a, b):
-    """Primitive gcd over Z with a positive leading coefficient, or [0], by the primitive PRS.
+    """Primitive gcd over Z of integer a and b, with a positive leading
+    coefficient, or [0], by Brown's modular algorithm (JACM 18, 1971).
 
     By Gauss's lemma it is also the gcd over Q, and it divides a and b
-    exactly over Z once they are primitive.
+    exactly over Z.  Primes dividing gamma = gcd(lc a, lc b) are skipped,
+    so each image has at least the degree of the gcd and a degree-0 image
+    proves a and b coprime.  The images of least degree, scaled by gamma,
+    are combined by `crt` until a prime leaves the lift unchanged and the
+    lift's primitive part divides a and b.
     """
-    a = primitive_int(poly_trim(a))
-    b = primitive_int(poly_trim(b))
-    while any(b):
-        if len(a) < len(b):
-            a, b = b, a
+    a, b = poly_trim(a), poly_trim(b)
+    if not any(a) or not any(b):
+        h = primitive_int(a if any(a) else b)
+        return h if h[-1] >= 0 else [-v for v in h]
+    gamma = math.gcd(a[-1], b[-1])
+    images, primes = [], []
+    for p in map(prime, count()):
+        if not gamma % p:
             continue
-        a, b = b, primitive_int(poly_prem(a, b))
-    if not any(a):
-        return [0]
-    return a if a[-1] > 0 else [-v for v in a]
+        g = gcd_mod(a, b, p)
+        if len(g) == 1:
+            return [1]
+        g = g * (gamma % p) % p
+        if images and len(g) != len(images[0]):
+            if len(g) > len(images[0]):
+                continue  # p divides a subresultant: an unlucky prime
+            images, primes = [], []  # so was every earlier one
+        if images:
+            lift = crt(images, primes)
+            if [v % p for v in lift] == g.tolist():
+                h = primitive_int(lift)
+                h = h if h[-1] > 0 else [-v for v in h]
+                try:
+                    poly_div_exact(a, h)
+                    poly_div_exact(b, h)
+                    return h
+                except ArithmeticError:
+                    pass
+        images.append(g)
+        primes.append(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Complex and exact root finding for integer polynomials and binary forms.
 
 Strategy: exact squarefree decomposition over Z first (multiplicities
-become exact; `modp.squarefree_by_primes` proves most inputs squarefree
-without a gcd), rational roots recovered by continued-fraction
+become exact; the modular `projective.poly_gcd` proves most inputs
+squarefree at one prime), rational roots recovered by continued-fraction
 reconstruction from numeric approximations plus exact verification (no
 coefficient factoring, so huge iterate coefficients are fine).
 `binary_form_roots` is the one exact root path: fibers, critical points and
@@ -33,7 +33,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import RootFindingFailure
-from .modp import squarefree_by_primes
 from .projective import (
     INFINITY,
     CPoint,
@@ -66,17 +65,16 @@ def yun_squarefree(c):
     """Yun decomposition [(factor, multiplicity), ...] with primitive integer factors.
 
     c has integer or integral Fraction coefficients.  Its primitive part is
-    the whole answer when linear or proved squarefree by one of three primes
-    (`squarefree_by_primes`); only the inputs left over, repeated factors or
-    an unlucky prime, pay for gcds.  Those run over Z: each gcd is primitive
-    with a positive leading coefficient, so by Gauss's lemma every quotient
-    by it is exact.  Factors come in increasing multiplicity.
+    the whole answer when linear or coprime to its derivative, which the
+    modular `poly_gcd` proves at its first prime for most inputs.  Each gcd
+    is primitive with a positive leading coefficient, so by Gauss's lemma
+    every quotient by it is exact.  Factors come in increasing multiplicity.
     """
     c = poly_trim(c)
     if poly_degree(c) == 0:
         return []
     prim = primitive_int(c)
-    if len(prim) == 2 or squarefree_by_primes(prim):
+    if len(prim) == 2:
         return [(prim, 1)]
     dc = poly_deriv(prim)
     g = poly_gcd(prim, dc)

@@ -47,6 +47,28 @@ def affine_value(p):
 
 
 @pytest.fixture
+def gcd_primes(monkeypatch):
+    """The prime of every `modp.gcd_mod` call that `poly_gcd` makes, and
+    "crt" for every lift of its images, in order."""
+    import dynamo.projective
+
+    calls = []
+    gcd_mod, crt = dynamo.projective.gcd_mod, dynamo.projective.crt
+
+    def counted_gcd(a, b, p):
+        calls.append(p)
+        return gcd_mod(a, b, p)
+
+    def counted_crt(residues, primes):
+        calls.append("crt")
+        return crt(residues, primes)
+
+    monkeypatch.setattr(dynamo.projective, "gcd_mod", counted_gcd)
+    monkeypatch.setattr(dynamo.projective, "crt", counted_crt)
+    return calls
+
+
+@pytest.fixture
 def sq():
     """z^2"""
     return poly_lift(0, 0, 1)

@@ -464,6 +464,17 @@ def test_curve_orbit_takes_at_most_two_maps(diagonal_json, sq_json, capsys):
                                        "axes, or two; got 3\n")
 
 
+def test_curve_orbit_on_three_blocks_is_usage_error(tmp_path, sq_json, capsys):
+    # x1 + x2 + x3 = 0 is no curve in P^1 x P^1: this exited 2, a computation error
+    hyp = tmp_path / "three.json"
+    hyp.write_text(json.dumps({"n": 3, "multidegree": [1, 1, 1], "terms": [
+        {"exps": [1, 0, 0], "coeff": "1"}, {"exps": [0, 1, 0], "coeff": "1"},
+        {"exps": [0, 0, 1], "coeff": "1"}]}))
+    code, out = _run(["curve-orbit", "--hyp", str(hyp), "--map", sq_json])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: curve-orbit expects a two-block form (n = 2)\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     # preper and orbit gave a verdict and exited 0; height and curve-orbit

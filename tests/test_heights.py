@@ -115,6 +115,25 @@ def test_canonical_height_diagnostics_sum(cheb2):
     assert parts == pytest.approx(r.value, abs=1e-9)
 
 
+def test_place_breakdown_factors_only_the_orbit_gcds(monkeypatch):
+    # (z^2 + 1)/(N z) with N = (10^20 + 39)(10^21 + 117): Pollard rho on Res
+    # did not end in 60 s, though the orbit of 2 meets no gcd above 1
+    import dynamo.heights
+
+    seen = []
+    monkeypatch.setattr(dynamo.heights, "factorize",
+                        lambda n: seen.append(n) or factorize(n))
+    N = (10**20 + 39) * (10**21 + 117)
+    F = RationalMapLift.make([1, 0, 1], [0, N, 0])
+    r = canonical_height(F, 2, target_error=1e-3, diagnostics=True)
+    assert r.local_breakdown == {"archimedean": r.value} and seen == []
+    # (z^2 + 2)/(6z): the gcds are products of 2 and 3, and only they are factored
+    r = canonical_height(RationalMapLift.make([2, 0, 1], [0, 6, 0]), Fraction(4, 5),
+                         target_error=1e-6, diagnostics=True)
+    assert seen and all(g > 1 and set(factorize(g)) <= {2, 3} for g in seen)
+    assert sorted(r.local_breakdown) == ["archimedean", "p=2", "p=3"]
+
+
 def test_functoriality_examples(sq, basilica):
     assert canonical_height_functoriality_check(sq, 2)
     assert canonical_height_functoriality_check(basilica, 0)

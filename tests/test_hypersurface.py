@@ -74,19 +74,16 @@ def test_fiber_solve_square_graph_backward():
     assert all(ex is None for _, _, ex in roots)  # sqrt(2) is not rational
 
 
-def test_fiber_solve_squarefree_fiber_needs_no_gcd(monkeypatch):
-    # x1^2 - 4 over x2 = 2 on x2 = x1^2 - 2: one prime proves it squarefree,
-    # so no gcd over Q runs, and both roots come back exact
-    import dynamo.roots
+def test_fiber_solve_squarefree_fiber_needs_no_gcd(gcd_primes):
+    # x1^2 - 4 over x2 = 2 on x2 = x1^2 - 2: the gcd's first prime proves it
+    # squarefree, so no image is lifted, and both roots come back exact
+    from dynamo.modp import prime
 
-    def no_gcd(a, b):
-        raise AssertionError("gcd over Q on a squarefree fiber")
-
-    monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     roots = fiber_solve(graph_surface([-2, 0, 1]), 1, {2: point_from_rational(2)})
     assert sorted(str(ex) for _, _, ex in roots) == ["-2", "2"]
     assert sorted((cp.affine().real, cp.affine().imag, m) for cp, m, _ in roots) == [
         (-2.0, 0.0, 1), (2.0, 0.0, 1)]
+    assert gcd_primes == [prime(0)]
 
 
 def test_fiber_solve_beyond_float_range_is_typed():

@@ -1,34 +1,33 @@
-"""Word-size prime arithmetic: the int64 squarefree test against a list Euclid."""
+"""Word-size prime arithmetic: the int64 Euclid against a list Euclid, and
+the CRT lift against the inline lift `mpoly.resultant_formal` had before."""
 
 import random
 
-from dynamo.modp import prime, squarefree_by_primes
+import numpy as np
+
+from dynamo.modp import crt, gcd_mod, prime
 from dynamo.projective import poly_mul
 
 
-def _list_squarefree_by_primes(c) -> bool:
-    """Reference: the same three-prime test, as a Euclid on Python lists."""
-    for k in range(3):
-        p = prime(k)
-        if not c[-1] % p:
-            continue
-        a = [v % p for v in c]
-        b = [i * v % p for i, v in enumerate(a)][1:]
-        while any(b):
-            while not b[-1]:
-                b.pop()
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b):  # a := a mod b
-                q = a[-1] * inv % p
-                if q:
-                    shift = len(a) - len(b)
-                    for i, v in enumerate(b):
-                        a[shift + i] = (a[shift + i] - q * v) % p
-                a.pop()
-            a, b = b, a
-        if len(a) == 1:
-            return True
-    return False
+def _list_gcd_mod(a, b, p) -> list:
+    """Reference: the monic gcd mod p by a Euclid on Python lists."""
+    a, b = list(a), list(b)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a := a mod b
+            q = a[-1] * inv % p
+            if q:
+                shift = len(a) - len(b)
+                for i, v in enumerate(b):
+                    a[shift + i] = (a[shift + i] - q * v) % p
+            a.pop()
+        a, b = b, a
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
 
 
 def _random_poly(rng, degree, bits):
@@ -39,6 +38,7 @@ def _random_poly(rng, degree, bits):
 
 
 def _cases():
+    """(c, whether c is squarefree over Q, or None when not known)."""
     rng = random.Random(21)
     top3 = prime(0) * prime(1) * prime(2)
     for _ in range(24):  # mostly squarefree, small and several-hundred-bit coefficients
@@ -51,17 +51,60 @@ def _cases():
         for _ in range(5):  # the leading coefficient divisible by one, two or all three primes
             c = _random_poly(rng, rng.randint(0, 300), rng.choice([3, 400]))
             c[-1] = divisor * rng.choice([1, -1, rng.randint(2, 1 << 200)])
-            yield c, False if divisor == top3 else None
+            yield c, None
     yield [-2, 0, 1], True  # x^2 - 2
     yield [2, -3, 0, 1], False  # (x - 1)^2 (x + 2)
     yield [7], True
-    yield [top3], False
+    yield [top3], True
 
 
-def test_squarefree_by_primes_matches_list_euclid():
-    for c, want in _cases():
-        got = squarefree_by_primes(c)
-        assert got == _list_squarefree_by_primes(c), (len(c) - 1, c[-1])
-        if want is not None:
-            assert got is want, (len(c) - 1, c[-1])
+def test_gcd_mod_matches_list_euclid():
+    # gcd(c, c') mod prime(0), whose reduction may drop the degree, and mod
+    # the first prime that keeps it, where a repeated factor over Q shows
+    for c, squarefree in _cases():
+        good = next(p for p in map(prime, range(4)) if c[-1] % p)
+        for p in {prime(0), good}:
+            a = np.array([v % p for v in c], dtype=np.int64)
+            b = a[1:] * np.arange(1, len(a), dtype=np.int64) % p
+            if not a.any():  # a constant divisible by p: both rows are zero
+                continue
+            got = gcd_mod(a, b, p).tolist()
+            assert got == _list_gcd_mod(a.tolist(), b.tolist(), p), (len(c) - 1, p)
+            if p == good and squarefree is not None:
+                assert (len(got) == 1) is squarefree, (len(c) - 1, c[-1])
 
+
+def test_gcd_mod_with_a_zero_row():
+    p = prime(0)
+    assert gcd_mod([0, p, 0], [4, 2, 0], p).tolist() == [2, 1]
+    assert gcd_mod([-4, -2 + p], [0], p).tolist() == [2, 1]
+
+
+def _old_lift(residues, primes):
+    """Reference: the symmetric lift as `mpoly.resultant_formal` computed it."""
+    modulus = 1
+    for p in primes:
+        modulus *= p
+    acc = 0
+    for vals, p in zip(residues, primes):
+        rest = modulus // p
+        acc = acc + vals.astype(object) * (rest * pow(rest, -1, p))
+    acc = acc % modulus
+    half = modulus // 2
+    return [[v - modulus if v > half else v for v in row] for row in acc.tolist()]
+
+
+def test_crt_matches_the_resultant_lift():
+    rng = np.random.default_rng(5)
+    for count in (1, 2, 5):
+        primes = [prime(k) for k in range(count)]
+        modulus = int(np.prod(np.array(primes, dtype=object)))
+        residues = [rng.integers(0, p, size=(4, 7)) for p in primes]
+        # the extreme residues too: every lift at -(M - 1)/2, 0 and (M - 1)/2
+        for r, p in zip(residues, primes):
+            r[0, :3] = [0, (modulus + 1) // 2 % p, (modulus - 1) // 2 % p]
+        got = crt(residues, primes)
+        assert got == _old_lift(residues, primes)
+        assert all(2 * abs(v) < modulus for row in got for v in row)
+        assert got[0][:3] == [0, -(modulus - 1) // 2, (modulus - 1) // 2]
+        assert crt([r[1] for r in residues], primes) == got[1]  # any shape

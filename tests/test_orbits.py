@@ -177,6 +177,23 @@ def test_parabolic_coincidence_flagged():
     assert abs(para[0].multiplier + 1.0) < 1e-7
 
 
+def test_parabolic_cycle_at_period_9():
+    # (z^2 - z - 2)/(2z^2 - 2z - 1) has a parabolic 3-cycle, a repeated
+    # factor of every fixed-point form of period 3k: at n = 9, degree 513,
+    # Yun's gcds by the primitive PRS over Z did not end in 110 s
+    from dynamo.projective import map_from_json
+
+    F = map_from_json({"num": ["-4", "-2", "2"], "den": ["-2", "-4", "4"]})
+    cycles = periodic_points(F, 9)
+    assert sum(c.period for c in cycles) == 510
+    para = [c for c in cycles if c.parabolic_warning]
+    assert len(para) == 1 and para[0].period == 3
+    assert abs(para[0].multiplier - 1.0) < 1e-7
+    for c in cycles:
+        for i, p in enumerate(c.points):
+            assert evaluate_cpoint(F, p).chordal(c.points[(i + 1) % c.period]) < 1e-9
+
+
 def poly_lift_q(*coeffs):
     from dynamo.projective import RationalMapLift
 
@@ -314,15 +331,13 @@ def test_periods_past_the_coefficient_form_limit(name, n):
             assert evaluate_cpoint(F, p).chordal(c.points[(i + 1) % c.period]) < 1e-9
 
 
-def test_squarefree_form_skips_yun(basilica, monkeypatch):
-    # the one-prime certificate settles a squarefree fixed-point form
-    import dynamo.roots
+def test_squarefree_form_skips_yun(basilica, gcd_primes):
+    # the first prime of the modular gcd settles a squarefree fixed-point
+    # form: Yun's decomposition stops after one image, with no lift
+    from dynamo.modp import prime
 
-    def no_gcd(a, b):
-        raise AssertionError("Yun's decomposition ran on a squarefree form")
-
-    monkeypatch.setattr(dynamo.roots, "poly_gcd", no_gcd)
     assert sum(c.period for c in periodic_points(basilica, 6)) == 65
+    assert gcd_primes == [prime(0)]
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, math.nan, math.inf])

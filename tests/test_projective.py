@@ -287,16 +287,111 @@ def test_compose_overflow_policy(basilica, monkeypatch):
         iterate_lift(basilica, 12)
 
 
-def test_squarefree_by_primes():
-    from dynamo.modp import prime, squarefree_by_primes
+def _prs_gcd(a, b):
+    """Reference: the primitive PRS over Z that `poly_gcd` ran before it
+    became modular, on integer lists."""
+    from dynamo.projective import poly_trim, primitive_int
 
-    assert squarefree_by_primes([-2, 0, 1])  # x^2 - 2
-    assert not squarefree_by_primes([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
-    # a leading coefficient divisible by every prime tried drops the degree
-    # mod each of them, so the test proves nothing and says no
-    assert not squarefree_by_primes([-2, 0, prime(0) * prime(1) * prime(2)])
-    assert squarefree_by_primes([-2, 0, prime(0)])  # the next prime decides
-    assert squarefree_by_primes([7])
+    def prem(a, b):  # lc(b)^(da-db+1) * a mod b
+        da, db = len(a) - 1, len(b) - 1
+        r = list(a)
+        for k in range(da, db - 1, -1):
+            top = r[k]
+            r = [b[db] * v for v in r]
+            if top:
+                for i in range(db + 1):
+                    r[k - db + i] -= top * b[i]
+            r = r[:k]
+            if len(r) <= db:
+                break
+        return poly_trim(r) if r else [0]
+
+    a, b = primitive_int(poly_trim(a)), primitive_int(poly_trim(b))
+    while any(b):
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        a, b = b, primitive_int(prem(a, b))
+    if not any(a):
+        return [0]
+    return a if a[-1] > 0 else [-v for v in a]
+
+
+def test_poly_gcd_matches_the_prs():
+    # g a and g b with a and b coprime by construction: b = a q + c for a
+    # nonzero integer c, so gcd(a, b) divides c.  The primes the gcd meets:
+    # prime(0) (and prime(1)) dividing lc g, hence gamma, are skipped;
+    # prime(0) dividing lc q drops the degree of b's image only; a prime
+    # dividing c divides the resultant of a and b, so its image has a
+    # degree too high: the first image, a later one (c = prime(1)), or two
+    # agreeing images whose lift fails the division (c = prime(0) prime(1)).
+    from dynamo.modp import prime
+    from dynamo.projective import poly_gcd, poly_trim, primitive_int
+
+    rng = random.Random(25)
+    p0, p1 = prime(0), prime(1)
+
+    def rand(degree, bits):
+        c = [rng.randint(-(1 << bits), 1 << bits) for _ in range(degree + 1)]
+        c[-1] = c[-1] or 1
+        return c
+
+    for trial in range(120):
+        bits = rng.choice([3, 7, 60, 300])
+        g, a, q = rand(rng.randint(0, 6), bits), rand(rng.randint(1, 6), bits), \
+            rand(rng.randint(0, 4), bits)
+        kind = trial % 4
+        if kind == 1:
+            g[-1] *= rng.choice([p0, p0 * p1])
+        elif kind == 2:
+            q[-1] *= p0
+        c = rng.choice([p0, p1, p0 * p1] if kind == 3 else [1, -3, 2**70 + 1])
+        b = poly_trim([u + (c if i == 0 else 0)
+                       for i, u in enumerate(poly_mul(a, q))])
+        ga, gb = poly_mul(g, a), poly_mul(g, b)
+        want = primitive_int(g)
+        want = want if want[-1] > 0 else [-v for v in want]
+        assert poly_gcd(ga, gb) == _prs_gcd(ga, gb) == want, (trial, bits)
+        assert poly_gcd(gb, ga) == want
+    # zero and constant inputs
+    assert poly_gcd([0], [0]) == [0]
+    assert poly_gcd([0, 0], [-4, -2]) == [2, 1]
+    assert poly_gcd([6, 4], [0]) == [3, 2]
+    assert poly_gcd([3], [5, 6]) == [1]
+
+
+def test_poly_gcd_drops_an_unlucky_image(gcd_primes):
+    # (x - 1)(x + 2) and (x - 1 - p)(x + 2), p = prime(1): the image mod p
+    # has degree 2 and is dropped, and prime(2) confirms prime(0)'s lift
+    from dynamo.modp import prime
+    from dynamo.projective import poly_gcd
+
+    p0, p1, p2 = map(prime, range(3))
+    assert poly_gcd(poly_mul([-1, 1], [2, 1]), poly_mul([-1 - p1, 1], [2, 1])) == [2, 1]
+    assert gcd_primes == [p0, p1, p2, "crt"]
+
+
+def test_poly_gcd_proves_squarefree():
+    # gcd(c, c') = 1 proves c squarefree over Q; the first prime not
+    # dividing the leading coefficient proves it unless it divides the
+    # discriminant
+    from dynamo.modp import prime
+    from dynamo.projective import poly_deriv, poly_gcd
+
+    def squarefree(c):
+        return poly_gcd(c, poly_deriv(c)) == [1]
+
+    assert squarefree([-2, 0, 1])  # x^2 - 2
+    assert poly_gcd([2, -3, 0, 1], [-3, 0, 3]) == [-1, 1]  # (x - 1)^2 (x + 2)
+    # a leading coefficient divisible by the first three primes: the
+    # three-prime certificate said no, the modular gcd skips all three and
+    # the fourth prime proves it squarefree
+    assert squarefree([-2, 0, prime(0) * prime(1) * prime(2)])
+    assert squarefree([-2, 0, prime(0)])  # the next prime decides
+    assert squarefree([7])
+    # (x - 1)(x - 1 - p): squarefree over Q, a double root mod p = prime(0)
+    p = prime(0)
+    assert squarefree(poly_mul([-1, 1], [-1 - p, 1]))
 
 
 # -- the one exact-to-float conversion ---------------------------------------------

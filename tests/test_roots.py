@@ -578,7 +578,7 @@ def test_linear_factor_needs_no_solver(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a linear factor reached a solver")
 
-    for name in ("aberth", "squarefree_by_primes", "rational_root"):
+    for name in ("aberth", "poly_gcd", "rational_root"):
         monkeypatch.setattr(dynamo.roots, name, fail)
     assert dynamo.roots.yun_squarefree([6, -4]) == [([3, -2], 1)]
     assert [str(ex) for _, _, ex in binary_form_roots([0, 6, -4, 0])] == ["inf", "0", "3/2"]
