@@ -16,13 +16,14 @@ reach the floats through `projective.float_coefficients`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EliminationFailure
 from .hypersurface import Hypersurface
-from .mpoly import bivar_squarefree, resultant_formal
+from .mpoly import bivar_squarefree, eliminant_bound_sq, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
     CPoint,
@@ -42,7 +43,7 @@ def make_curve(terms, bidegree) -> Curve2:
     return Hypersurface.make(2, bidegree, terms)
 
 
-def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve2:
+def _reduce_to_curve(r2, formal_u: int, formal_s: int) -> Curve2:
     """Monomial bookkeeping + squarefree reduction + canonical normalization.
 
     r2[k][l] is the coefficient of u^k s^l of the eliminated form, of formal
@@ -57,7 +58,6 @@ def _reduce_to_curve(r2, formal_u: int, formal_s: int, cap_digits: int) -> Curve
     core = [row[min_s:cols[-1] + 1] for row in r2[min_u:rows[-1] + 1]]
     gap_u = formal_u - rows[-1]  # multiplicity of the Y_U factor
     gap_s = formal_s - cols[-1]
-    check_cap(max(abs(c) for row in core for c in row), cap_digits, "curve coefficient")
     sf = bivar_squarefree(core)
     # reattach one copy of each monomial-type factor: U (fiber u=0), V (u=inf),
     # S, T likewise; affine exponents shift only for U/S, bidegree for all
@@ -121,7 +121,9 @@ def _chartpoint(r: complex) -> CPoint:
 
 def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
                       cap_digits: int = DEFAULT_DIGIT_CAP) -> Curve2:
-    """The image curve (f, g)(C), squarefree and canonically normalized.
+    """The image curve (f, g)(C), squarefree and canonically normalized;
+    CapExceeded before any prime if the eliminant's coefficient bound does
+    not fit in cap_digits.
 
     Verified on VERIFY_SAMPLES numeric points of C: their images must annihilate
     the output form to relative tolerance VERIFY_TOL (EliminationFailure otherwise).
@@ -130,9 +132,12 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
     dense = [[0] * (d2 + 1) for _ in range(d1 + 1)]
     for (i, j), c in C.terms:
         dense[i][j] = c
-    r2 = resultant_formal(dense, (f.f0, f.f1), (g.f0, g.f1))
+    F, G = (f.f0, f.f1), (g.f0, g.f1)
+    bound_sq = eliminant_bound_sq(dense, F, G)
+    check_cap(math.isqrt(bound_sq), cap_digits, "curve coefficient")
+    r2 = resultant_formal(dense, F, G, bound_sq)
     # r2 has formal degree g.degree * d1 in u and f.degree * d2 in s
-    image = _reduce_to_curve(r2, g.degree * d1, f.degree * d2, cap_digits)
+    image = _reduce_to_curve(r2, g.degree * d1, f.degree * d2)
     _verify_pushforward(C, image, f, g)
     return image
 

@@ -1,14 +1,14 @@
 """Arithmetic modulo word-size primes, on numpy int64 arrays: the prime
-stream, the Euclid of `projective.poly_gcd`, the CRT lift it shares with
-`mpoly.resultant_formal`, and that function's residue helpers (Brown 1971;
-Collins 1971; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).
+stream, the Euclid that the modular gcds over Z (`projective.poly_gcd`)
+and Z[s][u] (`mpoly._gcd`) take at each prime, the one CRT accumulator
+they share with `mpoly.resultant_formal`, and the residue helpers of
+elimination and interpolation (Brown 1971; Collins 1971; von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 5-6).
 `prime` finds the primes below 2^31 on first use, largest first; a product
 of two residues stays below 2^62, inside int64.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -70,16 +70,32 @@ def gcd_mod(a, b, p: int) -> np.ndarray:
     return a * pow(int(a[-1]), -1, p) % p
 
 
-def crt(residues, primes) -> list:
-    """The symmetric lift, in (-M/2, M/2) with M the product of the primes,
-    of equal-shape residue arrays, one per prime; nested lists of ints."""
-    modulus = math.prod(primes)
-    acc = 0
-    for vals, p in zip(residues, primes):
-        rest = modulus // p
-        acc = acc + np.asarray(vals).astype(object) * (rest * pow(rest, -1, p))
-    acc = acc % modulus
-    return np.where(acc > modulus // 2, acc - modulus, acc).tolist()
+class CrtLift:
+    """The symmetric lift, in (-M/2, M/2) with M the product of the primes
+    added, of equal-shape residue arrays, one per prime.  `add` queues;
+    `read` folds the queue, of product Q, by the one-shot formula and joins
+    it to the earlier lift h by one Garner step, h + M ((g - h) M^-1 mod Q),
+    so a read after every prime costs one step, not a lift of all primes."""
+
+    def __init__(self):
+        self.modulus, self._lifted, self._lift, self._queue = 1, 1, 0, []
+
+    def add(self, vals, p: int) -> None:
+        self._queue.append((vals, p))
+        self.modulus *= p
+
+    def read(self) -> list:
+        """The lift as nested lists of ints."""
+        if self._queue:
+            m, q, g = self._lifted, self.modulus // self._lifted, 0
+            for vals, p in self._queue:
+                rest = q // p
+                g = g + np.asarray(vals).astype(object) * (rest * pow(rest, -1, p))
+            g = g % q
+            self._lift = g if m == 1 else self._lift + m * ((g - self._lift) * pow(m, -1, q) % q)
+            self._lifted, self._queue = self.modulus, []
+        h, modulus = self._lift, self.modulus
+        return np.where(h > modulus // 2, h - modulus, h).tolist()
 
 
 def pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:

@@ -23,18 +23,20 @@ mostly proves at one prime, certifies that nothing is repeated.  A
 uniform multiplicity e is removed by an exact e-th root, taken on the
 univariate image under u -> t^D, s -> t (D above the s-degree) and
 verified by re-expansion.  Mixed multiplicities fall back to
-P / gcd(P, P_u, P_s) by a primitive PRS over Z[s][u], whose coefficients
-are integer s-polynomials with contents from the modular `poly_gcd`.
+P / gcd(P, P_u, P_s), the gcd over Z[s][u] by Brown's modular algorithm:
+`gcd_mod`s in u at points s0, interpolated in s, lifted by a `CrtLift`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from functools import reduce
+from itertools import count
 
 import numpy as np
 
-from .modp import crt, det_mod, interpolation_matrix, inv_mod, matmul_mod, pow_mod, prime
+from .modp import (CrtLift, det_mod, gcd_mod, interpolation_matrix, inv_mod, matmul_mod,
+                   pow_mod, prime)
 from .projective import (
     content,
     int_root_floor,
@@ -145,7 +147,7 @@ def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
     return matmul_mod(matmul_mod(Lu.T, vals, p), Ls, p)
 
 
-def resultant_formal(C, F, G) -> list:
+def resultant_formal(C, F, G, bound_sq: int | None = None) -> list:
     """The eliminant of the curve C(x1, x2) = 0 under (f, g), exactly.
 
     C[i][j] is the coefficient of x1^i x2^j (formal bidegree (d1, d2)); F =
@@ -159,24 +161,22 @@ def resultant_formal(C, F, G) -> list:
     Each prime p gives r2 mod p from its values on a grid of
     (b d1 + 1) x (a d2 + 1) points, interpolated; primes are added until
     their product exceeds twice the bound of eliminant_bound_sq, and the
-    symmetric CRT lift is then r2 itself.
+    symmetric CRT lift is then r2 itself (bound_sq is that bound, squared).
     """
     d1, d2 = len(C) - 1, len(C[0]) - 1
     a, b = len(F[0]) - 1, len(G[0]) - 1
     us = _grid(b * d1 + 1, F)
     ss = _grid(a * d2 + 1, G)
-    need = 4 * eliminant_bound_sq(C, F, G)
-    residues, primes, modulus = [], [], 1
+    need = 4 * (eliminant_bound_sq(C, F, G) if bound_sq is None else bound_sq)
+    lift = CrtLift()
     k = 0
-    while modulus * modulus <= need:
+    while lift.modulus * lift.modulus <= need:
         p = prime(k)
         k += 1
         vals = _eliminant_mod(C, F, G, us, ss, p)
         if vals is not None:
-            residues.append(vals)
-            primes.append(p)
-            modulus *= p
-    return crt(residues, primes)
+            lift.add(vals, p)
+    return lift.read()
 
 
 # ---------------------------------------------------------------------------
@@ -262,56 +262,83 @@ def _nth_root(P, e: int) -> list | None:
     return R
 
 
-def _row_content(P) -> list:
-    """The primitive integer gcd of the rows of a nonzero P."""
-    g = [0]
-    for row in P:
-        if any(row):
-            g = poly_gcd(g, row)
-            if len(g) == 1:
-                break
-    return g
-
-
 def _primitive(P):
-    """(content, primitive part) of P over Z[s][u], trimmed."""
-    P = [poly_trim(row) for row in P]
-    while P and not any(P[-1]):
-        P.pop()
-    if not P:
-        return [0], P
-    c = _row_content(P)
-    if c != [1]:
-        P = [poly_div_exact(row, c) for row in P]
-    return c, _int_primitive(P)
+    """(content in Z[s], primitive part) of a nonzero P over Z[s][u], shaped."""
+    P = _shape(P)
+    c = reduce(poly_gcd, P, [0])
+    return c, _int_primitive([poly_div_exact(row, c) for row in P])
 
 
-def _prem(A, B) -> list:
-    """A scalar multiple in Z[s] of A mod B in u (top row of B nonzero)."""
-    lb = B[-1]
-    R = A
-    while len(R) >= len(B):
-        top, shift = R[-1], len(R) - len(B)
-        R = [poly_mul(lb, row) if k < shift else
-             [x - y for x, y in zip_longest(poly_mul(lb, row), poly_mul(top, B[k - shift]),
-                                            fillvalue=0)]
-             for k, row in enumerate(R[:-1])]
-        while R and not any(R[-1]):
-            R.pop()
-    return R
+_STRIDE = 0x5851F42D  # the step between evaluation points mod p, below every prime
+
+
+def _gcd_image(A, B, gamma, n: int, p: int):
+    """gamma gcd(A, B) mod p, rows of s-coefficients by power of u, or None
+    when lc_u A or lc_u B vanishes mod p: `gcd_mod` in u times gamma(s0) at n
+    points where neither vanishes, interpolated.  Only images of least
+    degree count, and degree 0 proves A, B coprime ([[1]]).  The points
+    k _STRIDE mod p avoid small s0, where products of forms with small
+    coefficients have repeated roots."""
+    X = (np.array(_shape(A + B + [gamma]), dtype=object) % p).astype(np.int64)
+    a = len(A)
+    if not X[a - 1].any() or not X[-2].any():
+        return None
+    kept = {}
+    for start in count(0, n):
+        pts = np.arange(start, start + n, dtype=np.int64) * _STRIDE % p
+        v = np.zeros((len(X), n), dtype=np.int64)
+        for col in X.T[::-1]:  # every row at every point, by Horner
+            v = (v * pts + col[:, None]) % p
+        for k in np.flatnonzero(v[a - 1] * v[-2] % p):
+            g = gcd_mod(v[:a, k], v[a:-1, k], p)
+            if len(g) == 1:
+                return np.ones((1, 1), dtype=np.int64)
+            kept.setdefault(len(g), []).append((pts[k], g * v[-1, k] % p))
+            if len(kept[min(kept)]) == n:
+                points, images = zip(*kept[min(kept)])
+                L = interpolation_matrix(np.array(points), p)
+                return matmul_mod(np.array(images).T, L, p)
+
+
+def _quotient(X, G):
+    """X / G over Z, or None, by exact division of the images under u -> t^D,
+    s -> t, D = deg_s X + 1: injective if G and X / G have s-degrees summing below D."""
+    D = len(X[0])
+    try:
+        Q = _unkronecker(poly_div_exact(_kronecker(X, D), _kronecker(G, D)), D)
+    except ArithmeticError:
+        return None
+    return Q if len(G[0]) + len(Q[0]) - 2 < D else None
 
 
 def _gcd(A, B) -> list:
-    """gcd of nonzero A and B in Z[s][u] by the primitive PRS, up to a unit."""
+    """gcd of nonzero A and B in Z[s][u], up to a unit, by Brown's dense
+    modular algorithm (J. ACM 18, 1971; Geddes-Czapor-Labahn, Algorithms
+    for Computer Algebra, ch. 7) on their primitive parts in u.  gamma, the
+    gcd of their leading coefficients with its integer content, is a
+    multiple of lc(gcd), so gamma gcd / lc(gcd) has s-degree below n.  As in
+    `poly_gcd`, images of least u-degree go into one `CrtLift` until a
+    prime leaves the lift unchanged and its primitive part divides both.
+    """
     (ca, A), (cb, B) = _primitive(A), _primitive(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while len(B) > 1:
-        A, B = B, _primitive(_prem(A, B))[1]
-    if B:  # a nonzero remainder free of u: the primitive parts are coprime
-        A = [[1]]
     c = poly_gcd(ca, cb)
-    return [poly_mul(c, row) for row in A]
+    gamma = [math.gcd(content(A[-1]), content(B[-1])) * v for v in poly_gcd(A[-1], B[-1])]
+    n = len(gamma) + min(len(A[0]), len(B[0])) - 1
+    lifts = {}
+    for p in map(prime, count()):
+        image = _gcd_image(A, B, gamma, n, p)
+        if image is None or lifts and len(image) > min(lifts):
+            continue  # a leading coefficient vanishes mod p, or p is unlucky
+        if len(image) == 1:
+            return [c]
+        lift = lifts.setdefault(len(image), CrtLift())
+        if lift.modulus > 1:
+            H = lift.read()
+            if [[v % p for v in row] for row in H] == image.tolist():
+                G = _primitive(H)[1]
+                if _quotient(A, G) and _quotient(B, G):
+                    return [poly_mul(c, row) for row in G]
+        lift.add(image, p)
 
 
 def _squarefree_by_gcd(P) -> list:
@@ -321,9 +348,7 @@ def _squarefree_by_gcd(P) -> list:
               [poly_deriv(row) for row in P]):
         if any(map(any, d)):
             g = _gcd(g, d)
-    D = len(P[0])
-    quotient = poly_div_exact(_kronecker(P, D), _kronecker(g, D))
-    return _int_primitive(_unkronecker(quotient, D))
+    return _int_primitive(_quotient(P, g))
 
 
 def _specialized_multiplicities(P):
@@ -353,7 +378,7 @@ def bivar_squarefree(P) -> list:
     last column.  A squarefree degree-preserving specialization in each
     direction proves gcd(P, P_u, P_s) is constant (specialization cannot
     raise degrees).  Uniform multiplicity e reduces to a verified exact e-th
-    root.  Mixed patterns fall back to the primitive-PRS gcd over Z[s][u].
+    root.  Mixed patterns fall back to the modular gcd over Z[s][u].
     """
     P = _int_primitive(_shape(P))
     for _ in range(8):

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import count
 
 from .errors import CapExceeded, DegenerateMap, RootFindingFailure, ZeroPoint
-from .modp import crt, gcd_mod, prime
+from .modp import CrtLift, gcd_mod, prime
 
 #: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
@@ -311,30 +311,29 @@ def poly_gcd(a, b):
     exactly over Z.  Primes dividing gamma = gcd(lc a, lc b) are skipped,
     so each image has at least the degree of the gcd and a degree-0 image
     proves a and b coprime.  The images of least degree, scaled by gamma,
-    are combined by `crt` until a prime leaves the lift unchanged and the
-    lift's primitive part divides a and b.
+    go into one `CrtLift`, read after every prime, until a prime leaves
+    the lift unchanged and the lift's primitive part divides a and b.
     """
     a, b = poly_trim(a), poly_trim(b)
     if not any(a) or not any(b):
         h = primitive_int(a if any(a) else b)
         return h if h[-1] >= 0 else [-v for v in h]
     gamma = math.gcd(a[-1], b[-1])
-    images, primes = [], []
+    lifts = {}  # by degree: a lower one shows every earlier prime unlucky
     for p in map(prime, count()):
         if not gamma % p:
             continue
         g = gcd_mod(a, b, p)
         if len(g) == 1:
             return [1]
+        if lifts and len(g) > min(lifts):
+            continue  # p divides a subresultant: an unlucky prime
         g = g * (gamma % p) % p
-        if images and len(g) != len(images[0]):
-            if len(g) > len(images[0]):
-                continue  # p divides a subresultant: an unlucky prime
-            images, primes = [], []  # so was every earlier one
-        if images:
-            lift = crt(images, primes)
-            if [v % p for v in lift] == g.tolist():
-                h = primitive_int(lift)
+        lift = lifts.setdefault(len(g), CrtLift())
+        if lift.modulus > 1:
+            h = lift.read()
+            if [v % p for v in h] == g.tolist():
+                h = primitive_int(h)
                 h = h if h[-1] > 0 else [-v for v in h]
                 try:
                     poly_div_exact(a, h)
@@ -342,8 +341,7 @@ def poly_gcd(a, b):
                     return h
                 except ArithmeticError:
                     pass
-        images.append(g)
-        primes.append(p)
+        lift.add(g, p)
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,23 @@ def affine_value(p):
 @pytest.fixture
 def gcd_primes(monkeypatch):
     """The prime of every `modp.gcd_mod` call that `poly_gcd` makes, and
-    "crt" for every lift of its images, in order."""
+    "lift" for every read of its CRT accumulator, in order."""
     import dynamo.projective
 
     calls = []
-    gcd_mod, crt = dynamo.projective.gcd_mod, dynamo.projective.crt
+    gcd_mod, CrtLift = dynamo.projective.gcd_mod, dynamo.projective.CrtLift
 
     def counted_gcd(a, b, p):
         calls.append(p)
         return gcd_mod(a, b, p)
 
-    def counted_crt(residues, primes):
-        calls.append("crt")
-        return crt(residues, primes)
+    class CountedLift(CrtLift):
+        def read(self):
+            calls.append("lift")
+            return super().read()
 
     monkeypatch.setattr(dynamo.projective, "gcd_mod", counted_gcd)
-    monkeypatch.setattr(dynamo.projective, "crt", counted_crt)
+    monkeypatch.setattr(dynamo.projective, "CrtLift", CountedLift)
     return calls
 
 

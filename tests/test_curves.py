@@ -65,16 +65,28 @@ def test_pushforward_squarefree_collapse(sq):
     assert image.multidegree == (1, 1)
 
 
-def test_pushforward_with_mixed_repeated_factors(sq):
+def test_pushforward_with_mixed_repeated_factors(sq, monkeypatch):
     # the eliminants of (x2 - x1)(x2 - x1 - 1) under (z^2, z^2) have factors
     # of different multiplicities, so the squarefree reduction takes the
-    # primitive-PRS fallback; each image must also pass the numeric check
+    # modular-gcd fallback; each image must also pass the numeric check.
+    # The fourth step's (18, 18) eliminant keeps the gcd's cost in view.
+    import dynamo.mpoly
+
+    fallbacks = []
+    by_gcd = dynamo.mpoly._squarefree_by_gcd
+
+    def fallback(P):
+        fallbacks.append((len(P) - 1, len(P[0]) - 1))
+        return by_gcd(P)
+
+    monkeypatch.setattr(dynamo.mpoly, "_squarefree_by_gcd", fallback)
     C = make_curve({(0, 2): 1, (1, 1): -2, (2, 0): 1, (0, 1): -1, (1, 0): 1}, (2, 2))
     bidegrees = []
-    for _ in range(3):
+    for _ in range(4):
         C = curve_pushforward(C, sq, sq)
         bidegrees.append(C.multidegree)
-    assert bidegrees == [(3, 3), (5, 5), (9, 9)]
+    assert bidegrees == [(3, 3), (5, 5), (9, 9), (17, 17)]
+    assert (18, 18) in fallbacks
 
 
 def test_curve_orbit_diagonal_fixed(sq):
@@ -279,11 +291,24 @@ def test_residuals_match_the_term_loop(sq, basilica, k):
         assert (max(got) > 0.01) == (form is wrong)
 
 
-def test_curve_orbit_digit_cap_raises_cap_exceeded():
+def test_curve_orbit_digit_cap_raises_cap_exceeded(monkeypatch):
     # the image of x1 x2 = 1 under (z^2 + 10^12, z^2 + 10^12) has 25-digit
-    # coefficients; the cap is the same check, and message, as the orbit cap
+    # coefficients; the cap is the same check, and message, as the orbit
+    # cap, and it reads the coefficient bound before the first prime
+    import dynamo.mpoly
+
     F = RationalMapLift.make([10**12, 0, 1], [0, 0, 1])
     C = make_curve({(1, 1): 1, (0, 0): -1}, (1, 1))
+    primes = []
+    eliminant_mod = dynamo.mpoly._eliminant_mod
+
+    def recording(*args):
+        primes.append(args[-1])
+        return eliminant_mod(*args)
+
+    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
     with pytest.raises(CapExceeded, match="^curve coefficient exceeds 5 decimal digits"):
         curve_orbit(C, F, F, cap_digits=5)
+    assert primes == []
     assert curve_orbit(C, F, F, max_iter=1).bidegrees
+    assert primes

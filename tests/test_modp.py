@@ -1,11 +1,12 @@
 """Word-size prime arithmetic: the int64 Euclid against a list Euclid, and
-the CRT lift against the inline lift `mpoly.resultant_formal` had before."""
+the CRT accumulator against the inline lift `mpoly.resultant_formal` had
+before."""
 
 import random
 
 import numpy as np
 
-from dynamo.modp import crt, gcd_mod, prime
+from dynamo.modp import CrtLift, gcd_mod, prime
 from dynamo.projective import poly_mul
 
 
@@ -94,6 +95,16 @@ def _old_lift(residues, primes):
     return [[v - modulus if v > half else v for v in row] for row in acc.tolist()]
 
 
+def _lifts(residues, primes):
+    """The accumulator's lift read once at the end, and read after every prime."""
+    once, every = CrtLift(), CrtLift()
+    for vals, p in zip(residues, primes):
+        once.add(vals, p)
+        every.add(vals, p)
+        last = every.read()
+    return once.read(), last
+
+
 def test_crt_matches_the_resultant_lift():
     rng = np.random.default_rng(5)
     for count in (1, 2, 5):
@@ -103,8 +114,24 @@ def test_crt_matches_the_resultant_lift():
         # the extreme residues too: every lift at -(M - 1)/2, 0 and (M - 1)/2
         for r, p in zip(residues, primes):
             r[0, :3] = [0, (modulus + 1) // 2 % p, (modulus - 1) // 2 % p]
-        got = crt(residues, primes)
-        assert got == _old_lift(residues, primes)
-        assert all(2 * abs(v) < modulus for row in got for v in row)
-        assert got[0][:3] == [0, -(modulus - 1) // 2, (modulus - 1) // 2]
-        assert crt([r[1] for r in residues], primes) == got[1]  # any shape
+        once, every = _lifts(residues, primes)
+        assert once == every == _old_lift(residues, primes)
+        assert all(2 * abs(v) < modulus for row in once for v in row)
+        assert once[0][:3] == [0, -(modulus - 1) // 2, (modulus - 1) // 2]
+        assert _lifts([r[1] for r in residues], primes) == (once[1], once[1])  # any shape
+
+
+def test_crt_reads_between_queued_primes():
+    # reads after the 2nd and 5th of seven primes: each read joins a queue
+    # of one, three and two primes to the lift before it
+    rng = np.random.default_rng(6)
+    primes = [prime(k) for k in range(7)]
+    residues = [rng.integers(0, p, size=5) for p in primes]
+    lift = CrtLift()
+    for k, (vals, p) in enumerate(zip(residues, primes)):
+        lift.add(vals, p)
+        if k in (1, 4):
+            assert lift.read() == _old_lift([r[None] for r in residues[:k + 1]],
+                                            primes[:k + 1])[0]
+    assert lift.read() == _old_lift([r[None] for r in residues], primes)[0]
+    assert lift.modulus == int(np.prod(np.array(primes, dtype=object)))

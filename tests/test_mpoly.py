@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dynamo.modp import det_mod, prime
 from dynamo.mpoly import (
     _gcd,
     _kronecker,
+    _primitive,
     _shape,
     _unkronecker,
     bivar_squarefree,
@@ -21,7 +23,7 @@ from dynamo.mpoly import (
     int_nth_root,
     resultant_formal,
 )
-from dynamo.projective import RationalMapLift, _bareiss_det, poly_div_exact, poly_mul
+from dynamo.projective import RationalMapLift, _bareiss_det, poly_div_exact, poly_gcd, poly_mul
 
 
 def _sylvester_det(p, q, m, n):
@@ -269,6 +271,73 @@ def test_gcd_coprime_is_constant():
     assert len(g) == 1 and len(g[0]) == 1
 
 
+def _prem(A, B) -> list:
+    """A scalar multiple in Z[s] of A mod B in u (top row of B nonzero)."""
+    lb = B[-1]
+    R = A
+    while len(R) >= len(B):
+        top, shift = R[-1], len(R) - len(B)
+        R = [poly_mul(lb, row) if k < shift else
+             [x - y for x, y in zip_longest(poly_mul(lb, row), poly_mul(top, B[k - shift]),
+                                            fillvalue=0)]
+             for k, row in enumerate(R[:-1])]
+        while R and not any(R[-1]):
+            R.pop()
+    return R
+
+
+def _prs_gcd(A, B) -> list:
+    """Reference: the primitive PRS over Z[s][u] that `_gcd` ran before it
+    became modular, up to a unit."""
+    (ca, A), (cb, B) = _primitive(A), _primitive(B)
+    if len(A) < len(B):
+        A, B = B, A
+    while len(B) > 1:
+        R = _prem(A, B)
+        A, B = B, _primitive(R)[1] if R else []
+    if B:  # a nonzero remainder free of u: the primitive parts are coprime
+        A = [[1]]
+    c = poly_gcd(ca, cb)
+    return [poly_mul(c, row) for row in A]
+
+
+def test_gcd_matches_the_prs():
+    # g a and g b for random a, b and g, which share a factor in s alone
+    # or an integer content in some trials; then the named cases: leading
+    # coefficients in u with integer content, (1 + 2u)^3 c(s) against
+    # 6 (1 + 2u)^2 c(s), whose primitive parts lead with 8 and 4, so gamma
+    # must carry gcd(8, 4) = 4; the point s = 0, where (u - s)^2 (u + s) and
+    # (u - s)(u + s)^2 share u^3; a common factor in s alone; and coprime
+    # inputs
+    rng = random.Random(26)
+
+    def rand(du, ds):
+        return [[rng.randint(-3, 3) for _ in range(ds + 1)] for _ in range(du + 1)]
+
+    cases = []
+    for trial in range(60):
+        g = rand(rng.randint(0, 2), rng.randint(0, 2))
+        a = rand(rng.randint(0, 3), rng.randint(0, 2))
+        b = rand(rng.randint(0, 3), rng.randint(0, 2))
+        if trial % 3 == 1:
+            g = _mul2(g, [[rng.randint(-2, 2) for _ in range(3)]])  # a factor in s alone
+        elif trial % 3 == 2:
+            a, b = [[6 * c for c in row] for row in a], [[4 * c for c in row] for row in b]
+        if any(map(any, g)) and any(map(any, a)) and any(map(any, b)):
+            cases.append((_mul2(g, a), _mul2(g, b)))
+    c, w = [[1, -2, 0, 3]], [[1], [2]]  # 1 - 2s + 3s^3 and 1 + 2u
+    cases.append((_mul2(_power2(w, 3), c), _mul2(_power2(w, 2), [[6 * v for v in c[0]]])))
+    cases.append((_mul2(_power2(U_MINUS_S, 2), U_PLUS_S), _mul2(U_MINUS_S, _power2(U_PLUS_S, 2))))
+    cases.append((_mul2([[1, 1]], U_MINUS_S), _mul2([[1, 1]], U_PLUS_S)))
+    cases.append((U_MINUS_S, U_PLUS_S))
+    for A, B in cases:
+        want = _prs_gcd(A, B)
+        assert _up_to_sign(_gcd(A, B), want) and _up_to_sign(_gcd(B, A), want), (A, B)
+    assert _up_to_sign(_gcd(*cases[-4]), _mul2(_power2(w, 2), c))
+    assert _up_to_sign(_gcd(*cases[-2]), [[1, 1]])
+    assert _shape(_gcd(*cases[-1])) in ([[1]], [[-1]])
+
+
 def test_squarefree_part_bivariate():
     a = U_MINUS_S
     b = [[0, 3], [2, 0]]  # 2u + 3s
@@ -355,11 +424,11 @@ def test_graph_orbit_specialization_needs_no_yun(gcd_primes):
     C = graph_surface([1, 0, 1])
     for _ in range(5):
         d1, d2 = C.multidegree
-        C = _reduce_to_curve(resultant_formal(_dense(C), sq, sq), 2 * d1, 2 * d2, 10**6)
+        C = _reduce_to_curve(resultant_formal(_dense(C), sq, sq), 2 * d1, 2 * d2)
     assert C.multidegree == (32, 16)
     r2 = resultant_formal(_dense(C), sq, sq)
     del gcd_primes[:]
-    assert _reduce_to_curve(r2, 64, 32, 10**6).multidegree == (64, 32)
+    assert _reduce_to_curve(r2, 64, 32).multidegree == (64, 32)
     assert gcd_primes == [prime(0), prime(1), prime(0)]
 
 

@@ -368,7 +368,7 @@ def test_poly_gcd_drops_an_unlucky_image(gcd_primes):
 
     p0, p1, p2 = map(prime, range(3))
     assert poly_gcd(poly_mul([-1, 1], [2, 1]), poly_mul([-1 - p1, 1], [2, 1])) == [2, 1]
-    assert gcd_primes == [p0, p1, p2, "crt"]
+    assert gcd_primes == [p0, p1, p2, "lift"]
 
 
 def test_poly_gcd_proves_squarefree():
