@@ -133,9 +133,8 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
     for (i, j), c in C.terms:
         dense[i][j] = c
     F, G = (f.f0, f.f1), (g.f0, g.f1)
-    bound_sq = eliminant_bound_sq(dense, F, G)
-    check_cap(math.isqrt(bound_sq), cap_digits, "curve coefficient")
-    r2 = resultant_formal(dense, F, G, bound_sq)
+    check_cap(math.isqrt(eliminant_bound_sq(dense, F, G)), cap_digits, "curve coefficient bound")
+    r2 = resultant_formal(dense, F, G)
     # r2 has formal degree g.degree * d1 in u and f.degree * d2 in s
     image = _reduce_to_curve(r2, g.degree * d1, f.degree * d2)
     _verify_pushforward(C, image, f, g)

@@ -147,7 +147,7 @@ def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
     return matmul_mod(matmul_mod(Lu.T, vals, p), Ls, p)
 
 
-def resultant_formal(C, F, G, bound_sq: int | None = None) -> list:
+def resultant_formal(C, F, G) -> list:
     """The eliminant of the curve C(x1, x2) = 0 under (f, g), exactly.
 
     C[i][j] is the coefficient of x1^i x2^j (formal bidegree (d1, d2)); F =
@@ -161,18 +161,16 @@ def resultant_formal(C, F, G, bound_sq: int | None = None) -> list:
     Each prime p gives r2 mod p from its values on a grid of
     (b d1 + 1) x (a d2 + 1) points, interpolated; primes are added until
     their product exceeds twice the bound of eliminant_bound_sq, and the
-    symmetric CRT lift is then r2 itself (bound_sq is that bound, squared).
+    symmetric CRT lift is then r2 itself.
     """
     d1, d2 = len(C) - 1, len(C[0]) - 1
     a, b = len(F[0]) - 1, len(G[0]) - 1
     us = _grid(b * d1 + 1, F)
     ss = _grid(a * d2 + 1, G)
-    need = 4 * (eliminant_bound_sq(C, F, G) if bound_sq is None else bound_sq)
-    lift = CrtLift()
-    k = 0
+    need = 4 * eliminant_bound_sq(C, F, G)
+    lift, primes = CrtLift(), map(prime, count())
     while lift.modulus * lift.modulus <= need:
-        p = prime(k)
-        k += 1
+        p = next(primes)
         vals = _eliminant_mod(C, F, G, us, ss, p)
         if vals is not None:
             lift.add(vals, p)
@@ -277,14 +275,14 @@ def _gcd_image(A, B, gamma, n: int, p: int):
     when lc_u A or lc_u B vanishes mod p: `gcd_mod` in u times gamma(s0) at n
     points where neither vanishes, interpolated.  Only images of least
     degree count, and degree 0 proves A, B coprime ([[1]]).  The points
-    k _STRIDE mod p avoid small s0, where products of forms with small
-    coefficients have repeated roots."""
+    k _STRIDE mod p, k >= 2, vary with p, so no unlucky s0 recurs at every
+    prime, and avoid small s0, where products of small forms repeat roots."""
     X = (np.array(_shape(A + B + [gamma]), dtype=object) % p).astype(np.int64)
     a = len(A)
     if not X[a - 1].any() or not X[-2].any():
         return None
     kept = {}
-    for start in count(0, n):
+    for start in count(2, n):
         pts = np.arange(start, start + n, dtype=np.int64) * _STRIDE % p
         v = np.zeros((len(X), n), dtype=np.int64)
         for col in X.T[::-1]:  # every row at every point, by Horner
@@ -324,14 +322,15 @@ def _gcd(A, B) -> list:
     c = poly_gcd(ca, cb)
     gamma = [math.gcd(content(A[-1]), content(B[-1])) * v for v in poly_gcd(A[-1], B[-1])]
     n = len(gamma) + min(len(A[0]), len(B[0])) - 1
-    lifts = {}
+    deg, lift = math.inf, None
     for p in map(prime, count()):
         image = _gcd_image(A, B, gamma, n, p)
-        if image is None or lifts and len(image) > min(lifts):
+        if image is None or len(image) > deg:
             continue  # a leading coefficient vanishes mod p, or p is unlucky
         if len(image) == 1:
             return [c]
-        lift = lifts.setdefault(len(image), CrtLift())
+        if len(image) < deg:  # every earlier prime was unlucky
+            deg, lift = len(image), CrtLift()
         if lift.modulus > 1:
             H = lift.read()
             if [[v % p for v in row] for row in H] == image.tolist():

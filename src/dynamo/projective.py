@@ -319,17 +319,18 @@ def poly_gcd(a, b):
         h = primitive_int(a if any(a) else b)
         return h if h[-1] >= 0 else [-v for v in h]
     gamma = math.gcd(a[-1], b[-1])
-    lifts = {}  # by degree: a lower one shows every earlier prime unlucky
+    deg, lift = math.inf, None
     for p in map(prime, count()):
         if not gamma % p:
             continue
         g = gcd_mod(a, b, p)
         if len(g) == 1:
             return [1]
-        if lifts and len(g) > min(lifts):
+        if len(g) > deg:
             continue  # p divides a subresultant: an unlucky prime
+        if len(g) < deg:  # every earlier prime was unlucky
+            deg, lift = len(g), CrtLift()
         g = g * (gamma % p) % p
-        lift = lifts.setdefault(len(g), CrtLift())
         if lift.modulus > 1:
             h = lift.read()
             if [v % p for v in h] == g.tolist():

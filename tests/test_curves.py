@@ -292,9 +292,9 @@ def test_residuals_match_the_term_loop(sq, basilica, k):
 
 
 def test_curve_orbit_digit_cap_raises_cap_exceeded(monkeypatch):
-    # the image of x1 x2 = 1 under (z^2 + 10^12, z^2 + 10^12) has 25-digit
-    # coefficients; the cap is the same check, and message, as the orbit
-    # cap, and it reads the coefficient bound before the first prime
+    # the image of x1 x2 = 1 under (z^2 + 10^12, z^2 + 10^12) has 24-digit
+    # coefficients; the cap is the same check as the orbit cap, and it
+    # reads the coefficient bound before the first prime
     import dynamo.mpoly
 
     F = RationalMapLift.make([10**12, 0, 1], [0, 0, 1])
@@ -307,8 +307,14 @@ def test_curve_orbit_digit_cap_raises_cap_exceeded(monkeypatch):
         return eliminant_mod(*args)
 
     monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
-    with pytest.raises(CapExceeded, match="^curve coefficient exceeds 5 decimal digits"):
+    with pytest.raises(CapExceeded, match="^curve coefficient bound exceeds 5 decimal digits"):
         curve_orbit(C, F, F, cap_digits=5)
     assert primes == []
     assert curve_orbit(C, F, F, max_iter=1).bidegrees
     assert primes
+    # the cap reads the bound, not the coefficients: the largest, 10^24 - 1,
+    # has 24 digits and the bound 49, so a 30-digit cap refuses the step
+    with pytest.raises(CapExceeded, match="^curve coefficient bound exceeds 30 decimal digits"):
+        curve_pushforward(C, F, F, cap_digits=30)
+    image = curve_pushforward(C, F, F, cap_digits=49)
+    assert max(abs(c) for _, c in image.terms) == 10**24 - 1

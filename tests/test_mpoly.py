@@ -338,6 +338,17 @@ def test_gcd_matches_the_prs():
     assert _shape(_gcd(*cases[-1])) in ([[1]], [[-1]])
 
 
+def test_gcd_points_differ_from_prime_to_prime():
+    # with n = 1 one point per prime is interpolated; were it s0 = 0 at
+    # every prime, an unlucky s0 = 0 would give the same wrong image at
+    # every prime and the loop would never end: u^2 and u^2 + s u share u^2
+    # at s = 0, and there u^2 + s^2 - 2s (u^2 at the specialization s = 2,
+    # so it reaches the gcd) shares u with its P_u = 2u
+    assert _up_to_sign(_gcd([[0], [0], [1]], [[0, 0], [0, 1], [1, 0]]), [[0], [1]])
+    P = [[0, -2, 1], [0, 0, 0], [1, 0, 0]]
+    assert bivar_squarefree(P) == P
+
+
 def test_squarefree_part_bivariate():
     a = U_MINUS_S
     b = [[0, 3], [2, 0]]  # 2u + 3s
