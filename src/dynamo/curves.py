@@ -7,40 +7,49 @@ bidegree at most (deg g * d1, deg f * d2) and is computed exactly by
 mpoly.resultant_formal (modular evaluation, interpolation and CRT up to a
 proven coefficient bound) from the dense coefficient matrix of C.  The only
 post-processing is content/monomial bookkeeping and squarefree reduction.
-Every pushforward is verified by mapping VERIFY_SAMPLES seeded points of C
-through (f, g) and checking they annihilate the output form: the fiber rows
-of the sample are solved in one `roots_batch` call, and the form is
-evaluated at all the image points in one dense product.  Curve and maps
-reach the floats through `projective.float_coefficients`.
+Every pushforward is then checked exactly modulo the prime modp.prime(0):
+over CHECK_FIBERS seeded fibers of C in each block where C has positive
+degree, the output form must vanish at the images under (f, g) of the
+fiber's points, in F_p[x] / (squarefree part of the fiber form) and at a
+root at infinity.  No float is involved, so no coefficient size limits it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import zip_longest
 
 from .errors import EliminationFailure
 from .hypersurface import Hypersurface
+from .modp import gcd_mod, prime
 from .mpoly import bivar_squarefree, eliminant_bound_sq, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
-    CPoint,
     RationalMapLift,
     check_cap,
     form_eval,
+    poly_deriv,
+    poly_mul,
+    poly_trim,
 )
-from .roots import roots_batch
 
 #: a curve in P^1 x P^1 is a two-block hypersurface with canonical normalization
 Curve2 = Hypersurface
-VERIFY_SAMPLES = 20  # points of C whose images must annihilate a pushforward
-VERIFY_TOL = 1e-8  # largest residual of the scaled image form at those points
+CHECK_FIBERS = 2  # seeded fibers per block on which every pushforward is checked
 
 
 def make_curve(terms, bidegree) -> Curve2:
     return Hypersurface.make(2, bidegree, terms)
+
+
+def _dense(C: Curve2) -> list:
+    """The coefficients of C: entry [k][l] is that of x1^k x2^l."""
+    out = [[0] * (C.multidegree[1] + 1) for _ in range(C.multidegree[0] + 1)]
+    for (k, l), c in C.terms:
+        out[k][l] = c
+    return out
 
 
 def _reduce_to_curve(r2, formal_u: int, formal_s: int) -> Curve2:
@@ -70,68 +79,13 @@ def _reduce_to_curve(r2, formal_u: int, formal_s: int) -> Curve2:
     return Hypersurface.make(2, (du, ds), out)
 
 
-def _sample_curve_points(C: Curve2, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Numeric points on C: random x1 values, x2 from the fiber roots.
-
-    When the form does not involve block 2 (a union of vertical lines), x1
-    ranges over the roots instead and the random value stands in for x2.
-    The k = ceil(count / roots per row) fiber rows are solved by one
-    `roots_batch` call.  Their random values come from one normal draw of
-    2k numbers, the stream of k scalar pairs; rows of scale below 1e-12 are
-    skipped and replaced from the same stream, and no row past the k-th
-    usable one is drawn.  Each row is built on Python complex scalars, and
-    roots_batch solves each row on its own, so the points are those of
-    drawing and solving one row at a time.  Returns the (4, count) complex
-    array of sup-normalized pairs x1, y1, x2, y2.
-    """
-    d2 = C.multidegree[1]
-    free = 2 if d2 else 1
-    per_row = C.multidegree[free - 1]
-    if not per_row:
-        raise EliminationFailure("a constant form has no points to sample")
-    need = -(-count // per_row)
-    budget = 40 * count
-    fixed, rows = [], []
-    while len(fixed) < need and budget:
-        take = min(need - len(fixed), budget)
-        budget -= take
-        draws = rng.normal(size=2 * take).tolist()
-        drawn = [CPoint.from_affine(complex(re, im))
-                 for re, im in zip(draws[0::2], draws[1::2])]
-        block = np.concatenate([C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
-                                for p1 in drawn])
-        scale = np.abs(block).max(axis=1)
-        keep = ~(scale < 1e-12) if d2 else np.ones(take, dtype=bool)
-        fixed += [p1 for p1, k in zip(drawn, keep) if k]
-        rows.append(block[keep] / scale[keep, None])
-    if len(fixed) < need:
-        raise EliminationFailure("could not sample enough numeric points on the curve")
-    roots = roots_batch(np.concatenate(rows)).ravel()[:count]
-    pts = [(fixed[k // per_row], _chartpoint(r)) for k, r in enumerate(roots)]
-    if not d2:
-        pts = [(p1, p2) for p2, p1 in pts]
-    return np.array([[p1.x, p1.y, p2.x, p2.y] for p1, p2 in pts]).T
-
-
-def _chartpoint(r: complex) -> CPoint:
-    if not np.isfinite(r):
-        return CPoint.at_infinity()
-    return CPoint.from_affine(complex(r))
-
-
 def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
                       cap_digits: int = DEFAULT_DIGIT_CAP) -> Curve2:
-    """The image curve (f, g)(C), squarefree and canonically normalized;
-    CapExceeded before any prime if the eliminant's coefficient bound does
-    not fit in cap_digits.
-
-    Verified on VERIFY_SAMPLES numeric points of C: their images must annihilate
-    the output form to relative tolerance VERIFY_TOL (EliminationFailure otherwise).
-    """
+    """The image curve (f, g)(C), squarefree, canonically normalized and
+    checked by _verify_pushforward; CapExceeded before any prime if the
+    eliminant's coefficient bound does not fit in cap_digits."""
     d1, d2 = C.multidegree
-    dense = [[0] * (d2 + 1) for _ in range(d1 + 1)]
-    for (i, j), c in C.terms:
-        dense[i][j] = c
+    dense = _dense(C)
     F, G = (f.f0, f.f1), (g.f0, g.f1)
     check_cap(math.isqrt(eliminant_bound_sq(dense, F, G)), cap_digits, "curve coefficient bound")
     r2 = resultant_formal(dense, F, G)
@@ -142,38 +96,54 @@ def curve_pushforward(C: Curve2, f: RationalMapLift, g: RationalMapLift,
 
 
 def _verify_pushforward(C, image, f, g) -> None:
-    pts = _sample_curve_points(C, VERIFY_SAMPLES, np.random.default_rng(20240808))
-    residuals = _residuals(image, f, g, pts)
-    worst = residuals.max()
-    if not worst <= VERIFY_TOL:  # a NaN residual verifies nothing: it fails too
-        raise EliminationFailure(
-            f"pushforward verification failed: worst residual {worst:.3e} over "
-            f"{len(residuals)} sampled points (tol {VERIFY_TOL:.0e})")
+    """EliminationFailure unless image vanishes on (f, g)(C), checked exactly
+    mod p = prime(0): in each block where C has positive degree, on
+    CHECK_FIBERS fibers over seeded t mod p in the other coordinate (fibers
+    that vanish identically are skipped), image(f(x1), g(x2)) must vanish at
+    every point of the fiber, a root at infinity on its own and the others
+    through the squarefree part of the fiber form.  A wrong image passes one
+    fiber with probability at most deg/p (Schwartz, J. ACM 27, 1980).
+    """
+    p, rng = prime(0), random.Random(20240808)
+    forms = [[[c % p for c in row] for row in _dense(H)] for H in (C, image)]
+    for i, (free, fixed) in enumerate(((f, g), (g, f))):
+        if not C.multidegree[i]:
+            continue
+        # rows by the power of the free coordinate, entries by that of the other
+        Crows, Irows = (M if i == 0 else list(zip(*M)) for M in forms)
+        for _ in range(CHECK_FIBERS):
+            while True:  # draw t until the fiber and its image are nonzero mod p
+                t = rng.randrange(p)
+                fiber = [form_eval(row, t, 1) % p for row in Crows]
+                at_t = [form_eval(h, t, 1) % p for h in (fixed.f0, fixed.f1)]
+                if any(fiber) and any(at_t):
+                    break
+            c = [form_eval(row, *at_t) % p for row in Irows]
+            affine = poly_trim(fiber)
+            if (not fiber[-1] and form_eval(c, free.f0[-1], free.f1[-1]) % p
+                    or len(affine) > 1 and any(_ring_form_mod(c, free, affine, p))):
+                raise EliminationFailure(f"pushforward check failed mod {p}")
 
 
-def _residuals(image, f, g, pts) -> np.ndarray:
-    """|image form| at (f, g) of each point, coefficients scaled to max 1."""
-    x1, y1, x2, y2 = pts
-    du, ds = image.multidegree
-    coef = np.zeros((du + 1, ds + 1))
-    for (i, j), c in image.scaled_coefficients().items():
-        coef[i, j] = c
-    return np.abs(np.einsum("ki,ij,kj->k", _image_powers(f, x1, y1, du), coef,
-                            _image_powers(g, x2, y2, ds)))
+def _rem_mod(a, b, p: int) -> list:
+    """a mod b over F_p, as a list; b[-1] is a unit mod p."""
+    a, n, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    for k in reversed(range(len(a) - n)):
+        q = a[k + n] * inv % p
+        for j in range(n):
+            a[k + j] -= q * b[j]
+    return [v % p for v in a[:n]]
 
 
-def _image_powers(F: RationalMapLift, x, y, deg: int) -> np.ndarray:
-    """Rows (u^k v^(deg-k))_k, (u : v) the sup-normalized image of each (x : y)."""
-    u, v = (form_eval(f, x, y) for f in F.float_forms[:2])
-    m = np.maximum(np.abs(u), np.abs(v))
-    return _powers(u / m, deg) * _powers(v / m, deg)[:, ::-1]
-
-
-def _powers(z: np.ndarray, deg: int) -> np.ndarray:
-    """Rows (z^0, ..., z^deg) by repeated products."""
-    out = np.ones((len(z), deg + 1), dtype=complex)
-    out[:, 1:] = z[:, None]
-    return np.cumprod(out, axis=1)
+def _ring_form_mod(c, h: RationalMapLift, a, p: int) -> list:
+    """E = sum_k c_k h0^k h1^(n-k), n = len(c) - 1, by Horner in F_p[x] / (a),
+    a of degree 1 to p - 1, times gcd(a, a'): a = m gcd(a, a') with m the
+    squarefree part of a, so the result is 0 exactly when m divides E."""
+    acc, w = [0], [1]
+    for ck in reversed(c):
+        acc = [u + ck * v for u, v in zip_longest(poly_mul(acc, h.f0), w, fillvalue=0)]
+        acc, w = _rem_mod(acc, a, p), _rem_mod(poly_mul(w, h.f1), a, p)
+    return _rem_mod(poly_mul(acc, gcd_mod(a, poly_deriv(a), p).tolist()), a, p)
 
 
 @dataclass(frozen=True)

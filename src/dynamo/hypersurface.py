@@ -29,7 +29,7 @@ def _multiply_out(terms, multidegree, values):
     scalars or numpy arrays.  Blocks absent from values stay free; callers
     file each product under the free block's exponent.  Factors are applied
     block by block, x before y, skipping zero powers: this order fixes the
-    float rounding of the sampled measures and of the curve checks.
+    float rounding of the sampled measures.
     """
     blocks = sorted(values)
     for exps, coeff in terms:
@@ -127,25 +127,19 @@ class Hypersurface:
         """Vectorized complex fiber coefficients for many samples at once.
 
         pairs maps axis j != i to (x_j, y_j) arrays of length n_rows (complex
-        scalars broadcast); returns an (n_rows, multidegree[i]+1) complex
-        matrix, the transposed view of a (multidegree[i]+1, n_rows) array, as
-        `roots_batch` reads it, from the cached `float_coefficients` of the form.
+        scalars broadcast); returns the (multidegree[i]+1, n_rows) complex
+        matrix of coefficient columns, from the cached `float_coefficients`.
         """
         others = {j: pairs[j] for j in range(1, self.n + 1) if j != i}
         out = np.zeros((self.multidegree[i - 1] + 1, n_rows), dtype=complex)
         for exps, val in _multiply_out(self._float_terms, self.multidegree, others):
             out[exps[i - 1]] += val
-        return out.T
+        return out
 
     @cached_property
     def _float_terms(self) -> tuple:
         floats, _ = float_coefficients([c for _, c in self.terms])
         return tuple((exps, c) for (exps, _), c in zip(self.terms, floats))
-
-    def scaled_coefficients(self) -> dict:
-        """Terms divided exactly by the max |coefficient|; floats in [-1, 1]."""
-        m = max(abs(c) for _, c in self.terms)
-        return {e: float(Fraction(c, m)) for e, c in self.terms}
 
     # -- heuristic irreducibility probes --------------------------------------
 

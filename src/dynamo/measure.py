@@ -273,7 +273,7 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
         v = base.values[:, col]
         inv = base.inverted[:, col]
         pairs[j] = (np.where(inv, 1.0 + 0j, v), np.where(inv, v, 1.0 + 0j))
-    cols = H.fiber_coeff_matrix(i, pairs, n).T
+    cols = H.fiber_coeff_matrix(i, pairs, n)
     scale = np.max(np.abs(cols), axis=0)
     good = scale > 1e-13
     discarded = int(np.sum(~good))

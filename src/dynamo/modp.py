@@ -124,8 +124,15 @@ def inv_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p for entries in [0, p): A is split into 16-bit halves so
-    that no int64 sum overflows (inner dimension below 2^15)."""
-    return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B) % p
+    that no int64 sum overflows (inner dimension below 2^15).  A product of
+    at least 2^13 terms with inner dimension at most 128 runs in float64
+    (BLAS) instead, with B taken in (-p/2, p/2): every term is below 2^46
+    and every sum below 2^53, so the float sums are exact."""
+    if A.shape[-1] <= 128 and A.size * B.shape[-1] >= 1 << 13:
+        B = np.where(B > p // 2, B - p, B).astype(np.float64)
+    hi = ((A >> 16).astype(B.dtype, copy=False) @ B).astype(np.int64, copy=False)
+    lo = ((A & 0xFFFF).astype(B.dtype, copy=False) @ B).astype(np.int64, copy=False)
+    return (hi % p * 65536 + lo) % p
 
 
 def det_mod(E: np.ndarray, p: int) -> np.ndarray:
@@ -135,6 +142,9 @@ def det_mod(E: np.ndarray, p: int) -> np.ndarray:
     are divided out by one inverse at the end.
     """
     n = E.shape[-1]
+    if n <= 2:  # products below 2^62: the 2 x 2 formula needs no inverse
+        return (E[:, 0, 0] if n == 1 else
+                (E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]) % p)
     E = E.copy()
     rows = np.arange(len(E))
     num = np.ones(len(E), dtype=np.int64)

@@ -3,9 +3,10 @@
 resultant_formal computes the eliminant r2(u, s) of a plane curve under a
 split map (f, g) by dense modular elimination (Collins 1971; Monagan 2005).
 For each 31-bit prime it evaluates r2 mod p on a grid of (deg g * d1 + 1) x
-(deg f * d2 + 1) points, as a product of the curve over pairs of roots
-computed by numpy int64 determinants of companion-matrix Kronecker sums, and
-interpolates; the residue helpers and the prime stream are `modp`'s.
+(deg f * d2 + 1) points, as a product of the curve over pairs of roots:
+norms from F_p[x] / (f0 - u f1) and then F_p[x] / (g0 - s g1), each the
+determinant of a multiplication matrix in numpy int64, and interpolates;
+the residue helpers and the prime stream are `modp`'s.
 Reduction mod p commutes with the Sylvester determinants, so every prime
 gives r2 mod p exactly; there are no unlucky primes, only grid points where
 a leading coefficient vanishes, and a prime with one of those is skipped.
@@ -72,9 +73,23 @@ def _grid(count: int, lift) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _companion_powers(lift, ts: np.ndarray, top: int, p: int):
-    """N_t^i (i = 0..top) for the companion matrix N_t of (f0 - t f1) / lc,
-    with the leading coefficients lc; None when some lc vanishes mod p."""
+def _x_multiples(v: np.ndarray, monic: np.ndarray, count: int, p: int) -> np.ndarray:
+    """v, x v, ..., x^(count-1) v modulo x^a + sum_r monic_r x^r, stacked on a
+    new last axis; v holds coefficients of 1, x, ..., x^(a-1) on its last
+    axis, and monic broadcasts against it."""
+    out = [v]
+    while len(out) < count:
+        v = out[-1]
+        shifted = np.zeros(v.shape, dtype=np.int64)
+        shifted[..., 1:] = v[..., :-1]
+        out.append((shifted - v[..., -1:] * monic) % p)
+    return np.stack(out, axis=-1)
+
+
+def _x_powers(lift, ts: np.ndarray, top: int, p: int):
+    """x^k (k = 0..top, last axis) modulo each form (f0 - t f1) / lc, with the
+    forms' low coefficients and leading coefficients lc; None when some lc
+    vanishes mod p."""
     f0 = np.array([c % p for c in lift[0]], dtype=np.int64)
     f1 = np.array([c % p for c in lift[1]], dtype=np.int64)
     a = len(f0) - 1
@@ -83,14 +98,15 @@ def _companion_powers(lift, ts: np.ndarray, top: int, p: int):
     if not lc.all():
         return None
     monic = forms[:, :a] * inv_mod(lc, p)[:, None] % p
-    N = np.zeros((len(ts), a, a), dtype=np.int64)
-    N[:, 1:, :-1] = np.eye(a - 1, dtype=np.int64)
-    N[:, :, a - 1] = (p - monic) % p
-    powers = np.empty((len(ts), top + 1, a, a), dtype=np.int64)
-    powers[:, 0] = np.eye(a, dtype=np.int64)
-    for i in range(1, top + 1):
-        powers[:, i] = matmul_mod(powers[:, i - 1], N, p)
-    return powers, lc
+    one = np.eye(1, a, dtype=np.int64).repeat(len(ts), axis=0)
+    return _x_multiples(one, monic, top + 1, p), monic, lc
+
+
+def _norm(v: np.ndarray, monic: np.ndarray, p: int) -> np.ndarray:
+    """The product of v over the roots of the monic form: the determinant of
+    multiplication by v, whose columns are the x^j v."""
+    M = _x_multiples(v, monic, v.shape[-1], p)
+    return det_mod(M.reshape(-1, *M.shape[-2:]), p).reshape(v.shape[:-1])
 
 
 def eliminant_bound_sq(C, F, G) -> int:
@@ -114,36 +130,40 @@ def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
     """Coefficients of r2 mod p, or None when a grid point is bad mod p.
 
     At each grid point r2(u, s) = (-1)^(ab(d1+d2)) lc(F_u)^(b d1)
-    lc(G_s)^(a d2) det C(N_u (x) I, I (x) M_s), N_u and M_s the companion
-    matrices of F_u = f0 - u f1 and G_s = g0 - s g1: the determinant is the
-    product of C over the pairs of their roots.
+    lc(G_s)^(a d2) N_s(P_u), for F_u = f0 - u f1 and G_s = g0 - s g1, with
+    N_u and N_s the norms (`_norm`) from F_p[x] modulo them: P_u(x2) =
+    N_u(C(x, x2)) is the product of C(alpha, x2) over the roots alpha of
+    F_u, of degree at most a d2, interpolated from its values at x2 in ss,
+    and N_s(P_u) the product of C over the pairs of roots.
     """
     d1, d2 = len(C) - 1, len(C[0]) - 1
     a, b = len(F[0]) - 1, len(G[0]) - 1
-    nu = _companion_powers(F, us, d1, p)
-    ms = _companion_powers(G, ss, d2, p)
+    nu, ms = _x_powers(F, us, d1, p), _x_powers(G, ss, a * d2, p)
     if nu is None or ms is None:
         return None
-    (Npow, lc_f), (Mpow, lc_g) = nu, ms
+    (xu, monic_f, lc_f), (xs, monic_g, lc_g) = nu, ms
     U, S = len(us), len(ss)
-    cmod = np.array([[c % p for c in row] for row in C], dtype=np.int64)
-    # W[i] = sum_j c_ij M_s^j, laid out (i, (s, l, l'))
-    W = matmul_mod(cmod, Mpow.transpose(1, 0, 2, 3).reshape(d2 + 1, S * b * b), p)
-    A = Npow.transpose(0, 2, 3, 1).reshape(U * a * a, d1 + 1)
+    Ls = interpolation_matrix(ss, p)
+    Lu = Ls if np.array_equal(us, ss) else interpolation_matrix(us, p)
+    cx = np.zeros((d1 + 1, S), dtype=np.int64)  # sum_j c_ij x2^j at x2 in ss
+    for col in reversed(list(zip(*C))):
+        cx = (cx * ss + np.array([c % p for c in col], dtype=np.int64)[:, None]) % p
+    A = xu.reshape(U * a, d1 + 1)
+    B = xs.transpose(2, 0, 1).reshape(a * d2 + 1, S * b)
     det = np.empty((U, S), dtype=np.int64)
-    step = max(1, _BLOCK // (a * a * S * b * b))
+    step = max(1, _BLOCK // (S * (a * a + b * b)))
     for u0 in range(0, U, step):
         u1 = min(U, u0 + step)
-        # sum_i N_u^i (x) W[i], rows and columns ordered (k, l)
-        E = matmul_mod(A[u0 * a * a:u1 * a * a], W, p)
-        E = E.reshape(u1 - u0, a, a, S, b, b).transpose(0, 3, 1, 4, 2, 5)
-        det[u0:u1] = det_mod(E.reshape(-1, a * b, a * b), p).reshape(u1 - u0, S)
+        # C(x, x2) mod F_u at x2 in ss, laid out (u, x2, power of x)
+        P = matmul_mod(A[u0 * a:u1 * a], cx, p).reshape(u1 - u0, a, S).transpose(0, 2, 1)
+        P = _norm(P, monic_f[u0:u1, None, :], p)
+        # P_u(x) mod G_s from the coefficients of P_u, laid out (u, s, power of x)
+        Q = matmul_mod(matmul_mod(P, Ls, p), B, p).reshape(u1 - u0, S, b)
+        det[u0:u1] = _norm(Q, monic_g[None, :, :], p)
     vals = det * pow_mod(lc_f, b * d1, p)[:, None] % p
     vals = vals * pow_mod(lc_g, a * d2, p)[None, :] % p
     if a * b * (d1 + d2) % 2:
         vals = (p - vals) % p
-    Lu = interpolation_matrix(us, p)
-    Ls = Lu if np.array_equal(us, ss) else interpolation_matrix(ss, p)
     return matmul_mod(matmul_mod(Lu.T, vals, p), Ls, p)
 
 

@@ -268,7 +268,7 @@ def test_criterion_11_curve_orbit():
     ok = all(results) and verified and increasing
     degs = list(growth.bidegrees) if growth else []
     _report(11, ok, f"fixed curves detected (0,1) in <= 2 iterations; shifted graph "
-                    f"bidegrees {degs}; all pushforwards verified on 20 points")
+                    f"bidegrees {degs}; all pushforwards checked exactly mod p")
 
 
 def test_criterion_12_ms_pipeline():

@@ -373,13 +373,14 @@ def test_curve_orbit_of_steep_line(steep_line_json, sq_json):
     assert res["bidegrees"] == [[1, 1], [1, 1]] and res["preperiodic"] is False
 
 
-def test_curve_orbit_beyond_float_range_is_computation_error(steep_line_json, sq_json,
-                                                             capsys):
-    # the third step samples x2 = 10^320 x1 numerically: a typed failure
-    code, _ = _run(["curve-orbit", "--hyp", steep_line_json,
-                    "--map", sq_json, sq_json, "--max-iter", "3", "--json"])
-    assert code == 2
-    assert "float range" in capsys.readouterr().err
+def test_curve_orbit_beyond_float_range_runs(steep_line_json, sq_json):
+    # the third step is x2 = 10^320 x1, whose coefficient no float holds:
+    # the float check of the pushforward failed there (exit 2)
+    code, text = _run(["curve-orbit", "--hyp", steep_line_json,
+                       "--map", sq_json, sq_json, "--max-iter", "3", "--json"])
+    assert code == 0
+    res = json.loads(text)["result"]
+    assert res["bidegrees"] == [[1, 1]] * 4 and res["preperiodic"] is False
 
 
 @pytest.mark.parametrize("text", ['{"num": 5}', '[1, 2]', '{"num": ["1", "0", "1"], "den": 3}',
@@ -668,7 +669,9 @@ def test_map_beyond_float_range_runs_every_command(near_basilica_json, basilica_
 def test_former_overflow_tracebacks_are_computation_errors(tmp_path, diagonal_json,
                                                            basilica_json, argv):
     # curve-orbit and ms-check on z^2 + 10^400, and compare-measures on
-    # 10^400 X1 Y2 - X2 Y1, ended in a bare OverflowError traceback (exit 1)
+    # 10^400 X1 Y2 - X2 Y1, ended in a bare OverflowError traceback (exit 1).
+    # compare-measures samples in floats and still fails, typed; the
+    # pushforward check is exact, so the other two certify the diagonal fixed
     huge_map = tmp_path / "huge.json"
     huge_map.write_text(json.dumps({"num": [str(_B), "0", "1"]}))
     huge_hyp = tmp_path / "huge_hyp.json"
@@ -676,6 +679,12 @@ def test_former_overflow_tracebacks_are_computation_errors(tmp_path, diagonal_js
         {"exps": [1, 0], "coeff": str(_B)}, {"exps": [0, 1], "coeff": "-1"}]}))
     files = {"D": diagonal_json, "S": str(huge_map), "H": str(huge_hyp), "B": basilica_json}
     proc = run_python("-m", "dynamo.cli", *[files.get(a, a) for a in argv])
+    if argv[0] != "compare-measures":
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [line for line in proc.stdout.splitlines() if not line.startswith("#")]
+        assert rows[1].startswith({"curve-orbit": "True,", "ms-check": "pair curve is "
+                                   "preperiodic under the matched iterates,True,"}[argv[0]])
+        return
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr

@@ -1,29 +1,22 @@
 """Curve pushforward by resultant elimination, and curve orbits."""
 
-import copy
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from dynamo.curves import (
-    _chartpoint,
-    _residuals,
-    _sample_curve_points,
+    _verify_pushforward,
     curve_orbit,
     curve_pushforward,
     make_curve,
 )
-from dynamo.errors import CapExceeded, EliminationFailure, RootFindingFailure
-from dynamo.hypersurface import (
-    _multiply_out,
-    diagonal_surface,
-    graph_surface,
-)
-from dynamo.projective import CPoint, RationalMapLift, evaluate_cpoint
-from dynamo.roots import roots_batch
+from dynamo.errors import CapExceeded, EliminationFailure
+from dynamo.exceptional import power_map
+from dynamo.hypersurface import diagonal_surface, graph_surface
+from dynamo.projective import RationalMapLift
 
+from conftest import poly_lift
 from json_forms import hypersurface_to_json
 
 
@@ -68,7 +61,7 @@ def test_pushforward_squarefree_collapse(sq):
 def test_pushforward_with_mixed_repeated_factors(sq, monkeypatch):
     # the eliminants of (x2 - x1)(x2 - x1 - 1) under (z^2, z^2) have factors
     # of different multiplicities, so the squarefree reduction takes the
-    # modular-gcd fallback; each image must also pass the numeric check.
+    # modular-gcd fallback; each image must also pass the exact check.
     # The fourth step's (18, 18) eliminant keeps the gcd's cost in view.
     import dynamo.mpoly
 
@@ -161,134 +154,96 @@ def test_pushforward_of_line_with_huge_slope(sq):
     assert image == make_curve({(0, 1): 1, (1, 0): -(10**160)}, (1, 1))
 
 
-def _sample_one_row_at_a_time(C, count, rng):
-    """The verification sampler as a per-point loop: one draw and one solve per row."""
-    pts = []
-    guard = 0
-    d2 = C.multidegree[1]
-    free = 2 if d2 else 1
-    while len(pts) < count and guard < 40 * count:
-        guard += 1
-        z = complex(rng.normal(), rng.normal())
-        p1 = CPoint.from_affine(z)
-        row = C.fiber_coeff_matrix(free, {3 - free: (p1.x, p1.y)}, 1)
-        scale = np.max(np.abs(row))
-        if d2 and scale < 1e-12:
-            continue
-        for r in roots_batch(row / scale)[0]:
-            if len(pts) < count:
-                pts.append((p1, _chartpoint(r)) if d2 else (_chartpoint(r), p1))
-    if len(pts) < count:
-        raise EliminationFailure("could not sample enough numeric points on the curve")
-    return np.array([[p1.x, p1.y, p2.x, p2.y] for p1, p2 in pts]).T
+# the curves of the benchmark's harness jobs: x1 = x2, x1 x2 = 1, x2 = x1^2 + 1
+# and x2 = x1^2
+_BENCH_CURVES = {
+    "diag": diagonal_surface(),
+    "hyper": make_curve({(1, 1): 1, (0, 0): -1}, (1, 1)),
+    "graph": graph_surface([1, 0, 1]),
+    "square": graph_surface([0, 0, 1]),
+}
+_MAPS = {
+    "sq": poly_lift(0, 0, 1),
+    "basilica": poly_lift(-1, 0, 1),
+    "cubic": poly_lift(1, 0, 0, 1),
+    "cheb3": poly_lift(0, -3, 0, 1),
+    "lattes": RationalMapLift.make([1, 0, 2, 0, 1], [0, -4, 0, 4, 0]),
+    "inv": RationalMapLift.make([1, 0, 1], [0, 0, 2]),
+}
 
 
-class _Stream:
-    """A fixed list of normal deviates, served one at a time or as an array."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.used = 0
-
-    def normal(self, size=None):
-        n = 1 if size is None else size
-        out = self.values[self.used:self.used + n]
-        self.used += n
-        return out[0] if size is None else np.array(out)
+def _bumped(C, k: int):
+    """C with its k-th coefficient raised by 1: not the same curve."""
+    return make_curve({e: c + (j == k) for j, (e, c) in enumerate(C.terms)}, C.multidegree)
 
 
-# (x1 - 1)(x2 - 2): the fiber over x1 = 1 vanishes identically
-_DEGENERATE_AT_ONE = make_curve({(1, 1): 1, (1, 0): -2, (0, 1): -1, (0, 0): 2}, (1, 1))
-
-# rows of degree 1, 2 and 8 in x2, then forms without x2 (vertical lines)
-_SAMPLED_CURVES = [
-    diagonal_surface(),
-    graph_surface([1, 1]),
-    make_curve({(2, 0): 1, (1, 1): -2, (0, 2): 1, (1, 0): -2, (0, 1): -2, (0, 0): 1}, (2, 2)),
-    make_curve({(0, 8): 1, (1, 5): -1, (1, 3): 3, (2, 0): -2, (0, 0): 1}, (2, 8)),
-    make_curve({(1, 0): 1, (0, 0): -2}, (1, 0)),
-    make_curve({(3, 0): 1, (1, 0): -2, (0, 0): 5}, (3, 0)),
-    _DEGENERATE_AT_ONE,
-]
+@pytest.mark.parametrize("curve", sorted(_BENCH_CURVES))
+@pytest.mark.parametrize("maps", [("sq", "sq"), ("basilica", "cubic"), ("lattes", "inv"),
+                                  ("cheb3", "sq")])
+def test_check_accepts_the_image_and_rejects_a_bumped_coefficient(curve, maps):
+    C, (f, g) = _BENCH_CURVES[curve], (_MAPS[m] for m in maps)
+    image = curve_pushforward(C, f, g)  # runs the check
+    for k in range(len(image.terms)):
+        with pytest.raises(EliminationFailure, match="pushforward check failed"):
+            _verify_pushforward(C, _bumped(image, k), f, g)
 
 
-@pytest.mark.parametrize("C", _SAMPLED_CURVES, ids=lambda C: str(C.multidegree))
-@pytest.mark.parametrize("count", [1, 7, 20])
-@pytest.mark.parametrize("seed", [0, 20240808])
-def test_batched_sampler_matches_row_by_row_loop(C, count, seed):
-    # one normal draw and one roots_batch call must give the points, bit for
-    # bit, and leave the generator where the per-row loop leaves it
-    rng = np.random.default_rng(seed)
-    ref_rng = copy.deepcopy(rng)
-    got = _sample_curve_points(C, count, rng)
-    want = _sample_one_row_at_a_time(C, count, ref_rng)
-    assert got.shape == (4, count)
-    assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+# (x1 - 1)(x2 - x1): fixed under (z^2, z^2); its line x1 = 1 shows only in
+# the fibers over x2
+_LINE_PAIR = make_curve({(1, 1): 1, (2, 0): -1, (0, 1): -1, (1, 0): 1}, (2, 1))
 
 
-def test_batched_sampler_tops_up_degenerate_rows():
-    # rows 2 and 3 sit on x1 = 1 and are skipped; the batch must replace them
-    # from the same stream and draw no row past the last one it needs
-    values = [0.3, -0.7, 1.0, 0.0, 1.0, 0.0, 0.5, 0.2, -1.1, 0.4, 2.0, 2.0]
-    new, ref = _Stream(values), _Stream(values)
-    got = _sample_curve_points(_DEGENERATE_AT_ONE, 3, new)
-    want = _sample_one_row_at_a_time(_DEGENERATE_AT_ONE, 3, ref)
-    assert got.tobytes() == want.tobytes()
-    assert new.used == ref.used == 10
+@pytest.mark.parametrize("C, wrong, g", [
+    # the mirror u^2 = s^3 of the image s^2 = u^3 of the diagonal under (z^2, z^3)
+    (diagonal_surface(), make_curve({(2, 0): 1, (0, 3): -1}, (2, 3)), power_map(3)),
+    # (x2 - x1) Y1 is the diagonal plus the line x1 = inf; its image has the
+    # factor Y1 (u = inf), which the same terms at bidegree (1, 1) lose, and
+    # only the root at infinity of each fiber over x2 shows it
+    (make_curve({(0, 1): 1, (1, 0): -1}, (2, 1)), diagonal_surface(), power_map(2)),
+    # the image of _LINE_PAIR without that of x1 = 1, alone or times Y1, and
+    # of its mirror (x2 - 1)(x1 - x2) without that of x2 = 1
+    (_LINE_PAIR, diagonal_surface(), power_map(2)),
+    (_LINE_PAIR, make_curve({(0, 1): 1, (1, 0): -1}, (2, 1)), power_map(2)),
+    (make_curve({(1, 1): 1, (0, 2): -1, (1, 0): -1, (0, 1): 1}, (1, 2)), diagonal_surface(),
+     power_map(2)),
+], ids=["swapped-blocks", "bidegree", "missing-line", "missing-line-same-bidegree",
+        "missing-horizontal-line"])
+def test_check_rejects_a_wrong_form(sq, C, wrong, g):
+    assert curve_pushforward(C, sq, g) != wrong
+    with pytest.raises(EliminationFailure, match="pushforward check failed"):
+        _verify_pushforward(C, wrong, sq, g)
 
 
-def test_batched_sampler_gives_up_where_the_loop_does():
-    # every row degenerate: both stop after 40 * count draws
-    new, ref = _Stream([1.0, 0.0] * 400), _Stream([1.0, 0.0] * 400)
-    with pytest.raises(EliminationFailure):
-        _sample_curve_points(_DEGENERATE_AT_ONE, 5, new)
-    with pytest.raises(EliminationFailure):
-        _sample_one_row_at_a_time(_DEGENERATE_AT_ONE, 5, ref)
-    assert new.used == ref.used == 400
+@pytest.mark.parametrize("C, image", [
+    # non-reduced: the fibers are squares, and the check reads their squarefree part
+    (make_curve({(0, 2): 1, (1, 1): -2, (2, 0): 1}, (2, 2)), diagonal_surface()),
+    # two vertical lines x1 = +-1, free of x2, with one image x1 = 1
+    (make_curve({(2, 0): 1, (0, 0): -1}, (2, 0)), make_curve({(1, 0): 1, (0, 0): -1}, (1, 0))),
+    (_LINE_PAIR, _LINE_PAIR),
+    # the diagonal plus the line x1 = inf, whose image is u = inf
+    (make_curve({(0, 1): 1, (1, 0): -1}, (2, 1)), make_curve({(0, 1): 1, (1, 0): -1}, (2, 1))),
+    # (x1 - 1)(x2 - 2): the fiber over x1 = 1 vanishes identically
+    (make_curve({(1, 1): 1, (1, 0): -2, (0, 1): -1, (0, 0): 2}, (1, 1)),
+     make_curve({(1, 1): 1, (1, 0): -4, (0, 1): -1, (0, 0): 4}, (1, 1))),
+], ids=["square", "vertical", "line-pair", "line-at-infinity", "degenerate-fiber"])
+def test_check_accepts_special_curves(sq, C, image):
+    assert curve_pushforward(C, sq, sq) == image
 
 
-def test_shift_square_graph_fails_at_the_sixteen_eight_check(sq):
-    # the recorded root-solver defect: x2 = x1^2 + 1 under (z^2, z^2) passes
-    # four checks, and a degree-8 fiber row of the (16, 8) curve does not
-    # converge; one unconverged row still fails the whole check
-    C = graph_surface([1, 0, 1])
-    bidegrees = []
-    for _ in range(4):
-        C = curve_pushforward(C, sq, sq)
-        bidegrees.append(C.multidegree)
-    assert bidegrees == [(2, 1), (4, 2), (8, 4), (16, 8)]
-    with pytest.raises(RootFindingFailure):
-        curve_pushforward(C, sq, sq)
+def test_shift_square_graph_runs_to_sixty_four_thirty_two(sq):
+    # x2 = x1^2 + 1 under (z^2, z^2): a degree-8 fiber row of the (16, 8)
+    # curve did not converge in the float check that this exact one replaced
+    out = curve_orbit(graph_surface([1, 0, 1]), sq, sq)
+    assert not out.preperiodic
+    assert out.bidegrees[-2:] == ((32, 16), (64, 32))
 
 
-@pytest.mark.parametrize("k", range(4))
-def test_residuals_match_the_term_loop(sq, basilica, k):
-    # the dense product sums the image form's terms in another order than the
-    # per-point term loop; on true images (residuals near 0) and on a form
-    # that is not the image (residuals near 1) they agree to float rounding
-    from dynamo.exceptional import power_map
-
-    C, f, g = [(graph_surface([1, 1]), sq, sq),
-               (diagonal_surface(), sq, power_map(3)),
-               (graph_surface([-1, 0, 1]), basilica, basilica),
-               (make_curve({(0, 8): 1, (1, 5): -1, (1, 3): 3, (2, 0): -2, (0, 0): 1},
-                           (2, 8)), sq, basilica)][k]
-    image = curve_pushforward(C, f, g)
-    wrong = make_curve({(e, image.multidegree[1] - e % 2): e + 2 for e in range(3)},
-                       (2, image.multidegree[1]))
-    pts = _sample_curve_points(C, 20, np.random.default_rng(k))
-    for form in (image, wrong):
-        scaled = form.scaled_coefficients().items()
-        want = []
-        for x1, y1, x2, y2 in pts.T:
-            u, s = evaluate_cpoint(f, CPoint(x1, y1)), evaluate_cpoint(g, CPoint(x2, y2))
-            values = {1: (u.x, u.y), 2: (s.x, s.y)}
-            want.append(abs(sum(val for _, val in
-                                _multiply_out(scaled, form.multidegree, values))))
-        got = _residuals(form, f, g, pts)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * len(form.terms))
-        assert (max(got) > 0.01) == (form is wrong)
+def test_hyperbola_under_chebyshev_runs_to_thirty_two():
+    # x1 x2 = 1 under (z^2 - 2, z^2 - 2) ended at the same float check
+    cheb2 = poly_lift(-2, 0, 1)
+    out = curve_orbit(_BENCH_CURVES["hyper"], cheb2, cheb2, max_iter=6)
+    assert not out.preperiodic
+    assert out.bidegrees == ((1, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32))
 
 
 def test_curve_orbit_digit_cap_raises_cap_exceeded(monkeypatch):

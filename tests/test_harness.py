@@ -57,6 +57,18 @@ def test_fiber_invariant_graph_never_fails(basilica):
     assert res.fails == 0
 
 
+def test_fiber_irrational_roots_are_uncertified(sq):
+    # on x2 = x1^2, solving for x1 over x2 = -1 gives +-i: numeric roots,
+    # counted apart from the exact decisions, each with an escape-rate witness
+    res = fiber_preperiodicity_test(graph_surface([0, 0, 1]), [sq, sq], 1, trials=20, seed=0)
+    assert (res.passes, res.fails, res.uncertified, res.degenerate) == (21, 0, 8, 0)
+    assert len(res.witnesses) == 8
+    for w in res.witnesses:
+        assert w.assignment == {2: "-1"} and w.preperiodic is None
+        assert complex(w.root) in (1j, -1j)
+        assert w.detail.startswith("numeric root; uncertified escape-rate estimate")
+
+
 # -- measure comparison ----------------------------------------------------------
 
 def test_measure_compare_diagonal_same_maps(sq):

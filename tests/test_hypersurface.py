@@ -179,7 +179,7 @@ def test_fiber_matrix_matches_exact_fiber(n):
                      for j in range(1, n + 1) if j != i}
             mat = H.fiber_coeff_matrix(i, pairs, len(rows))
             exact = np.array([H.fiber_form_exact(i, r) for r in rows], dtype=complex)
-            assert np.array_equal(mat, exact)
+            assert np.array_equal(mat, exact.T)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,12 +1,12 @@
-"""Word-size prime arithmetic: the int64 Euclid against a list Euclid, and
-the CRT accumulator against the inline lift `mpoly.resultant_formal` had
-before."""
+"""Word-size prime arithmetic: the int64 Euclid against a list Euclid, the
+CRT accumulator against the inline lift `mpoly.resultant_formal` had
+before, and the matrix product against exact integer products."""
 
 import random
 
 import numpy as np
 
-from dynamo.modp import CrtLift, gcd_mod, prime
+from dynamo.modp import CrtLift, gcd_mod, matmul_mod, prime
 from dynamo.projective import poly_mul
 
 
@@ -135,3 +135,25 @@ def test_crt_reads_between_queued_primes():
                                             primes[:k + 1])[0]
     assert lift.read() == _old_lift([r[None] for r in residues], primes)[0]
     assert lift.modulus == int(np.prod(np.array(primes, dtype=object)))
+
+
+def test_matmul_mod_is_exact_on_both_paths():
+    # inner dimensions on each side of 128 and outputs on each side of 2^13
+    # terms.  Residues near p - 1 make the largest unsigned terms; low
+    # halves near 2^16 times residues just below p / 2 make the largest
+    # terms of one sign in (-p/2, p/2), whose sums over 128 come closest
+    # to 2^53 on the float path
+    p = prime(0)
+    rng = np.random.default_rng(11)
+    near = {"any": lambda n: rng.integers(0, p, size=n),
+            "top": lambda n: p - 1 - rng.integers(0, 1 << 20, size=n),
+            "low": lambda n: rng.integers(0, (1 << 15) - 1, size=n) << 16 | 0xFF00
+            | rng.integers(0, 256, size=n),
+            "half": lambda n: p // 2 - rng.integers(0, 1 << 20, size=n)}
+    for rows, inner, cols in [(2, 2, 2), (8, 8, 8), (130, 33, 33), (64, 128, 64),
+                              (16, 129, 16), (4, 1000, 4)]:
+        for a, b in [("any", "any"), ("top", "top"), ("low", "half")]:
+            A = near[a](rows * inner).reshape(rows, inner)
+            B = near[b](inner * cols).reshape(inner, cols)
+            want = (A.astype(object) @ B.astype(object)) % p
+            assert (matmul_mod(A, B, p) == want).all()
