@@ -68,9 +68,11 @@ class Hypersurface:
                 if e < 0 or e > multidegree[k]:
                     raise ValueError(f"exponent {e} outside multidegree {multidegree[k]}")
             keys.append(exps)
-            coeffs.append(Fraction(coeff))
+            coeffs.append(coeff)
+        if not all(type(c) is int for c in coeffs):  # clear denominators first
+            coeffs = primitive_int([Fraction(c) for c in coeffs])
         collected: dict = {}
-        for exps, c in zip(keys, primitive_int(coeffs)):
+        for exps, c in zip(keys, coeffs):
             collected[exps] = collected.get(exps, 0) + c
         collected = {e: c for e, c in collected.items() if c}
         if not collected:

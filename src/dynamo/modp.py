@@ -5,7 +5,10 @@ they share with `mpoly.resultant_formal`, and the residue helpers of
 elimination and interpolation (Brown 1971; Collins 1971; von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 5-6).
 `prime` finds the primes below 2^31 on first use, largest first; a product
-of two residues stays below 2^62, inside int64.
+of two residues stays below 2^62, inside int64.  The residue helpers take
+p as an int or as an int64 array that broadcasts against the residues, so
+that one call serves a whole batch of primes, one per row of a leading
+prime axis.
 """
 
 from __future__ import annotations
@@ -98,36 +101,48 @@ class CrtLift:
         return np.where(h > modulus // 2, h - modulus, h).tolist()
 
 
-def pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(x)
+def pow_mod(x: np.ndarray, e, p) -> np.ndarray:
+    """x^e mod p elementwise, left to right over the bits of e >= 0.  Here e
+    and p are ints or int64 arrays that broadcast against x; e's values lie
+    in [lo, hi], so its bits above the highest bit where lo and hi differ
+    are those of hi for every entry, and only the lower bits multiply where
+    they are set."""
+    lo, hi = (e, e) if isinstance(e, int) else (int(e.min()), int(e.max()))
+    split = (lo ^ hi).bit_length()
     base = x % p
-    while e:
-        if e & 1:
+    out = np.ones_like(base)
+    for k in reversed(range(hi.bit_length())):
+        out = out * out % p
+        if k < split:
+            out = np.where(e >> k & 1, out * base % p, out)
+        elif hi >> k & 1:
             out = out * base % p
-        base = base * base % p
-        e >>= 1
     return out
 
 
-def inv_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses mod p of nonzero residues.
+def inv_mod(x: np.ndarray, p) -> np.ndarray:
+    """Elementwise inverses mod p of nonzero residues; p is an int or an
+    int64 array that broadcasts against x.
 
-    Fermat's x^(p-2) is about 90 numpy calls whatever the size, which is
-    the cost of some 60 scalar inverses by Python's pow: short arrays take
-    the scalar path.
+    Fermat's x^(p-2) is about 90 numpy calls whatever the size (a few more
+    where the low bits of the primes differ), which is the cost of some 60
+    scalar inverses by Python's pow: short arrays take the scalar path.
     """
     if x.size > 64:
         return pow_mod(x, p - 2, p)
-    return np.array([pow(v, -1, p) for v in x.ravel().tolist()],
+    ps = (x * 0 + p).ravel().tolist()
+    return np.array([pow(v, -1, q) for v, q in zip(x.ravel().tolist(), ps)],
                     dtype=np.int64).reshape(x.shape)
 
 
-def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for entries in [0, p): A is split into 16-bit halves so
-    that no int64 sum overflows (inner dimension below 2^15).  A product of
-    at least 2^13 terms with inner dimension at most 128 runs in float64
-    (BLAS) instead, with B taken in (-p/2, p/2): every term is below 2^46
-    and every sum below 2^53, so the float sums are exact."""
+def matmul_mod(A: np.ndarray, B: np.ndarray, p) -> np.ndarray:
+    """A @ B mod p for entries in [0, p), over any leading stack axes; p is
+    an int or an int64 array that broadcasts against the product.  A is
+    split into 16-bit halves so that no int64 sum overflows (inner dimension
+    below 2^15).  A product of at least 2^13 terms with inner dimension at
+    most 128 runs in float64 (BLAS) instead, with B taken in (-p/2, p/2):
+    every term is below 2^46 and every sum below 2^53, so the float sums
+    are exact."""
     if A.shape[-1] <= 128 and A.size * B.shape[-1] >= 1 << 13:
         B = np.where(B > p // 2, B - p, B).astype(np.float64)
     hi = ((A >> 16).astype(B.dtype, copy=False) @ B).astype(np.int64, copy=False)
@@ -135,17 +150,21 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (hi % p * 65536 + lo) % p
 
 
-def det_mod(E: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a stack of square matrices (entries in [0, p)).
+def det_mod(E: np.ndarray, p) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices (entries in [0, p),
+    any leading stack axes); p is an int or an int64 array that broadcasts
+    against the determinants.
 
     Division-free elimination with per-matrix row swaps; the row scalings
     are divided out by one inverse at the end.
     """
     n = E.shape[-1]
     if n <= 2:  # products below 2^62: the 2 x 2 formula needs no inverse
-        return (E[:, 0, 0] if n == 1 else
-                (E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]) % p)
-    E = E.copy()
+        return (E[..., 0, 0] if n == 1 else
+                (E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]) % p)
+    shape = E.shape[:-2]
+    E = E.reshape(-1, n, n).copy()
+    p = (np.zeros(shape, dtype=np.int64) + p).reshape(-1)
     rows = np.arange(len(E))
     num = np.ones(len(E), dtype=np.int64)
     den = np.ones(len(E), dtype=np.int64)
@@ -157,35 +176,37 @@ def det_mod(E: np.ndarray, p: int) -> np.ndarray:
             top = E[i, k].copy()
             E[i, k] = E[i, j]
             E[i, j] = top
-            num[i] = (p - num[i]) % p
+            num[i] = (p[i] - num[i]) % p[i]
         piv = E[:, k, k].copy()
         num[piv == 0] = 0  # no pivot in this column: singular
         piv[piv == 0] = 1
         num = num * piv % p
         if k + 1 < n:
             E[:, k + 1:, k:] = (E[:, k + 1:, k:] * piv[:, None, None]
-                                - E[:, k + 1:, k, None] * E[:, None, k, k:]) % p
+                                - E[:, k + 1:, k, None] * E[:, None, k, k:]) % p[:, None, None]
             den = den * pow_mod(piv, n - k - 1, p) % p
-    return num * inv_mod(den, p) % p
+    return (num * inv_mod(den, p) % p).reshape(shape)
 
 
-def interpolation_matrix(points: np.ndarray, p: int) -> np.ndarray:
-    """L with L[k, m] the t^m coefficient of the k-th Lagrange basis mod p.
+def interpolation_matrix(points: np.ndarray, p) -> np.ndarray:
+    """L with L[..., k, m] the t^m coefficient of the k-th Lagrange basis
+    mod p, at integer points; p is an int (or a 0-d array), or an int64
+    array of shape (..., 1) for one matrix per prime.
 
-    With w = prod_j (t - x_j), the k-th basis is (w / (t - x_k)) / w'(x_k).
+    With w = prod_j (t - x_j), over Z and then mod p, the k-th basis is
+    q_k / q_k(x_k) with q_k = w / (t - x_k): synthetic division gives q_k
+    from the top down, and Horner evaluates q_k(x_k) = w'(x_k) as it goes.
     """
-    n = len(points)
+    n, w = len(points), [1]
+    for xj in points.tolist():
+        w = [u - xj * v for u, v in zip([0] + w, w + [0])]
+    w = np.array([[c % q for c in reversed(w)] for q in np.ravel(p).tolist()],
+                 dtype=np.int64).reshape(np.shape(p)[:-1] + (n + 1,))
     x = points % p
-    w = np.zeros(n + 1, dtype=np.int64)
-    w[0] = 1
-    for xj in x:
-        w = (np.concatenate(([0], w[:-1])) - xj * w) % p
-    num = np.empty((n, n), dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for i in range(n, 0, -1):  # synthetic division by t - x_k, all k at once
-        acc = (w[i] + acc * x) % p
-        num[:, i - 1] = acc
-    dw = np.zeros(n, dtype=np.int64)
-    for i in range(n, 0, -1):  # w'(x_k) by Horner
-        dw = (dw * x + i * w[i]) % p
-    return num * inv_mod(dw, p)[:, None] % p
+    num = np.empty(x.shape + (n,), dtype=np.int64)
+    acc = dw = np.zeros(x.shape, dtype=np.int64)
+    for i in range(n):  # all k at once
+        acc = (w[..., i:i + 1] + acc * x) % p
+        num[..., n - 1 - i] = acc
+        dw = (dw * x + acc) % p
+    return num * inv_mod(dw, p)[..., None] % np.asarray(p)[..., None]

@@ -2,20 +2,21 @@
 
 resultant_formal computes the eliminant r2(u, s) of a plane curve under a
 split map (f, g) by dense modular elimination (Collins 1971; Monagan 2005).
-For each 31-bit prime it evaluates r2 mod p on a grid of (deg g * d1 + 1) x
-(deg f * d2 + 1) points, as a product of the curve over pairs of roots:
-norms from F_p[x] / (f0 - u f1) and then F_p[x] / (g0 - s g1), each the
-determinant of a multiplication matrix in numpy int64, and interpolates;
-the residue helpers and the prime stream are `modp`'s.
+It evaluates r2 mod p on a grid of (deg g * d1 + 1) x (deg f * d2 + 1)
+points, as a product of the curve over pairs of roots: norms from
+F_p[x] / (f0 - u f1) and then F_p[x] / (g0 - s g1), each the determinant
+of a multiplication matrix in numpy int64, and interpolates.  All the
+31-bit primes it needs go through one batched pass: every residue array
+leads with a prime axis, against which the `modp` helpers broadcast p.
 Reduction mod p commutes with the Sylvester determinants, so every prime
 gives r2 mod p exactly; there are no unlucky primes, only grid points where
-a leading coefficient vanishes, and a prime with one of those is skipped.
+a leading coefficient vanishes, and a prime with one of those is dropped.
 eliminant_bound_sq bounds every coefficient of r2 by B from the input norms
-(Hadamard's inequality on the torus), so primes are added until their
-product M exceeds 2B: the residues then fix each coefficient in
+(Hadamard's inequality on the torus), so the primes are the first ones
+whose product M exceeds 2B: the residues then fix each coefficient in
 (-M/2, M/2), and the symmetric CRT lift is r2 itself.  The prime count is
 about log2(2B) / 31, fixed before any prime is tried; nothing stops early
-because results look stable.
+because results look stable, so every prime of the batch is needed.
 
 bivar_squarefree reduces the eliminant to its squarefree part on the same
 dense integer matrix, in three stages.  A squarefree degree-preserving
@@ -54,8 +55,9 @@ from .roots import yun_squarefree
 # curve eliminants by modular evaluation, interpolation and CRT
 # ---------------------------------------------------------------------------
 
-# int64 entries per array in one block of grid points (1 MB), which bounds
-# the working set of an elimination whatever the bidegree
+# int64 entries per array in one block of primes and grid points (1 MB),
+# which bounds the working set of an elimination whatever the bidegree and
+# the prime count
 _BLOCK = 1 << 17
 
 
@@ -73,10 +75,10 @@ def _grid(count: int, lift) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _x_multiples(v: np.ndarray, monic: np.ndarray, count: int, p: int) -> np.ndarray:
+def _x_multiples(v: np.ndarray, monic: np.ndarray, count: int, p) -> np.ndarray:
     """v, x v, ..., x^(count-1) v modulo x^a + sum_r monic_r x^r, stacked on a
     new last axis; v holds coefficients of 1, x, ..., x^(a-1) on its last
-    axis, and monic broadcasts against it."""
+    axis, and monic and p broadcast against it."""
     out = [v]
     while len(out) < count:
         v = out[-1]
@@ -86,27 +88,27 @@ def _x_multiples(v: np.ndarray, monic: np.ndarray, count: int, p: int) -> np.nda
     return np.stack(out, axis=-1)
 
 
-def _x_powers(lift, ts: np.ndarray, top: int, p: int):
-    """x^k (k = 0..top, last axis) modulo each form (f0 - t f1) / lc, with the
-    forms' low coefficients and leading coefficients lc; None when some lc
-    vanishes mod p."""
-    f0 = np.array([c % p for c in lift[0]], dtype=np.int64)
-    f1 = np.array([c % p for c in lift[1]], dtype=np.int64)
-    a = len(f0) - 1
-    forms = (f0[None, :] - ts[:, None] * f1[None, :]) % p
-    lc = forms[:, a]
-    if not lc.all():
-        return None
-    monic = forms[:, :a] * inv_mod(lc, p)[:, None] % p
-    one = np.eye(1, a, dtype=np.int64).repeat(len(ts), axis=0)
-    return _x_multiples(one, monic, top + 1, p), monic, lc
+def _forms(lift, ts: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """The coefficients of f0 - t f1 mod p, laid out (prime, t, power of x)."""
+    f = np.array([[[c % p for c in h] for h in lift] for p in ps.tolist()], dtype=np.int64)
+    return (f[:, None, 0] - ts[:, None] * f[:, None, 1]) % ps[:, None, None]
 
 
-def _norm(v: np.ndarray, monic: np.ndarray, p: int) -> np.ndarray:
+def _x_powers(forms: np.ndarray, top: int, p: np.ndarray):
+    """x^k (k = 0..top, last axis) modulo each form / lc, with the forms'
+    monic low coefficients; p broadcasts against the forms, none of whose
+    leading coefficients lc vanishes."""
+    a = forms.shape[-1] - 1
+    monic = forms[..., :a] * inv_mod(forms[..., a:], p) % p
+    one = np.zeros(monic.shape, dtype=np.int64)
+    one[..., 0] = 1
+    return _x_multiples(one, monic, top + 1, p), monic
+
+
+def _norm(v: np.ndarray, monic: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The product of v over the roots of the monic form: the determinant of
-    multiplication by v, whose columns are the x^j v."""
-    M = _x_multiples(v, monic, v.shape[-1], p)
-    return det_mod(M.reshape(-1, *M.shape[-2:]), p).reshape(v.shape[:-1])
+    multiplication by v, whose columns are the x^j v; p broadcasts against v."""
+    return det_mod(_x_multiples(v, monic, v.shape[-1], p), p.reshape(p.shape[:-1]))
 
 
 def eliminant_bound_sq(C, F, G) -> int:
@@ -126,45 +128,57 @@ def eliminant_bound_sq(C, F, G) -> int:
     return nc ** (a * b) * nf ** (b * d1) * ng ** (a * d2)
 
 
-def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, p: int):
-    """Coefficients of r2 mod p, or None when a grid point is bad mod p.
+def _eliminant_mod(C, F, G, us: np.ndarray, ss: np.ndarray, ps: np.ndarray):
+    """(kept, R): R[i] holds the coefficients of r2 mod kept[i], for the
+    primes of ps at which no grid point is bad, all in one pass.
 
     At each grid point r2(u, s) = (-1)^(ab(d1+d2)) lc(F_u)^(b d1)
     lc(G_s)^(a d2) N_s(P_u), for F_u = f0 - u f1 and G_s = g0 - s g1, with
     N_u and N_s the norms (`_norm`) from F_p[x] modulo them: P_u(x2) =
     N_u(C(x, x2)) is the product of C(alpha, x2) over the roots alpha of
     F_u, of degree at most a d2, interpolated from its values at x2 in ss,
-    and N_s(P_u) the product of C over the pairs of roots.
+    and N_s(P_u) the product of C over the pairs of roots.  Every residue
+    array leads with the prime axis, and p1, p2, p3 are the primes shaped
+    to broadcast against arrays of 2, 3, 4 axes; one prime is a 0-d array,
+    the operand that numpy broadcasts fastest.
     """
     d1, d2 = len(C) - 1, len(C[0]) - 1
     a, b = len(F[0]) - 1, len(G[0]) - 1
-    nu, ms = _x_powers(F, us, d1, p), _x_powers(G, ss, a * d2, p)
-    if nu is None or ms is None:
-        return None
-    (xu, monic_f, lc_f), (xs, monic_g, lc_g) = nu, ms
+    ff, gf = _forms(F, us, ps), _forms(G, ss, ps)
+    if not (ff[..., a].all() and gf[..., b].all()):  # a leading coefficient vanishes
+        good = ff[..., a].all(axis=1) & gf[..., b].all(axis=1)
+        ps, ff, gf = ps[good], ff[good], gf[good]
+        if not len(ps):
+            return ps, []
+    p1, p2, p3 = ((ps.reshape((-1,) + (1,) * k) for k in (1, 2, 3)) if len(ps) > 1
+                  else [ps.reshape(())] * 3)
+    (xu, monic_f), (xs, monic_g) = _x_powers(ff, d1, p2), _x_powers(gf, a * d2, p2)
     U, S = len(us), len(ss)
-    Ls = interpolation_matrix(ss, p)
-    Lu = Ls if np.array_equal(us, ss) else interpolation_matrix(us, p)
-    cx = np.zeros((d1 + 1, S), dtype=np.int64)  # sum_j c_ij x2^j at x2 in ss
-    for col in reversed(list(zip(*C))):
-        cx = (cx * ss + np.array([c % p for c in col], dtype=np.int64)[:, None]) % p
-    A = xu.reshape(U * a, d1 + 1)
-    B = xs.transpose(2, 0, 1).reshape(a * d2 + 1, S * b)
-    det = np.empty((U, S), dtype=np.int64)
-    step = max(1, _BLOCK // (S * (a * a + b * b)))
+    Ls = interpolation_matrix(ss, p1)
+    Lu = Ls if len(us) == len(ss) and (us == ss).all() else interpolation_matrix(us, p1)
+    Cp = (np.array(C, dtype=object) % ps.astype(object)[:, None, None]).astype(np.int64)
+    cx = np.zeros((len(ps), d1 + 1, S), dtype=np.int64)  # sum_j c_ij x2^j at x2 in ss
+    for j in range(d2, -1, -1):
+        cx = (cx * ss + Cp[:, :, j, None]) % p2
+    A = xu.reshape(len(ps), U * a, d1 + 1)
+    # Ls then x powers mod G_s: from the values of P_u at ss to P_u(x) mod
+    # each G_s, laid out (prime, value, s and power of x)
+    LB = matmul_mod(Ls, xs.transpose(0, 3, 1, 2).reshape(len(ps), a * d2 + 1, S * b), p2)
+    det = np.empty((len(ps), U, S), dtype=np.int64)
+    step = max(1, _BLOCK // (len(ps) * S * (a * a + b * b)))
     for u0 in range(0, U, step):
         u1 = min(U, u0 + step)
-        # C(x, x2) mod F_u at x2 in ss, laid out (u, x2, power of x)
-        P = matmul_mod(A[u0 * a:u1 * a], cx, p).reshape(u1 - u0, a, S).transpose(0, 2, 1)
-        P = _norm(P, monic_f[u0:u1, None, :], p)
-        # P_u(x) mod G_s from the coefficients of P_u, laid out (u, s, power of x)
-        Q = matmul_mod(matmul_mod(P, Ls, p), B, p).reshape(u1 - u0, S, b)
-        det[u0:u1] = _norm(Q, monic_g[None, :, :], p)
-    vals = det * pow_mod(lc_f, b * d1, p)[:, None] % p
-    vals = vals * pow_mod(lc_g, a * d2, p)[None, :] % p
+        # C(x, x2) mod F_u at x2 in ss, laid out (prime, u, x2, power of x)
+        P = matmul_mod(A[:, u0 * a:u1 * a], cx, p2).reshape(-1, u1 - u0, a, S)
+        P = _norm(P.transpose(0, 1, 3, 2), monic_f[:, u0:u1, None, :], p3)
+        # P_u(x) mod G_s, laid out (prime, u, s, power of x)
+        Q = matmul_mod(P, LB, p2).reshape(-1, u1 - u0, S, b)
+        det[:, u0:u1] = _norm(Q, monic_g[:, None, :, :], p3)
+    vals = det * pow_mod(ff[..., a], b * d1, p1)[:, :, None] % p2
+    vals = vals * pow_mod(gf[..., b], a * d2, p1)[:, None, :] % p2
     if a * b * (d1 + d2) % 2:
-        vals = (p - vals) % p
-    return matmul_mod(matmul_mod(Lu.T, vals, p), Ls, p)
+        vals = (p2 - vals) % p2
+    return ps, matmul_mod(matmul_mod(Lu.swapaxes(-1, -2), vals, p2), Ls, p2)
 
 
 def resultant_formal(C, F, G) -> list:
@@ -178,22 +192,36 @@ def resultant_formal(C, F, G) -> list:
 
     the Sylvester determinants taken at those formal degrees, so r2 has
     bidegree at most (b d1, a d2) and vanishes exactly on the image.
-    Each prime p gives r2 mod p from its values on a grid of
-    (b d1 + 1) x (a d2 + 1) points, interpolated; primes are added until
-    their product exceeds twice the bound of eliminant_bound_sq, and the
-    symmetric CRT lift is then r2 itself.
+    The bound of eliminant_bound_sq fixes the primes before any work: the
+    next primes whose product, with the lift's, exceeds twice the bound.
+    One `_eliminant_mod` pass evaluates them all, on a grid of
+    (b d1 + 1) x (a d2 + 1) points, and interpolates; _BLOCK splits the
+    primes into chunks only when one grid for each would not fit.  Primes
+    with a bad grid point drop out, and a further batch makes up for them.
+    The symmetric CRT lift is then r2 itself.
     """
     d1, d2 = len(C) - 1, len(C[0]) - 1
     a, b = len(F[0]) - 1, len(G[0]) - 1
     us = _grid(b * d1 + 1, F)
     ss = _grid(a * d2 + 1, G)
     need = 4 * eliminant_bound_sq(C, F, G)
+    # int64 entries per prime in one pass: its largest grid array (x powers
+    # or interpolation matrix), or one grid row of norm matrices
+    U, S = len(us), len(ss)
+    chunk = max(1, _BLOCK // max(U * a * (d1 + 1), S * b * (a * d2 + 1), U * U,
+                                 S * (a * a + b * b)))
     lift, primes = CrtLift(), map(prime, count())
     while lift.modulus * lift.modulus <= need:
-        p = next(primes)
-        vals = _eliminant_mod(C, F, G, us, ss, p)
-        if vals is not None:
-            lift.add(vals, p)
+        batch, modulus = [], lift.modulus
+        while modulus * modulus <= need:
+            batch.append(next(primes))
+            modulus *= batch[-1]
+        size = -(-len(batch) // -(-len(batch) // chunk))  # equal chunks of at most chunk
+        for k in range(0, len(batch), size):
+            ps = np.array(batch[k:k + size], dtype=np.int64)
+            kept, vals = _eliminant_mod(C, F, G, us, ss, ps)
+            for p, v in zip(kept.tolist(), vals):
+                lift.add(v, p)
     return lift.read()
 
 

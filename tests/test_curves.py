@@ -236,6 +236,9 @@ def test_shift_square_graph_runs_to_sixty_four_thirty_two(sq):
     out = curve_orbit(graph_surface([1, 0, 1]), sq, sq)
     assert not out.preperiodic
     assert out.bidegrees[-2:] == ((32, 16), (64, 32))
+    # all seven forms, pinned: batching the primes of an eliminant changes no coefficient
+    digest = hashlib.sha256(repr([c.terms for c in out.curves]).encode()).hexdigest()
+    assert digest == "c85447a54c774195441d358caa045264db89ca3afca160031131080d02b9db69"
 
 
 def test_hyperbola_under_chebyshev_runs_to_thirty_two():
@@ -254,12 +257,12 @@ def test_curve_orbit_digit_cap_raises_cap_exceeded(monkeypatch):
 
     F = RationalMapLift.make([10**12, 0, 1], [0, 0, 1])
     C = make_curve({(1, 1): 1, (0, 0): -1}, (1, 1))
-    primes = []
+    primes = []  # every prime handed to the one batched residue pass
     eliminant_mod = dynamo.mpoly._eliminant_mod
 
-    def recording(*args):
-        primes.append(args[-1])
-        return eliminant_mod(*args)
+    def recording(C, F, G, us, ss, ps):
+        primes.extend(ps.tolist())
+        return eliminant_mod(C, F, G, us, ss, ps)
 
     monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
     with pytest.raises(CapExceeded, match="^curve coefficient bound exceeds 5 decimal digits"):

@@ -116,6 +116,20 @@ def test_content_and_sign_normalization():
 def test_rational_coefficients_cleared():
     H = Hypersurface.make(2, (1, 1), [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))])
     assert sorted(dict(H.terms).values()) == [2, 3]
+    # a mixed list clears its denominators too, and repeated exponents add up
+    H = Hypersurface.make(2, (1, 1), [((1, 0), 1), ((0, 1), "1/3"), ((1, 0), Fraction(1, 2))])
+    assert H.terms == (((0, 1), 2), ((1, 0), 9))
+
+
+def test_integer_string_and_fraction_input_agree():
+    # integer terms skip the Fraction pass; the canonical form is the same,
+    # with repeated exponents summed and content and sign taken once
+    ints = [((2, 1), -6), ((0, 0), 4), ((1, 1), 10**40 * 6), ((2, 1), -6), ((0, 1), 0)]
+    H = Hypersurface.make(2, (2, 1), ints)
+    assert H.terms == (((0, 0), 1), ((1, 1), 15 * 10**39), ((2, 1), -3))
+    for coerce in (Fraction, str):
+        assert Hypersurface.make(2, (2, 1), [(e, coerce(c)) for e, c in ints]) == H
+    assert Hypersurface.make(2, (2, 1), {(2, 1): -12, (0, 0): 4, (1, 1): 6 * 10**40}) == H
 
 
 def test_json_round_trip():

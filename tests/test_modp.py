@@ -1,12 +1,15 @@
 """Word-size prime arithmetic: the int64 Euclid against a list Euclid, the
 CRT accumulator against the inline lift `mpoly.resultant_formal` had
-before, and the matrix product against exact integer products."""
+before, the matrix product against exact integer products, and each
+residue helper on a vector of primes against the same helper prime by
+prime."""
 
 import random
 
 import numpy as np
 
-from dynamo.modp import CrtLift, gcd_mod, matmul_mod, prime
+from dynamo.modp import (CrtLift, det_mod, gcd_mod, interpolation_matrix, inv_mod,
+                         matmul_mod, pow_mod, prime)
 from dynamo.projective import poly_mul
 
 
@@ -157,3 +160,58 @@ def test_matmul_mod_is_exact_on_both_paths():
             B = near[b](inner * cols).reshape(inner, cols)
             want = (A.astype(object) @ B.astype(object)) % p
             assert (matmul_mod(A, B, p) == want).all()
+
+
+def test_helpers_on_a_vector_of_primes_match_each_prime():
+    # p as an int64 array with a leading prime axis: every helper gives, row
+    # by row, what it gives for that row's prime alone.  The primes' low
+    # bits differ, so Fermat's exponents p - 2 do too
+    primes = np.array([prime(k) for k in (0, 1, 2, 5, 9)], dtype=np.int64)
+    P = len(primes)
+    col = primes.reshape(-1, 1)
+    rng = np.random.default_rng(17)
+
+    def residues(*shape):
+        q = primes.reshape((-1,) + (1,) * len(shape))
+        return rng.integers(1, 1 << 31, size=(P,) + shape) % q
+
+    for shape in [(3,), (7, 40)]:  # 7 x 40 entries take Fermat's path in inv_mod
+        x = residues(*shape)
+        x[x == 0] = 1
+        p = primes.reshape((-1,) + (1,) * len(shape))
+        powers, inverses = pow_mod(x, 1000003, p), inv_mod(x, p)
+        for k, q in enumerate(primes.tolist()):
+            assert (powers[k] == pow_mod(x[k], 1000003, q)).all()
+            assert (inverses[k] == inv_mod(x[k], q)).all()
+            assert (inverses[k] * x[k] % q == 1).all()
+    for n in range(1, 6):  # zero columns, row swaps and singular matrices
+        E = residues(30, n, n) * (rng.random((P, 30, n, n)) < 0.7)
+        E[:, :5, -1] = E[:, :5, 0]
+        dets = det_mod(E, col)
+        for k, q in enumerate(primes.tolist()):
+            assert (dets[k] == det_mod(E[k], q)).all()
+    points = np.array([0, 1, 2, 4, 7, 8], dtype=np.int64)
+    L = interpolation_matrix(points, col)
+    for k, q in enumerate(primes.tolist()):
+        assert (L[k] == interpolation_matrix(points, q)).all()
+
+
+def test_matmul_mod_on_a_vector_of_primes_at_the_float_edge():
+    # the near-2^53 residues of test_matmul_mod_is_exact_on_both_paths, for
+    # each of three primes, through one stacked call on either path
+    primes = [prime(k) for k in (0, 4, 9)]
+    rng = np.random.default_rng(12)
+    near = {"any": lambda n, p: rng.integers(0, p, size=n),
+            "top": lambda n, p: p - 1 - rng.integers(0, 1 << 20, size=n),
+            "low": lambda n, p: rng.integers(0, (1 << 15) - 1, size=n) << 16 | 0xFF00
+            | rng.integers(0, 256, size=n),
+            "half": lambda n, p: p // 2 - rng.integers(0, 1 << 20, size=n)}
+    col = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    for rows, inner, cols in [(2, 2, 2), (8, 8, 8), (130, 33, 33), (64, 128, 64), (16, 129, 16)]:
+        for a, b in [("any", "any"), ("top", "top"), ("low", "half")]:
+            A = np.stack([near[a](rows * inner, p).reshape(rows, inner) for p in primes])
+            B = np.stack([near[b](inner * cols, p).reshape(inner, cols) for p in primes])
+            got = matmul_mod(A, B, col)
+            for k, p in enumerate(primes):
+                want = (A[k].astype(object) @ B[k].astype(object)) % p
+                assert (got[k] == want).all() and (matmul_mod(A[k], B[k], p) == want).all()

@@ -483,41 +483,101 @@ def test_det_mod_matches_bareiss():
         assert [int(v) for v in got] == [_bareiss_det(m) % p for m in group]
 
 
+def _record_batches(monkeypatch):
+    """Patch `_eliminant_mod` to record (primes in, primes kept) per call."""
+    calls = []
+    eliminant_mod = dynamo.mpoly._eliminant_mod
+
+    def recording(C, F, G, us, ss, ps):
+        kept, vals = eliminant_mod(C, F, G, us, ss, ps)
+        calls.append((ps.tolist(), kept.tolist()))
+        return kept, vals
+
+    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
+    return calls
+
+
 def test_eliminant_in_blocks_of_grid_rows(monkeypatch):
-    # a tiny block size splits the grid into many row blocks
+    # a tiny block size splits the grid of each batch into many row blocks
     C = _dense(make_curve({(2, 1): 1, (0, 2): -3, (1, 0): 2, (0, 0): 1}, (2, 2)))
     F, G = _lift(MAPS["lattes"]), _lift(MAPS["half_inv"])
     whole = resultant_formal(C, F, G)
+    rows = []
+    norm = dynamo.mpoly._norm
+
+    def recording(v, monic, p):
+        rows.append(v.shape[1])  # laid out (prime, u, s, power of x)
+        return norm(v, monic, p)
+
+    monkeypatch.setattr(dynamo.mpoly, "_BLOCK", 300)
+    monkeypatch.setattr(dynamo.mpoly, "_norm", recording)
+    assert resultant_formal(C, F, G) == whole
+    # the u grid has b d1 + 1 = 5 points; two norms per row block
+    assert len(rows) > 2 and max(rows) < 5
+
+
+def test_block_splits_the_prime_axis(monkeypatch):
+    # the eliminant of the (2, 2) curve under (Lattes, half_inv) needs several
+    # primes: one batch takes them all, and _BLOCK = 300 takes one at a time
+    C = _dense(make_curve({(2, 1): 1, (0, 2): -3, (1, 0): 2, (0, 0): 1}, (2, 2)))
+    F, G = _lift(MAPS["lattes"]), _lift(MAPS["half_inv"])
+    calls = _record_batches(monkeypatch)
+    whole = resultant_formal(C, F, G)
+    assert len(calls) == 1 and len(calls[0][0]) > 1
+    primes = calls[0][0]
+    del calls[:]
     monkeypatch.setattr(dynamo.mpoly, "_BLOCK", 300)
     assert resultant_formal(C, F, G) == whole
+    assert calls == [([p], [p]) for p in primes]
 
 
 def test_eliminant_skips_a_prime_with_a_bad_grid_point(monkeypatch):
     # the top coefficient of f0 - u f1 is (p + 1) - u, which vanishes mod the
-    # first prime p at the grid point u = 1; that prime must be skipped
+    # first prime p at the grid point u = 1; that prime must be dropped, and
+    # so must it when the same form is g0 - s g1, at the grid point s = 1
     p = prime(0)
-    F = ((0, 0, p + 1), (1, 0, 1))
+    bad, sq = ((0, 0, p + 1), (1, 0, 1)), _lift(MAPS["sq"])
+    C = _dense(diagonal_surface())
+    rng = random.Random(2)
+    calls = _record_batches(monkeypatch)
+    for F, G in [(bad, sq), (sq, bad)]:
+        del calls[:]
+        R = resultant_formal(C, F, G)
+        (batch, kept), *rest = calls
+        assert batch[0] == p and kept == batch[1:]
+        assert all(b == k for b, k in rest)
+        points = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+        for u, s in [(0, 0), (1, 1)] + points:
+            assert _eval2(R, u, s) == _oracle(C, F, G, u, s)
+
+
+def test_a_bad_prime_inside_a_batch_is_made_up_after_it(monkeypatch):
+    # the same bad grid point mod q = prime(1), in the middle of the first
+    # batch: q is dropped, and the shortfall comes from the primes after
+    # the batch, up to the least product whose square exceeds 4 B^2
+    q = prime(1)
+    F = ((0, 0, q + 1), (1, 0, 1))
     G = _lift(MAPS["sq"])
     C = _dense(diagonal_surface())
-    used = []
-    eliminant_mod = dynamo.mpoly._eliminant_mod
-
-    def recording(*args):
-        out = eliminant_mod(*args)
-        used.append((args[-1], out is not None))
-        return out
-
-    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
+    calls = _record_batches(monkeypatch)
     R = resultant_formal(C, F, G)
-    assert used[0] == (p, False) and all(ok for _, ok in used[1:])
-    rng = random.Random(2)
+    (batch, kept), *rest = calls
+    assert batch == [prime(k) for k in range(len(batch))] and q in batch[1:-1]
+    assert kept == [v for v in batch if v != q]
+    assert rest and rest[0][0][0] == prime(len(batch))
+    assert all(b == k for b, k in rest)
+    used = kept + [v for _, k in rest for v in k]
+    need = 4 * eliminant_bound_sq(C, F, G)
+    assert math.prod(used) ** 2 > need >= math.prod(used[:-1]) ** 2
+    rng = random.Random(3)
     for u, s in [(0, 0), (1, 1)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]:
         assert _eval2(R, u, s) == _oracle(C, F, G, u, s)
 
 
 def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
     # the (16, 16) image of the diagonal under (z^2, z^2 - 1): both grids are
-    # 0..32, so each prime builds one Lagrange matrix for u and s alike
+    # 0..32, so each batch of primes builds one Lagrange matrix per prime for
+    # u and s alike, in one call
     from dynamo.curves import curve_pushforward
 
     f, g = MAPS["sq"], MAPS["basilica"]
@@ -526,21 +586,16 @@ def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
         C = curve_pushforward(C, f, g)
     assert C.multidegree == (16, 16)
     C = _dense(C)
-    built, primes = [], []
+    built = []
     interpolation_matrix = dynamo.mpoly.interpolation_matrix
-    eliminant_mod = dynamo.mpoly._eliminant_mod
 
     def counting_matrix(points, p):
-        built.append(p)
+        built.append(np.ravel(p).tolist())
         return interpolation_matrix(points, p)
 
-    def recording(*args):
-        primes.append(args[-1])
-        return eliminant_mod(*args)
-
     monkeypatch.setattr(dynamo.mpoly, "interpolation_matrix", counting_matrix)
-    monkeypatch.setattr(dynamo.mpoly, "_eliminant_mod", recording)
+    calls = _record_batches(monkeypatch)
     R = resultant_formal(C, _lift(f), _lift(g))
-    assert len(primes) > 1 and built == primes
+    assert len(calls[0][0]) > 1 and built == [k for _, k in calls]
     for u, s in [(0, 0), (2, -3), (-1, 5)]:
         assert _eval2(R, u, s) == _oracle(C, _lift(f), _lift(g), u, s)
