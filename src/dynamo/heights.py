@@ -45,8 +45,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .modp import is_probable_prime
 from .projective import (
     DEFAULT_DIGIT_CAP,
@@ -481,6 +479,7 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[Proj
     coefficient L1 norm, m the pruned box) int64 could overflow, and every
     candidate is decided one by one.
     """
+    import numpy as np  # not at module level: height, preper and orbit never load it
     if F.degree < 2:
         raise ValueError("preperiodicity needs degree >= 2")
     lip, _, bound_k = _step_constants(F)

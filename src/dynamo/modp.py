@@ -1,19 +1,24 @@
-"""Arithmetic modulo word-size primes, on numpy int64 arrays: the prime
-stream, the Euclid that the modular gcds over Z (`projective.poly_gcd`)
-and Z[s][u] (`mpoly._gcd`) take at each prime, the one CRT accumulator
-they share with `mpoly.resultant_formal`, and the residue helpers of
-elimination and interpolation (Brown 1971; Collins 1971; von zur
-Gathen-Gerhard, Modern Computer Algebra, ch. 5-6).
+"""Arithmetic modulo word-size primes: the prime stream, the Euclid that
+the modular gcds over Z (`projective.poly_gcd`) and Z[s][u]
+(`mpoly._gcd`) take at each prime, Yun's squarefree multiplicities mod p,
+the one CRT accumulator they share with `mpoly.resultant_formal`, and the
+residue helpers of elimination and interpolation on numpy int64 arrays
+(Brown 1971; Collins 1971; Yun 1976; von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 5-6 and 14).
 `prime` finds the primes below 2^31 on first use, largest first; a product
-of two residues stays below 2^62, inside int64.  The residue helpers take
-p as an int or as an int64 array that broadcasts against the residues, so
-that one call serves a whole batch of primes, one per row of a leading
-prime axis.
+of two residues stays below 2^62, inside int64.  The Euclid runs on Python
+ints for rows of at most _SHORT entries, where a list step costs less than
+the fixed cost of numpy's calls, and on int64 rows above that.  The residue
+helpers take p as an int or as an int64 array that broadcasts against the
+residues, so that one call serves a whole batch of primes, one per row of a
+leading prime axis.  numpy is imported inside the functions that use it,
+so the exact one-shot commands (`height`, `preper`, `orbit`), which need
+only `prime` and `is_probable_prime`, never load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import zip_longest
 
 _PRIMES: list[int] = []
 
@@ -53,16 +58,53 @@ def prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def gcd_mod(a, b, p: int) -> np.ndarray:
-    """The monic gcd mod p, as an int64 row, of the integer polynomials a and
-    b (ascending powers, not both zero mod p): a Euclid on int64 rows, one
-    row update per division step."""
-    a, b = (np.array([v % p for v in c], dtype=np.int64) for c in (a, b))
+# The longest row, degree 32, on which `_gcd` runs the list Euclid: a
+# division step costs one list comprehension against some ten numpy calls,
+# and the two take about the same time there
+_SHORT = 33
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _reduce(a: list, b: list, p: int) -> list:
+    """The quotient, ascending, of a by the trimmed nonzero b mod p; a, a
+    list of residues, is reduced in place to the remainder, untrimmed."""
+    n, inv, low, q = len(b) - 1, pow(b[-1], -1, p), b[:-1], []
+    while len(a) > n:  # top term first
+        c = a.pop() * inv % p
+        q.append(c)
+        if c:
+            s = len(a) - n
+            a[s:] = [(x - c * y) % p for x, y in zip(a[s:], low)]
+    q.reverse()
+    return q
+
+
+def _euclid(a: list, b: list, p: int) -> list:
+    """The monic gcd of residue lists a and b, not both zero, mod p."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        if len(b) == 1:  # a nonzero constant remainder
+            return [1]
+        _reduce(a, b, p)
+        a, b = b, _trim(a)
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
+
+
+def _euclid_rows(a: list, b: list, p: int) -> list:
+    """_euclid on int64 rows, one row update per division step."""
+    import numpy as np
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     while b.any():
         b = b[:np.flatnonzero(b)[-1] + 1]
         n = len(b)
         if n == 1:  # a nonzero constant remainder
-            return np.ones(1, dtype=np.int64)
+            return [1]
         inv = pow(int(b[-1]), -1, p)
         for top in range(len(a) - 1, n - 2, -1):  # a := a mod b, top term first
             q = int(a[top]) * inv % p
@@ -70,7 +112,51 @@ def gcd_mod(a, b, p: int) -> np.ndarray:
                 a[top - n + 1:top + 1] = (a[top - n + 1:top + 1] - q * b) % p
         a, b = b, a[:n - 1]
     a = a[:np.flatnonzero(a)[-1] + 1]
-    return a * pow(int(a[-1]), -1, p) % p
+    return (a * pow(int(a[-1]), -1, p) % p).tolist()
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of residue lists a and b, not both zero, mod p: on
+    Python ints up to _SHORT entries, on int64 rows above.  a and b are
+    consumed."""
+    return (_euclid if max(len(a), len(b)) <= _SHORT else _euclid_rows)(a, b, p)
+
+
+def gcd_mod(a, b, p: int) -> np.ndarray:
+    """The monic gcd mod p, as an int64 row, of the integer polynomials a and
+    b (ascending powers, ints or an int64 row, not both zero mod p)."""
+    import numpy as np
+    return np.array(_gcd([int(v) % p for v in a], [int(v) % p for v in b], p), dtype=np.int64)
+
+
+def _deriv(c: list, p: int) -> list:
+    return [k * v % p for k, v in enumerate(c)][1:]
+
+
+def yun_mod(c, p: int) -> list:
+    """The multiplicities, increasing, of the squarefree factors mod p of
+    the integer polynomial c, whose leading coefficient p does not divide
+    and whose degree is below p: Yun's algorithm on lists of residues.
+
+    [1] proves c squarefree over Q: the image keeps c's degree and is
+    coprime to its derivative, so p does not divide the discriminant.  Any
+    other answer is the pattern over Q unless p divides a subresultant.
+    """
+    f = [v % p for v in c]
+    df = _deriv(f, p)
+    g = _gcd(f[:], df[:], p)
+    if len(g) == 1:
+        return [1]
+    w, y = _reduce(f, g, p), _reduce(df, g, p)
+    mults, k = [], 1
+    while len(w) > 1:  # w: the product of the factors of multiplicity >= k
+        z = _trim([(u - v) % p for u, v in zip_longest(y, _deriv(w, p), fillvalue=0)])
+        h = _gcd(w[:], z[:], p)
+        if len(h) > 1:  # the product of the factors of multiplicity k
+            mults.append(k)
+            w, z = _reduce(w, h, p), _reduce(z, h, p)
+        y, k = z, k + 1
+    return mults
 
 
 class CrtLift:
@@ -89,6 +175,7 @@ class CrtLift:
 
     def read(self) -> list:
         """The lift as nested lists of ints."""
+        import numpy as np
         if self._queue:
             m, q, g = self._lifted, self.modulus // self._lifted, 0
             for vals, p in self._queue:
@@ -107,6 +194,7 @@ def pow_mod(x: np.ndarray, e, p) -> np.ndarray:
     in [lo, hi], so its bits above the highest bit where lo and hi differ
     are those of hi for every entry, and only the lower bits multiply where
     they are set."""
+    import numpy as np
     lo, hi = (e, e) if isinstance(e, int) else (int(e.min()), int(e.max()))
     split = (lo ^ hi).bit_length()
     base = x % p
@@ -128,6 +216,7 @@ def inv_mod(x: np.ndarray, p) -> np.ndarray:
     where the low bits of the primes differ), which is the cost of some 60
     scalar inverses by Python's pow: short arrays take the scalar path.
     """
+    import numpy as np
     if x.size > 64:
         return pow_mod(x, p - 2, p)
     ps = (x * 0 + p).ravel().tolist()
@@ -143,6 +232,7 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p) -> np.ndarray:
     most 128 runs in float64 (BLAS) instead, with B taken in (-p/2, p/2):
     every term is below 2^46 and every sum below 2^53, so the float sums
     are exact."""
+    import numpy as np
     if A.shape[-1] <= 128 and A.size * B.shape[-1] >= 1 << 13:
         B = np.where(B > p // 2, B - p, B).astype(np.float64)
     hi = ((A >> 16).astype(B.dtype, copy=False) @ B).astype(np.int64, copy=False)
@@ -158,6 +248,7 @@ def det_mod(E: np.ndarray, p) -> np.ndarray:
     Division-free elimination with per-matrix row swaps; the row scalings
     are divided out by one inverse at the end.
     """
+    import numpy as np
     n = E.shape[-1]
     if n <= 2:  # products below 2^62: the 2 x 2 formula needs no inverse
         return (E[..., 0, 0] if n == 1 else
@@ -197,6 +288,7 @@ def interpolation_matrix(points: np.ndarray, p) -> np.ndarray:
     q_k / q_k(x_k) with q_k = w / (t - x_k): synthetic division gives q_k
     from the top down, and Horner evaluates q_k(x_k) = w'(x_k) as it goes.
     """
+    import numpy as np
     n, w = len(points), [1]
     for xj in points.tolist():
         w = [u - xj * v for u, v in zip([0] + w, w + [0])]

@@ -19,26 +19,29 @@ about log2(2B) / 31, fixed before any prime is tried; nothing stops early
 because results look stable, so every prime of the batch is needed.
 
 bivar_squarefree reduces the eliminant to its squarefree part on the same
-dense integer matrix, in three stages.  A squarefree degree-preserving
-specialization in each direction, which the modular gcd of `yun_squarefree`
-mostly proves at one prime, certifies that nothing is repeated.  A
-uniform multiplicity e is removed by an exact e-th root, taken on the
-univariate image under u -> t^D, s -> t (D above the s-degree) and
-verified by re-expansion.  Mixed multiplicities fall back to
-P / gcd(P, P_u, P_s), the gcd over Z[s][u] by Brown's modular algorithm:
-`gcd_mod`s in u at points s0, interpolated in s, lifted by a `CrtLift`.
+dense integer matrix, in three stages.  The probe runs Yun's algorithm
+modulo prime(0) (`modp.yun_mod`, on Python ints) on a degree-preserving
+specialization in each direction, and modulo prime(1) too when the image
+has mixed multiplicities.  A squarefree image whose leading coefficient is
+a unit certifies that nothing is repeated; a repeated pattern is only a
+guess, which the next two stages certify or overrule.  A uniform
+multiplicity e is removed by an exact e-th root, taken on the univariate
+image under u -> t^D, s -> t (D above the s-degree) and verified by
+re-expansion.  Mixed multiplicities fall back to P / gcd(P, P_u, P_s), the
+gcd over Z[s][u] by Brown's modular algorithm: `gcd_mod`s in u at points
+s0, interpolated in s, lifted by a `CrtLift`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
 from .modp import (CrtLift, det_mod, gcd_mod, interpolation_matrix, inv_mod, matmul_mod,
-                   pow_mod, prime)
+                   pow_mod, prime, yun_mod)
 from .projective import (
     content,
     int_root_floor,
@@ -48,7 +51,6 @@ from .projective import (
     poly_mul,
     poly_trim,
 )
-from .roots import yun_squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +404,12 @@ def _specialized_multiplicities(P):
     """Yun multiplicities in u of P(u, s0) at a degree-preserving s0.
 
     Returns the sorted multiplicity set, or None if no good specialization
-    was found among small integers.  `yun_squarefree` proves most
-    specializations squarefree at the first prime of its modular gcd.
+    was found among small integers.  `yun_mod` takes them at prime(0)
+    (passing over primes that divide the leading coefficient).  [1] proves
+    P(u, s0) squarefree over Q, and a uniform multiplicity e > 1 is the
+    guess that `_nth_root` certifies.  A mixed pattern, which would send P
+    to `_squarefree_by_gcd`, is taken again at the next such prime, since
+    an unlucky prime(0) can merge two factors of a squarefree P(u, s0).
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
         coeffs = []
@@ -414,7 +420,11 @@ def _specialized_multiplicities(P):
             coeffs.append(acc)
         if coeffs[-1] == 0:
             continue
-        return sorted({m for _, m in yun_squarefree(coeffs)}) or [1]
+        for p in islice((p for p in map(prime, count()) if coeffs[-1] % p), 2):
+            mults = yun_mod(coeffs, p)
+            if mults == [1] or math.gcd(*mults) > 1:
+                break
+        return mults
     return None
 
 

@@ -295,8 +295,11 @@ def poly_div_exact(a, b):
 
 def primitive_int(c):
     """Clear denominators and divide by content; keeps the leading sign."""
-    m = math.lcm(*(v.denominator for v in c))
-    ints = [int(v * m) for v in c]
+    if all(type(v) is int for v in c):
+        ints = list(c)
+    else:
+        m = math.lcm(*(v.denominator for v in c))
+        ints = [int(v * m) for v in c]
     g = content(ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -570,8 +573,16 @@ def iterate_lift(F: RationalMapLift, n: int) -> RationalMapLift:
 # JSON interface: {"num": [...], "den": [...]} with rationals as "p/q" strings
 # ---------------------------------------------------------------------------
 
-def coefficient_from_json(c) -> Fraction:
-    """A JSON coefficient (number or "p/q" string) as a Fraction, else ValueError."""
+def coefficient_from_json(c) -> int | Fraction:
+    """A JSON coefficient (number or "p/q" string) as an int or a Fraction,
+    else ValueError.  An int that is not a bool, and a string of an optional
+    sign and ASCII digits, are ints; every other input is parsed by Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, str):
+        digits = c[1:] if c[:1] in ("+", "-") else c
+        if digits.isascii() and digits.isdigit():
+            return int(c)
     try:
         return Fraction(str(c))
     except ZeroDivisionError:

@@ -1,9 +1,10 @@
 """The package executes a library layer on its first use.
 
 Importing `dynamo` registers every layer unexecuted; a one-shot CLI command
-executes only the layers it calls.  An unexecuted layer is still a
-LazyLoader module object: its type is not `types.ModuleType`, and reading
-any attribute would execute it, so the checks read only the type.
+executes only the layers it calls, and `height`, `preper` and `orbit` never
+import numpy.  An unexecuted layer is still a LazyLoader module object: its
+type is not `types.ModuleType`, and reading any attribute would execute
+it, so the checks read only the type.
 """
 
 import importlib
@@ -46,6 +47,31 @@ def test_exact_commands_leave_the_other_layers_unexecuted(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the last line shows the check sees a layer that did execute
     assert proc.stdout.splitlines() == ["", "measure"]
+
+
+_ONE_SHOT_COMMANDS = """
+import io, sys
+from dynamo.cli import run
+
+m = sys.argv[1]
+for argv in (["height", "--map", m, "--point", "2"],
+             ["preper", "--map", m, "--point", "0"],
+             ["orbit", "--map", m, "--point", "3"]):
+    assert run(argv, out=io.StringIO()) == 0, argv
+print("numpy" in sys.modules)
+assert run(["periodic", "--map", m, "--period", "2"], out=io.StringIO()) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_one_shot_exact_commands_leave_numpy_unimported(tmp_path):
+    # height, preper and orbit make only big-integer and Fraction steps;
+    # the last line shows the check sees numpy once a command loads it
+    basilica = tmp_path / "basilica.json"
+    basilica.write_text('{"num": ["-1", "0", "1"]}')
+    proc = run_python("-c", _ONE_SHOT_COMMANDS, str(basilica))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True"]
 
 
 _SAMPLING_COMMANDS = """

@@ -1,16 +1,18 @@
-"""Word-size prime arithmetic: the int64 Euclid against a list Euclid, the
-CRT accumulator against the inline lift `mpoly.resultant_formal` had
-before, the matrix product against exact integer products, and each
-residue helper on a vector of primes against the same helper prime by
-prime."""
+"""Word-size prime arithmetic: both Euclids of gcd_mod against a list
+Euclid, Yun mod p against Yun over Q, the CRT accumulator against the
+inline lift `mpoly.resultant_formal` had before, the matrix product
+against exact integer products, and each residue helper on a vector of
+primes against the same helper prime by prime."""
 
 import random
 
 import numpy as np
 
+from dynamo import modp
 from dynamo.modp import (CrtLift, det_mod, gcd_mod, interpolation_matrix, inv_mod,
-                         matmul_mod, pow_mod, prime)
+                         matmul_mod, pow_mod, prime, yun_mod)
 from dynamo.projective import poly_mul
+from dynamo.roots import yun_squarefree
 
 
 def _list_gcd_mod(a, b, p) -> list:
@@ -82,6 +84,54 @@ def test_gcd_mod_with_a_zero_row():
     p = prime(0)
     assert gcd_mod([0, p, 0], [4, 2, 0], p).tolist() == [2, 1]
     assert gcd_mod([-4, -2 + p], [0], p).tolist() == [2, 1]
+
+
+def test_gcd_mod_on_both_sides_of_the_short_rows():
+    # degrees 0-80, so both the list Euclid and the int64 rows run: a common
+    # factor of degree 0-4 times random cofactors, from ints of up to 100
+    # bits and from int64 rows of residues, in either order
+    p = prime(0)
+    rng = random.Random(29)
+    assert modp._SHORT < 81
+    for d in range(81):
+        dg = rng.randint(0, min(d, 4))
+        g = _random_poly(rng, dg, 30)
+        a = poly_mul(g, _random_poly(rng, d - dg, rng.choice([30, 100])))
+        b = poly_mul(g, _random_poly(rng, rng.randint(0, d - dg), rng.choice([30, 100])))
+        want = _list_gcd_mod([v % p for v in a], [v % p for v in b], p)
+        assert len(want) > dg
+        rows = [np.array([v % p for v in c], dtype=np.int64) for c in (a, b)]
+        for x, y in [(a, b), (b, a), rows, rows[::-1]]:
+            assert gcd_mod(x, y, p).tolist() == want, d
+        for euclid in (modp._euclid, modp._euclid_rows):
+            assert euclid([v % p for v in a], [v % p for v in b], p) == want, (d, euclid)
+
+
+def _yun_multiplicities(c) -> list:
+    return sorted({m for _, m in yun_squarefree(c)})
+
+
+def test_yun_mod_matches_yun_over_q():
+    # products prod f_i^m_i of random small factors, degree up to 57, so
+    # that the gcds of long forms take the int64 rows
+    rng = random.Random(31)
+    for _ in range(80):
+        c = [rng.choice([1, -2, 3])]
+        for _ in range(rng.randint(1, 4)):
+            f = _random_poly(rng, rng.randint(1, 6), 6)
+            for _ in range(rng.randint(1, 4)):
+                c = poly_mul(c, f)
+        assert yun_mod(c, prime(0)) == _yun_multiplicities(c), c
+
+
+def test_yun_mod_at_an_unlucky_prime():
+    # (x - 1)(x - 1 - p)(x - 2) is squarefree over Q and (x - 1)^2 (x - 2)
+    # mod p; the next prime sees it squarefree
+    p = prime(0)
+    c = poly_mul(poly_mul([-1, 1], [-1 - p, 1]), [-2, 1])
+    assert _yun_multiplicities(c) == [1]
+    assert yun_mod(c, p) == [1, 2]
+    assert yun_mod(c, prime(1)) == [1]
 
 
 def _old_lift(residues, primes):

@@ -17,6 +17,7 @@ from dynamo.mpoly import (
     _kronecker,
     _primitive,
     _shape,
+    _specialized_multiplicities,
     _unkronecker,
     bivar_squarefree,
     eliminant_bound_sq,
@@ -422,13 +423,14 @@ def test_bivar_squarefree_of_products_of_linear_forms(monkeypatch):
     assert certified and stages["root"] and stages["fallback"]
 
 
-def test_graph_orbit_specialization_needs_no_yun(gcd_primes):
+def test_graph_orbit_specialization_needs_no_yun(gcd_primes, monkeypatch):
     # The 6th pushforward of x2 = x1^2 + 1 under (z^2, z^2) has bidegree
     # (64, 32).  Its first degree-preserving specialization, of degree 64
     # with 966-bit coefficients, is squarefree over Q but not mod prime(0);
-    # Yun over Q took seconds on it.  The modular gcd tries prime(0), whose
-    # image has positive degree, and prime(1) decides; the degree-32
-    # specialization in s is decided at prime(0).  No image is lifted.
+    # Yun over Q took seconds on it.  The probe's Yun mod prime(0) gives the
+    # mixed pattern [1, 2], and prime(1) decides; the degree-32
+    # specialization in s is decided at prime(0).  No gcd over Z runs,
+    # nothing is lifted, and the gcd fallback is never reached.
     from dynamo.curves import _reduce_to_curve
 
     sq = _lift(MAPS["sq"])
@@ -438,9 +440,44 @@ def test_graph_orbit_specialization_needs_no_yun(gcd_primes):
         C = _reduce_to_curve(resultant_formal(_dense(C), sq, sq), 2 * d1, 2 * d2)
     assert C.multidegree == (32, 16)
     r2 = resultant_formal(_dense(C), sq, sq)
+    probes, yun_mod = [], dynamo.mpoly.yun_mod
+
+    def counted_yun(c, p):
+        probes.append((len(c) - 1, p, yun_mod(c, p)))
+        return probes[-1][-1]
+
+    def no_fallback(P):
+        raise AssertionError("the gcd fallback ran")
+
+    monkeypatch.setattr(dynamo.mpoly, "yun_mod", counted_yun)
+    monkeypatch.setattr(dynamo.mpoly, "_squarefree_by_gcd", no_fallback)
     del gcd_primes[:]
     assert _reduce_to_curve(r2, 64, 32).multidegree == (64, 32)
-    assert gcd_primes == [prime(0), prime(1), prime(0)]
+    assert probes == [(64, prime(0), [1, 2]), (64, prime(1), [1]), (32, prime(0), [1])]
+    assert gcd_primes == []
+
+
+def test_probe_asks_the_next_prime_about_a_mixed_pattern(monkeypatch):
+    # (u - 1)(u - 1 - p)(u - 2), p = prime(0), is squarefree over Q and has
+    # the mixed pattern [1, 2] mod p: prime(1) proves it squarefree.  A
+    # uniform pattern goes to the root, which certifies it, with no second
+    # prime; a prime that divides the leading coefficient is passed over.
+    p = prime(0)
+    primes, yun_mod = [], dynamo.mpoly.yun_mod
+
+    def counted_yun(c, q):
+        primes.append(q)
+        return yun_mod(c, q)
+
+    monkeypatch.setattr(dynamo.mpoly, "yun_mod", counted_yun)
+    unlucky = poly_mul(poly_mul([-1, 1], [-1 - p, 1]), [-2, 1])
+    for c, mults, asked in [(unlucky, [1], [p, prime(1)]),
+                            (poly_mul([-3, 1], [-3, 1]), [2], [p]),
+                            ([1, p], [1], [prime(1)])]:
+        del primes[:]
+        assert _specialized_multiplicities([[v] for v in c]) == mults
+        assert primes == asked
+    assert bivar_squarefree([[v] for v in unlucky]) == [[v] for v in unlucky]
 
 
 def test_prime_matches_trial_division():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dynamo.projective import (
     ProjectivePoint,
     RationalMapLift,
     bezout_certificate,
+    coefficient_from_json,
     compose,
     evaluate,
     form_eval,
@@ -270,6 +272,67 @@ def test_map_json_rational_coefficients():
     assert F.f0 == (1, 0, 2)
     assert F.f1 == (2, 0, 0)
     assert F.degree == 2
+
+
+# (JSON value, the value coefficient_from_json returns, or the ValueError
+# message it raises) on Python 3.10 and later; what reads as an integer is
+# an int, and the rest are Fractions
+_COEFFICIENTS = [
+    (5, 5), (-5, -5), (0, 0), (10**40, 10**40),
+    (True, "Invalid literal for Fraction: 'True'"),
+    (False, "Invalid literal for Fraction: 'False'"),
+    (None, "Invalid literal for Fraction: 'None'"),
+    ([1], "Invalid literal for Fraction: '[1]'"),
+    ({"p": 1}, "Invalid literal for Fraction: \"{'p': 1}\""),
+    (0.25, Fraction(1, 4)), (-1.5, Fraction(-3, 2)), (3.0, Fraction(3)),
+    (float("inf"), "Invalid literal for Fraction: 'inf'"),
+    (float("nan"), "Invalid literal for Fraction: 'nan'"),
+    ("-7", -7), ("+7", 7), ("007", 7), ("-0", 0), ("9" * 60, int("9" * 60)),
+    ("1/4", Fraction(1, 4)), ("-2/4", Fraction(-1, 2)), ("6/3", Fraction(2)),
+    (" 3", Fraction(3)), ("3\n", Fraction(3)), ("1e3", Fraction(1000)),
+    ("1.5", Fraction(3, 2)), ("\uff13", Fraction(3)),  # a fullwidth digit
+    ("1/0", "coefficient '1/0' has a zero denominator"),
+    ("1_000", Fraction(1000) if sys.version_info >= (3, 11)
+     else "Invalid literal for Fraction: '1_000'"),
+    ("", "Invalid literal for Fraction: ''"),
+    ("-", "Invalid literal for Fraction: '-'"),
+    ("+-3", "Invalid literal for Fraction: '+-3'"),
+    ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),  # a digit to isdigit, not to Fraction
+    ("1/-4", "Invalid literal for Fraction: '1/-4'"),
+    ("0x10", "Invalid literal for Fraction: '0x10'"),
+]
+
+
+def _fraction_coefficient(c):
+    """Reference: the parse by Fraction alone."""
+    try:
+        return Fraction(str(c))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+
+
+@pytest.mark.parametrize("c, want", _COEFFICIENTS)
+def test_coefficient_from_json_table(c, want):
+    if isinstance(want, str):
+        for parse in (coefficient_from_json, _fraction_coefficient):
+            with pytest.raises(ValueError) as err:
+                parse(c)
+            assert str(err.value) == want
+        return
+    got = coefficient_from_json(c)
+    assert got == want == _fraction_coefficient(c)
+    assert type(got) is type(want)
+
+
+def test_primitive_int_of_ints_matches_the_fraction_pass():
+    from dynamo.projective import primitive_int
+
+    rng = random.Random(8)
+    for _ in range(200):
+        c = [rng.randint(-50, 50) * rng.choice([1, 6, 10**30]) for _ in range(rng.randint(1, 6))]
+        got = primitive_int(c)
+        assert got == primitive_int([Fraction(v) for v in c])
+        assert got is not c and all(type(v) is int for v in got)
 
 
 def test_form_eval_matches_affine():
