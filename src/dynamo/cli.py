@@ -70,6 +70,12 @@ def _csv_cell(v):
     return v
 
 
+def _load_maps(paths) -> list:
+    """The map of each path, in order; a path named twice is loaded once."""
+    loaded = {p: projective.load_map(p) for p in dict.fromkeys(paths)}
+    return [loaded[p] for p in paths]
+
+
 def _sig_str(sig) -> list:
     return ["inf" if w == exceptional.INF_WEIGHT else int(w) for w in (sig or ())]
 
@@ -160,7 +166,7 @@ def _emit_floats(columns: list, data: list, args, out) -> None:
 
 def _cmd_compare_measures(args, out):
     H = hypersurface.load_hypersurface(args.hyp)
-    maps = [projective.load_map(p) for p in args.map]
+    maps = _load_maps(args.map)
     res = measure.measure_compare(H, maps, args.i, args.j, n_samples=args.samples,
                                   depth=args.depth, seed=args.seed)
     _emit({"statistic": res.statistic, "threshold": res.threshold,
@@ -176,8 +182,7 @@ def _cmd_curve_orbit(args, out):
     C = hypersurface.load_hypersurface(args.hyp)
     if C.n != 2:
         raise ValueError("curve-orbit expects a two-block form (n = 2)")
-    f = projective.load_map(args.map[0])
-    g = projective.load_map(args.map[1] if len(args.map) > 1 else args.map[0])
+    f, g = _load_maps(args.map * 2)[:2]  # one map is used on both axes
     res = curves.curve_orbit(C, f, g, max_iter=args.max_iter, cap_digits=args.cap_digits)
     payload = {"preperiodic": res.preperiodic,
                "bidegrees": [list(b) for b in res.bidegrees]}
@@ -188,7 +193,7 @@ def _cmd_curve_orbit(args, out):
 
 def _cmd_ms_check(args, out):
     H = hypersurface.load_hypersurface(args.hyp)
-    maps = [projective.load_map(p) for p in args.map]
+    maps = _load_maps(args.map)
     rep = harness.ms_form_check(H, maps, exponent_bound=args.exponent_bound,
                                 max_iter=args.max_iter)
     payload = {"reason": rep.reason, "certified": False}
@@ -208,7 +213,7 @@ def _cmd_ms_check(args, out):
 
 def _cmd_mm_verify(args, out):
     H = hypersurface.load_hypersurface(args.hyp)
-    maps = [projective.load_map(p) for p in args.map]
+    maps = _load_maps(args.map)
     rep = harness.mm_verify(H, maps, samples=args.samples, depth=args.depth,
                             trials=args.trials, seed=args.seed,
                             exponent_bound=args.exponent_bound, max_curve_iter=args.max_iter)

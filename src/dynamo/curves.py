@@ -11,7 +11,8 @@ Every pushforward is then checked exactly modulo the prime modp.prime(0):
 over CHECK_FIBERS seeded fibers of C in each block where C has positive
 degree, the output form must vanish at the images under (f, g) of the
 fiber's points, in F_p[x] / (squarefree part of the fiber form) and at a
-root at infinity.  No float is involved, so no coefficient size limits it.
+root at infinity, by the residue-list arithmetic of `modp`.  No float is
+involved, so no coefficient size limits it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import zip_longest
 
 from .errors import EliminationFailure
 from .hypersurface import Hypersurface
-from .modp import gcd_mod, prime
+from .modp import gcd_mod, prime, reduce_mod
 from .mpoly import bivar_squarefree, eliminant_bound_sq, resultant_formal
 from .projective import (
     DEFAULT_DIGIT_CAP,
@@ -125,25 +126,22 @@ def _verify_pushforward(C, image, f, g) -> None:
                 raise EliminationFailure(f"pushforward check failed mod {p}")
 
 
-def _rem_mod(a, b, p: int) -> list:
-    """a mod b over F_p, as a list; b[-1] is a unit mod p."""
-    a, n, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
-    for k in reversed(range(len(a) - n)):
-        q = a[k + n] * inv % p
-        for j in range(n):
-            a[k + j] -= q * b[j]
-    return [v % p for v in a[:n]]
-
-
 def _ring_form_mod(c, h: RationalMapLift, a, p: int) -> list:
     """E = sum_k c_k h0^k h1^(n-k), n = len(c) - 1, by Horner in F_p[x] / (a),
     a of degree 1 to p - 1, times gcd(a, a'): a = m gcd(a, a') with m the
-    squarefree part of a, so the result is 0 exactly when m divides E."""
-    acc, w = [0], [1]
+    squarefree part of a, so the result is 0 exactly when m divides E; c
+    and a are residue lists, a trimmed."""
+
+    def rem(x):  # x mod (a, p) by `modp.reduce_mod`
+        x = [v % p for v in x]
+        reduce_mod(x, a, p)
+        return x
+
+    h0, h1, acc, w = rem(h.f0), rem(h.f1), [0], [1]
     for ck in reversed(c):
-        acc = [u + ck * v for u, v in zip_longest(poly_mul(acc, h.f0), w, fillvalue=0)]
-        acc, w = _rem_mod(acc, a, p), _rem_mod(poly_mul(w, h.f1), a, p)
-    return _rem_mod(poly_mul(acc, gcd_mod(a, poly_deriv(a), p).tolist()), a, p)
+        acc = rem([u + ck * v for u, v in zip_longest(poly_mul(acc, h0), w, fillvalue=0)])
+        w = rem(poly_mul(w, h1))
+    return rem(poly_mul(acc, gcd_mod(a, poly_deriv(a), p)))
 
 
 @dataclass(frozen=True)

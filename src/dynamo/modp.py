@@ -1,8 +1,8 @@
-"""Arithmetic modulo word-size primes: the prime stream, the Euclid that
-the modular gcds over Z (`projective.poly_gcd`) and Z[s][u]
-(`mpoly._gcd`) take at each prime, Yun's squarefree multiplicities mod p,
-the one CRT accumulator they share with `mpoly.resultant_formal`, and the
-residue helpers of elimination and interpolation on numpy int64 arrays
+"""Arithmetic modulo word-size primes: the prime stream; residue lists, the
+one format of a polynomial mod one prime, with remainder, Euclid and Yun
+multiplicities; `brown`, the prime loop of the modular gcds over Z and
+Z[s][u]; the CRT accumulator it shares with `mpoly.resultant_formal`; and
+the residue helpers of elimination and interpolation on numpy int64 arrays
 (Brown 1971; Collins 1971; Yun 1976; von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 5-6 and 14).
 `prime` finds the primes below 2^31 on first use, largest first; a product
@@ -18,7 +18,8 @@ only `prime` and `is_probable_prime`, never load it.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+import math
+from itertools import count, zip_longest
 
 _PRIMES: list[int] = []
 
@@ -58,7 +59,7 @@ def prime(k: int) -> int:
     return _PRIMES[k]
 
 
-# The longest row, degree 32, on which `_gcd` runs the list Euclid: a
+# The longest row, degree 32, on which `gcd_mod` runs the list Euclid: a
 # division step costs one list comprehension against some ten numpy calls,
 # and the two take about the same time there
 _SHORT = 33
@@ -70,7 +71,7 @@ def _trim(a: list) -> list:
     return a
 
 
-def _reduce(a: list, b: list, p: int) -> list:
+def reduce_mod(a: list, b: list, p: int) -> list:
     """The quotient, ascending, of a by the trimmed nonzero b mod p; a, a
     list of residues, is reduced in place to the remainder, untrimmed."""
     n, inv, low, q = len(b) - 1, pow(b[-1], -1, p), b[:-1], []
@@ -90,7 +91,7 @@ def _euclid(a: list, b: list, p: int) -> list:
     while b:
         if len(b) == 1:  # a nonzero constant remainder
             return [1]
-        _reduce(a, b, p)
+        reduce_mod(a, b, p)
         a, b = b, _trim(a)
     inv = pow(a[-1], -1, p)
     return [v * inv % p for v in a]
@@ -115,18 +116,12 @@ def _euclid_rows(a: list, b: list, p: int) -> list:
     return (a * pow(int(a[-1]), -1, p) % p).tolist()
 
 
-def _gcd(a: list, b: list, p: int) -> list:
-    """The monic gcd of residue lists a and b, not both zero, mod p: on
-    Python ints up to _SHORT entries, on int64 rows above.  a and b are
-    consumed."""
+def gcd_mod(a, b, p: int) -> list:
+    """The monic gcd mod p, as a residue list, of the integer polynomials a
+    and b (ascending powers, ints or an int64 row, not both zero mod p): on
+    Python ints up to _SHORT entries, on int64 rows above."""
+    a, b = [int(v) % p for v in a], [int(v) % p for v in b]
     return (_euclid if max(len(a), len(b)) <= _SHORT else _euclid_rows)(a, b, p)
-
-
-def gcd_mod(a, b, p: int) -> np.ndarray:
-    """The monic gcd mod p, as an int64 row, of the integer polynomials a and
-    b (ascending powers, ints or an int64 row, not both zero mod p)."""
-    import numpy as np
-    return np.array(_gcd([int(v) % p for v in a], [int(v) % p for v in b], p), dtype=np.int64)
 
 
 def _deriv(c: list, p: int) -> list:
@@ -144,17 +139,17 @@ def yun_mod(c, p: int) -> list:
     """
     f = [v % p for v in c]
     df = _deriv(f, p)
-    g = _gcd(f[:], df[:], p)
+    g = gcd_mod(f, df, p)
     if len(g) == 1:
         return [1]
-    w, y = _reduce(f, g, p), _reduce(df, g, p)
+    w, y = reduce_mod(f, g, p), reduce_mod(df, g, p)
     mults, k = [], 1
     while len(w) > 1:  # w: the product of the factors of multiplicity >= k
         z = _trim([(u - v) % p for u, v in zip_longest(y, _deriv(w, p), fillvalue=0)])
-        h = _gcd(w[:], z[:], p)
+        h = gcd_mod(w, z, p)
         if len(h) > 1:  # the product of the factors of multiplicity k
             mults.append(k)
-            w, z = _reduce(w, h, p), _reduce(z, h, p)
+            w, z = reduce_mod(w, h, p), reduce_mod(z, h, p)
         y, k = z, k + 1
     return mults
 
@@ -186,6 +181,32 @@ class CrtLift:
             self._lifted, self._queue = self.modulus, []
         h, modulus = self._lift, self.modulus
         return np.where(h > modulus // 2, h - modulus, h).tolist()
+
+
+def brown(image, accept):
+    """The prime loop of Brown's modular gcd (J. ACM 18, 1971) over Z or Z[s][u].
+
+    image(p) is the gcd mod p, times gamma, a multiple of its leading
+    coefficient: a residue list, or None to pass p over.  A one-entry image
+    proves the inputs coprime (brown returns None); a longer one than the
+    shortest so far is unlucky, and a shorter one restarts the `CrtLift`.
+    Once a prime leaves it unchanged, accept(lift) gives the gcd or None.
+    """
+    import numpy as np
+    deg, lift = math.inf, None
+    for p in map(prime, count()):
+        g = image(p)
+        if g is None or len(g) > deg:
+            continue
+        if len(g) == 1:
+            return None
+        if len(g) < deg:  # every earlier prime was unlucky
+            deg, lift = len(g), CrtLift()
+        if lift.modulus > 1:
+            h = lift.read()
+            if (np.array(h, dtype=object) % p).tolist() == g and (got := accept(h)) is not None:
+                return got
+        lift.add(g, p)
 
 
 def pow_mod(x: np.ndarray, e, p) -> np.ndarray:

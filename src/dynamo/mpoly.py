@@ -29,7 +29,7 @@ multiplicity e is removed by an exact e-th root, taken on the univariate
 image under u -> t^D, s -> t (D above the s-degree) and verified by
 re-expansion.  Mixed multiplicities fall back to P / gcd(P, P_u, P_s), the
 gcd over Z[s][u] by Brown's modular algorithm: `gcd_mod`s in u at points
-s0, interpolated in s, lifted by a `CrtLift`.
+s0, interpolated in s, lifted in the prime loop `modp.brown`.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from itertools import count, islice
 
 import numpy as np
 
-from .modp import (CrtLift, det_mod, gcd_mod, interpolation_matrix, inv_mod, matmul_mod,
-                   pow_mod, prime, yun_mod)
+from .modp import (CrtLift, brown, det_mod, gcd_mod, interpolation_matrix, inv_mod,
+                   matmul_mod, pow_mod, prime, yun_mod)
 from .projective import (
     content,
+    form_eval,
     int_root_floor,
     poly_deriv,
     poly_div_exact,
@@ -338,14 +339,15 @@ def _gcd_image(A, B, gamma, n: int, p: int):
         for col in X.T[::-1]:  # every row at every point, by Horner
             v = (v * pts + col[:, None]) % p
         for k in np.flatnonzero(v[a - 1] * v[-2] % p):
-            g = gcd_mod(v[:a, k], v[a:-1, k], p)
+            vals = v[:, k].tolist()
+            g = gcd_mod(vals[:a], vals[a:-1], p)
             if len(g) == 1:
-                return np.ones((1, 1), dtype=np.int64)
-            kept.setdefault(len(g), []).append((pts[k], g * v[-1, k] % p))
+                return [[1]]
+            kept.setdefault(len(g), []).append((pts[k], [c * vals[-1] % p for c in g]))
             if len(kept[min(kept)]) == n:
                 points, images = zip(*kept[min(kept)])
                 L = interpolation_matrix(np.array(points), p)
-                return matmul_mod(np.array(images).T, L, p)
+                return matmul_mod(np.array(images, dtype=np.int64).T, L, p).tolist()
 
 
 def _quotient(X, G):
@@ -361,33 +363,23 @@ def _quotient(X, G):
 
 def _gcd(A, B) -> list:
     """gcd of nonzero A and B in Z[s][u], up to a unit, by Brown's dense
-    modular algorithm (J. ACM 18, 1971; Geddes-Czapor-Labahn, Algorithms
-    for Computer Algebra, ch. 7) on their primitive parts in u.  gamma, the
-    gcd of their leading coefficients with its integer content, is a
-    multiple of lc(gcd), so gamma gcd / lc(gcd) has s-degree below n.  As in
-    `poly_gcd`, images of least u-degree go into one `CrtLift` until a
-    prime leaves the lift unchanged and its primitive part divides both.
+    modular algorithm (`modp.brown`; Geddes-Czapor-Labahn, Algorithms for
+    Computer Algebra, ch. 7) on their primitive parts in u, times the gcd of
+    their contents.  gamma, the gcd of the leading coefficients with its
+    integer content, is a multiple of lc(gcd), so gamma gcd / lc(gcd) has
+    s-degree below n.  A lift is taken when its primitive part divides both.
     """
     (ca, A), (cb, B) = _primitive(A), _primitive(B)
     c = poly_gcd(ca, cb)
     gamma = [math.gcd(content(A[-1]), content(B[-1])) * v for v in poly_gcd(A[-1], B[-1])]
     n = len(gamma) + min(len(A[0]), len(B[0])) - 1
-    deg, lift = math.inf, None
-    for p in map(prime, count()):
-        image = _gcd_image(A, B, gamma, n, p)
-        if image is None or len(image) > deg:
-            continue  # a leading coefficient vanishes mod p, or p is unlucky
-        if len(image) == 1:
-            return [c]
-        if len(image) < deg:  # every earlier prime was unlucky
-            deg, lift = len(image), CrtLift()
-        if lift.modulus > 1:
-            H = lift.read()
-            if [[v % p for v in row] for row in H] == image.tolist():
-                G = _primitive(H)[1]
-                if _quotient(A, G) and _quotient(B, G):
-                    return [poly_mul(c, row) for row in G]
-        lift.add(image, p)
+
+    def accept(H):
+        G = _primitive(H)[1]
+        return G if _quotient(A, G) and _quotient(B, G) else None
+
+    G = brown(lambda p: _gcd_image(A, B, gamma, n, p), accept) or [[1]]
+    return [poly_mul(c, row) for row in G]
 
 
 def _squarefree_by_gcd(P) -> list:
@@ -412,12 +404,7 @@ def _specialized_multiplicities(P):
     an unlucky prime(0) can merge two factors of a squarefree P(u, s0).
     """
     for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
-        coeffs = []
-        for row in P:  # each row at s0 by Horner
-            acc = 0
-            for c in reversed(row):
-                acc = acc * s0 + c
-            coeffs.append(acc)
+        coeffs = [form_eval(row, s0, 1) for row in P]
         if coeffs[-1] == 0:
             continue
         for p in islice((p for p in map(prime, count()) if coeffs[-1] % p), 2):

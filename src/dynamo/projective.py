@@ -17,10 +17,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
 
 from .errors import CapExceeded, DegenerateMap, RootFindingFailure, ZeroPoint
-from .modp import CrtLift, gcd_mod, prime
+from .modp import brown, gcd_mod
 
 #: cap on exact coefficient/coordinate size in decimal digits: `compose`'s, and every default
 DEFAULT_DIGIT_CAP = 10**6
@@ -262,8 +261,8 @@ def int_root_floor(n: int, e: int) -> int:
 
 # The helpers below read a coefficient list as a univariate polynomial over
 # Z, ascending powers; `primitive_int` is where integral Fractions from
-# input parsing become integers.  Arithmetic modulo word-size primes is in
-# `modp`.
+# input parsing become integers.  Arithmetic modulo word-size primes,
+# the prime loop of `poly_gcd` included, is in `modp`.
 
 def poly_degree(c) -> int:
     d = len(c) - 1
@@ -308,44 +307,33 @@ def primitive_int(c):
 
 def poly_gcd(a, b):
     """Primitive gcd over Z of integer a and b, with a positive leading
-    coefficient, or [0], by Brown's modular algorithm (JACM 18, 1971).
+    coefficient, or [0], by Brown's modular algorithm (`modp.brown`).
 
     By Gauss's lemma it is also the gcd over Q, and it divides a and b
-    exactly over Z.  Primes dividing gamma = gcd(lc a, lc b) are skipped,
-    so each image has at least the degree of the gcd and a degree-0 image
-    proves a and b coprime.  The images of least degree, scaled by gamma,
-    go into one `CrtLift`, read after every prime, until a prime leaves
-    the lift unchanged and the lift's primitive part divides a and b.
+    exactly over Z.  The image at a prime not dividing gamma = gcd(lc a,
+    lc b) is `gcd_mod` times gamma; a lift whose primitive part divides a
+    and b is taken.
     """
     a, b = poly_trim(a), poly_trim(b)
     if not any(a) or not any(b):
         h = primitive_int(a if any(a) else b)
         return h if h[-1] >= 0 else [-v for v in h]
     gamma = math.gcd(a[-1], b[-1])
-    deg, lift = math.inf, None
-    for p in map(prime, count()):
-        if not gamma % p:
-            continue
-        g = gcd_mod(a, b, p)
-        if len(g) == 1:
-            return [1]
-        if len(g) > deg:
-            continue  # p divides a subresultant: an unlucky prime
-        if len(g) < deg:  # every earlier prime was unlucky
-            deg, lift = len(g), CrtLift()
-        g = g * (gamma % p) % p
-        if lift.modulus > 1:
-            h = lift.read()
-            if [v % p for v in h] == g.tolist():
-                h = primitive_int(h)
-                h = h if h[-1] > 0 else [-v for v in h]
-                try:
-                    poly_div_exact(a, h)
-                    poly_div_exact(b, h)
-                    return h
-                except ArithmeticError:
-                    pass
-        lift.add(g, p)
+
+    def image(p):
+        if gamma % p:
+            return [v * gamma % p for v in gcd_mod(a, b, p)]
+
+    def accept(h):
+        h = primitive_int(h if h[-1] > 0 else [-v for v in h])
+        try:
+            poly_div_exact(a, h)
+            poly_div_exact(b, h)
+            return h
+        except ArithmeticError:
+            return None
+
+    return brown(image, accept) or [1]
 
 
 # ---------------------------------------------------------------------------

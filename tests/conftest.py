@@ -49,11 +49,13 @@ def affine_value(p):
 @pytest.fixture
 def gcd_primes(monkeypatch):
     """The prime of every `modp.gcd_mod` call that `poly_gcd` makes, and
-    "lift" for every read of its CRT accumulator, in order."""
+    "lift" for every read of the CRT accumulator of `modp.brown`, the prime
+    loop of both modular gcds, in order."""
+    import dynamo.modp
     import dynamo.projective
 
     calls = []
-    gcd_mod, CrtLift = dynamo.projective.gcd_mod, dynamo.projective.CrtLift
+    gcd_mod, CrtLift = dynamo.projective.gcd_mod, dynamo.modp.CrtLift
 
     def counted_gcd(a, b, p):
         calls.append(p)
@@ -65,7 +67,7 @@ def gcd_primes(monkeypatch):
             return super().read()
 
     monkeypatch.setattr(dynamo.projective, "gcd_mod", counted_gcd)
-    monkeypatch.setattr(dynamo.projective, "CrtLift", CountedLift)
+    monkeypatch.setattr(dynamo.modp, "CrtLift", CountedLift)
     return calls
 
 

@@ -136,6 +136,39 @@ def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
     assert seen == [[(0, 0, 1), (0, 0, 1)], [(-1, 0, 1), (0, 0, 1)]]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("curve-orbit", ["--max-iter", "3"]),
+    ("ms-check", ["--max-iter", "3"]),
+    ("compare-measures", ["--samples", "200", "--depth", "5"]),
+    ("mm-verify", ["--samples", "200", "--depth", "5", "--trials", "4", "--max-iter", "3"]),
+])
+def test_each_map_path_is_loaded_once(monkeypatch, command, extra, diagonal_json, sq_json,
+                                      basilica_json):
+    # a map named twice is read, parsed and certified once, and the output
+    # is byte for byte that of loading it once per mention
+    import dynamo.cli
+    import dynamo.projective
+
+    load_map, loads = dynamo.projective.load_map, []
+
+    def counted_load(path):
+        loads.append(path)
+        return load_map(path)
+
+    monkeypatch.setattr(dynamo.projective, "load_map", counted_load)
+    cases = [([sq_json, sq_json], 1), ([sq_json, basilica_json], 2)]
+    if command == "curve-orbit":  # one map, used on both axes
+        cases.append(([sq_json], 1))
+    for maps, want in cases:
+        argv = [command, "--hyp", diagonal_json, "--map", *maps, *extra]
+        del loads[:]
+        got = _run(argv)
+        assert got[0] == 0 and len(loads) == want, (maps, loads)
+        with monkeypatch.context() as m:
+            m.setattr(dynamo.cli, "_load_maps", lambda paths: [load_map(p) for p in paths])
+            assert _run(argv) == got, maps
+
+
 def test_classify_json(basilica_json, sq_json):
     _, text = _run(["classify", "--map", sq_json, "--json"])
     assert json.loads(text)["result"]["verdict"] == "PowerConjugate"

@@ -74,7 +74,8 @@ def test_gcd_mod_matches_list_euclid():
             b = a[1:] * np.arange(1, len(a), dtype=np.int64) % p
             if not a.any():  # a constant divisible by p: both rows are zero
                 continue
-            got = gcd_mod(a, b, p).tolist()
+            got = gcd_mod(a, b, p)
+            assert type(got) is list
             assert got == _list_gcd_mod(a.tolist(), b.tolist(), p), (len(c) - 1, p)
             if p == good and squarefree is not None:
                 assert (len(got) == 1) is squarefree, (len(c) - 1, c[-1])
@@ -82,8 +83,8 @@ def test_gcd_mod_matches_list_euclid():
 
 def test_gcd_mod_with_a_zero_row():
     p = prime(0)
-    assert gcd_mod([0, p, 0], [4, 2, 0], p).tolist() == [2, 1]
-    assert gcd_mod([-4, -2 + p], [0], p).tolist() == [2, 1]
+    assert gcd_mod([0, p, 0], [4, 2, 0], p) == [2, 1]
+    assert gcd_mod([-4, -2 + p], [0], p) == [2, 1]
 
 
 def test_gcd_mod_on_both_sides_of_the_short_rows():
@@ -102,7 +103,7 @@ def test_gcd_mod_on_both_sides_of_the_short_rows():
         assert len(want) > dg
         rows = [np.array([v % p for v in c], dtype=np.int64) for c in (a, b)]
         for x, y in [(a, b), (b, a), rows, rows[::-1]]:
-            assert gcd_mod(x, y, p).tolist() == want, d
+            assert gcd_mod(x, y, p) == want, d
         for euclid in (modp._euclid, modp._euclid_rows):
             assert euclid([v % p for v in a], [v % p for v in b], p) == want, (d, euclid)
 

@@ -339,6 +339,27 @@ def test_gcd_matches_the_prs():
     assert _shape(_gcd(*cases[-1])) in ([[1]], [[-1]])
 
 
+def test_gcd_drops_an_unlucky_image(gcd_primes, monkeypatch):
+    # A = (u - s)(u - s - p) and B = (u - s)(u - s + p), p = prime(0): mod p
+    # both are (u - s)^2, an image of u-degree 2 that prime(1)'s u - s
+    # replaces, and prime(2) confirms prime(1)'s lift in the one read of the
+    # prime loop both modular gcds share (the ints in gcd_primes are the
+    # primes of the gcds over Z that take the contents)
+    p0, p1, p2 = map(prime, range(3))
+    gcd_image = dynamo.mpoly._gcd_image
+
+    def counted_image(A, B, gamma, n, p):
+        image = gcd_image(A, B, gamma, n, p)
+        gcd_primes.append((p, len(image)))
+        return image
+
+    monkeypatch.setattr(dynamo.mpoly, "_gcd_image", counted_image)
+    A = [[0, p0, 1], [-p0, -2], [1]]
+    B = [[0, -p0, 1], [p0, -2], [1]]
+    assert _up_to_sign(_gcd(A, B), U_MINUS_S)
+    assert [c for c in gcd_primes if type(c) is not int] == [(p0, 3), (p1, 2), (p2, 2), "lift"]
+
+
 def test_gcd_points_differ_from_prime_to_prime():
     # with n = 1 one point per prime is interpolated; were it s0 = 0 at
     # every prime, an unlucky s0 = 0 would give the same wrong image at
