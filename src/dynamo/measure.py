@@ -13,9 +13,17 @@ first two levels, the start's fiber and its preimages' fibers, are the
 ones the start-point search has already solved.  A branch index is a
 rank: branch k of a fiber is its root of rank k in a canonical order of
 the roots, so the index does not depend on the order in which the solver
-returns them.  Product measures sample factors independently;
-hypersurface pullbacks solve the fiber equation per sample and pick one
-of the deg roots uniformly, realizing the normalized pullback measure.
+returns them.  A drawn child takes the column whose rank, counted by the
+rank comparisons, equals its branch (at d = 2 one xor), and branch tables
+hold np.min_scalar_type(d - 1) entries.  Product measures sample factors
+independently, each column from its own stream; the columns a product or
+a comparison needs are drawn up front, and those of one degree walk as a
+forest (`_walk`): one loop over the levels of several trees, one fiber
+solve per level for all of them, so a level's fixed numpy cost is paid
+once per forest.  A forest takes trees only while their samples fit one
+`roots._BLOCK`, since sharing a large level gains nothing.  Hypersurface
+pullbacks solve the fiber equation per sample and pick one of the deg
+roots uniformly, realizing the normalized pullback measure.
 
 Maps and hypersurfaces reach the floats through `projective.float_coefficients`.
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
@@ -36,7 +44,7 @@ import numpy as np
 
 from .errors import CapExceeded, RootFindingFailure
 from .projective import RationalMapLift, form_eval
-from .roots import preimage_fiber, roots_batch, to_chart
+from .roots import _BLOCK, preimage_fiber, preimage_fibers, roots_batch, to_chart
 
 CAP_COUNT = 64
 CAP_COS = 0.5  # aperture: points within 60 degrees of the center
@@ -106,17 +114,18 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 # backward-orbit sampling
 # ---------------------------------------------------------------------------
 
-def _rank_order(keys) -> np.ndarray:
-    """Per row, the column of each rank: out[r, k] is row r's column of rank k.
+def _ranks(keys) -> np.ndarray:
+    """Per row, the rank of each column: out[i, r] is the rank of row r's column i.
 
     keys are (N, d) arrays, most significant first, holding no NaN; the
     canonical order of a row sorts its d columns by them with ties kept in
     column order, as a stable np.lexsort would.  The rank of column i counts
     the columns j before it: key_j < key_i, or key_j == key_i with j < i.  It
-    comes from d(d-1)/2 vectorized key comparisons, with no sort.
+    comes from d(d-1)/2 vectorized key comparisons, with no sort, and is
+    stored as a (d, N) array of np.min_scalar_type(d - 1).
     """
     n, d = keys[0].shape
-    ranks = [np.zeros(n, dtype=np.intp) for _ in range(d)]
+    ranks = np.zeros((d, n), dtype=np.min_scalar_type(d - 1))
     for i in range(d):
         for j in range(i + 1, d):
             # first: column i sorts before column j
@@ -126,11 +135,22 @@ def _rank_order(keys) -> np.ndarray:
                 first = (a < b) | ((a == b) & first)
             ranks[i] += ~first
             ranks[j] += first
-    order = np.empty(n * d, dtype=np.intp)
-    row_start = np.arange(0, n * d, d)
-    for i in range(d):
-        order[row_start + ranks[i]] = i
-    return order.reshape(n, d)
+    return ranks
+
+
+def _column_of_rank(ranks: np.ndarray, b: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The column of rank b[k] in row rows[k], from the `_ranks` table ranks.
+
+    At d = 2 the column of rank b is the rank of column 0 xor b; at larger
+    d it is the sum of i * (rank of column i == b), whose one nonzero term
+    is the column of rank b.
+    """
+    if len(ranks) == 2:
+        return ranks[0][rows] ^ b
+    col = np.zeros(len(b), dtype=np.intp)
+    for i in range(1, len(ranks)):
+        col += (ranks[i][rows] == b) * i
+    return col
 
 
 def _start_point(f0: np.ndarray, f1: np.ndarray, rng: np.random.Generator):
@@ -152,6 +172,89 @@ def _start_point(f0: np.ndarray, f1: np.ndarray, rng: np.random.Generator):
     raise RootFindingFailure("could not find a non-exceptional backward start point")
 
 
+def _plant(trees, depth: int):
+    """The setup of `_walk`: each tree's forms and start fibers, and the branch table.
+
+    trees holds (F, n_samples, seed) triples of one degree d.  Each tree
+    draws from its own stream: its start point (`_start_point`), then its
+    (depth, n_samples) branches as int64, cast into its columns of one
+    (depth, N) table of np.min_scalar_type(d - 1) for all N samples.
+    Returns (forms, fibers, branches), with forms[t] = (f0, f1) and
+    fibers[t] = (level0, level1) of tree t.
+    """
+    d = trees[0][0].degree
+    if d < 2:
+        raise ValueError("invariant measures need degree >= 2")
+    sizes = [n for _, n, _ in trees]
+    if min(sizes) < 1 or depth < 1:
+        raise ValueError("n_samples and depth must be >= 1")
+    forms, fibers = [], []
+    try:
+        branches = np.empty((depth, sum(sizes)), dtype=np.min_scalar_type(d - 1))
+        lo = 0
+        for F, n, seed in trees:
+            rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
+            forms.append(tuple(np.array(f) for f in F.float_forms[:2]))
+            fibers.append(_start_point(*forms[-1], rng)[1:])
+            branches[:, lo:lo + n] = rng.integers(0, d, size=(depth, n))
+            lo += n
+    except MemoryError:
+        raise CapExceeded(f"the branch table of depth x samples = {depth} x {sum(sizes)} "
+                          "draws does not fit in memory") from None
+    return forms, fibers, branches
+
+
+def _walk(trees, depth: int) -> list:
+    """Backward orbits of several preimage trees of one degree, walked level by level together.
+
+    trees holds (F, n_samples, seed) triples; returns, per tree, the
+    `EmpiricalMeasure` that `sample_invariant_measure(F, n_samples, depth,
+    seed)` documents, from the streams `_plant` draws.  A level holds the
+    nodes of every tree, each tree's in one contiguous block, so one
+    `preimage_fibers` call solves them all, each block from its own map's
+    forms, and a tree gets the bits of its walk alone.
+    """
+    forms, fibers, branches = _plant(trees, depth)
+    d = trees[0][0].degree
+    sizes = [n for _, n, _ in trees]
+    # level 0 holds each tree's start fiber; rows t * d + k of level 1 the
+    # fibers of the preimages of tree t
+    pv, pi = (np.concatenate([level0[c] for level0, _ in fibers]) for c in (0, 1))
+    level1 = [np.concatenate([level1[c] for _, level1 in fibers]) for c in (0, 1)]
+    bounds = list(range(len(trees) + 1))  # tree t owns nodes bounds[t]:bounds[t + 1]
+    node = np.repeat(np.arange(len(trees)), sizes)  # each sample's index into the level
+    for step in range(depth):
+        if step == 1:
+            pv, pi = level1[0][at], level1[1][at]
+        elif step:
+            pv, pi = preimage_fibers(forms, bounds, vals, invs)
+        pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
+        ranks = _ranks((pi, pt.real.round(9).T, pt.imag.round(9).T))
+        # child (node, branch), renumbered densely among the drawn children
+        child = node * d + branches[step]
+        drawn = np.zeros(pv.size, dtype=bool)
+        drawn[child] = True
+        kids = np.flatnonzero(drawn)
+        dense = np.empty(pv.size, dtype=np.intp)
+        dense[kids] = np.arange(kids.size)
+        node = dense[child]
+        # tree t's kids are the children c with d * bounds[t] <= c < d * bounds[t + 1]
+        bounds = ([0, kids.size] if len(trees) == 1
+                  else np.searchsorted(kids, np.multiply(bounds, d)).tolist())
+        # the kid (node, branch) is the node's root in the column of that
+        # rank, at column * M + node of the (d, M) arrays
+        parent = kids // d
+        col = _column_of_rank(ranks, kids - parent * d, parent)
+        at = col * pt.shape[1] + parent
+        vals, invs = pt.ravel()[at], it.ravel()[at]
+        if step == 0:
+            at = parent * d + col  # the level-1 rows of the drawn preimages
+    vals, invs = vals[node, None], invs[node, None]
+    ends = np.cumsum(sizes)
+    return [EmpiricalMeasure(vals[end - n:end], invs[end - n:end], seed, depth)
+            for (_, n, seed), end in zip(trees, ends)]
+
+
 def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
                              seed: int = 0) -> EmpiricalMeasure:
     """Endpoints of n_samples independent uniform backward orbits of length depth.
@@ -163,49 +266,39 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     The orbits walk the preimage tree of the start point, whose level k has
     at most d^k nodes, so the loop keeps the distinct nodes of a level and
     each sample's node index.  A step solves and ranks each node's fiber
-    once; the children some sample draws become the next level's nodes.
-    Levels 0 and 1 are the fibers `_start_point` solved: the start's fiber,
-    and the rows of its preimages' fibers that belong to the drawn children.
+    once; the children some sample draws become the next level's nodes,
+    and each drawn child takes the column whose rank is its branch.  Levels
+    0 and 1 are the fibers `_start_point` solved: the start's fiber, and
+    the rows of its preimages' fibers that belong to the drawn children.
     Fiber rows are solved independently, so every sample has the bits it
     would get from solving its own fiber at each step.  The map's
     coefficients are its `float_forms`; coefficients spanning more than the
     float range raise RootFindingFailure.  A (depth, n_samples) branch
-    table that cannot be allocated raises CapExceeded.
+    table that cannot be allocated raises CapExceeded.  This is `_walk` on
+    a forest of one tree.
     """
-    if F.degree < 2:
-        raise ValueError("invariant measures need degree >= 2")
-    if n_samples < 1 or depth < 1:
-        raise ValueError("n_samples and depth must be >= 1")
-    d = F.degree
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    f0, f1 = (np.array(f) for f in F.float_forms[:2])
-    _, (pv, pi), level1 = _start_point(f0, f1, rng)
-    try:
-        branches = rng.integers(0, d, size=(depth, n_samples))
-    except MemoryError:
-        raise CapExceeded(f"the branch table of depth x samples = {depth} x {n_samples} "
-                          "draws does not fit in memory") from None
-    node = np.zeros(n_samples, dtype=np.intp)  # each sample's index into the level
-    for step in range(depth):
-        if step == 1:
-            pv, pi = level1[0][at], level1[1][at]  # the fibers of the drawn preimages
-        elif step:
-            pv, pi = preimage_fiber(f0, f1, vals, invs)
-        pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
-        order = _rank_order((pi, pt.real.round(9).T, pt.imag.round(9).T))
-        # child (node, branch), renumbered densely among the drawn children
-        child = node * d + branches[step]
-        drawn = np.zeros(pv.size, dtype=bool)
-        drawn[child] = True
-        kids = np.flatnonzero(drawn)
-        dense = np.empty(pv.size, dtype=np.intp)
-        dense[kids] = np.arange(kids.size)
-        node = dense[child]
-        # the kid (node, branch) is the node's root in the column of that
-        # rank, at column * M + node of the (d, M) arrays
-        at = order.ravel()[kids] * pt.shape[1] + kids // d
-        vals, invs = pt.ravel()[at], it.ravel()[at]
-    return EmpiricalMeasure(vals[node, None], invs[node, None], seed, depth)
+    return _walk([(F, n_samples, seed)], depth)[0]
+
+
+def _draw_columns(maps, axes, n_samples: int, depth: int, seed: int, columns: dict) -> None:
+    """Sample into columns the missing product-measure columns of the given axes.
+
+    Column j is keyed (map j, n_samples, depth, _substream(seed, j)).  The
+    missing columns of one degree walk together (`_walk`), as many per walk
+    as fit one `roots._BLOCK` of samples: sharing a level pays its fixed
+    numpy cost once, which pays only while the combined level is small.
+    """
+    missing = {}
+    for j in axes:
+        key = (maps[j - 1], n_samples, depth, _substream(seed, j))
+        if key not in columns:
+            missing.setdefault(key[0].degree, []).append(key)
+    per_walk = max(1, _BLOCK // max(n_samples, 1))  # _walk rejects n_samples < 1
+    for keys in missing.values():
+        for lo in range(0, len(keys), per_walk):
+            forest = keys[lo:lo + per_walk]
+            drawn = _walk([(F, n, s) for F, n, _, s in forest], depth)
+            columns.update(zip(forest, drawn))
 
 
 def sample_product_measure(maps, skip: int, n_samples: int, depth: int,
@@ -214,24 +307,21 @@ def sample_product_measure(maps, skip: int, n_samples: int, depth: int,
 
     `skip` is 1-based to match coordinate-axis numbering; columns keep the
     order of the remaining maps.  Column j depends on (map j, n_samples,
-    depth, seed, j) alone; columns memoizes each column's sample under that
-    key, so callers sampling several products pass one dict to all of them.
+    depth, seed, j) alone: it is `sample_invariant_measure(map j,
+    n_samples, depth, _substream(seed, j))`, bit for bit.  The missing
+    columns are drawn up front, those of one degree as forests of as many
+    trees as fit one `roots._BLOCK` of samples (`_draw_columns`).  columns
+    memoizes each column's sample under its key, so callers sampling
+    several products pass one dict to all of them.
     """
     columns = {} if columns is None else columns
-    cols_v = []
-    cols_i = []
-    for j, F in enumerate(maps, start=1):
-        if j == skip:
-            continue
-        key = (F, n_samples, depth, _substream(seed, j))
-        if key not in columns:
-            columns[key] = sample_invariant_measure(F, n_samples, depth, seed=key[-1])
-        sub = columns[key]
-        cols_v.append(sub.values[:, 0])
-        cols_i.append(sub.inverted[:, 0])
-    if not cols_v:
+    axes = [j for j in range(1, len(maps) + 1) if j != skip]
+    if not axes:
         raise ValueError("product over an empty index set")
-    return EmpiricalMeasure(np.stack(cols_v, axis=1), np.stack(cols_i, axis=1),
+    _draw_columns(maps, axes, n_samples, depth, seed, columns)
+    subs = [columns[(maps[j - 1], n_samples, depth, _substream(seed, j))] for j in axes]
+    return EmpiricalMeasure(np.stack([sub.values[:, 0] for sub in subs], axis=1),
+                            np.stack([sub.inverted[:, 0] for sub in subs], axis=1),
                             seed, depth)
 
 
@@ -262,8 +352,7 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     than n is a ValueError.
     """
     H.check_axes(maps, i)
-    if H.multidegree[i - 1] <= 0:
-        raise ValueError(f"H does not project dominantly when forgetting axis {i}")
+    _check_dominant(H, i)
     base = sample_product_measure(maps, i, n_samples, depth, seed=seed, columns=columns)
     others = [j for j in range(1, H.n + 1) if j != i]
     deg = H.multidegree[i - 1]
@@ -284,9 +373,9 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     roots = roots_batch(cols.T)
     # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
     rt = roots.T
-    order = _rank_order((rt.real.round(9).T, rt.imag.round(9).T))
     rows = np.arange(roots.shape[0])
-    chosen = roots[rows, order[rows, picks]]
+    chosen = roots[rows, _column_of_rank(_ranks((rt.real.round(9).T, rt.imag.round(9).T)),
+                                         picks)]
     vals_i, invs_i = to_chart(chosen)
     width = H.n
     out_v = np.empty((len(rows), width), dtype=complex)
@@ -297,6 +386,13 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     out_v[:, i - 1] = vals_i
     out_i[:, i - 1] = invs_i
     return PullbackSample(EmpiricalMeasure(out_v, out_i, seed, depth), discarded)
+
+
+def _check_dominant(H, *axes: int) -> None:
+    """ValueError unless H projects dominantly when forgetting each axis."""
+    for a in axes:
+        if H.multidegree[a - 1] <= 0:
+            raise ValueError(f"H does not project dominantly when forgetting axis {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +468,22 @@ def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int
     the empirical mass difference; tau = 3 sqrt(ln 64 / N) is the documented
     CLT heuristic.  D and tau are reported, never upgraded to a proof.
     Sampling seeds depend on (seed, axis) only, so D_ij = D_ji exactly.
-    maps holds one map per axis and i, j are two distinct axes in 1..n, else
-    ValueError, raised before any sampling.
+    maps holds one map per axis, i, j are two distinct axes in 1..n and H
+    projects dominantly when forgetting either, else ValueError, raised
+    before any sampling.
 
-    columns memoizes the product-measure columns (`sample_product_measure`);
-    callers comparing several pairs pass one dict to all of them.
+    The two pullbacks need the product-measure column of every axis, so all
+    n are drawn up front, in forests (`sample_product_measure`).  columns
+    memoizes them; callers comparing several pairs pass one dict to all of
+    them, and the first comparison draws every column.
     """
     H.check_axes(maps, i, j)
     if i == j:
         raise ValueError(f"compare two distinct axes, got i = j = {i}")
+    _check_dominant(H, i, j)
     columns = {} if columns is None else columns
+    # the two pullbacks need every axis's column: draw them in one walk
+    _draw_columns(maps, range(1, H.n + 1), n_samples, depth, seed, columns)
     out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
                                      columns=columns)
     out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,

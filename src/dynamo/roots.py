@@ -19,9 +19,10 @@ row whose closed-form starts pass the sweep's tolerance test on one Newton
 correction is accepted without a sweep; only the others run the loop.  A
 batched row the loop leaves moving is accepted when its roots pass a
 backward-error test; a single polynomial left moving is a failure.
-`preimage_fiber` solves the fibers of many points in one `roots_batch`: it
-is the backward step of the measure sampler and of the periodic-point
-starts.
+`preimage_fibers` solves the fibers of many points, under one map or
+under several maps of one degree, in one `roots_batch`: it is the backward
+step of the measure sampler's forests, and its one-map case
+`preimage_fiber` that of the periodic-point starts.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> tu
     ratio(z, live) returns the Newton ratios p/p' at the live columns z,
     whose indices among the m columns are live.  A non-finite ratio becomes
     0.5 and a non-finite correction 0, with numpy's warnings off.  A column
-    retires once all d corrections pass |c| <= tol * (1 + |z|).  The sum
+    retires once all d corrections pass |c| <= tol * (1 + |z|) in a sweep
+    whose ratios were all finite: a 0.5 step far out, where the evaluation
+    overflowed, passes the relative test without nearing a root.  The sum
     s_i = sum_j 1/(z_i - z_j) runs over the outer axis of R[j, i], which
     numpy adds in index order for any number of columns, so a column's bits
     do not depend on the columns sharing its sweep.  It is taken in equal
@@ -139,7 +142,8 @@ def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> tu
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             newton = ratio(z, live)
-            np.copyto(newton, 0.5, where=~np.isfinite(newton))
+            overflow = ~np.isfinite(newton)
+            np.copyto(newton, 0.5, where=overflow)
             s = np.empty_like(z)
             for lo in range(0, d, step):
                 # R[j, i] = 1/(z_i - z_j); the diagonal 1/0 is overwritten by zero
@@ -154,6 +158,7 @@ def aberth_sweeps(ratio, z, tol: float = DEFAULT_TOL, max_iter: int = 400) -> tu
             np.copyto(corr, 0.0, where=~np.isfinite(corr))
             z -= corr
             done = np.all(np.abs(corr) <= tol * (1.0 + np.abs(z)), axis=0)
+            done &= ~overflow.any(axis=0)
             if done.all():
                 out[:, live] = z
                 return out, live[:0]
@@ -326,9 +331,9 @@ def roots_batch(coeff_rows: np.ndarray) -> np.ndarray:
     the (d, d, rows) temporary of the Aberth sum.  Degree-3 and degree-4 rows
     start from their Cardano and Ferrari roots, so a well-conditioned row
     is accepted on one Newton correction, without a sweep (`_aberth_block`);
-    the others start on the circle of radius 1 + max|c_i| (`_block_starts`),
-    where a row whose evaluation overflows takes 0.5 steps that can pass the
-    tolerance test far from its roots.
+    the others start on the circle of radius 1 + max|c_i| (`_block_starts`).
+    A row whose evaluation overflows there takes 0.5 steps but does not
+    retire on them, so a row that never comes into range fails below.
     Each row retires on its own, at relative corrections of _BATCH_TOL, so
     solving rows one at a time gives the same bits as one batch.  A row
     still moving after _BATCH_MAX_ITER sweeps, as near a double root, where
@@ -367,10 +372,25 @@ def preimage_fiber(f0: np.ndarray, f1: np.ndarray, values: np.ndarray,
     solved through its transposed view, so vals and invs are transposed
     views of (d, N) arrays: column k of the fiber is contiguous.
     """
+    return preimage_fibers([(f0, f1)], [0, len(values)], values, inverted)
+
+
+def preimage_fibers(forms, bounds, values: np.ndarray, inverted: np.ndarray):
+    """`preimage_fiber` for several maps of one degree in one `roots_batch`.
+
+    The points come in consecutive blocks: points bounds[t] to bounds[t+1]
+    belong to the map whose (f0, f1) is forms[t], and each block's
+    coefficient columns are built from its own forms.  `roots_batch` solves
+    every row on its own, so a block gets the bits `preimage_fiber` gives
+    it alone.
+    """
     tx = np.where(inverted, 1.0 + 0j, values)
     ty = np.where(inverted, values, 1.0 + 0j)
-    coeffs = f0[:, None] * ty
-    coeffs -= f1[:, None] * tx
+    coeffs = np.empty((len(forms[0][0]), len(values)), dtype=complex)
+    for (f0, f1), lo, hi in zip(forms, bounds, bounds[1:]):
+        block = coeffs[:, lo:hi]
+        np.multiply(f0[:, None], ty[lo:hi], out=block)
+        block -= f1[:, None] * tx[lo:hi]
     return to_chart(roots_batch(coeffs.T))
 
 

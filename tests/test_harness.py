@@ -109,6 +109,40 @@ def test_measure_compare_same_axis_raises_before_sampling(sq, monkeypatch):
         measure_compare(diagonal_surface(), [sq, sq], 1, 1, n_samples=100, depth=5)
 
 
+@pytest.mark.parametrize("H, maps, i, j, message", [
+    (diagonal_surface(), 2, 1, 3, "axis 3 is outside 1..2"),
+    (diagonal_surface(), 1, 1, 2, "one map per coordinate axis is required: 2 axes, 1 maps"),
+    (diagonal_surface(), 2, 2, 2, "compare two distinct axes, got i = j = 2"),
+    # pi_12^{-1}(diagonal) does not depend on x3
+    (pulled_back_diagonal(), 3, 1, 3, "H does not project dominantly when forgetting axis 3"),
+    (pulled_back_diagonal(), 3, 3, 2, "H does not project dominantly when forgetting axis 3"),
+])
+def test_measure_compare_raises_before_any_walk(sq, monkeypatch, H, maps, i, j, message):
+    # the columns of every axis are drawn up front, so each check comes first
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(dynamo.measure, "_walk", no_walk)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure_compare(H, [sq] * maps, i, j, n_samples=100, depth=5)
+
+
+@pytest.mark.parametrize("H, maps, kwargs, message", [
+    (diagonal_surface(), 1, {}, "one map per coordinate axis is required: 2 axes, 1 maps"),
+    (diagonal_surface(), 2, {"samples": 0}, "samples must be >= 1, got 0"),
+    (Hypersurface.make(2, (0, 0), [((0, 0), 1)]), 2, {},
+     r"no projection is dominant: a form of multidegree \(0, 0\) is a constant and "
+     "defines the empty set"),
+])
+def test_mm_verify_raises_before_any_walk(sq, monkeypatch, H, maps, kwargs, message):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(dynamo.measure, "_walk", no_walk)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mm_verify(H, [sq] * maps, **{"samples": 100, "depth": 5, "trials": 5, **kwargs})
+
+
 # -- pair-form check --------------------------------------------------------------
 
 def _least_exponents_by_search(di, dj, bound):
@@ -308,14 +342,15 @@ def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
     alone = mm_verify(linear_sum_surface(), maps, **cfg)
     monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", pullback)
 
+    # every column is drawn by the backward walk, several trees per walk
     seeds = []
-    sample = dynamo.measure.sample_invariant_measure
+    walk = dynamo.measure._walk
 
-    def counting(F, n_samples, depth, seed=0):
-        seeds.append(seed)
-        return sample(F, n_samples, depth, seed=seed)
+    def counting(trees, depth):
+        seeds.extend(seed for _, _, seed in trees)
+        return walk(trees, depth)
 
-    monkeypatch.setattr(dynamo.measure, "sample_invariant_measure", counting)
+    monkeypatch.setattr(dynamo.measure, "_walk", counting)
     rep = mm_verify(linear_sum_surface(), maps, **cfg)
     assert len(seeds) == len(set(seeds)) == 3
     # classifications hold numeric points without value equality

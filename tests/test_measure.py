@@ -12,6 +12,7 @@ from dynamo.measure import (
     clt_threshold,
     fibonacci_caps,
     green,
+    measure_compare,
     pullback_to_hypersurface,
     sample_invariant_measure,
     sample_product_measure,
@@ -197,7 +198,7 @@ def test_lattes_measure_charges_whole_sphere(sq):
 
 def test_rank_order_matches_stable_lexsort():
     # keys from small value sets, so rows hold partial and complete ties
-    from dynamo.measure import _rank_order
+    from dynamo.measure import _column_of_rank, _ranks
 
     rng = np.random.default_rng(41)
     for d in (2, 3, 4, 6):
@@ -206,11 +207,20 @@ def test_rank_order_matches_stable_lexsort():
                 rng.integers(-2, 3, size=(n, d)) * 0.25,
                 np.round(rng.normal(size=(n, d)), 1))
         want = np.lexsort(keys[::-1], axis=1)
-        assert np.array_equal(_rank_order(keys), want)
         # the sampler's keys are F-ordered views of (d, N) arrays
         columns = tuple(np.ascontiguousarray(key.T).T for key in keys)
         assert not columns[1].flags.c_contiguous
-        assert np.array_equal(_rank_order(columns), want)
+        for k in (keys, columns):
+            ranks = _ranks(k)
+            assert np.array_equal(ranks.T, np.argsort(want, axis=1))
+            for b in range(d):
+                assert np.array_equal(_column_of_rank(ranks, np.full(n, b)), want[:, b])
+            # a pick per row, and picks at chosen rows
+            b = rng.integers(0, d, size=n)
+            assert np.array_equal(_column_of_rank(ranks, b), want[np.arange(n), b])
+            rows = rng.integers(0, n, size=500)
+            assert np.array_equal(_column_of_rank(ranks, b[:500], rows),
+                                  want[rows, b[:500]])
 
 
 # -- the preimage-tree loop against a row-by-row oracle ---------------------------
@@ -293,6 +303,105 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
     assert bound == sum(min(n_samples, F.degree**k) for k in range(depth))
     assert len(rows) == depth
     assert sum(rows) <= bound
+
+
+# -- forests: several trees walked level by level together ------------------------
+
+def _forest_maps():
+    from dynamo.exceptional import lattes_doubling
+
+    return {"sq": poly_lift(0, 0, 1), "basilica": poly_lift(-1, 0, 1),
+            "cubic": poly_lift(1, 0, 0, 1), "cheb3": poly_lift(0, -3, 0, 1),
+            "lattes": lattes_doubling(0, 1)}
+
+
+def _assert_solo_bits(trees, depth, forest):
+    for (F, n, seed), got in zip(trees, forest):
+        want = sample_invariant_measure(F, n, depth, seed=seed)
+        assert got.values.shape == want.values.shape == (n, 1)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.inverted, want.inverted)
+        assert (got.seed, got.depth) == (seed, depth)
+
+
+@pytest.mark.parametrize("trees, depth", [
+    ([("sq", 300, 3), ("basilica", 500, 4)], 30),       # degree 2, mixed maps
+    ([("cubic", 400, 5), ("cheb3", 300, 6)], 30),       # degree 3
+    ([("lattes", 200, 7), ("lattes", 250, 8)], 20),     # degree 4, one map twice
+    ([("basilica", 1, 2), ("sq", 64, 2), ("basilica", 9, 5)], 1),
+])
+def test_forest_columns_have_their_solo_bits(trees, depth):
+    from dynamo.measure import _walk
+
+    maps = _forest_maps()
+    trees = [(maps[name], n, seed) for name, n, seed in trees]
+    _assert_solo_bits(trees, depth, _walk(trees, depth))
+
+
+def test_forest_across_a_roots_batch_block(monkeypatch):
+    # z^3 + 1 and T3 with 3000 samples each: from level 8 on the combined
+    # level holds more than _BLOCK nodes, so `roots_batch` splits it into
+    # two Aberth blocks, the boundary inside the second tree
+    import dynamo.roots as roots
+    from dynamo.measure import _walk
+
+    maps = _forest_maps()
+    trees = [(maps["cubic"], 3000, 1), (maps["cheb3"], 3000, 2)]
+    rows = []
+    solve = roots.roots_batch
+
+    def counting(coeff_rows):
+        rows.append(coeff_rows.shape[0])
+        return solve(coeff_rows)
+
+    monkeypatch.setattr(roots, "roots_batch", counting)
+    forest = _walk(trees, 12)
+    assert max(rows) > roots._BLOCK
+    monkeypatch.setattr(roots, "roots_batch", solve)
+    _assert_solo_bits(trees, 12, forest)
+
+
+@pytest.mark.parametrize("names", [("basilica", "sq"), ("lattes", "lattes")])
+def test_compact_branch_table_holds_the_int64_draws(names):
+    from dynamo.measure import _plant, _start_point
+
+    maps = _forest_maps()
+    trees = [(maps[names[0]], 300, 3), (maps[names[1]], 200, 9)]
+    depth = 25
+    _, _, branches = _plant(trees, depth)
+    d = trees[0][0].degree
+    assert branches.dtype == np.uint8 and branches.shape == (depth, 500)
+    lo = 0
+    for F, n, seed in trees:
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        _start_point(*(np.array(f) for f in F.float_forms[:2]), rng)
+        want = rng.integers(0, d, size=(depth, n))
+        assert want.dtype == np.int64
+        assert np.array_equal(branches[:, lo:lo + n], want)
+        lo += n
+
+
+def test_product_columns_are_solo_walks():
+    # degrees 2, 3, 2, 4: the degree-2 columns walk as one forest
+    from dynamo.measure import _substream
+
+    maps = _forest_maps()
+    maps = [maps["sq"], maps["cubic"], maps["basilica"], maps["lattes"], maps["sq"]]
+    m = sample_product_measure(maps, skip=5, n_samples=300, depth=15, seed=4)
+    for col, F in enumerate(maps[:4]):
+        want = sample_invariant_measure(F, 300, 15, seed=_substream(4, col + 1))
+        assert m.values[:, col].tobytes() == want.values[:, 0].tobytes()
+        assert np.array_equal(m.inverted[:, col], want.inverted[:, 0])
+
+
+@pytest.mark.parametrize("n_samples, depth", [(0, 5), (-3, 5), (100, 0)])
+def test_product_and_comparison_reject_empty_walks(sq, n_samples, depth):
+    # checked in the walk, after the forest size divides the block by n_samples
+    with pytest.raises(ValueError, match="^n_samples and depth must be >= 1$"):
+        sample_product_measure([sq, sq], 1, n_samples, depth)
+    with pytest.raises(ValueError, match="^n_samples and depth must be >= 1$"):
+        measure_compare(diagonal_surface(), [sq, sq], 1, 2, n_samples=n_samples, depth=depth)
 
 
 # -- maps whose coefficients are beyond the float range ------------------------------

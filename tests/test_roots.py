@@ -111,6 +111,16 @@ def test_aberth_overflowing_evaluation_is_silent():
             pass
 
 
+def test_overflowing_rows_do_not_retire_on_half_steps():
+    # 1e-5 + 1e160 z + z^3 starts on the circle of radius 1 + 1e160, where
+    # z^3 overflows: its 0.5 steps passed the relative test, and the three
+    # starts came back as roots.  The true roots are +-1e80 i and -1e-165.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RootFindingFailure):
+            roots_batch([[1e-5, 1e160, 0, 1]])
+
+
 def test_binary_form_roots_counts_infinity():
     # X Y (X - Y)^2: formal degree 4, roots 0, inf, and 1 (double)
     # expand (x)(x-1)^2 -> affine part; coefficient of X^4 is 0 so inf once
