@@ -8,6 +8,11 @@ object) holds the library version and every parsed option of the run,
 defaults included, so the header alone reproduces the result.  Exit codes:
 0 success, 1 usage error (an unknown option included), 2 computation error.
 
+A run builds only the parser of its subcommand (`command_parser`, kept
+per process); the full parser, with all eleven, serves --help, --version
+and unknown commands.  One helper builds both from the two tables, so a
+subcommand's namespace is the same from either.
+
 The library layers are bound as modules and their functions looked up at
 call time (`harness.mm_verify(...)`): a layer executes on first use, so a
 process runs only the layers of the subcommands it calls (`height` never
@@ -342,33 +347,49 @@ _COMMANDS = {
 }
 
 
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the options of subcommand name, from `_COMMANDS` and `_OPTIONS`."""
+    func, _, options = _COMMANDS[name]
+    for key in (*options, "json"):
+        flags, kwargs = _OPTIONS[key]
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(command=name, func=func)
+    return p
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    Building it costs more than a small job (dozens of add_argument calls,
-    each formatting help text); parsing leaves it unchanged, so every `run`
-    shares it.
-    """
+    """The full parser, with every subcommand: for --help, --version and
+    command lines that name no known subcommand.  Built once per process."""
     p = argparse.ArgumentParser(
         prog="dynamo",
         description="Exact and numerical dynamics of rational self-maps of P^1 over Q")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for key in (*options, "json"):
-            flags, kwargs = _OPTIONS[key]
-            sp.add_argument(*flags, **kwargs)
-        sp.set_defaults(func=func)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return p
+
+
+@cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on its first use and kept.
+
+    A run parses one subcommand, and building all eleven cost more than a
+    small job.  Its namespace equals the full parser's, with the options in
+    the same order, and its usage and errors name `dynamo name`.
+    """
+    return _add_command(argparse.ArgumentParser(prog=f"dynamo {name}"), name)
 
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -146,11 +146,10 @@ class RamificationPortrait:
 
 @dataclass(frozen=True)
 class NotPCF:
-    """Witness that some critical orbit does not close up."""
+    """Certified witness that some critical orbit does not close up."""
 
     witness_point: object
     orbit_length: int
-    certified: bool
     reason: str
 
 
@@ -213,8 +212,10 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
     Rational critical points are certified through the exact preperiodicity
     decision (divergence is then a proof, not a budget timeout); other orbits
     accept collisions at chordal distance < tol and mark the portrait inexact.
-    A collision in the ambiguous zone, or weights that do not stabilize,
-    raises Inconclusive.  A negative max_orbit is a ValueError.
+    A collision in the ambiguous zone, weights that do not stabilize, or a
+    critical orbit still open after max_orbit steps (running out of budget
+    proves nothing) raises Inconclusive.  A negative max_orbit is a
+    ValueError.
     """
     if max_orbit < 0:
         raise ValueError(f"max_orbit must be >= 0, got {max_orbit}")
@@ -231,7 +232,7 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
         if node.exact is not None:
             verdict = decide_preperiodic(F, node.exact)
             if not verdict.preperiodic:
-                return NotPCF(node.exact, verdict.certificate_index or 0, True,
+                return NotPCF(node.exact, verdict.certificate_index or 0,
                               "rational critical orbit has certified positive canonical height")
         cur = start
         for _ in range(max_orbit + 1):
@@ -250,9 +251,8 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
                 break
             cur = img_idx
         else:
-            return NotPCF(node.exact if node.exact is not None else node.approx,
-                          max_orbit, False,
-                          f"critical orbit still open after {max_orbit} steps")
+            raise Inconclusive(f"a critical orbit is still open after max_orbit = "
+                               f"{max_orbit} steps; a larger budget may close it")
 
     _assign_weights(store.nodes)
     signature = tuple(sorted(n.weight for n in store.nodes if n.weight > 1))
@@ -317,7 +317,10 @@ def classify(F: RationalMapLift, max_orbit: int = 64, tol: float = 1e-9) -> Clas
     """Trichotomy by orbifold signature; non-PCF maps carry their witness.
 
     tol (the collision distance) must lie in (0, 1), else ValueError.  An
-    ambiguous portrait raises Inconclusive (from `ramification_portrait`).
+    ambiguous portrait, or a critical orbit that neither closes nor is
+    certified wandering within max_orbit steps, raises Inconclusive (from
+    `ramification_portrait`), and so does `mm-verify`: a NonExceptional
+    verdict from an open critical orbit always rests on a certified witness.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be a number in (0, 1), got {tol}")
@@ -325,7 +328,7 @@ def classify(F: RationalMapLift, max_orbit: int = 64, tol: float = 1e-9) -> Clas
         raise ValueError("classification needs degree >= 2")
     portrait = ramification_portrait(F, max_orbit=max_orbit, tol=tol)
     if isinstance(portrait, NotPCF):
-        return Classification("NonExceptional", None, False, portrait.certified, portrait)
+        return Classification("NonExceptional", None, False, True, portrait)
     sig = portrait.signature
     finite = tuple(int(w) for w in sig if w != INF_WEIGHT)
     n_inf = sum(1 for w in sig if w == INF_WEIGHT)

@@ -7,6 +7,10 @@ measures through every coordinate projection agree, and two-block forms come
 from a preperiodic plane curve under iterates of matching degree.  mm_verify
 runs all of these and reports which (if any) fail, with concrete witnesses.
 
+No settled work is redone: the fiber test solves and judges the fiber of
+each distinct preperiodic tuple once, however often the trials redraw it,
+and mm_verify searches and classifies each distinct map once.
+
 The measure condition is `measure.measure_compare`, which lives with the
 sampler, so `compare-measures` runs without this module.  mm_verify calls it
 through this module's own binding, so a patch of `harness.measure_compare`
@@ -65,6 +69,11 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
     exact rational roots of the fiber get the exact preperiodicity decision
     (`decide_preperiodic`), numeric roots an uncertified escape-rate
     estimate.  A certified non-preperiodic rational root is a fail witness.
+    A map over Q has few rational preperiodic points, so the trials keep
+    drawing the same tuples: each distinct tuple's fiber is solved and
+    judged once (`_fiber_outcome`), each distinct exact root decided once,
+    and a repeated draw adds that outcome again, witnesses included.  The
+    draws, counts and witness order are those of judging every trial.
     supply memoizes each map's rational preperiodic set; callers testing
     several axes pass one dict to all of them.  trials below 1, an axis i
     outside 1..n or a map count other than n is a ValueError.
@@ -90,31 +99,57 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
     rng = random.Random(seed)
     passes = fails = uncertified = degenerate = 0
     witnesses = []
+    outcomes = {}  # assignment -> its fiber's (passes, fails, uncertified, witnesses)
+    verdicts = {}  # exact root -> its preperiodicity verdict
     for _ in range(trials):
         assignment = {j: rng.choice(pts) for j, pts in supplies.items()}
-        try:
-            roots = fiber_solve(H, i, assignment)
-        except DegenerateFiber:
+        key = tuple(assignment.values())
+        if key not in outcomes:
+            outcomes[key] = _fiber_outcome(H, maps[i - 1], i, assignment, verdicts)
+        outcome = outcomes[key]
+        if outcome is None:
             degenerate += 1
             continue
-        for cp, _mult, exact in roots:
-            if exact is not None:
-                verdict = decide_preperiodic(maps[i - 1], exact)
-                if verdict.preperiodic:
-                    passes += 1
-                else:
-                    fails += 1
-                    witnesses.append(FiberWitness(
-                        {k: str(v) for k, v in assignment.items()}, str(exact), False,
-                        f"certified canonical height >= {verdict.height_lower_bound:.6g}"))
-            else:
-                uncertified += 1
-                est = green(maps[i - 1], cp.affine(), 30) if not cp.is_infinity else 0.0
-                witnesses.append(FiberWitness(
-                    {k: str(v) for k, v in assignment.items()},
-                    repr(cp.affine()), None,
-                    f"numeric root; uncertified escape-rate estimate {est:.6g}"))
+        passes += outcome[0]
+        fails += outcome[1]
+        uncertified += outcome[2]
+        witnesses.extend(outcome[3])
     return FiberTestResult(passes, fails, uncertified, degenerate, tuple(witnesses))
+
+
+def _fiber_outcome(H: Hypersurface, F, i: int, assignment: dict, verdicts: dict):
+    """One fiber's (passes, fails, uncertified, witnesses), or None if degenerate.
+
+    Solves the fiber of axis i over assignment and judges each root under
+    F: an exact root by its preperiodicity verdict, memoized in verdicts,
+    a numeric one by its escape-rate estimate.
+    """
+    try:
+        roots = fiber_solve(H, i, assignment)
+    except DegenerateFiber:
+        return None
+    where = {k: str(v) for k, v in assignment.items()}
+    passes = fails = uncertified = 0
+    witnesses = []
+    for cp, _mult, exact in roots:
+        if exact is not None:
+            if exact not in verdicts:
+                verdicts[exact] = decide_preperiodic(F, exact)
+            verdict = verdicts[exact]
+            if verdict.preperiodic:
+                passes += 1
+            else:
+                fails += 1
+                witnesses.append(FiberWitness(
+                    where, str(exact), False,
+                    f"certified canonical height >= {verdict.height_lower_bound:.6g}"))
+        else:
+            uncertified += 1
+            est = green(F, cp.affine(), 30) if not cp.is_infinity else 0.0
+            witnesses.append(FiberWitness(
+                where, repr(cp.affine()), None,
+                f"numeric root; uncertified escape-rate estimate {est:.6g}"))
+    return passes, fails, uncertified, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +279,8 @@ def mm_verify(H: Hypersurface, maps, *, samples: int = 10_000, depth: int = 30,
         raise ValueError("no projection is dominant: a form of multidegree "
                          f"{H.multidegree} is a constant and defines the empty set")
     warnings = tuple(H.irreducibility_warnings())
-    classifications = tuple(classify(F) for F in maps)
+    classified = {F: classify(F) for F in dict.fromkeys(maps)}  # each distinct map once
+    classifications = tuple(classified[F] for F in maps)
     failed = []
     fiber_tests = {}
     supply = {}  # each distinct map's preperiodic points, searched once

@@ -36,6 +36,12 @@ the truncation and float rounding (logs included), and it never exceeds the
 target.  N and B both grow linearly in log(1/target), so a run costs N
 products of B-bit integers, where the exact orbit's digit count grew like
 d^N.  Orbits that decide anything (`decide_preperiodic`) stay exact.
+
+`rational_preperiodic_points` searches a box of rationals with the same
+certificate: the orbits of all candidates step together in int64, each
+image reduced by its gcd, and a candidate whose iterate leaves the box
+max(|x|,|y|)^(d-1) <= K is wandering, as `decide_preperiodic` would find;
+only the few candidates left are decided one by one.
 """
 
 from __future__ import annotations
@@ -464,6 +470,8 @@ def _decide(F: RationalMapLift, p: ProjectivePoint, bound_k: int,
 
 #: candidates per int64 block of the preperiodic-point search
 _SEARCH_BLOCK = 1 << 16
+#: survivors at or below which the search stops stepping them together
+_STEP_MIN = 32
 
 
 def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[ProjectivePoint]:
@@ -474,10 +482,12 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[Proj
     One exact step then runs on the whole coprime box at once in int64: a
     candidate whose reduced image leaves the t-box is certified wandering,
     the verdict `_decide` reaches at its first step (the image is larger
-    than the start, so it cannot close a cycle).  Only the other candidates
-    are decided one by one, in box order.  When L m^d >= 2^62 (L the larger
-    coefficient L1 norm, m the pruned box) int64 could overflow, and every
-    candidate is decided one by one.
+    than the start, so it cannot close a cycle).  The survivors' orbits
+    then step together (`_step_survivors`), and only the points left when
+    a step drops none are decided one by one, in box order.  When
+    L m^d >= 2^62 (L the larger coefficient L1 norm, m the pruned box)
+    int64 could overflow, so no step runs and every candidate is decided
+    one by one.
     """
     import numpy as np  # not at module level: height, preper and orbit never load it
     if F.degree < 2:
@@ -486,8 +496,7 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[Proj
     d = F.degree
     t = int_root_floor(bound_k, d - 1)
     m_max = min(t, box)
-    one_step = lip * m_max ** d < 2 ** 62
-    threshold = min(t, 2 ** 62)  # images are below 2^62 whenever one_step holds
+    threshold = min(t, 2 ** 62)  # stepped images are below 2^62
 
     def preperiodic(pt):
         return _decide(F, pt, bound_k, DEFAULT_DIGIT_CAP).preperiodic
@@ -501,16 +510,42 @@ def rational_preperiodic_points(F: RationalMapLift, box: int = 100) -> list[Proj
         qs = np.arange(q0, min(q0 + per_block, m_max + 1), dtype=np.int64)
         q, p = np.repeat(qs, side.size), np.tile(side, qs.size)
         coprime = np.gcd(p, q) == 1
-        p, q = p[coprime], q[coprime]
-        if one_step:
-            x0, x1 = form_eval(F.f0, p, q), form_eval(F.f1, p, q)
-            near = np.maximum(np.abs(x0), np.abs(x1)) // np.gcd(x0, x1) <= threshold
-            p, q = p[near], q[near]
+        p, q = _step_survivors(F, lip, threshold, p[coprime], q[coprime])
         for pnum, qden in zip(p.tolist(), q.tolist()):
             pt = ProjectivePoint(pnum, qden)
             if preperiodic(pt):
                 out.append(pt)
     return out
+
+
+def _step_survivors(F: RationalMapLift, lip: int, threshold: int, p, q):
+    """The candidates (p, q) whose orbits stay in the t-box, stepped together.
+
+    Each round applies F to every candidate's current iterate in int64,
+    reduces each image by its gcd, and drops the candidates whose image
+    leaves the box max(|x|, |y|) <= threshold = min(t, 2^62): the first
+    point of an orbit outside the t-box has positive canonical height, so
+    `_decide` would certify the start wandering.  A preperiodic start never
+    leaves the box, so the drops remove wandering points only, and box
+    order is kept.  The first round is the one-step filter.  Stepping
+    stops when a later round drops nothing, when at most _STEP_MIN
+    candidates are left (a round's fixed numpy cost then exceeds their
+    one-by-one decisions), or before a round whose images could pass
+    int64: L h^d >= 2^62, with h the largest current coordinate.  The
+    candidates left go to `_decide`.
+    """
+    import numpy as np
+    d = F.degree
+    x, y, first = p, q, True
+    while x.size and lip * int(max(np.abs(x).max(), np.abs(y).max())) ** d < 2 ** 62:
+        fx, fy = form_eval(F.f0, x, y), form_eval(F.f1, x, y)
+        g = np.gcd(fx, fy)
+        near = np.maximum(np.abs(fx), np.abs(fy)) // g <= threshold
+        p, q, x, y = p[near], q[near], fx[near] // g[near], fy[near] // g[near]
+        if x.size <= _STEP_MIN or (near.all() and not first):
+            break
+        first = False
+    return p, q
 
 
 def random_rational(rng: random.Random, box: int = 1000) -> Fraction:

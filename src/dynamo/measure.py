@@ -13,9 +13,13 @@ first two levels, the start's fiber and its preimages' fibers, are the
 ones the start-point search has already solved.  A branch index is a
 rank: branch k of a fiber is its root of rank k in a canonical order of
 the roots, so the index does not depend on the order in which the solver
-returns them.  A drawn child takes the column whose rank, counted by the
-rank comparisons, equals its branch (at d = 2 one xor), and branch tables
-hold np.min_scalar_type(d - 1) entries.  Product measures sample factors
+returns them.  The canonical order sorts by (flag, round(re, 9),
+round(im, 9)), yet no level rounds its roots: the comparisons read the
+unrounded real parts, and only pairs whose real parts lie within 2e-9 of
+each other fall back to the rounded keys (`_ranks`).  A drawn child takes
+the column whose rank, counted by the rank comparisons, equals its branch
+(at d = 2 one xor), and branch tables hold np.min_scalar_type(d - 1)
+entries.  Product measures sample factors
 independently, each column from its own stream; the columns a product or
 a comparison needs are drawn up front, and those of one degree walk as a
 forest (`_walk`): one loop over the levels of several trees, one fiber
@@ -114,27 +118,72 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 # backward-orbit sampling
 # ---------------------------------------------------------------------------
 
-def _ranks(keys) -> np.ndarray:
-    """Per row, the rank of each column: out[i, r] is the rank of row r's column i.
+#: a gap between real parts that `round(., 9)` cannot close (see `_ranks`)
+_TIE = 2e-9
+#: the relative part of the affine margin, 16 u with u the unit roundoff
+_TIE_REL = 2.0 ** -49
+#: affine real parts from here on may overflow x * 1e9 and always take the rounded keys
+_TIE_HUGE = 2.0 ** 990
 
-    keys are (N, d) arrays, most significant first, holding no NaN; the
-    canonical order of a row sorts its d columns by them with ties kept in
-    column order, as a stable np.lexsort would.  The rank of column i counts
-    the columns j before it: key_j < key_i, or key_j == key_i with j < i.  It
-    comes from d(d-1)/2 vectorized key comparisons, with no sort, and is
-    stored as a (d, N) array of np.min_scalar_type(d - 1).
+
+def _ranks(values, flags=None, affine: bool = False) -> np.ndarray:
+    """Per row, the rank of each root: out[i, r] is the rank of row r's column i.
+
+    values holds (N, d) complex roots and flags, if given, their (N, d)
+    chart flags.  The canonical order of a row sorts its d columns by the
+    keys (flag, round(re, 9), round(im, 9)), with ties kept in column
+    order, as a stable np.lexsort would.  The rank of column i counts the
+    columns j before it.  It comes from d(d-1)/2 vectorized comparisons,
+    with no sort, and is stored as a (d, N) array of
+    np.min_scalar_type(d - 1).
+
+    Rounding is skipped where it cannot matter.  np.round(x, 9) is
+    fl(k / s) with k = rint(fl(x s)) and s = 1e9.  Each of the three steps
+    is monotone, so x < y gives round(x) <= round(y): the rounded keys order
+    a pair of real parts as the real parts do, unless both round to one
+    value r.  Then, with u = 2^-53 the unit roundoff, k_x / s and k_y / s
+    both lie within u (1 + u) |r| of r, fl(x s) within 1/2 of k_x and within
+    u s |x| of x s, and likewise for y, so
+
+        |x - y| <= 1/s + u (|x| + |y|) + 2 u (1 + u) |r|,
+        |r| <= (1 + 3u) max(|x|, |y|) + 1/s,
+
+    that is |x - y| < 1e-9 (1 + 3u) + 3.01 u (|x| + |y|).  The computed gap
+    fl(y - x) is within u |y - x| of y - x.  Chart values (the default)
+    have |re| <= 1, so |fl(y - x)| > _TIE = 2e-9 proves that the real parts
+    round apart.  Affine values (affine=True, the pullback's roots) take
+    the margin _TIE + 16 u (|x| + |y|); the bound needs x s finite, so a
+    pair with |x| + |y| >= 2^990 gets an infinite margin.  Only the pairs
+    whose gap is not provably above the margin, a NaN gap from an
+    infinite root included, are compared on the rounded keys of both
+    coordinates, so the ranks are those of the rounded keys.
     """
-    n, d = keys[0].shape
+    n, d = values.shape
+    re = values.real
     ranks = np.zeros((d, n), dtype=np.min_scalar_type(d - 1))
-    for i in range(d):
-        for j in range(i + 1, d):
-            # first: column i sorts before column j
-            first = keys[-1][:, i] <= keys[-1][:, j]
-            for key in keys[-2::-1]:
-                a, b = key[:, i], key[:, j]
-                first = (a < b) | ((a == b) & first)
-            ranks[i] += ~first
-            ranks[j] += first
+    # affine rows: inf - inf, and round(x, 9) past 1.8e299, where x s is inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(d):
+            for j in range(i + 1, d):
+                # first: column i sorts before column j
+                a, b = re[:, i], re[:, j]
+                gap = b - a
+                margin = _TIE
+                if affine:
+                    size = np.abs(a) + np.abs(b)
+                    margin = np.where(size < _TIE_HUGE, _TIE + _TIE_REL * size, np.inf)
+                near = np.flatnonzero(~(np.abs(gap) > margin))
+                first = gap > 0
+                if near.size:
+                    x, y = values[near, i], values[near, j]
+                    rx, ry = x.real.round(9), y.real.round(9)
+                    first[near] = (rx < ry) | ((rx == ry)
+                                               & (x.imag.round(9) <= y.imag.round(9)))
+                if flags is not None:
+                    fa, fb = flags[:, i], flags[:, j]
+                    first = (fa < fb) | ((fa == fb) & first)
+                ranks[i] += ~first
+                ranks[j] += first
     return ranks
 
 
@@ -229,7 +278,7 @@ def _walk(trees, depth: int) -> list:
         elif step:
             pv, pi = preimage_fibers(forms, bounds, vals, invs)
         pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
-        ranks = _ranks((pi, pt.real.round(9).T, pt.imag.round(9).T))
+        ranks = _ranks(pv, pi)
         # child (node, branch), renumbered densely among the drawn children
         child = node * d + branches[step]
         drawn = np.zeros(pv.size, dtype=bool)
@@ -372,10 +421,8 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
     picks = rng.integers(0, deg, size=cols.shape[1])
     roots = roots_batch(cols.T)
     # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
-    rt = roots.T
     rows = np.arange(roots.shape[0])
-    chosen = roots[rows, _column_of_rank(_ranks((rt.real.round(9).T, rt.imag.round(9).T)),
-                                         picks)]
+    chosen = roots[rows, _column_of_rank(_ranks(roots, affine=True), picks)]
     vals_i, invs_i = to_chart(chosen)
     width = H.n
     out_v = np.empty((len(rows), width), dtype=complex)

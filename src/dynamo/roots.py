@@ -22,7 +22,9 @@ backward-error test; a single polynomial left moving is a failure.
 `preimage_fibers` solves the fibers of many points, under one map or
 under several maps of one degree, in one `roots_batch`: it is the backward
 step of the measure sampler's forests, and its one-map case
-`preimage_fiber` that of the periodic-point starts.
+`preimage_fiber` that of the periodic-point starts.  Its roots reach chart
+form through `to_chart`, which tests the finiteness of a whole batch by one
+sum and looks at single entries only when that sum is not finite.
 """
 
 from __future__ import annotations
@@ -400,16 +402,21 @@ def to_chart(z: np.ndarray):
     z, C- or F-contiguous, is overwritten with w and returned with the
     chart flags, which keep the memory order of z: both flatten in that
     order without a copy, and the reciprocals are taken on the gathered
-    entries where the flag is set.
+    entries where the flag is set.  A non-finite entry makes the sum of z
+    non-finite, so one sum clears the common batch of finite roots; only
+    when it is not finite (some entry is inf or nan, or finite entries
+    overflow the sum) are the entries tested one by one.
     """
-    infinite = ~np.isfinite(z)
-    invs = np.abs(z) > 1.0
     flat = z.ravel(order="K")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or an overflow
+        infinite = None if np.isfinite(flat.sum()) else ~np.isfinite(z)
+    invs = np.abs(z) > 1.0
     at = np.flatnonzero(invs.ravel(order="K"))
     with np.errstate(divide="ignore", invalid="ignore"):
         flat[at] = 1.0 / flat[at]
-    np.copyto(z, 0.0, where=infinite)
-    invs |= infinite
+    if infinite is not None:
+        np.copyto(z, 0.0, where=infinite)
+        invs |= infinite
     return z, invs
 
 

@@ -106,13 +106,51 @@ def test_periodic_repelling_only(sq_json):
 
 
 def test_parser_built_once_per_process(sq_json):
+    # each command's parser is built once, and a command run never builds the
+    # full parser, which serves --help, --version and unknown commands
     import dynamo.cli
 
     dynamo.cli.build_parser.cache_clear()
+    dynamo.cli.command_parser.cache_clear()
     for _ in range(2):
         assert _run(["periodic", "--map", sq_json, "--period", "1"])[0] == 0
+        assert _run(["preper", "--map", sq_json, "--point", "2"])[0] == 0
+    info = dynamo.cli.command_parser.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert dynamo.cli.build_parser.cache_info().currsize == 0
+    assert _run(["--version"])[0] == 0
+    assert _run(["no-such-command"])[0] == 1
     info = dynamo.cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["preper", "--map", "m.json", "--point", "5/3"],
+    ["height", "--map", "m.json", "--point", "2", "--err", "1e-3", "--diagnostics", "--json"],
+    ["mm-verify", "--hyp", "h.json", "--map", "a.json", "b.json", "--maps", "c.json",
+     "--samples", "50", "--trials", "3"],
+    ["compare-measures", "--hyp", "h.json", "--map", "a.json", "--map", "b.json", "--n", "7",
+     "--i", "2", "--j", "1"],
+    ["periodic", "--map", "m.json", "--period", "3", "--repelling-only"],
+    ["self-test"],
+])
+def test_command_parser_namespace_is_the_full_parsers(argv):
+    # the header echoes the namespace in order, so its keys keep their order too
+    from dynamo.cli import build_parser, command_parser
+
+    full = build_parser().parse_args(argv)
+    one = command_parser(argv[0]).parse_args(argv[1:])
+    assert one == full
+    echoed = [[k for k in vars(ns) if k not in ("command", "func")] for ns in (full, one)]
+    assert echoed[0] == echoed[1]
+
+
+def test_unrecognized_argument_names_the_subcommand(sq_json, capsys):
+    code, _ = _run(["preper", "--map", sq_json, "--point", "2", "--bogus"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dynamo preper ")
+    assert "dynamo preper: error: unrecognized arguments: --bogus" in err
 
 
 def test_map_lists_do_not_leak_between_runs(monkeypatch, diagonal_json, sq_json,
@@ -578,6 +616,22 @@ def test_shared_option_has_one_default_across_subcommands():
         assert len(set(by_command.values())) == 1, (dest, by_command)
     assert seen["seed"]["self-test"] == (7, int, False)
     assert seen["samples"]["mm-verify"] == (10_000, int, False)
+
+
+@pytest.mark.parametrize("num, budget", [(["-2", "0", "1"], 1), (["0", "-3", "0", "1"], 0),
+                                         (["1", "0", "2", "0", "1"], 1)])
+def test_classify_open_orbit_budget_is_inconclusive(tmp_path, capsys, num, budget):
+    # T2 at --max-orbit 1, T3 at 0 and Lattes at 1 exited 0 as NonExceptional
+    path = tmp_path / "map.json"
+    spec = {"num": num}
+    if len(num) == 5:
+        spec["den"] = ["0", "-4", "0", "4"]
+    path.write_text(json.dumps(spec))
+    code, text = _run(["classify", "--map", str(path), "--max-orbit", str(budget)])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err == (f"computation error: a critical orbit is still open after max_orbit = "
+                   f"{budget} steps; a larger budget may close it\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynamo.errors import SingularCurve
+from dynamo.errors import Inconclusive, SingularCurve
 from dynamo.exceptional import (
     INF_WEIGHT,
     NotPCF,
@@ -186,7 +186,7 @@ def test_portrait_basilica(basilica):
 def test_portrait_z2_plus_1_certified_witness(zsq_plus_1):
     p = ramification_portrait(zsq_plus_1)
     assert isinstance(p, NotPCF)
-    assert p.certified
+    assert p.reason == "rational critical orbit has certified positive canonical height"
     assert str(p.witness_point) == "0"
 
 
@@ -241,6 +241,18 @@ def test_classify_nonpcf_witness(zsq_plus_1):
     assert c.verdict == "NonExceptional"
     assert not c.pcf
     assert c.exact  # divergence was certified exactly
+
+
+@pytest.mark.parametrize("F, budget, enough", [
+    (chebyshev(2), 1, 2), (lattes_doubling(-1, 0), 1, 2), (chebyshev(3), 0, 1)])
+def test_open_critical_orbit_is_inconclusive(F, budget, enough):
+    # a budget too small to close an orbit proves nothing: these exceptional
+    # maps were labelled NonExceptional (uncertified) at the small budget
+    with pytest.raises(Inconclusive, match=f"max_orbit = {budget} steps"):
+        classify(F, max_orbit=budget)
+    with pytest.raises(Inconclusive):
+        ramification_portrait(F, max_orbit=budget)
+    assert classify(F, max_orbit=enough).verdict != "NonExceptional"
 
 
 def test_classify_conjugation_stable(sq, cheb2, basilica):

@@ -69,6 +69,89 @@ def test_fiber_irrational_roots_are_uncertified(sq):
         assert w.detail.startswith("numeric root; uncertified escape-rate estimate")
 
 
+def _per_trial_reference(H, maps, i, trials, seed):
+    """The fiber test with a fresh solve and decision at every trial, and the
+    set of distinct assignments it drew."""
+    import random
+
+    from dynamo.errors import DegenerateFiber
+    from dynamo.harness import SUPPLY_BOX, FiberTestResult, FiberWitness
+    from dynamo.heights import decide_preperiodic, rational_preperiodic_points
+    from dynamo.hypersurface import fiber_solve
+    from dynamo.measure import green
+
+    supplies = {j: rational_preperiodic_points(F, box=SUPPLY_BOX)
+                for j, F in enumerate(maps, start=1) if j != i}
+    rng = random.Random(seed)
+    passes = fails = uncertified = degenerate = 0
+    witnesses, drawn = [], set()
+    for _ in range(trials):
+        assignment = {j: rng.choice(pts) for j, pts in supplies.items()}
+        drawn.add(tuple(assignment.values()))
+        where = {k: str(v) for k, v in assignment.items()}
+        try:
+            roots = fiber_solve(H, i, assignment)
+        except DegenerateFiber:
+            degenerate += 1
+            continue
+        for cp, _mult, exact in roots:
+            if exact is not None:
+                verdict = decide_preperiodic(maps[i - 1], exact)
+                if verdict.preperiodic:
+                    passes += 1
+                else:
+                    fails += 1
+                    witnesses.append(FiberWitness(
+                        where, str(exact), False,
+                        f"certified canonical height >= {verdict.height_lower_bound:.6g}"))
+            else:
+                uncertified += 1
+                est = green(maps[i - 1], cp.affine(), 30) if not cp.is_infinity else 0.0
+                witnesses.append(FiberWitness(
+                    where, repr(cp.affine()), None,
+                    f"numeric root; uncertified escape-rate estimate {est:.6g}"))
+    return FiberTestResult(passes, fails, uncertified, degenerate, tuple(witnesses)), drawn
+
+
+@pytest.mark.parametrize("case", ["diagonal", "shift", "square", "three", "degenerate"])
+def test_fiber_test_solves_each_distinct_fiber_once(case, sq, basilica, monkeypatch):
+    # the trials redraw a few preperiodic tuples: each distinct one is solved
+    # and each distinct exact root decided once, and the result (counts and
+    # witnesses in order) is that of solving every trial
+    H, maps, i = {
+        "diagonal": (diagonal_surface(), [basilica, basilica], 2),
+        "shift": (graph_surface([1, 1]), [sq, sq], 2),            # fail witnesses
+        "square": (graph_surface([0, 0, 1]), [sq, sq], 1),        # uncertified +-i
+        "three": (linear_sum_surface(), [basilica] * 3, 1),
+        # x2 (x1 - 1) = 0: the fiber over x2 = 0 vanishes identically
+        "degenerate": (Hypersurface.make(2, (1, 1), [((1, 1), 1), ((0, 1), -1)]), [sq, sq], 1),
+    }[case]
+    want, drawn = _per_trial_reference(H, maps, i, trials=60, seed=5)
+    solves, decisions = [], []
+    solve, decide = dynamo.harness.fiber_solve, dynamo.harness.decide_preperiodic
+
+    def counting_solve(H, i, assignment):
+        solves.append(tuple(assignment.values()))
+        return solve(H, i, assignment)
+
+    def counting_decide(F, p):
+        decisions.append(p)
+        return decide(F, p)
+
+    monkeypatch.setattr(dynamo.harness, "fiber_solve", counting_solve)
+    monkeypatch.setattr(dynamo.harness, "decide_preperiodic", counting_decide)
+    res = fiber_preperiodicity_test(H, maps, i, trials=60, seed=5)
+    assert res == want
+    assert len(solves) == len(set(solves)) and set(solves) == drawn and len(solves) < 60
+    assert len(decisions) == len(set(decisions))
+    if case == "shift":
+        assert res.fails and res.witnesses
+    if case == "square":
+        assert res.uncertified
+    if case == "degenerate":
+        assert res.degenerate and res.passes
+
+
 # -- measure comparison ----------------------------------------------------------
 
 def test_measure_compare_diagonal_same_maps(sq):

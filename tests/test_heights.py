@@ -267,6 +267,58 @@ def test_rational_preperiodic_points_one_decision_per_candidate(spec):
     assert rational_preperiodic_points(F, box=box) == want
 
 
+def _one_by_one_search(F, box):
+    """The preperiodic-point search with every candidate of the pruned box
+    decided on its own, in box order."""
+    k = step_bound_int(F)
+    m_max = min(int_root_floor(k, F.degree - 1), box)
+    candidates = [ProjectivePoint(1, 0)] + [
+        ProjectivePoint(p, q) for q in range(1, m_max + 1) for p in range(-m_max, m_max + 1)
+        if math.gcd(abs(p), q) == 1]
+    return [pt for pt in candidates if decide_preperiodic(F, pt).preperiodic]
+
+
+# (map, int64 rounds at least).  z^2 - 29/16 and z^2 - 21/16 leave about 3 000
+# one-step survivors at box 100, and the Lattes map at most 32, which are
+# decided one by one.  The orbits of z^2 - 3/1024 and z^3 + 1/1024 stay in the
+# t-box for a step but would pass 2^62 in int64 before they leave it: the
+# guard stops the first after two rounds and the second after one
+STEPPED_MAPS = [({"num": ["-29/16", "0", "1"]}, 2), ({"num": ["-21/16", "0", "1"]}, 2),
+                ({"num": ["1/4", "0", "1"]}, 2),
+                ({"num": ["1", "0", "2", "0", "1"], "den": ["0", "-4", "0", "4"]}, 1),
+                ({"num": ["-3/1024", "0", "1"]}, 2), ({"num": ["1/1024", "0", "0", "1"]}, 1)]
+
+
+@pytest.mark.parametrize("spec, rounds", STEPPED_MAPS)
+def test_rational_preperiodic_points_stepped_survivors(monkeypatch, spec, rounds):
+    # the survivors' orbits step together until a step drops nothing or the
+    # int64 guard L h^d < 2^62 stops it; the points are those of the
+    # one-by-one search
+    import numpy as np
+
+    import dynamo.heights
+    from dynamo.heights import _step_constants
+    from dynamo.projective import form_eval, map_from_json
+
+    F = map_from_json(spec)
+    lip, _, k = _step_constants(F)
+    t, d = int_root_floor(k, F.degree - 1), F.degree
+    assert lip * min(t, 100) ** d < 2 ** 62  # the stepping starts
+    if "1024" in spec["num"][0]:
+        assert lip * t ** d >= 2 ** 62  # ... and the guard must stop it
+    steps = []
+
+    def guarded_eval(coeffs, x, y):
+        if isinstance(x, np.ndarray):  # an int64 round: its images fit
+            steps.append(x.size)
+            assert lip * int(max(np.abs(x).max(), np.abs(y).max())) ** d < 2 ** 62
+        return form_eval(coeffs, x, y)
+
+    monkeypatch.setattr(dynamo.heights, "form_eval", guarded_eval)
+    assert rational_preperiodic_points(F, box=100) == _one_by_one_search(F, 100)
+    assert len(steps) >= 2 * rounds  # each round evaluates F0 and F1
+
+
 @pytest.mark.parametrize("box", [100, 5])
 def test_rational_preperiodic_points_huge_step_bound(box):
     # K is about 10^12 for z^2 + 10^12; a pruning bound counted up one by one

@@ -592,3 +592,42 @@ def test_linear_factor_needs_no_solver(monkeypatch):
         monkeypatch.setattr(dynamo.roots, name, fail)
     assert dynamo.roots.yun_squarefree([6, -4]) == [([3, -2], 1)]
     assert [str(ex) for _, _, ex in binary_form_roots([0, 6, -4, 0])] == ["inf", "0", "3/2"]
+
+
+def _to_chart_entrywise(z):
+    """The chart form with every entry tested for finiteness, the reference
+    for `to_chart`'s one-sum shortcut."""
+    z = z.copy()
+    infinite = ~np.isfinite(z)
+    invs = np.abs(z) > 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z[invs] = 1.0 / z[invs]
+    z[infinite] = 0.0
+    return z, invs | infinite
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_to_chart_non_finite_and_overflowing_sums(order):
+    from dynamo.roots import to_chart
+
+    big = np.finfo(float).max
+    rows = [
+        [0.5 + 0.5j, 3.0 - 2.0j],                      # finite: the one-sum path
+        [complex(np.inf, 0.0), 0.25j],                 # infinity
+        [complex(-np.inf, np.nan), 2.0],
+        [complex(np.nan, np.nan), -0.5],               # nan
+        [complex(0.5, np.nan), complex(np.nan, 3.0)],
+        [complex(big, 0.0), complex(big, big)],        # finite, but the sum overflows
+        [complex(-big, 1.0), complex(0.0, -big)],
+        [complex(big, 0.0), complex(big, 1.0)],
+        [complex(np.inf, np.inf), complex(1e-300, 0.0)],
+    ]
+    for picked in (rows[:1], rows[:2], rows[6:8], rows[5:8], rows):
+        z = np.array(picked, dtype=complex, order=order)
+        # the sum's overflow is silent; the reciprocal of big + big j overflows
+        # as it did before the shortcut
+        with np.errstate(over="ignore" if len(picked) > 2 else "warn"):
+            want_v, want_i = _to_chart_entrywise(z)
+            got_v, got_i = to_chart(z.copy(order=order))
+        assert got_v.tobytes() == want_v.tobytes()  # bits, signed zeros included
+        assert np.array_equal(got_i, want_i)
