@@ -147,7 +147,7 @@ def _cmd_sample_measure(args, out):
     F = projective.load_map(args.map)
     m = measure.sample_invariant_measure(F, args.samples, args.depth, seed=args.seed)
     if args.chart == "sphere":
-        xyz = measure.sphere_embed(m.values[:, 0], m.inverted[:, 0])
+        xyz = m.sphere(0)
         _emit_floats(["x", "y", "z"], [c.tolist() for c in xyz.T], args, out)
     else:
         z = m.affine(0)

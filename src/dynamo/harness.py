@@ -75,15 +75,13 @@ def fiber_preperiodicity_test(H: Hypersurface, maps, i: int, trials: int = 100,
     and a repeated draw adds that outcome again, witnesses included.  The
     draws, counts and witness order are those of judging every trial.
     supply memoizes each map's rational preperiodic set; callers testing
-    several axes pass one dict to all of them.  trials below 1, an axis i
-    outside 1..n or a map count other than n is a ValueError.
+    several axes pass one dict to all of them.  trials below 1, a map count
+    other than n, or an axis i outside 1..n or one H does not project
+    dominantly when forgetting is a ValueError (`Hypersurface.check_axes`).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     H.check_axes(maps, i)
-    dom = H.dominance()
-    if not dom["axis"][i]:
-        raise ValueError(f"projection forgetting axis {i} is not dominant")
     supply = {} if supply is None else supply
     supplies = {}
     for j, F in enumerate(maps, start=1):

@@ -103,13 +103,21 @@ class Hypersurface:
         }
 
     def check_axes(self, maps, *axes: int) -> None:
-        """ValueError unless there is one map per axis and every axis is in 1..n."""
+        """ValueError unless there is one map per axis, then `check_dominant(*axes)`."""
         if len(maps) != self.n:
             raise ValueError(f"one map per coordinate axis is required: {self.n} axes, "
                              f"{len(maps)} maps")
+        self.check_dominant(*axes)
+
+    def check_dominant(self, *axes: int) -> None:
+        """ValueError unless every axis is in 1..n, and then unless H projects
+        dominantly when forgetting each of them."""
         for a in axes:
             if not 1 <= a <= self.n:
                 raise ValueError(f"axis {a} is outside 1..{self.n}")
+        for a in axes:
+            if self.multidegree[a - 1] <= 0:
+                raise ValueError(f"H does not project dominantly when forgetting axis {a}")
 
     # -- fibers ---------------------------------------------------------------
 
@@ -176,11 +184,9 @@ def fiber_solve(H: Hypersurface, i: int, values: dict[int, ProjectivePoint]):
     """All projective roots of the fiber through exact constrained values.
 
     Returns [(CPoint, mult, exact-or-None), ...]; DegenerateFiber if the
-    substituted form vanishes identically.
+    substituted form vanishes identically, ValueError if `check_dominant(i)` does.
     """
-    dom = H.dominance()
-    if not dom["axis"][i]:
-        raise ValueError(f"projection forgetting axis {i} is not dominant")
+    H.check_dominant(i)
     coeffs = H.fiber_form_exact(i, values)
     if all(c == 0 for c in coeffs):
         raise DegenerateFiber(f"fiber over {values} vanishes identically")

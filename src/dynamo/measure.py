@@ -27,7 +27,8 @@ solve per level for all of them, so a level's fixed numpy cost is paid
 once per forest.  A forest takes trees only while their samples fit one
 `roots._BLOCK`, since sharing a large level gains nothing.  Hypersurface
 pullbacks solve the fiber equation per sample and pick one of the deg
-roots uniformly, realizing the normalized pullback measure.
+roots uniformly, by rank in the same order, realizing the normalized
+pullback measure.
 
 Maps and hypersurfaces reach the floats through `projective.float_coefficients`.
 Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
@@ -120,21 +121,17 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 
 #: a gap between real parts that `round(., 9)` cannot close (see `_ranks`)
 _TIE = 2e-9
-#: the relative part of the affine margin, 16 u with u the unit roundoff
-_TIE_REL = 2.0 ** -49
-#: affine real parts from here on may overflow x * 1e9 and always take the rounded keys
-_TIE_HUGE = 2.0 ** 990
 
 
-def _ranks(values, flags=None, affine: bool = False) -> np.ndarray:
+def _ranks(values, flags) -> np.ndarray:
     """Per row, the rank of each root: out[i, r] is the rank of row r's column i.
 
-    values holds (N, d) complex roots and flags, if given, their (N, d)
-    chart flags.  The canonical order of a row sorts its d columns by the
-    keys (flag, round(re, 9), round(im, 9)), with ties kept in column
-    order, as a stable np.lexsort would.  The rank of column i counts the
-    columns j before it.  It comes from d(d-1)/2 vectorized comparisons,
-    with no sort, and is stored as a (d, N) array of
+    values holds (N, d) chart values and flags their (N, d) chart flags
+    (`roots.to_chart`).  The canonical order of a row sorts its d columns
+    by the keys (flag, round(re, 9), round(im, 9)), with ties kept in
+    column order, as a stable np.lexsort would.  The rank of column i
+    counts the columns j before it.  It comes from d(d-1)/2 vectorized
+    comparisons, with no sort, and is stored as a (d, N) array of
     np.min_scalar_type(d - 1).
 
     Rounding is skipped where it cannot matter.  np.round(x, 9) is
@@ -149,41 +146,29 @@ def _ranks(values, flags=None, affine: bool = False) -> np.ndarray:
         |r| <= (1 + 3u) max(|x|, |y|) + 1/s,
 
     that is |x - y| < 1e-9 (1 + 3u) + 3.01 u (|x| + |y|).  The computed gap
-    fl(y - x) is within u |y - x| of y - x.  Chart values (the default)
-    have |re| <= 1, so |fl(y - x)| > _TIE = 2e-9 proves that the real parts
-    round apart.  Affine values (affine=True, the pullback's roots) take
-    the margin _TIE + 16 u (|x| + |y|); the bound needs x s finite, so a
-    pair with |x| + |y| >= 2^990 gets an infinite margin.  Only the pairs
-    whose gap is not provably above the margin, a NaN gap from an
-    infinite root included, are compared on the rounded keys of both
-    coordinates, so the ranks are those of the rounded keys.
+    fl(y - x) is within u |y - x| of y - x.  Chart values are finite with
+    |re| <= 1, so |fl(y - x)| > _TIE = 2e-9 proves that the real parts
+    round apart.  Only the pairs whose gap is at most _TIE are compared on
+    the rounded keys of both coordinates, so the ranks are those of the
+    rounded keys.
     """
     n, d = values.shape
     re = values.real
     ranks = np.zeros((d, n), dtype=np.min_scalar_type(d - 1))
-    # affine rows: inf - inf, and round(x, 9) past 1.8e299, where x s is inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(d):
-            for j in range(i + 1, d):
-                # first: column i sorts before column j
-                a, b = re[:, i], re[:, j]
-                gap = b - a
-                margin = _TIE
-                if affine:
-                    size = np.abs(a) + np.abs(b)
-                    margin = np.where(size < _TIE_HUGE, _TIE + _TIE_REL * size, np.inf)
-                near = np.flatnonzero(~(np.abs(gap) > margin))
-                first = gap > 0
-                if near.size:
-                    x, y = values[near, i], values[near, j]
-                    rx, ry = x.real.round(9), y.real.round(9)
-                    first[near] = (rx < ry) | ((rx == ry)
-                                               & (x.imag.round(9) <= y.imag.round(9)))
-                if flags is not None:
-                    fa, fb = flags[:, i], flags[:, j]
-                    first = (fa < fb) | ((fa == fb) & first)
-                ranks[i] += ~first
-                ranks[j] += first
+    for i in range(d):
+        for j in range(i + 1, d):
+            # first: column i sorts before column j
+            gap = re[:, j] - re[:, i]
+            near = np.flatnonzero(np.abs(gap) <= _TIE)
+            first = gap > 0
+            if near.size:
+                x, y = values[near, i], values[near, j]
+                rx, ry = x.real.round(9), y.real.round(9)
+                first[near] = (rx < ry) | ((rx == ry) & (x.imag.round(9) <= y.imag.round(9)))
+            fa, fb = flags[:, i], flags[:, j]
+            first = (fa < fb) | ((fa == fb) & first)
+            ranks[i] += ~first
+            ranks[j] += first
     return ranks
 
 
@@ -394,52 +379,34 @@ def pullback_to_hypersurface(H, maps, i: int, n_samples: int, depth: int,
 
     For each product-measure sample of the coordinates != i, the fiber binary
     form in block i is solved and one of its multidegree[i] roots is chosen
-    uniformly, as the root of a uniform rank in the order
-    (round(re, 9), round(im, 9)) of the affine roots; identically-vanishing
-    fibers are discarded and counted.  columns is passed to
-    `sample_product_measure`.  An axis i outside 1..n or a map count other
-    than n is a ValueError.
+    uniformly: branch k is the root of rank k in the walk's order
+    (inverted, round(re, 9), round(im, 9)) of the chart-form fiber
+    (`_ranks`); identically-vanishing fibers are discarded and counted.
+    columns is passed to `sample_product_measure`.  A map count other than
+    n, an axis i outside 1..n or one H does not project dominantly when
+    forgetting is a ValueError (`Hypersurface.check_axes`).
     """
     H.check_axes(maps, i)
-    _check_dominant(H, i)
     base = sample_product_measure(maps, i, n_samples, depth, seed=seed, columns=columns)
     others = [j for j in range(1, H.n + 1) if j != i]
-    deg = H.multidegree[i - 1]
-    n = base.size
-    pairs = {}
-    for col, j in enumerate(others):
-        v = base.values[:, col]
-        inv = base.inverted[:, col]
-        pairs[j] = (np.where(inv, 1.0 + 0j, v), np.where(inv, v, 1.0 + 0j))
-    cols = H.fiber_coeff_matrix(i, pairs, n)
+    pairs = {j: (np.where(inv, 1.0 + 0j, v), np.where(inv, v, 1.0 + 0j))
+             for j, v, inv in zip(others, base.values.T, base.inverted.T)}
+    cols = H.fiber_coeff_matrix(i, pairs, base.size)
     scale = np.max(np.abs(cols), axis=0)
     good = scale > 1e-13
     discarded = int(np.sum(~good))
     cols = cols.compress(good, axis=1)
     cols /= scale[good]
     rng = np.random.default_rng(np.random.SeedSequence([_substream(seed, 971 + i)]))
-    picks = rng.integers(0, deg, size=cols.shape[1])
-    roots = roots_batch(cols.T)
-    # branch k: the root of rank k in the order (round(re, 9), round(im, 9))
-    rows = np.arange(roots.shape[0])
-    chosen = roots[rows, _column_of_rank(_ranks(roots, affine=True), picks)]
-    vals_i, invs_i = to_chart(chosen)
-    width = H.n
-    out_v = np.empty((len(rows), width), dtype=complex)
-    out_i = np.empty((len(rows), width), dtype=bool)
-    for col, j in enumerate(others):
-        out_v[:, j - 1] = base.values[good, col]
-        out_i[:, j - 1] = base.inverted[good, col]
-    out_v[:, i - 1] = vals_i
-    out_i[:, i - 1] = invs_i
+    picks = rng.integers(0, H.multidegree[i - 1], size=cols.shape[1])
+    vals, invs = to_chart(roots_batch(cols.T))
+    # branch k: the root of rank k in the sampler's chart order
+    rows = np.arange(vals.shape[0])
+    chosen = _column_of_rank(_ranks(vals, invs), picks)
+    # the base columns are the axes other than i, in order: column i goes in between
+    out_v = np.insert(base.values[good], i - 1, vals[rows, chosen], axis=1)
+    out_i = np.insert(base.inverted[good], i - 1, invs[rows, chosen], axis=1)
     return PullbackSample(EmpiricalMeasure(out_v, out_i, seed, depth), discarded)
-
-
-def _check_dominant(H, *axes: int) -> None:
-    """ValueError unless H projects dominantly when forgetting each axis."""
-    for a in axes:
-        if H.multidegree[a - 1] <= 0:
-            raise ValueError(f"H does not project dominantly when forgetting axis {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +494,6 @@ def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int
     H.check_axes(maps, i, j)
     if i == j:
         raise ValueError(f"compare two distinct axes, got i = j = {i}")
-    _check_dominant(H, i, j)
     columns = {} if columns is None else columns
     # the two pullbacks need every axis's column: draw them in one walk
     _draw_columns(maps, range(1, H.n + 1), n_samples, depth, seed, columns)
@@ -535,11 +501,7 @@ def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int
                                      columns=columns)
     out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,
                                      columns=columns)
-    per_chart = []
-    stat = 0.0
-    for axis in range(H.n):
-        d_axis = cap_discrepancy(out_i.measure.sphere(axis), out_j.measure.sphere(axis))
-        per_chart.append(d_axis)
-        stat = max(stat, d_axis)
-    return MeasureCompareResult(stat, clt_threshold(n_samples), tuple(per_chart),
+    per_chart = tuple(cap_discrepancy(out_i.measure.sphere(a), out_j.measure.sphere(a))
+                      for a in range(H.n))
+    return MeasureCompareResult(max(per_chart), clt_threshold(n_samples), per_chart,
                                 n_samples, (out_i.discarded, out_j.discarded))

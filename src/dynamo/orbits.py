@@ -38,14 +38,17 @@ points also run:
 
 Matching each root to the root nearest its image groups the roots into
 cycles with exact periods (Morton-Silverman, IMRN 1994, count them) and
-checks that F permutes them.  The multiplier is the chain-rule product of
-local derivatives in charts that avoid infinity; `Cycle.repelling` reads
-|lambda| > 1 from it.  Exact orbits of rational points (tail and period, or
-certified divergence) are `heights.decide_preperiodic`.
+checks that F permutes them; an exact root's image is taken exactly.  The
+multiplier is the chain-rule product of local derivatives in charts that
+avoid infinity, in integers on a cycle of exact points and in floats on
+any other; `Cycle.repelling` reads |lambda| > 1 from it.  Exact orbits of
+rational points (tail and period, or certified divergence) are
+`heights.decide_preperiodic`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,7 @@ from .errors import CapExceeded, NotACycle
 from .projective import (
     CPoint,
     RationalMapLift,
+    evaluate,
     evaluate_cpoint,
     form_derivative_x,
     form_derivative_y,
@@ -211,13 +215,20 @@ def _orbit_ratio(forms, n: int, known):
     return ratio
 
 
-def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, exact,
+                tol: float) -> np.ndarray:
     """Index of the root nearest, in chordal distance, to the image of each root [x : y].
 
-    Raises NotACycle when an image is farther than tol from every root.  The
-    distance matrix is built _MATCH_ROWS images at a time.
+    exact holds each root's ProjectivePoint or None; an exact root's image is
+    taken exactly, then rounded, as its float image can land far off next to
+    a pole.  Raises NotACycle when an image is farther than tol from every
+    root.  The distance matrix is built _MATCH_ROWS images at a time.
     """
     ix, iy = (form_eval(f, x, y) for f in F.float_forms[:2])
+    for k, p in enumerate(exact):
+        if p is not None:
+            image = CPoint.from_exact(evaluate(F, p))
+            ix[k], iy[k] = image.x, image.y
     norm = np.hypot(np.abs(x), np.abs(y))
     inorm = np.hypot(np.abs(ix), np.abs(iy))
     succ = np.empty(len(x), dtype=int)
@@ -259,13 +270,13 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> lis
                           f"{DEFAULT_PERIOD_CAP}")
     roots = fixed_point_roots(F, n, tol=max(tol * 1e-3, 1e-14))
     pts = [cp for cp, _, _ in roots]
+    exact = [ex for _, _, ex in roots]
     x = np.array([p.x for p in pts])
     y = np.array([p.y for p in pts])
-    succ = _successors(F, x, y, max(tol, 1e-7))
-    deriv = _chart_derivatives(F, x, y, (np.abs(x) > np.abs(y))[succ]).tolist()
+    succ = _successors(F, x, y, exact, max(tol, 1e-7))
+    dst_w = (np.abs(x) > np.abs(y))[succ]
     succ = succ.tolist()
-    cycles: list[Cycle] = []
-    visited = set()
+    paths, visited = [], set()
     for start in range(len(pts)):
         if start in visited:
             continue
@@ -280,13 +291,42 @@ def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> lis
             # two roots share a nearest image, so some root has none
             raise NotACycle("nearest-root matching is not a permutation of the "
                             "periodic root set")
-        lam = 1.0 + 0.0j
-        for i in path:
-            lam *= deriv[i]
+        paths.append(path)
+    # float derivatives only on the cycles with an inexact point
+    rows = [i for path in paths if None in [exact[k] for k in path] for i in path]
+    deriv = dict(zip(rows, _chart_derivatives(F, x[rows], y[rows], dst_w[rows]).tolist()))
+    cycles: list[Cycle] = []
+    for path in paths:
+        points = tuple(exact[i] for i in path)
+        lam = (math.prod((deriv[i] for i in path), start=1.0 + 0.0j) if None in points
+               else _exact_multiplier(F, points))
         warn = any(roots[i][1] > 1 for i in path)
-        cycles.append(Cycle(tuple(pts[i] for i in path), len(path), lam,
-                            tuple(roots[i][2] for i in path), warn))
+        cycles.append(Cycle(tuple(pts[i] for i in path), len(path), lam, points, warn))
     return cycles
+
+
+def _exact_multiplier(F: RationalMapLift, points) -> complex:
+    """The multiplier of a cycle of exact points, listed in orbit order.
+
+    The charts of `_chart_derivatives` in integers: at [x : y] with image
+    chart quotient A/B, the local derivative is s (A' B - A B') / B^2, with
+    s = y and ' = d/dX in the z chart, s = x and ' = d/dY in the w chart.
+    The product is one ratio of integers, rounded once; beyond the float
+    range it is +-inf.  A zero takes the sign the float chain rule gives it.
+    """
+    factors = []
+    for p, q in zip(points, points[1:] + points[:1]):
+        s, part = (p.x, form_derivative_y) if abs(p.x) > abs(p.y) else (p.y, form_derivative_x)
+        a, b = (F.f1, F.f0) if abs(q.x) > abs(q.y) else (F.f0, F.f1)
+        av, bv, da, db = (form_eval(f, p.x, p.y) for f in (a, b, part(a), part(b)))
+        factors.append((s * (da * bv - av * db), bv * bv))
+    num, den = math.prod(t for t, _ in factors), math.prod(b for _, b in factors)
+    if not num:
+        return math.prod((complex(t / b) for t, b in factors), start=1.0 + 0.0j)
+    try:
+        return complex(num / den)
+    except OverflowError:
+        return complex(math.inf if num > 0 else -math.inf)
 
 
 def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,

@@ -155,12 +155,6 @@ class CPoint:
         den = math.hypot(abs(self.x), abs(self.y)) * math.hypot(abs(other.x), abs(other.y))
         return num / den
 
-    def sphere(self) -> tuple[float, float, float]:
-        """Image on the unit sphere under the stereographic embedding."""
-        n2 = abs(self.x) ** 2 + abs(self.y) ** 2
-        w = self.x * self.y.conjugate()
-        return (2.0 * w.real / n2, 2.0 * w.imag / n2, (abs(self.x) ** 2 - abs(self.y) ** 2) / n2)
-
     def __repr__(self) -> str:
         return f"CPoint({self.x!r}, {self.y!r})"
 

@@ -22,9 +22,10 @@ backward-error test; a single polynomial left moving is a failure.
 `preimage_fibers` solves the fibers of many points, under one map or
 under several maps of one degree, in one `roots_batch`: it is the backward
 step of the measure sampler's forests, and its one-map case
-`preimage_fiber` that of the periodic-point starts.  Its roots reach chart
-form through `to_chart`, which tests the finiteness of a whole batch by one
-sum and looks at single entries only when that sum is not finite.
+`preimage_fiber` that of the periodic-point starts.  Its roots, like the
+pullbacks' of `measure`, reach chart form through `to_chart`, which tests
+the finiteness of a whole batch by one sum and looks at single entries
+only when that sum is not finite.
 """
 
 from __future__ import annotations
@@ -273,10 +274,10 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
     returns: the Newton ratio of the whole form with the known roots
     divided out, without which it can converge onto a repeated root, and
     deg fac starts (the orbit ratio and preimage-tree starts of `orbits`).
-    A linear factor c0 + c1 z that `aberth` would solve gives its exact root
-    -c0/c1 instead, and a numeric root that `rational_root` verifies carries
-    its exact point and that point's CPoint; only the first root near each
-    rational is labelled.
+    A linear factor c0 + c1 z gives its exact root -c0/c1, with no solve,
+    and a numeric root that `rational_root` verifies carries its exact point
+    and that point's CPoint; only the first root near each rational is
+    labelled.
     """
     c = list(coeffs)
     nonzero = [i for i, v in enumerate(c) if v]
@@ -292,14 +293,14 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
         known.append((0.0, low))
     labelled = set()
     for fac, mult in reversed(yun_squarefree(c[low:top + 1])):
-        if mult == 1 and ratio_of is not None:
-            ratio, starts = ratio_of(fac, known)
-            roots = _converged(aberth_sweeps(ratio, starts[:, None], tol))[:, 0].tolist()
-        elif len(fac) == 2:
+        if len(fac) == 2:
             ex = ProjectivePoint(-fac[0], fac[1])
             out.append((CPoint.from_exact(ex), mult, ex))
             known.append((out[-1][0].affine(), mult))
             continue
+        if mult == 1 and ratio_of is not None:
+            ratio, starts = ratio_of(fac, known)
+            roots = _converged(aberth_sweeps(ratio, starts[:, None], tol))[:, 0].tolist()
         else:
             roots = aberth(float_coefficients(fac)[0], tol=tol)
         for z in roots:
@@ -511,8 +512,8 @@ def _quartic_roots(a, b, c, e):
 
     With z = y - a/4 the quartic is y^4 + p y^2 + q y + r.  For a root m of
     the resolvent cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8, the one of
-    largest modulus, it splits into y^2 -+ sqrt(2m) y + p/2 + m +- q/(2 sqrt(2m)).
-    Each quadratic is solved without cancellation, as `roots_batch` does.
+    largest modulus, it splits into y^2 -+ sqrt(2m) y + p/2 + m +- q/(2 sqrt(2m)),
+    two monic quadratics that `_quadratic_roots` solves, as `roots_batch` does.
     """
     s = a * 0.25
     ss = s * s
@@ -525,14 +526,12 @@ def _quartic_roots(a, b, c, e):
     k = np.sqrt(2 * m)
     half = p * 0.5 + m
     shift = q / (2 * k)
-    pairs = []
-    for lin, const in ((-k, half + shift), (k, half - shift)):
-        # y^2 + lin y + const: the root t of larger modulus, then const / t
-        disc = np.sqrt(lin * lin - 4 * const)
-        disc = np.where((np.conj(lin) * disc).real < 0, -disc, disc)
-        t = (lin + disc) * -0.5
-        pairs += [t - s, const / t - s]
-    return np.stack(pairs)
+    out = np.empty((4, len(k)), dtype=complex)
+    one = np.ones_like(k)
+    _quadratic_roots(half + shift, -k, one, out[:2])
+    _quadratic_roots(half - shift, k, one, out[2:])
+    out -= s
+    return out
 
 
 def _block_starts(cn: np.ndarray, tiny: np.ndarray, tol: float):

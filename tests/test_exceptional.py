@@ -288,6 +288,23 @@ def test_collision_zones():
     assert not existed and ia != ib
 
 
+def test_collision_labels_an_inexact_node_exact():
+    # an exact point merging into a numeric node gives the node its exact
+    # value, so a later exact point finds it by equality
+    from dynamo.exceptional import _NodeStore
+    from dynamo.projective import CPoint, ProjectivePoint
+
+    store = _NodeStore(tol=1e-9)
+    half = ProjectivePoint(1, 2)
+    idx, existed = store.find_or_add(CPoint.from_affine(0.5 + 1e-12), None)
+    assert not existed and store.nodes[idx].exact is None
+    assert store.find_or_add(CPoint.from_exact(half), half) == (idx, True)
+    assert store.nodes[idx].exact == half
+    assert not store.all_collisions_exact
+    assert store.find_or_add(CPoint.from_affine(0.25), half) == (idx, True)
+    assert len(store.nodes) == 1
+
+
 def test_classify_ambiguous_portrait_raises_inconclusive():
     # z^3 - 6z: the critical point sqrt(2) lies at chordal distance 0.577 from
     # the exact critical point infinity, inside the ambiguous zone [0.5, 0.707)

@@ -515,3 +515,27 @@ def test_canonical_height_cap_fails_before_any_orbit_step(basilica, monkeypatch)
     assert calls == []
     canonical_height(basilica, Fraction(3, 5), target_error=1e-3)
     assert calls
+
+
+@pytest.mark.parametrize("kappa, d, n, budget", [
+    (2.0, 64, 10, 1e-10),  # the first width loses the bound: an infinite error
+    (1.0, 2, 100, 1e-100),  # the first width misses the budget by a factor below 2
+])
+def test_precision_bits_widens_a_short_first_width(kappa, d, n, budget):
+    from dynamo.heights import _precision_bits, _truncation_error
+
+    first = 8 + math.ceil(n * math.log2(kappa) - math.log2(budget))
+    first_err = _truncation_error(kappa, d, n, first)
+    assert first_err > budget
+    assert math.isinf(first_err) == (d == 64)
+    bits, err = _precision_bits(kappa, d, n, budget)
+    assert bits > first
+    assert err <= budget and err == _truncation_error(kappa, d, n, bits)
+
+
+def test_truncation_error_is_infinite_once_the_step_error_reaches_one_half():
+    from dynamo.heights import _truncation_error
+
+    # delta = 2^-9, so kappa ((1 + delta)^2 - 1) is about 4000 on the first step
+    assert _truncation_error(1e6, 2, 5, 10) == math.inf
+    assert _truncation_error(1e6, 2, 5, 200) < 1e-20

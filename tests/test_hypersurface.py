@@ -212,3 +212,20 @@ def test_fiber_of_steep_line_is_exact():
     H = Hypersurface.make(2, (1, 1), [((0, 1), 1), ((1, 0), -(10**13))])
     (_, mult, ex), = fiber_solve(H, 1, {2: point_from_rational(1)})
     assert str(ex) == "1/10000000000000" and mult == 1
+
+
+@pytest.mark.parametrize("axis, message", [
+    (0, "axis 0 is outside 1..2"),
+    (3, "axis 3 is outside 1..2"),
+])
+def test_fiber_solve_axis_outside_the_range_is_a_value_error(axis, message):
+    # the dominance lookup raised KeyError for these axes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fiber_solve(diagonal_surface(), axis, {1: point_from_rational(1)})
+
+
+def test_fiber_solve_on_a_non_dominant_axis_is_a_value_error():
+    H = Hypersurface.make(2, (0, 1), [((0, 1), 1), ((0, 0), -3)])  # x2 = 3
+    with pytest.raises(ValueError,
+                       match="^H does not project dominantly when forgetting axis 1$"):
+        fiber_solve(H, 1, {2: point_from_rational(3)})

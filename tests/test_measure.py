@@ -20,6 +20,7 @@ from dynamo.measure import (
 )
 from dynamo.heights import height_step_bound
 from dynamo.projective import evaluate_cpoint, CPoint
+from dynamo.roots import to_chart
 
 from conftest import poly_lift
 from sample_stats import arc_discrepancy_uniform, segment_distance
@@ -98,7 +99,7 @@ def test_forward_push_invariance(sq):
     m = sample_invariant_measure(sq, 10_000, 30, seed=1)
     pushed = np.array([evaluate_cpoint(sq, CPoint(v if not i else 1.0, 1.0 if not i else v))
                        for v, i in zip(m.values[:, 0], m.inverted[:, 0])])
-    pushed_xyz = np.array([p.sphere() for p in pushed])
+    pushed_xyz = sphere_embed(*to_chart(np.array([p.affine() for p in pushed])))
     fresh = sample_invariant_measure(sq, 10_000, 30, seed=2)
     d = cap_discrepancy(pushed_xyz, fresh.sphere(0))
     assert d < clt_threshold(10_000)
@@ -196,14 +197,10 @@ def test_lattes_measure_charges_whole_sphere(sq):
     assert fr_circle.min() == 0.0  # polar caps never meet the unit circle
 
 
-def _lexsort_ranks(values, flags=None):
+def _lexsort_ranks(values, flags):
     """The column order of each row by a stable np.lexsort on
     (flag, round(re, 9), round(im, 9)), the oracle of `_ranks`."""
-    with np.errstate(over="ignore"):  # round(x, 9) is inf past 1.8e299
-        keys = [values.imag.round(9), values.real.round(9)]
-    if flags is not None:
-        keys.append(flags)
-    return np.lexsort(keys, axis=1)
+    return np.lexsort([values.imag.round(9), values.real.round(9), flags], axis=1)
 
 
 def test_rank_order_matches_stable_lexsort():
@@ -219,11 +216,10 @@ def test_rank_order_matches_stable_lexsort():
         # the sampler's roots and flags are F-ordered views of (d, N) arrays
         columns = (np.ascontiguousarray(values.T).T, np.ascontiguousarray(flags.T).T)
         assert not columns[0].flags.c_contiguous
-        for v, f in ((values, flags), columns, (values, None)):
+        for v, f in ((values, flags), columns):
             want = _lexsort_ranks(v, f)
-            for affine in (False, True):
-                ranks = _ranks(v, f, affine=affine)
-                assert np.array_equal(ranks.T, np.argsort(want, axis=1))
+            ranks = _ranks(v, f)
+            assert np.array_equal(ranks.T, np.argsort(want, axis=1))
             for b in range(d):
                 assert np.array_equal(_column_of_rank(ranks, np.full(n, b)), want[:, b])
             # a pick per row, and picks at chosen rows
@@ -234,60 +230,42 @@ def test_rank_order_matches_stable_lexsort():
                                   want[rows, b[:500]])
 
 
-def _adversarial_rows(rng, n, d, affine):
-    """(values, flags) rows whose real parts crowd the 1e-9 grid of round(., 9).
+def _adversarial_rows(rng, n, d):
+    """(values, flags) chart rows whose real parts crowd the 1e-9 grid of round(., 9).
 
     Per row: a base, then columns at gaps of 0 to 3e-9 from it (in steps
     of 0.5e-9, with and without a jitter below 1e-12), bases on the x.5e-9
     rounding ties, and imaginary parts from a small set, so the rounded
-    keys tie on either coordinate.  Chart rows (|re| <= 1) get mixed flags
-    and w = 0 flagged as infinity; affine rows get bases up to 1e300, a few
-    ulps apart or 1.5 and 2 times as large as well, and roots at +-inf.
+    keys tie on either coordinate.  Real parts stay in [-1, 1], the flags
+    are mixed, and w = 0 is flagged as infinity.
     """
     steps = rng.integers(0, 7, size=(n, d)) * 0.5e-9
     jitter = rng.choice([0.0, 1e-13, -1e-13, 7e-13], size=(n, d))
     sign = rng.choice([-1.0, 1.0], size=(n, d))
-    if affine:
-        base = rng.choice([0.25, 3.0, 1234.5, 1e8 + 0.5e-9, 2.5e15, 1e300], size=(n, 1))
-        ulps = rng.integers(-3, 4, size=(n, d)) * np.spacing(base)
-        re = base + np.where(rng.random((n, d)) < 0.5, ulps, sign * steps + jitter)
-        # far apart, yet 1e300 and 1.5e300 both round to inf
-        spread = rng.random((n, d)) < 0.2
-        re[spread] *= rng.choice([1.5, 2.0], size=spread.sum())
-    else:
-        base = (rng.integers(-999_999_999, 1_000_000_000, size=(n, 1)) + 0.5) * 1e-9
-        base *= rng.choice([1.0, 1e-3, 0.9], size=(n, 1))
-        re = np.clip(base + sign * steps + jitter, -1.0, 1.0)
+    base = (rng.integers(-999_999_999, 1_000_000_000, size=(n, 1)) + 0.5) * 1e-9
+    base *= rng.choice([1.0, 1e-3, 0.9], size=(n, 1))
+    re = np.clip(base + sign * steps + jitter, -1.0, 1.0)
     im = rng.choice([0.0, 0.5e-9, 1e-9, -0.5e-9, 0.3], size=(n, d))
     values = re + 1j * im
     flags = rng.random((n, d)) < 0.3
-    if affine:
-        values[rng.random((n, d)) < 0.05] = np.inf
-        values[rng.random((n, d)) < 0.05] = -np.inf
-        flags = None
-    else:
-        values[flags & (rng.random((n, d)) < 0.2)] = 0.0  # infinity, w = 0
+    values[flags & (rng.random((n, d)) < 0.2)] = 0.0  # infinity, w = 0
     return values, flags
 
 
-@pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_ranks_at_rounding_near_ties(d, affine):
+def test_ranks_at_rounding_near_ties(d):
     # only pairs within the margin are ranked on rounded keys; the rest must
     # still get the ranks of the rounded keys
     from dynamo.measure import _ranks
 
-    rng = np.random.default_rng(500 + 10 * d + affine)
-    values, flags = _adversarial_rows(rng, 4000, d, affine)
-    with np.errstate(invalid="ignore"):  # the oracle's inf - inf
-        gaps = np.abs(np.diff(values.real, axis=1))
+    rng = np.random.default_rng(500 + 10 * d)
+    values, flags = _adversarial_rows(rng, 4000, d)
+    gaps = np.abs(np.diff(values.real, axis=1))
     assert ((gaps > 0) & (gaps <= 3e-9)).sum() > 500  # the rows crowd the grid
-    if affine:
-        assert np.isinf(values).any()
     want = _lexsort_ranks(values, flags)
-    for v in (values, np.ascontiguousarray(values.T).T):
-        f = None if flags is None else np.ascontiguousarray(flags.T).T
-        assert np.array_equal(_ranks(v, f, affine=affine).T, np.argsort(want, axis=1))
+    for v, f in ((values, flags), (np.ascontiguousarray(values.T).T,
+                                   np.ascontiguousarray(flags.T).T)):
+        assert np.array_equal(_ranks(v, f).T, np.argsort(want, axis=1))
 
 
 # -- the preimage-tree loop against a row-by-row oracle ---------------------------

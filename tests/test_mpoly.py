@@ -657,3 +657,62 @@ def test_equal_grids_share_one_interpolation_matrix(monkeypatch):
     assert len(calls[0][0]) > 1 and built == [k for _, k in calls]
     for u, s in [(0, 0), (2, -3), (-1, 5)]:
         assert _eval2(R, u, s) == _oracle(C, _lift(f), _lift(g), u, s)
+
+
+@pytest.mark.parametrize("P, e", [
+    ([[1], [1]], 2),  # u + 1: degree 1 is no multiple of 2
+    ([[1], [0], [2]], 2),  # 2u^2 + 1: the top coefficient 2 is no square
+    ([[1], [1], [1]], 2),  # u^2 + u + 1: the next coefficient of h is 1/2
+    ([[2], [2], [1]], 2),  # u^2 + 2u + 2: h = u + 1, whose square is u^2 + 2u + 1
+])
+def test_nth_root_rejects_non_powers(P, e):
+    from dynamo.mpoly import _nth_root
+
+    assert _nth_root(P, e) is None
+
+
+def test_nth_root_and_quotient_on_exact_and_inexact_inputs():
+    from dynamo.mpoly import _nth_root, _quotient
+
+    assert _nth_root([[1], [2], [1]], 2) == [[1], [1]]  # (u + 1)^2
+    # (1 + s) u + (1 - s) = (u + 1) + s (u - 1) does not divide (u + 1)^2 (1 + s)
+    X = [[1, 1], [2, 2], [1, 1]]
+    assert _quotient(X, [[1], [1]]) == [[1, 1], [1, 1]]
+    assert _quotient(X, [[1, -1], [1, 1]]) is None
+
+
+def test_bivar_squarefree_of_a_constant():
+    assert bivar_squarefree([[6]]) == [[1]]
+    assert bivar_squarefree([[-4]]) == [[-1]]
+
+
+def test_bivar_squarefree_falls_back_to_the_gcd_after_a_failed_root(monkeypatch):
+    # P = A^2 B with A = 2 - 2s + 3u - us and B = -2 - s + us: both
+    # specializations report the uniform multiplicity 3, P is no cube, and
+    # the modular gcd gives the squarefree part -A B
+    P = [[-8, 12, 0, -4], [-24, 24, 0, 0], [-18, 15, -12, 3], [0, 9, -6, 1]]
+    assert _specialized_multiplicities(P) == [3]
+    assert _specialized_multiplicities([list(col) for col in zip(*P)]) == [3]
+    roots = []
+    nth_root = dynamo.mpoly._nth_root
+
+    def recorded(Q, e):
+        roots.append((e, nth_root(Q, e)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(dynamo.mpoly, "_nth_root", recorded)
+    assert bivar_squarefree(P) == [[4, -2, -2], [6, -1, 1], [0, -3, 1]]
+    assert roots == [(3, None)]
+
+
+def test_bivar_squarefree_without_a_degree_preserving_specialization():
+    # lc_u = prod (s - s0) over the ten s0 that `_specialized_multiplicities`
+    # tries, so none keeps the u-degree and the modular gcd decides alone
+    lc = [1]
+    for s0 in (2, 3, 5, 7, 11, 13, -2, -3, 17, 19):
+        lc = poly_mul(lc, [-s0, 1])
+    A = _shape([[1], lc])  # u lc(s) + 1
+    assert _specialized_multiplicities(A) is None
+    assert bivar_squarefree(A) == A
+    square = _shape([[1], [2 * c for c in lc], poly_mul(lc, lc)])  # A^2
+    assert bivar_squarefree(square) == A

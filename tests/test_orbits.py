@@ -510,3 +510,63 @@ def test_tree_starts_from_a_critical_value(monkeypatch, name, base, top):
                 assert sum(c.period for c in cycles if c.period == m) == \
                     _exact_period_count(d, m), (name, n, m)
         assert abs(_holomorphic_index_sum(cycles, n) - 1) < 1e-9
+
+
+def test_tree_starts_drop_the_surplus_leaves():
+    # z + 1/z fixes infinity with multiplicity 3, so at n = 5 the simple
+    # factor has degree 30 and the 32 leaves are two too many: the starts
+    # are the 30 leaves of least modulus
+    from dynamo.orbits import _TREE_BASE, _tree_starts, fixed_point_form
+    from dynamo.projective import RationalMapLift, iterate_lift
+    from dynamo.roots import preimage_fiber, yun_squarefree
+
+    F = RationalMapLift.make([1, 0, 1], [0, 1, 0])
+    n = 5
+    form = fixed_point_form(iterate_lift(F, n))
+    assert form[0] and form[-3:] == (0, 0, 0) and form[-4]
+    (fac, mult), = yun_squarefree(list(form[:-3]))
+    assert mult == 1 and len(fac) - 1 == 30
+    f0, f1 = (np.array(f) for f in F.float_forms[:2])
+    vals, invs = np.array([_TREE_BASE]), np.array([False])
+    for _ in range(n):
+        vals, invs = preimage_fiber(f0, f1, vals, invs)
+        vals, invs = vals.T.ravel(), invs.T.ravel()
+    leaves = np.where(invs, 1.0 / vals, vals)
+    assert len(leaves) == 32 and np.isfinite(leaves).all()
+    starts = _tree_starts(F.float_forms[:2], n, fac, [], 1e-12)
+    assert np.array_equal(np.sort_complex(starts),
+                          np.sort_complex(leaves[np.argsort(np.abs(leaves))[:30]]))
+    cycles = periodic_points(F, n)
+    assert sum(c.period for c in cycles) == 31
+    (para,) = [c for c in cycles if c.parabolic_warning]
+    assert para.points[0].is_infinity and para.multiplier == 1.0
+
+
+def test_exact_multiplier_next_to_a_pole():
+    # z^2 - 10^16 z fixes 10^16 + 1 with multiplier 10^16 + 2; the float
+    # chain rule cancelled in F0 there and gave 8.1e15, and matching the
+    # exact point by its float image failed at 10^30
+    from dynamo.projective import RationalMapLift
+
+    for c in (10**16, 10**30, 10**100):
+        F = RationalMapLift.make([0, -c, 1], [1, 0, 0])
+        cycles = {c_.exact_points[0]: c_.multiplier for c_ in periodic_points(F, 1)}
+        assert set(cycles) == {ProjectivePoint(1, 0), ProjectivePoint(0, 1),
+                               ProjectivePoint(c + 1, 1)}
+        assert cycles[ProjectivePoint(c + 1, 1)] == pytest.approx(c + 2, rel=1e-12)
+        assert cycles[ProjectivePoint(0, 1)] == pytest.approx(-c, rel=1e-12)
+        assert cycles[ProjectivePoint(1, 0)] == 0
+
+
+def test_exact_multiplier_beyond_the_float_range():
+    from dynamo.orbits import _exact_multiplier
+    from dynamo.projective import RationalMapLift
+
+    F = RationalMapLift.make([0, -10**400, 1], [1, 0, 0])
+    assert _exact_multiplier(F, [ProjectivePoint(10**400 + 1, 1)]) == complex(math.inf)
+    assert _exact_multiplier(F, [ProjectivePoint(0, 1)]) == complex(-math.inf)
+    # {0, -1} under z^2 - 1 has multiplier 0, with the sign of zero of the
+    # float chain rule, which `periodic` prints as -0+0j
+    G = RationalMapLift.make([-1, 0, 1], [1, 0, 0])
+    lam = _exact_multiplier(G, [ProjectivePoint(0, 1), ProjectivePoint(-1, 1)])
+    assert lam == 0 and math.copysign(1.0, lam.real) == -1.0

@@ -236,12 +236,22 @@ def test_critical_points_rational_quadratic():
 
 
 def test_cpoint_chordal_and_sphere():
+    # the chordal distance is half the distance of the stereographic images
+    import numpy as np
+
+    from dynamo.measure import sphere_embed
+    from dynamo.roots import to_chart
+
     a = CPoint.from_affine(0.0)
     b = CPoint.at_infinity()
     assert abs(a.chordal(b) - 1.0) < 1e-12
-    sx, sy, sz = CPoint.from_affine(1.0).sphere()
-    assert abs(sx - 1.0) < 1e-12 and abs(sy) < 1e-12 and abs(sz) < 1e-12
-    assert CPoint.at_infinity().sphere()[2] == pytest.approx(1.0)
+    zs = [0.0, 1.0, -2 + 0.5j, 1e8j, 3e-9, complex("inf")]
+    xyz = sphere_embed(*to_chart(np.array(zs, dtype=complex)))
+    assert np.allclose(xyz[1], [1.0, 0.0, 0.0]) and np.allclose(xyz[-1], [0.0, 0.0, 1.0])
+    pts = [CPoint.from_affine(z) for z in zs[:-1]] + [b]
+    for p, u in zip(pts, xyz):
+        for q, v in zip(pts, xyz):
+            assert p.chordal(q) == pytest.approx(np.linalg.norm(u - v) / 2, abs=1e-12)
 
 
 def test_mobius_conjugate_match_on_points(basilica):

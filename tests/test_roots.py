@@ -344,6 +344,9 @@ def test_rational_root_verifies_exactly():
     assert rational_root([-2, 0, 1], 2**0.5) is None  # irrational
     assert rational_root([0, 1, 1], 0.0) == 0
     assert rational_root([1, 1, 1], 0.0) is None
+    # a non-finite approximation has no nearest rational
+    assert rational_root(c, complex(math.inf, 0.0)) is None
+    assert rational_root(c, complex(math.nan, 0.0)) is None
 
 
 def test_aberth_sweeps_takes_any_newton_ratio():
