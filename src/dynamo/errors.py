@@ -25,7 +25,9 @@ class RootFindingFailure(DynamoError):
 class CapExceeded(DynamoError):
     """A configured cap was exceeded: the decimal digits of an exact coefficient,
     coordinate or working integer, or a work cap such as the period degree or
-    the memory of the sampler's branch table."""
+    the memory of the sampler's branch table: the depth x N table of one
+    byte per draw, allocated up front, which with the O(N) samples and
+    block-bounded temporaries is what a sampling job holds."""
 
 
 class NotACycle(DynamoError):

@@ -35,9 +35,15 @@ Points live in one of two charts (z, or w = 1/z when |z| > 1) so nothing
 degrades near infinity.  The fixed comparison family for discrepancy tests
 is 64 spherical caps of aperture cos(rho) = 0.5 centered on a Fibonacci
 sphere net.  `measure_compare` owns the comparison of two pullbacks: their
-cap discrepancy D against the CLT threshold tau.  Hypersurfaces arrive as
-arguments and are never imported, so sampling a map executes only
-`errors`, `modp`, `projective`, `roots` and this module.
+cap discrepancy D against the CLT threshold tau.
+
+A sampling job holds O(N) arrays for N samples (the samples and the walk's
+levels of at most N nodes) plus the (depth, N) branch table, whose entries
+are bytes; the branch draws (`_plant`) and the cap counts (`cap_fractions`)
+run in blocks whose temporaries `roots._BLOCK` bounds, so neither a
+depth x N int64 table nor an N x 64 float64 matrix is ever built.
+Hypersurfaces arrive as arguments and are never imported, so sampling a
+map executes only `errors`, `modp`, `projective`, `roots` and this module.
 """
 
 from __future__ import annotations
@@ -121,6 +127,8 @@ def green(F: RationalMapLift, z: complex, n: int) -> float:
 
 #: a gap between real parts that `round(., 9)` cannot close (see `_ranks`)
 _TIE = 2e-9
+#: branch draws per `rng.integers` call in `_plant`: a 256 KiB int32 temporary
+_DRAWS = 16 * _BLOCK
 
 
 def _ranks(values, flags) -> np.ndarray:
@@ -211,10 +219,15 @@ def _plant(trees, depth: int):
 
     trees holds (F, n_samples, seed) triples of one degree d.  Each tree
     draws from its own stream: its start point (`_start_point`), then its
-    (depth, n_samples) branches as int64, cast into its columns of one
-    (depth, N) table of np.min_scalar_type(d - 1) for all N samples.
-    Returns (forms, fibers, branches), with forms[t] = (f0, f1) and
-    fibers[t] = (level0, level1) of tree t.
+    (depth, n_samples) branches, into its columns of one (depth, N) table
+    of np.min_scalar_type(d - 1) for all N samples, the one array of the
+    walk that grows with depth.  The branches are drawn in C order as int32
+    blocks of at most _DRAWS entries, whole rows while a row fits one
+    block.  numpy serves int32 and int64 draws below 2^32 from one 32-bit
+    Lemire stream, and consecutive calls continue it, so the table holds
+    the values of one int64 (depth, n_samples) draw, while no temporary
+    outgrows _DRAWS.  Returns (forms, fibers, branches), with forms[t] =
+    (f0, f1) and fibers[t] = (level0, level1) of tree t.
     """
     d = trees[0][0].degree
     if d < 2:
@@ -230,7 +243,12 @@ def _plant(trees, depth: int):
             rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
             forms.append(tuple(np.array(f) for f in F.float_forms[:2]))
             fibers.append(_start_point(*forms[-1], rng)[1:])
-            branches[:, lo:lo + n] = rng.integers(0, d, size=(depth, n))
+            # the tree's (depth, n) draws in C order, _DRAWS or fewer per call
+            rows, cols = max(1, _DRAWS // n), min(n, _DRAWS)
+            for r in range(0, depth, rows):
+                for c in range(lo, lo + n, cols):
+                    block = branches[r:r + rows, c:min(c + cols, lo + n)]
+                    block[...] = rng.integers(0, d, size=block.shape, dtype=np.int32)
             lo += n
     except MemoryError:
         raise CapExceeded(f"the branch table of depth x samples = {depth} x {sum(sizes)} "
@@ -442,14 +460,22 @@ _CAP_CENTERS_T = fibonacci_caps().T  # (3, CAP_COUNT), built once
 
 
 def cap_fractions(points_xyz: np.ndarray) -> np.ndarray:
-    """Fraction of points inside each fixed cap {p : <p, c> >= CAP_COS}."""
-    dots = points_xyz @ _CAP_CENTERS_T
-    return np.mean(dots >= CAP_COS, axis=0)
+    """Fraction of points inside each fixed cap {p : <p, c> >= CAP_COS}.
 
-
-def cap_discrepancy(a_xyz: np.ndarray, b_xyz: np.ndarray) -> float:
-    """Max over the fixed cap family of the empirical mass difference."""
-    return float(np.max(np.abs(cap_fractions(a_xyz) - cap_fractions(b_xyz))))
+    The points are counted in row blocks of `roots._BLOCK`, so the dot
+    products never exceed a (_BLOCK + 1, CAP_COUNT) temporary, and the
+    int64 counts are divided by N once: a float sum of 0/1 values is
+    exact, so these are the bits of np.mean over the whole (N, CAP_COUNT)
+    indicator matrix.  The last block takes a one-row tail, since numpy
+    multiplies a lone row by gemv, whose dots may differ in the last bit
+    from the gemm rows of a block.
+    """
+    n = len(points_xyz)
+    counts = np.zeros(CAP_COUNT, dtype=np.int64)
+    for lo in range(0, max(n - 1, 1), _BLOCK):
+        hi = n if n - lo <= _BLOCK + 1 else lo + _BLOCK
+        counts += np.count_nonzero(points_xyz[lo:hi] @ _CAP_CENTERS_T >= CAP_COS, axis=0)
+    return counts / n
 
 
 def clt_threshold(n_samples: int) -> float:
@@ -488,8 +514,9 @@ def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int
 
     The two pullbacks need the product-measure column of every axis, so all
     n are drawn up front, in forests (`sample_product_measure`).  columns
-    memoizes them; callers comparing several pairs pass one dict to all of
-    them, and the first comparison draws every column.
+    memoizes them, and each axis's pullback cap fractions (`_pullback_caps`);
+    callers comparing several pairs pass one dict to all of them, and the
+    first comparison draws every column.
     """
     H.check_axes(maps, i, j)
     if i == j:
@@ -497,11 +524,25 @@ def measure_compare(H, maps, i: int, j: int, n_samples: int = 10_000, depth: int
     columns = {} if columns is None else columns
     # the two pullbacks need every axis's column: draw them in one walk
     _draw_columns(maps, range(1, H.n + 1), n_samples, depth, seed, columns)
-    out_i = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
-                                     columns=columns)
-    out_j = pullback_to_hypersurface(H, maps, j, n_samples, depth, seed=seed,
-                                     columns=columns)
-    per_chart = tuple(cap_discrepancy(out_i.measure.sphere(a), out_j.measure.sphere(a))
-                      for a in range(H.n))
+    (lost_i, caps_i), (lost_j, caps_j) = (
+        _pullback_caps(H, maps, a, n_samples, depth, seed, columns) for a in (i, j))
+    per_chart = tuple(float(np.max(np.abs(a - b))) for a, b in zip(caps_i, caps_j))
     return MeasureCompareResult(max(per_chart), clt_threshold(n_samples), per_chart,
-                                n_samples, (out_i.discarded, out_j.discarded))
+                                n_samples, (lost_i, lost_j))
+
+
+def _pullback_caps(H, maps, i: int, n_samples: int, depth: int, seed: int, columns: dict):
+    """The discarded count and per-chart cap fractions of the pullback through axis i.
+
+    Both depend on (H, maps, i, n_samples, depth, seed) alone, the pick
+    stream `_substream(seed, 971 + i)` included, so columns memoizes them
+    under that key: comparing every pair of k axes pulls back k times, not
+    k(k - 1), and keeps 64 fractions per chart, not the pullback's samples.
+    """
+    key = ("pullback caps", H, tuple(maps), i, n_samples, depth, seed)
+    if key not in columns:
+        out = pullback_to_hypersurface(H, maps, i, n_samples, depth, seed=seed,
+                                       columns=columns)
+        columns[key] = (out.discarded,
+                        [cap_fractions(out.measure.sphere(a)) for a in range(H.n)])
+    return columns[key]

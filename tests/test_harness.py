@@ -411,6 +411,29 @@ def test_mm_verify_searches_each_map_once(basilica, monkeypatch):
         assert rep.fiber_tests[i] == alone
 
 
+def test_mm_verify_pulls_back_through_each_axis_once(basilica, monkeypatch):
+    # x1 + x2 + x3 = 0: three pairs, two pullbacks each, of three distinct
+    # axes; each axis's pullback cap fractions are memoized in the columns
+    cfg = dict(samples=500, depth=10, trials=5, seed=7)
+    maps = [basilica] * 3
+    axes = []
+    pullback = dynamo.measure.pullback_to_hypersurface
+
+    def counting(H, maps, i, *args, **kwargs):
+        axes.append(i)
+        return pullback(H, maps, i, *args, **kwargs)
+
+    monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", counting)
+    rep = mm_verify(linear_sum_surface(), maps, **cfg)
+    assert sorted(axes) == [1, 2, 3]
+    monkeypatch.setattr(dynamo.measure, "pullback_to_hypersurface", pullback)
+    assert len(rep.measure_tests) == 3
+    for (i, j), res in rep.measure_tests.items():
+        alone = measure_compare(linear_sum_surface(), maps, i, j, n_samples=cfg["samples"],
+                                depth=cfg["depth"], seed=cfg["seed"])
+        assert res == alone
+
+
 def test_mm_verify_samples_each_axis_once(basilica, monkeypatch):
     # x1 + x2 + x3 = 0: three pairs, two pullbacks each, two product columns
     # per pullback; the columns depend on the axis alone, so three are drawn

@@ -7,7 +7,6 @@ import pytest
 
 from dynamo.hypersurface import diagonal_surface, graph_surface
 from dynamo.measure import (
-    cap_discrepancy,
     cap_fractions,
     clt_threshold,
     fibonacci_caps,
@@ -101,7 +100,7 @@ def test_forward_push_invariance(sq):
                        for v, i in zip(m.values[:, 0], m.inverted[:, 0])])
     pushed_xyz = sphere_embed(*to_chart(np.array([p.affine() for p in pushed])))
     fresh = sample_invariant_measure(sq, 10_000, 30, seed=2)
-    d = cap_discrepancy(pushed_xyz, fresh.sphere(0))
+    d = np.max(np.abs(cap_fractions(pushed_xyz) - cap_fractions(fresh.sphere(0))))
     assert d < clt_threshold(10_000)
 
 
@@ -166,6 +165,50 @@ def test_cap_fractions_uniform_sphere():
     fr = cap_fractions(pts)
     # caps with cos aperture 0.5 cover a quarter of the sphere each
     assert np.all(np.abs(fr - 0.25) < 0.02)
+
+
+def _traced_peak(fn, *args):
+    """The result of fn(*args) and the peak of the memory it traced, in bytes.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts them.
+    """
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cap_fractions_counts_in_bounded_memory():
+    # an (N, 64) float64 dot matrix of 2e5 points is 102 MB
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(200_000, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    fr, peak = _traced_peak(cap_fractions, pts)
+    assert peak < 4 * 2**20
+    assert fr.tobytes() == np.mean(pts @ fibonacci_caps().T >= 0.5, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097, 8193, 10_000])
+def test_cap_fractions_blocks_keep_the_bits_of_one_mean(n):
+    # block edges, and a one-row tail that the last block takes
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    want = np.mean(pts @ fibonacci_caps().T >= 0.5, axis=0)
+    assert cap_fractions(pts).tobytes() == want.tobytes()
+
+
+def test_branch_table_is_the_only_depth_by_n_array(sq):
+    # 30 x 1e5 draws: a 3 MB table of bytes, never 24 MB of int64
+    from dynamo.measure import _plant
+
+    (_, _, branches), peak = _traced_peak(_plant, [(sq, 100_000, 4)], 30)
+    assert branches.nbytes == 3_000_000
+    assert peak < branches.nbytes + 2**20
 
 
 def test_sphere_embed_charts_agree():
@@ -408,23 +451,29 @@ def test_forest_across_a_roots_batch_block(monkeypatch):
 
 
 @pytest.mark.parametrize("names", [("basilica", "sq"), ("lattes", "lattes")])
-def test_compact_branch_table_holds_the_int64_draws(names):
+def test_compact_branch_table_holds_the_int64_draws(names, monkeypatch):
+    # the int32 blocks continue one int64 stream whatever their shape: the
+    # default, 7-row blocks of the 4001-sample tree, and rows cut into
+    # 1000-draw pieces
+    import dynamo.measure
     from dynamo.measure import _plant, _start_point
 
     maps = _forest_maps()
-    trees = [(maps[names[0]], 300, 3), (maps[names[1]], 200, 9)]
+    trees = [(maps[names[0]], 4001, 3), (maps[names[1]], 200, 9)]
     depth = 25
-    _, _, branches = _plant(trees, depth)
     d = trees[0][0].degree
-    assert branches.dtype == np.uint8 and branches.shape == (depth, 500)
-    lo = 0
-    for F, n, seed in trees:
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        _start_point(*(np.array(f) for f in F.float_forms[:2]), rng)
-        want = rng.integers(0, d, size=(depth, n))
-        assert want.dtype == np.int64
-        assert np.array_equal(branches[:, lo:lo + n], want)
-        lo += n
+    for draws in (dynamo.measure._DRAWS, 7 * 4001, 1000):
+        monkeypatch.setattr(dynamo.measure, "_DRAWS", draws)
+        _, _, branches = _plant(trees, depth)
+        assert branches.dtype == np.uint8 and branches.shape == (depth, 4201)
+        lo = 0
+        for F, n, seed in trees:
+            rng = np.random.default_rng(np.random.SeedSequence([seed]))
+            _start_point(*(np.array(f) for f in F.float_forms[:2]), rng)
+            want = rng.integers(0, d, size=(depth, n))
+            assert want.dtype == np.int64
+            assert np.array_equal(branches[:, lo:lo + n], want)
+            lo += n
 
 
 def test_product_columns_are_solo_walks():
