@@ -14,6 +14,10 @@ module `__getattr__` to their defining layer: `from dynamo import classify`
 executes `exceptional` and the layers it imports, and no others.  `dynamo.cli`
 is not registered: `python -m dynamo.cli` runs it as `__main__`, and runpy
 warns when the module it runs is already in `sys.modules`.
+
+The result records are `typing.NamedTuple`s (the two portrait records that
+`exceptional` updates in place are slotted classes), so no layer imports
+`dataclasses` or generates methods when it executes.
 """
 
 import importlib.util

@@ -13,14 +13,16 @@ degree, the output form must vanish at the images under (f, g) of the
 fiber's points, in F_p[x] / (squarefree part of the fiber form) and at a
 root at infinity, by the residue-list arithmetic of `modp`.  No float is
 involved, so no coefficient size limits it.
+
+`CurveOrbitOutcome` is a NamedTuple.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .errors import EliminationFailure
 from .hypersurface import Hypersurface
@@ -144,15 +146,21 @@ def _ring_form_mod(c, h: RationalMapLift, a, p: int) -> list:
     return rem(poly_mul(acc, gcd_mod(a, poly_deriv(a), p)))
 
 
-@dataclass(frozen=True)
-class CurveOrbitOutcome:
-    """Exact repetition of normalized forms, or the observed bidegree growth."""
+class CurveOrbitOutcome(NamedTuple):
+    """Exact repetition of normalized forms, or the observed bidegree growth.
+
+    Its repr leaves out the curves, which can be large.
+    """
 
     preperiodic: bool
     tail: int | None = None
     period: int | None = None
     bidegrees: tuple = ()
-    curves: tuple = field(default=(), repr=False)
+    curves: tuple = ()
+
+    def __repr__(self) -> str:
+        return (f"CurveOrbitOutcome(preperiodic={self.preperiodic!r}, tail={self.tail!r}, "
+                f"period={self.period!r}, bidegrees={self.bidegrees!r})")
 
 
 def curve_orbit(C: Curve2, f: RationalMapLift, g: RationalMapLift,

@@ -7,13 +7,17 @@ portrait (critical orbits with collision detection, exact where points are
 rational) and the minimal orbifold weights, then reads the signature:
 (inf, inf) power-like, (2, 2, inf) Chebyshev-like, and the four compact
 parabolic signatures for Lattès.
+
+`NotPCF` and `Classification` are NamedTuples; the portrait records, which
+`ramification_portrait` updates in place, are slotted classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DegenerateMap, Inconclusive, SingularCurve
 from .heights import decide_preperiodic
@@ -122,30 +126,53 @@ def critical_points(F: RationalMapLift):
     return pts, rational
 
 
-@dataclass
-class PortraitNode:
-    approx: CPoint
-    exact: ProjectivePoint | None = None
-    critical_multiplicity: int = 0
-    image: int | None = None
-    weight: float = 1  # int, or INF_WEIGHT once forced
+class _Mutable:
+    """Field-wise repr and equality (unhashable) for the records a portrait
+    updates in place; each subclass lists its fields in __slots__."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = attrgetter(*self.__slots__)
+        return values(self) == values(other)
+
+
+class PortraitNode(_Mutable):
+    __slots__ = ("approx", "exact", "critical_multiplicity", "image", "weight")
+
+    def __init__(self, approx: CPoint, exact: ProjectivePoint | None = None,
+                 critical_multiplicity: int = 0, image: int | None = None,
+                 weight: float = 1):  # int, or INF_WEIGHT once forced
+        self.approx = approx
+        self.exact = exact
+        self.critical_multiplicity = critical_multiplicity
+        self.image = image
+        self.weight = weight
 
     @property
     def local_degree(self) -> int:
         return self.critical_multiplicity + 1
 
 
-@dataclass
-class RamificationPortrait:
+class RamificationPortrait(_Mutable):
     """Critical orbits with collision-checked closure and orbifold weights."""
 
-    nodes: list
-    exact: bool
-    signature: tuple = ()
+    __slots__ = ("nodes", "exact", "signature")
+
+    def __init__(self, nodes: list, exact: bool, signature: tuple = ()):
+        self.nodes = nodes
+        self.exact = exact
+        self.signature = signature
 
 
-@dataclass(frozen=True)
-class NotPCF:
+class NotPCF(NamedTuple):
     """Certified witness that some critical orbit does not close up."""
 
     witness_point: object
@@ -153,8 +180,7 @@ class NotPCF:
     reason: str
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str  # PowerConjugate | ChebyshevConjugate | Lattes | NonExceptional
     signature: tuple | None
     pcf: bool

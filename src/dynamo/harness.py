@@ -15,13 +15,15 @@ The measure condition is `measure.measure_compare`, which lives with the
 sampler, so `compare-measures` runs without this module.  mm_verify calls it
 through this module's own binding, so a patch of `harness.measure_compare`
 (a test double, or the benchmark's tracer) reaches it.
+
+The reports are NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import Curve2, CurveOrbitOutcome, curve_orbit
 from .errors import DegenerateFiber, InsufficientPreperiodicSupply
@@ -42,16 +44,14 @@ MM_MAX_BIDEGREE = 40
 # fiberwise preperiodicity test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberWitness:
+class FiberWitness(NamedTuple):
     assignment: dict
     root: object
     preperiodic: bool | None  # None marks uncertified numeric roots
     detail: str
 
 
-@dataclass(frozen=True)
-class FiberTestResult:
+class FiberTestResult(NamedTuple):
     passes: int
     fails: int
     uncertified: int
@@ -154,16 +154,14 @@ def _fiber_outcome(H: Hypersurface, F, i: int, assignment: dict, verdicts: dict)
 # two-block (pair-curve) form check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairFormCertificate:
+class PairFormCertificate(NamedTuple):
     pair: tuple
     exponents: tuple
     curve: Curve2
     orbit: CurveOrbitOutcome
 
 
-@dataclass(frozen=True)
-class PairFormReport:
+class PairFormReport(NamedTuple):
     certificate: PairFormCertificate | None
     reason: str
 
@@ -240,8 +238,7 @@ def _restrict_to_pair(H: Hypersurface, i: int, j: int) -> Curve2:
 # the full report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MMReport:
+class MMReport(NamedTuple):
     dominance: dict
     classifications: tuple
     fiber_tests: dict

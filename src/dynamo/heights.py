@@ -42,14 +42,17 @@ certificate: the orbits of all candidates step together in int64, each
 image reduced by its gcd, and a candidate whose iterate leaves the box
 max(|x|,|y|)^(d-1) <= K is wandering, as `decide_preperiodic` would find;
 only the few candidates left are decided one by one.
+
+The results are NamedTuples; `CanonicalHeightResult` leaves its
+`local_breakdown` diagnostics out of equality and hashing.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .modp import is_probable_prime
 from .projective import (
@@ -179,17 +182,40 @@ def height_step_bound(F: RationalMapLift) -> float:
     return log_int(step_bound_int(F))
 
 
-@dataclass(frozen=True)
-class CanonicalHeightResult:
+class _Height(NamedTuple):
     value: float
     error_radius: float
     iterations: int
     height_step_bound: float
-    local_breakdown: dict = field(default_factory=dict, compare=False)
+    local_breakdown: dict
 
 
-@dataclass(frozen=True)
-class PreperiodicityVerdict:
+class CanonicalHeightResult(_Height):
+    """A certified height: value within error_radius of the canonical height.
+
+    local_breakdown (diagnostics; a new empty dict by default) is left out of
+    equality and hashing.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value, error_radius, iterations, height_step_bound, local_breakdown=None):
+        return tuple.__new__(cls, (value, error_radius, iterations, height_step_bound,
+                                   {} if local_breakdown is None else local_breakdown))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
+
+
+class PreperiodicityVerdict(NamedTuple):
     preperiodic: bool
     tail: int | None = None
     period: int | None = None

@@ -5,20 +5,22 @@ multidegree[k] in each coordinate pair (X_k : Y_k).  Terms are stored by
 affine exponent tuple: exps[k] is the X_k power, the Y_k power being implied
 by the multidegree.  The projection forgetting axis i is dominant exactly
 when multidegree[i] > 0, and its generic fiber has that many points.
+
+A `Hypersurface` is a NamedTuple.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateFiber
-from .projective import (ProjectivePoint, coefficient_from_json, content, float_coefficients,
-                         primitive_int)
+from .projective import (ProjectivePoint, _read_only, coefficient_from_json, content,
+                         float_coefficients, primitive_int)
 from .roots import binary_form_roots, yun_squarefree
 
 
@@ -45,13 +47,20 @@ def _multiply_out(terms, multidegree, values):
         yield exps, val
 
 
-@dataclass(frozen=True)
-class Hypersurface:
-    """Primitive multihomogeneous integer form on (P^1)^n."""
-
+class _Form(NamedTuple):
     n: int
     multidegree: tuple
     terms: tuple  # sorted tuple of (exps, int coefficient)
+
+
+class Hypersurface(_Form):
+    """Primitive multihomogeneous integer form on (P^1)^n.
+
+    The instance dict holds only the cached `_float_terms`, and is read-only
+    like the fields.
+    """
+
+    __setattr__ = __delattr__ = _read_only
 
     @classmethod
     def make(cls, n: int, multidegree, terms) -> "Hypersurface":

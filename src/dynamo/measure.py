@@ -44,12 +44,15 @@ run in blocks whose temporaries `roots._BLOCK` bounds, so neither a
 depth x N int64 table nor an N x 64 float64 matrix is ever built.
 Hypersurfaces arrive as arguments and are never imported, so sampling a
 map executes only `errors`, `modp`, `projective`, `roots` and this module.
+
+The records (`EmpiricalMeasure`, `PullbackSample`, `MeasureCompareResult`)
+are NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +64,7 @@ CAP_COUNT = 64
 CAP_COS = 0.5  # aperture: points within 60 degrees of the center
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(NamedTuple):
     """Equal-weight point cloud; column k is the k-th coordinate of each sample.
 
     values[i, k] is the chart coordinate and inverted[i, k] says whether it is
@@ -385,8 +387,7 @@ def _substream(seed: int, tag: int) -> int:
 # hypersurface pullback
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PullbackSample:
+class PullbackSample(NamedTuple):
     measure: EmpiricalMeasure
     discarded: int
 
@@ -468,14 +469,15 @@ def cap_fractions(points_xyz: np.ndarray) -> np.ndarray:
     exact, so these are the bits of np.mean over the whole (N, CAP_COUNT)
     indicator matrix.  The last block takes a one-row tail, since numpy
     multiplies a lone row by gemv, whose dots may differ in the last bit
-    from the gemm rows of a block.
+    from the gemm rows of a block.  Zero points give CAP_COUNT NaNs, silently.
     """
     n = len(points_xyz)
     counts = np.zeros(CAP_COUNT, dtype=np.int64)
     for lo in range(0, max(n - 1, 1), _BLOCK):
         hi = n if n - lo <= _BLOCK + 1 else lo + _BLOCK
         counts += np.count_nonzero(points_xyz[lo:hi] @ _CAP_CENTERS_T >= CAP_COS, axis=0)
-    return counts / n
+    with np.errstate(invalid="ignore"):  # 0 / 0 when n = 0
+        return counts / n
 
 
 def clt_threshold(n_samples: int) -> float:
@@ -487,8 +489,7 @@ def clt_threshold(n_samples: int) -> float:
 # equal-measure diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasureCompareResult:
+class MeasureCompareResult(NamedTuple):
     statistic: float
     threshold: float
     per_chart: tuple

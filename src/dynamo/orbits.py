@@ -44,12 +44,14 @@ avoid infinity, in integers on a cycle of exact points and in floats on
 any other; `Cycle.repelling` reads |lambda| > 1 from it.  Exact orbits of
 rational points (tail and period, or certified divergence) are
 `heights.decide_preperiodic`.
+
+A `Cycle` is a NamedTuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +79,7 @@ _TREE_BASE = complex(0.31, 0.47)  # the point a whose preimages under F^n are th
 _TREE_MIN_DEGREE = 24
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A periodic cycle: points listed in orbit order, with its multiplier."""
 
     points: tuple

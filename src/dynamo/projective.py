@@ -7,6 +7,9 @@ stored as coefficient tuples in ascending X-power, i.e. coeffs[i] is the
 coefficient of X^i Y^(d-i).  `float_coefficients` is the one exact-to-float
 conversion: the numeric layers read maps (`RationalMapLift.float_forms`),
 squarefree factors, hypersurfaces and exact points through it.
+
+Points, Bezout certificates and lifts are NamedTuples; `ProjectivePoint`
+normalizes in its `__new__`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import CapExceeded, DegenerateMap, RootFindingFailure, ZeroPoint
 from .modp import brown, gcd_mod
@@ -40,29 +43,35 @@ def check_cap(n: int, cap_digits: int, what: str = "coefficient") -> None:
 # points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of P^1(Q) as a coprime integer pair [x : y].
-
-    Normalization: gcd(|x|,|y|) = 1 and either y > 0, or y = 0 and x > 0.
-    Two points are equal iff their normalized fields are equal.
-    """
-
+class _Pair(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self):
-        x, y = self.x, self.y
+
+class ProjectivePoint(_Pair):
+    """A point of P^1(Q) as a coprime integer pair [x : y].
+
+    Normalization: gcd(|x|,|y|) = 1 and either y > 0, or y = 0 and x > 0.
+    Two points are equal iff their normalized fields are equal.  `_make`
+    and `_replace` normalize too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int):
         if x == 0 and y == 0:
             raise ZeroPoint("(0, 0) is not a projective point")
-        g = math.gcd(abs(x), abs(y))
+        g = math.gcd(x, y)
         if g > 1:
             x //= g
             y //= g
         if y < 0 or (y == 0 and x < 0):
             x, y = -x, -y
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return tuple.__new__(cls, (x, y))
+
+    @classmethod
+    def _make(cls, iterable) -> "ProjectivePoint":
+        return cls(*iterable)
 
     @property
     def is_infinity(self) -> bool:
@@ -391,8 +400,7 @@ def sylvester_resultant(f0, f1) -> int:
     return (-1) ** (len(f0) - 1) * _bareiss_det(_bezout_system(f0, f1))
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(NamedTuple):
     """Cofactor forms certifying g0x*F0 + g1x*F1 = res*X^(2d-1) and the Y analogue.
 
     The cofactors have degree d-1; both identities are re-expanded and checked
@@ -455,20 +463,28 @@ def _verify_certificate(f0, f1, cert: BezoutCertificate) -> None:
 # rational map lifts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalMapLift:
+class _Lift(NamedTuple):
+    f0: tuple
+    f1: tuple
+    degree: int
+    res: int
+
+
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class RationalMapLift(_Lift):
     """Homogeneous lift (F0, F1) of a rational self-map of P^1.
 
     Coefficient tuples are jointly content-normalized with a canonical joint
     sign (the top nonzero coefficient of F0 positive, falling back to F1).
     res caches the nonzero Sylvester resultant, so every constructed lift is
-    a morphism.
+    a morphism.  The instance dict holds only the cached `float_forms`, and
+    is read-only like the fields.
     """
 
-    f0: tuple
-    f1: tuple
-    degree: int
-    res: int
+    __setattr__ = __delattr__ = _read_only
 
     @classmethod
     def make(cls, f0, f1, res: int | None = None) -> "RationalMapLift":

@@ -58,20 +58,22 @@ for argv in (["height", "--map", m, "--point", "2"],
              ["preper", "--map", m, "--point", "0"],
              ["orbit", "--map", m, "--point", "3"]):
     assert run(argv, out=io.StringIO()) == 0, argv
-print("numpy" in sys.modules)
+print(*(name in sys.modules for name in sys.argv[2:]))
 assert run(["periodic", "--map", m, "--period", "2"], out=io.StringIO()) == 0
 print("numpy" in sys.modules)
 """
 
 
 def test_one_shot_exact_commands_leave_numpy_unimported(tmp_path):
-    # height, preper and orbit make only big-integer and Fraction steps;
-    # the last line shows the check sees numpy once a command loads it
+    # height, preper and orbit make only big-integer and Fraction steps, and
+    # their records are NamedTuples: no dataclass code generation, nor the
+    # inspect (ast, dis) it imports.  The last line shows the check sees
+    # numpy once a command loads it
     basilica = tmp_path / "basilica.json"
     basilica.write_text('{"num": ["-1", "0", "1"]}')
-    proc = run_python("-c", _ONE_SHOT_COMMANDS, str(basilica))
+    proc = run_python("-c", _ONE_SHOT_COMMANDS, str(basilica), "numpy", "dataclasses", "inspect")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "True"]
+    assert proc.stdout.splitlines() == ["False False False", "True"]
 
 
 _SAMPLING_COMMANDS = """

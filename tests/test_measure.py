@@ -202,6 +202,12 @@ def test_cap_fractions_blocks_keep_the_bits_of_one_mean(n):
     assert cap_fractions(pts).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cap_fractions_of_no_points_are_nans_without_a_warning():
+    fr = cap_fractions(np.empty((0, 3)))
+    assert fr.shape == (64,) and np.isnan(fr).all()
+
+
 def test_branch_table_is_the_only_depth_by_n_array(sq):
     # 30 x 1e5 draws: a 3 MB table of bytes, never 24 MB of int64
     from dynamo.measure import _plant
