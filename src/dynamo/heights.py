@@ -94,13 +94,17 @@ def _padic_valuation(q: Fraction, p: int) -> int:
 _SIEVE = bytearray([0, 0]) + bytearray([1]) * 998  # the sieve of Eratosthenes
 for _q in range(2, 32):
     _SIEVE[_q * _q::_q] = bytes(len(range(_q * _q, 1000, _q)))
-#: primes below 1000, divided out by `factorize` before Pollard rho
+#: primes below 1000, the trial divisors of `factorize`
 _SMALL_PRIMES = [q for q, prime in enumerate(_SIEVE) if prime]
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization: trial division by the primes below 1000, then
-    Pollard rho, which tests each cofactor for primality first."""
+    """Trial division by the primes below 1000: their exponents in n, and the
+    cofactor left, when above 1, as one more factor of exponent 1.
+
+    The cofactor has no prime factor below 1000, so it is prime when below
+    10^6; above, it may be a product of large primes, which no step splits.
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -109,37 +113,9 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    for p, e in _rho_factor(n).items():
-        out[p] = out.get(p, 0) + e
+    if n > 1:
+        out[n] = 1
     return out
-
-
-def _rho_factor(n: int) -> dict[int, int]:
-    if n == 1:
-        return {}
-    if is_probable_prime(n):
-        return {n: 1}
-    d = n
-    c = 1
-    while d == n:
-        d = _rho_step(n, c)
-        c += 1
-    left = _rho_factor(d)
-    right = _rho_factor(n // d)
-    for p, e in right.items():
-        left[p] = left.get(p, 0) + e
-    return left
-
-
-def _rho_step(n: int, c: int) -> int:
-    x = y = 2
-    d = 1
-    while d == 1:
-        x = (x * x + c) % n
-        y = (y * y + c) % n
-        y = (y * y + c) % n
-        d = math.gcd(abs(x - y), n)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +251,7 @@ def _rounding_bound(n: int, d: int, h0: float, c_const: float, log_res: float) -
     return 2 * _U * ((n + 3) * s + terms)
 
 
-def _truncation_error(kappa: float, d: int, n: int, bits: int) -> float:
+def _truncation_error(log_kappa: float, d: int, n: int, bits: int) -> float:
     """Bound on the archimedean sum's error when P_k is carried on `bits` bits.
 
     The pair Q_k approximates t P_k (some t > 0) with relative sup-norm error
@@ -284,31 +260,35 @@ def _truncation_error(kappa: float, d: int, n: int, bits: int) -> float:
     `bits` bits adds (1 + that) 2^(1-bits).  The term a(P_k) is then off by
     at most -log(1 - that) - d log(1 - delta_k); terms weigh d^-(k+1), and the
     first step (from the exact P_k0, itself truncated) is the heaviest.
+    kappa enters as its log, since it may pass the float range.
     """
     ulp = 2.0 ** (1 - bits)
     delta = ulp
     weight = 1.0
     total = 0.0
     for _ in range(n):
-        grown = kappa * math.expm1(d * math.log1p(delta))
-        if grown >= 0.5:
+        growth = math.expm1(d * math.log1p(delta))
+        log_grown = log_kappa + math.log(growth) if growth else -math.inf
+        if log_grown >= -_LN2:  # grown >= 1/2
             return math.inf
+        grown = math.exp(log_grown)
         weight /= d
         total += weight * (-math.log1p(-grown) - d * math.log1p(-delta))
         delta = grown + (1 + grown) * ulp
     return total * 1.001
 
 
-def _precision_bits(kappa: float, d: int, n: int, budget: float) -> tuple[int, float]:
+def _precision_bits(log_kappa: float, d: int, n: int, budget: float) -> tuple[int, float]:
     """A width B, in bits, whose truncation error over n steps is <= budget,
-    and that error; B grows like n log2(kappa) + log2(1/budget)."""
-    bits = 8 + math.ceil(n * math.log2(kappa) - math.log2(budget))
+    and that error; B grows like n log2(kappa) + log2(1/budget).  kappa
+    enters as its log, as in `_truncation_error`."""
+    bits = 8 + math.ceil((n * log_kappa - math.log(budget)) / _LN2)
     while True:
-        err = _truncation_error(kappa, d, n, bits)
+        err = _truncation_error(log_kappa, d, n, bits)
         if err <= budget:
             return bits, err
         bits += 8 + (math.ceil(math.log2(err / budget)) if err < math.inf
-                     else math.ceil(n * math.log2(kappa * d)))
+                     else math.ceil(n * (log_kappa + math.log(d)) / _LN2))
 
 
 def _log_ratio(num: int, den: int, d: int) -> float:
@@ -401,7 +381,8 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
                          f"of this height (rounding bound {2 * rounding(n_steps):.2g})")
     bits, trunc_err = 0, 0.0
     if n_steps:
-        bits, trunc_err = _precision_bits(lip * bez / F.res, d, n_steps, rounding(n_steps))
+        log_kappa = log_int(lip * bez) - log_res
+        bits, trunc_err = _precision_bits(log_kappa, d, n_steps, rounding(n_steps))
         check_cap(lip << (d * bits), cap_digits, "height working precision")
         check_cap(F.res ** n_steps, cap_digits, "height modulus")
     gcds: list[int] = []
@@ -420,16 +401,21 @@ def canonical_height(F: RationalMapLift, p, target_error: float = 1e-6,
 
 def _place_breakdown(F, value, gcds, d):
     """Split value into archimedean and per-prime parts (diagnostics only),
-    factoring the recorded g_k > 1, never Res, whose primes may be far beyond
-    Pollard rho's reach."""
+    factoring the recorded g_k > 1, never Res, by `factorize`.
+
+    A prime factor p goes under "p=<p>"; a cofactor that `factorize` leaves
+    and `modp.is_probable_prime` rejects, a product of primes above 1000,
+    goes under "composite", which sums all of them.
+    """
     per_prime: dict[int, float] = {}
     for k, g in enumerate(gcds):
         if g > 1:
-            for prime, e in sorted(factorize(g).items()):
-                per_prime[prime] = per_prime.get(prime, 0.0) - e * math.log(prime) / d ** (k + 1)
+            for q, e in sorted(factorize(g).items()):
+                key = q if is_probable_prime(q) else 0  # 0: the composite cofactors
+                per_prime[key] = per_prime.get(key, 0.0) - e * math.log(q) / d ** (k + 1)
     arch = value - sum(per_prime.values())
     out = {"archimedean": arch}
-    out.update({f"p={p}": v for p, v in sorted(per_prime.items())})
+    out.update({f"p={p}" if p else "composite": v for p, v in sorted(per_prime.items())})
     return out
 
 

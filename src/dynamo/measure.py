@@ -8,9 +8,11 @@ fiber once, not one fiber per sample.  A step keeps its M nodes in one
 contiguous (d, M) layout, the one `roots_batch` solves in: the fiber
 coefficients are built as (d+1, M), and the roots, chart flags and rank
 keys are (M, d) views of (d, M) arrays, whose column k, the k-th root of
-every node, is contiguous; the next level is gathered by flat index.  The
-first two levels, the start's fiber and its preimages' fibers, are the
-ones the start-point search has already solved.  A branch index is a
+every node, is contiguous; the next level is gathered by flat index.  A
+tree's start point is its one level-0 node, drawn from its stream; any
+point but the at most two exceptional ones will do (Lyubich 1983;
+Freire-Lopes-Mane 1983), and the walk rejects an exceptional start at its
+level-1 solve, where its two-step preimages coincide.  A branch index is a
 rank: branch k of a fiber is its root of rank k in a canonical order of
 the roots, so the index does not depend on the order in which the solver
 returns them.  The canonical order sorts by (flag, round(re, 9),
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import CapExceeded, RootFindingFailure
 from .projective import RationalMapLift, form_eval
-from .roots import _BLOCK, preimage_fiber, preimage_fibers, roots_batch, to_chart
+from .roots import _BLOCK, preimage_fibers, roots_batch, to_chart
 
 CAP_COUNT = 64
 CAP_COS = 0.5  # aperture: points within 60 degrees of the center
@@ -197,39 +199,20 @@ def _column_of_rank(ranks: np.ndarray, b: np.ndarray, rows=slice(None)) -> np.nd
     return col
 
 
-def _start_point(f0: np.ndarray, f1: np.ndarray, rng: np.random.Generator):
-    """A start point whose two-step preimage set is provably non-degenerate.
-
-    f0 and f1 are the map's forms as `preimage_fiber` takes them.  Returns
-    (z0, level0, level1): the chart-form fiber (vals, invs) of z0, shape
-    (1, d), and the fibers of its d preimages, shape (d, d), whose row k is
-    the fiber of column k of level0, as `preimage_fiber` returns them.
-    """
-    for _ in range(16):
-        z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
-        v1, i1 = preimage_fiber(f0, f1, np.array([z0]), np.array([False]))
-        v2, i2 = preimage_fiber(f0, f1, v1[0], i1[0])
-        distinct = {(round(v.real, 6), round(v.imag, 6), inv)
-                    for v, inv in zip(v2.ravel().tolist(), i2.ravel().tolist())}
-        if len(distinct) >= 2:
-            return z0, (v1, i1), (v2, i2)
-    raise RootFindingFailure("could not find a non-exceptional backward start point")
-
-
 def _plant(trees, depth: int):
-    """The setup of `_walk`: each tree's forms and start fibers, and the branch table.
+    """The setup of `_walk`: each tree's forms and start point, and the branch table.
 
     trees holds (F, n_samples, seed) triples of one degree d.  Each tree
-    draws from its own stream: its start point (`_start_point`), then its
-    (depth, n_samples) branches, into its columns of one (depth, N) table
-    of np.min_scalar_type(d - 1) for all N samples, the one array of the
-    walk that grows with depth.  The branches are drawn in C order as int32
-    blocks of at most _DRAWS entries, whole rows while a row fits one
-    block.  numpy serves int32 and int64 draws below 2^32 from one 32-bit
-    Lemire stream, and consecutive calls continue it, so the table holds
-    the values of one int64 (depth, n_samples) draw, while no temporary
-    outgrows _DRAWS.  Returns (forms, fibers, branches), with forms[t] =
-    (f0, f1) and fibers[t] = (level0, level1) of tree t.
+    draws from its own stream: its start point, from the stream's first two
+    uniform draws, then its (depth, n_samples) branches, into its columns of
+    one (depth, N) table of np.min_scalar_type(d - 1) for all N samples, the
+    one array of the walk that grows with depth.  The branches are drawn in
+    C order as int32 blocks of at most _DRAWS entries, whole rows while a
+    row fits one block.  numpy serves int32 and int64 draws below 2^32 from
+    one 32-bit Lemire stream, and consecutive calls continue it, so the
+    table holds the values of one int64 (depth, n_samples) draw, while no
+    temporary outgrows _DRAWS.  Returns (forms, starts, branches), with
+    forms[t] = (f0, f1) and starts[t] the start point of tree t.
     """
     d = trees[0][0].degree
     if d < 2:
@@ -237,14 +220,14 @@ def _plant(trees, depth: int):
     sizes = [n for _, n, _ in trees]
     if min(sizes) < 1 or depth < 1:
         raise ValueError("n_samples and depth must be >= 1")
-    forms, fibers = [], []
+    forms, starts = [], []
     try:
         branches = np.empty((depth, sum(sizes)), dtype=np.min_scalar_type(d - 1))
         lo = 0
         for F, n, seed in trees:
             rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
             forms.append(tuple(np.array(f) for f in F.float_forms[:2]))
-            fibers.append(_start_point(*forms[-1], rng)[1:])
+            starts.append(complex(0.4 + rng.random(), 0.3 + rng.random()))
             # the tree's (depth, n) draws in C order, _DRAWS or fewer per call
             rows, cols = max(1, _DRAWS // n), min(n, _DRAWS)
             for r in range(0, depth, rows):
@@ -255,7 +238,24 @@ def _plant(trees, depth: int):
     except MemoryError:
         raise CapExceeded(f"the branch table of depth x samples = {depth} x {sum(sizes)} "
                           "draws does not fit in memory") from None
-    return forms, fibers, branches
+    return forms, starts, branches
+
+
+def _check_starts(starts, bounds, vals, invs) -> None:
+    """RootFindingFailure unless every tree's level-1 roots hold two distinct points.
+
+    vals and invs are the roots (M, d) of a walk's level 1, tree t's in
+    rows bounds[t]:bounds[t + 1].  A root b is apart from the block's first
+    root a when their chart flags differ or |b - a| > 1e-9 max(|a|, |b|).
+    A block with no root apart from a has one point for its two-step
+    preimages, as an exceptional start has, whose walks never leave it.
+    """
+    for z0, lo, hi in zip(starts, bounds, bounds[1:]):
+        a, f = vals[lo:hi].ravel(), invs[lo:hi].ravel()
+        apart = (f != f[0]) | (np.abs(a - a[0]) > 1e-9 * np.maximum(np.abs(a), abs(a[0])))
+        if not apart.any():
+            raise RootFindingFailure(f"the backward start point {z0:.6g} is exceptional: "
+                                     "its two-step preimages coincide")
 
 
 def _walk(trees, depth: int) -> list:
@@ -266,22 +266,20 @@ def _walk(trees, depth: int) -> list:
     seed)` documents, from the streams `_plant` draws.  A level holds the
     nodes of every tree, each tree's in one contiguous block, so one
     `preimage_fibers` call solves them all, each block from its own map's
-    forms, and a tree gets the bits of its walk alone.
+    forms, and a tree gets the bits of its walk alone.  Level 0 holds the
+    start points; the roots of level 1 must pass `_check_starts`.
     """
-    forms, fibers, branches = _plant(trees, depth)
+    forms, starts, branches = _plant(trees, depth)
     d = trees[0][0].degree
     sizes = [n for _, n, _ in trees]
-    # level 0 holds each tree's start fiber; rows t * d + k of level 1 the
-    # fibers of the preimages of tree t
-    pv, pi = (np.concatenate([level0[c] for level0, _ in fibers]) for c in (0, 1))
-    level1 = [np.concatenate([level1[c] for _, level1 in fibers]) for c in (0, 1)]
+    # level 0 holds each tree's start point, a node of the affine chart
+    vals, invs = np.array(starts), np.zeros(len(trees), dtype=bool)
     bounds = list(range(len(trees) + 1))  # tree t owns nodes bounds[t]:bounds[t + 1]
     node = np.repeat(np.arange(len(trees)), sizes)  # each sample's index into the level
     for step in range(depth):
+        pv, pi = preimage_fibers(forms, bounds, vals, invs)
         if step == 1:
-            pv, pi = level1[0][at], level1[1][at]
-        elif step:
-            pv, pi = preimage_fibers(forms, bounds, vals, invs)
+            _check_starts(starts, bounds, pv, pi)
         pt, it = pv.T, pi.T  # (d, M): root k of every node is contiguous
         ranks = _ranks(pv, pi)
         # child (node, branch), renumbered densely among the drawn children
@@ -301,8 +299,6 @@ def _walk(trees, depth: int) -> list:
         col = _column_of_rank(ranks, kids - parent * d, parent)
         at = col * pt.shape[1] + parent
         vals, invs = pt.ravel()[at], it.ravel()[at]
-        if step == 0:
-            at = parent * d + col  # the level-1 rows of the drawn preimages
     vals, invs = vals[node, None], invs[node, None]
     ends = np.cumsum(sizes)
     return [EmpiricalMeasure(vals[end - n:end], invs[end - n:end], seed, depth)
@@ -321,15 +317,16 @@ def sample_invariant_measure(F: RationalMapLift, n_samples: int, depth: int,
     at most d^k nodes, so the loop keeps the distinct nodes of a level and
     each sample's node index.  A step solves and ranks each node's fiber
     once; the children some sample draws become the next level's nodes,
-    and each drawn child takes the column whose rank is its branch.  Levels
-    0 and 1 are the fibers `_start_point` solved: the start's fiber, and
-    the rows of its preimages' fibers that belong to the drawn children.
-    Fiber rows are solved independently, so every sample has the bits it
-    would get from solving its own fiber at each step.  The map's
-    coefficients are its `float_forms`; coefficients spanning more than the
-    float range raise RootFindingFailure.  A (depth, n_samples) branch
-    table that cannot be allocated raises CapExceeded.  This is `_walk` on
-    a forest of one tree.
+    and each drawn child takes the column whose rank is its branch.  The
+    start point, level 0's one node, is drawn from the seed's stream before
+    the branches; a start whose level-1 roots coincide is exceptional and
+    raises RootFindingFailure, with no retry (a one-step walk has no level
+    1 and keeps its start).  Fiber rows are solved independently, so every
+    sample has the bits it would get from solving its own fiber at each
+    step.  The map's coefficients are its `float_forms`; coefficients
+    spanning more than the float range raise RootFindingFailure.  A
+    (depth, n_samples) branch table that cannot be allocated raises
+    CapExceeded.  This is `_walk` on a forest of one tree.
     """
     return _walk([(F, n_samples, seed)], depth)[0]
 

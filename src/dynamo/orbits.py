@@ -148,7 +148,7 @@ def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
     for _ in range(n):
         vals, invs = preimage_fiber(f0, f1, vals, invs)
         vals, invs = vals.T.ravel(), invs.T.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = np.where(invs, 1.0 / vals, vals)
     z = z[np.isfinite(z)]
     for r, m in known:

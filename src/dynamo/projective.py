@@ -127,7 +127,11 @@ class CPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x: complex, y: complex):
-        m = max(abs(x), abs(y))
+        try:
+            m = max(abs(x), abs(y))
+        except OverflowError:  # |x| or |y| beyond the float range: halve both, exactly
+            x, y = complex(x) / 2, complex(y) / 2
+            m = max(abs(x), abs(y))
         if m == 0.0:
             raise ZeroPoint("(0, 0) is not a projective point")
         self.x = complex(x) / m

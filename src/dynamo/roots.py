@@ -31,6 +31,7 @@ only when that sum is not finite.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -59,6 +60,7 @@ _BLOCK = 4096  # rows per batched Aberth block; bounds the (d, d, rows) temporar
 _SUM_ROWS = 256  # roots per block of the Aberth sum; bounds its (d, rows, m) temporary
 _SEPARATION = 1e3  # closed-form starts closer than this many tolerances fall back
 _OMEGA = complex(-0.5, math.sqrt(3) / 2)  # primitive cube root of unity
+_LOG_MAX = math.log(sys.float_info.max)  # the log of the largest float
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def polygon_starts(c) -> np.ndarray:
     from i to j puts j - i starts on the circle of radius
     (|c_i| / |c_j|)^(1/(j - i)), where that many roots lie when the polygon
     has sharp corners.  Logs of exact integers keep coefficients beyond the
-    float range usable.
+    float range usable; a circle beyond it raises RootFindingFailure.
     """
     d = len(c) - 1
     hull: list[tuple[int, float]] = []
@@ -255,6 +257,8 @@ def polygon_starts(c) -> np.ndarray:
     starts = []
     for (i, li), (j, lj) in zip(hull, hull[1:]):
         k = j - i
+        if (li - lj) / k > _LOG_MAX:
+            raise RootFindingFailure("a Newton polygon circle lies beyond the float range")
         angles = 2 * np.pi * (np.arange(k) / k + i / d) + 0.7
         starts.append(math.exp((li - lj) / k) * np.exp(1j * angles))
     return np.concatenate(starts)
@@ -461,7 +465,9 @@ def _degenerate_quadratics(c0, c1, c2, t, out) -> None:
     A row with c2 != 0 and t != 0 gets the bits of the plain divisions.  A
     row with c2 = 0 has the root at infinity in out[0] and its finite
     root -c0/c1 in out[1], or infinity again when c1 is zero too; t = 0
-    leaves out[1] at 0 (or infinity when c2 = 0).
+    leaves out[1] at 0 (or infinity when c2 = 0).  A quotient beyond the
+    float range is infinity, which `to_chart` reads as the point at
+    infinity, without numpy's overflow warning.
     """
     r1, r2 = out
     quad = c2 != 0
@@ -471,7 +477,7 @@ def _degenerate_quadratics(c0, c1, c2, t, out) -> None:
     lin = c1 != 0
     lin &= ~quad
     s = np.empty_like(c0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(t, c2, out=r1, where=quad)
         np.divide(c0, t, out=r2, where=t != 0)
         np.negative(c0, out=s, where=lin)

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 
 import pytest
 
@@ -788,3 +789,44 @@ def test_periodic_prints_a_large_finite_point_as_finite(tmp_path):
     points = sorted(row[1] for row in json.loads(text)["result"]["rows"])
     assert len(points) == 3 and points.count("inf") == 1
     assert complex(max(points, key=len)).real == pytest.approx(1e16)
+
+
+# -- values at the edge of the float range: a result or exit 2, no traceback or warning --
+
+_E100, _E300 = 10**100, 10**300
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("num, den, argv, want", [
+    # kappa = L B' / |Res| is about 10^401: dividing it out as a float overflowed
+    ([4, 8 * _E100, -5 * _E100, 7], [1], ["height", "--point", "2/3"], "finite"),
+    # a Newton polygon circle beyond the float range: its radius overflowed math.exp
+    ([6, -4 * _E300, -4 * _E300, -9], [2, -9, 4 * _E300], ["periodic", "--period", "3"],
+     "exit 2"),
+    # a root of modulus beyond the float range overflowed abs() in CPoint
+    ([0, 1, 9, 6], [-_E300, -_E300, 7], ["periodic", "--period", "1"], "exit 2"),
+    # a tree start below 1/(largest float) in the inverted chart: its
+    # reciprocal overflowed in orbits._tree_starts, and numpy warned on stderr
+    ([0, 2, -8, -7 * _E300], [-9, -4 * _E300, 3], ["periodic", "--period", "3"], "exit 2"),
+    # a degenerate fiber quadratic whose root overflows, read as infinity:
+    # numpy warned on stderr
+    ([-5, 2, 1], [1, 8 * _E100], ["sample-measure", "--samples", "200", "--depth", "5"],
+     "no nan"),
+    # 6z^2 + 6z + 7 10^16: the start-point search rounded the chart values of
+    # its two-step preimages, about 1e-8, to 6 decimals and found them equal
+    ([7 * 10**16, 6, 6], [1], ["sample-measure", "--samples", "2000"], "finite"),
+])
+def test_float_range_edges_end_in_a_result_or_exit_2(tmp_path, capsys, num, den, argv, want):
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({"num": [str(c) for c in num], "den": [str(c) for c in den]}))
+    code, text = _run([argv[0], "--map", str(p), *argv[1:]])
+    err = capsys.readouterr().err
+    if want == "exit 2":
+        assert code == 2 and text == ""
+        assert err.startswith("computation error:") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert values and not any(map(math.isnan, values))
+    assert want != "finite" or all(map(math.isfinite, values))

@@ -134,6 +134,25 @@ def test_place_breakdown_factors_only_the_orbit_gcds(monkeypatch):
     assert sorted(r.local_breakdown) == ["archimedean", "p=2", "p=3"]
 
 
+def test_place_breakdown_keeps_a_semiprime_gcd_whole():
+    # (z^2 + N)/z at N = (10^19 + 51)(10^20 + 39): the first gcd is N, and
+    # Pollard rho on it did not end in 30 s
+    N = (10**19 + 51) * (10**20 + 39)
+    F = RationalMapLift.make([N, 0, 1], [0, 1, 0])
+    t0 = time.perf_counter()
+    r = canonical_height(F, N, target_error=1e-6, diagnostics=True)
+    assert time.perf_counter() - t0 < 2.0
+    assert sorted(r.local_breakdown) == ["archimedean", "composite"]
+    assert r.local_breakdown["composite"] == pytest.approx(-math.log(N) / 2, rel=1e-12)
+    assert sum(r.local_breakdown.values()) == pytest.approx(r.value, abs=1e-9)
+    # a prime cofactor beyond 1000 keeps its own key: (z^2 + p)/z at p
+    p = 10**9 + 7
+    r = canonical_height(RationalMapLift.make([p, 0, 1], [0, 1, 0]), p,
+                         target_error=1e-6, diagnostics=True)
+    assert f"p={p}" in r.local_breakdown and "composite" not in r.local_breakdown
+    assert sum(r.local_breakdown.values()) == pytest.approx(r.value, abs=1e-9)
+
+
 def test_functoriality_examples(sq, basilica):
     assert canonical_height_functoriality_check(sq, 2)
     assert canonical_height_functoriality_check(basilica, 0)
@@ -486,14 +505,15 @@ def test_decide_preperiodic_cap_raises_cap_exceeded():
 
 
 def test_factorize_large_prime_cofactor_is_fast():
-    # the cofactor goes to Pollard rho, which tests it for primality first;
-    # trial division to 10^7 before that test takes about 0.5 s on each
+    # trial division stops at the primes below 1000 and keeps the cofactor
+    # whole, prime or not; trial division to 10^7 took about 0.5 s on each
     big = 10**20 + 39
     t0 = time.perf_counter()
     assert factorize(big) == {big: 1}
-    assert factorize((10**9 + 7) * big) == {10**9 + 7: 1, big: 1}
+    assert factorize((10**9 + 7) * big) == {(10**9 + 7) * big: 1}
     assert factorize(2**10 * 3**5 * 997 * (10**9 + 7) ** 2) == {
-        2: 10, 3: 5, 997: 1, 10**9 + 7: 2}
+        2: 10, 3: 5, 997: 1, (10**9 + 7) ** 2: 1}
+    assert factorize(3 * 1009 * 1013) == {3: 1, 1009 * 1013: 1}
     assert time.perf_counter() - t0 < 0.3
     assert factorize(-1) == {}
     with pytest.raises(ValueError):
@@ -524,18 +544,22 @@ def test_canonical_height_cap_fails_before_any_orbit_step(basilica, monkeypatch)
 def test_precision_bits_widens_a_short_first_width(kappa, d, n, budget):
     from dynamo.heights import _precision_bits, _truncation_error
 
-    first = 8 + math.ceil(n * math.log2(kappa) - math.log2(budget))
-    first_err = _truncation_error(kappa, d, n, first)
+    log_kappa = math.log(kappa)  # both take kappa as its log
+    first = 8 + math.ceil((n * log_kappa - math.log(budget)) / math.log(2))
+    first_err = _truncation_error(log_kappa, d, n, first)
     assert first_err > budget
     assert math.isinf(first_err) == (d == 64)
-    bits, err = _precision_bits(kappa, d, n, budget)
+    bits, err = _precision_bits(log_kappa, d, n, budget)
     assert bits > first
-    assert err <= budget and err == _truncation_error(kappa, d, n, bits)
+    assert err <= budget and err == _truncation_error(log_kappa, d, n, bits)
 
 
 def test_truncation_error_is_infinite_once_the_step_error_reaches_one_half():
     from dynamo.heights import _truncation_error
 
     # delta = 2^-9, so kappa ((1 + delta)^2 - 1) is about 4000 on the first step
-    assert _truncation_error(1e6, 2, 5, 10) == math.inf
-    assert _truncation_error(1e6, 2, 5, 200) < 1e-20
+    assert _truncation_error(math.log(1e6), 2, 5, 10) == math.inf
+    assert _truncation_error(math.log(1e6), 2, 5, 200) < 1e-20
+    # kappa = 10^401 is beyond the float range, and 1000 bits are too few
+    assert _truncation_error(401 * math.log(10), 2, 1, 1000) == math.inf
+    assert _truncation_error(401 * math.log(10), 2, 1, 1400) < 1e-15

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dynamo.errors import RootFindingFailure
 from dynamo.hypersurface import diagonal_surface, graph_surface
 from dynamo.measure import (
     cap_fractions,
@@ -323,17 +324,17 @@ def _row_by_row(F, n_samples, depth, seed):
     """The backward orbits with one fiber row per sample at every step.
 
     Draws exactly what `sample_invariant_measure` draws from the same stream,
-    then solves all N fibers each step and takes the root of the drawn rank
-    in a stable np.lexsort on (inverted, round(re, 9), round(im, 9)).
+    the start point z0 from its first two uniform draws, then solves all N
+    fibers each step and takes the root of the drawn rank in a stable
+    np.lexsort on (inverted, round(re, 9), round(im, 9)).
     """
-    from dynamo.measure import _start_point
     from dynamo.projective import float_coefficients
     from dynamo.roots import preimage_fiber
 
     floats, _ = float_coefficients(F.f0 + F.f1)
     f0, f1 = np.array(floats[:F.degree + 1]), np.array(floats[F.degree + 1:])
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    z0 = _start_point(f0, f1, rng)[0]
+    z0 = complex(0.4 + rng.random(), 0.3 + rng.random())
     branches = rng.integers(0, F.degree, size=(depth, n_samples))
     vals = np.full(n_samples, z0, dtype=complex)
     invs = np.zeros(n_samples, dtype=bool)
@@ -372,28 +373,17 @@ def test_backward_loop_solves_each_tree_node_once(monkeypatch, coeffs, n_samples
 
     F = poly_lift(*coeffs)
     rows = []
-    start_rows = []
-    searching = []
-    solve, start = roots.roots_batch, measure._start_point
+    solve = roots.roots_batch
 
     def counting_solve(coeff_rows, *args, **kwargs):
-        (start_rows if searching else rows).append(coeff_rows.shape[0])
+        rows.append(coeff_rows.shape[0])
         return solve(coeff_rows, *args, **kwargs)
 
-    def searching_start(*args):
-        searching.append(True)
-        try:
-            return start(*args)
-        finally:
-            searching.pop()
-
     monkeypatch.setattr(roots, "roots_batch", counting_solve)
-    monkeypatch.setattr(measure, "_start_point", searching_start)
     measure.sample_invariant_measure(F, n_samples, depth, seed=3)
-    # the start point's two solves, its fiber and its d preimages' fibers,
-    # are tree levels 0 and 1; the walk solves the other depth - 2 levels
-    assert start_rows == [1, F.degree]
-    rows = start_rows + rows
+    # levels 0 and 1, the start point's fiber and its d preimages' fibers,
+    # are walk solves like the others
+    assert rows[:2] == [1, F.degree]
     assert bound == sum(min(n_samples, F.degree**k) for k in range(depth))
     assert len(rows) == depth
     assert sum(rows) <= bound
@@ -425,12 +415,42 @@ def _assert_solo_bits(trees, depth, forest):
     ([("lattes", 200, 7), ("lattes", 250, 8)], 20),     # degree 4, one map twice
     ([("basilica", 1, 2), ("sq", 64, 2), ("basilica", 9, 5)], 1),
 ])
-def test_forest_columns_have_their_solo_bits(trees, depth):
+def test_forest_columns_have_their_solo_bits(trees, depth, monkeypatch):
+    import dynamo.roots as roots
     from dynamo.measure import _walk
 
     maps = _forest_maps()
     trees = [(maps[name], n, seed) for name, n, seed in trees]
-    _assert_solo_bits(trees, depth, _walk(trees, depth))
+    calls = []
+    solve = roots.roots_batch
+    monkeypatch.setattr(roots, "roots_batch", lambda rows: calls.append(1) or solve(rows))
+    forest = _walk(trees, depth)
+    # one solve per level for the whole forest, the start points' levels 0
+    # and 1 included
+    assert len(calls) == depth
+    monkeypatch.setattr(roots, "roots_batch", solve)
+    _assert_solo_bits(trees, depth, forest)
+
+
+@pytest.mark.parametrize("depth", [2, 30])
+def test_exceptional_start_fails_before_any_sample(sq, monkeypatch, depth):
+    # z^2 from 0: the closed form gives the fiber {0, 0} of 0 exactly, so
+    # both walk levels hold one point; the basilica tree beside it is sound
+    import dynamo.measure as measure
+
+    plant = measure._plant
+
+    def from_zero(trees, depth):
+        forms, starts, branches = plant(trees, depth)
+        return forms, [0j] + starts[1:], branches
+
+    monkeypatch.setattr(measure, "_plant", from_zero)
+    for trees in ([(sq, 100, 3)], [(sq, 100, 3), (_forest_maps()["basilica"], 50, 4)]):
+        with pytest.raises(RootFindingFailure,
+                           match=r"^the backward start point 0\+0j is exceptional"):
+            measure._walk(trees, depth)
+    monkeypatch.setattr(measure, "_plant", plant)
+    assert measure._walk([(sq, 100, 3)], depth)[0].size == 100
 
 
 def test_forest_across_a_roots_batch_block(monkeypatch):
@@ -462,7 +482,7 @@ def test_compact_branch_table_holds_the_int64_draws(names, monkeypatch):
     # default, 7-row blocks of the 4001-sample tree, and rows cut into
     # 1000-draw pieces
     import dynamo.measure
-    from dynamo.measure import _plant, _start_point
+    from dynamo.measure import _plant
 
     maps = _forest_maps()
     trees = [(maps[names[0]], 4001, 3), (maps[names[1]], 200, 9)]
@@ -475,7 +495,7 @@ def test_compact_branch_table_holds_the_int64_draws(names, monkeypatch):
         lo = 0
         for F, n, seed in trees:
             rng = np.random.default_rng(np.random.SeedSequence([seed]))
-            _start_point(*(np.array(f) for f in F.float_forms[:2]), rng)
+            rng.random(2)  # the start point's two draws
             want = rng.integers(0, d, size=(depth, n))
             assert want.dtype == np.int64
             assert np.array_equal(branches[:, lo:lo + n], want)

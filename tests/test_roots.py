@@ -184,6 +184,19 @@ def test_roots_batch_linear_degenerate_quadratic():
     assert np.allclose(np.sort_complex(roots[1]), [-1j, 1j])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_roots_batch_quadratic_beyond_the_float_range_is_infinity():
+    # 1e-250 z^2 - 8e100 z - 1: its large root, 8e350, overflows the division
+    # t / c2, which numpy reported as an overflow warning
+    rng = np.random.default_rng(7)
+    good = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    rows = np.vstack([good[:4], [[-1, -8e100, 1e-250]], good[4:]]).astype(complex)
+    roots = roots_batch(rows)
+    assert np.isinf(roots[4]).any() and roots[4][np.isfinite(roots[4])] == pytest.approx(
+        [-1.25e-101])
+    assert np.delete(roots, 4, axis=0).tobytes() == roots_batch(good).tobytes()
+
+
 # quadratic rows for every branch of the closed form: c2 = 0 with c1 != 0 and
 # with c1 = 0, t = 0 (a double root at 0), all zeros, and signed zeros
 DEGENERATE_QUADRATICS = [[2, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, -0.0],
