@@ -123,7 +123,7 @@ def _cmd_preper(args, out):
 
 def _cmd_periodic(args, out):
     F = projective.load_map(args.map)
-    cycles = orbits.periodic_points(F, args.period, tol=args.tol)
+    cycles = orbits.periodic_points(F, args.period)
     if args.repelling_only:
         cycles = [c for c in cycles if c.repelling]
     rows = []
@@ -138,7 +138,7 @@ def _cmd_periodic(args, out):
 
 def _cmd_classify(args, out):
     F = projective.load_map(args.map)
-    c = exceptional.classify(F, max_orbit=args.max_orbit, tol=args.tol)
+    c = exceptional.classify(F, max_orbit=args.max_orbit)
     _emit({"verdict": c.verdict, "signature": _sig_str(c.signature),
            "pcf": c.pcf, "exact": c.exact}, args, out)
 
@@ -307,7 +307,6 @@ _OPTIONS = {
     "samples": (["--samples", "--n"], dict(type=int, default=10_000)),
     "depth": (["--depth"], dict(type=int, default=30)),
     "err": (["--err"], dict(type=float, default=1e-6)),
-    "tol": (["--tol"], dict(type=float, default=1e-9)),
     "max_iter": (["--max-iter"], dict(type=int, default=6)),
     "cap_digits": (["--cap-digits"], dict(type=int, default=projective.DEFAULT_DIGIT_CAP)),
     "max_orbit": (["--max-orbit"], dict(type=int, default=64)),
@@ -329,8 +328,8 @@ _COMMANDS = {
     "orbit": (_cmd_preper, "exact orbit record (tail, period) or divergence",
               ("map", "point", "cap_digits")),
     "periodic": (_cmd_periodic, "periodic points and multipliers",
-                 ("map", "period", "tol", "repelling_only")),
-    "classify": (_cmd_classify, "exceptional-map classification", ("map", "tol", "max_orbit")),
+                 ("map", "period", "repelling_only")),
+    "classify": (_cmd_classify, "exceptional-map classification", ("map", "max_orbit")),
     "sample-measure": (_cmd_sample_measure, "backward-orbit invariant measure sample",
                        ("map", "samples", "depth", "seed", "chart")),
     "compare-measures": (_cmd_compare_measures, "pullback-measure cap discrepancy",

@@ -4,7 +4,9 @@ A degree d >= 2 rational map is exceptional when it is conjugate to z^(+-d),
 to +-T_d (Chebyshev), or is a Lattès map; equivalently it is post-critically
 finite with parabolic orbifold.  Classification computes the ramification
 portrait (critical orbits with collision detection, exact where points are
-rational) and the minimal orbifold weights, then reads the signature:
+rational; numeric points merge below MERGE_DISTANCE, 1e-9 chordal, and a
+split below AMBIGUOUS_DISTANCE, its square root, is Inconclusive) and the
+minimal orbifold weights, then reads the signature:
 (inf, inf) power-like, (2, 2, inf) Chebyshev-like, and the four compact
 parabolic signatures for Lattès.
 
@@ -35,6 +37,8 @@ from .projective import (
 from .roots import binary_form_roots
 
 INF_WEIGHT = math.inf
+MERGE_DISTANCE = 1e-9  # chordal distance below which two portrait points merge
+AMBIGUOUS_DISTANCE = math.sqrt(MERGE_DISTANCE)  # up to here, an unproven split is Inconclusive
 
 PARABOLIC_COMPACT = {(2, 2, 2, 2), (2, 4, 4), (2, 3, 6), (3, 3, 3)}
 
@@ -191,15 +195,14 @@ class Classification(NamedTuple):
 class _NodeStore:
     """Find-or-add store for portrait points.
 
-    Collision rule: chordal distance < tol merges (certified only when both
-    sides are exact and equal); distance in [tol, sqrt(tol)) between points
-    that are not certifiably distinct raises Inconclusive; two unequal
-    exact rationals are always distinct, however close.
+    Collision rule: chordal distance < MERGE_DISTANCE merges (certified only
+    when both sides are exact and equal); distance in [MERGE_DISTANCE,
+    AMBIGUOUS_DISTANCE) between points that are not certifiably distinct
+    raises Inconclusive; two unequal exact rationals are always distinct,
+    however close.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.ambiguous = math.sqrt(tol)
+    def __init__(self):
         self.nodes: list[PortraitNode] = []
         self.all_collisions_exact = True
 
@@ -213,12 +216,12 @@ class _NodeStore:
             d = node.approx.chordal(approx)
             if d < best_d:
                 best, best_d = i, d
-        if best is not None and best_d < self.ambiguous:
+        if best is not None and best_d < AMBIGUOUS_DISTANCE:
             node = self.nodes[best]
             certifiably_distinct = exact is not None and node.exact is not None
             if certifiably_distinct:
                 pass  # unequal exact rationals: genuinely distinct points
-            elif best_d < self.tol:
+            elif best_d < MERGE_DISTANCE:
                 if exact is not None and node.exact is None:
                     node.exact = exact
                 self.all_collisions_exact = False
@@ -226,27 +229,28 @@ class _NodeStore:
             else:
                 raise Inconclusive(
                     f"orbit points at chordal distance {best_d:.3e} fall in the "
-                    f"ambiguous zone [{self.tol:.0e}, {self.ambiguous:.0e})")
+                    f"ambiguous zone [{MERGE_DISTANCE:.0e}, {AMBIGUOUS_DISTANCE:.0e})")
         self.nodes.append(PortraitNode(approx=approx, exact=exact))
         return len(self.nodes) - 1, False
 
 
-def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
-                          tol: float = 1e-9):
+def ramification_portrait(F: RationalMapLift, max_orbit: int = 64):
     """Follow every critical orbit to closure; portrait or a NotPCF witness.
 
     Rational critical points are certified through the exact preperiodicity
     decision (divergence is then a proof, not a budget timeout); other orbits
-    accept collisions at chordal distance < tol and mark the portrait inexact.
-    A collision in the ambiguous zone, weights that do not stabilize, or a
-    critical orbit still open after max_orbit steps (running out of budget
-    proves nothing) raises Inconclusive.  A negative max_orbit is a
-    ValueError.
+    accept collisions at chordal distance < MERGE_DISTANCE and mark the
+    portrait inexact.  A numeric orbit point of a polynomial beyond
+    `_escape_bound` is a NotPCF witness, itself a CPoint.  A collision in the
+    ambiguous zone, weights that do not stabilize, or a critical orbit still
+    open after max_orbit steps (running out of budget proves nothing) raises
+    Inconclusive.  A negative max_orbit is a ValueError.
     """
     if max_orbit < 0:
         raise ValueError(f"max_orbit must be >= 0, got {max_orbit}")
     crits, _ = critical_points(F)
-    store = _NodeStore(tol)
+    store = _NodeStore()
+    escape = None  # `_escape_bound`, computed at the first numeric image
     crit_ids = []
     for cp, mult, exact in crits:
         idx, _ = store.find_or_add(cp, exact)
@@ -261,7 +265,7 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
                 return NotPCF(node.exact, verdict.certificate_index or 0,
                               "rational critical orbit has certified positive canonical height")
         cur = start
-        for _ in range(max_orbit + 1):
+        for step in range(1, max_orbit + 2):
             cur_node = store.nodes[cur]
             if cur_node.image is not None:
                 break  # merged into an already-followed orbit
@@ -271,6 +275,11 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
             else:
                 img_exact = None
                 img_approx = evaluate_cpoint(F, cur_node.approx)
+                if escape is None:
+                    escape = _escape_bound(F)
+                if abs(img_approx.x) > escape * abs(img_approx.y):
+                    return NotPCF(img_approx, step, "a critical orbit of a polynomial "
+                                  "passes twice its escape radius")
             img_idx, existed = store.find_or_add(img_approx, img_exact)
             cur_node.image = img_idx
             if existed and store.nodes[img_idx].image is not None:
@@ -284,6 +293,24 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64,
     signature = tuple(sorted(n.weight for n in store.nodes if n.weight > 1))
     all_exact = store.all_collisions_exact and all(n.exact is not None for n in store.nodes)
     return RamificationPortrait(nodes=store.nodes, exact=all_exact, signature=signature)
+
+
+def _escape_bound(F: RationalMapLift) -> float:
+    """2R for a polynomial F = (sum a_i z^i) / b, math.inf for any other map.
+
+    R = max(1, (sum_{i<d} |a_i| + 2|b|) / |a_d|): for |z| >= R,
+    |f(z)| >= |z|^(d-1) (|a_d| |z| - sum_{i<d} |a_i|) / |b| >= 2|z|, so an
+    orbit point beyond R escapes to infinity.  The factor 2 leaves a float
+    orbit point room for its rounding.  Computed from the integer
+    coefficients; a bound past the float range is math.inf.
+    """
+    if any(F.f1[1:]):
+        return math.inf
+    top = abs(F.f0[-1])
+    try:
+        return 2 * max(top, sum(map(abs, F.f0[:-1])) + 2 * abs(F.f1[0])) / top
+    except OverflowError:
+        return math.inf
 
 
 def _assign_weights(nodes) -> None:
@@ -339,22 +366,21 @@ def _assign_weights(nodes) -> None:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify(F: RationalMapLift, max_orbit: int = 64, tol: float = 1e-9) -> Classification:
+def classify(F: RationalMapLift, max_orbit: int = 64) -> Classification:
     """Trichotomy by orbifold signature; non-PCF maps carry their witness.
 
-    tol (the collision distance) must lie in (0, 1), else ValueError.  An
-    ambiguous portrait, or a critical orbit that neither closes nor is
+    An ambiguous portrait, or a critical orbit that neither closes nor is
     certified wandering within max_orbit steps, raises Inconclusive (from
     `ramification_portrait`), and so does `mm-verify`: a NonExceptional
-    verdict from an open critical orbit always rests on a certified witness.
+    verdict from an open critical orbit rests on a witness, certified or
+    (exact False) a float orbit point past a polynomial's `_escape_bound`.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("classification needs degree >= 2")
-    portrait = ramification_portrait(F, max_orbit=max_orbit, tol=tol)
-    if isinstance(portrait, NotPCF):
-        return Classification("NonExceptional", None, False, True, portrait)
+    portrait = ramification_portrait(F, max_orbit=max_orbit)
+    if isinstance(portrait, NotPCF):  # exact unless the witness is a numeric point
+        exact = isinstance(portrait.witness_point, ProjectivePoint)
+        return Classification("NonExceptional", None, False, exact, portrait)
     sig = portrait.signature
     finite = tuple(int(w) for w in sig if w != INF_WEIGHT)
     n_inf = sum(1 for w in sig if w == INF_WEIGHT)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -260,22 +261,38 @@ def _truncation_error(log_kappa: float, d: int, n: int, bits: int) -> float:
     `bits` bits adds (1 + that) 2^(1-bits).  The term a(P_k) is then off by
     at most -log(1 - that) - d log(1 - delta_k); terms weigh d^-(k+1), and the
     first step (from the exact P_k0, itself truncated) is the heaviest.
-    kappa enters as its log, since it may pass the float range.
+    kappa enters as its log, since it may pass the float range.  So does
+    delta_k when 2^(1-bits) is below the normal float range: a delta_k below
+    it gives (1 + delta)^d - 1 and -log(1 - delta) as d delta and delta,
+    exact to far below double resolution, and the total is rounded up.
     """
     ulp = 2.0 ** (1 - bits)
-    delta = ulp
+    tiny = ulp < sys.float_info.min
+    log_ulp = (1 - bits) * _LN2
+    delta, log_delta = ulp, log_ulp
     weight = 1.0
     total = 0.0
     for _ in range(n):
-        growth = math.expm1(d * math.log1p(delta))
-        log_grown = log_kappa + math.log(growth) if growth else -math.inf
+        normal = delta >= sys.float_info.min
+        if normal:
+            growth = math.expm1(d * math.log1p(delta))
+            log_grown = log_kappa + math.log(growth) if growth else -math.inf
+            loss = d * math.log1p(-delta)
+        else:
+            log_grown = log_kappa + math.log(d) + log_delta
+            loss = -math.exp(log_delta + math.log(d))
         if log_grown >= -_LN2:  # grown >= 1/2
             return math.inf
         grown = math.exp(log_grown)
         weight /= d
-        total += weight * (-math.log1p(-grown) - d * math.log1p(-delta))
-        delta = grown + (1 + grown) * ulp
-    return total * 1.001
+        total += weight * (-math.log1p(-grown) - loss)
+        if tiny:  # delta = grown + (1 + grown) ulp, by its log
+            hi, lo = sorted((log_grown, log_ulp + math.log1p(grown)), reverse=True)
+            log_delta = hi + math.log1p(math.exp(lo - hi))
+            delta = math.exp(log_delta)
+        else:
+            delta = grown + (1 + grown) * ulp
+    return math.nextafter(total * 1.001, math.inf) if tiny else total * 1.001
 
 
 def _precision_bits(log_kappa: float, d: int, n: int, budget: float) -> tuple[int, float]:

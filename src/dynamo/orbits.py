@@ -36,14 +36,14 @@ points also run:
 - near-real roots are reconstructed as rationals and verified exactly, and
   a verified rational point takes its exact value.
 
-Matching each root to the root nearest its image groups the roots into
-cycles with exact periods (Morton-Silverman, IMRN 1994, count them) and
-checks that F permutes them; an exact root's image is taken exactly.  The
-multiplier is the chain-rule product of local derivatives in charts that
-avoid infinity, in integers on a cycle of exact points and in floats on
-any other; `Cycle.repelling` reads |lambda| > 1 from it.  Exact orbits of
-rational points (tail and period, or certified divergence) are
-`heights.decide_preperiodic`.
+Matching each root to the root nearest its image, within chordal distance
+MATCH_TOL, groups the roots into cycles with exact periods
+(Morton-Silverman, IMRN 1994, count them) and checks that F permutes them;
+an exact root's image is taken exactly.  The multiplier is the chain-rule
+product of local derivatives in charts that avoid infinity, in integers on
+a cycle of exact points and in floats on any other; `Cycle.repelling` reads
+|lambda| > 1 from it.  Exact orbits of rational points (tail and period, or
+certified divergence) are `heights.decide_preperiodic`.
 
 A `Cycle` is a NamedTuple.
 """
@@ -66,10 +66,10 @@ from .projective import (
     form_eval,
     iterate_lift,
 )
-from .roots import _SEPARATION, binary_form_roots, polygon_starts, preimage_fiber
+from .roots import DEFAULT_TOL, _SEPARATION, binary_form_roots, polygon_starts, preimage_fiber
 
 DEFAULT_PERIOD_CAP = 4096
-DEFAULT_TOL = 1e-9
+MATCH_TOL = 1e-7  # chordal distance within which an image matches a cycle point
 _MATCH_ROWS = 512  # rows per block of the nearest-root and start distance matrices
 _TREE_BASE = complex(0.31, 0.47)  # the point a whose preimages under F^n are the starts
 # A simple factor of lower degree starts on its Newton polygon: there the n
@@ -104,23 +104,23 @@ def fixed_point_form(F: RationalMapLift) -> tuple:
     return tuple(out)
 
 
-def fixed_point_roots(F: RationalMapLift, n: int, tol: float = 1e-12) -> list:
+def fixed_point_roots(F: RationalMapLift, n: int) -> list:
     """The d^n + 1 roots of the fixed-point form of F^n, with multiplicity.
 
     Returns [(CPoint, multiplicity, ProjectivePoint or None), ...] from
     `binary_form_roots`, whose simple factor is solved by the orbit ratio
-    from the preimage-tree starts; the exact point is set for verified
-    rational roots, 0 and infinity included.  The float forms are converted
-    before the exact form is built.
+    from the preimage-tree starts to `roots.DEFAULT_TOL`; the exact point is
+    set for verified rational roots, 0 and infinity included.  The float
+    forms are converted before the exact form is built.
     """
     forms = F.float_forms[:2]
     return binary_form_roots(
-        fixed_point_form(iterate_lift(F, n)), tol,
+        fixed_point_form(iterate_lift(F, n)),
         lambda fac, known: (_orbit_ratio(forms, n, known),
-                            _tree_starts(forms, n, fac, known, tol)))
+                            _tree_starts(forms, n, fac, known)))
 
 
-def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
+def _tree_starts(forms, n: int, fac, known) -> np.ndarray:
     """Aberth starts for the simple factor fac: the preimages of _TREE_BASE under F^n.
 
     The tree is built level by level by the sampler's fiber step, in chart
@@ -129,10 +129,10 @@ def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
     - non-finite leaves are dropped;
     - for each known root (r, m), 0 and the roots of the repeated factors,
       the m leaves nearest r are dropped;
-    - a leaf within _SEPARATION * tol * (1 + |z|) of an earlier leaf or of
-      a known root is dropped: Aberth's term 1/(z_i - z_j) is not finite
-      for coinciding starts, so their correction is 0 and they never move,
-      and starts that close off a root pass the tolerance test;
+    - a leaf within _SEPARATION * DEFAULT_TOL * (1 + |z|) of an earlier leaf
+      or of a known root is dropped: Aberth's term 1/(z_i - z_j) is not
+      finite for coinciding starts, so their correction is 0 and they never
+      move, and starts that close off a root pass the tolerance test;
     - beyond D' leaves, those of largest modulus go (infinity took more than
       the one root the form has beyond the d^n leaves);
     - a shortfall is filled from the front of `polygon_starts(fac)`.
@@ -153,7 +153,7 @@ def _tree_starts(forms, n: int, fac, known, tol: float) -> np.ndarray:
     z = z[np.isfinite(z)]
     for r, m in known:
         z = np.delete(z, np.argsort(np.abs(z - r), kind="stable")[:m])
-    z = z[~_crowded(z, [r for r, _ in known], _SEPARATION * tol)]
+    z = z[~_crowded(z, [r for r, _ in known], _SEPARATION * DEFAULT_TOL)]
     if len(z) > len(fill):
         z = z[np.argsort(np.abs(z), kind="stable")[:len(fill)]]
     return np.concatenate([z, fill[:len(fill) - len(z)]])
@@ -216,14 +216,13 @@ def _orbit_ratio(forms, n: int, known):
     return ratio
 
 
-def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, exact,
-                tol: float) -> np.ndarray:
+def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, exact) -> np.ndarray:
     """Index of the root nearest, in chordal distance, to the image of each root [x : y].
 
     exact holds each root's ProjectivePoint or None; an exact root's image is
     taken exactly, then rounded, as its float image can land far off next to
-    a pole.  Raises NotACycle when an image is farther than tol from every
-    root.  The distance matrix is built _MATCH_ROWS images at a time.
+    a pole.  Raises NotACycle when an image is farther than MATCH_TOL from
+    every root.  The distance matrix is built _MATCH_ROWS images at a time.
     """
     ix, iy = (form_eval(f, x, y) for f in F.float_forms[:2])
     for k, p in enumerate(exact):
@@ -238,7 +237,7 @@ def _successors(F: RationalMapLift, x: np.ndarray, y: np.ndarray, exact,
         dist = np.abs(ix[rows, None] * y[None, :] - x[None, :] * iy[rows, None])
         dist /= inorm[rows, None] * norm[None, :]
         succ[rows] = np.argmin(dist, axis=1)
-        if np.any(dist[np.arange(len(dist)), succ[rows]] > tol):
+        if np.any(dist[np.arange(len(dist)), succ[rows]] > MATCH_TOL):
             raise NotACycle("periodic root set is not closed under the map within tol")
     return succ
 
@@ -252,29 +251,27 @@ def _max_period(d: int) -> int:
     return n
 
 
-def periodic_points(F: RationalMapLift, n: int, tol: float = DEFAULT_TOL) -> list[Cycle]:
+def periodic_points(F: RationalMapLift, n: int) -> list[Cycle]:
     """All cycles of period dividing n, exact periods attached, with multipliers.
 
     Root multiplicities above 1 in the fixed-point form (parabolic
     coincidences) are flagged on the affected cycles rather than merged away.
-    d^n above DEFAULT_PERIOD_CAP raises CapExceeded; a period n below 1 or a
-    tol outside (0, 1) is a ValueError.
+    d^n above DEFAULT_PERIOD_CAP raises CapExceeded; a period n below 1 is a
+    ValueError.
     """
     if n < 1:
         raise ValueError(f"period must be >= 1, got {n}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be a number in (0, 1), got {tol}")
     if F.degree < 2:
         raise ValueError("periodic points need degree >= 2")
     if n > _max_period(F.degree):
         raise CapExceeded(f"d^n with d = {F.degree}, n = {n} exceeds the configured cap "
                           f"{DEFAULT_PERIOD_CAP}")
-    roots = fixed_point_roots(F, n, tol=max(tol * 1e-3, 1e-14))
+    roots = fixed_point_roots(F, n)
     pts = [cp for cp, _, _ in roots]
     exact = [ex for _, _, ex in roots]
     x = np.array([p.x for p in pts])
     y = np.array([p.y for p in pts])
-    succ = _successors(F, x, y, exact, max(tol, 1e-7))
+    succ = _successors(F, x, y, exact)
     dst_w = (np.abs(x) > np.abs(y))[succ]
     succ = succ.tolist()
     paths, visited = [], set()
@@ -338,7 +335,9 @@ def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,
     is chosen from each point, and dst_w picks the chart of its image.  In
     the w chart the point is (1, t) and d/dt picks the Y-derivatives; in the
     z chart it is (t, 1) and d/dt picks the X-derivatives.  All four
-    combinations are the derivative of a quotient of F0 and F1.
+    combinations are the derivative of a quotient of F0 and F1.  Where
+    den * den leaves the float range (next to a pole of a map with huge
+    coefficients), the row is taken as (dnum - (num / den) dden) / den.
     """
     src_w = np.abs(x) > np.abs(y)
     t = np.where(src_w, y, x) / np.where(src_w, x, y)
@@ -351,16 +350,23 @@ def _chart_derivatives(F: RationalMapLift, x: np.ndarray, y: np.ndarray,
                              form_eval(form_derivative_x(f), X, Y)))
     num, dnum = np.where(dst_w, vals[1], vals[0]), np.where(dst_w, ders[1], ders[0])
     den, dden = np.where(dst_w, vals[0], vals[1]), np.where(dst_w, ders[0], ders[1])
-    return (dnum * den - num * dden) / (den * den)
+    with np.errstate(all="ignore"):
+        out = (dnum * den - num * dden) / (den * den)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            num, dnum, den, dden = num[bad], dnum[bad], den[bad], dden[bad]
+            out[bad] = (dnum - num / den * dden) / den
+    return out
 
 
-def multiplier(F: RationalMapLift, points, tol: float = 1e-7) -> complex:
-    """Chain-rule multiplier of a cycle, chart-switching around infinity."""
+def multiplier(F: RationalMapLift, points) -> complex:
+    """Chain-rule multiplier of a cycle, chart-switching around infinity;
+    NotACycle when an image is farther than MATCH_TOL from the next point."""
     pts = [p if isinstance(p, CPoint) else CPoint.from_affine(p) for p in points]
     k = len(pts)
     for i, p in enumerate(pts):
         img = evaluate_cpoint(F, p)
-        if img.chordal(pts[(i + 1) % k]) > tol:
+        if img.chordal(pts[(i + 1) % k]) > MATCH_TOL:
             raise NotACycle("points are not cyclically permuted within tolerance")
     x = np.array([p.x for p in pts])
     y = np.array([p.y for p in pts])

@@ -212,13 +212,13 @@ def _horner_ratio(cn: np.ndarray):
     return ratio
 
 
-def aberth(coeffs, tol: float = DEFAULT_TOL):
+def aberth(coeffs):
     """All roots of a squarefree complex polynomial (ascending coefficients).
 
     One column of `aberth_sweeps`, with the monic polynomial evaluated by
     Horner's rule, so it suits small degrees and moderate coefficients.  The
-    sweeps start on the circles of the Newton polygon, near the roots.  A
-    root at 0 is divided out.
+    sweeps start on the circles of the Newton polygon, near the roots, and
+    stop at DEFAULT_TOL.  A root at 0 is divided out.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -227,9 +227,9 @@ def aberth(coeffs, tol: float = DEFAULT_TOL):
     if d == 1:
         return [complex(-c[0] / c[1])]
     if c[0] == 0:
-        return [0j] + aberth(c[1:], tol)
+        return [0j] + aberth(c[1:])
     z = polygon_starts(c)[:, None]
-    roots = _converged(aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z, tol))
+    roots = _converged(aberth_sweeps(_horner_ratio((c / c[-1])[:, None]), z))
     return roots[:, 0].tolist()
 
 
@@ -264,7 +264,7 @@ def polygon_starts(c) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
+def binary_form_roots(coeffs, ratio_of=None):
     """Projective roots of an integer binary form, with multiplicity.
 
     coeffs[i] multiplies X^i Y^(d-i); the formal degree is len(coeffs)-1.
@@ -304,9 +304,9 @@ def binary_form_roots(coeffs, tol: float = DEFAULT_TOL, ratio_of=None):
             continue
         if mult == 1 and ratio_of is not None:
             ratio, starts = ratio_of(fac, known)
-            roots = _converged(aberth_sweeps(ratio, starts[:, None], tol))[:, 0].tolist()
+            roots = _converged(aberth_sweeps(ratio, starts[:, None]))[:, 0].tolist()
         else:
-            roots = aberth(float_coefficients(fac)[0], tol=tol)
+            roots = aberth(float_coefficients(fac)[0])
         for z in roots:
             q = rational_root(fac, z)
             if q is None or q in labelled:

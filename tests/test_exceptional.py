@@ -18,6 +18,7 @@ from dynamo.exceptional import (
 )
 from dynamo.projective import (
     ProjectivePoint,
+    RationalMapLift,
     evaluate,
     point_from_rational,
 )
@@ -270,17 +271,17 @@ def test_collision_zones():
     from dynamo.exceptional import _NodeStore
     from dynamo.projective import CPoint, ProjectivePoint
 
-    store = _NodeStore(tol=1e-9)
+    store = _NodeStore()
     idx0, existed = store.find_or_add(CPoint.from_affine(1.0), None)
     assert not existed
-    # inside tol: merges
+    # inside MERGE_DISTANCE (1e-9): merges
     idx1, existed = store.find_or_add(CPoint.from_affine(1.0 + 1e-11), None)
     assert existed and idx1 == idx0
-    # gray zone [tol, sqrt(tol)): ambiguous for numeric points
+    # gray zone [MERGE_DISTANCE, AMBIGUOUS_DISTANCE): ambiguous for numeric points
     with pytest.raises(Inconclusive):
         store.find_or_add(CPoint.from_affine(1.0 + 1e-6), None)
     # two unequal exact rationals are certifiably distinct even when close
-    store2 = _NodeStore(tol=1e-9)
+    store2 = _NodeStore()
     a = ProjectivePoint(10**6, 1)
     b = ProjectivePoint(10**6 + 1, 1)
     ia, _ = store2.find_or_add(CPoint.from_exact(a), a)
@@ -294,7 +295,7 @@ def test_collision_labels_an_inexact_node_exact():
     from dynamo.exceptional import _NodeStore
     from dynamo.projective import CPoint, ProjectivePoint
 
-    store = _NodeStore(tol=1e-9)
+    store = _NodeStore()
     half = ProjectivePoint(1, 2)
     idx, existed = store.find_or_add(CPoint.from_affine(0.5 + 1e-12), None)
     assert not existed and store.nodes[idx].exact is None
@@ -306,20 +307,44 @@ def test_collision_labels_an_inexact_node_exact():
 
 
 def test_classify_ambiguous_portrait_raises_inconclusive():
-    # z^3 - 6z: the critical point sqrt(2) lies at chordal distance 0.577 from
-    # the exact critical point infinity, inside the ambiguous zone [0.5, 0.707)
+    # z^3 - 6 10^-k z: its critical points +-sqrt(2) 10^(-k/2) lie at chordal
+    # distance 2.8e-6 apart at k = 12 and 2.8e-5 at k = 10, inside the
+    # ambiguous zone [MERGE_DISTANCE, AMBIGUOUS_DISTANCE) = [1e-9, 3.2e-5)
     from dynamo.errors import Inconclusive
 
-    F = poly_lift(0, -6, 0, 1)
-    with pytest.raises(Inconclusive, match="ambiguous zone") as info:
-        classify(F, tol=0.5)
-    # raised by the portrait itself, not converted from another error
-    assert info.value.__context__ is None
-    assert classify(F, tol=0.3).verdict == "NonExceptional"
+    for k in (12, 10):
+        F = RationalMapLift.make([0, -6, 0, 10**k], [10**k, 0, 0, 0])
+        with pytest.raises(Inconclusive, match="ambiguous zone") as info:
+            classify(F)
+        # raised by the portrait itself, not converted from another error
+        assert info.value.__context__ is None
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, math.nan, math.inf])
-def test_classify_rejects_tol_outside_unit_interval(tol):
-    # -1 used to fail inside math.sqrt, 0 and nan to run
-    with pytest.raises(ValueError, match=r"tol must be .*\(0, 1\)"):
-        classify(power_map(2), tol=tol)
+
+
+@pytest.mark.parametrize("coeffs", [(0, -303, 0, 1), (-104, -378, 26, 1), (0, -6, 0, 1)])
+def test_escaping_polynomial_critical_orbit_is_a_numeric_witness(coeffs):
+    # the float orbit of sqrt(101) under z^3 - 303z passed 10^9, came within
+    # chordal distance 1e-9 of the exact node infinity and merged into it:
+    # ChebyshevConjugate.  Past twice the escape radius it is a NotPCF
+    # witness, a CPoint, so the verdict is not exact; z^3 - 6z was Inconclusive
+    from dynamo.exceptional import _escape_bound
+    from dynamo.projective import CPoint
+
+    F = poly_lift(*coeffs)
+    c = classify(F)
+    assert (c.verdict, c.signature, c.pcf, c.exact) == ("NonExceptional", None, False, False)
+    point = c.witness.witness_point
+    assert isinstance(point, CPoint) and abs(point.affine()) > _escape_bound(F)
+
+
+def test_escape_bound_is_twice_the_escape_radius():
+    from dynamo.exceptional import _escape_bound
+
+    # R = max(1, (sum_{i<d} |a_i| + 2|b|) / |a_d|) for (sum a_i z^i) / b
+    assert _escape_bound(RationalMapLift.make([4, -3, 0, 2], [5, 0, 0, 0])) == 2 * (7 + 10) / 2
+    assert _escape_bound(poly_lift(0, 0, 1)) == 2 * 2
+    assert _escape_bound(RationalMapLift.make([0, 0, 7], [1, 0, 0])) == 2  # R = 1
+    assert _escape_bound(RationalMapLift.make([0, 0, 1], [1, 1, 0])) == math.inf
+    # a bound beyond the float range cannot be passed by a float point
+    assert _escape_bound(poly_lift(10**400, 0, 1)) == math.inf

@@ -554,6 +554,47 @@ def test_precision_bits_widens_a_short_first_width(kappa, d, n, budget):
     assert err <= budget and err == _truncation_error(log_kappa, d, n, bits)
 
 
+def _truncation_reference(log_kappa, d, n, bits):
+    """The recurrence of `_truncation_error` in decimal arithmetic, wide
+    enough that 2^(1-bits) and (1 + delta)^d - 1 keep their digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = bits * 31 // 100 + 60
+        ulp = Decimal(2) ** (1 - bits)
+        kappa, delta, weight, total = Decimal(log_kappa).exp(), ulp, Decimal(1), Decimal(0)
+        for _ in range(n):
+            grown = kappa * ((1 + delta) ** d - 1)
+            if grown >= Decimal("0.5"):
+                return math.inf
+            weight /= d
+            total += weight * (-(1 - grown).ln() - d * (1 - delta).ln())
+            delta = grown + (1 + grown) * ulp
+        return total
+
+
+@pytest.mark.parametrize("log_kappa, d, n, bits", [
+    (401 * math.log(10), 2, 1, 1340),  # 2^(1-bits) underflowed and the bound read 0.0
+    (401 * math.log(10), 2, 1, 1400),
+    (401 * math.log(10), 2, 3, 1100),  # infinite, as at 1070 bits; it read 0.0
+    (401 * math.log(10), 4, 2, 3000),
+    (50.0, 2, 20, 2000),
+    (math.log(1e6), 2, 5, 200),  # a normal 2^(1-bits): the float recurrence
+    (1.0, 2, 4, 1100),  # a bound below the float range: the least positive float
+])
+def test_truncation_error_bounds_its_recurrence_past_the_float_range(log_kappa, d, n, bits):
+    from dynamo.heights import _truncation_error
+
+    got = _truncation_error(log_kappa, d, n, bits)
+    want = _truncation_reference(log_kappa, d, n, bits)
+    if want == math.inf:
+        assert got == math.inf
+    elif float(want) == 0.0:
+        assert got == 5e-324
+    else:
+        assert float(want) <= got <= 1.002 * float(want)
+
+
 def test_truncation_error_is_infinite_once_the_step_error_reaches_one_half():
     from dynamo.heights import _truncation_error
 

@@ -324,9 +324,9 @@ def test_binary_form_roots_solves_each_factor_once(monkeypatch):
     calls = []
     real = dynamo.roots.aberth
 
-    def counting(coeffs, tol=1e-12):
+    def counting(coeffs):
         calls.append(len(coeffs) - 1)
-        return real(coeffs, tol=tol)
+        return real(coeffs)
 
     monkeypatch.setattr(dynamo.roots, "aberth", counting)
     # x^4 + x + 1: squarefree, no rational root
