@@ -15,8 +15,7 @@ executes `exceptional` and the layers it imports, and no others.  `dynamo.cli`
 is not registered: `python -m dynamo.cli` runs it as `__main__`, and runpy
 warns when the module it runs is already in `sys.modules`.
 
-The result records are `typing.NamedTuple`s (the two portrait records that
-`exceptional` updates in place are slotted classes), so no layer imports
+The result records are `typing.NamedTuple`s, so no layer imports
 `dataclasses` or generates methods when it executes.
 """
 
@@ -42,8 +41,7 @@ _EXPORTS = {
                 "sample_invariant_measure", "sample_product_measure"),
     "orbits": ("Cycle", "multiplier", "periodic_points"),
     "projective": ("INFINITY", "CPoint", "ProjectivePoint", "RationalMapLift", "compose",
-                   "evaluate", "iterate_lift", "map_from_json", "normalize",
-                   "point_from_rational"),
+                   "evaluate", "iterate_lift", "map_from_json", "point_from_rational"),
 }
 _LAYERS = ("errors", "modp", "projective", "roots", "heights", "orbits", "exceptional",
            "hypersurface", "mpoly", "measure", "curves", "harness")

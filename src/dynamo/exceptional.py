@@ -10,15 +10,14 @@ minimal orbifold weights, then reads the signature:
 (inf, inf) power-like, (2, 2, inf) Chebyshev-like, and the four compact
 parabolic signatures for Lattès.
 
-`NotPCF` and `Classification` are NamedTuples; the portrait records, which
-`ramification_portrait` updates in place, are slotted classes.
+Every record is a NamedTuple; `ramification_portrait` builds the portrait's
+once its critical orbits close.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DegenerateMap, Inconclusive, SingularCurve
@@ -27,11 +26,11 @@ from .projective import (
     CPoint,
     ProjectivePoint,
     RationalMapLift,
+    _cycles,
     evaluate,
     evaluate_cpoint,
-    form_derivative_x,
-    form_derivative_y,
-    poly_mul,
+    float_coefficients,
+    form_eval,
     primitive_int,
 )
 from .roots import binary_form_roots
@@ -102,16 +101,18 @@ def lattes_doubling(a, b) -> RationalMapLift:
 # ---------------------------------------------------------------------------
 
 def wronskian(F: RationalMapLift) -> tuple:
-    """The degree 2d-2 critical form F0_X F1_Y - F0_Y F1_X."""
-    ax = form_derivative_x(F.f0)
-    ay = form_derivative_y(F.f0)
-    bx = form_derivative_x(F.f1)
-    by = form_derivative_y(F.f1)
-    w = [0] * (2 * F.degree - 1)
-    for i, c in enumerate(poly_mul(list(ax), list(by))):
-        w[i] += c
-    for i, c in enumerate(poly_mul(list(ay), list(bx))):
-        w[i] -= c
+    """The degree 2d-2 critical form F0_X F1_Y - F0_Y F1_X.
+
+    With F0 = sum a_i X^i Y^(d-i) and F1 = sum b_j X^j Y^(d-j) it is
+    d sum (i - j) a_i b_j X^(i+j-1) Y^(2d-1-i-j), the terms i = j vanishing.
+    """
+    d = F.degree
+    w = [0] * (2 * d - 1)
+    for i, a in enumerate(F.f0):
+        if a:
+            for j, b in enumerate(F.f1):
+                if b and i != j:
+                    w[i + j - 1] += d * (i - j) * a * b
     return tuple(w)
 
 
@@ -130,54 +131,31 @@ def critical_points(F: RationalMapLift):
     return pts, rational
 
 
-class _Mutable:
-    """Field-wise repr and equality (unhashable) for the records a portrait
-    updates in place; each subclass lists its fields in __slots__."""
+class PortraitNode(NamedTuple):
+    """A portrait point with its critical multiplicity, image and weight."""
 
-    __slots__ = ()
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = attrgetter(*self.__slots__)
-        return values(self) == values(other)
-
-
-class PortraitNode(_Mutable):
-    __slots__ = ("approx", "exact", "critical_multiplicity", "image", "weight")
-
-    def __init__(self, approx: CPoint, exact: ProjectivePoint | None = None,
-                 critical_multiplicity: int = 0, image: int | None = None,
-                 weight: float = 1):  # int, or INF_WEIGHT once forced
-        self.approx = approx
-        self.exact = exact
-        self.critical_multiplicity = critical_multiplicity
-        self.image = image
-        self.weight = weight
+    approx: CPoint
+    exact: ProjectivePoint | None
+    critical_multiplicity: int
+    image: int  # index of the node f maps this one to
+    weight: float  # int, or INF_WEIGHT once forced
 
     @property
     def local_degree(self) -> int:
         return self.critical_multiplicity + 1
 
 
-class RamificationPortrait(_Mutable):
+class RamificationPortrait(NamedTuple):
     """Critical orbits with collision-checked closure and orbifold weights."""
 
-    __slots__ = ("nodes", "exact", "signature")
-
-    def __init__(self, nodes: list, exact: bool, signature: tuple = ()):
-        self.nodes = nodes
-        self.exact = exact
-        self.signature = signature
+    nodes: tuple
+    exact: bool
+    signature: tuple
 
 
 class NotPCF(NamedTuple):
-    """Certified witness that some critical orbit does not close up."""
+    """Witness that a critical orbit does not close up, or that a cycle with
+    no critical point attracts."""
 
     witness_point: object
     orbit_length: int
@@ -193,7 +171,7 @@ class Classification(NamedTuple):
 
 
 class _NodeStore:
-    """Find-or-add store for portrait points.
+    """Find-or-add store for portrait points, one list per node field.
 
     Collision rule: chordal distance < MERGE_DISTANCE merges (certified only
     when both sides are exact and equal); distance in [MERGE_DISTANCE,
@@ -203,35 +181,33 @@ class _NodeStore:
     """
 
     def __init__(self):
-        self.nodes: list[PortraitNode] = []
+        self.approx, self.exact, self.multiplicity, self.image = [], [], [], []
         self.all_collisions_exact = True
 
     def find_or_add(self, approx: CPoint, exact: ProjectivePoint | None):
-        if exact is not None:
-            for i, node in enumerate(self.nodes):
-                if node.exact == exact:
-                    return i, True
+        if exact is not None and exact in self.exact:
+            return self.exact.index(exact), True
+        x, y, norm = approx.x, approx.y, math.hypot(abs(approx.x), abs(approx.y))
         best, best_d = None, math.inf
-        for i, node in enumerate(self.nodes):
-            d = node.approx.chordal(approx)
+        for i, p in enumerate(self.approx):  # `CPoint.chordal`, inlined
+            d = abs(p.x * y - x * p.y) / (math.hypot(abs(p.x), abs(p.y)) * norm)
             if d < best_d:
                 best, best_d = i, d
-        if best is not None and best_d < AMBIGUOUS_DISTANCE:
-            node = self.nodes[best]
-            certifiably_distinct = exact is not None and node.exact is not None
-            if certifiably_distinct:
-                pass  # unequal exact rationals: genuinely distinct points
-            elif best_d < MERGE_DISTANCE:
-                if exact is not None and node.exact is None:
-                    node.exact = exact
-                self.all_collisions_exact = False
-                return best, True
-            else:
+        # unequal exact rationals are genuinely distinct points, however close
+        if best_d < AMBIGUOUS_DISTANCE and (exact is None or self.exact[best] is None):
+            if best_d >= MERGE_DISTANCE:
                 raise Inconclusive(
                     f"orbit points at chordal distance {best_d:.3e} fall in the "
                     f"ambiguous zone [{MERGE_DISTANCE:.0e}, {AMBIGUOUS_DISTANCE:.0e})")
-        self.nodes.append(PortraitNode(approx=approx, exact=exact))
-        return len(self.nodes) - 1, False
+            if exact is not None:
+                self.exact[best] = exact
+            self.all_collisions_exact = False
+            return best, True
+        self.approx.append(approx)
+        self.exact.append(exact)
+        self.multiplicity.append(0)
+        self.image.append(None)
+        return len(self.approx) - 1, False
 
 
 def ramification_portrait(F: RationalMapLift, max_orbit: int = 64):
@@ -241,58 +217,92 @@ def ramification_portrait(F: RationalMapLift, max_orbit: int = 64):
     decision (divergence is then a proof, not a budget timeout); other orbits
     accept collisions at chordal distance < MERGE_DISTANCE and mark the
     portrait inexact.  A numeric orbit point of a polynomial beyond
-    `_escape_bound` is a NotPCF witness, itself a CPoint.  A collision in the
-    ambiguous zone, weights that do not stabilize, or a critical orbit still
-    open after max_orbit steps (running out of budget proves nothing) raises
-    Inconclusive.  A negative max_orbit is a ValueError.
+    `_escape_bound` is a NotPCF witness, itself a CPoint, and so is a point
+    of an attracting cycle of an inexact portrait (`_attracting_cycle`).  A
+    collision in the ambiguous zone, weights that do not stabilize, or a
+    critical orbit still open after max_orbit steps (running out of budget
+    proves nothing) raises Inconclusive.  A negative max_orbit is a
+    ValueError.  The records are built once every critical orbit is closed.
     """
     if max_orbit < 0:
         raise ValueError(f"max_orbit must be >= 0, got {max_orbit}")
     crits, _ = critical_points(F)
     store = _NodeStore()
     escape = None  # `_escape_bound`, computed at the first numeric image
-    crit_ids = []
     for cp, mult, exact in crits:
         idx, _ = store.find_or_add(cp, exact)
-        store.nodes[idx].critical_multiplicity += mult
-        crit_ids.append(idx)
+        store.multiplicity[idx] += mult
 
-    for start in sorted(set(crit_ids)):
-        node = store.nodes[start]
-        if node.exact is not None:
-            verdict = decide_preperiodic(F, node.exact)
+    for start in range(len(store.approx)):  # the critical nodes
+        if store.exact[start] is not None:
+            verdict = decide_preperiodic(F, store.exact[start])
             if not verdict.preperiodic:
-                return NotPCF(node.exact, verdict.certificate_index or 0,
+                return NotPCF(store.exact[start], verdict.certificate_index or 0,
                               "rational critical orbit has certified positive canonical height")
         cur = start
         for step in range(1, max_orbit + 2):
-            cur_node = store.nodes[cur]
-            if cur_node.image is not None:
+            if store.image[cur] is not None:
                 break  # merged into an already-followed orbit
-            if cur_node.exact is not None:
-                img_exact = evaluate(F, cur_node.exact)
+            if store.exact[cur] is not None:
+                img_exact = evaluate(F, store.exact[cur])
                 img_approx = CPoint.from_exact(img_exact)
             else:
                 img_exact = None
-                img_approx = evaluate_cpoint(F, cur_node.approx)
+                img_approx = evaluate_cpoint(F, store.approx[cur])
                 if escape is None:
                     escape = _escape_bound(F)
                 if abs(img_approx.x) > escape * abs(img_approx.y):
                     return NotPCF(img_approx, step, "a critical orbit of a polynomial "
                                   "passes twice its escape radius")
             img_idx, existed = store.find_or_add(img_approx, img_exact)
-            cur_node.image = img_idx
-            if existed and store.nodes[img_idx].image is not None:
+            store.image[cur] = img_idx
+            if existed and store.image[img_idx] is not None:
                 break
             cur = img_idx
         else:
             raise Inconclusive(f"a critical orbit is still open after max_orbit = "
                                f"{max_orbit} steps; a larger budget may close it")
 
-    _assign_weights(store.nodes)
-    signature = tuple(sorted(n.weight for n in store.nodes if n.weight > 1))
-    all_exact = store.all_collisions_exact and all(n.exact is not None for n in store.nodes)
-    return RamificationPortrait(nodes=store.nodes, exact=all_exact, signature=signature)
+    all_exact = store.all_collisions_exact and None not in store.exact
+    witness = None if all_exact else _attracting_cycle(F, store)
+    if witness is not None:
+        return witness
+    weights = _assign_weights([m + 1 for m in store.multiplicity], store.image)
+    nodes = tuple(map(PortraitNode, store.approx, store.exact, store.multiplicity,
+                      store.image, weights))
+    return RamificationPortrait(nodes, all_exact, tuple(sorted(w for w in weights if w > 1)))
+
+
+def _attracting_cycle(F: RationalMapLift, store: _NodeStore) -> NotPCF | None:
+    """A NotPCF witness on a cycle of the portrait with no critical point and
+    |multiplier| < 1, or None.
+
+    A PCF map has no such cycle: the basin of an attracting cycle with no
+    critical point holds a critical point whose orbit is infinite (Fatou;
+    Milnor, Dynamics in One Complex Variable, 3rd ed., section 8).  |lambda|
+    is the product over the cycle of the spherical derivative
+    f#(p) = |J(p)| |p|^2 / (d |F(p)|^2), 2-norms and J = `wronskian(F)`, from
+    the `float_forms` over 2^e and the `float_coefficients` of J over 2^ew;
+    the scale 2^(ew - 2e) is carried in logs, so no product leaves the float
+    range.
+    """
+    f0, f1, e = F.float_forms
+    jac, ew = float_coefficients(wronskian(F))
+    shift = (ew - 2 * e) * math.log(2) - math.log(F.degree)
+    for cycle in _cycles(store.image):
+        if any(store.multiplicity[i] for i in cycle):
+            continue
+        log_lam = 0.0
+        for i in cycle:
+            p = store.approx[i]
+            j = abs(form_eval(jac, p.x, p.y))
+            fp = math.hypot(abs(form_eval(f0, p.x, p.y)), abs(form_eval(f1, p.x, p.y)))
+            log_lam += (math.log(j) if j else -math.inf) + shift + 2 * (
+                math.log(math.hypot(abs(p.x), abs(p.y))) - math.log(fp))
+        if log_lam < 0:
+            return NotPCF(store.approx[cycle[0]], len(cycle),
+                          "a cycle without a critical point is attracting")
+    return None
 
 
 def _escape_bound(F: RationalMapLift) -> float:
@@ -313,52 +323,29 @@ def _escape_bound(F: RationalMapLift) -> float:
         return math.inf
 
 
-def _assign_weights(nodes) -> None:
+def _assign_weights(degrees, image) -> list:
     """Minimal weights with nu(f(y)) divisible by nu(y) * deg_y(f); inf absorbs.
 
-    Cycles whose local-degree product exceeds 1 force weight infinity; the
-    rest is the least fixed point of lcm propagation along portrait edges.
+    degrees[i] is node i's local degree and image[i] its image node.  Cycles
+    of local-degree product above 1 take weight infinity, which stays on
+    them; the rest is the least fixed point of lcm propagation along edges.
     """
-    n = len(nodes)
-    color = [0] * n
-    for s in range(n):
-        if color[s]:
-            continue
-        path = []
-        cur = s
-        while cur is not None and color[cur] == 0:
-            color[cur] = 1
-            path.append(cur)
-            cur = nodes[cur].image
-        if cur is not None and color[cur] == 1:
-            cyc = path[path.index(cur):]
-            prod = 1
-            for i in cyc:
-                prod *= nodes[i].local_degree
-            if prod > 1:
-                for i in cyc:
-                    nodes[i].weight = INF_WEIGHT
-        for i in path:
-            color[i] = 2
-    for _ in range(4 * n * n + 8):
+    weights = [1] * len(image)
+    for cycle in _cycles(image):
+        if math.prod(degrees[i] for i in cycle) > 1:
+            for i in cycle:
+                weights[i] = INF_WEIGHT
+    for _ in range(4 * len(image) ** 2 + 8):
         changed = False
-        for node in nodes:
-            if node.image is None:
+        for i, j in enumerate(image):
+            if weights[i] == INF_WEIGHT or weights[j] == INF_WEIGHT:
                 continue
-            img = nodes[node.image]
-            if node.weight == INF_WEIGHT:
-                if img.weight != INF_WEIGHT:
-                    img.weight = INF_WEIGHT
-                    changed = True
-                continue
-            if img.weight == INF_WEIGHT:
-                continue
-            new = math.lcm(int(img.weight), int(node.weight) * node.local_degree)
-            if new != img.weight:
-                img.weight = new
+            new = math.lcm(weights[j], weights[i] * degrees[i])
+            if new != weights[j]:
+                weights[j] = new
                 changed = True
         if not changed:
-            return
+            return weights
     raise Inconclusive("orbifold weights failed to stabilize")
 
 

@@ -43,8 +43,8 @@ image reduced by its gcd, and a candidate whose iterate leaves the box
 max(|x|,|y|)^(d-1) <= K is wandering, as `decide_preperiodic` would find;
 only the few candidates left are decided one by one.
 
-The results are NamedTuples; `CanonicalHeightResult` leaves its
-`local_breakdown` diagnostics out of equality and hashing.
+The results are NamedTuples.  `CanonicalHeightResult` equality includes its
+`local_breakdown` diagnostics, and a result holding that dict does not hash.
 """
 
 from __future__ import annotations
@@ -159,37 +159,17 @@ def height_step_bound(F: RationalMapLift) -> float:
     return log_int(step_bound_int(F))
 
 
-class _Height(NamedTuple):
+class CanonicalHeightResult(NamedTuple):
+    """A certified height: value within error_radius of the canonical height.
+
+    local_breakdown holds the diagnostics, a dict from `canonical_height`.
+    """
+
     value: float
     error_radius: float
     iterations: int
     height_step_bound: float
-    local_breakdown: dict
-
-
-class CanonicalHeightResult(_Height):
-    """A certified height: value within error_radius of the canonical height.
-
-    local_breakdown (diagnostics; a new empty dict by default) is left out of
-    equality and hashing.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value, error_radius, iterations, height_step_bound, local_breakdown=None):
-        return tuple.__new__(cls, (value, error_radius, iterations, height_step_bound,
-                                   {} if local_breakdown is None else local_breakdown))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:4] == other[:4]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
+    local_breakdown: dict | None = None
 
 
 class PreperiodicityVerdict(NamedTuple):

@@ -38,7 +38,8 @@ points also run:
 
 Matching each root to the root nearest its image, within chordal distance
 MATCH_TOL, groups the roots into cycles with exact periods
-(Morton-Silverman, IMRN 1994, count them) and checks that F permutes them;
+(Morton-Silverman, IMRN 1994, count them; `projective._cycles` finds
+them, as it finds the portrait's) and checks that F permutes them;
 an exact root's image is taken exactly.  The multiplier is the chain-rule
 product of local derivatives in charts that avoid infinity, in integers on
 a cycle of exact points and in floats on any other; `Cycle.repelling` reads
@@ -59,6 +60,7 @@ from .errors import CapExceeded, NotACycle
 from .projective import (
     CPoint,
     RationalMapLift,
+    _cycles,
     evaluate,
     evaluate_cpoint,
     form_derivative_x,
@@ -273,23 +275,11 @@ def periodic_points(F: RationalMapLift, n: int) -> list[Cycle]:
     y = np.array([p.y for p in pts])
     succ = _successors(F, x, y, exact)
     dst_w = (np.abs(x) > np.abs(y))[succ]
-    succ = succ.tolist()
-    paths, visited = [], set()
-    for start in range(len(pts)):
-        if start in visited:
-            continue
-        path = [start]
-        visited.add(start)
-        cur = succ[start]
-        while cur not in visited:
-            path.append(cur)
-            visited.add(cur)
-            cur = succ[cur]
-        if cur != path[0]:
-            # two roots share a nearest image, so some root has none
-            raise NotACycle("nearest-root matching is not a permutation of the "
-                            "periodic root set")
-        paths.append(path)
+    paths = _cycles(succ.tolist())
+    if sum(map(len, paths)) < len(pts):
+        # two roots share a nearest image, so some root has none
+        raise NotACycle("nearest-root matching is not a permutation of the "
+                        "periodic root set")
     # float derivatives only on the cycles with an inexact point
     rows = [i for path in paths if None in [exact[k] for k in path] for i in path]
     deriv = dict(zip(rows, _chart_derivatives(F, x[rows], y[rows], dst_w[rows]).tolist()))

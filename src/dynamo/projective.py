@@ -88,18 +88,6 @@ class ProjectivePoint(_Pair):
 INFINITY = ProjectivePoint(1, 0)
 
 
-def normalize(x, y) -> ProjectivePoint:
-    """Build the normalized projective point for a raw coordinate pair.
-
-    Accepts integers or Fractions; Fractions are cleared to integers first.
-    """
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
-        fx, fy = Fraction(x), Fraction(y)
-        m = fx.denominator * fy.denominator
-        x, y = int(fx * m), int(fy * m)
-    return ProjectivePoint(int(x), int(y))
-
-
 def point_from_rational(q) -> ProjectivePoint:
     """Point for an affine rational value (int, Fraction, or 'p/q'/'inf' string)."""
     if isinstance(q, ProjectivePoint):
@@ -569,6 +557,26 @@ def iterate_lift(F: RationalMapLift, n: int) -> RationalMapLift:
     for _ in range(n - 1):
         out = compose(F, out)
     return out
+
+
+def _cycles(image) -> list:
+    """The cycles of the functional graph i -> image[i] on range(len(image)),
+    each in orbit order from the first point that a walk from the least
+    unvisited index reaches (a permutation's from its least); tails are left out."""
+    walk = [-1] * len(image)  # the start of the walk that first reached each point
+    cycles = []
+    for start in range(len(image)):
+        cur = start
+        while walk[cur] < 0:
+            walk[cur] = start
+            cur = image[cur]
+        if walk[cur] == start:  # the walk closed on itself at cur
+            cycle, nxt = [cur], image[cur]
+            while nxt != cur:
+                cycle.append(nxt)
+                nxt = image[nxt]
+            cycles.append(cycle)
+    return cycles
 
 
 # ---------------------------------------------------------------------------

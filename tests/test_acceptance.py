@@ -31,7 +31,7 @@ from dynamo.heights import (
 )
 from dynamo.hypersurface import Hypersurface, diagonal_surface, graph_surface
 from dynamo.measure import sample_invariant_measure
-from dynamo.projective import RationalMapLift, evaluate, normalize, point_from_rational
+from dynamo.projective import ProjectivePoint, RationalMapLift, evaluate, point_from_rational
 
 from conftest import affine_value, poly_lift
 from sample_stats import arc_discrepancy_uniform, segment_distance
@@ -91,7 +91,7 @@ def test_criterion_02_preperiodicity_vs_brute_force():
             for p in range(-50, 51):
                 if math.gcd(abs(p), q) != 1:
                     continue
-                pt = normalize(p, q)
+                pt = ProjectivePoint(p, q)
                 mine = decide_preperiodic(F, pt).preperiodic
                 oracle = _brute_force_preperiodic(F, pt, bound)
                 if mine != oracle:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from dynamo.curves import (
+    _reduce_to_curve,
     _verify_pushforward,
     curve_orbit,
     curve_pushforward,
@@ -108,6 +109,11 @@ def test_curve_orbit_shift_graph_grows(sq):
     assert len(degs) == 6  # the start curve plus five images
     for a, b in zip(degs, degs[1:]):
         assert b[0] > a[0] and b[1] > a[1]
+
+
+def test_zero_eliminant_is_an_elimination_failure():
+    with pytest.raises(EliminationFailure, match="resultant vanished identically"):
+        _reduce_to_curve([[0, 0, 0], [0, 0, 0]], 1, 2)
 
 
 def test_vertical_line_pushforward(sq):

@@ -203,6 +203,17 @@ def test_portrait_weights_divisibility(cheb2):
             assert int(img.weight) % (int(node.weight) * node.local_degree) == 0
 
 
+def test_assign_weights_on_a_cycle_of_degree_one_with_inflowing_tails():
+    # 3 -> 0 -> 1 <-> 2 with local degrees 2, 1, 1, 3 at 0, 1, 2, 3: the
+    # cycle has degree product 1, so it stays finite and takes
+    # nu = nu(0) * 2 = 6 from nu(0) = 3; in 0 -> 1 <-> 2 with degree 2 at 1
+    # the cycle is forced to infinity, and 0, fed by no node, keeps weight 1
+    from dynamo.exceptional import _assign_weights
+
+    assert _assign_weights([2, 1, 1, 3], [1, 2, 1, 0]) == [3, 6, 6, 1]
+    assert _assign_weights([1, 2, 1], [1, 2, 1]) == [1, INF_WEIGHT, INF_WEIGHT]
+
+
 # -- classification -----------------------------------------------------------
 
 def test_classify_examples(sq, cheb2, basilica):
@@ -256,6 +267,27 @@ def test_open_critical_orbit_is_inconclusive(F, budget, enough):
     assert classify(F, max_orbit=enough).verdict != "NonExceptional"
 
 
+def test_attracting_cycle_without_a_critical_point_is_not_pcf():
+    # z^3 - 6 10^-8 z: 0 is an attracting fixed point (multiplier -6e-8),
+    # and the float orbit of the critical point sqrt(2) 10^-4 reaches
+    # -5.7e-12, whose image merges into it as a fixed node with no critical
+    # point; that portrait read as PCF with signature (2, inf)
+    F = RationalMapLift.make([0, -6, 0, 10**8], [10**8, 0, 0, 0])
+    for G in (F, mobius_conjugate(F, (10**40, 1, 0, 10**40))):
+        c = classify(G)
+        assert (c.verdict, c.signature, c.pcf, c.exact) == ("NonExceptional", None, False, False)
+        assert c.witness.orbit_length == 1
+        assert c.witness.reason == "a cycle without a critical point is attracting"
+    assert abs(c.witness.witness_point.affine() + 1e-40) < 1e-9
+    # an inexact PCF portrait: the fixed point infinity of a Lattes map has
+    # |multiplier| 4, also where the critical form's floats carry the scale
+    # 2^804 against the map's 2^0 (coefficients of about 400 bits)
+    for G in (lattes_doubling(0, 1), mobius_conjugate(lattes_doubling(0, 1),
+                                                      (10**30, 1, 0, 10**30))):
+        c = classify(G)
+        assert (c.verdict, c.exact) == ("Lattes", False)
+
+
 def test_classify_conjugation_stable(sq, cheb2, basilica):
     mobius = [(1, 1, 0, 1), (2, 1, 1, 1), (0, 1, 1, 0), (1, -2, 1, 3)]
     targets = [(sq, "PowerConjugate"), (cheb2, "ChebyshevConjugate"),
@@ -298,12 +330,12 @@ def test_collision_labels_an_inexact_node_exact():
     store = _NodeStore()
     half = ProjectivePoint(1, 2)
     idx, existed = store.find_or_add(CPoint.from_affine(0.5 + 1e-12), None)
-    assert not existed and store.nodes[idx].exact is None
+    assert not existed and store.exact[idx] is None
     assert store.find_or_add(CPoint.from_exact(half), half) == (idx, True)
-    assert store.nodes[idx].exact == half
+    assert store.exact[idx] == half
     assert not store.all_collisions_exact
     assert store.find_or_add(CPoint.from_affine(0.25), half) == (idx, True)
-    assert len(store.nodes) == 1
+    assert len(store.approx) == 1
 
 
 def test_classify_ambiguous_portrait_raises_inconclusive():

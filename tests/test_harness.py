@@ -244,6 +244,13 @@ def test_matching_exponents_match_the_search():
                         == _least_exponents_by_search(di, dj, bound)), (di, dj, bound)
 
 
+def test_matching_exponents_of_a_degree_below_two():
+    # no power of 1 is a power of 2: the search for a root base of 1 would not end
+    assert _matching_exponents(1, 2, 6) is None
+    assert _matching_exponents(3, 1, 6) is None
+    assert _matching_exponents(1, 1, 6) == (1, 1)
+
+
 def test_matching_exponents_under_a_large_bound():
     # the search formed O(bound^2) big-integer powers: bound 10^5 did not end in 60 s
     t0 = time.perf_counter()

@@ -26,7 +26,6 @@ from dynamo.projective import (
     evaluate,
     form_eval,
     int_root_floor,
-    normalize,
     point_from_rational,
 )
 
@@ -225,7 +224,7 @@ def test_decide_agrees_with_brute_force_box(sq, basilica, cheb2):
             for p in range(-25, 26):
                 if math.gcd(abs(p), q) != 1:
                     continue
-                pt = normalize(p, q)
+                pt = ProjectivePoint(p, q)
                 assert decide_preperiodic(F, pt).preperiodic == \
                     _brute_force_preperiodic(F, pt, bound)
 

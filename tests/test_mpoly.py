@@ -360,6 +360,24 @@ def test_gcd_drops_an_unlucky_image(gcd_primes, monkeypatch):
     assert [c for c in gcd_primes if type(c) is not int] == [(p0, 3), (p1, 2), (p2, 2), "lift"]
 
 
+def test_gcd_passes_over_a_prime_that_divides_a_leading_coefficient(monkeypatch):
+    # A = (u - s)(p u + 1) with p = prime(0) loses its top u-degree mod p:
+    # that prime gives no image, and prime(1) and prime(2) give u - s
+    p0, p1, p2 = map(prime, range(3))
+    A, B = _mul2(U_MINUS_S, [[1], [p0]]), _mul2(U_MINUS_S, [[1], [1]])
+    assert dynamo.mpoly._gcd_image(A, B, [1], 2, p0) is None
+    gcd_image, seen = dynamo.mpoly._gcd_image, []
+
+    def counted_image(A, B, gamma, n, p):
+        image = gcd_image(A, B, gamma, n, p)
+        seen.append((p, image and len(image)))
+        return image
+
+    monkeypatch.setattr(dynamo.mpoly, "_gcd_image", counted_image)
+    assert _up_to_sign(_gcd(A, B), U_MINUS_S)
+    assert seen == [(p0, None), (p1, 2), (p2, 2)]
+
+
 def test_gcd_points_differ_from_prime_to_prime():
     # with n = 1 one point per prime is interpolated; were it s0 = 0 at
     # every prime, an unlucky s0 = 0 would give the same wrong image at

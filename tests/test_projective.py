@@ -14,13 +14,13 @@ from dynamo.projective import (
     CPoint,
     ProjectivePoint,
     RationalMapLift,
+    _cycles,
     bezout_certificate,
     coefficient_from_json,
     compose,
     evaluate,
     form_eval,
     map_from_json,
-    normalize,
     point_from_rational,
     poly_mul,
     sylvester_resultant,
@@ -30,24 +30,25 @@ from conftest import mobius_conjugate, poly_lift
 from json_forms import map_to_json
 
 
+# ProjectivePoint normalizes the pair it is built from
 def test_normalize_divides_by_gcd():
-    assert normalize(4, 6) == ProjectivePoint(2, 3)
+    assert tuple(ProjectivePoint(4, 6)) == (2, 3)
 
 
 def test_normalize_sign_convention():
-    assert normalize(-1, -2) == ProjectivePoint(1, 2)
-    assert normalize(3, -2) == ProjectivePoint(-3, 2)
+    assert tuple(ProjectivePoint(-1, -2)) == (1, 2)
+    assert tuple(ProjectivePoint(3, -2)) == (-3, 2)
 
 
 def test_normalize_point_at_infinity():
-    p = normalize(5, 0)
-    assert p == ProjectivePoint(1, 0)
+    p = ProjectivePoint(5, 0)
+    assert tuple(p) == (1, 0)
     assert p.is_infinity
 
 
 def test_normalize_rejects_zero_pair():
     with pytest.raises(ZeroPoint):
-        normalize(0, 0)
+        ProjectivePoint(0, 0)
 
 
 def test_normalize_idempotent_random():
@@ -57,8 +58,8 @@ def test_normalize_idempotent_random():
         y = rng.randint(-500, 500)
         if x == 0 and y == 0:
             continue
-        p = normalize(x, y)
-        assert normalize(p.x, p.y) == p
+        p = ProjectivePoint(x, y)
+        assert ProjectivePoint(p.x, p.y) == p
         assert math.gcd(abs(p.x), abs(p.y)) == 1
         assert p.y > 0 or (p.y == 0 and p.x > 0)
 
@@ -84,7 +85,7 @@ def test_evaluate_fixes_infinity(basilica):
 
 def test_evaluate_reduces_to_coprime(sq):
     # (6/4) -> normalized (3/2) -> 9/4
-    assert evaluate(sq, normalize(6, 4)) == ProjectivePoint(9, 4)
+    assert evaluate(sq, ProjectivePoint(6, 4)) == ProjectivePoint(9, 4)
 
 
 def test_compose_power_maps(sq):
@@ -130,7 +131,7 @@ def test_compose_functoriality_random_points(sq, basilica, cheb2):
             H = compose(F, G)
             assert H.degree == F.degree * G.degree
             for _ in range(20):
-                p = normalize(rng.randint(-30, 30), rng.randint(1, 30))
+                p = ProjectivePoint(rng.randint(-30, 30), rng.randint(1, 30))
                 assert evaluate(H, p) == evaluate(F, evaluate(G, p))
 
 
@@ -265,7 +266,7 @@ def test_mobius_conjugate_match_on_points(basilica):
         return ProjectivePoint(p.x + p.y, p.y)
 
     for _ in range(25):
-        p = normalize(rng.randint(-20, 20), rng.randint(1, 20))
+        p = ProjectivePoint(rng.randint(-20, 20), rng.randint(1, 20))
         assert mu_apply(evaluate(G, p)) == evaluate(basilica, mu_apply(p))
     assert mu.degree == 1
 
@@ -533,3 +534,39 @@ def test_cpoint_is_infinity_means_y_is_zero():
     assert not p.is_infinity and p.affine().real == pytest.approx(1e16)
     assert CPoint.from_exact(ProjectivePoint(1, 0)).is_infinity
     assert not CPoint(1.0, 1e-300).is_infinity
+
+
+def _permutation_walk(succ):
+    """Reference: the cycles of a permutation as `orbits.periodic_points`
+    walked them before the shared cycle finder."""
+    paths, visited = [], set()
+    for start in range(len(succ)):
+        if start in visited:
+            continue
+        path = [start]
+        visited.add(start)
+        cur = succ[start]
+        while cur not in visited:
+            path.append(cur)
+            visited.add(cur)
+            cur = succ[cur]
+        paths.append(path)
+    return paths
+
+
+def test_cycles_of_a_permutation_follow_the_periodic_walk():
+    rng = random.Random(38)
+    for n in (1, 2, 7, 40, 300):
+        succ = list(range(n))
+        rng.shuffle(succ)
+        assert _cycles(succ) == _permutation_walk(succ)
+    assert _cycles([1, 2, 0, 4, 3, 5]) == [[0, 1, 2], [3, 4], [5]]
+
+
+def test_cycles_leave_out_the_tails():
+    # 0 -> 1 -> 2 -> 3 -> 1 (tail 0); the self-loop 4 fed by 5 -> 6 -> 4;
+    # 7 -> 2 enters the first cycle, found already
+    assert _cycles([1, 2, 3, 1, 4, 6, 4, 2]) == [[1, 2, 3], [4]]
+    assert _cycles([1, 1, 1]) == [[1]]
+    assert _cycles([2, 0, 0]) == [[0, 2]]
+    assert _cycles([0]) == [[0]] and _cycles([]) == []

@@ -1,8 +1,7 @@
 """The result records: value equality and hashing, repr text, keyword
 construction with defaults, and read-only fields.
 
-Every immutable record is a NamedTuple; the two portrait records that
-`exceptional.ramification_portrait` updates in place are slotted classes.
+Every record is an immutable NamedTuple.
 """
 
 import math
@@ -39,6 +38,8 @@ _LIFT = RationalMapLift.make([-1, 0, 1], [1, 0, 0])
 _OUTCOME = CurveOrbitOutcome(True, tail=0, period=1, bidegrees=((1, 1),), curves=("C",))
 _MEASURE = EmpiricalMeasure(np.zeros((2, 1)), np.zeros((2, 1), dtype=bool), seed=1, depth=2)
 _REPORT = PairFormReport(None, "no pair")
+_NODE = PortraitNode(approx=CPoint(0.0, 1.0), exact=ProjectivePoint(0, 1),
+                     critical_multiplicity=1, image=0, weight=math.inf)
 
 # one instance of every immutable record, built by keyword: its fields
 IMMUTABLE = [
@@ -50,6 +51,8 @@ IMMUTABLE = [
     Cycle(points=(), period=1, multiplier=0j),
     NotPCF(witness_point=ProjectivePoint(1, 0), orbit_length=3, reason="wanders"),
     Classification(verdict="Lattes", signature=(2, 2, 2, 2), pcf=True, exact=True),
+    _NODE,
+    RamificationPortrait(nodes=(_NODE,), exact=True, signature=(math.inf,)),
     FiberWitness(assignment={}, root=None, preperiodic=None, detail=""),
     FiberTestResult(passes=1, fails=0, uncertified=0, degenerate=0, witnesses=()),
     PairFormCertificate(pair=(1, 2), exponents=(1, 1), curve=None, orbit=_OUTCOME),
@@ -71,6 +74,8 @@ FIELDS = {
     Cycle: "points period multiplier exact_points parabolic_warning",
     NotPCF: "witness_point orbit_length reason",
     Classification: "verdict signature pcf exact witness",
+    PortraitNode: "approx exact critical_multiplicity image weight",
+    RamificationPortrait: "nodes exact signature",
     FiberWitness: "assignment root preperiodic detail",
     FiberTestResult: "passes fails uncertified degenerate witnesses",
     PairFormCertificate: "pair exponents curve orbit", PairFormReport: "certificate reason",
@@ -114,15 +119,15 @@ def test_projective_point_normalizes_its_fields():
     assert p != ProjectivePoint(3, 2)
 
 
-def test_height_equality_leaves_out_the_local_breakdown():
+def test_height_equality_includes_the_local_breakdown():
     a = CanonicalHeightResult(0.5, 1e-6, 3, 0.7, {"archimedean": 0.5})
     b = CanonicalHeightResult(0.5, 1e-6, 3, 0.7)
-    assert a == b and not a != b and hash(a) == hash(b)
-    assert b.local_breakdown == {}
-    assert a != CanonicalHeightResult(0.25, 1e-6, 3, 0.7, {"archimedean": 0.5})
-    # each result gets its own empty breakdown
-    b.local_breakdown["p=2"] = 1.0
-    assert CanonicalHeightResult(0.5, 1e-6, 3, 0.7).local_breakdown == {}
+    assert b.local_breakdown is None and hash(b) == hash(CanonicalHeightResult(0.5, 1e-6, 3, 0.7))
+    assert a != b and a == CanonicalHeightResult(0.5, 1e-6, 3, 0.7, {"archimedean": 0.5})
+    assert a != CanonicalHeightResult(0.5, 1e-6, 3, 0.7, {"archimedean": 0.25})
+    # a result that holds its breakdown dict does not hash
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_keyword_construction_takes_the_defaults():
@@ -150,22 +155,17 @@ def test_reprs_name_the_fields():
     assert _OUTCOME != CurveOrbitOutcome(True, 0, 1, ((1, 1),), ())
 
 
-def test_portrait_records_update_in_place_and_compare_by_value():
-    approx = CPoint(0.0, 1.0)
-    node = PortraitNode(approx, exact=ProjectivePoint(0, 1))
-    assert (node.critical_multiplicity, node.image, node.weight) == (0, None, 1)
-    node.critical_multiplicity += 1
-    node.weight = math.inf
-    assert node.local_degree == 2
-    assert node == PortraitNode(approx, ProjectivePoint(0, 1), 1, None, math.inf)
-    assert node != PortraitNode(approx, ProjectivePoint(0, 1), 1, 0, math.inf)
+def test_portrait_records_compare_hash_and_print_by_field():
+    approx = _NODE.approx
+    node = PortraitNode(approx, ProjectivePoint(0, 1), 1, 0, math.inf)
+    assert node == _NODE and hash(node) == hash(_NODE) and node.local_degree == 2
+    assert node != _NODE._replace(image=1)
     assert repr(node) == (f"PortraitNode(approx={approx!r}, exact=ProjectivePoint(x=0, y=1), "
-                          "critical_multiplicity=1, image=None, weight=inf)")
-    portrait = RamificationPortrait(nodes=[node], exact=True)
-    assert portrait.signature == ()
-    assert portrait == RamificationPortrait([node], True, ())
-    with pytest.raises(TypeError):
-        hash(portrait)
+                          "critical_multiplicity=1, image=0, weight=inf)")
+    portrait = RamificationPortrait((node,), True, (math.inf,))
+    assert portrait == RamificationPortrait(nodes=(_NODE,), exact=True, signature=(math.inf,))
+    assert hash(portrait) == hash(RamificationPortrait((_NODE,), True, (math.inf,)))
+    assert portrait != portrait._replace(exact=False)
 
 
 def test_records_unpack_and_replace_as_tuples():
